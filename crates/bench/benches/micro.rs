@@ -22,7 +22,8 @@ use awake_lab::report::{
 use awake_olocal::edge::{solve_edges_sequentially, EdgeColoring, EdgeIndex, MaximalMatching};
 use awake_olocal::EdgeProblem;
 use awake_sleeping::{
-    threaded, Action, Config, Engine, Envelope, Outbox, Outgoing, PhaseTimes, Program, View,
+    threaded, Action, CheckpointError, Codec, Config, Engine, Envelope, Outbox, Outgoing, Persist,
+    PhaseTimes, Program, Reader, RunSpec, View, Writer,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -83,6 +84,25 @@ impl Program for Flood {
     fn output(&self) -> Option<u64> {
         Some(self.best)
     }
+}
+
+impl Persist for Flood {
+    fn save(&self, w: &mut Writer) {
+        self.best.encode(w);
+    }
+    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
+        self.best = r.get()?;
+        Ok(())
+    }
+}
+
+/// Run `programs` to completion on the `workers`-worker pool.
+fn pool_run(g: &Graph, programs: Vec<Flood>, workers: usize) -> awake_sleeping::Run<u64> {
+    let engine = Engine::new(g, Config::default());
+    engine
+        .run_spec(programs, &RunSpec::on(Some(workers)))
+        .unwrap()
+        .finished()
 }
 
 /// The same flood workload on a reconstruction of the seed engine's hot
@@ -261,7 +281,7 @@ fn bench_threaded_flood(g: &Graph) -> PerfStats {
         let progs = mk();
         let a0 = alloc_count();
         let t0 = Instant::now();
-        let run = threaded::run_threaded(g, progs, Config::default(), 4).unwrap();
+        let run = pool_run(g, progs, 4);
         let ns = t0.elapsed().as_nanos() as f64;
         allocs = alloc_count() - a0;
         totals = (run.metrics.total_awake(), run.metrics.messages_sent);
@@ -326,9 +346,7 @@ fn bench_threaded_scaling() -> (ThreadedScaling, PhaseTimesBench) {
         .into_iter()
         .map(|workers| ScalingRow {
             workers,
-            stats: measure(&|progs| {
-                threaded::run_threaded(&g, progs, Config::default(), workers).unwrap()
-            }),
+            stats: measure(&|progs| pool_run(&g, progs, workers)),
         })
         .collect();
 
@@ -348,7 +366,7 @@ fn bench_threaded_scaling() -> (ThreadedScaling, PhaseTimesBench) {
     // The sweep is only meaningful if the pipeline computes the serial
     // answer — assert full bit-for-bit agreement once at this scale.
     let s = Engine::new(&g, Config::default()).run(mk()).unwrap();
-    let t = threaded::run_threaded(&g, mk(), Config::default(), 4).unwrap();
+    let t = pool_run(&g, mk(), 4);
     assert_eq!(s.outputs, t.outputs, "scaling bench executors must agree");
     assert_eq!(s.metrics, t.metrics, "scaling bench metrics must agree");
     assert_eq!(s.outputs, timed.outputs, "timed executor must agree");

@@ -10,10 +10,10 @@ use crate::bounds;
 use crate::compose::Composition;
 use crate::lemma11::ColorScheduled;
 use crate::linial::{self, ColorReduction};
-use crate::resilient::run_stage;
+use crate::resilient::{solver_stage, StageSpec};
 use awake_graphs::Graph;
 use awake_olocal::OLocalProblem;
-use awake_sleeping::{Codec, Config, Engine, FaultPlan, SimError};
+use awake_sleeping::{Codec, Config, SimError};
 
 /// Result of a BM21 run.
 #[derive(Debug)]
@@ -26,7 +26,31 @@ pub struct Bm21Result<O> {
     pub colors: Vec<u64>,
 }
 
-/// Solve `problem` on `g` with the BM21 algorithm.
+/// Solve `problem` on `g` with the BM21 algorithm, fault-free on the
+/// serial engine: [`solve_spec`] with the default spec. Kept with this
+/// signature because the `perfbench` benchmark calls it. Errors like
+/// [`solve_spec`].
+pub fn solve<P>(
+    g: &Graph,
+    problem: &P,
+    inputs: &[P::Input],
+    delta: Option<usize>,
+) -> Result<Bm21Result<P::Output>, SimError>
+where
+    P: OLocalProblem + Clone + Send + Sync,
+    P::Output: Codec,
+{
+    solve_spec(g, problem, inputs, delta, &StageSpec::default())
+}
+
+/// Solve `problem` on `g` with the BM21 algorithm, on the executor and
+/// under the fault plan `spec` names (see [`crate::resilient`]: with an
+/// active plan both stages run wrapped in
+/// [`Redundant`](awake_sleeping::Redundant) time redundancy, and with a
+/// quiet period after the last fault the outputs stay valid and the
+/// accounting stays within [`bounds::degraded_budget_for`] for
+/// [`BoundAlgo::Bm21`](bounds::BoundAlgo::Bm21)). An inactive plan runs
+/// exactly like no plan.
 ///
 /// `delta` defaults to the graph's maximum degree (the standard global
 /// knowledge assumption of \[BM21\]); pass a larger bound to study
@@ -35,17 +59,20 @@ pub struct Bm21Result<O> {
 /// # Errors
 /// Propagates simulator errors (a bug in the schedule, or an exceeded
 /// round budget).
-pub fn solve<P>(
+pub fn solve_spec<P>(
     g: &Graph,
     problem: &P,
     inputs: &[P::Input],
     delta: Option<usize>,
+    spec: &StageSpec,
 ) -> Result<Bm21Result<P::Output>, SimError>
 where
-    P: OLocalProblem + Clone,
+    P: OLocalProblem + Clone + Send + Sync,
+    P::Output: Codec,
 {
     assert_eq!(inputs.len(), g.n(), "inputs length mismatch");
     let delta = delta.unwrap_or_else(|| g.max_degree()).max(1) as u64;
+    let stage_budgets = bounds::bm21_stage_budgets(g, delta);
     let mut composition = Composition::new();
 
     // Stage 1: Linial to k = O(Δ²) colors. Hoist the `O(n)` ident-bound
@@ -56,7 +83,13 @@ where
         .nodes()
         .map(|v| ColorReduction::from_ident(g.ident(v), ident_bound, delta))
         .collect();
-    let run = Engine::new(g, Config::default()).run(programs)?;
+    let run = solver_stage(
+        g,
+        programs,
+        Config::default(),
+        stage_budgets[0].rounds,
+        spec,
+    )?;
     let k = linial::final_palette(delta);
     let colors: Vec<u64> = run.outputs.iter().map(|c| c + 1).collect();
     composition.push("bm21/linial", run.metrics);
@@ -73,80 +106,12 @@ where
             )
         })
         .collect();
-    let run = Engine::new(g, Config::default()).run(programs)?;
-    composition.push("bm21/lemma11", run.metrics);
-
-    Ok(Bm21Result {
-        outputs: run.outputs,
-        composition,
-        colors,
-    })
-}
-
-/// [`solve`] under the crate's [recovery contract](crate::resilient):
-/// both stages run wrapped in [`Redundant`](awake_sleeping::Redundant)
-/// time redundancy sized from `plan`, on the serial engine or (with
-/// `workers`) the worker-pool executor — bit-for-bit identical either
-/// way. With a quiet period after the last fault the outputs stay valid
-/// and the accounting stays within
-/// [`bounds::degraded_budget_for`] for
-/// [`BoundAlgo::Bm21`](bounds::BoundAlgo::Bm21). An inactive plan runs
-/// exactly like [`solve`].
-///
-/// # Errors
-/// Propagates simulator errors.
-pub fn solve_faulty<P>(
-    g: &Graph,
-    problem: &P,
-    inputs: &[P::Input],
-    delta: Option<usize>,
-    plan: &FaultPlan,
-    workers: Option<usize>,
-) -> Result<Bm21Result<P::Output>, SimError>
-where
-    P: OLocalProblem + Clone + Send + Sync,
-    P::Output: Codec,
-{
-    assert_eq!(inputs.len(), g.n(), "inputs length mismatch");
-    let delta = delta.unwrap_or_else(|| g.max_degree()).max(1) as u64;
-    let stage_budgets = bounds::bm21_stage_budgets(g, delta);
-    let mut composition = Composition::new();
-
-    let ident_bound = g.ident_bound();
-    let programs: Vec<ColorReduction> = g
-        .nodes()
-        .map(|v| ColorReduction::from_ident(g.ident(v), ident_bound, delta))
-        .collect();
-    let run = run_stage(
-        g,
-        programs,
-        Config::default(),
-        stage_budgets[0].rounds,
-        Some(plan),
-        workers,
-    )?;
-    let k = linial::final_palette(delta);
-    let colors: Vec<u64> = run.outputs.iter().map(|c| c + 1).collect();
-    composition.push("bm21/linial", run.metrics);
-
-    let programs: Vec<ColorScheduled<P>> = g
-        .nodes()
-        .map(|v| {
-            ColorScheduled::new(
-                problem.clone(),
-                inputs[v.index()].clone(),
-                colors[v.index()],
-                k,
-            )
-        })
-        .collect();
-    let run = run_stage(
+    let run = solver_stage(
         g,
         programs,
         Config::default(),
         stage_budgets[1].rounds,
-        Some(plan),
-        workers,
+        spec,
     )?;
     composition.push("bm21/lemma11", run.metrics);
 

@@ -11,7 +11,7 @@
 use awake_sleeping::Metrics;
 
 /// Accounting for one named stage.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageReport {
     /// Stage name (e.g. `"theorem13/iter1/lemma15"`).
     pub name: String,
@@ -20,7 +20,7 @@ pub struct StageReport {
 }
 
 /// Additive accounting across stages (Lemma 8).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Composition {
     /// Per-stage reports, in execution order.
     pub stages: Vec<StageReport>,

@@ -477,6 +477,25 @@ impl<P: Codec> Codec for MemberRec<P> {
     }
 }
 
+impl<P: Codec> Codec for ClusterView<P> {
+    fn encode(&self, w: &mut Writer) {
+        self.label.encode(w);
+        self.my_ident.encode(w);
+        self.my_depth.encode(w);
+        self.members.encode(w);
+        self.my_ports.encode(w);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        Ok(ClusterView {
+            label: r.get()?,
+            my_ident: r.get()?,
+            my_depth: r.get()?,
+            members: r.get()?,
+            my_ports: r.get()?,
+        })
+    }
+}
+
 impl<P: Codec> Codec for GatherMsg<P> {
     fn encode(&self, w: &mut Writer) {
         match self {

@@ -24,7 +24,7 @@
 //! | [`theorem1`] | the end-to-end result: awake `O(√log n · log* n)` |
 //! | [`bounds`] | closed-form awake/round budgets asserted by tests and benches |
 //! | [`compose`] | Lemma 8: sequential composition with additive accounting |
-//! | [`resilient`] | the crash-recovery contract: fault-tolerant stage execution |
+//! | [`resilient`] | the one stage runner (executor, fault plan, checkpoint) and the crash-recovery contract |
 //!
 //! # Quick start
 //!

@@ -25,15 +25,15 @@
 //! [`EdgeGreedy`] inner program is the by-label sequential greedy for any
 //! [`EdgeProblem`] — the trivial `O(Δ_L)`-awake baseline on `L(G)` —
 //! executed unchanged by the serial engine or the worker-pool executor
-//! ([`solve_edges`] / [`solve_edges_threaded`]).
+//! ([`solve_edges_spec`]).
 
-use crate::resilient::run_stage;
+use crate::resilient::{solver_stage, StageSpec};
 use crate::virt::{VEnvelope, VOutgoing, VirtMsg, VirtualProgram};
 use awake_graphs::{Graph, NodeId};
 use awake_olocal::edge::{EdgeGreedyView, EdgeIndex, EdgeProblem};
 use awake_sleeping::{
-    threaded, Action, CheckpointError, Codec, Config, Engine, Envelope, FaultPlan, Metrics, Outbox,
-    Persist, Program, Reader, Round, SimError, View, Writer,
+    Action, CheckpointError, Codec, Config, Envelope, FaultPlan, Metrics, Outbox, Persist, Program,
+    Reader, Round, SimError, View, Writer,
 };
 use std::sync::Arc;
 
@@ -489,37 +489,44 @@ pub struct EdgeRun<O> {
     pub metrics: Metrics,
 }
 
-/// Solve an [`EdgeProblem`] on the serial engine via the line-graph
-/// adapter with the [`EdgeGreedy`] inner program.
+/// Solve an [`EdgeProblem`] via the line-graph adapter with the
+/// [`EdgeGreedy`] inner program, on the executor and under the fault plan
+/// `spec` names. With an active plan the hosts run under the crate's
+/// [recovery contract](crate::resilient), wrapped in
+/// [`Redundant`](awake_sleeping::Redundant) time redundancy, so
+/// crash-restarts of a host (which rewind *all* of its replicas at once),
+/// dropped `VirtMsg` frames, duplicates, and delays are all masked by
+/// retransmission inside each stretched window; with a quiet period after
+/// the last fault the outputs stay valid and the accounting stays within
+/// [`crate::bounds::degraded_budget_for`]. Serial and pool runs are
+/// bit-for-bit identical. An inactive plan runs exactly like no plan.
 ///
 /// # Errors
 /// Propagates engine errors.
 ///
 /// # Panics
 /// Panics if `inputs.len() != g.m()`.
-pub fn solve_edges<EP>(
+pub fn solve_edges_spec<EP>(
     g: &Graph,
     problem: &EP,
     inputs: &[EP::Input],
     config: Config,
+    spec: &StageSpec,
 ) -> Result<EdgeRun<EP::Output>, SimError>
 where
-    EP: EdgeProblem + Clone,
+    EP: EdgeProblem + Clone + Send + Sync,
+    EP::Output: Codec,
 {
     let idx = EdgeIndex::new(g);
     let programs = greedy_hosts(g, &idx, problem, inputs);
-    let run = Engine::new(g, config).run(programs)?;
+    let base_rounds = crate::bounds::linegraph_rounds(g).max(1);
+    let run = solver_stage(g, programs, config, base_rounds, spec)?;
     Ok(collect(&idx, run.outputs, run.metrics))
 }
 
-/// [`solve_edges`] on the worker-pool executor — bit-for-bit identical
-/// results, per the executor equivalence contract.
-///
-/// # Errors
-/// Propagates engine errors.
-///
-/// # Panics
-/// Panics if `inputs.len() != g.m()`.
+/// [`solve_edges_spec`] fault-free on the worker pool. Kept with this
+/// signature because the `perfbench` benchmark calls it. Errors and
+/// panics like [`solve_edges_spec`].
 pub fn solve_edges_threaded<EP>(
     g: &Graph,
     problem: &EP,
@@ -529,52 +536,14 @@ pub fn solve_edges_threaded<EP>(
 ) -> Result<EdgeRun<EP::Output>, SimError>
 where
     EP: EdgeProblem + Clone + Send + Sync,
-{
-    let idx = EdgeIndex::new(g);
-    let programs = greedy_hosts(g, &idx, problem, inputs);
-    let run = threaded::run_threaded(g, programs, config, workers)?;
-    Ok(collect(&idx, run.outputs, run.metrics))
-}
-
-/// [`solve_edges`] under a seeded fault plan, following the crate's
-/// [recovery contract](crate::resilient): the hosts run wrapped in
-/// [`Redundant`](awake_sleeping::Redundant) time redundancy sized from
-/// `plan`, so crash-restarts of a host (which rewind *all* of its
-/// replicas at once), dropped `VirtMsg` frames, duplicates, and delays
-/// are all masked by retransmission inside each stretched window.
-/// Deterministic and bit-for-bit identical to
-/// [`solve_edges_threaded_faulty`] under the same plan at any worker
-/// count. With a quiet period after the last fault the outputs stay
-/// valid and the accounting stays within
-/// [`crate::bounds::degraded_budget_for`]. An inactive plan runs exactly
-/// like [`solve_edges`].
-///
-/// # Errors
-/// Propagates engine errors.
-///
-/// # Panics
-/// Panics if `inputs.len() != g.m()`.
-pub fn solve_edges_faulty<EP>(
-    g: &Graph,
-    problem: &EP,
-    inputs: &[EP::Input],
-    config: Config,
-    plan: &FaultPlan,
-) -> Result<EdgeRun<EP::Output>, SimError>
-where
-    EP: EdgeProblem + Clone + Send + Sync,
     EP::Output: Codec,
 {
-    solve_edges_resilient(g, problem, inputs, config, plan, None)
+    solve_edges_spec(g, problem, inputs, config, &StageSpec::on(Some(workers)))
 }
 
-/// [`solve_edges_faulty`] on the worker-pool executor.
-///
-/// # Errors
-/// Propagates engine errors.
-///
-/// # Panics
-/// Panics if `inputs.len() != g.m()`.
+/// [`solve_edges_spec`] on the worker pool under `plan`. Kept with this
+/// signature because the `perfbench` benchmark calls it. Errors and
+/// panics like [`solve_edges_spec`].
 pub fn solve_edges_threaded_faulty<EP>(
     g: &Graph,
     problem: &EP,
@@ -587,26 +556,8 @@ where
     EP: EdgeProblem + Clone + Send + Sync,
     EP::Output: Codec,
 {
-    solve_edges_resilient(g, problem, inputs, config, plan, Some(workers))
-}
-
-fn solve_edges_resilient<EP>(
-    g: &Graph,
-    problem: &EP,
-    inputs: &[EP::Input],
-    config: Config,
-    plan: &FaultPlan,
-    workers: Option<usize>,
-) -> Result<EdgeRun<EP::Output>, SimError>
-where
-    EP: EdgeProblem + Clone + Send + Sync,
-    EP::Output: Codec,
-{
-    let idx = EdgeIndex::new(g);
-    let programs = greedy_hosts(g, &idx, problem, inputs);
-    let base_rounds = crate::bounds::linegraph_rounds(g).max(1);
-    let run = run_stage(g, programs, config, base_rounds, Some(plan), workers)?;
-    Ok(collect(&idx, run.outputs, run.metrics))
+    let pool = StageSpec::on(Some(workers));
+    solve_edges_spec(g, problem, inputs, config, &pool.with_faults(Some(*plan)))
 }
 
 /// The [`EdgeGreedy`] host set for `problem` (exposed so benches and
@@ -632,12 +583,16 @@ where
 }
 
 /// Dynamic replica state: the hosted program's own state plus the
-/// prime-step bookkeeping (`next`, `outgoing`, `done`, `output`). The
-/// topology fields (`label`, `adj`, `owned`, `far_port`) are rebuilt by
-/// [`hosts`] and stay put. `local` and the pooled merge/send buffers are
-/// intra-round scratch: empty at round boundaries, and explicitly
-/// cleared on restore so a crash restore applied mid-round (after `send`
-/// filled `local`) fully rewinds to the start-of-round image.
+/// prime-step bookkeeping (`next`, `outgoing`, `done`, `output`), and the
+/// local deliveries `send` staged for `receive`. Those are empty at an
+/// unwrapped host's round boundaries, but a
+/// [`Redundant`](awake_sleeping::Redundant) wrapper calls `send` at the
+/// start of a window and `receive` at its end, so they are in flight
+/// across every boundary inside the window. The topology fields (`label`,
+/// `adj`, `owned`, `far_port`) are rebuilt by [`hosts`] and stay put; the
+/// pooled merge/send buffers are intra-round scratch, cleared on restore
+/// so a crash restore applied mid-round fully rewinds to the
+/// start-of-round image.
 impl<VP> Persist for LineGraphHost<VP>
 where
     VP: VirtualProgram + Persist,
@@ -653,6 +608,7 @@ where
             rep.done.encode(w);
             rep.output.encode(w);
         }
+        self.local.encode(w);
     }
     fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
         let count: usize = r.get()?;
@@ -666,7 +622,7 @@ where
             rep.done = r.get()?;
             rep.output = r.get()?;
         }
-        self.local.clear();
+        self.local = r.get()?;
         self.lmerge.clear();
         self.xmerge.clear();
         self.venv.clear();
@@ -723,6 +679,7 @@ mod tests {
     use super::*;
     use awake_graphs::generators;
     use awake_olocal::edge::{solve_edges_sequentially, EdgeColoring, MaximalMatching};
+    use awake_sleeping::Engine;
 
     fn families() -> Vec<Graph> {
         vec![
@@ -748,21 +705,27 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// The adapter on `spec` with trivial inputs.
+    fn solve<EP>(g: &Graph, problem: &EP, spec: &StageSpec) -> EdgeRun<EP::Output>
+    where
+        EP: EdgeProblem<Input = ()> + Clone + Send + Sync,
+        EP::Output: Codec,
+    {
+        let inputs = vec![(); g.m()];
+        solve_edges_spec(g, problem, &inputs, Config::default(), spec).unwrap()
+    }
+
     #[test]
     fn adapter_matches_the_sequential_reference() {
         for g in families() {
             let idx = EdgeIndex::new(&g);
             let inputs = vec![(); idx.m()];
-            let mat = solve_edges(&g, &MaximalMatching, &inputs, Config::default())
-                .unwrap()
-                .outputs;
+            let mat = solve(&g, &MaximalMatching, &StageSpec::default()).outputs;
             let mat_seq = solve_edges_sequentially(&MaximalMatching, &g, &idx, &inputs);
             assert_eq!(mat, mat_seq, "matching diverges on {g:?}");
             MaximalMatching.validate(&g, &inputs, &mat).unwrap();
 
-            let col = solve_edges(&g, &EdgeColoring, &inputs, Config::default())
-                .unwrap()
-                .outputs;
+            let col = solve(&g, &EdgeColoring, &StageSpec::default()).outputs;
             let col_seq = solve_edges_sequentially(&EdgeColoring, &g, &idx, &inputs);
             assert_eq!(col, col_seq, "coloring diverges on {g:?}");
             EdgeColoring.validate(&g, &inputs, &col).unwrap();
@@ -775,7 +738,7 @@ mod tests {
         // edges' wake rounds: Σ_e∋v (deg_L(e) + 2).
         let g = generators::gnp(40, 0.12, 9);
         let idx = EdgeIndex::new(&g);
-        let run = solve_edges(&g, &MaximalMatching, &vec![(); idx.m()], Config::default()).unwrap();
+        let run = solve(&g, &MaximalMatching, &StageSpec::default());
         for v in g.nodes() {
             let bound: u64 = idx
                 .incident(v)
@@ -796,7 +759,7 @@ mod tests {
     fn custom_idents_change_the_processing_order_consistently() {
         let g = generators::cycle(7).with_idents(vec![70, 10, 60, 20, 50, 30, 40]);
         let idx = EdgeIndex::new(&g);
-        let run = solve_edges(&g, &MaximalMatching, &vec![(); idx.m()], Config::default()).unwrap();
+        let run = solve(&g, &MaximalMatching, &StageSpec::default());
         let seq = solve_edges_sequentially(&MaximalMatching, &g, &idx, &vec![(); idx.m()]);
         assert_eq!(run.outputs, seq);
         MaximalMatching
@@ -807,13 +770,36 @@ mod tests {
     #[test]
     fn serial_and_threaded_adapters_agree() {
         let g = generators::gnp(28, 0.18, 11);
-        let inputs = vec![(); g.m()];
-        let a = solve_edges(&g, &EdgeColoring, &inputs, Config::default()).unwrap();
+        let a = solve(&g, &EdgeColoring, &StageSpec::default());
         for workers in [1, 2, 4] {
-            let b = solve_edges_threaded(&g, &EdgeColoring, &inputs, Config::default(), workers)
-                .unwrap();
+            let b = solve(&g, &EdgeColoring, &StageSpec::on(Some(workers)));
             assert_eq!(a.outputs, b.outputs, "workers = {workers}");
             assert_eq!(a.metrics, b.metrics, "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn crash_inside_a_redundancy_window_keeps_local_deliveries() {
+        // On a star whose hub has the largest ident, the hub owns every
+        // edge, and its replicas hear each other's announcements as local
+        // deliveries: staged by `send` at the start of a `Redundant` window
+        // and consumed by `receive` at its end. A crash in between must
+        // restore them; losing them would match two edges.
+        let g = generators::star(9).with_idents((1..=9).rev().collect());
+        for seed in 0..16 {
+            let plan = FaultPlan {
+                crash_ppm: 300_000,
+                quiet_after: 200,
+                ..FaultPlan::new(seed)
+            };
+            let run = solve(
+                &g,
+                &MaximalMatching,
+                &StageSpec::default().with_faults(Some(plan)),
+            );
+            assert!(run.metrics.faults_crashed > 0, "seed {seed}: no crash");
+            let valid = MaximalMatching.validate(&g, &vec![(); g.m()], &run.outputs);
+            assert!(valid.is_ok(), "seed {seed}: {valid:?}");
         }
     }
 

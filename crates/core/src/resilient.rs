@@ -1,6 +1,13 @@
-//! The crash-recovery contract shared by every solver in the crate.
+//! The one stage runner every solver in the crate goes through, and the
+//! crash-recovery contract it implements.
 //!
-//! A solver stage is made resilient by wrapping each node's program in
+//! Every solver is a Lemma 8 chain of stage runs, and every stage runs
+//! through [`run_stage`]: the executor (serial engine or worker pool) and
+//! the fault plan come from the caller's [`StageSpec`], so each solver has
+//! one body for every executor and every plan. A single-stage run may also
+//! checkpoint and resume, through a full [`RunSpec`].
+//!
+//! A stage is made resilient by wrapping each node's program in
 //! [`Redundant`] time redundancy: the stretch factor `S` comes from
 //! [`redundancy_for`] applied to the stage's *closed-form* round bound
 //! (the same figure [`crate::bounds`] degrades, so the audit and the
@@ -14,57 +21,103 @@
 //! * the run is bit-for-bit identical on the serial engine and the
 //!   worker-pool executor at any worker count.
 //!
-//! With an inactive plan nothing is wrapped and the stage executes
-//! exactly as its fault-free counterpart — same config, same engine path,
+//! An inactive plan means no plan: nothing is wrapped and the stage
+//! executes exactly as a fault-free run — same config, same engine path,
 //! same metrics.
 
 use awake_graphs::Graph;
 use awake_sleeping::{
-    redundancy_for, threaded, Codec, Config, Engine, FaultPlan, Persist, Program, Redundant, Run,
-    SimError,
+    redundancy_for, Codec, Config, Engine, FaultPlan, Paused, Persist, Program, Redundant,
+    ResumeError, Run, RunSpec, SimError,
 };
 
-/// Execute one solver stage under the recovery contract.
+/// How a multi-stage solver runs each of its stages: the executor and the
+/// fault plan of a [`RunSpec`], without its checkpoint and resume — a
+/// snapshot captures one stage, not a solver. The default is the serial
+/// engine, fault-free.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StageSpec {
+    /// `None` runs the serial engine; `Some(w)` the worker pool with `w`
+    /// executors.
+    pub workers: Option<usize>,
+    /// A seeded fault plan. An inactive plan means no plan.
+    pub faults: Option<FaultPlan>,
+}
+
+impl StageSpec {
+    /// The fault-free spec on `workers` (`None`: the serial engine).
+    pub fn on(workers: Option<usize>) -> Self {
+        StageSpec {
+            workers,
+            faults: None,
+        }
+    }
+
+    /// This spec under `faults`.
+    pub fn with_faults(self, faults: Option<FaultPlan>) -> Self {
+        StageSpec { faults, ..self }
+    }
+}
+
+impl From<StageSpec> for RunSpec<'_> {
+    fn from(s: StageSpec) -> Self {
+        RunSpec::on(s.workers).with_faults(s.faults)
+    }
+}
+
+/// Execute one stage as `spec` says, under the recovery contract.
 ///
 /// `config` is the stage's fault-free engine configuration, used verbatim
-/// when `plan` is absent or inactive. `base_rounds` is the stage's
+/// when the spec has no active plan. `base_rounds` is the stage's
 /// closed-form round bound — the input to [`redundancy_for`] and
-/// [`crate::bounds::degraded_stage_rounds`]. `workers` selects the
-/// worker-pool executor (`None`: the serial engine); both produce
-/// identical results.
+/// [`crate::bounds::degraded_stage_rounds`]. A resumed stage must be
+/// given the plan it ran under, so the programs are wrapped as they were
+/// when the snapshot was taken.
 ///
 /// # Errors
-/// Propagates engine errors.
+/// Like [`Engine::run_spec`]; a resume under a different plan than the
+/// snapshot's fails with a [`ResumeError::Checkpoint`] error.
 pub fn run_stage<P>(
     g: &Graph,
     programs: Vec<P>,
     config: Config,
     base_rounds: u64,
-    plan: Option<&FaultPlan>,
-    workers: Option<usize>,
+    spec: &RunSpec<'_>,
+) -> Result<Paused<P::Output>, ResumeError>
+where
+    P: Program + Persist + Send,
+    P::Msg: Codec,
+    P::Output: Codec,
+{
+    let Some(plan) = spec.active_faults() else {
+        return Engine::new(g, config).run_spec(programs, spec);
+    };
+    let s = redundancy_for(&plan, g.n(), base_rounds);
+    let config = Config {
+        max_rounds: crate::bounds::degraded_stage_rounds(base_rounds, s, &plan),
+        ..config
+    };
+    let wrapped: Vec<Redundant<P>> = programs.into_iter().map(|p| Redundant::new(p, s)).collect();
+    Engine::new(g, config).run_spec(wrapped, spec)
+}
+
+/// One stage of a multi-stage solver: [`run_stage`] from round 0 to the
+/// end.
+pub(crate) fn solver_stage<P>(
+    g: &Graph,
+    programs: Vec<P>,
+    config: Config,
+    base_rounds: u64,
+    spec: &StageSpec,
 ) -> Result<Run<P::Output>, SimError>
 where
     P: Program + Persist + Send,
     P::Msg: Codec,
+    P::Output: Codec,
 {
-    match plan.filter(|p| p.is_active()) {
-        None => match workers {
-            None => Engine::new(g, config).run(programs),
-            Some(w) => threaded::run_threaded(g, programs, config, w),
-        },
-        Some(pl) => {
-            let s = redundancy_for(pl, g.n(), base_rounds);
-            let cap = crate::bounds::degraded_stage_rounds(base_rounds, s, pl);
-            let cfg = Config {
-                max_rounds: cap,
-                ..config
-            };
-            let wrapped: Vec<Redundant<P>> =
-                programs.into_iter().map(|p| Redundant::new(p, s)).collect();
-            match workers {
-                None => Engine::new(g, cfg).run_faulty(wrapped, pl),
-                Some(w) => threaded::run_threaded_faulty(g, wrapped, cfg, w, pl),
-            }
-        }
+    match run_stage(g, programs, config, base_rounds, &(*spec).into()) {
+        Ok(paused) => Ok(paused.finished()),
+        Err(ResumeError::Sim(e)) => Err(e),
+        Err(ResumeError::Checkpoint(e)) => unreachable!("no snapshot to decode: {e}"),
     }
 }

@@ -9,13 +9,14 @@
 use crate::clustering::Clustering;
 use crate::compose::Composition;
 use crate::params::Params;
+use crate::resilient::StageSpec;
 use crate::theorem13::{self, IterationStats};
 use crate::theorem9;
 use awake_graphs::Graph;
 use awake_olocal::OLocalProblem;
-use awake_sleeping::{Codec, FaultPlan, SimError};
+use awake_sleeping::{Codec, SimError};
 
-/// Options for [`solve`].
+/// Options for [`solve_spec`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Options {
     /// Override the derived parameters (`None`: derive from the graph).
@@ -37,7 +38,8 @@ pub struct Theorem1Result<O> {
     pub params: Params,
 }
 
-/// Solve `problem` on `g` end to end, using the problem's trivial inputs.
+/// Solve `problem` on `g` end to end, fault-free on the serial engine,
+/// using the problem's trivial inputs.
 ///
 /// # Errors
 /// Propagates simulator errors.
@@ -47,16 +49,18 @@ pub fn solve<P>(
     options: Options,
 ) -> Result<Theorem1Result<P::Output>, SimError>
 where
-    P: OLocalProblem + Clone,
+    P: OLocalProblem + Clone + Send + Sync,
+    P::Input: Codec,
+    P::Output: Codec,
 {
     let inputs = problem.trivial_inputs(g);
-    solve_with_inputs(g, problem, &inputs, options)
+    solve_spec(g, problem, &inputs, options, &StageSpec::default())
 }
 
-/// Solve `problem` on `g` end to end with explicit per-node inputs.
-///
-/// # Errors
-/// Propagates simulator errors.
+/// Solve `problem` on `g` end to end with explicit per-node inputs,
+/// fault-free on the serial engine: [`solve_spec`] with the default spec.
+/// Kept with this signature because the `perfbench` benchmark calls it.
+/// Errors like [`solve_spec`].
 pub fn solve_with_inputs<P>(
     g: &Graph,
     problem: &P,
@@ -64,60 +68,27 @@ pub fn solve_with_inputs<P>(
     options: Options,
 ) -> Result<Theorem1Result<P::Output>, SimError>
 where
-    P: OLocalProblem + Clone,
-{
-    let params = options.params.unwrap_or_else(|| Params::for_graph(g));
-    let t13 = theorem13::compute(g, &params)?;
-    let t9 = theorem9::solve(g, problem, inputs, &t13.clustering, params.color_bound())?;
-    let mut composition = Composition::new();
-    composition.extend_prefixed("theorem1", t13.composition);
-    composition.extend_prefixed("theorem1", t9.composition);
-    Ok(Theorem1Result {
-        outputs: t9.outputs,
-        composition,
-        clustering: t13.clustering,
-        iteration_stats: t13.iteration_stats,
-        params,
-    })
-}
-
-/// [`solve`] under the crate's [recovery contract](crate::resilient):
-/// every stage of both theorems runs wrapped in
-/// [`Redundant`](awake_sleeping::Redundant) time redundancy sized from
-/// `plan`, serially or (with `workers`) on the worker-pool executor —
-/// bit-for-bit identical either way. An inactive plan runs exactly like
-/// [`solve`].
-///
-/// # Errors
-/// Propagates simulator errors.
-pub fn solve_faulty<P>(
-    g: &Graph,
-    problem: &P,
-    options: Options,
-    plan: &FaultPlan,
-    workers: Option<usize>,
-) -> Result<Theorem1Result<P::Output>, SimError>
-where
     P: OLocalProblem + Clone + Send + Sync,
     P::Input: Codec,
     P::Output: Codec,
 {
-    let inputs = problem.trivial_inputs(g);
-    solve_with_inputs_faulty(g, problem, &inputs, options, plan, workers)
+    solve_spec(g, problem, inputs, options, &StageSpec::default())
 }
 
-/// [`solve_with_inputs`] under the recovery contract — see
-/// [`solve_faulty`].
+/// Solve `problem` on `g` end to end with explicit per-node inputs, on
+/// the executor and under the fault plan `spec` names (see
+/// [`crate::resilient`]: with an active plan every stage of both theorems
+/// runs wrapped in [`Redundant`](awake_sleeping::Redundant) time
+/// redundancy). An inactive plan runs exactly like no plan.
 ///
 /// # Errors
 /// Propagates simulator errors.
-pub fn solve_with_inputs_faulty<P>(
+pub fn solve_spec<P>(
     g: &Graph,
     problem: &P,
     inputs: &[P::Input],
     options: Options,
-    plan: &FaultPlan,
-    workers: Option<usize>,
+    spec: &StageSpec,
 ) -> Result<Theorem1Result<P::Output>, SimError>
 where
     P: OLocalProblem + Clone + Send + Sync,
@@ -125,15 +96,14 @@ where
     P::Output: Codec,
 {
     let params = options.params.unwrap_or_else(|| Params::for_graph(g));
-    let t13 = theorem13::compute_faulty(g, &params, plan, workers)?;
-    let t9 = theorem9::solve_faulty(
+    let t13 = theorem13::compute_spec(g, &params, spec)?;
+    let t9 = theorem9::solve_spec(
         g,
         problem,
         inputs,
         &t13.clustering,
         params.color_bound(),
-        plan,
-        workers,
+        spec,
     )?;
     let mut composition = Composition::new();
     composition.extend_prefixed("theorem1", t13.composition);

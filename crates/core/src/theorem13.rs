@@ -28,10 +28,10 @@ use crate::lemma14::{lemma14_vrounds, L14Payload, TreeGatherVertex};
 use crate::lemma15::{Lemma15Config, Lemma15Out, Lemma15Vertex};
 use crate::linial;
 use crate::params::Params;
-use crate::resilient::run_stage;
+use crate::resilient::{solver_stage, StageSpec};
 use crate::virt::{virt_rounds, VirtSim};
 use awake_graphs::Graph;
-use awake_sleeping::{Config, FaultPlan, SimError};
+use awake_sleeping::{Config, SimError};
 
 /// The pipeline's result.
 #[derive(Debug)]
@@ -59,7 +59,18 @@ pub struct IterationStats {
     pub clusters_after: usize,
 }
 
-/// Compute a colored BFS-clustering of `g` (Theorem 13).
+/// Compute a colored BFS-clustering of `g` (Theorem 13), fault-free on
+/// the serial engine: [`compute_spec`] with the default spec. Kept with
+/// this signature because the `perfbench` benchmark calls it. Errors and
+/// panics like [`compute_spec`].
+pub fn compute(g: &Graph, params: &Params) -> Result<Theorem13Result, SimError> {
+    compute_spec(g, params, &StageSpec::default())
+}
+
+/// Compute a colored BFS-clustering of `g` (Theorem 13), on the executor
+/// and under the fault plan `spec` names (see [`crate::resilient`]: with
+/// an active plan every Lemma 15 / Lemma 14 stage runs wrapped in
+/// [`Redundant`](awake_sleeping::Redundant) time redundancy).
 ///
 /// # Errors
 /// Propagates simulator errors.
@@ -67,35 +78,10 @@ pub struct IterationStats {
 /// # Panics
 /// Panics if the pipeline fails to exhaust the graph within `k`
 /// iterations — that would contradict Lemma 15's shrink guarantee.
-pub fn compute(g: &Graph, params: &Params) -> Result<Theorem13Result, SimError> {
-    compute_impl(g, params, None, None)
-}
-
-/// [`compute`] under the crate's [recovery contract](crate::resilient):
-/// every Lemma 15 / Lemma 14 stage runs wrapped in
-/// [`Redundant`](awake_sleeping::Redundant) time redundancy sized from
-/// `plan`, serially or (with `workers`) on the worker-pool executor —
-/// bit-for-bit identical either way.
-///
-/// # Errors
-/// Propagates simulator errors.
-///
-/// # Panics
-/// Like [`compute`].
-pub fn compute_faulty(
+pub fn compute_spec(
     g: &Graph,
     params: &Params,
-    plan: &FaultPlan,
-    workers: Option<usize>,
-) -> Result<Theorem13Result, SimError> {
-    compute_impl(g, params, Some(plan), workers)
-}
-
-fn compute_impl(
-    g: &Graph,
-    params: &Params,
-    plan: Option<&FaultPlan>,
-    workers: Option<usize>,
+    spec: &StageSpec,
 ) -> Result<Theorem13Result, SimError> {
     let mut composition = Composition::new();
     let mut iteration_stats = Vec::new();
@@ -132,7 +118,7 @@ fn compute_impl(
             })
             .collect();
         let base_rounds = virt_rounds(db, bounds::lemma15_vrounds(params, iteration));
-        let run = run_stage(g, programs, budget, base_rounds, plan, workers)?;
+        let run = solver_stage(g, programs, budget, base_rounds, spec)?;
         composition.push(format!("theorem13/iter{iteration}/lemma15"), run.metrics);
         let out15: Vec<Option<Lemma15Out>> = run.outputs;
 
@@ -170,7 +156,7 @@ fn compute_impl(
                 })
                 .collect();
             let base_rounds = virt_rounds(db, bounds::lemma14_vrounds(params));
-            let run = run_stage(g, programs, budget, base_rounds, plan, workers)?;
+            let run = solver_stage(g, programs, budget, base_rounds, spec)?;
             composition.push(format!("theorem13/iter{iteration}/lemma14"), run.metrics);
             for v in g.nodes() {
                 if current[v.index()].is_some() {

@@ -20,13 +20,12 @@ use crate::clustering::Clustering;
 use crate::compose::Composition;
 use crate::gather::ClusterGather;
 use crate::lemma10::PaletteTree;
-use crate::resilient::run_stage;
+use crate::resilient::{solver_stage, StageSpec};
 use crate::virt::{VEnvelope, VOutgoing, VertexInput, VirtSim};
 use awake_graphs::Graph;
 use awake_olocal::{GreedyView, OLocalProblem};
 use awake_sleeping::{
-    Action, CheckpointError, Codec, Config, Engine, FaultPlan, Persist, Reader, Round, SimError,
-    Writer,
+    Action, CheckpointError, Codec, Config, Persist, Reader, Round, SimError, Writer,
 };
 use std::collections::BTreeMap;
 
@@ -260,7 +259,37 @@ pub struct Theorem9Result<O> {
     pub composition: Composition,
 }
 
-/// Solve `problem` on `g` given a colored BFS-clustering.
+/// Solve `problem` on `g` given a colored BFS-clustering, fault-free on
+/// the serial engine: [`solve_spec`] with the default spec. Kept with this
+/// signature because the `perfbench` benchmark calls it. Errors and
+/// panics like [`solve_spec`].
+pub fn solve<P>(
+    g: &Graph,
+    problem: &P,
+    inputs: &[P::Input],
+    clustering: &Clustering,
+    c_bound: u64,
+) -> Result<Theorem9Result<P::Output>, SimError>
+where
+    P: OLocalProblem + Clone + Send + Sync,
+    P::Input: Codec,
+    P::Output: Codec,
+{
+    solve_spec(
+        g,
+        problem,
+        inputs,
+        clustering,
+        c_bound,
+        &StageSpec::default(),
+    )
+}
+
+/// Solve `problem` on `g` given a colored BFS-clustering, on the executor
+/// and under the fault plan `spec` names (see [`crate::resilient`]: with
+/// an active plan the root-overlay gather and the Lemma 11 simulation on
+/// `H` run wrapped in [`Redundant`](awake_sleeping::Redundant) time
+/// redundancy). An inactive plan runs exactly like no plan.
 ///
 /// `c_bound` is the public bound on colors (`max γ ≤ c_bound`) that every
 /// node's schedule is derived from — `Params::color_bound()` when the
@@ -270,17 +299,20 @@ pub struct Theorem9Result<O> {
 /// Propagates simulator errors.
 ///
 /// # Panics
-/// Panics if the clustering does not cover every node or a color exceeds
+/// Panics if the clustering does not cover every node, or a color exceeds
 /// `c_bound`.
-pub fn solve<P>(
+pub fn solve_spec<P>(
     g: &Graph,
     problem: &P,
     inputs: &[P::Input],
     clustering: &Clustering,
     c_bound: u64,
+    spec: &StageSpec,
 ) -> Result<Theorem9Result<P::Output>, SimError>
 where
-    P: OLocalProblem + Clone,
+    P: OLocalProblem + Clone + Send + Sync,
+    P::Input: Codec,
+    P::Output: Codec,
 {
     assert_eq!(inputs.len(), g.n(), "inputs length mismatch");
     assert_eq!(clustering.assigned(), g.n(), "Theorem 9 needs a full cover");
@@ -290,6 +322,7 @@ where
     );
     let mut composition = Composition::new();
     let db = g.n() as u32;
+    let stage_budgets = crate::bounds::theorem9_stage_budgets(db, c_bound);
 
     // ---- Stage 1: learn root identifiers (colored → uniquely labeled) ----
     let programs: Vec<ClusterGather<()>> = g
@@ -299,7 +332,13 @@ where
             ClusterGather::participant(a.label, a.depth, g.ident(v), (), db)
         })
         .collect();
-    let run = Engine::new(g, Config::default()).run(programs)?;
+    let run = solver_stage(
+        g,
+        programs,
+        Config::default(),
+        stage_budgets[0].rounds,
+        spec,
+    )?;
     let root_ident: Vec<u64> = run
         .outputs
         .iter()
@@ -324,105 +363,12 @@ where
             )
         })
         .collect();
-    let run = Engine::new(g, Config::default()).run(programs)?;
-    composition.push("theorem9/lemma11-on-H", run.metrics);
-
-    let outputs: Vec<P::Output> = g
-        .nodes()
-        .map(|v| {
-            run.outputs[v.index()]
-                .as_ref()
-                .expect("participants finish")[&g.ident(v)]
-                .clone()
-        })
-        .collect();
-    Ok(Theorem9Result {
-        outputs,
-        composition,
-    })
-}
-
-/// [`solve`] under the crate's [recovery contract](crate::resilient):
-/// the root-overlay gather and the Lemma 11 simulation on `H` run
-/// wrapped in [`Redundant`](awake_sleeping::Redundant) time redundancy
-/// sized from `plan`, serially or (with `workers`) on the worker-pool
-/// executor — bit-for-bit identical either way. An inactive plan runs
-/// exactly like [`solve`].
-///
-/// # Errors
-/// Propagates simulator errors.
-///
-/// # Panics
-/// Like [`solve`].
-pub fn solve_faulty<P>(
-    g: &Graph,
-    problem: &P,
-    inputs: &[P::Input],
-    clustering: &Clustering,
-    c_bound: u64,
-    plan: &FaultPlan,
-    workers: Option<usize>,
-) -> Result<Theorem9Result<P::Output>, SimError>
-where
-    P: OLocalProblem + Clone + Send + Sync,
-    P::Input: Codec,
-    P::Output: Codec,
-{
-    assert_eq!(inputs.len(), g.n(), "inputs length mismatch");
-    assert_eq!(clustering.assigned(), g.n(), "Theorem 9 needs a full cover");
-    assert!(
-        clustering.max_label() <= c_bound,
-        "colors exceed the public bound"
-    );
-    let mut composition = Composition::new();
-    let db = g.n() as u32;
-    let stage_budgets = crate::bounds::theorem9_stage_budgets(db, c_bound);
-
-    let programs: Vec<ClusterGather<()>> = g
-        .nodes()
-        .map(|v| {
-            let a = clustering.assign[v.index()].expect("full cover");
-            ClusterGather::participant(a.label, a.depth, g.ident(v), (), db)
-        })
-        .collect();
-    let run = run_stage(
-        g,
-        programs,
-        Config::default(),
-        stage_budgets[0].rounds,
-        Some(plan),
-        workers,
-    )?;
-    let root_ident: Vec<u64> = run
-        .outputs
-        .iter()
-        .map(|o| o.as_ref().expect("participants finish").root_ident())
-        .collect();
-    composition.push("theorem9/root-overlay", run.metrics);
-
-    let programs: Vec<VirtSim<Lemma11Vertex<P>, _>> = g
-        .nodes()
-        .map(|v| {
-            let a = clustering.assign[v.index()].expect("full cover");
-            let payload: Payload<P::Input> = (a.label, inputs[v.index()].clone());
-            let problem = problem.clone();
-            VirtSim::participant(
-                root_ident[v.index()],
-                a.depth,
-                g.ident(v),
-                payload,
-                db,
-                move |vi| Lemma11Vertex::new(problem.clone(), vi, c_bound),
-            )
-        })
-        .collect();
-    let run = run_stage(
+    let run = solver_stage(
         g,
         programs,
         Config::default(),
         stage_budgets[1].rounds,
-        Some(plan),
-        workers,
+        spec,
     )?;
     composition.push("theorem9/lemma11-on-H", run.metrics);
 

@@ -16,7 +16,8 @@ use awake_olocal::edge::{EdgeIndex, MaximalMatching};
 use awake_olocal::problems::{DeltaPlusOneColoring, MaximalIndependentSet};
 use awake_olocal::EdgeProblem;
 use awake_sleeping::{
-    threaded, Codec, Config, Engine, FaultPlan, Paused, Persist, Program, Run, Snapshot, TraceMode,
+    Checkpoint, Codec, Config, Engine, FaultPlan, Paused, Persist, Program, Run, RunSpec, Snapshot,
+    TraceMode,
 };
 
 /// Workers exercised on every resume (the acceptance matrix).
@@ -53,13 +54,11 @@ where
     F: Fn() -> Vec<P>,
 {
     let engine = Engine::new(g, traced());
-    let full = match plan.as_ref() {
-        None => engine.run(make()).unwrap(),
-        Some(p) => engine.run_faulty(make(), p).unwrap(),
-    };
+    let serial = RunSpec::default().with_faults(plan);
+    let full = engine.run_spec(make(), &serial).unwrap().finished();
     let mut paused_at_least_once = false;
     for r in 1..=full.metrics.rounds {
-        let snap = match engine.snapshot_at(make(), plan.as_ref(), r).unwrap() {
+        let snap = match engine.run_spec(make(), &serial.pause_after(r)).unwrap() {
             Paused::Snapshot(s) => s,
             // pausing after the final scheduled round completes instead
             Paused::Done(run) => {
@@ -69,25 +68,20 @@ where
         };
         paused_at_least_once = true;
         assert_eq!(snap.round(), r, "snapshot stamps its pause bound");
-        let threaded_snap =
-            match threaded::snapshot_at_threaded(g, make(), traced(), 3, plan.as_ref(), r).unwrap()
-            {
-                Paused::Snapshot(s) => s,
-                Paused::Done(_) => panic!("serial paused at {r} but threaded completed"),
-            };
+        let pool = RunSpec::on(Some(3)).with_faults(plan).pause_after(r);
+        let threaded_snap = engine.run_spec(make(), &pool).unwrap().into_snapshot();
         assert_eq!(
             snap.as_bytes(),
             threaded_snap.as_bytes(),
             "serial and threaded snapshots differ at round {r}"
         );
-        let resumed = engine.resume(make(), &snap).unwrap();
-        assert_same_run(&full, &resumed, &format!("serial resume from round {r}"));
-        for w in WORKERS {
-            let resumed = threaded::resume_threaded(g, make(), &snap, w).unwrap();
+        for workers in std::iter::once(None).chain(WORKERS.map(Some)) {
+            let resume = RunSpec::on(workers).with_faults(plan).resume_from(&snap);
+            let resumed = engine.run_spec(make(), &resume).unwrap().finished();
             assert_same_run(
                 &full,
                 &resumed,
-                &format!("{w}-worker resume from round {r}"),
+                &format!("resume from round {r} on {workers:?}"),
             );
         }
     }
@@ -128,7 +122,11 @@ fn fault_injected_run_snapshot_restore_is_bit_for_bit_at_every_round() {
     };
     // the rates must actually fire, or this test silently degenerates to
     // the fault-free case
-    let full = Engine::new(&g, traced()).run_faulty(make(), &plan).unwrap();
+    let faulty = RunSpec::default().with_faults(Some(plan));
+    let full = Engine::new(&g, traced())
+        .run_spec(make(), &faulty)
+        .unwrap()
+        .finished();
     assert!(
         full.metrics.faults_dropped > 0
             && full.metrics.faults_duplicated > 0
@@ -156,12 +154,20 @@ fn checkpointed_run_snapshots_all_resume_to_the_same_result() {
     let g = generators::gnp(28, 0.15, 7);
     let engine = Engine::new(&g, traced());
     let full = engine.run(mis_programs(&g)).unwrap();
-    let mut snaps: Vec<Snapshot> = Vec::new();
+    let snaps = std::cell::RefCell::new(Vec::<Snapshot>::new());
+    let sink = |s: &Snapshot| {
+        let copy = Snapshot::from_bytes(s.as_bytes().to_vec()).unwrap();
+        snaps.borrow_mut().push(copy);
+    };
+    let every = RunSpec {
+        checkpoint: Some(Checkpoint::Every(3.try_into().unwrap(), &sink)),
+        ..RunSpec::default()
+    };
     let checkpointed = engine
-        .run_checkpointed(mis_programs(&g), None, 3, |s| {
-            snaps.push(Snapshot::from_bytes(s.as_bytes().to_vec()).unwrap())
-        })
-        .unwrap();
+        .run_spec(mis_programs(&g), &every)
+        .unwrap()
+        .finished();
+    let snaps = snaps.into_inner();
     assert_same_run(
         &full,
         &checkpointed,
@@ -173,7 +179,10 @@ fn checkpointed_run_snapshots_all_resume_to_the_same_result() {
         snaps.len()
     );
     for snap in &snaps {
-        let resumed = engine.resume(mis_programs(&g), snap).unwrap();
+        let resumed = engine
+            .run_spec(mis_programs(&g), &RunSpec::default().resume_from(snap))
+            .unwrap()
+            .finished();
         assert_same_run(
             &full,
             &resumed,
@@ -186,10 +195,10 @@ fn checkpointed_run_snapshots_all_resume_to_the_same_result() {
 fn truncated_snapshots_never_resume_at_any_cut_point() {
     let g = generators::gnp(12, 0.25, 3);
     let engine = Engine::new(&g, traced());
-    let snap = match engine.snapshot_at(mis_programs(&g), None, 2).unwrap() {
-        Paused::Snapshot(s) => s,
-        Paused::Done(_) => panic!("run too short to snapshot"),
-    };
+    let snap = engine
+        .run_spec(mis_programs(&g), &RunSpec::default().pause_after(2))
+        .unwrap()
+        .into_snapshot();
     let bytes = snap.as_bytes();
     // every strict prefix must be rejected — at header validation or at
     // payload decode — never silently accepted
@@ -197,7 +206,9 @@ fn truncated_snapshots_never_resume_at_any_cut_point() {
         match Snapshot::from_bytes(bytes[..cut].to_vec()) {
             Err(_) => {}
             Ok(s) => assert!(
-                engine.resume(mis_programs(&g), &s).is_err(),
+                engine
+                    .run_spec(mis_programs(&g), &RunSpec::default().resume_from(&s))
+                    .is_err(),
                 "truncated snapshot ({cut}/{} bytes) resumed successfully",
                 bytes.len()
             ),
@@ -209,10 +220,10 @@ fn truncated_snapshots_never_resume_at_any_cut_point() {
 fn corrupted_and_mismatched_snapshots_are_rejected() {
     let g = generators::gnp(12, 0.25, 3);
     let engine = Engine::new(&g, traced());
-    let snap = match engine.snapshot_at(mis_programs(&g), None, 2).unwrap() {
-        Paused::Snapshot(s) => s,
-        Paused::Done(_) => panic!("run too short to snapshot"),
-    };
+    let snap = engine
+        .run_spec(mis_programs(&g), &RunSpec::default().pause_after(2))
+        .unwrap()
+        .into_snapshot();
     // flip each magic byte: the header check must catch it
     for i in 0..8 {
         let mut bad = snap.as_bytes().to_vec();
@@ -224,9 +235,16 @@ fn corrupted_and_mismatched_snapshots_are_rejected() {
     }
     // a snapshot of one graph must not restore onto another
     let other = generators::gnp(12, 0.25, 99);
-    let err = Engine::new(&other, traced()).resume(mis_programs(&other), &snap);
-    assert!(err.is_err(), "snapshot restored onto a different graph");
-    // and the threaded resume path applies the same checks
-    let err = threaded::resume_threaded(&other, mis_programs(&other), &snap, 2);
-    assert!(err.is_err(), "threaded resume accepted a mismatched graph");
+    // (and the pool's resume path applies the same checks)
+    let engine = Engine::new(&other, traced());
+    for workers in [None, Some(2)] {
+        let err = engine.run_spec(
+            mis_programs(&other),
+            &RunSpec::on(workers).resume_from(&snap),
+        );
+        assert!(
+            err.is_err(),
+            "{workers:?}: snapshot restored onto another graph"
+        );
+    }
 }

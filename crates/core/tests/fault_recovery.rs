@@ -15,9 +15,10 @@
 //! seed could kill all of them) — which is precisely why the contract is
 //! checked against pinned seeds rather than argued by construction.
 
-use awake_core::bounds::{self, BoundAlgo, ProblemClass};
+use awake_core::bounds::{self, BoundAlgo, Budget, ProblemClass};
 use awake_core::linegraph::{self, greedy_hosts};
-use awake_core::resilient::run_stage;
+use awake_core::params::Params;
+use awake_core::resilient::{run_stage, StageSpec};
 use awake_core::trivial::TrivialGreedy;
 use awake_core::{bm21, theorem1};
 use awake_graphs::{generators, Graph};
@@ -25,11 +26,15 @@ use awake_olocal::edge::{EdgeIndex, MaximalMatching};
 use awake_olocal::problems::{DeltaPlusOneColoring, MaximalIndependentSet};
 use awake_olocal::{EdgeProblem, OLocalProblem};
 use awake_sleeping::{
-    redundancy_for, threaded, Codec, Config, Engine, FaultPlan, Metrics, Paused, Persist, Program,
-    Redundant,
+    CheckpointError, Codec, Config, FaultPlan, Paused, Persist, Program, ResumeError, RunSpec,
 };
 
-const WORKERS: [usize; 4] = [1, 2, 4, 8];
+/// The pool specs under `plan` at every worker count.
+fn pools(plan: FaultPlan) -> impl Iterator<Item = StageSpec> {
+    [1, 2, 4, 8]
+        .map(|w| StageSpec::on(Some(w)).with_faults(Some(plan)))
+        .into_iter()
+}
 
 /// A dense crash burst early in each stage, then silence: the adversary
 /// of the contract's "targeted crashes" clause.
@@ -56,15 +61,19 @@ fn messy(seed: u64) -> FaultPlan {
     }
 }
 
-fn assert_within(metrics_awake: u64, metrics_rounds: u64, b: bounds::Budget, what: &str) {
+fn budget(algo: BoundAlgo, class: ProblemClass, g: &Graph, plan: &FaultPlan) -> Budget {
+    bounds::degraded_budget_for(algo, class, g, &Params::for_graph(g), plan).unwrap()
+}
+
+fn assert_within(awake: u64, rounds: u64, b: Budget, what: &str) {
     assert!(
-        metrics_awake <= b.awake,
-        "{what}: awake {metrics_awake} > degraded budget {}",
+        awake <= b.awake,
+        "{what}: awake {awake} > degraded budget {}",
         b.awake
     );
     assert!(
-        metrics_rounds <= b.rounds,
-        "{what}: rounds {metrics_rounds} > degraded budget {}",
+        rounds <= b.rounds,
+        "{what}: rounds {rounds} > degraded budget {}",
         b.rounds
     );
 }
@@ -74,23 +83,19 @@ fn assert_within(metrics_awake: u64, metrics_rounds: u64, b: bounds::Budget, wha
 #[test]
 fn trivial_recovers_within_the_degraded_budget_at_every_worker_count() {
     for g in [generators::gnp(36, 0.14, 4), generators::cycle(18)] {
-        let p = awake_core::params::Params::for_graph(&g);
         for plan in [crash_burst(0xEE1), messy(0xEE2)] {
-            let budget = bounds::degraded_budget_for(
-                BoundAlgo::Trivial,
-                ProblemClass::Vertex,
-                &g,
-                &p,
-                &plan,
-            )
-            .unwrap();
-            let make = || -> Vec<TrivialGreedy<MaximalIndependentSet>> {
-                g.nodes()
+            let budget = budget(BoundAlgo::Trivial, ProblemClass::Vertex, &g, &plan);
+            let run = |spec: &StageSpec| {
+                let programs = g
+                    .nodes()
                     .map(|_| TrivialGreedy::new(MaximalIndependentSet, ()))
-                    .collect()
+                    .collect::<Vec<_>>();
+                let base = bounds::trivial_rounds(&g);
+                run_stage(&g, programs, Config::default(), base, &(*spec).into())
+                    .unwrap()
+                    .finished()
             };
-            let base = bounds::trivial_rounds(&g);
-            let serial = run_stage(&g, make(), Config::default(), base, Some(&plan), None).unwrap();
+            let serial = run(&StageSpec::default().with_faults(Some(plan)));
             assert!(
                 serial.metrics.faults_crashed > 0,
                 "plan {:#x} injected no crashes",
@@ -99,17 +104,12 @@ fn trivial_recovers_within_the_degraded_budget_at_every_worker_count() {
             MaximalIndependentSet
                 .validate(&g, &vec![(); g.n()], &serial.outputs)
                 .unwrap();
-            assert_within(
-                serial.metrics.max_awake(),
-                serial.metrics.rounds,
-                budget,
-                "trivial",
-            );
-            for w in WORKERS {
-                let t =
-                    run_stage(&g, make(), Config::default(), base, Some(&plan), Some(w)).unwrap();
-                assert_eq!(serial.outputs, t.outputs, "{w} workers: outputs");
-                assert_eq!(serial.metrics, t.metrics, "{w} workers: metrics");
+            let m = &serial.metrics;
+            assert_within(m.max_awake(), m.rounds, budget, "trivial");
+            for spec in pools(plan) {
+                let t = run(&spec);
+                assert_eq!(serial.outputs, t.outputs, "{:?}: outputs", spec.workers);
+                assert_eq!(serial.metrics, t.metrics, "{:?}: metrics", spec.workers);
             }
         }
     }
@@ -120,51 +120,25 @@ fn trivial_recovers_within_the_degraded_budget_at_every_worker_count() {
 #[test]
 fn bm21_recovers_within_the_degraded_budget_at_every_worker_count() {
     for g in [generators::gnp(40, 0.1, 6), generators::grid(5, 6)] {
-        let p = awake_core::params::Params::for_graph(&g);
+        let inputs = vec![(); g.n()];
         for plan in [crash_burst(0xB1), messy(0xB2)] {
-            let budget =
-                bounds::degraded_budget_for(BoundAlgo::Bm21, ProblemClass::Vertex, &g, &p, &plan)
-                    .unwrap();
-            let serial = bm21::solve_faulty(
-                &g,
-                &DeltaPlusOneColoring,
-                &vec![(); g.n()],
-                None,
-                &plan,
-                None,
-            )
-            .unwrap();
+            let budget = budget(BoundAlgo::Bm21, ProblemClass::Vertex, &g, &plan);
+            let solve = |spec: &StageSpec| {
+                bm21::solve_spec(&g, &DeltaPlusOneColoring, &inputs, None, spec).unwrap()
+            };
+            let serial = solve(&StageSpec::default().with_faults(Some(plan)));
             DeltaPlusOneColoring
-                .validate(&g, &vec![(); g.n()], &serial.outputs)
+                .validate(&g, &inputs, &serial.outputs)
                 .unwrap();
             awake_graphs::coloring::check_proper(&g, &serial.colors).unwrap();
-            assert_within(
-                serial.composition.max_awake(),
-                serial.composition.rounds(),
-                budget,
-                "bm21",
-            );
-            for w in WORKERS {
-                let t = bm21::solve_faulty(
-                    &g,
-                    &DeltaPlusOneColoring,
-                    &vec![(); g.n()],
-                    None,
-                    &plan,
-                    Some(w),
-                )
-                .unwrap();
-                assert_eq!(serial.outputs, t.outputs, "{w} workers: outputs");
-                assert_eq!(serial.colors, t.colors, "{w} workers: colors");
-                assert_eq!(
-                    serial.composition.stages.len(),
-                    t.composition.stages.len(),
-                    "{w} workers: stage count"
-                );
-                for (a, b) in serial.composition.stages.iter().zip(&t.composition.stages) {
-                    assert_eq!(a.name, b.name, "{w} workers: stage names");
-                    assert_eq!(a.metrics, b.metrics, "{w} workers: {} metrics", a.name);
-                }
+            let c = &serial.composition;
+            assert_within(c.max_awake(), c.rounds(), budget, "bm21");
+            for spec in pools(plan) {
+                let t = solve(&spec);
+                let at = format!("{:?} workers", spec.workers);
+                assert_eq!(serial.outputs, t.outputs, "{at}: outputs");
+                assert_eq!(serial.colors, t.colors, "{at}: colors");
+                assert_eq!(serial.composition, t.composition, "{at}: stages");
             }
         }
     }
@@ -175,76 +149,54 @@ fn bm21_recovers_within_the_degraded_budget_at_every_worker_count() {
 #[test]
 fn theorem1_recovers_within_the_degraded_budget_at_every_worker_count() {
     let g = generators::gnp(20, 0.2, 3);
-    let p = awake_core::params::Params::for_graph(&g);
     let plan = crash_burst(0x71);
-    let budget =
-        bounds::degraded_budget_for(BoundAlgo::Theorem1, ProblemClass::Vertex, &g, &p, &plan)
-            .unwrap();
-    let serial = theorem1::solve_faulty(
-        &g,
-        &MaximalIndependentSet,
-        theorem1::Options::default(),
-        &plan,
-        None,
-    )
-    .unwrap();
-    MaximalIndependentSet
-        .validate(&g, &vec![(); g.n()], &serial.outputs)
-        .unwrap();
-    serial.clustering.validate_colored(&g).unwrap();
-    assert_within(
-        serial.composition.max_awake(),
-        serial.composition.rounds(),
-        budget,
-        "theorem1",
-    );
-    for w in WORKERS {
-        let t = theorem1::solve_faulty(
+    let budget = budget(BoundAlgo::Theorem1, ProblemClass::Vertex, &g, &plan);
+    let inputs = vec![(); g.n()];
+    let solve = |spec: &StageSpec| {
+        theorem1::solve_spec(
             &g,
             &MaximalIndependentSet,
-            theorem1::Options::default(),
-            &plan,
-            Some(w),
+            &inputs,
+            Default::default(),
+            spec,
         )
+        .unwrap()
+    };
+    let serial = solve(&StageSpec::default().with_faults(Some(plan)));
+    MaximalIndependentSet
+        .validate(&g, &inputs, &serial.outputs)
         .unwrap();
-        assert_eq!(serial.outputs, t.outputs, "{w} workers: outputs");
-        assert_eq!(
-            serial.composition.stages.len(),
-            t.composition.stages.len(),
-            "{w} workers: stage count"
-        );
-        for (a, b) in serial.composition.stages.iter().zip(&t.composition.stages) {
-            assert_eq!(a.name, b.name, "{w} workers: stage names");
-            assert_eq!(a.metrics, b.metrics, "{w} workers: {} metrics", a.name);
-        }
+    serial.clustering.validate_colored(&g).unwrap();
+    let c = &serial.composition;
+    assert_within(c.max_awake(), c.rounds(), budget, "theorem1");
+    for spec in pools(plan) {
+        let t = solve(&spec);
+        let at = format!("{:?} workers", spec.workers);
+        assert_eq!(serial.outputs, t.outputs, "{at}: outputs");
+        assert_eq!(serial.composition, t.composition, "{at}: stages");
     }
 }
 
 #[test]
 fn theorem1_survives_a_message_fault_mix() {
     let g = generators::cycle(14);
-    let p = awake_core::params::Params::for_graph(&g);
     let plan = messy(0x72);
-    let budget =
-        bounds::degraded_budget_for(BoundAlgo::Theorem1, ProblemClass::Vertex, &g, &p, &plan)
-            .unwrap();
-    let r = theorem1::solve_faulty(
+    let budget = budget(BoundAlgo::Theorem1, ProblemClass::Vertex, &g, &plan);
+    let inputs = vec![(); g.n()];
+    let spec = StageSpec::default().with_faults(Some(plan));
+    let r = theorem1::solve_spec(
         &g,
         &DeltaPlusOneColoring,
-        theorem1::Options::default(),
-        &plan,
-        None,
+        &inputs,
+        Default::default(),
+        &spec,
     )
     .unwrap();
     DeltaPlusOneColoring
-        .validate(&g, &vec![(); g.n()], &r.outputs)
+        .validate(&g, &inputs, &r.outputs)
         .unwrap();
-    assert_within(
-        r.composition.max_awake(),
-        r.composition.rounds(),
-        budget,
-        "theorem1/messy",
-    );
+    let c = &r.composition;
+    assert_within(c.max_awake(), c.rounds(), budget, "theorem1/messy");
 }
 
 // ---- the line-graph edge adapter ----
@@ -252,55 +204,44 @@ fn theorem1_survives_a_message_fault_mix() {
 #[test]
 fn edge_adapter_recovers_within_the_degraded_budget_at_every_worker_count() {
     let g = generators::gnp(14, 0.25, 2);
-    let p = awake_core::params::Params::for_graph(&g);
     let inputs = MaximalMatching.trivial_inputs(&g);
     for plan in [crash_burst(0xED1), messy(0xED2)] {
-        let budget =
-            bounds::degraded_budget_for(BoundAlgo::Trivial, ProblemClass::Edge, &g, &p, &plan)
-                .unwrap();
-        let serial =
-            linegraph::solve_edges_faulty(&g, &MaximalMatching, &inputs, Config::default(), &plan)
-                .unwrap();
+        let budget = budget(BoundAlgo::Trivial, ProblemClass::Edge, &g, &plan);
+        let solve = |spec: &StageSpec| {
+            linegraph::solve_edges_spec(&g, &MaximalMatching, &inputs, Config::default(), spec)
+                .unwrap()
+        };
+        let serial = solve(&StageSpec::default().with_faults(Some(plan)));
         MaximalMatching
             .validate(&g, &inputs, &serial.outputs)
             .unwrap();
-        assert_within(
-            serial.metrics.max_awake(),
-            serial.metrics.rounds,
-            budget,
-            "edge adapter",
-        );
-        for w in WORKERS {
-            let t = linegraph::solve_edges_threaded_faulty(
-                &g,
-                &MaximalMatching,
-                &inputs,
-                Config::default(),
-                w,
-                &plan,
-            )
-            .unwrap();
-            assert_eq!(serial.outputs, t.outputs, "{w} workers: outputs");
-            assert_eq!(serial.metrics, t.metrics, "{w} workers: metrics");
+        let m = &serial.metrics;
+        assert_within(m.max_awake(), m.rounds, budget, "edge adapter");
+        for spec in pools(plan) {
+            let t = solve(&spec);
+            assert_eq!(serial.outputs, t.outputs, "{:?}: outputs", spec.workers);
+            assert_eq!(serial.metrics, t.metrics, "{:?}: metrics", spec.workers);
         }
     }
 }
 
 // ---- mid-outage snapshots ----
 
-/// Snapshot the wrapped faulty run at every round of the fault window
-/// (which includes rounds where crashed nodes are mid-outage, i.e. still
-/// in recovery) and check that restore + run-to-end lands bit-for-bit on
-/// the uninterrupted faulty run, serially and on the threaded executor.
-fn check_mid_outage_snapshots<P, F>(g: &Graph, make: F, plan: &FaultPlan, what: &str) -> Metrics
+/// Snapshot the stage, run as the resilient paths run it (wrapped by
+/// [`run_stage`] under `plan`), at every round of the fault window —
+/// which includes rounds where crashed nodes are mid-outage, i.e. still in
+/// recovery — and check that restore + run-to-end lands bit-for-bit on the
+/// uninterrupted faulty run, serially and on the threaded executor.
+fn check_mid_outage_snapshots<P, F>(g: &Graph, make: F, base: u64, plan: FaultPlan, what: &str)
 where
     P: Program + Persist + Send,
     P::Msg: Codec,
     P::Output: Codec + PartialEq + std::fmt::Debug,
     F: Fn() -> Vec<P>,
 {
-    let engine = Engine::new(g, Config::default());
-    let full = engine.run_faulty(make(), plan).unwrap();
+    let faulty = RunSpec::default().with_faults(Some(plan));
+    let run = |spec: &RunSpec| run_stage(g, make(), Config::default(), base, spec).unwrap();
+    let full = run(&faulty).finished();
     assert!(
         full.metrics.faults_crashed > 0,
         "{what}: the plan must actually crash nodes"
@@ -310,29 +251,25 @@ where
     let horizon = plan.quiet_after.saturating_add(8).min(full.metrics.rounds);
     let mut paused = 0;
     for r in 1..=horizon {
-        let snap = match engine.snapshot_at(make(), Some(plan), r).unwrap() {
-            Paused::Snapshot(s) => s,
-            Paused::Done(_) => continue,
+        let Paused::Snapshot(snap) = run(&faulty.pause_after(r)) else {
+            continue;
         };
         paused += 1;
-        let resumed = engine.resume(make(), &snap).unwrap();
-        assert_eq!(full.outputs, resumed.outputs, "{what}: outputs @ {r}");
-        assert_eq!(full.metrics, resumed.metrics, "{what}: metrics @ {r}");
-        let resumed = threaded::resume_threaded(g, make(), &snap, 3).unwrap();
-        assert_eq!(
-            full.outputs, resumed.outputs,
-            "{what}: threaded outputs @ {r}"
-        );
-        assert_eq!(
-            full.metrics, resumed.metrics,
-            "{what}: threaded metrics @ {r}"
-        );
+        for workers in [None, Some(3)] {
+            // The resumed stage must be wrapped as the paused one was.
+            let resume = RunSpec::on(workers)
+                .with_faults(Some(plan))
+                .resume_from(&snap);
+            let resumed = run(&resume).finished();
+            let at = format!("{what}: @ {r} on {workers:?}");
+            assert_eq!(full.outputs, resumed.outputs, "{at}: outputs");
+            assert_eq!(full.metrics, resumed.metrics, "{at}: metrics");
+        }
     }
     assert!(
         paused > 0,
         "{what}: no round paused inside the fault window"
     );
-    full.metrics
 }
 
 #[test]
@@ -343,83 +280,82 @@ fn mid_outage_snapshots_are_bit_for_bit_for_every_resilient_program() {
         ..FaultPlan::new(0x5A)
     };
 
-    // Trivial baseline, wrapped exactly as the resilient paths wrap it.
+    // Trivial baseline.
     let g = generators::gnp(14, 0.22, 9);
-    let s = redundancy_for(&plan, g.n(), bounds::trivial_rounds(&g));
-    check_mid_outage_snapshots(
-        &g,
-        || {
-            g.nodes()
-                .map(|_| Redundant::new(TrivialGreedy::new(MaximalIndependentSet, ()), s))
-                .collect()
-        },
-        &plan,
-        "trivial",
-    );
+    let trivial = || {
+        g.nodes()
+            .map(|_| TrivialGreedy::new(MaximalIndependentSet, ()))
+            .collect()
+    };
+    check_mid_outage_snapshots(&g, trivial, bounds::trivial_rounds(&g), plan, "trivial");
 
     // BM21 stage 1 (Linial color reduction).
     let delta = g.max_degree().max(1) as u64;
     let sb = bounds::bm21_stage_budgets(&g, delta);
-    let s = redundancy_for(&plan, g.n(), sb[0].rounds);
     let ident_bound = g.ident_bound();
-    check_mid_outage_snapshots(
-        &g,
-        || {
-            g.nodes()
-                .map(|v| {
-                    Redundant::new(
-                        awake_core::linial::ColorReduction::from_ident(
-                            g.ident(v),
-                            ident_bound,
-                            delta,
-                        ),
-                        s,
-                    )
-                })
-                .collect()
-        },
-        &plan,
-        "bm21/linial",
-    );
+    let linial = || {
+        g.nodes()
+            .map(|v| awake_core::linial::ColorReduction::from_ident(g.ident(v), ident_bound, delta))
+            .collect()
+    };
+    check_mid_outage_snapshots(&g, linial, sb[0].rounds, plan, "bm21/linial");
 
     // BM21 stage 2 (Lemma 11 on a proper coloring — identifiers are one).
     let k = ident_bound;
-    let s = redundancy_for(&plan, g.n(), bounds::lemma11_rounds(k));
-    check_mid_outage_snapshots(
-        &g,
-        || {
-            g.nodes()
-                .map(|v| {
-                    Redundant::new(
-                        awake_core::lemma11::ColorScheduled::new(
-                            DeltaPlusOneColoring,
-                            (),
-                            g.ident(v) + 1,
-                            k + 1,
-                        ),
-                        s,
-                    )
-                })
-                .collect()
-        },
-        &plan,
-        "bm21/lemma11",
-    );
+    let lemma11 = || {
+        g.nodes()
+            .map(|v| {
+                awake_core::lemma11::ColorScheduled::new(
+                    DeltaPlusOneColoring,
+                    (),
+                    g.ident(v) + 1,
+                    k + 1,
+                )
+            })
+            .collect()
+    };
+    check_mid_outage_snapshots(&g, lemma11, bounds::lemma11_rounds(k), plan, "bm21/lemma11");
 
     // The line-graph adapter's hosts (EdgeGreedy replicas).
     let ge = generators::gnp(10, 0.3, 5);
     let idx = EdgeIndex::new(&ge);
     let inputs = MaximalMatching.trivial_inputs(&ge);
-    let s = redundancy_for(&plan, ge.n(), bounds::linegraph_rounds(&ge).max(1));
-    check_mid_outage_snapshots(
-        &ge,
-        || {
-            greedy_hosts(&ge, &idx, &MaximalMatching, &inputs)
-                .into_iter()
-                .map(|h| Redundant::new(h, s))
-                .collect()
-        },
-        &plan,
-        "linegraph",
-    );
+    let hosts = || greedy_hosts(&ge, &idx, &MaximalMatching, &inputs);
+    let base = bounds::linegraph_rounds(&ge).max(1);
+    check_mid_outage_snapshots(&ge, hosts, base, plan, "linegraph");
+}
+
+#[test]
+fn resuming_a_stage_under_another_plan_is_a_typed_error() {
+    // `run_stage` wraps a resumed stage by the plan the caller names; a
+    // plan other than the snapshot's is refused with a checkpoint error,
+    // never run with a differently stretched wrapper.
+    let plan = FaultPlan {
+        crash_ppm: 250_000,
+        quiet_after: 16,
+        ..FaultPlan::new(0x5A)
+    };
+    let g = generators::gnp(14, 0.22, 9);
+    let base = bounds::trivial_rounds(&g);
+    let run = |spec: &RunSpec| {
+        let programs = g
+            .nodes()
+            .map(|_| TrivialGreedy::new(MaximalIndependentSet, ()))
+            .collect();
+        run_stage(&g, programs, Config::default(), base, spec)
+    };
+    let faulty = RunSpec::default().with_faults(Some(plan));
+    let snap = run(&faulty.pause_after(4)).unwrap().into_snapshot();
+    // Same rates, other seed: same stretch, so only the plan check refuses.
+    let reseeded = FaultPlan { seed: 0x5B, ..plan };
+    let got = run(&faulty.with_faults(Some(reseeded)).resume_from(&snap));
+    assert!(matches!(
+        got,
+        Err(ResumeError::Checkpoint(CheckpointError::FaultPlanMismatch))
+    ));
+    // No plan: the programs are not wrapped, and the snapshot is refused.
+    let got = run(&RunSpec::default().resume_from(&snap));
+    assert!(matches!(got, Err(ResumeError::Checkpoint(_))));
+    // The snapshot's own plan resumes.
+    run(&faulty.resume_from(&snap)).unwrap().finished();
 }

@@ -41,6 +41,7 @@ use awake_lab::report::energy_json;
 use awake_lab::runner::Runner;
 use awake_lab::scenario::presets;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::num::NonZeroU64;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,9 +85,12 @@ struct Args {
     canonical: bool,
     budget_secs: Option<u64>,
     checkpoint_dir: Option<String>,
-    checkpoint_every: Option<u64>,
+    checkpoint_every: Option<NonZeroU64>,
     resume: Option<String>,
 }
+
+/// `--checkpoint-every` when only `--checkpoint-dir` is given.
+const DEFAULT_EVERY: NonZeroU64 = NonZeroU64::new(100_000).unwrap();
 
 fn usage() -> ! {
     eprintln!(
@@ -102,7 +106,7 @@ fn usage() -> ! {
          \n  --list               list presets with scenario counts and gate flags, then exit\
          \n  --budget-secs N      fail if the suite's wall time exceeds N seconds, naming the slowest scenario\
          \n  --checkpoint-dir DIR make the run recoverable: persist progress and engine snapshots under DIR\
-         \n  --checkpoint-every N snapshot in-flight engine state every N rounds (default: 100000; needs --checkpoint-dir)\
+         \n  --checkpoint-every N snapshot in-flight engine state every N >= 1 rounds (default: 100000; needs --checkpoint-dir)\
          \n  --resume DIR         continue a killed recoverable run from DIR's progress and snapshots"
     );
     std::process::exit(2);
@@ -201,12 +205,12 @@ fn main() -> ExitCode {
     // --checkpoint-dir starts (or continues) a recoverable run under DIR;
     // --resume is the same mode but defaults to consuming snapshots only.
     // Either way scenarios run serially, so the shard count is ignored.
-    let recovery: Option<(&str, Option<u64>)> = match (&args.checkpoint_dir, &args.resume) {
+    let recovery: Option<(&str, Option<NonZeroU64>)> = match (&args.checkpoint_dir, &args.resume) {
         (Some(_), Some(_)) => {
             eprintln!("--checkpoint-dir and --resume are mutually exclusive (both name DIR)");
             return ExitCode::from(2);
         }
-        (Some(dir), None) => Some((dir, Some(args.checkpoint_every.unwrap_or(100_000)))),
+        (Some(dir), None) => Some((dir, Some(args.checkpoint_every.unwrap_or(DEFAULT_EVERY)))),
         (None, Some(dir)) => Some((dir, args.checkpoint_every)),
         (None, None) => {
             if args.checkpoint_every.is_some() {

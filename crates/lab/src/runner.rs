@@ -14,6 +14,7 @@ use crate::report::{Report, ScenarioMetrics, ScenarioReport, Timing};
 use crate::scenario::{Algo, ProblemKind, Scenario};
 use awake_core::bounds::{self, BoundAlgo, ProblemClass};
 use awake_core::params::Params;
+use awake_core::resilient::{run_stage, StageSpec};
 use awake_core::trivial::TrivialGreedy;
 use awake_core::{bm21, linegraph, theorem1};
 use awake_graphs::Graph;
@@ -22,11 +23,10 @@ use awake_olocal::problems::{
     DegreePlusOneListColoring, DeltaPlusOneColoring, MaximalIndependentSet, MinimalVertexCover,
 };
 use awake_olocal::{EdgeProblem, OLocalProblem};
-use awake_sleeping::{
-    redundancy_for, threaded, Codec, Config, Engine, FaultPlan, Persist, Program, Redundant, Round,
-    Run, SimError, Snapshot,
-};
+use awake_sleeping::{Checkpoint, Codec, Config, ResumeError, RunSpec, SimError, Snapshot};
+use std::cell::RefCell;
 use std::fmt;
+use std::num::NonZeroU64;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -258,7 +258,7 @@ impl Runner {
         scenarios: &[Scenario],
         seed: u64,
         dir: &Path,
-        every: Option<Round>,
+        every: Option<NonZeroU64>,
     ) -> Result<Report, LabError> {
         let io_err = |scenario: &Scenario, msg: String| LabError {
             scenario: scenario.name.clone(),
@@ -440,7 +440,7 @@ fn parse_progress(text: &str) -> (Vec<ProgressRow>, Vec<ProgressError>) {
 /// resume-only — restore if the file exists, emit nothing new).
 struct CkptFile {
     path: PathBuf,
-    every: Option<Round>,
+    every: Option<NonZeroU64>,
 }
 
 impl CkptFile {
@@ -570,7 +570,7 @@ pub fn budget_of(sc: &Scenario, g: &Graph) -> bounds::Budget {
 /// The budget a scenario is *audited* against: [`budget_of`] on fault-free
 /// rows, the closed-form degraded budget
 /// ([`bounds::degraded_budget_for`]) on fault-injected ones — evaluated at
-/// the exact [`FaultPlan`] the run injects (`seed` is the scenario's
+/// the exact [`FaultPlan`](awake_sleeping::FaultPlan) the run injects (`seed` is the scenario's
 /// derived seed, which also seeds the plan). There is no audit exemption
 /// for fault scenarios: the degraded budget is a hard gate like any other.
 ///
@@ -604,75 +604,26 @@ fn bound_axes(sc: &Scenario) -> (BoundAlgo, ProblemClass) {
     (algo, class)
 }
 
-/// Run a family of vertex programs through every executor path a scenario
-/// can take — resume from a persisted snapshot, fresh checkpointed run, or
-/// plain run; serial or worker-pool; fault-injected or not. All paths are
-/// bit-for-bit equivalent on the deterministic metrics; snapshots carry
-/// the fault plan and its stream position, so a resumed faulty run
-/// continues the exact same injection schedule.
-fn run_vertex<Q>(
-    g: &Graph,
-    programs: impl Fn() -> Vec<Q>,
-    config: Config,
-    workers: Option<usize>,
-    plan: Option<&FaultPlan>,
-    ckpt: Option<&CkptFile>,
-    resumed: Option<Snapshot>,
-) -> Result<Run<Q::Output>, RunError>
-where
-    Q: Program + Persist + Send,
-    Q::Msg: Codec,
-    Q::Output: Codec,
-{
-    let engine = Engine::new(g, config);
-    let mut store_err: Option<String> = None;
-    let run = match (resumed, ckpt.and_then(|ck| ck.every)) {
-        // restore the persisted round boundary, finish the run
-        (Some(snap), _) => match workers {
-            None => engine
-                .resume(programs(), &snap)
-                .map_err(|e| RunError::Checkpoint(format!("resume: {e}")))?,
-            Some(w) => threaded::resume_threaded(g, programs(), &snap, w)
-                .map_err(|e| RunError::Checkpoint(format!("resume: {e}")))?,
-        },
-        // fresh recoverable run: persist a snapshot every N rounds
-        (None, Some(every)) => {
-            let ck = ckpt.expect("every implies a checkpoint file");
-            match workers {
-                None => engine
-                    .run_checkpointed(programs(), plan, every, |s| ck.store(s, &mut store_err))?,
-                Some(w) => threaded::run_threaded_checkpointed(
-                    g,
-                    programs(),
-                    config,
-                    w,
-                    plan,
-                    every,
-                    |s| ck.store(s, &mut store_err),
-                )?,
-            }
-        }
-        // plain run (with or without fault injection)
-        (None, None) => match (workers, plan) {
-            (None, None) => engine.run(programs())?,
-            (None, Some(p)) => engine.run_faulty(programs(), p)?,
-            (Some(w), None) => threaded::run_threaded(g, programs(), config, w)?,
-            (Some(w), Some(p)) => threaded::run_threaded_faulty(g, programs(), config, w, p)?,
-        },
+/// The spec a scenario names: the `w`-worker pool for `trivial-t<w>`,
+/// the serial engine otherwise, under the scenario's fault plan seeded
+/// with its derived `seed`.
+fn spec_of(sc: &Scenario, seed: u64) -> StageSpec {
+    let workers = match sc.algo {
+        Algo::TrivialThreaded(w) => Some(w),
+        _ => None,
     };
-    if let Some(msg) = store_err {
-        return Err(RunError::Checkpoint(msg));
-    }
-    Ok(run)
+    StageSpec::on(workers).with_faults(sc.faults.map(|f| f.plan(seed)))
 }
 
 /// Solve the scenario's problem on `g` with the scenario's algorithm and
 /// validate the outputs. `seed` is the scenario's derived seed (it also
-/// seeds the fault plan, if any); `ckpt` carries the snapshot file of a
-/// recoverable run. An active fault plan routes the trivial executors
-/// through the [`Redundant`] time-redundancy wrapper and the staged
-/// pipelines through their `*_faulty` entry points — the recovery
-/// contract every solver now honors.
+/// seeds the fault plan, if any). Every algorithm runs through one spec:
+/// the executor, the fault plan (an inactive one means no plan) and — for
+/// the single-stage trivial executors — the recoverable run's snapshot
+/// file `ckpt`, resumed from if it exists and refreshed every
+/// `ckpt.every` rounds. Snapshots carry the fault plan and its stream
+/// position, so a resumed faulty run continues the exact same injection
+/// schedule.
 fn solve<P>(
     problem: &P,
     sc: &Scenario,
@@ -682,84 +633,58 @@ fn solve<P>(
 ) -> Result<(ScenarioMetrics, bool), RunError>
 where
     P: OLocalProblem + Clone + Send + Sync,
-    P::Input: Clone + Codec,
+    P::Input: Codec,
     P::Output: Codec,
 {
     let inputs = problem.trivial_inputs(g);
-    let plan = sc.faults.map(|f| f.plan(seed));
-    let active = plan.filter(|p| p.is_active());
-    let programs = || -> Vec<TrivialGreedy<P>> {
-        g.nodes()
-            .map(|v| TrivialGreedy::new(problem.clone(), inputs[v.index()].clone()))
-            .collect()
-    };
-    match sc.algo {
+    let spec = spec_of(sc, seed);
+    let (metrics, outputs) = match sc.algo {
         Algo::Trivial | Algo::TrivialThreaded(_) => {
-            let workers = match sc.algo {
-                Algo::TrivialThreaded(w) => Some(w),
-                _ => None,
+            let resumed = ckpt.map(CkptFile::load).transpose()?.flatten();
+            let store_err = RefCell::new(None);
+            let sink = |s: &Snapshot| {
+                let ck = ckpt.expect("a snapshot interval implies a snapshot file");
+                ck.store(s, &mut store_err.borrow_mut());
             };
-            let resumed = match ckpt {
-                Some(ck) => ck.load()?,
-                None => None,
+            let spec = RunSpec {
+                checkpoint: ckpt
+                    .and_then(|ck| ck.every)
+                    .map(|every| Checkpoint::Every(every, &sink)),
+                resume: resumed.as_ref(),
+                ..spec.into()
             };
-            let run = match &active {
-                // An active plan wraps every program in time redundancy —
-                // the same sizing and round cap `resilient::run_stage`
-                // applies to the staged pipelines, so the suite's degraded
-                // budgets gate this path too.
-                Some(p) => {
-                    let base = bounds::trivial_rounds(g);
-                    let s = redundancy_for(p, g.n(), base);
-                    let cap = Config {
-                        max_rounds: bounds::degraded_stage_rounds(base, s, p),
-                        ..Config::default()
-                    };
-                    let wrapped = || -> Vec<Redundant<TrivialGreedy<P>>> {
-                        programs()
-                            .into_iter()
-                            .map(|q| Redundant::new(q, s))
-                            .collect()
-                    };
-                    run_vertex(g, wrapped, cap, workers, Some(p), ckpt, resumed)?
-                }
-                None => run_vertex(
-                    g,
-                    programs,
-                    Config::default(),
-                    workers,
-                    plan.as_ref(),
-                    ckpt,
-                    resumed,
-                )?,
-            };
-            let valid = problem.validate(g, &inputs, &run.outputs).is_ok();
-            Ok((ScenarioMetrics::from_metrics(&run.metrics), valid))
+            let programs: Vec<TrivialGreedy<P>> = g
+                .nodes()
+                .map(|v| TrivialGreedy::new(problem.clone(), inputs[v.index()].clone()))
+                .collect();
+            let run = run_stage(
+                g,
+                programs,
+                Config::default(),
+                bounds::trivial_rounds(g),
+                &spec,
+            )
+            .map_err(|e| match e {
+                ResumeError::Sim(e) => RunError::Sim(e),
+                ResumeError::Checkpoint(e) => RunError::Checkpoint(format!("resume: {e}")),
+            })?
+            .finished();
+            if let Some(msg) = store_err.into_inner() {
+                return Err(RunError::Checkpoint(msg));
+            }
+            (ScenarioMetrics::from_metrics(&run.metrics), run.outputs)
         }
         Algo::Bm21 => {
-            let r = match &active {
-                Some(p) => bm21::solve_faulty(g, problem, &inputs, None, p, None)?,
-                None => bm21::solve(g, problem, &inputs, None)?,
-            };
-            let valid = problem.validate(g, &inputs, &r.outputs).is_ok();
-            Ok((ScenarioMetrics::from_composition(&r.composition), valid))
+            let r = bm21::solve_spec(g, problem, &inputs, None, &spec)?;
+            (ScenarioMetrics::from_composition(&r.composition), r.outputs)
         }
         Algo::Theorem1 => {
-            let r = match &active {
-                Some(p) => theorem1::solve_with_inputs_faulty(
-                    g,
-                    problem,
-                    &inputs,
-                    Default::default(),
-                    p,
-                    None,
-                )?,
-                None => theorem1::solve_with_inputs(g, problem, &inputs, Default::default())?,
-            };
-            let valid = problem.validate(g, &inputs, &r.outputs).is_ok();
-            Ok((ScenarioMetrics::from_composition(&r.composition), valid))
+            let r = theorem1::solve_spec(g, problem, &inputs, Default::default(), &spec)?;
+            (ScenarioMetrics::from_composition(&r.composition), r.outputs)
         }
-    }
+    };
+    let valid = problem.validate(g, &inputs, &outputs).is_ok();
+    Ok((metrics, valid))
 }
 
 /// Solve an edge-problem scenario through the line-graph virtualization
@@ -767,9 +692,9 @@ where
 /// edge scenarios deterministically rather than snapshotting them (the
 /// adapter's host state is [`awake_sleeping::Persist`]-capable, but the
 /// suite keeps snapshot files to the vertex executors). Fault injection —
-/// crash-restarts included — rides the adapter through the
-/// [`Redundant`]-wrapped `solve_edges_faulty` entry points and is audited
-/// against the degraded budgets.
+/// crash-restarts included — rides the adapter through
+/// [`linegraph::solve_edges_spec`] and is audited against the degraded
+/// budgets.
 fn solve_edge<P>(
     problem: &P,
     sc: &Scenario,
@@ -778,34 +703,17 @@ fn solve_edge<P>(
 ) -> Result<(ScenarioMetrics, bool), RunError>
 where
     P: EdgeProblem + Clone + Send + Sync,
-    P::Input: Clone,
-    P::Output: awake_sleeping::Codec,
+    P::Output: Codec,
 {
+    if matches!(sc.algo, Algo::Bm21 | Algo::Theorem1) {
+        return Err(RunError::UnsupportedAlgo {
+            problem: problem.name(),
+            algo: sc.algo.key(),
+        });
+    }
     let inputs = problem.trivial_inputs(g);
-    let plan = sc.faults.map(|f| f.plan(seed));
-    let run = match (sc.algo, &plan) {
-        (Algo::Trivial, None) => linegraph::solve_edges(g, problem, &inputs, Config::default())?,
-        (Algo::Trivial, Some(p)) => {
-            linegraph::solve_edges_faulty(g, problem, &inputs, Config::default(), p)?
-        }
-        (Algo::TrivialThreaded(workers), None) => {
-            linegraph::solve_edges_threaded(g, problem, &inputs, Config::default(), workers)?
-        }
-        (Algo::TrivialThreaded(workers), Some(p)) => linegraph::solve_edges_threaded_faulty(
-            g,
-            problem,
-            &inputs,
-            Config::default(),
-            workers,
-            p,
-        )?,
-        (Algo::Bm21 | Algo::Theorem1, _) => {
-            return Err(RunError::UnsupportedAlgo {
-                problem: problem.name(),
-                algo: sc.algo.key(),
-            })
-        }
-    };
+    let spec = spec_of(sc, seed);
+    let run = linegraph::solve_edges_spec(g, problem, &inputs, Config::default(), &spec)?;
     let valid = problem.validate(g, &inputs, &run.outputs).is_ok();
     Ok((ScenarioMetrics::from_metrics(&run.metrics), valid))
 }
@@ -1104,7 +1012,7 @@ mod tests {
         let suite = mixed_suite();
         let plain = Runner::serial().run("t", &suite, 9).unwrap();
         let recoverable = Runner::serial()
-            .run_recoverable("t", &suite, 9, &dir, Some(2))
+            .run_recoverable("t", &suite, 9, &dir, NonZeroU64::new(2))
             .unwrap();
         assert_eq!(plain.canonical_json(), recoverable.canonical_json());
         assert!(dir.join("progress.json").exists());
@@ -1118,7 +1026,7 @@ mod tests {
         let plain = Runner::serial().run("t", &suite, 9).unwrap();
         // checkpointed first pass: leaves progress.json and .ckpt files
         Runner::serial()
-            .run_recoverable("t", &suite, 9, &dir, Some(2))
+            .run_recoverable("t", &suite, 9, &dir, NonZeroU64::new(2))
             .unwrap();
         let ckpts: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()

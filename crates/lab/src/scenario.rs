@@ -218,7 +218,7 @@ impl Algo {
 /// reproducible as the graph instance). Every solver takes fault injection
 /// through the time-redundancy wrapper; the runner sizes the redundancy
 /// factor from these rates and audits against the degraded budgets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultSpec {
     /// Probability (ppm) that a transmission is dropped in flight.
     pub drop_ppm: u32,

@@ -235,5 +235,20 @@ fn suite_rejects_contradictory_checkpoint_flags() {
     assert_eq!(out.status.code(), Some(2));
     let out = suite(&["--checkpoint-every", "5"], &dir);
     assert_eq!(out.status.code(), Some(2));
+    // A zero interval is a bad flag value, not a panic (exit 101).
+    let ckpt = dir.join("ckpt");
+    let out = suite(
+        &[
+            "--preset",
+            "faults",
+            "--checkpoint-dir",
+            ckpt.to_str().unwrap(),
+            "--checkpoint-every",
+            "0",
+        ],
+        &dir,
+    );
+    assert_eq!(out.status.code(), Some(2), "zero interval is a usage error");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage: suite"));
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -48,7 +48,7 @@
 //! a `restore` after `save` must reproduce the saved state exactly even on
 //! a program that has advanced past it.
 
-use crate::engine::NEVER;
+use crate::engine::{Boundary, Checkpoint, FaultCtx, NEVER};
 use crate::faults::{DelayedMsg, FaultPlan, FaultState};
 use crate::metrics::Metrics;
 use crate::program::Program;
@@ -94,6 +94,9 @@ pub enum CheckpointError {
     /// Decoding succeeded but bytes were left over — the snapshot and the
     /// program types disagree.
     TrailingBytes,
+    /// The snapshot was taken under a different fault plan than the one
+    /// the resuming run names (an inactive plan counts as none).
+    FaultPlanMismatch,
 }
 
 impl fmt::Display for CheckpointError {
@@ -113,6 +116,9 @@ impl fmt::Display for CheckpointError {
             }
             CheckpointError::TrailingBytes => {
                 write!(f, "snapshot has trailing bytes after decoding")
+            }
+            CheckpointError::FaultPlanMismatch => {
+                write!(f, "snapshot was taken under a different fault plan")
             }
         }
     }
@@ -542,6 +548,31 @@ pub enum Paused<O> {
     Snapshot(Snapshot),
 }
 
+impl<O> Paused<O> {
+    /// The completed run of a spec without a pause bound.
+    ///
+    /// # Panics
+    /// Panics on [`Paused::Snapshot`], which only a
+    /// [`Checkpoint::PauseAfter`] spec returns.
+    pub fn finished(self) -> crate::Run<O> {
+        match self {
+            Paused::Done(run) => run,
+            Paused::Snapshot(_) => panic!("a run without a pause bound paused"),
+        }
+    }
+
+    /// The snapshot of a spec with a pause bound.
+    ///
+    /// # Panics
+    /// Panics on [`Paused::Done`]: the run finished before the bound.
+    pub fn into_snapshot(self) -> Snapshot {
+        match self {
+            Paused::Snapshot(s) => s,
+            Paused::Done(_) => panic!("the run finished before its pause bound"),
+        }
+    }
+}
+
 /// How a snapshot encoder reads the per-node programs: the serial engine
 /// holds them flat, the threaded executor parks them in option slots
 /// (all occupied between rounds).
@@ -574,18 +605,56 @@ pub(crate) struct EngineStateRef<'a, P: Program> {
     pub(crate) faults: Option<&'a FaultState<P::Msg>>,
 }
 
-/// Everything [`decode_snapshot`] reconstructs (programs are restored in
-/// place into the caller's freshly built vector).
-pub(crate) struct RestoredState<M, O> {
-    pub(crate) config: Config,
-    pub(crate) prev_round: Round,
-    pub(crate) next_wake: Vec<Round>,
-    pub(crate) stay: Vec<u32>,
-    pub(crate) wheel_events: Vec<(Round, u32)>,
-    pub(crate) outputs: Vec<Option<O>>,
-    pub(crate) metrics: Metrics,
-    pub(crate) tracer: Tracer,
-    pub(crate) faults: Option<FaultState<M>>,
+/// The snapshot encoder of a concrete `P`, as a function pointer: the
+/// executor cores carry no [`Codec`] bounds, only
+/// [`Engine::run_spec`](crate::Engine::run_spec) does, where
+/// `encode_snapshot::<P>` is instantiated.
+pub(crate) type Encode<P> = for<'b> fn(&Graph, Config, EngineStateRef<'b, P>) -> Snapshot;
+
+/// The one checkpoint controller both executors consult at every round
+/// boundary: whether to pause before the next round, and whether a
+/// periodic snapshot is due after the last one.
+pub(crate) struct Controller<'a, P: Program> {
+    plan: Checkpoint<'a>,
+    /// The round of the last emitted snapshot (initially the start
+    /// boundary's).
+    last_emit: Round,
+    encode: Encode<P>,
+}
+
+impl<'a, P: Program> Controller<'a, P> {
+    pub(crate) fn new(plan: Checkpoint<'a>, start: Round, encode: Encode<P>) -> Self {
+        Controller {
+            plan,
+            last_emit: start,
+            encode,
+        }
+    }
+
+    /// At the boundary after round `prev_round`, with round `next`
+    /// pending: hand a due periodic snapshot to the sink (at least `every`
+    /// rounds since the last one), or return the snapshot to pause with
+    /// (`next` is past the pause bound). `snapshot` encodes the boundary
+    /// with the encoder it is given. No snapshot is taken once nothing is
+    /// pending — the final state is the returned run.
+    pub(crate) fn at_boundary(
+        &mut self,
+        prev_round: Round,
+        next: Round,
+        snapshot: impl FnOnce(Encode<P>) -> Snapshot,
+    ) -> Option<Snapshot> {
+        match self.plan {
+            Checkpoint::PauseAfter(bound) if next > bound => Some(snapshot(self.encode)),
+            Checkpoint::Every(every, sink)
+                if prev_round >= self.last_emit.saturating_add(every.get()) =>
+            {
+                self.last_emit = prev_round;
+                sink(&snapshot(self.encode));
+                None
+            }
+            _ => None,
+        }
+    }
 }
 
 /// FNV-1a over the graph's shape: node count, idents, and adjacency. A
@@ -844,13 +913,14 @@ where
     }
 }
 
-/// Decode a snapshot against `graph`, restoring per-node program state
-/// into `programs` (freshly constructed initial programs, one per node).
+/// Decode a snapshot against `graph` into the round boundary it captured,
+/// restoring per-node program state into `programs` (freshly constructed
+/// initial programs, one per node).
 pub(crate) fn decode_snapshot<P>(
     graph: &Graph,
     snapshot: &Snapshot,
     programs: &mut [P],
-) -> Result<RestoredState<P::Msg, P::Output>, CheckpointError>
+) -> Result<Boundary<P>, CheckpointError>
 where
     P: Program + Persist,
     P::Msg: Codec,
@@ -953,7 +1023,7 @@ where
             let mut f = FaultState::new(plan);
             f.delayed = delayed;
             f.recovering = recovering;
-            Some(f)
+            Some(FaultCtx::of(f))
         }
         _ => return Err(CheckpointError::Corrupt("fault state tag")),
     };
@@ -967,28 +1037,24 @@ where
             return Err(CheckpointError::Corrupt("halted node without output"));
         }
     }
-    Ok(RestoredState {
+    // The rebuilt wheel holds exactly the pending events (all strictly
+    // after the restored round — validated above). Bucket layout is
+    // relative to the wheel's running position, so it is not
+    // byte-identical to the original — but pop order and peek results
+    // are, which is all the executors observe.
+    let mut wheel = WakeWheel::new();
+    wheel.schedule_all(wheel_events);
+    Ok(Boundary {
         config,
         prev_round,
         next_wake,
         stay,
-        wheel_events,
+        wheel,
         outputs,
         metrics,
         tracer,
         faults,
     })
-}
-
-/// Rebuild a wake wheel holding exactly `events` (all strictly after the
-/// restored round — validated during decode). Bucket layout is relative to
-/// the wheel's running position, so the rebuilt wheel is not byte-identical
-/// to the original — but pop order and peek results are, which is all the
-/// executors observe.
-pub(crate) fn rebuild_wheel(events: &[(Round, u32)]) -> WakeWheel {
-    let mut wheel = WakeWheel::new();
-    wheel.schedule_all(events.iter().copied());
-    wheel
 }
 
 #[cfg(test)]

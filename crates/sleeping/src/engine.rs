@@ -21,8 +21,8 @@
 
 use crate::arena::InboxArena;
 use crate::checkpoint::{
-    decode_snapshot, encode_snapshot, rebuild_wheel, Codec, CrashIo, EngineStateRef, Paused,
-    Persist, ProgramsRef, Reader, RestoredState, ResumeError, Snapshot,
+    decode_snapshot, encode_snapshot, CheckpointError, Codec, Controller, CrashIo, EngineStateRef,
+    Paused, Persist, ProgramsRef, Reader, ResumeError, Snapshot,
 };
 use crate::faults::{DelayedMsg, FaultPlan, FaultState};
 use crate::metrics::Metrics;
@@ -32,6 +32,7 @@ use crate::wheel::WakeWheel;
 use crate::Round;
 use awake_graphs::{Graph, NodeId};
 use std::fmt;
+use std::num::NonZeroU64;
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
@@ -157,41 +158,6 @@ pub struct Run<O> {
 /// which matters because the delivery check reads it once per message).
 pub(crate) const NEVER: Round = 0;
 
-/// Initialize `next_wake`/`outputs` and seed the scheduler from
-/// [`Program::initial_wake`]. Shared by the serial and threaded executors.
-pub(crate) fn seed_schedule<P: Program>(
-    programs: &[P],
-    wheel: &mut WakeWheel,
-    next_wake: &mut Vec<Round>,
-    outputs: &mut [Option<P::Output>],
-) -> Result<(), SimError> {
-    for (v, p) in programs.iter().enumerate() {
-        match p.initial_wake() {
-            Some(r) => {
-                if r < crate::FIRST_ROUND {
-                    // Round 0 would alias the NEVER sentinel and violate the
-                    // wheel's strictly-future invariant; reject it typed.
-                    return Err(SimError::InvalidInitialWake {
-                        node: NodeId(v as u32),
-                        round: r,
-                    });
-                }
-                next_wake.push(r);
-                wheel.schedule(r, v as u32);
-            }
-            None => {
-                // Node sleeps through the whole stage (Lemma 8 composition).
-                next_wake.push(NEVER);
-                match p.output() {
-                    Some(o) => outputs[v] = Some(o),
-                    None => return Err(SimError::MissingOutput(NodeId(v as u32))),
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Pop the next round's awake set into `awake` (ascending), merging the
 /// stay lane (nodes that chose [`Action::Stay`] at `prev_round`, already
 /// sorted) with the wheel. Returns `None` when nothing is pending.
@@ -241,6 +207,17 @@ pub(crate) fn next_awake_set(
     Some(round)
 }
 
+/// The round the next [`next_awake_set`] would pop, without committing the
+/// scheduler (a non-empty stay lane wakes at `prev_round + 1`, which is
+/// the earliest any pending event can be).
+pub(crate) fn peek_next(wheel: &mut WakeWheel, stay: &[u32], prev_round: Round) -> Option<Round> {
+    if stay.is_empty() {
+        wheel.peek_min()
+    } else {
+        Some(prev_round + 1)
+    }
+}
+
 /// The mutable fault-injection context of one executor: the seeded state
 /// (plan + delayed-message buffer) plus the crash-restart machinery — the
 /// [`Persist`] entry points of the concrete program type (captured as
@@ -255,22 +232,123 @@ pub(crate) struct FaultCtx<P: Program> {
     crashed: Vec<(u32, Vec<u8>)>,
 }
 
-impl<P: Program> FaultCtx<P> {
-    pub(crate) fn new(plan: FaultPlan, crash_io: CrashIo<P>) -> Self {
-        FaultCtx {
-            state: FaultState::new(plan),
-            crash_io,
-            crashed: Vec::new(),
-        }
-    }
-
-    pub(crate) fn from_state(state: FaultState<P::Msg>, crash_io: CrashIo<P>) -> Self {
+impl<P: Program + Persist> FaultCtx<P> {
+    pub(crate) fn of(state: FaultState<P::Msg>) -> Self {
         FaultCtx {
             state,
-            crash_io,
+            crash_io: CrashIo::of(),
             crashed: Vec::new(),
         }
     }
+}
+
+/// The round boundary both executors start from: the scheduler, the
+/// outputs so far, the accounting and the fault state after round
+/// `prev_round`. A fresh run starts from [`Boundary::start`] (round 0); a
+/// resumed one from a decoded [`Snapshot`], whose config wins over the
+/// resuming engine's so the run keeps the budget and trace mode it
+/// started under.
+pub(crate) struct Boundary<P: Program> {
+    pub(crate) config: Config,
+    pub(crate) prev_round: Round,
+    /// `next_wake[v] = r`: v will be awake at round r; NEVER: halted.
+    pub(crate) next_wake: Vec<Round>,
+    pub(crate) stay: Vec<u32>,
+    pub(crate) wheel: WakeWheel,
+    pub(crate) outputs: Vec<Option<P::Output>>,
+    pub(crate) metrics: Metrics,
+    pub(crate) tracer: Tracer,
+    pub(crate) faults: Option<FaultCtx<P>>,
+}
+
+impl<P: Program> Boundary<P> {
+    /// Round 0: seed the scheduler from [`Program::initial_wake`]. A node
+    /// that never wakes sleeps through the whole stage (Lemma 8
+    /// composition) and must already have its output.
+    pub(crate) fn start(
+        graph: &Graph,
+        config: Config,
+        programs: &[P],
+        mut faults: Option<FaultCtx<P>>,
+    ) -> Result<Self, SimError> {
+        let n = graph.n();
+        if programs.len() != n {
+            return Err(SimError::ProgramCountMismatch {
+                got: programs.len(),
+                expected: n,
+            });
+        }
+        let mut outputs: Vec<Option<P::Output>> = (0..n).map(|_| None).collect();
+        let mut next_wake: Vec<Round> = Vec::with_capacity(n);
+        let mut wheel = WakeWheel::new();
+        for (v, p) in programs.iter().enumerate() {
+            match p.initial_wake() {
+                // Round 0 would alias the NEVER sentinel and violate the
+                // wheel's strictly-future invariant; reject it typed.
+                Some(r) if r < crate::FIRST_ROUND => {
+                    return Err(SimError::InvalidInitialWake {
+                        node: NodeId(v as u32),
+                        round: r,
+                    })
+                }
+                Some(r) => {
+                    next_wake.push(r);
+                    wheel.schedule(r, v as u32);
+                }
+                None => {
+                    next_wake.push(NEVER);
+                    outputs[v] = Some(
+                        p.output()
+                            .ok_or(SimError::MissingOutput(NodeId(v as u32)))?,
+                    );
+                }
+            }
+        }
+        if let Some(f) = faults.as_mut() {
+            f.state.recovering.resize(n, false);
+        }
+        Ok(Boundary {
+            config,
+            prev_round: 0,
+            next_wake,
+            stay: Vec::new(),
+            wheel,
+            outputs,
+            metrics: Metrics::new(n),
+            tracer: Tracer::new(config.trace),
+            faults,
+        })
+    }
+}
+
+/// Close a finished run, on either executor: still-buffered delayed
+/// messages never found an executed due round with an awake recipient and
+/// are accounted lost, and every node must have halted with an output.
+pub(crate) fn finish_run<P: Program>(
+    outputs: Vec<Option<P::Output>>,
+    mut metrics: Metrics,
+    mut tracer: Tracer,
+    faults: Option<FaultCtx<P>>,
+) -> Result<Run<P::Output>, SimError> {
+    for d in faults.into_iter().flat_map(|f| f.state.delayed) {
+        metrics.messages_lost += 1;
+        tracer.push(|| TraceEvent::Lost {
+            round: d.due,
+            from: d.from,
+            to: d.to,
+        });
+    }
+    let outputs = outputs
+        .into_iter()
+        .enumerate()
+        .map(|(v, o)| o.ok_or(SimError::MissingOutput(NodeId(v as u32))))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(Run {
+        outputs,
+        metrics,
+        trace: tracer.events,
+        trace_dropped: tracer.dropped,
+    })
 }
 
 /// The serial executor's full mutable state, factored out of
@@ -300,84 +378,25 @@ struct SerialExec<'g, P: Program> {
 }
 
 impl<'g, P: Program> SerialExec<'g, P> {
-    fn new(
-        graph: &'g Graph,
-        config: Config,
-        programs: Vec<P>,
-        faults: Option<FaultCtx<P>>,
-    ) -> Result<Self, SimError> {
-        let n = graph.n();
-        if programs.len() != n {
-            return Err(SimError::ProgramCountMismatch {
-                got: programs.len(),
-                expected: n,
-            });
-        }
-        let mut outputs: Vec<Option<P::Output>> = (0..n).map(|_| None).collect();
-        let mut next_wake: Vec<Round> = Vec::with_capacity(n);
-        let mut wheel = WakeWheel::new();
-        seed_schedule(&programs, &mut wheel, &mut next_wake, &mut outputs)?;
-        let mut faults = faults;
-        if let Some(f) = faults.as_mut() {
-            f.state.recovering.resize(n, false);
-        }
-        Ok(SerialExec {
-            graph,
-            config,
-            programs,
-            metrics: Metrics::new(n),
-            tracer: Tracer::new(config.trace),
-            outputs,
-            next_wake,
-            wheel,
-            awake: Vec::new(),
-            scratch: Vec::new(),
-            stay: Vec::new(),
-            outbox: Outbox::new(),
-            arena: InboxArena::new(n),
-            prev_round: 0,
-            faults,
-        })
-    }
-
-    /// Reassemble an executor at the round boundary a snapshot captured.
-    /// `programs` are the snapshot's restored programs; everything else
-    /// comes from the decoded state (including the config the snapshot was
-    /// taken under, which wins over the resuming engine's — a resumed run
-    /// must behave like the uninterrupted one).
-    fn from_restored(
-        graph: &'g Graph,
-        programs: Vec<P>,
-        rs: RestoredState<P::Msg, P::Output>,
-        crash_io: CrashIo<P>,
-    ) -> Self {
+    /// Continue from `at` (whose program count [`Boundary::start`] or the
+    /// snapshot decoder has checked).
+    fn new(graph: &'g Graph, programs: Vec<P>, at: Boundary<P>) -> Self {
         SerialExec {
             graph,
-            config: rs.config,
+            config: at.config,
             programs,
-            metrics: rs.metrics,
-            tracer: rs.tracer,
-            outputs: rs.outputs,
-            next_wake: rs.next_wake,
-            wheel: rebuild_wheel(&rs.wheel_events),
+            metrics: at.metrics,
+            tracer: at.tracer,
+            outputs: at.outputs,
+            next_wake: at.next_wake,
+            wheel: at.wheel,
             awake: Vec::new(),
             scratch: Vec::new(),
-            stay: rs.stay,
+            stay: at.stay,
             outbox: Outbox::new(),
             arena: InboxArena::new(graph.n()),
-            prev_round: rs.prev_round,
-            faults: rs.faults.map(|s| FaultCtx::from_state(s, crash_io)),
-        }
-    }
-
-    /// The round the next `step` would execute, without committing the
-    /// scheduler (a non-empty stay lane wakes at `prev_round + 1`, which
-    /// is the earliest any pending event can be).
-    fn peek_next(&mut self) -> Option<Round> {
-        if !self.stay.is_empty() {
-            Some(self.prev_round + 1)
-        } else {
-            self.wheel.peek_min()
+            prev_round: at.prev_round,
+            faults: at.faults,
         }
     }
 
@@ -457,31 +476,17 @@ impl<'g, P: Program> SerialExec<'g, P> {
             }
             outbox.clear();
             programs[v as usize].send(&view, outbox);
-            if FAULTY {
-                let f = faults.as_mut().expect("FAULTY step implies a plan");
-                route_messages_faulty(
-                    graph,
-                    outbox.items.drain(..),
-                    next_wake,
-                    round,
-                    vid,
-                    arena,
-                    metrics,
-                    tracer,
-                    &mut f.state,
-                )?;
-            } else {
-                route_messages(
-                    graph,
-                    outbox.items.drain(..),
-                    next_wake,
-                    round,
-                    vid,
-                    arena,
-                    metrics,
-                    tracer,
-                )?;
-            }
+            route_messages::<P::Msg, FAULTY>(
+                graph,
+                outbox.items.drain(..),
+                next_wake,
+                round,
+                vid,
+                arena,
+                metrics,
+                tracer,
+                faults.as_mut().map(|f| &mut f.state),
+            )?;
         }
 
         // Between phases: resolve fault-delayed messages that have come
@@ -610,31 +615,8 @@ impl<'g, P: Program> SerialExec<'g, P> {
         Ok(true)
     }
 
-    /// Finalize: account still-buffered delayed messages as lost and
-    /// unwrap the outputs.
-    fn finish(mut self) -> Result<Run<P::Output>, SimError> {
-        if let Some(f) = self.faults.as_mut() {
-            for d in f.state.delayed.drain(..) {
-                self.metrics.messages_lost += 1;
-                self.tracer.push(|| TraceEvent::Lost {
-                    round: d.due,
-                    from: d.from,
-                    to: d.to,
-                });
-            }
-        }
-        let outputs = self
-            .outputs
-            .into_iter()
-            .enumerate()
-            .map(|(v, o)| o.ok_or(SimError::MissingOutput(NodeId(v as u32))))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Run {
-            outputs,
-            metrics: self.metrics,
-            trace: self.tracer.events,
-            trace_dropped: self.tracer.dropped,
-        })
+    fn finish(self) -> Result<Run<P::Output>, SimError> {
+        finish_run(self.outputs, self.metrics, self.tracer, self.faults)
     }
 
     /// The round boundary as snapshot input.
@@ -656,9 +638,105 @@ impl<'g, P: Program> SerialExec<'g, P> {
         while self.step()? {}
         self.finish()
     }
+
+    /// Run to completion under checkpoint control, consulted at every
+    /// round boundary. Without control this is [`run_out`](Self::run_out)
+    /// — the fault-free round loop stays exactly the plain one.
+    fn drive(mut self, ctl: Option<Controller<'_, P>>) -> Result<Paused<P::Output>, SimError> {
+        let Some(mut ctl) = ctl else {
+            return self.run_out().map(Paused::Done);
+        };
+        while let Some(next) = peek_next(&mut self.wheel, &self.stay, self.prev_round) {
+            let paused = ctl.at_boundary(self.prev_round, next, |encode| {
+                encode(self.graph, self.config, self.state_ref())
+            });
+            if let Some(snapshot) = paused {
+                return Ok(Paused::Snapshot(snapshot));
+            }
+            self.step()?;
+        }
+        self.finish().map(Paused::Done)
+    }
 }
 
-/// The serial deterministic executor.
+/// How one simulation runs: on which executor, under which fault plan,
+/// from which round boundary, and with what checkpointing. The default is
+/// the serial engine, fault-free, from round 0. Every combination is
+/// bit-for-bit identical (outputs, [`Metrics`], trace) to the same run on
+/// the serial engine; see [`Engine::run_spec`].
+#[derive(Clone, Copy, Default)]
+pub struct RunSpec<'a> {
+    /// `None` runs the serial engine; `Some(w)` the worker pool with `w`
+    /// executors — the calling thread plus `w - 1` spawned ones.
+    pub workers: Option<usize>,
+    /// A seeded fault plan. An inactive plan ([`FaultPlan::is_active`])
+    /// means no plan.
+    pub faults: Option<FaultPlan>,
+    /// Periodic snapshots, or a pause bound.
+    pub checkpoint: Option<Checkpoint<'a>>,
+    /// Continue the run this snapshot captured instead of starting at
+    /// round 0. The snapshot's config wins over the engine's;
+    /// [`faults`](Self::faults) must name the plan the snapshot was taken
+    /// under.
+    pub resume: Option<&'a Snapshot>,
+    /// Test-only seed of the pool's scheduling chaos (the threaded
+    /// module's `ChaosPlan`).
+    #[cfg(test)]
+    pub(crate) chaos: Option<u64>,
+}
+
+impl<'a> RunSpec<'a> {
+    /// The default spec on `workers` (`None`: the serial engine).
+    pub fn on(workers: Option<usize>) -> Self {
+        RunSpec {
+            workers,
+            ..RunSpec::default()
+        }
+    }
+
+    /// This spec under `faults`.
+    pub fn with_faults(self, faults: Option<FaultPlan>) -> Self {
+        RunSpec { faults, ..self }
+    }
+
+    /// This spec, paused before the first round past `round`.
+    pub fn pause_after(self, round: Round) -> Self {
+        RunSpec {
+            checkpoint: Some(Checkpoint::PauseAfter(round)),
+            ..self
+        }
+    }
+
+    /// This spec, continuing the run `snapshot` captured.
+    pub fn resume_from(self, snapshot: &'a Snapshot) -> Self {
+        RunSpec {
+            resume: Some(snapshot),
+            ..self
+        }
+    }
+
+    /// The fault plan, if it is active.
+    pub fn active_faults(&self) -> Option<FaultPlan> {
+        self.faults.filter(FaultPlan::is_active)
+    }
+}
+
+/// The checkpoint control of a [`RunSpec`].
+#[derive(Clone, Copy)]
+pub enum Checkpoint<'a> {
+    /// Hand a snapshot to the sink whenever at least this many rounds have
+    /// elapsed since the last one (or since the start boundary) and work
+    /// remains — the final state is the returned run. Resuming from any
+    /// emitted snapshot continues to the same result.
+    Every(NonZeroU64, &'a dyn Fn(&Snapshot)),
+    /// Stop before the first round past this bound and return that round
+    /// boundary as [`Paused::Snapshot`]; a run that finishes first returns
+    /// [`Paused::Done`].
+    PauseAfter(Round),
+}
+
+/// The deterministic executor: the serial engine, or the worker pool of
+/// [`crate::threaded`], chosen by [`RunSpec::workers`].
 ///
 /// See the [crate docs](crate) for a worked example.
 pub struct Engine<'g> {
@@ -672,136 +750,78 @@ impl<'g> Engine<'g> {
         Engine { graph, config }
     }
 
-    /// Execute `programs` (one per node, indexed by [`NodeId`]) to completion.
+    /// Execute `programs` (one per node, indexed by [`NodeId`]) to
+    /// completion on the serial engine, fault-free: [`run_spec`](Self::run_spec)
+    /// with the default spec, for programs without [`Persist`] state. Kept with this signature because most callers,
+    /// the `perfbench` benchmark among them, need nothing more.
     ///
     /// # Errors
     /// Any [`SimError`]; see the variants for the contract each program must
     /// uphold.
     pub fn run<P: Program>(&self, programs: Vec<P>) -> Result<Run<P::Output>, SimError> {
-        SerialExec::new(self.graph, self.config, programs, None)?.run_out()
+        let start = Boundary::start(self.graph, self.config, &programs, None)?;
+        SerialExec::new(self.graph, programs, start).run_out()
     }
 
-    /// Execute `programs` to completion under a seeded fault plan.
+    /// Execute `programs` as `spec` says. The serial engine and the worker
+    /// pool agree bit for bit at any worker count, under any fault plan,
+    /// and across a pause on one executor resumed on the other. A snapshot
+    /// of the same run at the same round is byte-identical whichever
+    /// executor took it.
     ///
-    /// Deterministic: the same plan yields the same outputs, `Metrics`,
-    /// and trace as the threaded executor under the same plan at any
-    /// worker count. Requires [`Persist`] because crash-restart saves and
-    /// restores per-node state through it.
-    ///
-    /// # Errors
-    /// Any [`SimError`], as [`run`](Engine::run).
-    pub fn run_faulty<P: Program + Persist>(
-        &self,
-        programs: Vec<P>,
-        plan: &FaultPlan,
-    ) -> Result<Run<P::Output>, SimError> {
-        let faults = FaultCtx::new(*plan, CrashIo::<P>::of());
-        SerialExec::new(self.graph, self.config, programs, Some(faults))?.run_out()
-    }
-
-    /// Run until the next pending round would exceed `pause_after`, then
-    /// snapshot the paused state; completes normally if the run finishes
-    /// first. Pass a fault plan to snapshot a fault-injected run (the
-    /// plan and its delayed-message buffer are part of the snapshot).
+    /// On resume, `programs` must be the *freshly constructed initial*
+    /// programs of the original run (same inputs, same order) —
+    /// [`Persist::restore`] overwrites their dynamic state.
     ///
     /// # Errors
-    /// Any [`SimError`] from the rounds executed before the pause.
-    pub fn snapshot_at<P: Program + Persist>(
-        &self,
-        programs: Vec<P>,
-        plan: Option<&FaultPlan>,
-        pause_after: Round,
-    ) -> Result<Paused<P::Output>, SimError>
-    where
-        P::Msg: Codec,
-        P::Output: Codec,
-    {
-        let faults = plan.map(|p| FaultCtx::new(*p, CrashIo::<P>::of()));
-        let mut exec = SerialExec::new(self.graph, self.config, programs, faults)?;
-        loop {
-            match exec.peek_next() {
-                None => return Ok(Paused::Done(exec.finish()?)),
-                Some(next) if next > pause_after => {
-                    return Ok(Paused::Snapshot(encode_snapshot(
-                        self.graph,
-                        self.config,
-                        exec.state_ref(),
-                    )));
-                }
-                Some(_) => {
-                    exec.step()?;
-                }
-            }
-        }
-    }
-
-    /// Continue a snapshotted run to completion, bit-for-bit identical to
-    /// the uninterrupted run (outputs, `Metrics`, trace).
-    ///
-    /// `programs` must be the *freshly constructed initial* programs of
-    /// the original run (same inputs, same order) — [`Persist::restore`]
-    /// overwrites their dynamic state from the snapshot. The snapshot's
-    /// `Config` wins over this engine's, so a resumed run keeps the round
-    /// budget and trace mode it started under.
-    ///
-    /// # Errors
-    /// [`ResumeError::Checkpoint`] if the snapshot is corrupt, truncated,
-    /// or from a different graph; [`ResumeError::Sim`] if the continued
-    /// run fails.
-    pub fn resume<P: Program + Persist>(
+    /// [`ResumeError::Checkpoint`] if the resume snapshot is corrupt,
+    /// truncated, from a different graph, or was taken under a different
+    /// fault plan than [`RunSpec::faults`]; [`ResumeError::Sim`] for any
+    /// [`SimError`] of the run itself, with the serial engine's error
+    /// precedence (lowest node id first).
+    pub fn run_spec<P>(
         &self,
         mut programs: Vec<P>,
-        snapshot: &Snapshot,
-    ) -> Result<Run<P::Output>, ResumeError>
+        spec: &RunSpec<'_>,
+    ) -> Result<Paused<P::Output>, ResumeError>
     where
+        P: Program + Persist + Send,
         P::Msg: Codec,
         P::Output: Codec,
     {
-        let n = self.graph.n();
-        if programs.len() != n {
-            return Err(ResumeError::Sim(SimError::ProgramCountMismatch {
-                got: programs.len(),
-                expected: n,
-            }));
-        }
-        let rs = decode_snapshot::<P>(self.graph, snapshot, &mut programs)?;
-        let exec = SerialExec::from_restored(self.graph, programs, rs, CrashIo::<P>::of());
-        exec.run_out().map_err(ResumeError::Sim)
-    }
-
-    /// Run to completion, handing a snapshot to `sink` whenever at least
-    /// `every` rounds have elapsed since the last one (no snapshot is
-    /// taken once the run has finished — the final state is the returned
-    /// [`Run`]). Resuming from any emitted snapshot continues to the same
-    /// bit-for-bit result.
-    ///
-    /// # Panics
-    /// If `every` is zero.
-    ///
-    /// # Errors
-    /// Any [`SimError`], as [`run`](Engine::run).
-    pub fn run_checkpointed<P: Program + Persist>(
-        &self,
-        programs: Vec<P>,
-        plan: Option<&FaultPlan>,
-        every: Round,
-        mut sink: impl FnMut(&Snapshot),
-    ) -> Result<Run<P::Output>, SimError>
-    where
-        P::Msg: Codec,
-        P::Output: Codec,
-    {
-        assert!(every > 0, "checkpoint interval must be at least 1 round");
-        let faults = plan.map(|p| FaultCtx::new(*p, CrashIo::<P>::of()));
-        let mut exec = SerialExec::new(self.graph, self.config, programs, faults)?;
-        let mut last_emit: Round = 0;
-        while exec.step()? {
-            if exec.prev_round >= last_emit.saturating_add(every) && exec.peek_next().is_some() {
-                last_emit = exec.prev_round;
-                sink(&encode_snapshot(self.graph, self.config, exec.state_ref()));
+        let g = self.graph;
+        let start = match spec.resume {
+            Some(snapshot) => {
+                if programs.len() != g.n() {
+                    return Err(ResumeError::Sim(SimError::ProgramCountMismatch {
+                        got: programs.len(),
+                        expected: g.n(),
+                    }));
+                }
+                let start = decode_snapshot(g, snapshot, &mut programs)?;
+                if start.faults.as_ref().map(|f| f.state.plan) != spec.active_faults() {
+                    return Err(CheckpointError::FaultPlanMismatch.into());
+                }
+                start
             }
-        }
-        exec.finish()
+            None => {
+                let faults = spec
+                    .active_faults()
+                    .map(|p| FaultCtx::of(FaultState::new(p)));
+                Boundary::start(g, self.config, &programs, faults)?
+            }
+        };
+        let ctl = spec
+            .checkpoint
+            .map(|c| Controller::new(c, start.prev_round, encode_snapshot::<P>));
+        #[cfg(test)]
+        let chaos = spec.chaos.map(|seed| crate::threaded::ChaosPlan { seed });
+        #[cfg(not(test))]
+        let chaos = None;
+        Ok(match spec.workers {
+            None => SerialExec::new(g, programs, start).drive(ctl)?,
+            Some(w) => crate::threaded::run_threaded_core(g, programs, start, w, ctl, None, chaos)?,
+        })
     }
 }
 
@@ -844,9 +864,17 @@ pub(crate) fn route_entries<M: Clone>(
 
 /// Route one node's outbox entries on the serial engine: validate through
 /// [`route_entries`], then stage every transmitted message into the arena
-/// (or count it lost).
+/// (or count it lost). Monomorphized on fault presence like the round
+/// body: with `FAULTY = false` the fate roll is dead code. Under a plan
+/// (`FAULTY`, `fstate` set) every transmission first rolls its fate —
+/// keyed by `(seed, round, endpoints, k)` where `k` is the sender's
+/// per-round transmission index, so the threaded executor rolls identical
+/// fates regardless of chunking. Dropped messages vanish (traced and
+/// counted as `faults_dropped`, *not* `messages_lost`), duplicates deliver
+/// two copies (each then subject to the awake-recipient rule), delayed
+/// messages enter the buffer for later resolution.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn route_messages<M: Clone>(
+pub(crate) fn route_messages<M: Clone, const FAULTY: bool>(
     graph: &Graph,
     entries: impl Iterator<Item = crate::program::OutEntry<M>>,
     next_wake: &[Round],
@@ -855,58 +883,13 @@ pub(crate) fn route_messages<M: Clone>(
     arena: &mut InboxArena<M>,
     metrics: &mut Metrics,
     tracer: &mut Tracer,
+    mut fstate: Option<&mut FaultState<M>>,
 ) -> Result<(), SimError> {
-    let mut sent = 0u64;
-    let mut delivered = 0u64;
-    let mut lost = 0u64;
+    let (mut sent, mut delivered, mut lost) = (0u64, 0u64, 0u64);
+    let (mut fdropped, mut fduplicated, mut fdelayed) = (0u64, 0u64, 0u64);
+    let mut k = 0u32;
     let result = route_entries(graph, entries, from, &mut sent, |to, msg| {
         // A recipient is listening iff it is awake at exactly this round.
-        if next_wake[to.index()] == round {
-            delivered += 1;
-            tracer.push(|| TraceEvent::Delivered { round, from, to });
-            arena.stage(from, to, msg);
-        } else {
-            lost += 1;
-            tracer.push(|| TraceEvent::Lost { round, from, to });
-        }
-    });
-    metrics.messages_sent += sent;
-    metrics.messages_delivered += delivered;
-    metrics.messages_lost += lost;
-    result
-}
-
-/// [`route_messages`] under a fault plan: every transmission first rolls
-/// its fate — keyed by `(seed, round, endpoints, k)` where `k` is the
-/// sender's per-round transmission index, so the threaded executor rolls
-/// identical fates regardless of chunking. Dropped messages vanish (traced
-/// and counted as `faults_dropped`, *not* `messages_lost`), duplicates
-/// deliver two copies (each then subject to the awake-recipient rule),
-/// delayed messages enter the buffer for later resolution.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn route_messages_faulty<M: Clone>(
-    graph: &Graph,
-    entries: impl Iterator<Item = crate::program::OutEntry<M>>,
-    next_wake: &[Round],
-    round: Round,
-    from: NodeId,
-    arena: &mut InboxArena<M>,
-    metrics: &mut Metrics,
-    tracer: &mut Tracer,
-    fstate: &mut FaultState<M>,
-) -> Result<(), SimError> {
-    let plan = fstate.plan;
-    let mut sent = 0u64;
-    let mut delivered = 0u64;
-    let mut lost = 0u64;
-    let mut fdropped = 0u64;
-    let mut fduplicated = 0u64;
-    let mut fdelayed = 0u64;
-    let mut k = 0u32;
-    let delayed = &mut fstate.delayed;
-    let result = route_entries(graph, entries, from, &mut sent, |to, msg| {
-        let fate = plan.message_fate(round, from.0, to.0, k);
-        k += 1;
         let mut deliver_copy = |m: M| {
             if next_wake[to.index()] == round {
                 delivered += 1;
@@ -917,6 +900,11 @@ pub(crate) fn route_messages_faulty<M: Clone>(
                 tracer.push(|| TraceEvent::Lost { round, from, to });
             }
         };
+        let Some(f) = fstate.as_deref_mut().filter(|_| FAULTY) else {
+            return deliver_copy(msg);
+        };
+        let fate = f.plan.message_fate(round, from.0, to.0, k);
+        k += 1;
         match fate {
             crate::faults::FaultKind::Deliver => deliver_copy(msg),
             crate::faults::FaultKind::Duplicate => {
@@ -932,14 +920,14 @@ pub(crate) fn route_messages_faulty<M: Clone>(
             crate::faults::FaultKind::Delay => {
                 let _ = deliver_copy; // end the closure's borrows for the tracer below
                 fdelayed += 1;
-                let until = round + plan.delay_rounds;
+                let until = round + f.plan.delay_rounds;
                 tracer.push(|| TraceEvent::FaultDelay {
                     round,
                     from,
                     to,
                     until,
                 });
-                delayed.push(DelayedMsg {
+                f.delayed.push(DelayedMsg {
                     due: until,
                     from,
                     to,
@@ -951,9 +939,11 @@ pub(crate) fn route_messages_faulty<M: Clone>(
     metrics.messages_sent += sent;
     metrics.messages_delivered += delivered;
     metrics.messages_lost += lost;
-    metrics.faults_dropped += fdropped;
-    metrics.faults_duplicated += fduplicated;
-    metrics.faults_delayed += fdelayed;
+    if FAULTY {
+        metrics.faults_dropped += fdropped;
+        metrics.faults_duplicated += fduplicated;
+        metrics.faults_delayed += fdelayed;
+    }
     result
 }
 

@@ -86,25 +86,64 @@
 //! queue at all: nodes staying awake ride a pre-sorted *stay lane* straight
 //! into the next round's awake set.
 //!
-//! Two executors share these mechanics: the serial [`Engine`] (the
-//! reference semantics) and [`threaded::run_threaded`] (a persistent worker
-//! pool over degree-weighted contiguous chunks of the awake set, with
-//! message routing and inbox construction running *inside* the workers
-//! through owner-sharded delivery buffers — see the [`threaded`] module
-//! docs for the pipeline). They are required to agree **bit for bit**,
-//! outputs and [`Metrics`] alike, for deterministic programs.
+//! Two executors share these mechanics: the serial engine (the reference
+//! semantics) and a persistent worker pool over degree-weighted contiguous
+//! chunks of the awake set, with message routing and inbox construction
+//! running *inside* the workers through owner-sharded delivery buffers (see
+//! the [`threaded`] module docs for the pipeline). They are required to
+//! agree **bit for bit**, outputs and [`Metrics`] alike, for deterministic
+//! programs.
+//!
+//! # One run path: [`RunSpec`]
+//!
+//! [`Engine::run`] is the fault-free serial run. Everything else goes
+//! through [`Engine::run_spec`] and one [`RunSpec`]: the executor
+//! ([`RunSpec::workers`]), a seeded [`FaultPlan`], a [`Checkpoint`]
+//! (periodic snapshots or a pause bound) and a [`Snapshot`] to resume
+//! from. Any combination is bit-for-bit
+//! identical to the same run on the serial engine.
+//!
+//! ```
+//! use awake_graphs::generators;
+//! use awake_sleeping::{Config, Engine, Paused, RunSpec};
+//! # use awake_sleeping::{Action, CheckpointError, Envelope, Outbox, Persist, Program, Reader, View, Writer};
+//! # #[derive(Clone)]
+//! # struct Hello;
+//! # impl Program for Hello {
+//! #     type Msg = u64;
+//! #     type Output = u64;
+//! #     fn send(&mut self, view: &View, out: &mut Outbox<u64>) { out.broadcast(view.ident); }
+//! #     fn receive(&mut self, view: &View, _: &[Envelope<u64>]) -> Action {
+//! #         if view.round < 4 { Action::Stay } else { Action::Halt }
+//! #     }
+//! #     fn output(&self) -> Option<u64> { Some(1) }
+//! # }
+//! # impl Persist for Hello {
+//! #     fn save(&self, _: &mut Writer) {}
+//! #     fn restore(&mut self, _: &mut Reader<'_>) -> Result<(), CheckpointError> { Ok(()) }
+//! # }
+//! let g = generators::cycle(5);
+//! let engine = Engine::new(&g, Config::default());
+//! let pause = RunSpec::default().pause_after(2);
+//! let Paused::Snapshot(snap) = engine.run_spec(vec![Hello; 5], &pause).unwrap() else {
+//!     unreachable!("the run is longer than two rounds")
+//! };
+//! // Resume on a two-worker pool: the same run as the uninterrupted one.
+//! let resume = RunSpec::on(Some(2)).resume_from(&snap);
+//! let run = engine.run_spec(vec![Hello; 5], &resume).unwrap().finished();
+//! assert_eq!(run.metrics, engine.run(vec![Hello; 5]).unwrap().metrics);
+//! ```
 //!
 //! # Checkpointing and fault injection
 //!
 //! Both executors can pause at any round boundary into a versioned binary
-//! [`Snapshot`] ([`Engine::snapshot_at`] / [`threaded::snapshot_at_threaded`])
-//! and resume it later — on either executor, at any worker count — to a run
-//! bit-for-bit identical to the uninterrupted one; per-node program state
-//! travels through the [`Persist`] trait. A seeded [`FaultPlan`]
-//! deterministically drops, duplicates, and delays messages and
-//! crash-restarts nodes from their start-of-round state, with per-fault
-//! counters in [`Metrics`]. See the [`checkpoint`] and [`faults`] module
-//! docs for the formats and contracts.
+//! [`Snapshot`] and resume it later — on either executor, at any worker
+//! count — to a run bit-for-bit identical to the uninterrupted one;
+//! per-node program state travels through the [`Persist`] trait. A seeded
+//! [`FaultPlan`] deterministically drops, duplicates, and delays messages
+//! and crash-restarts nodes from their start-of-round state, with
+//! per-fault counters in [`Metrics`]. See the [`checkpoint`] and [`faults`]
+//! module docs for the formats and contracts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -123,7 +162,7 @@ mod wheel;
 pub use checkpoint::{
     CheckpointError, Codec, Paused, Persist, Reader, ResumeError, Snapshot, Writer,
 };
-pub use engine::{Config, Engine, Run, SimError};
+pub use engine::{Checkpoint, Config, Engine, Run, RunSpec, SimError};
 pub use faults::{redundancy_for, FaultKind, FaultPlan, MAX_REDUNDANCY};
 pub use metrics::{percentile, percentile_of_sorted, Metrics, PhaseTimes};
 pub use program::{Action, Envelope, Outbox, Outgoing, Program, View};

@@ -300,7 +300,7 @@ where
 mod tests {
     use super::*;
     use crate::faults::redundancy_for;
-    use crate::{Config, Engine, FaultPlan, Run};
+    use crate::{Config, Engine, FaultPlan, Run, RunSpec};
     use awake_graphs::generators;
 
     /// Flood-max: every node repeatedly broadcasts the largest identifier
@@ -375,11 +375,11 @@ mod tests {
         let g = generators::cycle(n);
         let progs: Vec<Redundant<FloodMax>> =
             flood(n).into_iter().map(|p| Redundant::new(p, s)).collect();
-        let eng = Engine::new(&g, Config::default());
-        match plan {
-            None => eng.run(progs).unwrap(),
-            Some(p) => eng.run_faulty(progs, &p).unwrap(),
-        }
+        let spec = RunSpec::default().with_faults(plan);
+        Engine::new(&g, Config::default())
+            .run_spec(progs, &spec)
+            .unwrap()
+            .finished()
     }
 
     #[test]
@@ -453,20 +453,14 @@ mod tests {
         let mk = || -> Vec<Redundant<FloodMax>> {
             flood(n).into_iter().map(|p| Redundant::new(p, s)).collect()
         };
-        let full = Engine::new(&g, Config::default())
-            .run_faulty(mk(), &plan)
-            .unwrap();
+        let engine = Engine::new(&g, Config::default());
+        let faulty = RunSpec::default().with_faults(Some(plan));
+        let full = engine.run_spec(mk(), &faulty).unwrap().finished();
         // Pause mid-run (while crashes are still firing), resume, compare.
-        let paused = Engine::new(&g, Config::default())
-            .snapshot_at(mk(), Some(&plan), 9)
-            .unwrap();
-        let snap = match paused {
-            crate::Paused::Snapshot(s) => s,
-            crate::Paused::Done(_) => panic!("run finished before pause round"),
-        };
-        let resumed = Engine::new(&g, Config::default())
-            .resume(mk(), &snap)
-            .unwrap();
+        let pause = faulty.pause_after(9);
+        let snap = engine.run_spec(mk(), &pause).unwrap().into_snapshot();
+        let resume = faulty.resume_from(&snap);
+        let resumed = engine.run_spec(mk(), &resume).unwrap().finished();
         assert_eq!(resumed.outputs, full.outputs, "resume diverged");
         assert_eq!(resumed.metrics, full.metrics, "metrics diverged");
     }

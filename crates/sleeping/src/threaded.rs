@@ -1,11 +1,19 @@
 //! A multi-threaded executor with an owner-sharded parallel delivery
 //! pipeline over a persistent worker pool.
 //!
-//! The serial [`Engine`](crate::Engine) is the reference implementation;
-//! this executor demonstrates that the [`Program`] abstraction maps onto
-//! real parallel hardware without giving up determinism: the two executors
-//! agree **bit for bit** — equal outputs *and* equal [`Metrics`] — which
-//! the integration tests assert at every worker count.
+//! The serial engine is the reference implementation; this executor
+//! demonstrates that the [`Program`] abstraction maps onto real parallel
+//! hardware without giving up determinism: the two executors agree **bit
+//! for bit** — equal outputs *and* equal [`Metrics`] — which the
+//! integration tests assert at every worker count.
+//!
+//! A run selects this executor with [`RunSpec::workers`](crate::RunSpec)
+//! and goes through [`Engine::run_spec`](crate::Engine::run_spec) like any
+//! other: fault plans, checkpoints and resumes all work the same way on
+//! both executors, and a snapshot taken on one resumes on the other. The
+//! module's one public function, [`run_threaded_timed`], is a fault-free
+//! pool run with per-phase timing for programs without
+//! [`Persist`](crate::Persist) state.
 //!
 //! # Design
 //!
@@ -99,10 +107,11 @@
 
 use crate::arena::ChunkInboxes;
 use crate::checkpoint::{
-    decode_snapshot, encode_snapshot, rebuild_wheel, Codec, CrashIo, EngineStateRef, Paused,
-    Persist, ProgramsRef, Reader, RestoredState, ResumeError, Snapshot, Writer,
+    Controller, CrashIo, EngineStateRef, Paused, ProgramsRef, Reader, Snapshot, Writer,
 };
-use crate::engine::{next_awake_set, route_entries, seed_schedule, FaultCtx, NEVER};
+use crate::engine::{
+    finish_run, next_awake_set, peek_next, route_entries, Boundary, FaultCtx, NEVER,
+};
 use crate::faults::{DelayedMsg, FaultKind, FaultPlan};
 use crate::metrics::{Metrics, PhaseTimes};
 use crate::program::{Action, Envelope, OutEntry, Outbox, Program, View};
@@ -199,9 +208,9 @@ fn partition_by_mass(prefix: &[u64], k: usize, bounds: &mut Vec<u32>) {
 }
 
 /// The fault hooks a worker needs per round: the (immutable) seeded plan
-/// plus the [`Persist`] entry points of the concrete program type as
-/// function pointers (see [`CrashIo`]), so the phase bodies carry no
-/// `Persist` bound. Copied into each batch; the mutable fault state (the
+/// plus the [`Persist`](crate::Persist) entry points of the concrete
+/// program type as function pointers (see [`CrashIo`]), so the phase
+/// bodies carry no `Persist` bound. Copied into each batch; the mutable fault state (the
 /// delayed-message buffer) stays with the coordinator.
 struct FaultHooks<P: Program> {
     plan: FaultPlan,
@@ -1234,39 +1243,6 @@ fn worker_loop<P: Program>(pool: &StealPool<'_, P>, who: usize) {
     }
 }
 
-/// How a threaded run starts: fresh programs at round 1, or programs plus
-/// the decoded round-boundary state of a [`Snapshot`].
-enum ThreadedInit<P: Program> {
-    Fresh(Vec<P>),
-    Restored {
-        programs: Vec<P>,
-        // boxed: RestoredState is a dozen Vecs wide, Fresh a single one
-        state: Box<RestoredState<P::Msg, P::Output>>,
-    },
-}
-
-/// What the core produced: a completed [`Run`], or the snapshot the run
-/// paused into at its `pause_after` bound.
-enum ThreadedOutcome<O> {
-    Done(Run<O>),
-    Paused(Snapshot),
-}
-
-/// Checkpoint control of one run: the pause bound and/or periodic emission
-/// interval, plus the monomorphized snapshot encoder as a function pointer
-/// — the executor core itself carries no [`Codec`] bounds (only the public
-/// wrappers do, where `encode_snapshot::<P>` is instantiated).
-struct CkptCtl<'a, P: Program> {
-    /// Pause (into a returned snapshot) instead of executing any round
-    /// beyond this bound.
-    pause_after: Option<Round>,
-    /// Hand a snapshot to `sink` whenever at least this many rounds have
-    /// elapsed since the last one and more work is pending.
-    every: Option<Round>,
-    encode: for<'b> fn(&Graph, Config, EngineStateRef<'b, P>) -> Snapshot,
-    sink: &'a mut dyn FnMut(&Snapshot),
-}
-
 /// Advance the per-round timing stamp: add the elapsed time to the
 /// accumulator `pick` selects and re-stamp. When timing is off the stamp
 /// is `None` and no clock is read at all.
@@ -1279,83 +1255,44 @@ fn lap(stamp: &mut Option<(&mut PhaseTimes, Instant)>, pick: fn(&mut PhaseTimes)
     }
 }
 
-/// The shared executor core behind [`run_threaded`] and its fault-aware /
-/// checkpoint-aware variants: a persistent executor pool (the coordinator
-/// plus `workers - 1` spawned threads) driven round by round from a fresh
-/// or restored boundary, with optional seeded fault injection, optional
-/// snapshotting at round boundaries, optional per-phase timing, and an
+/// The worker-pool executor core behind
+/// [`Engine::run_spec`](crate::Engine::run_spec): a persistent executor
+/// pool (the coordinator plus `workers - 1` spawned threads) driven round
+/// by round from a round boundary, with the boundary's fault state (if
+/// any), optional checkpoint control, optional per-phase timing, and an
 /// optional (test-only) chaos plan perturbing the claim scheduling. All
 /// observable state lives coordinator-side between rounds, which is
 /// exactly what a [`Snapshot`] captures — byte-identical to the serial
 /// engine's at the same boundary.
-// One argument per optional capability; a builder would obscure that the
-// public entry points each enable exactly one of them.
-#[allow(clippy::too_many_arguments)]
-fn run_threaded_core<P>(
+pub(crate) fn run_threaded_core<P>(
     graph: &Graph,
-    init: ThreadedInit<P>,
-    config: Config,
+    programs: Vec<P>,
+    start: Boundary<P>,
     workers: usize,
-    mut faults: Option<FaultCtx<P>>,
-    mut ctl: Option<CkptCtl<'_, P>>,
+    mut ctl: Option<Controller<'_, P>>,
     mut timing: Option<&mut PhaseTimes>,
     chaos: Option<ChaosPlan>,
-) -> Result<ThreadedOutcome<P::Output>, SimError>
+) -> Result<Paused<P::Output>, SimError>
 where
     P: Program + Send,
 {
     let n = graph.n();
     let workers = workers.max(1);
-    let (programs, restored) = match init {
-        ThreadedInit::Fresh(p) => (p, None),
-        ThreadedInit::Restored { programs, state } => (programs, Some(*state)),
-    };
-    if programs.len() != n {
-        return Err(SimError::ProgramCountMismatch {
-            got: programs.len(),
-            expected: n,
-        });
-    }
-    let mut metrics;
-    let mut tracer;
-    let mut outputs: Vec<Option<P::Output>>;
-    let next_wake: Vec<Round>;
-    let wheel_init: WakeWheel;
-    let stay_init: Vec<u32>;
-    let prev_round_init: Round;
-    match restored {
-        None => {
-            metrics = Metrics::new(n);
-            tracer = Tracer::new(config.trace);
-            outputs = (0..n).map(|_| None).collect();
-            let mut nw = Vec::with_capacity(n);
-            let mut wheel = WakeWheel::new();
-            seed_schedule(&programs, &mut wheel, &mut nw, &mut outputs)?;
-            next_wake = nw;
-            wheel_init = wheel;
-            stay_init = Vec::new();
-            prev_round_init = 0;
-        }
-        Some(rs) => {
-            metrics = rs.metrics;
-            tracer = rs.tracer;
-            outputs = rs.outputs;
-            next_wake = rs.next_wake;
-            wheel_init = rebuild_wheel(&rs.wheel_events);
-            stay_init = rs.stay;
-            prev_round_init = rs.prev_round;
-        }
-    }
+    let Boundary {
+        config,
+        prev_round: start_round,
+        next_wake,
+        stay: start_stay,
+        mut wheel,
+        mut outputs,
+        mut metrics,
+        mut tracer,
+        mut faults,
+    } = start;
     let trace_on = tracer.enabled();
     if n == 0 {
-        return Ok(ThreadedOutcome::Done(Run {
-            outputs: vec![],
-            metrics,
-            trace: tracer.events,
-            trace_dropped: tracer.dropped,
-        }));
+        return finish_run(outputs, metrics, tracer, faults).map(Paused::Done);
     }
-    let mut wheel = wheel_init;
     let mut slots: Vec<Option<P>> = programs.into_iter().map(Some).collect();
     // The immutable per-round fault hooks workers need; the mutable fault
     // state (the delayed-message buffer) stays with the coordinator.
@@ -1363,11 +1300,6 @@ where
         plan: f.state.plan,
         crash_io: f.crash_io,
     });
-    if let Some(f) = faults.as_mut() {
-        // Fresh runs start with an empty recovery bitset; restored runs
-        // carry a validated length-n one (resize is then a no-op).
-        f.state.recovering.resize(n, false);
-    }
 
     // The shared injector: slot arena (one descriptor slot per potential
     // chunk), k×k exchange cells, round context. Preallocated once; the
@@ -1404,31 +1336,24 @@ where
 
         let mut awake: Vec<u32> = Vec::new();
         let mut scratch: Vec<u32> = Vec::new();
-        let mut stay: Vec<u32> = stay_init;
+        let mut stay: Vec<u32> = start_stay;
         let mut prefix: Vec<u64> = Vec::new();
         let mut bounds: Vec<u32> = Vec::new();
         // The coordinator's executor context: claim-scan offset 0, plus
         // the segment pool its inline path and receive steals share.
         let mut coord: ExecCtx<P::Msg> = ExecCtx::new(0);
-        let mut prev_round: Round = prev_round_init;
-        let mut last_emit: Round = prev_round_init;
+        let mut prev_round: Round = start_round;
 
         // Wrapped so every exit — completion, pause, error — funnels
         // through the one place below that raises shutdown and unparks
         // every executor before the scope joins the threads.
         let out = (|| -> Result<Option<Snapshot>, SimError> {
-            loop {
-                // Peek the next pending round without committing anything, so
-                // a pause bound can snapshot this exact boundary (the stay
-                // lane, when occupied, always runs before any wheel wake-up).
-                let next = if !stay.is_empty() {
-                    Some(prev_round + 1)
-                } else {
-                    wheel.peek_min()
-                };
-                let Some(round) = next else { break };
+            // Peek without committing anything, so a pause bound can
+            // snapshot this exact boundary.
+            while let Some(round) = peek_next(&mut wheel, &stay, prev_round) {
                 if let Some(c) = ctl.as_mut() {
-                    if c.pause_after.is_some_and(|bound| round > bound) {
+                    let paused = c.at_boundary(prev_round, round, |encode| {
+                        // Between rounds every program is parked in its slot.
                         let ctx = pool.ctx.read().expect("round context lock");
                         let st = EngineStateRef {
                             prev_round,
@@ -1441,7 +1366,10 @@ where
                             tracer: &tracer,
                             faults: faults.as_ref().map(|f| &f.state),
                         };
-                        return Ok(Some((c.encode)(graph, config, st)));
+                        encode(graph, config, st)
+                    });
+                    if paused.is_some() {
+                        return Ok(paused);
                     }
                 }
                 // Per-round timing stamp; partition covers pop → publish.
@@ -1682,32 +1610,6 @@ where
                         t.dispatched_rounds += 1;
                     }
                 }
-
-                // Periodic snapshots, at this round's boundary, only while
-                // more work is pending — the final state is the returned run.
-                if let Some(c) = ctl.as_mut() {
-                    if let Some(every) = c.every {
-                        if prev_round >= last_emit.saturating_add(every)
-                            && (!stay.is_empty() || wheel.peek_min().is_some())
-                        {
-                            last_emit = prev_round;
-                            let ctx = pool.ctx.read().expect("round context lock");
-                            let st = EngineStateRef {
-                                prev_round,
-                                next_wake: &ctx.next_wake,
-                                stay: &stay,
-                                wheel_events: wheel.pending_events(),
-                                outputs: &outputs,
-                                programs: ProgramsRef::Slots(&slots),
-                                metrics: &metrics,
-                                tracer: &tracer,
-                                faults: faults.as_ref().map(|f| &f.state),
-                            };
-                            let snap = (c.encode)(graph, config, st);
-                            (c.sink)(&snap);
-                        }
-                    }
-                }
             }
             Ok(None)
         })();
@@ -1718,77 +1620,25 @@ where
         out
     });
     if let Some(snapshot) = result? {
-        return Ok(ThreadedOutcome::Paused(snapshot));
+        return Ok(Paused::Snapshot(snapshot));
     }
 
-    // Still-buffered delayed messages never found an executed due round
-    // with an awake recipient: account them lost, like the serial engine.
-    if let Some(f) = faults.as_mut() {
-        for d in f.state.delayed.drain(..) {
-            metrics.messages_lost += 1;
-            tracer.push(|| TraceEvent::Lost {
-                round: d.due,
-                from: d.from,
-                to: d.to,
-            });
-        }
-    }
-    let outputs = outputs
-        .into_iter()
-        .enumerate()
-        .map(|(v, o)| o.ok_or(SimError::MissingOutput(NodeId(v as u32))))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(ThreadedOutcome::Done(Run {
-        outputs,
-        metrics,
-        trace: tracer.events,
-        trace_dropped: tracer.dropped,
-    }))
+    finish_run(outputs, metrics, tracer, faults).map(Paused::Done)
 }
 
-/// Run `programs` on `graph` using `workers` threads.
-///
-/// Semantics are identical to [`Engine::run`](crate::Engine::run); programs
-/// must be deterministic for the executors to agree. The worker count does
-/// not affect any observable result — it only changes how the awake set is
-/// chunked.
-///
-/// # Errors
-/// Same contract as the serial engine ([`SimError`]), with the serial
-/// engine's error precedence (lowest node id first).
-pub fn run_threaded<P>(
-    graph: &Graph,
-    programs: Vec<P>,
-    config: Config,
-    workers: usize,
-) -> Result<Run<P::Output>, SimError>
-where
-    P: Program + Send,
-{
-    match run_threaded_core(
-        graph,
-        ThreadedInit::Fresh(programs),
-        config,
-        workers,
-        None,
-        None,
-        None,
-        None,
-    )? {
-        ThreadedOutcome::Done(run) => Ok(run),
-        ThreadedOutcome::Paused(_) => unreachable!("no pause bound was set"),
-    }
-}
-
-/// Run `programs` on `workers` threads, accumulating per-phase wall time
-/// into `timing` ([`PhaseTimes`]) — partition / route / deliver / merge
-/// for dispatched rounds, a single bucket for inline rounds. The timing
-/// probe reads the clock only between pipeline stages on the coordinator,
-/// so the run itself (outputs, [`Metrics`], trace) is
-/// bit-for-bit the same as [`run_threaded`].
+/// Run `programs` fault-free on the worker pool with `workers` executors,
+/// accumulating per-phase wall time into `timing` ([`PhaseTimes`]) —
+/// partition / route / deliver / merge for dispatched rounds, a single
+/// bucket for inline rounds. The probe reads the clock only between
+/// pipeline stages on the coordinator, so the run itself (outputs,
+/// [`Metrics`], trace) is bit-for-bit the serial engine's. Kept with this
+/// signature because the `perfbench` benchmark calls it: it forwards into
+/// the pool core behind [`Engine::run_spec`](crate::Engine::run_spec)
+/// without that method's [`Persist`](crate::Persist) bounds.
 ///
 /// # Errors
-/// Same contract as [`run_threaded`].
+/// Same contract as the serial engine ([`SimError`]), with its error
+/// precedence (lowest node id first).
 pub fn run_threaded_timed<P>(
     graph: &Graph,
     programs: Vec<P>,
@@ -1799,309 +1649,15 @@ pub fn run_threaded_timed<P>(
 where
     P: Program + Send,
 {
-    match run_threaded_core(
-        graph,
-        ThreadedInit::Fresh(programs),
-        config,
-        workers,
-        None,
-        None,
-        Some(timing),
-        None,
-    )? {
-        ThreadedOutcome::Done(run) => Ok(run),
-        ThreadedOutcome::Paused(_) => unreachable!("no pause bound was set"),
-    }
-}
-
-/// Run `programs` under a seeded fault plan using `workers` threads.
-///
-/// Bit-for-bit identical to
-/// [`Engine::run_faulty`](crate::Engine::run_faulty) under the same plan,
-/// at any worker count.
-///
-/// # Errors
-/// Same contract as [`run_threaded`].
-pub fn run_threaded_faulty<P>(
-    graph: &Graph,
-    programs: Vec<P>,
-    config: Config,
-    workers: usize,
-    plan: &FaultPlan,
-) -> Result<Run<P::Output>, SimError>
-where
-    P: Program + Persist + Send,
-{
-    let faults = FaultCtx::new(*plan, CrashIo::<P>::of());
-    match run_threaded_core(
-        graph,
-        ThreadedInit::Fresh(programs),
-        config,
-        workers,
-        Some(faults),
-        None,
-        None,
-        None,
-    )? {
-        ThreadedOutcome::Done(run) => Ok(run),
-        ThreadedOutcome::Paused(_) => unreachable!("no pause bound was set"),
-    }
-}
-
-/// Run until the next pending round would exceed `pause_after`, then
-/// snapshot the paused state; completes normally if the run finishes
-/// first. The snapshot is **byte-identical** to the serial
-/// [`Engine::snapshot_at`](crate::Engine::snapshot_at) at the same bound —
-/// between rounds all observable state lives with the coordinator, so the
-/// worker count leaves no residue in the image.
-///
-/// # Errors
-/// Any [`SimError`] from the rounds executed before the pause.
-pub fn snapshot_at_threaded<P>(
-    graph: &Graph,
-    programs: Vec<P>,
-    config: Config,
-    workers: usize,
-    plan: Option<&FaultPlan>,
-    pause_after: Round,
-) -> Result<Paused<P::Output>, SimError>
-where
-    P: Program + Persist + Send,
-    P::Msg: Codec,
-    P::Output: Codec,
-{
-    let faults = plan.map(|p| FaultCtx::new(*p, CrashIo::<P>::of()));
-    let mut sink = |_: &Snapshot| {};
-    let ctl = CkptCtl {
-        pause_after: Some(pause_after),
-        every: None,
-        encode: encode_snapshot::<P>,
-        sink: &mut sink,
-    };
-    match run_threaded_core(
-        graph,
-        ThreadedInit::Fresh(programs),
-        config,
-        workers,
-        faults,
-        Some(ctl),
-        None,
-        None,
-    )? {
-        ThreadedOutcome::Done(run) => Ok(Paused::Done(run)),
-        ThreadedOutcome::Paused(snapshot) => Ok(Paused::Snapshot(snapshot)),
-    }
-}
-
-/// Continue a snapshotted run to completion on the threaded executor,
-/// bit-for-bit identical to the uninterrupted run (outputs, `Metrics`,
-/// trace) — regardless of which executor or worker count produced the
-/// snapshot. `programs` must be the same *initial* programs the original
-/// run started from; their dynamic state is overwritten from the snapshot.
-///
-/// # Errors
-/// [`ResumeError::Checkpoint`] if the snapshot is corrupt or does not
-/// match `graph`; [`ResumeError::Sim`] for simulation errors after the
-/// restore.
-pub fn resume_threaded<P>(
-    graph: &Graph,
-    mut programs: Vec<P>,
-    snapshot: &Snapshot,
-    workers: usize,
-) -> Result<Run<P::Output>, ResumeError>
-where
-    P: Program + Persist + Send,
-    P::Msg: Codec,
-    P::Output: Codec,
-{
-    let n = graph.n();
-    if programs.len() != n {
-        return Err(ResumeError::Sim(SimError::ProgramCountMismatch {
-            got: programs.len(),
-            expected: n,
-        }));
-    }
-    let mut state = decode_snapshot::<P>(graph, snapshot, &mut programs)?;
-    let config = state.config;
-    let faults = state
-        .faults
-        .take()
-        .map(|s| FaultCtx::from_state(s, CrashIo::<P>::of()));
-    match run_threaded_core(
-        graph,
-        ThreadedInit::Restored {
-            programs,
-            state: Box::new(state),
-        },
-        config,
-        workers,
-        faults,
-        None,
-        None,
-        None,
-    )
-    .map_err(ResumeError::Sim)?
-    {
-        ThreadedOutcome::Done(run) => Ok(run),
-        ThreadedOutcome::Paused(_) => unreachable!("no pause bound was set"),
-    }
-}
-
-/// Run to completion on `workers` threads, handing a snapshot to `sink`
-/// whenever at least `every` rounds have elapsed since the last one (none
-/// once the run has finished — the final state is the returned [`Run`]).
-/// Resuming from any emitted snapshot — on either executor — continues to
-/// the same bit-for-bit result.
-///
-/// # Panics
-/// If `every` is zero.
-///
-/// # Errors
-/// Same contract as [`run_threaded`].
-pub fn run_threaded_checkpointed<P>(
-    graph: &Graph,
-    programs: Vec<P>,
-    config: Config,
-    workers: usize,
-    plan: Option<&FaultPlan>,
-    every: Round,
-    mut sink: impl FnMut(&Snapshot),
-) -> Result<Run<P::Output>, SimError>
-where
-    P: Program + Persist + Send,
-    P::Msg: Codec,
-    P::Output: Codec,
-{
-    assert!(every > 0, "checkpoint interval must be at least 1 round");
-    let faults = plan.map(|p| FaultCtx::new(*p, CrashIo::<P>::of()));
-    let ctl = CkptCtl {
-        pause_after: None,
-        every: Some(every),
-        encode: encode_snapshot::<P>,
-        sink: &mut sink,
-    };
-    match run_threaded_core(
-        graph,
-        ThreadedInit::Fresh(programs),
-        config,
-        workers,
-        faults,
-        Some(ctl),
-        None,
-        None,
-    )? {
-        ThreadedOutcome::Done(run) => Ok(run),
-        ThreadedOutcome::Paused(_) => unreachable!("no pause bound was set"),
-    }
-}
-
-/// Test-only entry points that thread a seeded [`ChaosPlan`] through the
-/// executor: every claim scan, publish, and drain may be perturbed with
-/// forced steals, yields, naps, and unpark storms at plan-seeded points.
-/// The perturbations reorder only *who executes what when* — never the
-/// coordinator's chunk-order merges — so every run must stay bit-for-bit
-/// identical to the serial engine. Used by the chaos-interleaving stress
-/// tests here and in `checkpoint`.
-#[cfg(test)]
-pub(crate) fn run_threaded_chaos<P>(
-    graph: &Graph,
-    programs: Vec<P>,
-    config: Config,
-    workers: usize,
-    seed: u64,
-) -> Result<Run<P::Output>, SimError>
-where
-    P: Program + Send,
-{
-    match run_threaded_core(
-        graph,
-        ThreadedInit::Fresh(programs),
-        config,
-        workers,
-        None,
-        None,
-        None,
-        Some(ChaosPlan { seed }),
-    )? {
-        ThreadedOutcome::Done(run) => Ok(run),
-        ThreadedOutcome::Paused(_) => unreachable!("no pause bound was set"),
-    }
-}
-
-/// Chaos variant of [`run_threaded_faulty`] — see [`run_threaded_chaos`].
-#[cfg(test)]
-pub(crate) fn run_threaded_faulty_chaos<P>(
-    graph: &Graph,
-    programs: Vec<P>,
-    config: Config,
-    workers: usize,
-    plan: &FaultPlan,
-    seed: u64,
-) -> Result<Run<P::Output>, SimError>
-where
-    P: Program + Persist + Send,
-{
-    let faults = FaultCtx::new(*plan, CrashIo::<P>::of());
-    match run_threaded_core(
-        graph,
-        ThreadedInit::Fresh(programs),
-        config,
-        workers,
-        Some(faults),
-        None,
-        None,
-        Some(ChaosPlan { seed }),
-    )? {
-        ThreadedOutcome::Done(run) => Ok(run),
-        ThreadedOutcome::Paused(_) => unreachable!("no pause bound was set"),
-    }
-}
-
-/// Chaos variant of [`snapshot_at_threaded`] — see [`run_threaded_chaos`].
-/// Snapshot bytes must also be unperturbed: rounds quiesce before every
-/// boundary, chaos or not.
-#[cfg(test)]
-pub(crate) fn snapshot_at_threaded_chaos<P>(
-    graph: &Graph,
-    programs: Vec<P>,
-    config: Config,
-    workers: usize,
-    plan: Option<&FaultPlan>,
-    pause_after: Round,
-    seed: u64,
-) -> Result<Paused<P::Output>, SimError>
-where
-    P: Program + Persist + Send,
-    P::Msg: Codec,
-    P::Output: Codec,
-{
-    let faults = plan.map(|p| FaultCtx::new(*p, CrashIo::<P>::of()));
-    let mut sink = |_: &Snapshot| {};
-    let ctl = CkptCtl {
-        pause_after: Some(pause_after),
-        every: None,
-        encode: encode_snapshot::<P>,
-        sink: &mut sink,
-    };
-    match run_threaded_core(
-        graph,
-        ThreadedInit::Fresh(programs),
-        config,
-        workers,
-        faults,
-        Some(ctl),
-        None,
-        Some(ChaosPlan { seed }),
-    )? {
-        ThreadedOutcome::Done(run) => Ok(Paused::Done(run)),
-        ThreadedOutcome::Paused(snapshot) => Ok(Paused::Snapshot(snapshot)),
-    }
+    let start = Boundary::start(graph, config, &programs, None)?;
+    run_threaded_core(graph, programs, start, workers, None, Some(timing), None)
+        .map(Paused::finished)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Outbox;
+    use crate::{CheckpointError, Codec, Engine, Outbox, Persist, ResumeError, RunSpec, TraceMode};
     use awake_graphs::generators;
 
     /// Flood the maximum ident seen so far for `n` rounds, then halt.
@@ -2133,34 +1689,147 @@ mod tests {
         }
     }
 
-    fn assert_bitwise_equal<P>(g: &Graph, mk: impl Fn() -> Vec<P>, workers: &[usize])
+    /// `Persist` for test programs whose whole dynamic state is one
+    /// `Codec` field (or nothing).
+    macro_rules! persist {
+        ($t:ty, $field:ident) => {
+            impl Persist for $t {
+                fn save(&self, w: &mut Writer) {
+                    self.$field.encode(w);
+                }
+                fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
+                    self.$field = r.get()?;
+                    Ok(())
+                }
+            }
+        };
+        ($t:ty) => {
+            impl Persist for $t {
+                fn save(&self, _: &mut Writer) {}
+                fn restore(&mut self, _: &mut Reader<'_>) -> Result<(), CheckpointError> {
+                    Ok(())
+                }
+            }
+        };
+    }
+    persist!(FloodMax, best);
+
+    /// Run `spec` to completion (no pause bound is set by callers).
+    fn run<P>(
+        g: &Graph,
+        programs: Vec<P>,
+        cfg: Config,
+        spec: &RunSpec,
+    ) -> Result<Run<P::Output>, SimError>
     where
-        P: Program + Send,
-        P::Output: PartialEq,
+        P: Program + Persist + Send,
+        P::Msg: Codec,
+        P::Output: Codec,
     {
-        let serial = crate::Engine::new(g, Config::default()).run(mk()).unwrap();
-        for &w in workers {
-            let par = run_threaded(g, mk(), Config::default(), w).unwrap();
-            assert!(serial.outputs == par.outputs, "outputs, workers = {w}");
-            assert_eq!(serial.metrics, par.metrics, "metrics, workers = {w}");
+        match Engine::new(g, cfg).run_spec(programs, spec) {
+            Ok(paused) => Ok(paused.finished()),
+            Err(ResumeError::Sim(e)) => Err(e),
+            Err(e) => panic!("snapshot failed to decode: {e}"),
         }
-        // Traced runs must agree event for event — including the drop
-        // counter when the cap truncates (cap 500 bites on the larger
-        // workloads, so both the kept prefix and the overflow accounting
-        // are exercised).
-        let cfg = Config {
-            trace: crate::TraceMode::Capped(500),
+    }
+
+    /// The pool rows of every agreement table: each worker count, plain and
+    /// under a chaos plan seeded from `seed` (forced steals, yields, naps
+    /// and unpark storms at every claim point).
+    fn pool_specs(workers: &[usize], plan: Option<FaultPlan>, seed: u64) -> Vec<RunSpec<'static>> {
+        workers
+            .iter()
+            .flat_map(|&w| {
+                [None, Some(31 * w as u64 + seed)].map(|chaos| RunSpec {
+                    workers: Some(w),
+                    faults: plan,
+                    chaos,
+                    ..RunSpec::default()
+                })
+            })
+            .collect()
+    }
+
+    fn label(spec: &RunSpec) -> String {
+        format!(
+            "workers = {:?}, chaos = {:?}, faults = {}",
+            spec.workers,
+            spec.chaos,
+            spec.faults.is_some()
+        )
+    }
+
+    fn snapshot_at<P>(g: &Graph, programs: Vec<P>, spec: &RunSpec, bound: Round) -> Snapshot
+    where
+        P: Program + Persist + Send,
+        P::Msg: Codec,
+        P::Output: Codec,
+    {
+        let spec = spec.pause_after(bound);
+        Engine::new(g, Config::default())
+            .run_spec(programs, &spec)
+            .unwrap()
+            .into_snapshot()
+    }
+
+    /// The agreement table: every pool row of [`pool_specs`] agrees with the
+    /// serial engine bit for bit — outputs, metrics and a capped trace
+    /// (cap 500 bites on the larger workloads, so both the kept prefix and
+    /// the drop counter are checked) — fault-free and under a seeded plan.
+    /// A pause halfway through is byte-identical on every row, and resumes
+    /// to the uninterrupted run on the other executor.
+    fn assert_bitwise_equal<P>(g: &Graph, mk: impl Fn() -> Vec<P>, workers: &[usize], seed: u64)
+    where
+        P: Program + Persist + Send,
+        P::Msg: Codec,
+        P::Output: Codec + PartialEq,
+    {
+        let mut plan = FaultPlan::new(77);
+        plan.drop_ppm = 60_000;
+        plan.dup_ppm = 60_000;
+        plan.delay_ppm = 60_000;
+        plan.crash_ppm = 20_000;
+        plan.delay_rounds = 1;
+        let traced = Config {
+            trace: TraceMode::Capped(500),
             ..Config::default()
         };
-        let serial = crate::Engine::new(g, cfg).run(mk()).unwrap();
-        for &w in workers {
-            let par = run_threaded(g, mk(), cfg, w).unwrap();
-            assert_eq!(serial.trace, par.trace, "trace, workers = {w}");
-            assert_eq!(
-                serial.trace_dropped, par.trace_dropped,
-                "trace_dropped, workers = {w}"
-            );
+        for faults in [None, Some(plan)] {
+            let serial = RunSpec::default().with_faults(faults);
+            let want = run(g, mk(), Config::default(), &serial).unwrap();
+            let want_traced = run(g, mk(), traced, &serial).unwrap();
+            let pause = want.metrics.rounds / 2;
+            let serial_snap = (pause > 0).then(|| snapshot_at(g, mk(), &serial, pause));
+            for spec in pool_specs(workers, faults, seed) {
+                let at = label(&spec);
+                let got = run(g, mk(), Config::default(), &spec).unwrap();
+                assert!(want.outputs == got.outputs, "outputs, {at}");
+                assert_eq!(want.metrics, got.metrics, "metrics, {at}");
+                let got = run(g, mk(), traced, &spec).unwrap();
+                assert_eq!(want_traced.trace, got.trace, "trace, {at}");
+                assert_eq!(
+                    want_traced.trace_dropped, got.trace_dropped,
+                    "trace_dropped, {at}"
+                );
+                let Some(serial_snap) = &serial_snap else {
+                    continue;
+                };
+                // Rounds quiesce before every boundary, so the pool's pause
+                // is the serial engine's byte for byte, chaos or not.
+                let pool_snap = snapshot_at(g, mk(), &spec, pause);
+                assert_eq!(&pool_snap, serial_snap, "snapshot bytes, {at}");
+                for (snap, on) in [(serial_snap, spec), (&pool_snap, serial)] {
+                    let resume = on.resume_from(snap);
+                    let got = run(g, mk(), Config::default(), &resume).unwrap();
+                    assert!(want.outputs == got.outputs, "resumed outputs, {at}");
+                    assert_eq!(want.metrics, got.metrics, "resumed metrics, {at}");
+                }
+            }
         }
+    }
+
+    fn flood(n: usize, rounds: u64) -> impl Fn() -> Vec<FloodMax> {
+        move || (0..n).map(|_| FloodMax { best: 0, rounds }).collect()
     }
 
     #[test]
@@ -2168,16 +1837,9 @@ mod tests {
         // 160 nodes: total degree mass (2m + n = 478) exceeds INLINE_MASS,
         // so dense rounds genuinely run the multi-chunk parallel pipeline.
         let g = generators::random_tree(160, 9);
-        let mk = || {
-            (0..160)
-                .map(|_| FloodMax {
-                    best: 0,
-                    rounds: 170,
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_bitwise_equal(&g, mk, &[1, 2, 4, 8]);
-        let run = run_threaded(&g, mk(), Config::default(), 4).unwrap();
+        assert_bitwise_equal(&g, flood(160, 170), &[1, 2, 4, 8], 7);
+        let pool = RunSpec::on(Some(4));
+        let run = run(&g, flood(160, 170)(), Config::default(), &pool).unwrap();
         // everyone learned the max ident (tree has diameter < 170 rounds)
         assert!(run.outputs.iter().all(|&b| b == 160));
     }
@@ -2185,10 +1847,8 @@ mod tests {
     #[test]
     fn threaded_single_worker() {
         let g = generators::cycle(6);
-        let progs = (0..6)
-            .map(|_| FloodMax { best: 0, rounds: 3 })
-            .collect::<Vec<_>>();
-        let run = run_threaded(&g, progs, Config::default(), 1).unwrap();
+        let pool = RunSpec::on(Some(1));
+        let run = run(&g, flood(6, 3)(), Config::default(), &pool).unwrap();
         assert_eq!(run.metrics.rounds, 3);
     }
 
@@ -2196,11 +1856,11 @@ mod tests {
     fn more_workers_than_awake_nodes() {
         // Tiny awake set, tiny mass: the inline path absorbs the round.
         let g = generators::path(3);
-        let progs = (0..3)
-            .map(|_| FloodMax { best: 0, rounds: 3 })
-            .collect::<Vec<_>>();
-        let run = run_threaded(&g, progs, Config::default(), 16).unwrap();
+        assert_bitwise_equal(&g, flood(3, 3), &[1, 16], 7);
+        let pool = RunSpec::on(Some(16));
+        let run = run(&g, flood(3, 3)(), Config::default(), &pool).unwrap();
         assert_eq!(run.outputs, vec![3, 3, 3]);
+        assert_eq!(run.metrics.rounds, 3);
     }
 
     #[test]
@@ -2209,27 +1869,24 @@ mod tests {
         // the round dispatches with k = 20 chunks under 32 workers — the
         // chunker must cap k at the awake count, one node per chunk.
         let g = generators::complete(20);
-        let mk = || {
-            (0..20)
-                .map(|_| FloodMax { best: 0, rounds: 3 })
-                .collect::<Vec<_>>()
-        };
-        assert_bitwise_equal(&g, mk, &[32]);
-        let run = run_threaded(&g, mk(), Config::default(), 32).unwrap();
+        assert_bitwise_equal(&g, flood(20, 3), &[32], 7);
+        let pool = RunSpec::on(Some(32));
+        let run = run(&g, flood(20, 3)(), Config::default(), &pool).unwrap();
         assert!(run.outputs.iter().all(|&b| b == 20));
     }
 
     #[test]
     fn threaded_detects_budget() {
         let g = generators::path(2);
-        let progs = (0..2)
-            .map(|_| FloodMax {
-                best: 0,
-                rounds: 100,
-            })
-            .collect::<Vec<_>>();
-        let err = run_threaded(&g, progs, Config::with_max_rounds(5), 2).unwrap_err();
-        assert_eq!(err, SimError::RoundBudgetExceeded { limit: 5 });
+        for spec in pool_specs(&[1, 2], None, 7) {
+            let err = run(&g, flood(2, 100)(), Config::with_max_rounds(5), &spec).unwrap_err();
+            assert_eq!(
+                err,
+                SimError::RoundBudgetExceeded { limit: 5 },
+                "{}",
+                label(&spec)
+            );
+        }
     }
 
     // ---- degree-weighted partitioning ----
@@ -2282,6 +1939,7 @@ mod tests {
         rounds: u64,
         heard: u64,
     }
+    persist!(LoneStayer, heard);
 
     impl Program for LoneStayer {
         type Msg = u64;
@@ -2313,8 +1971,8 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        assert_bitwise_equal(&g, mk, &[1, 2, 4, 8]);
-        let run = run_threaded(&g, mk(), Config::default(), 8).unwrap();
+        assert_bitwise_equal(&g, mk, &[1, 2, 4, 8], 7);
+        let run = Engine::new(&g, Config::default()).run(mk()).unwrap();
         // round 1: hub hears all 5 leaves; rounds 2..=5: hub is alone and
         // its broadcasts are lost to the halted leaves.
         assert_eq!(run.outputs[0], 5);
@@ -2328,6 +1986,7 @@ mod tests {
         wake: Round,
         heard: u64,
     }
+    persist!(GappedWake, heard);
 
     impl Program for GappedWake {
         type Msg = u64;
@@ -2359,8 +2018,8 @@ mod tests {
                 .map(|&wake| GappedWake { wake, heard: 0 })
                 .collect::<Vec<_>>()
         };
-        assert_bitwise_equal(&g, mk, &[1, 2, 4, 8]);
-        let run = run_threaded(&g, mk(), Config::default(), 4).unwrap();
+        assert_bitwise_equal(&g, mk, &[1, 2, 4, 8], 7);
+        let run = Engine::new(&g, Config::default()).run(mk()).unwrap();
         assert_eq!(run.metrics.rounds, 1_000_000_000);
         assert_eq!(run.metrics.awake, vec![1; 6]);
         // each pair only hears its partner (outer neighbors sleep)
@@ -2380,15 +2039,7 @@ mod tests {
             b.edge(v - 1, v);
         }
         let g = b.build().unwrap();
-        let mk = || {
-            (0..240)
-                .map(|_| FloodMax {
-                    best: 0,
-                    rounds: 12,
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_bitwise_equal(&g, mk, &[1, 2, 3, 4, 8, 16]);
+        assert_bitwise_equal(&g, flood(240, 12), &[1, 2, 3, 4, 8, 16], 7);
     }
 
     // ---- error precedence matches the serial engine ----
@@ -2396,6 +2047,7 @@ mod tests {
     struct BadSendAt {
         bad: bool,
     }
+    persist!(BadSendAt);
     impl Program for BadSendAt {
         type Msg = ();
         type Output = ();
@@ -2418,21 +2070,56 @@ mod tests {
     fn routing_error_reports_lowest_offending_node() {
         // Round 1 on P_200 has degree mass 598 > INLINE_MASS: the error
         // surfaces from the parallel path, where higher chunks' offenders
-        // run concurrently and must lose to node 3's error.
+        // run concurrently (under chaos, possibly long after their
+        // neighbors) and must lose to node 3's error.
         let g = generators::path(200);
-        for workers in [1, 2, 4, 8] {
+        let mk = || {
+            (0..200)
+                .map(|v| BadSendAt { bad: v >= 3 })
+                .collect::<Vec<_>>()
+        };
+        let serial_err = Engine::new(&g, Config::default()).run(mk()).unwrap_err();
+        assert_eq!(
+            serial_err,
+            SimError::NotANeighbor {
+                from: NodeId(3),
+                to: NodeId(5)
+            }
+        );
+        for spec in pool_specs(&[1, 2, 4, 8], None, 7) {
+            let err = run(&g, mk(), Config::default(), &spec).unwrap_err();
+            assert_eq!(err, serial_err, "{}", label(&spec));
+        }
+    }
+
+    /// A pool spec on `workers` executors under the chaos plan `seed`.
+    fn chaos_spec(workers: usize, faults: Option<FaultPlan>, seed: u64) -> RunSpec<'static> {
+        RunSpec {
+            workers: Some(workers),
+            faults,
+            chaos: Some(seed),
+            ..RunSpec::default()
+        }
+    }
+
+    #[test]
+    fn chaos_preserves_error_precedence() {
+        // Under chaos the erroring chunk may finish long after its
+        // neighbors — the coordinator's chunk-order scan must still report
+        // the serial engine's error (lowest node id).
+        let g = generators::path(200);
+        for seed in 11..=13 {
             let progs: Vec<BadSendAt> = (0..200).map(|v| BadSendAt { bad: v >= 3 }).collect();
-            let err = run_threaded(&g, progs, Config::default(), workers).unwrap_err();
-            let serial_err = crate::Engine::new(&g, Config::default())
-                .run((0..200).map(|v| BadSendAt { bad: v >= 3 }).collect())
-                .unwrap_err();
-            assert_eq!(err, serial_err, "workers = {workers}");
+            let spec = chaos_spec(4, None, seed);
+            let err = run(&g, progs, Config::default(), &spec).unwrap_err();
             assert_eq!(
                 err,
                 SimError::NotANeighbor {
                     from: NodeId(3),
                     to: NodeId(5)
-                }
+                },
+                "{}",
+                label(&spec)
             );
         }
     }
@@ -2440,6 +2127,7 @@ mod tests {
     struct SleepsBackward {
         offender: bool,
     }
+    persist!(SleepsBackward);
     impl Program for SleepsBackward {
         type Msg = ();
         type Output = ();
@@ -2462,11 +2150,11 @@ mod tests {
     fn invalid_sleep_reports_lowest_offending_node() {
         // C_150 (mass 450): the offending round runs the parallel path.
         let g = generators::cycle(150);
-        for workers in [1, 2, 4, 8] {
+        for spec in pool_specs(&[1, 2, 4, 8], None, 7) {
             let progs: Vec<SleepsBackward> = (0..150)
                 .map(|v| SleepsBackward { offender: v >= 4 })
                 .collect();
-            let err = run_threaded(&g, progs, Config::default(), workers).unwrap_err();
+            let err = run(&g, progs, Config::default(), &spec).unwrap_err();
             assert_eq!(
                 err,
                 SimError::InvalidSleep {
@@ -2474,7 +2162,8 @@ mod tests {
                     round: 2,
                     until: 2
                 },
-                "workers = {workers}"
+                "{}",
+                label(&spec)
             );
         }
     }
@@ -2487,78 +2176,40 @@ mod tests {
         // shuffle which executor runs each descriptor and when — outputs
         // and metrics must not move by a bit relative to the serial engine.
         let g = generators::random_tree(160, 9);
-        let mk = || {
-            (0..160)
-                .map(|_| FloodMax {
-                    best: 0,
-                    rounds: 40,
-                })
-                .collect::<Vec<_>>()
-        };
-        let serial = crate::Engine::new(&g, Config::default()).run(mk()).unwrap();
-        for seed in 1u64..=8 {
+        let serial = Engine::new(&g, Config::default())
+            .run(flood(160, 40)())
+            .unwrap();
+        for seed in 1..=8 {
             for workers in [2, 4, 8] {
-                let par = run_threaded_chaos(&g, mk(), Config::default(), workers, seed).unwrap();
-                assert!(
-                    serial.outputs == par.outputs,
-                    "outputs, seed = {seed}, workers = {workers}"
-                );
-                assert_eq!(
-                    serial.metrics, par.metrics,
-                    "metrics, seed = {seed}, workers = {workers}"
-                );
+                let spec = chaos_spec(workers, None, seed);
+                let got = run(&g, flood(160, 40)(), Config::default(), &spec).unwrap();
+                assert!(serial.outputs == got.outputs, "outputs, {}", label(&spec));
+                assert_eq!(serial.metrics, got.metrics, "metrics, {}", label(&spec));
             }
         }
         // Traces too, including the drop counter under a biting cap.
-        let cfg = Config {
-            trace: crate::TraceMode::Capped(500),
+        let capped = Config {
+            trace: TraceMode::Capped(500),
             ..Config::default()
         };
-        let serial = crate::Engine::new(&g, cfg).run(mk()).unwrap();
-        for seed in [9u64, 10] {
+        let serial = Engine::new(&g, capped).run(flood(160, 40)()).unwrap();
+        for seed in [9, 10] {
             for workers in [2, 8] {
-                let par = run_threaded_chaos(&g, mk(), cfg, workers, seed).unwrap();
+                let spec = chaos_spec(workers, None, seed);
+                let got = run(&g, flood(160, 40)(), capped, &spec).unwrap();
+                assert_eq!(serial.trace, got.trace, "trace, {}", label(&spec));
                 assert_eq!(
-                    serial.trace, par.trace,
-                    "trace, seed = {seed}, workers = {workers}"
-                );
-                assert_eq!(
-                    serial.trace_dropped, par.trace_dropped,
-                    "trace_dropped, seed = {seed}, workers = {workers}"
+                    serial.trace_dropped,
+                    got.trace_dropped,
+                    "trace_dropped, {}",
+                    label(&spec)
                 );
             }
         }
-    }
-
-    #[test]
-    fn chaos_preserves_error_precedence() {
-        // Under chaos the erroring chunk may finish long after its
-        // neighbors — the coordinator's chunk-order scan must still report
-        // the serial engine's error (lowest node id).
-        let g = generators::path(200);
-        for seed in 11u64..=13 {
-            let progs: Vec<BadSendAt> = (0..200).map(|v| BadSendAt { bad: v >= 3 }).collect();
-            let err = run_threaded_chaos(&g, progs, Config::default(), 4, seed).unwrap_err();
-            assert_eq!(
-                err,
-                SimError::NotANeighbor {
-                    from: NodeId(3),
-                    to: NodeId(5)
-                },
-                "seed = {seed}"
-            );
-        }
-    }
-
-    impl Persist for FloodMax {
-        fn save(&self, w: &mut crate::Writer) {
-            use crate::Codec;
-            self.best.encode(w);
-        }
-        fn restore(&mut self, r: &mut crate::Reader<'_>) -> Result<(), crate::CheckpointError> {
-            use crate::Codec;
-            self.best = u64::decode(r)?;
-            Ok(())
+        // Snapshot bytes, resumes and faulty runs over more chaos seeds
+        // than the agreement table's one per row.
+        for seed in 1..=3 {
+            assert_bitwise_equal(&g, flood(160, 40), &[2, 4, 8], seed);
         }
     }
 
@@ -2573,30 +2224,14 @@ mod tests {
         plan.delay_ppm = 60_000;
         plan.delay_rounds = 1;
         let g = generators::random_tree(120, 5);
-        let mk = || {
-            (0..120)
-                .map(|_| FloodMax {
-                    best: 0,
-                    rounds: 30,
-                })
-                .collect::<Vec<_>>()
-        };
-        let serial = crate::Engine::new(&g, Config::default())
-            .run_faulty(mk(), &plan)
-            .unwrap();
-        for seed in 21u64..=23 {
+        let serial = RunSpec::default().with_faults(Some(plan));
+        let want = run(&g, flood(120, 30)(), Config::default(), &serial).unwrap();
+        for seed in 21..=23 {
             for workers in [2, 4] {
-                let par =
-                    run_threaded_faulty_chaos(&g, mk(), Config::default(), workers, &plan, seed)
-                        .unwrap();
-                assert!(
-                    serial.outputs == par.outputs,
-                    "outputs, seed = {seed}, workers = {workers}"
-                );
-                assert_eq!(
-                    serial.metrics, par.metrics,
-                    "metrics, seed = {seed}, workers = {workers}"
-                );
+                let spec = chaos_spec(workers, Some(plan), seed);
+                let got = run(&g, flood(120, 30)(), Config::default(), &spec).unwrap();
+                assert!(want.outputs == got.outputs, "outputs, {}", label(&spec));
+                assert_eq!(want.metrics, got.metrics, "metrics, {}", label(&spec));
             }
         }
     }
@@ -2608,44 +2243,18 @@ mod tests {
         // snapshots must be byte-identical to the serial engine's even
         // when steal storms shuffled the round that just finished.
         let g = generators::random_tree(160, 9);
-        let mk = || {
-            (0..160)
-                .map(|_| FloodMax {
-                    best: 0,
-                    rounds: 40,
-                })
-                .collect::<Vec<_>>()
-        };
-        let serial_full = crate::Engine::new(&g, Config::default()).run(mk()).unwrap();
-        let want = match crate::Engine::new(&g, Config::default())
-            .snapshot_at(mk(), None, 20)
-            .unwrap()
-        {
-            Paused::Snapshot(s) => s,
-            Paused::Done(_) => panic!("run finished before the pause"),
-        };
-        for seed in 31u64..=33 {
+        let serial_full = Engine::new(&g, Config::default())
+            .run(flood(160, 40)())
+            .unwrap();
+        let want = snapshot_at(&g, flood(160, 40)(), &RunSpec::default(), 20);
+        for seed in 31..=33 {
             for workers in [2, 4] {
-                let got = match snapshot_at_threaded_chaos(
-                    &g,
-                    mk(),
-                    Config::default(),
-                    workers,
-                    None,
-                    20,
-                    seed,
-                )
-                .unwrap()
-                {
-                    Paused::Snapshot(s) => s,
-                    Paused::Done(_) => panic!("run finished before the pause"),
-                };
-                assert_eq!(
-                    got, want,
-                    "snapshot bytes, seed = {seed}, workers = {workers}"
-                );
+                let spec = chaos_spec(workers, None, seed);
+                let got = snapshot_at(&g, flood(160, 40)(), &spec, 20);
+                assert_eq!(got, want, "snapshot bytes, {}", label(&spec));
                 // And the chaotic pause resumes to the uninterrupted run.
-                let resumed = resume_threaded(&g, mk(), &got, workers).unwrap();
+                let resume = spec.resume_from(&got);
+                let resumed = run(&g, flood(160, 40)(), Config::default(), &resume).unwrap();
                 assert!(resumed.outputs == serial_full.outputs, "resumed outputs");
                 assert_eq!(resumed.metrics, serial_full.metrics, "resumed metrics");
             }
@@ -2657,22 +2266,16 @@ mod tests {
         // The timing probe must account every executed round exactly once
         // (skipped rounds are free) and leave the run itself untouched.
         let g = generators::random_tree(160, 9);
-        let mk = || {
-            (0..160)
-                .map(|_| FloodMax {
-                    best: 0,
-                    rounds: 40,
-                })
-                .collect::<Vec<_>>()
-        };
-        let serial = crate::Engine::new(&g, Config::default()).run(mk()).unwrap();
+        let serial = Engine::new(&g, Config::default())
+            .run(flood(160, 40)())
+            .unwrap();
         let mut t = PhaseTimes::default();
-        let run = run_threaded_timed(&g, mk(), Config::default(), 4, &mut t).unwrap();
-        assert_eq!(serial.metrics, run.metrics);
-        assert!(serial.outputs == run.outputs);
+        let timed = run_threaded_timed(&g, flood(160, 40)(), Config::default(), 4, &mut t).unwrap();
+        assert_eq!(serial.metrics, timed.metrics);
+        assert!(serial.outputs == timed.outputs);
         assert_eq!(
             t.rounds(),
-            run.metrics.rounds - run.metrics.rounds_skipped,
+            timed.metrics.rounds - timed.metrics.rounds_skipped,
             "every executed round lands in exactly one bucket"
         );
         assert!(t.dispatched_rounds > 0, "dense rounds must dispatch");

@@ -15,12 +15,9 @@
 
 use awake_graphs::{generators, Graph, NodeId};
 use awake_sleeping::checkpoint::{Paused, Persist, Reader, Snapshot, Writer};
-use awake_sleeping::threaded::{
-    resume_threaded, run_threaded, run_threaded_faulty, snapshot_at_threaded,
-};
 use awake_sleeping::{
-    Action, Config, Engine, Envelope, FaultKind, FaultPlan, Metrics, Outbox, Program, Run,
-    TraceEvent, TraceMode, View,
+    Action, CheckpointError, Config, Engine, Envelope, FaultKind, FaultPlan, Metrics, Outbox,
+    Program, ResumeError, Run, RunSpec, TraceEvent, TraceMode, View,
 };
 
 /// The idle-gap magnitude the compression must jump in O(1) bucket work: a
@@ -428,6 +425,59 @@ fn assert_runs_equal(tag: &str, want: &Run<Vec<(u64, u64)>>, got: &Run<Vec<(u64,
     assert_eq!(got.trace_dropped, want.trace_dropped, "[{tag}] drop count");
 }
 
+/// The executor rows of every table: the serial engine, then the worker
+/// pool at each of [`WORKER_COUNTS`].
+fn executors() -> impl Iterator<Item = Option<usize>> {
+    std::iter::once(None).chain(WORKER_COUNTS.into_iter().map(Some))
+}
+
+fn run(g: &Graph, scripts: &[Vec<u64>], spec: &RunSpec) -> Paused<Vec<(u64, u64)>> {
+    Engine::new(g, cfg())
+        .run_spec(progs(scripts), spec)
+        .unwrap()
+}
+
+fn pause(g: &Graph, scripts: &[Vec<u64>], spec: &RunSpec, bound: u64) -> Snapshot {
+    run(g, scripts, &spec.pause_after(bound)).into_snapshot()
+}
+
+/// Every executor row, under `plan`, matches `want` bit for bit.
+fn assert_every_executor_matches(
+    tag: &str,
+    g: &Graph,
+    scripts: &[Vec<u64>],
+    plan: Option<FaultPlan>,
+    want: &Run<Vec<(u64, u64)>>,
+) {
+    for workers in executors() {
+        let got = run(g, scripts, &RunSpec::on(workers).with_faults(plan)).finished();
+        assert_runs_equal(&format!("{tag} workers {workers:?}"), want, &got);
+    }
+}
+
+/// Pausing at `bound` gives byte-identical snapshots on every executor
+/// row, and each resumes on every row to `want`. Returns the snapshot.
+fn assert_pause_resume_anywhere(
+    g: &Graph,
+    scripts: &[Vec<u64>],
+    plan: Option<FaultPlan>,
+    bound: u64,
+    want: &Run<Vec<(u64, u64)>>,
+) -> Snapshot {
+    let snap = pause(g, scripts, &RunSpec::default().with_faults(plan), bound);
+    for workers in executors() {
+        let got = pause(g, scripts, &RunSpec::on(workers).with_faults(plan), bound);
+        assert_eq!(
+            got, snap,
+            "pause at {bound}: workers {workers:?} snapshot differs"
+        );
+        let resume = RunSpec::on(workers).with_faults(plan).resume_from(&snap);
+        let resumed = run(g, scripts, &resume).finished();
+        assert_runs_equal(&format!("resume at {bound} on {workers:?}"), want, &resumed);
+    }
+    snap
+}
+
 fn graph_for(case: u64, n: usize) -> Graph {
     match case % 3 {
         0 => generators::path(n),
@@ -447,12 +497,11 @@ fn compressed_executors_match_the_reference_stepper() {
         let g = graph_for(case, n);
         let scripts = random_scripts(&mut rng, g.n());
         let want = reference_run(&g, &scripts, None);
-        let got = Engine::new(&g, cfg()).run(progs(&scripts)).unwrap();
-        assert_runs_equal(&format!("case {case} serial"), &want, &got);
+        assert_every_executor_matches(&format!("case {case}"), &g, &scripts, None, &want);
 
         // The compression invariant: every virtual round is either an
         // executed round (it appears in the trace) or a skipped one.
-        let executed: std::collections::BTreeSet<u64> = got
+        let executed: std::collections::BTreeSet<u64> = want
             .trace
             .iter()
             .filter_map(|e| match e {
@@ -461,20 +510,15 @@ fn compressed_executors_match_the_reference_stepper() {
             })
             .collect();
         assert_eq!(
-            executed.len() as u64 + got.metrics.rounds_skipped,
-            got.metrics.rounds,
+            executed.len() as u64 + want.metrics.rounds_skipped,
+            want.metrics.rounds,
             "case {case}: rounds = executed + skipped"
         );
         assert!(
-            got.metrics.rounds_skipped >= GAP - 1_000,
+            want.metrics.rounds_skipped >= GAP - 1_000,
             "case {case}: the 10⁹-round gap must be jumped, not executed"
         );
-        assert_eq!(got.metrics.awake_events, got.metrics.total_awake());
-
-        for workers in WORKER_COUNTS {
-            let got = run_threaded(&g, progs(&scripts), cfg(), workers).unwrap();
-            assert_runs_equal(&format!("case {case} threaded w{workers}"), &want, &got);
-        }
+        assert_eq!(want.metrics.awake_events, want.metrics.total_awake());
     }
 }
 
@@ -498,18 +542,10 @@ fn faulty_runs_with_delays_spanning_jumps_match_the_reference() {
             _ => GAP / 2,
         };
         let want = reference_run(&g, &scripts, Some(plan));
-        let got = Engine::new(&g, cfg())
-            .run_faulty(progs(&scripts), &plan)
-            .unwrap();
-        assert_runs_equal(&format!("case {case} serial faulty"), &want, &got);
-        for workers in WORKER_COUNTS {
-            let got = run_threaded_faulty(&g, progs(&scripts), cfg(), workers, &plan).unwrap();
-            assert_runs_equal(
-                &format!("case {case} threaded faulty w{workers}"),
-                &want,
-                &got,
-            );
-        }
+        let tag = format!("case {case} faulty");
+        assert_every_executor_matches(&tag, &g, &scripts, Some(plan), &want);
+        // Pause inside the prologue, with faults still firing.
+        assert_pause_resume_anywhere(&g, &scripts, Some(plan), 3, &want);
     }
 }
 
@@ -523,20 +559,12 @@ fn snapshots_anywhere_inside_a_jumped_span_are_byte_identical() {
     let scripts: Vec<Vec<u64>> = (0..6u64)
         .map(|v| vec![1, 2, 3, 4, GAP + 5, GAP + 6 + (v % 2)])
         .collect();
-    let uninterrupted = Engine::new(&g, cfg()).run(progs(&scripts)).unwrap();
     let reference = reference_run(&g, &scripts, None);
-    assert_runs_equal("gap fixture", &reference, &uninterrupted);
+    assert_every_executor_matches("gap fixture", &g, &scripts, None, &reference);
 
-    let snap_at = |pause| match Engine::new(&g, cfg())
-        .snapshot_at(progs(&scripts), None, pause)
-        .unwrap()
-    {
-        Paused::Snapshot(s) => s,
-        Paused::Done(_) => panic!("run finished before pause {pause}"),
-    };
     let snaps: Vec<Snapshot> = [4, 5, 1_000, GAP / 2, GAP + 4]
         .into_iter()
-        .map(snap_at)
+        .map(|bound| assert_pause_resume_anywhere(&g, &scripts, None, bound, &reference))
         .collect();
     assert_eq!(snaps[0].round(), 4, "paused at the round-4 boundary");
     for (i, s) in snaps.iter().enumerate() {
@@ -544,23 +572,6 @@ fn snapshots_anywhere_inside_a_jumped_span_are_byte_identical() {
             s, &snaps[0],
             "pause point {i} inside the gap changed the snapshot bytes"
         );
-    }
-    // The threaded executor pauses to the very same bytes.
-    for workers in WORKER_COUNTS {
-        match snapshot_at_threaded(&g, progs(&scripts), cfg(), workers, None, GAP / 2).unwrap() {
-            Paused::Snapshot(s) => assert_eq!(
-                s, snaps[0],
-                "threaded w{workers} snapshot differs from serial"
-            ),
-            Paused::Done(_) => panic!("threaded run finished before the pause"),
-        }
-    }
-    // And every pause resumes — on either executor — to the uninterrupted run.
-    for s in &snaps {
-        let resumed = Engine::new(&g, cfg()).resume(progs(&scripts), s).unwrap();
-        assert_runs_equal("serial resume", &uninterrupted, &resumed);
-        let resumed = resume_threaded(&g, progs(&scripts), s, 4).unwrap();
-        assert_runs_equal("threaded resume", &uninterrupted, &resumed);
     }
 }
 
@@ -577,40 +588,56 @@ fn snapshot_with_delayed_messages_pending_across_a_jump_resumes_identically() {
     let mut plan = FaultPlan::new(7);
     plan.delay_ppm = 500_000;
     plan.delay_rounds = GAP + 1;
-    let uninterrupted = Engine::new(&g, cfg())
-        .run_faulty(progs(&scripts), &plan)
-        .unwrap();
     let reference = reference_run(&g, &scripts, Some(plan));
-    assert_runs_equal("delayed fixture", &reference, &uninterrupted);
+    assert_every_executor_matches("delayed fixture", &g, &scripts, Some(plan), &reference);
     assert!(
-        uninterrupted.metrics.faults_delayed > 0,
+        reference.metrics.faults_delayed > 0,
         "fixture must actually delay messages"
     );
     assert!(
-        uninterrupted
+        reference
             .trace
             .iter()
             .any(|e| matches!(e, TraceEvent::Delivered { round, .. } if *round > GAP)),
         "some delayed message must be delivered on the far side of the jump"
     );
+    assert_pause_resume_anywhere(&g, &scripts, Some(plan), GAP / 2, &reference);
+}
 
-    let snap = match Engine::new(&g, cfg())
-        .snapshot_at(progs(&scripts), Some(&plan), GAP / 2)
-        .unwrap()
-    {
-        Paused::Snapshot(s) => s,
-        Paused::Done(_) => panic!("run finished before the mid-gap pause"),
+#[test]
+fn resuming_under_another_fault_plan_is_a_typed_error() {
+    // A snapshot carries the fault plan it ran under; a resume naming any
+    // other plan (or none) would continue a different injection schedule,
+    // so it is refused. An inactive plan still means no plan.
+    let g = generators::complete(5);
+    let scripts: Vec<Vec<u64>> = (0..5).map(|_| vec![1, 2, 3, 4]).collect();
+    let plan = FaultPlan {
+        drop_ppm: 200_000,
+        ..FaultPlan::new(7)
     };
-    let resumed = Engine::new(&g, cfg())
-        .resume(progs(&scripts), &snap)
-        .unwrap();
-    assert_runs_equal("serial resume", &uninterrupted, &resumed);
-    for workers in WORKER_COUNTS {
-        let resumed = resume_threaded(&g, progs(&scripts), &snap, workers).unwrap();
-        assert_runs_equal(
-            &format!("threaded resume w{workers}"),
-            &uninterrupted,
-            &resumed,
-        );
+    let other = FaultPlan { seed: 8, ..plan };
+    let inactive = FaultPlan::new(7);
+    let faulty = pause(&g, &scripts, &RunSpec::default().with_faults(Some(plan)), 2);
+    let clean = pause(&g, &scripts, &RunSpec::default(), 2);
+    for workers in executors() {
+        let on = RunSpec::on(workers);
+        for (snap, faults) in [
+            (&faulty, None),
+            (&faulty, Some(other)),
+            (&faulty, Some(inactive)),
+            (&clean, Some(plan)),
+        ] {
+            let resume = on.with_faults(faults).resume_from(snap);
+            let got = Engine::new(&g, cfg()).run_spec(progs(&scripts), &resume);
+            assert!(
+                matches!(
+                    got,
+                    Err(ResumeError::Checkpoint(CheckpointError::FaultPlanMismatch))
+                ),
+                "{workers:?}: resume under {faults:?} must be refused"
+            );
+        }
+        let resume = on.with_faults(Some(inactive)).resume_from(&clean);
+        run(&g, &scripts, &resume).finished();
     }
 }

@@ -5,13 +5,16 @@
 //! A thin front-end over the `awake-lab` scenario harness (`edges`
 //! preset), plus a direct pass that re-runs one graph through the adapter
 //! and checks the distributed outputs against the sequential edge greedy
-//! — the class-defining reference — edge by edge.
+//! — the class-defining reference — edge by edge. The executor is one
+//! field of the solver's `StageSpec`: `workers: None` is the serial engine,
+//! `Some(w)` the `w`-worker pool.
 //!
 //! ```sh
 //! cargo run --release --example edge_problems
 //! ```
 
 use awake::core::linegraph;
+use awake::core::resilient::StageSpec;
 use awake::graphs::generators;
 use awake::olocal::edge::{solve_edges_sequentially, EdgeColoring, EdgeIndex, MaximalMatching};
 use awake::olocal::EdgeProblem;
@@ -54,8 +57,10 @@ fn main() {
         idx.m()
     );
     let inputs = MaximalMatching.trivial_inputs(&g);
-    let run = linegraph::solve_edges(&g, &MaximalMatching, &inputs, Config::default())
-        .expect("adapter runs");
+    let serial = StageSpec::default();
+    let run =
+        linegraph::solve_edges_spec(&g, &MaximalMatching, &inputs, Config::default(), &serial)
+            .expect("adapter runs");
     let seq = solve_edges_sequentially(&MaximalMatching, &g, &idx, &inputs);
     assert_eq!(run.outputs, seq, "adapter must equal the sequential greedy");
     MaximalMatching
@@ -69,8 +74,9 @@ fn main() {
     );
 
     let cinputs = EdgeColoring.trivial_inputs(&g);
-    let col = linegraph::solve_edges_threaded(&g, &EdgeColoring, &cinputs, Config::default(), 4)
-        .expect("adapter runs threaded");
+    let pool = StageSpec::on(Some(4));
+    let col = linegraph::solve_edges_spec(&g, &EdgeColoring, &cinputs, Config::default(), &pool)
+        .expect("adapter runs on the pool");
     EdgeColoring
         .validate(&g, &cinputs, &col.outputs)
         .expect("edge coloring is proper and within palette");

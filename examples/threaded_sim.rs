@@ -6,7 +6,9 @@
 //! preset pairs every problem with a serial and an 8-worker scenario on
 //! the same `G(n, p)` instance. The harness rows compare the summary
 //! metrics; the direct pass below re-runs both executors on the same graph
-//! and compares the raw per-node outputs and full `Metrics`.
+//! and compares the raw per-node outputs and full `Metrics`. The executor
+//! is one field of the run's `RunSpec`: `workers: None` is the serial
+//! engine, `Some(w)` the `w`-worker pool.
 //!
 //! ```sh
 //! cargo run --release --example threaded_sim
@@ -18,7 +20,7 @@ use awake::olocal::problems::{
     DegreePlusOneListColoring, DeltaPlusOneColoring, MaximalIndependentSet, MinimalVertexCover,
 };
 use awake::olocal::OLocalProblem;
-use awake::sleeping::{threaded, Config, Engine};
+use awake::sleeping::{Codec, Config, Engine, RunSpec};
 use awake_lab::runner::Runner;
 use awake_lab::scenario::presets;
 
@@ -30,7 +32,8 @@ const WORKERS: usize = 8;
 fn assert_outputs_agree<P>(problem: &P, g: &Graph)
 where
     P: OLocalProblem + Clone + Send + Sync,
-    P::Input: Clone,
+    P::Input: Codec,
+    P::Output: Codec,
 {
     let inputs = problem.trivial_inputs(g);
     let mk = || -> Vec<TrivialGreedy<P>> {
@@ -38,8 +41,14 @@ where
             .map(|v| TrivialGreedy::new(problem.clone(), inputs[v.index()].clone()))
             .collect()
     };
-    let serial = Engine::new(g, Config::default()).run(mk()).unwrap();
-    let par = threaded::run_threaded(g, mk(), Config::default(), WORKERS).unwrap();
+    let engine = Engine::new(g, Config::default());
+    let run = |workers| {
+        engine
+            .run_spec(mk(), &RunSpec::on(workers))
+            .unwrap()
+            .finished()
+    };
+    let (serial, par) = (run(None), run(Some(WORKERS)));
     assert_eq!(serial.outputs, par.outputs, "per-node outputs diverge");
     assert_eq!(serial.metrics, par.metrics, "metrics diverge");
 }

@@ -1,66 +1,57 @@
 //! Executor equivalence for the **line-graph virtualization adapter**:
 //! adapted edge programs must produce bit-for-bit identical outputs *and*
-//! [`Metrics`] on the serial engine and the worker-pool executor at
-//! 1/2/4/8 workers — on Erdős–Rényi graphs, random trees, and the
-//! hub-heavy families (star, caterpillar, lollipop) whose dominant-degree
-//! nodes stress the degree-weighted chunking — and engine errors raised
-//! through adapted edge nodes must respect serial error precedence across
-//! chunks.
+//! [`Metrics`](awake::sleeping::Metrics) on the serial engine and the
+//! worker-pool executor at 1/2/4/8 workers, fault-free and under a seeded
+//! plan, paused and resumed on either executor (the spec table of
+//! `common`) — on Erdős–Rényi graphs, random trees, and the hub-heavy
+//! families (star, caterpillar, lollipop) whose dominant-degree nodes
+//! stress the degree-weighted chunking — and engine errors raised through
+//! adapted edge nodes must respect serial error precedence across chunks.
 
+mod common;
+
+use awake::core::bounds;
 use awake::core::linegraph::{self, hosts, EdgeGreedy, LineGraphHost};
+use awake::core::resilient::{run_stage, StageSpec};
 use awake::core::virt::{VEnvelope, VOutgoing, VirtualProgram};
 use awake::graphs::{generators, Graph, NodeId};
 use awake::olocal::edge::{
     solve_edges_sequentially, EdgeColoring, EdgeIndex, EdgeProblem, MaximalMatching,
 };
-use awake::sleeping::{threaded, Action, Config, Engine, Metrics, Round, SimError};
+use awake::sleeping::{
+    Action, CheckpointError, Codec, Config, Engine, Persist, Reader, Round, SimError, Writer,
+};
 
-/// Run the adapter for `problem` serially and under 1, 2, 4 and 8
-/// workers; assert full equivalence and validator acceptance.
+/// Run the spec table over the adapter's hosts for `problem` — through
+/// the stage runner the solver uses, so faulty rows run wrapped in time
+/// redundancy — and check the packaged solver's outputs: valid, and the
+/// sequential greedy's.
 fn assert_edge_equivalent<P>(g: &Graph, problem: &P)
 where
     P: EdgeProblem + Clone + Send + Sync,
-    P::Input: Clone,
+    P::Output: Codec,
 {
     let idx = EdgeIndex::new(g);
     let inputs = problem.trivial_inputs(g);
-    let serial = linegraph::solve_edges(g, problem, &inputs, Config::default()).unwrap();
+    let base_rounds = bounds::linegraph_rounds(g).max(1);
+    common::assert_spec_table(|cfg, spec| {
+        let hosts = linegraph::greedy_hosts(g, &idx, problem, &inputs);
+        run_stage(g, hosts, cfg, base_rounds, spec)
+    });
+    let serial = linegraph::solve_edges_spec(
+        g,
+        problem,
+        &inputs,
+        Config::default(),
+        &StageSpec::default(),
+    )
+    .unwrap();
     problem.validate(g, &inputs, &serial.outputs).unwrap();
-    // ... and the distributed outputs are the sequential greedy's.
     assert_eq!(
         serial.outputs,
         solve_edges_sequentially(problem, g, &idx, &inputs),
         "adapter must realize the by-label sequential greedy"
     );
-    for workers in [1usize, 2, 4, 8] {
-        let par = linegraph::solve_edges_threaded(g, problem, &inputs, Config::default(), workers)
-            .unwrap();
-        assert_eq!(
-            serial.outputs, par.outputs,
-            "edge outputs diverge at workers = {workers}"
-        );
-        let (s, p): (&Metrics, &Metrics) = (&serial.metrics, &par.metrics);
-        assert_eq!(s.awake, p.awake, "awake vectors, workers = {workers}");
-        assert_eq!(s.rounds, p.rounds, "rounds, workers = {workers}");
-        assert_eq!(
-            s.messages_sent, p.messages_sent,
-            "sent, workers = {workers}"
-        );
-        assert_eq!(
-            s.messages_delivered, p.messages_delivered,
-            "delivered, workers = {workers}"
-        );
-        assert_eq!(
-            s.messages_lost, p.messages_lost,
-            "lost, workers = {workers}"
-        );
-        assert_eq!(
-            s.span_summary(),
-            p.span_summary(),
-            "span summaries, workers = {workers}"
-        );
-        assert_eq!(s, p, "full Metrics equality, workers = {workers}");
-    }
 }
 
 #[test]
@@ -134,6 +125,13 @@ impl VirtualProgram for MaybeBad {
     }
 }
 
+impl Persist for MaybeBad {
+    fn save(&self, _: &mut Writer) {}
+    fn restore(&mut self, _: &mut Reader<'_>) -> Result<(), CheckpointError> {
+        Ok(())
+    }
+}
+
 fn bad_hosts(g: &Graph, idx: &EdgeIndex, bad_labels: &[u64]) -> Vec<LineGraphHost<MaybeBad>> {
     hosts(g, idx, |ctx| MaybeBad {
         bad: bad_labels.contains(&ctx.label),
@@ -161,15 +159,10 @@ fn error_precedence_matches_serial_across_chunks() {
             until: 1
         }
     );
-    for workers in [1usize, 2, 4, 8] {
-        let par_err =
-            threaded::run_threaded(&g, bad_hosts(&g, &idx, &bad), Config::default(), workers)
-                .unwrap_err();
-        assert_eq!(
-            par_err, serial_err,
-            "error precedence diverges at workers = {workers}"
-        );
-    }
+    // Every row of the table fails with exactly this error.
+    common::assert_spec_table(|cfg, spec| {
+        Engine::new(&g, cfg).run_spec(bad_hosts(&g, &idx, &bad), spec)
+    });
 }
 
 #[test]
@@ -194,8 +187,14 @@ fn adapter_rides_the_engine_unchanged_for_custom_inner_programs() {
     let programs: Vec<LineGraphHost<EdgeGreedy<MaximalMatching>>> =
         linegraph::greedy_hosts(&g, &idx, &MaximalMatching, &inputs);
     let raw = Engine::new(&g, Config::default()).run(programs).unwrap();
-    let packaged =
-        linegraph::solve_edges(&g, &MaximalMatching, &inputs, Config::default()).unwrap();
+    let packaged = linegraph::solve_edges_spec(
+        &g,
+        &MaximalMatching,
+        &inputs,
+        Config::default(),
+        &StageSpec::default(),
+    )
+    .unwrap();
     assert_eq!(raw.metrics, packaged.metrics);
     let mut from_raw: Vec<Option<bool>> = vec![None; idx.m()];
     for owned in &raw.outputs {
