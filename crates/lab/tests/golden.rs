@@ -1,7 +1,7 @@
 //! Golden-snapshot and determinism tests for the suite report.
 //!
 //! The canonical JSON form of a suite report is a compatibility surface:
-//! the committed snapshot pins it byte for byte at a fixed seed. If a
+//! the committed snapshots pin it byte for byte at a fixed seed. If a
 //! change legitimately alters the report (new metric, new preset member,
 //! changed RNG derivation — all semver-relevant events), regenerate with
 //!
@@ -13,68 +13,59 @@ use awake_lab::report::Report;
 use awake_lab::runner::Runner;
 use awake_lab::scenario::presets;
 
-/// The seed the snapshot was blessed at (also the suite binary's default).
+/// The seed the snapshots were blessed at (also the suite binary's default).
 const GOLDEN_SEED: u64 = 1;
 
-fn quick_report(runner: Runner) -> Report {
-    let suite = presets::by_name("quick").expect("quick preset exists");
+/// Presets pinned by a committed snapshot, each at `tests/golden_<preset>.json`.
+/// `quick` and `edges` are fault-free; `faults` and `soak` carry nonzero
+/// fault and recovery columns, so every counter column is pinned with a
+/// nonzero value somewhere.
+const GOLDEN_PRESETS: [&str; 4] = ["quick", "edges", "faults", "soak"];
+
+fn report(preset: &str, runner: Runner) -> Report {
+    let suite = presets::by_name(preset).expect("preset exists");
     runner
-        .run("quick", &suite, GOLDEN_SEED)
-        .expect("quick suite runs")
+        .run(preset, &suite, GOLDEN_SEED)
+        .unwrap_or_else(|e| panic!("{preset} suite runs: {e:?}"))
 }
 
 #[test]
-fn quick_canonical_json_matches_golden_snapshot() {
-    let canon = quick_report(Runner::serial()).canonical_json();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_quick.json");
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(path, &canon).expect("write blessed snapshot");
-        return;
+fn presets_canonical_json_match_golden_snapshots_at_any_shard_count() {
+    for preset in GOLDEN_PRESETS {
+        let serial = report(preset, Runner::serial());
+        assert!(
+            serial.scenarios.iter().all(|s| s.valid),
+            "{preset}: validators must accept every scenario"
+        );
+        // Byte-identical reports at any shard count — the runner's
+        // determinism contract, fault-injected rows included.
+        let canon = serial.canonical_json();
+        for shards in [1usize, 2, 4, 7] {
+            let sharded = report(preset, Runner::sharded(shards));
+            assert_eq!(
+                canon,
+                sharded.canonical_json(),
+                "{preset}: shards = {shards}"
+            );
+        }
+        let path = format!("{}/tests/golden_{preset}.json", env!("CARGO_MANIFEST_DIR"));
+        if std::env::var_os("BLESS").is_some() {
+            std::fs::write(&path, &canon).expect("write blessed snapshot");
+            continue;
+        }
+        let expected = std::fs::read_to_string(&path).expect("committed snapshot exists");
+        assert_eq!(
+            canon, expected,
+            "canonical {preset} JSON drifted from {path} — if the change is \
+             intentional, regenerate with BLESS=1"
+        );
     }
-    let expected = std::fs::read_to_string(path).expect("committed snapshot exists");
-    assert_eq!(
-        canon, expected,
-        "canonical suite JSON drifted from tests/golden_quick.json — if the \
-         change is intentional, regenerate with BLESS=1"
-    );
-}
-
-#[test]
-fn edges_canonical_json_matches_golden_snapshot_at_any_shard_count() {
-    let suite = presets::by_name("edges").expect("edges preset exists");
-    let serial = Runner::serial()
-        .run("edges", &suite, GOLDEN_SEED)
-        .expect("edges suite runs");
-    assert!(
-        serial.scenarios.iter().all(|s| s.valid),
-        "edge validators must accept every scenario"
-    );
-    // Byte-identical reports at any shard count — the determinism
-    // contract of the runner extends to the line-graph adapter rows.
-    let canon = serial.canonical_json();
-    for shards in [2usize, 4, 7] {
-        let sharded = Runner::sharded(shards)
-            .run("edges", &suite, GOLDEN_SEED)
-            .expect("edges suite runs sharded");
-        assert_eq!(canon, sharded.canonical_json(), "shards = {shards}");
-    }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_edges.json");
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(path, &canon).expect("write blessed snapshot");
-        return;
-    }
-    let expected = std::fs::read_to_string(path).expect("committed snapshot exists");
-    assert_eq!(
-        canon, expected,
-        "canonical edges-suite JSON drifted from tests/golden_edges.json — if \
-         the change is intentional, regenerate with BLESS=1"
-    );
 }
 
 #[test]
 fn serial_and_sharded_runners_produce_identical_reports() {
-    let serial = quick_report(Runner::serial());
-    let sharded = quick_report(Runner::sharded(4));
+    let serial = report("quick", Runner::serial());
+    let sharded = report("quick", Runner::sharded(4));
 
     // Everything deterministic must agree, scenario by scenario…
     assert_eq!(serial.scenarios.len(), sharded.scenarios.len());

@@ -1233,6 +1233,72 @@ mod tests {
         });
     }
 
+    /// The counters' order in the snapshot's metrics block is part of the
+    /// format: reordering them must bump [`SNAPSHOT_VERSION`].
+    #[test]
+    fn metrics_block_keeps_the_counter_order() {
+        struct Idle;
+        impl Program for Idle {
+            type Msg = ();
+            type Output = ();
+            fn send(&mut self, _: &crate::View<'_>, _: &mut crate::Outbox<()>) {}
+            fn receive(&mut self, _: &crate::View<'_>, _: &[crate::Envelope<()>]) -> crate::Action {
+                crate::Action::Halt
+            }
+            fn output(&self) -> Option<()> {
+                None
+            }
+        }
+        impl Persist for Idle {
+            fn save(&self, _: &mut Writer) {}
+            fn restore(&mut self, _: &mut Reader<'_>) -> Result<(), CheckpointError> {
+                Ok(())
+            }
+        }
+        let graph = awake_graphs::generators::path(1);
+        let mut m = Metrics::new(1);
+        m.rounds = 99;
+        m.messages_sent = 1;
+        m.messages_delivered = 2;
+        m.messages_lost = 3;
+        m.faults_dropped = 4;
+        m.faults_duplicated = 5;
+        m.faults_delayed = 6;
+        m.faults_crashed = 7;
+        m.recovery_rounds = 8;
+        m.recovery_awake = 9;
+        m.awake_events = 10;
+        m.rounds_skipped = 11;
+        let snap = encode_snapshot(
+            &graph,
+            Config::default(),
+            EngineStateRef {
+                prev_round: 99,
+                next_wake: &[NEVER],
+                stay: &[],
+                wheel_events: Vec::new(),
+                outputs: &[None],
+                programs: ProgramsRef::Flat(&[Idle]),
+                metrics: &m,
+                tracer: &Tracer::new(TraceMode::Off),
+                faults: None,
+            },
+        );
+        // awake column, rounds, the counters 1..=11, an empty span table
+        let mut w = Writer::new();
+        vec![0u64].encode(&mut w);
+        99u64.encode(&mut w);
+        for c in 1..=11u64 {
+            c.encode(&mut w);
+        }
+        0usize.encode(&mut w);
+        let block = w.into_bytes();
+        assert!(
+            snap.as_bytes().windows(block.len()).any(|b| b == block),
+            "metrics block out of order"
+        );
+    }
+
     #[test]
     fn error_displays_are_informative() {
         assert!(CheckpointError::Truncated.to_string().contains("truncated"));
