@@ -8,7 +8,7 @@
 //! [`Program::initial_wake`](awake_sleeping::Program::initial_wake), so the
 //! per-node totals are exactly those of the concatenated single algorithm.
 
-use awake_sleeping::Metrics;
+use awake_sleeping::{Counters, Metrics};
 
 /// Accounting for one named stage.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,80 +67,42 @@ impl Composition {
         acc
     }
 
-    /// The composed awake complexity (Lemma 8: `Σ Sᵢ`, maximized per node).
-    pub fn max_awake(&self) -> u64 {
-        self.awake_per_node().into_iter().max().unwrap_or(0)
-    }
-
-    /// Node-averaged composed awake complexity.
-    pub fn avg_awake(&self) -> f64 {
-        let per = self.awake_per_node();
-        if per.is_empty() {
-            0.0
-        } else {
-            per.iter().sum::<u64>() as f64 / per.len() as f64
+    /// Every counter summed over stages, field by field.
+    pub fn counters(&self) -> Counters {
+        let mut sum = Counters::default();
+        for s in &self.stages {
+            sum += s.metrics.counters;
         }
+        sum
     }
 
-    /// The composed round complexity (`Σ Tᵢ`).
+    /// The stages composed into one [`Metrics`] (Lemma 8): per-node awake
+    /// rounds, rounds and counters summed over stages. Spans stay per
+    /// stage, so the result carries none.
+    pub fn total(&self) -> Metrics {
+        let mut m = Metrics::new(0);
+        m.awake = self.awake_per_node();
+        m.rounds = self.stages.iter().map(|s| s.metrics.rounds).sum();
+        m.counters = self.counters();
+        m
+    }
+
+    /// The composed awake complexity (Lemma 8: `Σ Sᵢ`, maximized per node).
+    /// A forward of [`total`](Self::total), kept because `perfbench` reads it.
+    pub fn max_awake(&self) -> u64 {
+        self.total().max_awake()
+    }
+
+    /// The composed round complexity (`Σ Tᵢ`). A forward of
+    /// [`total`](Self::total), kept because `perfbench` reads it.
     pub fn rounds(&self) -> u64 {
-        self.stages.iter().map(|s| s.metrics.rounds).sum()
+        self.total().rounds
     }
 
-    /// Total awake node-round events across stages — the Sleeping model's
-    /// cost unit, summed additively like the other Lemma 8 quantities.
+    /// Total awake node-round events across stages. A forward of
+    /// [`counters`](Self::counters), kept because `perfbench` reads it.
     pub fn awake_events(&self) -> u64 {
-        self.stages.iter().map(|s| s.metrics.awake_events).sum()
-    }
-
-    /// Virtual rounds the executors jumped (no awake node) across stages.
-    pub fn rounds_skipped(&self) -> u64 {
-        self.stages.iter().map(|s| s.metrics.rounds_skipped).sum()
-    }
-
-    /// Total messages sent across stages.
-    pub fn messages_sent(&self) -> u64 {
-        self.stages.iter().map(|s| s.metrics.messages_sent).sum()
-    }
-
-    /// Total messages lost across stages (sent to sleeping nodes).
-    pub fn messages_lost(&self) -> u64 {
-        self.stages.iter().map(|s| s.metrics.messages_lost).sum()
-    }
-
-    /// Messages dropped by fault injection, summed across stages.
-    pub fn faults_dropped(&self) -> u64 {
-        self.stages.iter().map(|s| s.metrics.faults_dropped).sum()
-    }
-
-    /// Messages duplicated by fault injection, summed across stages.
-    pub fn faults_duplicated(&self) -> u64 {
-        self.stages
-            .iter()
-            .map(|s| s.metrics.faults_duplicated)
-            .sum()
-    }
-
-    /// Messages delayed by fault injection, summed across stages.
-    pub fn faults_delayed(&self) -> u64 {
-        self.stages.iter().map(|s| s.metrics.faults_delayed).sum()
-    }
-
-    /// Node crash-restarts injected, summed across stages.
-    pub fn faults_crashed(&self) -> u64 {
-        self.stages.iter().map(|s| s.metrics.faults_crashed).sum()
-    }
-
-    /// Rounds with at least one node recovering from a crash, summed
-    /// across stages (zero on fault-free runs).
-    pub fn recovery_rounds(&self) -> u64 {
-        self.stages.iter().map(|s| s.metrics.recovery_rounds).sum()
-    }
-
-    /// Awake node-rounds spent recovering from crashes, summed across
-    /// stages — the energy overhead the degraded budgets bound.
-    pub fn recovery_awake(&self) -> u64 {
-        self.stages.iter().map(|s| s.metrics.recovery_awake).sum()
+        self.counters().awake_events
     }
 
     /// A compact multi-line accounting table.
@@ -157,12 +119,13 @@ impl Composition {
                 s.metrics.rounds
             );
         }
+        let total = self.total();
         let _ = writeln!(
             out,
             "{:<40} {:>10} {:>12}",
             "TOTAL (Lemma 8)",
-            self.max_awake(),
-            self.rounds()
+            total.max_awake(),
+            total.rounds
         );
         out
     }
@@ -187,12 +150,30 @@ mod tests {
     #[test]
     fn additive_accounting() {
         let mut c = Composition::new();
-        c.push("s1", metrics_with(&[3, 1], 10));
-        c.push("s2", metrics_with(&[0, 5], 7));
+        let mut s1 = metrics_with(&[3, 1], 10);
+        let mut s2 = metrics_with(&[0, 5], 7);
+        // distinct nonzero values per stage and counter
+        for (i, (a, b)) in s1.values_mut().into_iter().zip(s2.values_mut()).enumerate() {
+            *a += 1 + i as u64;
+            *b += 100 * (1 + i as u64);
+        }
+        c.push("s1", s1.clone());
+        c.push("s2", s2.clone());
         assert_eq!(c.awake_per_node(), vec![3, 6]);
         assert_eq!(c.max_awake(), 6);
         assert_eq!(c.rounds(), 17);
-        assert!((c.avg_awake() - 4.5).abs() < 1e-9);
+        let sum = c.counters();
+        for (i, name) in Counters::NAMES.iter().enumerate() {
+            let want = s1.values()[i] + s2.values()[i];
+            assert_eq!(sum.values()[i], want, "{name} sums field by field");
+        }
+        assert_eq!(c.awake_events(), s1.awake_events + s2.awake_events);
+        let total = c.total();
+        assert_eq!(total.awake, vec![3, 6]);
+        assert_eq!(total.max_awake(), 6);
+        assert_eq!(total.rounds, 17);
+        assert_eq!(total.counters, sum);
+        assert!((total.avg_awake() - 4.5).abs() < 1e-9);
         assert!(c.report().contains("TOTAL"));
     }
 

@@ -554,16 +554,12 @@ mod tests {
                 awake_p99: 3,
                 total_awake: 10,
                 avg_awake: 2.5,
-                messages_sent: 12,
-                messages_lost: 2,
-                faults_dropped: 0,
-                faults_duplicated: 0,
-                faults_delayed: 0,
-                faults_crashed: 0,
-                recovery_rounds: 0,
-                recovery_awake: 0,
-                awake_events: 10,
-                rounds_skipped: 0,
+                counters: awake_sleeping::Counters {
+                    messages_sent: 12,
+                    messages_lost: 2,
+                    awake_events: 10,
+                    ..Default::default()
+                },
             },
             timing: crate::report::Timing::default(),
         });

@@ -3,17 +3,17 @@
 //! Two layers:
 //!
 //! * [`Report`] / [`ScenarioReport`] / [`ScenarioMetrics`] — the output of
-//!   a suite run (`awake-lab/report/v2`). The *canonical* JSON form
-//!   ([`Report::canonical_json`]) contains only deterministic fields and is
-//!   byte-stable across runs at a fixed seed; [`Report::to_json`] adds the
-//!   per-scenario wall time and allocation counts.
+//!   a suite run ([`REPORT_SCHEMA`], `awake-lab/report/v5`). The
+//!   *canonical* JSON form ([`Report::canonical_json`]) contains only
+//!   deterministic fields and is byte-stable across runs at a fixed seed;
+//!   [`Report::to_json`] adds the per-scenario wall time and allocation
+//!   counts.
 //! * [`PerfStats`] / [`BenchReport`] — the micro-bench schema
 //!   (`awake-lab/bench/v1`, the shape of `BENCH_engine.json`). The bench
 //!   crate emits through these types, so the CI baseline differ and the
 //!   suite runner read one format.
 
-use awake_core::compose::Composition;
-use awake_sleeping::{percentile_of_sorted, Metrics, PhaseTimes};
+use awake_sleeping::{percentile_of_sorted, Counters, Metrics, PhaseTimes};
 use std::fmt::Write as _;
 
 /// Deterministic per-scenario measurements.
@@ -36,43 +36,26 @@ pub struct ScenarioMetrics {
     pub total_awake: u64,
     /// Node-averaged awake rounds.
     pub avg_awake: f64,
-    /// Messages handed to the engine.
-    pub messages_sent: u64,
-    /// Messages lost to sleeping/halted recipients.
-    pub messages_lost: u64,
-    /// Messages dropped by an injected [`awake_sleeping::FaultPlan`]
-    /// (`0` on fault-free runs — distinct from `messages_lost`, which
-    /// counts the model's own asleep-recipient losses).
-    pub faults_dropped: u64,
-    /// Messages duplicated by fault injection.
-    pub faults_duplicated: u64,
-    /// Messages delayed by fault injection.
-    pub faults_delayed: u64,
-    /// Node crash-restarts injected.
-    pub faults_crashed: u64,
-    /// Rounds in which at least one node was recovering from a crash
-    /// (zero on fault-free runs).
-    pub recovery_rounds: u64,
-    /// Awake node-rounds spent recovering from crashes — the energy
-    /// overhead of recovery, the quantity the degraded budgets bound
-    /// (zero on fault-free runs).
-    pub recovery_awake: u64,
-    /// Total awake node-round events executed — the Sleeping model's cost
-    /// unit, which the event-compressed executors' wall time is
-    /// proportional to (equals `total_awake`; kept as its own column so
-    /// the compression gate reads it without re-deriving).
-    pub awake_events: u64,
-    /// Virtual rounds jumped without per-round work (no node awake):
-    /// `rounds − rounds_skipped` is the number of rounds actually executed.
-    pub rounds_skipped: u64,
+    /// The run's event counters, summed over stages for a staged
+    /// pipeline. `messages_delivered` is not a report column, so a row
+    /// holds it as 0.
+    pub counters: Counters,
 }
 
 impl ScenarioMetrics {
-    /// Collect from a single engine run (one sort serves both percentile
-    /// columns).
+    /// Collect from one engine run, or from a staged pipeline through
+    /// [`Composition::total`](awake_core::compose::Composition::total)
+    /// (Lemma 8: the percentiles are then taken over the per-node sums
+    /// across stages). One sort serves both percentile columns.
     pub fn from_metrics(m: &Metrics) -> Self {
         let mut sorted = m.awake.clone();
         sorted.sort_unstable();
+        let mut counters = m.counters;
+        for (name, v) in Counters::NAMES.iter().zip(counters.values_mut()) {
+            if !is_row_column(name) {
+                *v = 0;
+            }
+        }
         ScenarioMetrics {
             rounds: m.rounds,
             max_awake: m.max_awake(),
@@ -80,45 +63,16 @@ impl ScenarioMetrics {
             awake_p99: percentile_of_sorted(&sorted, 99),
             total_awake: m.total_awake(),
             avg_awake: m.avg_awake(),
-            messages_sent: m.messages_sent,
-            messages_lost: m.messages_lost,
-            faults_dropped: m.faults_dropped,
-            faults_duplicated: m.faults_duplicated,
-            faults_delayed: m.faults_delayed,
-            faults_crashed: m.faults_crashed,
-            recovery_rounds: m.recovery_rounds,
-            recovery_awake: m.recovery_awake,
-            awake_events: m.awake_events,
-            rounds_skipped: m.rounds_skipped,
+            counters,
         }
     }
+}
 
-    /// Collect from a staged pipeline (Lemma 8 additive accounting: the
-    /// percentiles are taken over the per-node sums across stages, and the
-    /// fault/recovery counters sum like every other quantity).
-    pub fn from_composition(c: &Composition) -> Self {
-        let mut per_node = c.awake_per_node();
-        let (total_awake, max_awake) = (per_node.iter().sum(), c.max_awake());
-        per_node.sort_unstable();
-        ScenarioMetrics {
-            rounds: c.rounds(),
-            max_awake,
-            awake_p50: percentile_of_sorted(&per_node, 50),
-            awake_p99: percentile_of_sorted(&per_node, 99),
-            total_awake,
-            avg_awake: c.avg_awake(),
-            messages_sent: c.messages_sent(),
-            messages_lost: c.messages_lost(),
-            faults_dropped: c.faults_dropped(),
-            faults_duplicated: c.faults_duplicated(),
-            faults_delayed: c.faults_delayed(),
-            faults_crashed: c.faults_crashed(),
-            recovery_rounds: c.recovery_rounds(),
-            recovery_awake: c.recovery_awake(),
-            awake_events: c.awake_events(),
-            rounds_skipped: c.rounds_skipped(),
-        }
-    }
+/// Whether the counter `name` is a column of a scenario row: every
+/// [`Counters`] entry but `messages_delivered`, which the report schema
+/// never carried.
+pub(crate) fn is_row_column(name: &str) -> bool {
+    name != "messages_delivered"
 }
 
 /// Non-deterministic measurements: excluded from the canonical JSON form
@@ -222,13 +176,7 @@ impl Report {
                 "\n    {{\"name\": {}, \"problem\": {}, \"family\": {}, \"algo\": {}, \
                  \"seed\": {}, \"n\": {}, \"m\": {}, \"valid\": {}, \
                  \"rounds\": {}, \"max_awake\": {}, \"awake_p50\": {}, \"awake_p99\": {}, \
-                 \"total_awake\": {}, \"avg_awake\": {:.3}, \
-                 \"messages_sent\": {}, \"messages_lost\": {}, \
-                 \"faults_dropped\": {}, \"faults_duplicated\": {}, \
-                 \"faults_delayed\": {}, \"faults_crashed\": {}, \
-                 \"recovery_rounds\": {}, \"recovery_awake\": {}, \
-                 \"awake_events\": {}, \"rounds_skipped\": {}, \
-                 \"awake_bound\": {}, \"round_bound\": {}, \"bound_ok\": {}",
+                 \"total_awake\": {}, \"avg_awake\": {:.3}",
                 json_str(&s.name),
                 json_str(s.problem),
                 json_str(&s.family),
@@ -243,19 +191,17 @@ impl Report {
                 s.metrics.awake_p99,
                 s.metrics.total_awake,
                 s.metrics.avg_awake,
-                s.metrics.messages_sent,
-                s.metrics.messages_lost,
-                s.metrics.faults_dropped,
-                s.metrics.faults_duplicated,
-                s.metrics.faults_delayed,
-                s.metrics.faults_crashed,
-                s.metrics.recovery_rounds,
-                s.metrics.recovery_awake,
-                s.metrics.awake_events,
-                s.metrics.rounds_skipped,
-                s.awake_bound,
-                s.round_bound,
-                s.bound_ok,
+            );
+            let counters = &s.metrics.counters;
+            for (name, v) in Counters::NAMES.iter().zip(counters.values()) {
+                if is_row_column(name) {
+                    let _ = write!(out, ", \"{name}\": {v}");
+                }
+            }
+            let _ = write!(
+                out,
+                ", \"awake_bound\": {}, \"round_bound\": {}, \"bound_ok\": {}",
+                s.awake_bound, s.round_bound, s.bound_ok,
             );
             if timings {
                 let _ = write!(
@@ -310,7 +256,7 @@ impl Report {
                 s.metrics.awake_p50,
                 s.metrics.awake_p99,
                 s.awake_bound,
-                s.metrics.messages_sent,
+                s.metrics.counters.messages_sent,
                 s.timing.wall_ns / 1e6,
                 if s.valid { "yes" } else { "NO" },
                 if s.bound_ok { "yes" } else { "NO" },
@@ -364,8 +310,8 @@ pub fn energy_json(report: &Report) -> String {
             s.metrics.rounds,
             s.round_bound,
             s.bound_ok,
-            s.metrics.awake_events,
-            s.metrics.rounds_skipped,
+            s.metrics.counters.awake_events,
+            s.metrics.counters.rounds_skipped,
             s.timing.wall_ns / 1e6,
         );
     }
@@ -691,16 +637,17 @@ mod tests {
                     awake_p99: 3,
                     total_awake: 10,
                     avg_awake: 2.5,
-                    messages_sent: 12,
-                    messages_lost: 2,
-                    faults_dropped: 1,
-                    faults_duplicated: 0,
-                    faults_delayed: 0,
-                    faults_crashed: 4,
-                    recovery_rounds: 6,
-                    recovery_awake: 9,
-                    awake_events: 10,
-                    rounds_skipped: 2,
+                    counters: Counters {
+                        messages_sent: 12,
+                        messages_lost: 2,
+                        faults_dropped: 1,
+                        faults_crashed: 4,
+                        recovery_rounds: 6,
+                        recovery_awake: 9,
+                        awake_events: 10,
+                        rounds_skipped: 2,
+                        ..Counters::default()
+                    },
                 },
                 timing: Timing {
                     wall_ns: 1.5e6,

@@ -10,7 +10,7 @@
 //! asserts this.
 
 use crate::fsio::write_atomic;
-use crate::report::{Report, ScenarioMetrics, ScenarioReport, Timing};
+use crate::report::{is_row_column, Report, ScenarioMetrics, ScenarioReport, Timing};
 use crate::scenario::{Algo, ProblemKind, Scenario};
 use awake_core::bounds::{self, BoundAlgo, ProblemClass};
 use awake_core::params::Params;
@@ -23,7 +23,9 @@ use awake_olocal::problems::{
     DegreePlusOneListColoring, DeltaPlusOneColoring, MaximalIndependentSet, MinimalVertexCover,
 };
 use awake_olocal::{EdgeProblem, OLocalProblem};
-use awake_sleeping::{Checkpoint, Codec, Config, ResumeError, RunSpec, SimError, Snapshot};
+use awake_sleeping::{
+    Checkpoint, Codec, Config, Counters, ResumeError, RunSpec, SimError, Snapshot,
+};
 use std::cell::RefCell;
 use std::fmt;
 use std::num::NonZeroU64;
@@ -414,16 +416,15 @@ fn parse_progress(text: &str) -> (Vec<ProgressRow>, Vec<ProgressError>) {
                     awake_p99: exact_u64(row.get("awake_p99"))?,
                     total_awake: exact_u64(row.get("total_awake"))?,
                     avg_awake: row.get("avg_awake")?.as_f64()?,
-                    messages_sent: exact_u64(row.get("messages_sent"))?,
-                    messages_lost: exact_u64(row.get("messages_lost"))?,
-                    faults_dropped: exact_u64(row.get("faults_dropped"))?,
-                    faults_duplicated: exact_u64(row.get("faults_duplicated"))?,
-                    faults_delayed: exact_u64(row.get("faults_delayed"))?,
-                    faults_crashed: exact_u64(row.get("faults_crashed"))?,
-                    recovery_rounds: exact_u64(row.get("recovery_rounds"))?,
-                    recovery_awake: exact_u64(row.get("recovery_awake"))?,
-                    awake_events: exact_u64(row.get("awake_events"))?,
-                    rounds_skipped: exact_u64(row.get("rounds_skipped"))?,
+                    counters: {
+                        let mut c = Counters::default();
+                        for (name, v) in Counters::NAMES.iter().zip(c.values_mut()) {
+                            if is_row_column(name) {
+                                *v = exact_u64(row.get(name))?;
+                            }
+                        }
+                        c
+                    },
                 },
             })
         })();
@@ -672,19 +673,19 @@ where
             if let Some(msg) = store_err.into_inner() {
                 return Err(RunError::Checkpoint(msg));
             }
-            (ScenarioMetrics::from_metrics(&run.metrics), run.outputs)
+            (run.metrics, run.outputs)
         }
         Algo::Bm21 => {
             let r = bm21::solve_spec(g, problem, &inputs, None, &spec)?;
-            (ScenarioMetrics::from_composition(&r.composition), r.outputs)
+            (r.composition.total(), r.outputs)
         }
         Algo::Theorem1 => {
             let r = theorem1::solve_spec(g, problem, &inputs, Default::default(), &spec)?;
-            (ScenarioMetrics::from_composition(&r.composition), r.outputs)
+            (r.composition.total(), r.outputs)
         }
     };
     let valid = problem.validate(g, &inputs, &outputs).is_ok();
-    Ok((metrics, valid))
+    Ok((ScenarioMetrics::from_metrics(&metrics), valid))
 }
 
 /// Solve an edge-problem scenario through the line-graph virtualization
@@ -882,8 +883,9 @@ mod tests {
             // the plan must actually have injected something, crashes
             // included — the run recovers, validates, and stays within
             // the degraded budget
-            assert!(a.metrics.faults_dropped > 0, "{problem:?}: no drops");
-            assert!(a.metrics.faults_crashed > 0, "{problem:?}: no crashes");
+            let c = a.metrics.counters;
+            assert!(c.faults_dropped > 0, "{problem:?}: no drops");
+            assert!(c.faults_crashed > 0, "{problem:?}: no crashes");
             assert!(a.valid, "{}: invalid after recovery", a.name);
             assert!(
                 a.bound_ok,
@@ -912,7 +914,7 @@ mod tests {
         let a = run_scenario(&sc(Algo::Trivial), 5, None).unwrap();
         let b = run_scenario(&sc(Algo::TrivialThreaded(4)), 5, None).unwrap();
         assert_eq!(a.metrics, b.metrics, "executors diverged");
-        assert!(a.metrics.faults_dropped > 0, "no drops injected");
+        assert!(a.metrics.counters.faults_dropped > 0, "no drops injected");
         // crash-restart now rides the adapter too: every host replica
         // rewinds together under the time-redundancy wrapper, recovers,
         // and the row gates against the degraded budget
@@ -924,7 +926,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(a.metrics, b.metrics, "executors diverged under crashes");
-        assert!(a.metrics.faults_crashed > 0, "no crashes injected");
+        assert!(a.metrics.counters.faults_crashed > 0, "no crashes injected");
         assert!(a.valid, "{}: invalid after recovery", a.name);
         assert!(
             a.bound_ok,
@@ -944,7 +946,8 @@ mod tests {
         for algo in [Algo::Bm21, Algo::Theorem1] {
             let r = run_scenario(&small(algo), 5, None).unwrap();
             assert!(r.valid, "{}: invalid after recovery", r.name);
-            assert!(r.metrics.faults_crashed > 0, "{}: no crashes", r.name);
+            let crashed = r.metrics.counters.faults_crashed;
+            assert!(crashed > 0, "{}: no crashes", r.name);
             assert!(
                 r.bound_ok,
                 "{}: awake {}/{} rounds {}/{}",
@@ -955,20 +958,34 @@ mod tests {
 
     #[test]
     fn torn_progress_rows_are_typed_and_only_they_rerun() {
-        // a complete ledger parses cleanly
-        let suite = vec![tiny(Algo::Trivial), tiny(Algo::Bm21)];
+        // a complete ledger parses cleanly, every counter exactly as written
+        // (fault counters included)
+        let suite = vec![
+            tiny(Algo::Trivial),
+            tiny(Algo::Bm21),
+            faulty(ProblemKind::Mis, Algo::Trivial),
+        ];
         let report = Runner::serial().run("t", &suite, 9).unwrap();
+        assert!(report.scenarios[2].metrics.counters.faults_crashed > 0);
         let (rows, errors) = parse_progress(&report.canonical_json());
-        assert_eq!(rows.len(), 2);
+        assert_eq!(rows.len(), 3);
         assert!(errors.is_empty(), "clean ledger: {errors:?}");
+        for (row, written) in rows.iter().zip(&report.scenarios) {
+            assert_eq!(
+                row.metrics.counters, written.metrics.counters,
+                "{}",
+                row.name
+            );
+        }
         // tear one row mid-write: drop a required field from row 1
         let torn = report
             .canonical_json()
             .replacen("\"max_awake\"", "\"mangled\"", 2)
             .replacen("\"mangled\"", "\"max_awake\"", 1);
         let (rows, errors) = parse_progress(&torn);
-        assert_eq!(rows.len(), 1, "the intact row survives");
+        assert_eq!(rows.len(), 2, "the intact rows survive");
         assert_eq!(rows[0].name, suite[0].name);
+        assert_eq!(rows[1].name, suite[2].name);
         assert_eq!(errors, vec![ProgressError::TornRow(1)]);
         // a foreign document is a typed whole-ledger miss
         let (rows, errors) = parse_progress("{\"schema\": \"other/v1\"}");

@@ -22,10 +22,10 @@ fn soak_preset_recovers_validly_within_degraded_budgets() {
             "{}: awake {} / rounds {} exceed degraded bounds {} / {}",
             s.name, s.metrics.max_awake, s.metrics.rounds, s.awake_bound, s.round_bound
         );
-        let injected = s.metrics.faults_dropped
-            + s.metrics.faults_duplicated
-            + s.metrics.faults_delayed
-            + s.metrics.faults_crashed;
+        let injected = s.metrics.counters.faults_dropped
+            + s.metrics.counters.faults_duplicated
+            + s.metrics.counters.faults_delayed
+            + s.metrics.counters.faults_crashed;
         assert!(injected > 0, "{}: the adversary never fired", s.name);
     }
 }
@@ -47,7 +47,7 @@ fn soak_crash_matrix_is_bit_for_bit_across_worker_counts() {
     assert_eq!(crash_rows.len(), 5, "serial + 4 worker counts");
     let reference = crash_rows[0];
     assert!(
-        reference.metrics.faults_crashed > 0,
+        reference.metrics.counters.faults_crashed > 0,
         "crash storm must land"
     );
     for row in &crash_rows[1..] {
@@ -67,6 +67,9 @@ fn soak_crash_matrix_is_bit_for_bit_across_worker_counts() {
         .filter(|s| s.name.starts_with("coloring/tree-72"))
         .collect();
     assert_eq!(tree_rows.len(), 2);
-    assert!(tree_rows[0].metrics.faults_dropped > 0, "drops must land");
+    assert!(
+        tree_rows[0].metrics.counters.faults_dropped > 0,
+        "drops must land"
+    );
     assert_eq!(tree_rows[0].metrics, tree_rows[1].metrics);
 }

@@ -32,6 +32,9 @@
 //!          per-node program blobs, metrics, tracer, fault state
 //! ```
 //!
+//! The metrics block holds the awake column, `rounds`, every
+//! [`crate::Counters`] entry in table order, then the span table.
+//!
 //! Decoding validates the magic, the version, the graph fingerprint, and
 //! every length against the remaining input; a snapshot must also be
 //! consumed *exactly* ([`CheckpointError::TrailingBytes`] otherwise), so
@@ -877,17 +880,9 @@ where
     let m = st.metrics;
     m.awake.encode(&mut w);
     m.rounds.encode(&mut w);
-    m.messages_sent.encode(&mut w);
-    m.messages_delivered.encode(&mut w);
-    m.messages_lost.encode(&mut w);
-    m.faults_dropped.encode(&mut w);
-    m.faults_duplicated.encode(&mut w);
-    m.faults_delayed.encode(&mut w);
-    m.faults_crashed.encode(&mut w);
-    m.recovery_rounds.encode(&mut w);
-    m.recovery_awake.encode(&mut w);
-    m.awake_events.encode(&mut w);
-    m.rounds_skipped.encode(&mut w);
+    for c in m.counters.values() {
+        c.encode(&mut w);
+    }
     let (names, counts) = m.span_data();
     names.len().encode(&mut w);
     for name in names {
@@ -979,17 +974,9 @@ where
         return Err(CheckpointError::Corrupt("awake length"));
     }
     metrics.rounds = r.get()?;
-    metrics.messages_sent = r.get()?;
-    metrics.messages_delivered = r.get()?;
-    metrics.messages_lost = r.get()?;
-    metrics.faults_dropped = r.get()?;
-    metrics.faults_duplicated = r.get()?;
-    metrics.faults_delayed = r.get()?;
-    metrics.faults_crashed = r.get()?;
-    metrics.recovery_rounds = r.get()?;
-    metrics.recovery_awake = r.get()?;
-    metrics.awake_events = r.get()?;
-    metrics.rounds_skipped = r.get()?;
+    for c in metrics.counters.values_mut() {
+        *c = r.get()?;
+    }
     let name_count = usize::decode(&mut r)?;
     if name_count > r.remaining() {
         return Err(CheckpointError::Truncated);
@@ -1284,7 +1271,9 @@ mod tests {
                 faults: None,
             },
         );
-        // awake column, rounds, the counters 1..=11, an empty span table
+        // The snapshot ends with the metrics block — awake column, rounds,
+        // the counters 1..=11, an empty span table — then an empty tracer
+        // and no fault state, so a moved, added or dropped counter shows.
         let mut w = Writer::new();
         vec![0u64].encode(&mut w);
         99u64.encode(&mut w);
@@ -1292,9 +1281,13 @@ mod tests {
             c.encode(&mut w);
         }
         0usize.encode(&mut w);
-        let block = w.into_bytes();
+        Vec::<Vec<u64>>::new().encode(&mut w);
+        Vec::<TraceEvent>::new().encode(&mut w);
+        0u64.encode(&mut w);
+        w.bytes(&[0]);
+        let tail = w.into_bytes();
         assert!(
-            snap.as_bytes().windows(block.len()).any(|b| b == block),
+            snap.as_bytes().ends_with(&tail),
             "metrics block out of order"
         );
     }

@@ -25,7 +25,7 @@ use crate::checkpoint::{
     Paused, Persist, ProgramsRef, Reader, ResumeError, Snapshot,
 };
 use crate::faults::{DelayedMsg, FaultPlan, FaultState};
-use crate::metrics::Metrics;
+use crate::metrics::{Counters, Metrics};
 use crate::program::{Action, Outbox, Program, View};
 use crate::trace::{TraceEvent, TraceMode, Tracer};
 use crate::wheel::WakeWheel;
@@ -490,43 +490,21 @@ impl<'g, P: Program> SerialExec<'g, P> {
         }
 
         // Between phases: resolve fault-delayed messages that have come
-        // due. A delayed message is delivered only if its recipient is
-        // awake at exactly its due round; a due round nobody executed (or
-        // an asleep recipient) loses it — the model's rule, applied late.
+        // due. Late deliveries land after the ascending-sender pass;
+        // restore each touched inbox's sorted-by-sender invariant.
         if let Some(f) = faults.as_mut().filter(|_| FAULTY) {
-            if f.state.delayed.iter().any(|d| d.due <= round) {
-                let mut kept = Vec::with_capacity(f.state.delayed.len());
-                scratch.clear();
-                for d in f.state.delayed.drain(..) {
-                    if d.due > round {
-                        kept.push(d);
-                        continue;
-                    }
-                    let (due, from, to) = (d.due, d.from, d.to);
-                    if due == round && next_wake[to.index()] == round {
-                        metrics.messages_delivered += 1;
-                        tracer.push(|| TraceEvent::Delivered { round, from, to });
-                        arena.stage(from, to, d.msg);
-                        scratch.push(to.0);
-                    } else {
-                        metrics.messages_lost += 1;
-                        tracer.push(|| TraceEvent::Lost {
-                            round: due,
-                            from,
-                            to,
-                        });
-                    }
-                }
-                f.state.delayed = kept;
-                // Late deliveries land after the ascending-sender pass;
-                // restore each touched inbox's sorted-by-sender invariant.
-                scratch.sort_unstable();
-                scratch.dedup();
-                for &v in scratch.iter() {
-                    arena.resort_inbox(v);
-                }
-                scratch.clear();
+            scratch.clear();
+            let c = &mut metrics.counters;
+            resolve_due_delays(&mut f.state, round, next_wake, c, tracer, |d| {
+                arena.stage(d.from, d.to, d.msg);
+                scratch.push(d.to.0);
+            });
+            scratch.sort_unstable();
+            scratch.dedup();
+            for &v in scratch.iter() {
+                arena.resort_inbox(v);
             }
+            scratch.clear();
         }
 
         // Phase B: all awake nodes receive and choose their next action
@@ -829,17 +807,18 @@ impl<'g> Engine<'g> {
 /// checker of both executors. Each directed addressing is checked against
 /// the graph ([`SimError::NotANeighbor`] on the first violation, in entry
 /// order), broadcasts are expanded over the sender's neighbor list in
-/// adjacency order, `messages_sent` is counted, and every transmission is
-/// handed to `transmit(to, msg)` — the caller decides delivery (arena
-/// staging on the serial engine, owner-shard staging inside the threaded
-/// executor's workers). Because expansion order and error precedence live
-/// here, the two executors count and order identically by construction.
+/// adjacency order, `messages_sent` is counted into `tally`, and every
+/// transmission is handed to `transmit(tally, to, msg)` — the caller
+/// decides delivery (arena staging on the serial engine, owner-shard
+/// staging inside the threaded executor's workers). Because expansion
+/// order and error precedence live here, the two executors count and
+/// order identically by construction.
 pub(crate) fn route_entries<M: Clone>(
     graph: &Graph,
     entries: impl Iterator<Item = crate::program::OutEntry<M>>,
     from: NodeId,
-    messages_sent: &mut u64,
-    mut transmit: impl FnMut(NodeId, M),
+    tally: &mut Counters,
+    mut transmit: impl FnMut(&mut Counters, NodeId, M),
 ) -> Result<(), SimError> {
     for entry in entries {
         match entry.to {
@@ -847,19 +826,59 @@ pub(crate) fn route_entries<M: Clone>(
                 if !graph.has_edge(from, w) {
                     return Err(SimError::NotANeighbor { from, to: w });
                 }
-                *messages_sent += 1;
-                transmit(w, entry.msg);
+                tally.messages_sent += 1;
+                transmit(tally, w, entry.msg);
             }
             None => {
                 let neighbors = graph.neighbors(from);
-                *messages_sent += neighbors.len() as u64;
+                tally.messages_sent += neighbors.len() as u64;
                 for &w in neighbors {
-                    transmit(w, entry.msg.clone());
+                    transmit(tally, w, entry.msg.clone());
                 }
             }
         }
     }
     Ok(())
+}
+
+/// Resolve the fault-delayed messages that have come due at `round`: the
+/// shared rule of both executors. A delayed message is delivered only if
+/// its recipient is awake at exactly its due round; a due round nobody
+/// executed (or an asleep recipient) loses it — the model's rule, applied
+/// late. Deliverable messages go to `deliver` in buffer order, which is
+/// the run's transmission order on both executors.
+pub(crate) fn resolve_due_delays<M>(
+    state: &mut FaultState<M>,
+    round: Round,
+    next_wake: &[Round],
+    c: &mut Counters,
+    tracer: &mut Tracer,
+    mut deliver: impl FnMut(DelayedMsg<M>),
+) {
+    if !state.delayed.iter().any(|d| d.due <= round) {
+        return;
+    }
+    let mut kept = Vec::with_capacity(state.delayed.len());
+    for d in state.delayed.drain(..) {
+        if d.due > round {
+            kept.push(d);
+            continue;
+        }
+        let (due, from, to) = (d.due, d.from, d.to);
+        if due == round && next_wake[to.index()] == round {
+            c.messages_delivered += 1;
+            tracer.push(|| TraceEvent::Delivered { round, from, to });
+            deliver(d);
+        } else {
+            c.messages_lost += 1;
+            tracer.push(|| TraceEvent::Lost {
+                round: due,
+                from,
+                to,
+            });
+        }
+    }
+    state.delayed = kept;
 }
 
 /// Route one node's outbox entries on the serial engine: validate through
@@ -885,18 +904,16 @@ pub(crate) fn route_messages<M: Clone, const FAULTY: bool>(
     tracer: &mut Tracer,
     mut fstate: Option<&mut FaultState<M>>,
 ) -> Result<(), SimError> {
-    let (mut sent, mut delivered, mut lost) = (0u64, 0u64, 0u64);
-    let (mut fdropped, mut fduplicated, mut fdelayed) = (0u64, 0u64, 0u64);
     let mut k = 0u32;
-    let result = route_entries(graph, entries, from, &mut sent, |to, msg| {
+    route_entries(graph, entries, from, &mut metrics.counters, |c, to, msg| {
         // A recipient is listening iff it is awake at exactly this round.
         let mut deliver_copy = |m: M| {
             if next_wake[to.index()] == round {
-                delivered += 1;
+                c.messages_delivered += 1;
                 tracer.push(|| TraceEvent::Delivered { round, from, to });
                 arena.stage(from, to, m);
             } else {
-                lost += 1;
+                c.messages_lost += 1;
                 tracer.push(|| TraceEvent::Lost { round, from, to });
             }
         };
@@ -908,18 +925,18 @@ pub(crate) fn route_messages<M: Clone, const FAULTY: bool>(
         match fate {
             crate::faults::FaultKind::Deliver => deliver_copy(msg),
             crate::faults::FaultKind::Duplicate => {
-                fduplicated += 1;
+                c.faults_duplicated += 1;
                 deliver_copy(msg.clone());
                 deliver_copy(msg);
             }
             crate::faults::FaultKind::Drop => {
                 let _ = deliver_copy; // end the closure's borrows for the tracer below
-                fdropped += 1;
+                c.faults_dropped += 1;
                 tracer.push(|| TraceEvent::FaultDrop { round, from, to });
             }
             crate::faults::FaultKind::Delay => {
                 let _ = deliver_copy; // end the closure's borrows for the tracer below
-                fdelayed += 1;
+                c.faults_delayed += 1;
                 let until = round + f.plan.delay_rounds;
                 tracer.push(|| TraceEvent::FaultDelay {
                     round,
@@ -935,16 +952,7 @@ pub(crate) fn route_messages<M: Clone, const FAULTY: bool>(
                 });
             }
         }
-    });
-    metrics.messages_sent += sent;
-    metrics.messages_delivered += delivered;
-    metrics.messages_lost += lost;
-    if FAULTY {
-        metrics.faults_dropped += fdropped;
-        metrics.faults_duplicated += fduplicated;
-        metrics.faults_delayed += fdelayed;
-    }
-    result
+    })
 }
 
 #[cfg(test)]

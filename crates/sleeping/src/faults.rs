@@ -15,7 +15,7 @@
 //!
 //! * **drop** — the message is silently discarded *in flight*. Distinct
 //!   from the model's own loss: it is counted in
-//!   [`Metrics::faults_dropped`](crate::Metrics::faults_dropped), not in
+//!   [`Counters::faults_dropped`](crate::Counters::faults_dropped), not in
 //!   `messages_lost`, and traced as [`TraceEvent::FaultDrop`].
 //! * **duplicate** — the message is delivered twice (each copy then
 //!   subject to the normal awake-recipient rule).
@@ -204,7 +204,7 @@ pub(crate) struct FaultState<M> {
     /// `recovering[v]`: node `v` has crash-restarted and has not yet taken
     /// a non-[`Stay`](crate::Action::Stay) action — its awake rounds are
     /// recovery overhead, counted in
-    /// [`Metrics::recovery_awake`](crate::Metrics::recovery_awake). Sized
+    /// [`Counters::recovery_awake`](crate::Counters::recovery_awake). Sized
     /// to the node count by the executors; part of a snapshot.
     pub(crate) recovering: Vec<bool>,
 }

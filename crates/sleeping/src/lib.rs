@@ -164,7 +164,7 @@ pub use checkpoint::{
 };
 pub use engine::{Checkpoint, Config, Engine, Run, RunSpec, SimError};
 pub use faults::{redundancy_for, FaultKind, FaultPlan, MAX_REDUNDANCY};
-pub use metrics::{percentile, percentile_of_sorted, Metrics, PhaseTimes};
+pub use metrics::{percentile, percentile_of_sorted, Counters, Metrics, PhaseTimes};
 pub use program::{Action, Envelope, Outbox, Outgoing, Program, View};
 pub use redundant::{Redundant, RedundantMsg};
 pub use trace::{TraceEvent, TraceMode};

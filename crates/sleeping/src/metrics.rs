@@ -3,14 +3,103 @@
 use crate::Round;
 use awake_graphs::NodeId;
 use std::collections::BTreeMap;
+use std::ops::{AddAssign, Deref, DerefMut};
+
+/// Declares the run's event counters once: the [`Counters`] struct with
+/// one named `pub u64` field per entry, plus the table-order views
+/// ([`Counters::NAMES`], [`Counters::values`], [`Counters::values_mut`])
+/// and field-wise `+=`. Table order is snapshot order: reordering entries
+/// changes the checkpoint format.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// The event counters of one execution, declared once in one table.
+        ///
+        /// [`Metrics`] embeds them and derefs to them, so `m.messages_sent`
+        /// reads (and `m.messages_lost += 1` bumps) a counter directly.
+        /// Checkpoints, the pool's per-chunk tallies, the Lemma 8 sums and
+        /// the lab's report rows all walk this table, so a counter added
+        /// here reaches every one of them.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct Counters {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl Counters {
+            /// Counter names, in table (= snapshot) order.
+            pub const NAMES: [&'static str; Counters::LEN] = [$(stringify!($name)),*];
+            /// Number of counters.
+            pub const LEN: usize = [$(stringify!($name)),*].len();
+
+            /// Counter values, in table order.
+            pub fn values(&self) -> [u64; Counters::LEN] {
+                [$(self.$name),*]
+            }
+
+            /// The counters, mutably, in table order.
+            pub fn values_mut(&mut self) -> [&mut u64; Counters::LEN] {
+                [$(&mut self.$name),*]
+            }
+        }
+
+        impl AddAssign for Counters {
+            #[inline]
+            fn add_assign(&mut self, other: Counters) {
+                $(self.$name += other.$name;)*
+            }
+        }
+    };
+}
+
+counters! {
+    /// Messages handed to the engine.
+    messages_sent,
+    /// Messages received by an awake node.
+    messages_delivered,
+    /// Messages lost because the recipient was asleep or halted.
+    messages_lost,
+    /// Messages discarded in flight by an injected fault
+    /// ([`FaultPlan`](crate::FaultPlan) drops — distinct from the model's
+    /// own [`messages_lost`](Counters::messages_lost)).
+    faults_dropped,
+    /// Messages duplicated in flight by an injected fault (each copy then
+    /// delivered or lost normally).
+    faults_duplicated,
+    /// Messages delayed in flight by an injected fault.
+    faults_delayed,
+    /// Node crash-restarts injected by a fault plan.
+    faults_crashed,
+    /// Rounds in which at least one node was recovering from a crash (the
+    /// crashed round itself, or a post-crash awake round before the node's
+    /// first non-`Stay` action). Zero on fault-free runs — the counter is
+    /// only touched on the fault-monomorphized executor paths.
+    recovery_rounds,
+    /// Awake node-rounds spent recovering: after a crash-restart, every
+    /// awake round of that node until its first non-`Stay` action. This is
+    /// the *energy overhead* of recovery — the quantity the degraded
+    /// budgets bound.
+    recovery_awake,
+    /// Total awake node-round events executed — the Sleeping model's cost
+    /// unit, and what the event-compressed executors' work is proportional
+    /// to. Always equals [`Metrics::total_awake`], but kept as a running
+    /// counter so reports read it in O(1).
+    awake_events,
+    /// Virtual rounds jumped over without per-round work: rounds in which
+    /// no node was awake, skipped by the wheel's batch-cascade. Together
+    /// with [`Metrics::rounds`] this quantifies the compression
+    /// (`rounds = executed rounds + rounds_skipped` for a run that starts
+    /// at round 1).
+    rounds_skipped,
+}
 
 /// Resource accounting for one execution.
 ///
 /// The two headline numbers of the Sleeping model are
 /// [`max_awake`](Metrics::max_awake) (the *awake complexity*) and
-/// [`rounds`](Metrics::rounds) (the *round complexity*). Spans attribute
-/// awake rounds to algorithm phases (driven by [`crate::Program::span`]),
-/// which is how the experiment harness reports per-lemma budgets.
+/// [`rounds`](Metrics::rounds) (the *round complexity*). The event
+/// counters live in [`Counters`], which `Metrics` derefs to. Spans
+/// attribute awake rounds to algorithm phases (driven by
+/// [`crate::Program::span`]), which is how the experiment harness reports
+/// per-lemma budgets.
 ///
 /// Span labels are interned on first use: each distinct label gets a small
 /// integer id and a dense per-node counter column, so the executor's
@@ -24,49 +113,26 @@ pub struct Metrics {
     pub awake: Vec<u64>,
     /// Last round at which any node was awake (round complexity).
     pub rounds: Round,
-    /// Messages handed to the engine.
-    pub messages_sent: u64,
-    /// Messages received by an awake node.
-    pub messages_delivered: u64,
-    /// Messages lost because the recipient was asleep or halted.
-    pub messages_lost: u64,
-    /// Messages discarded in flight by an injected fault
-    /// ([`FaultPlan`](crate::FaultPlan) drops — distinct from the model's
-    /// own [`messages_lost`](Metrics::messages_lost)).
-    pub faults_dropped: u64,
-    /// Messages duplicated in flight by an injected fault (each copy then
-    /// delivered or lost normally).
-    pub faults_duplicated: u64,
-    /// Messages delayed in flight by an injected fault.
-    pub faults_delayed: u64,
-    /// Node crash-restarts injected by a fault plan.
-    pub faults_crashed: u64,
-    /// Rounds in which at least one node was recovering from a crash (the
-    /// crashed round itself, or a post-crash awake round before the node's
-    /// first non-`Stay` action). Zero on fault-free runs — the counter is
-    /// only touched on the fault-monomorphized executor paths.
-    pub recovery_rounds: u64,
-    /// Awake node-rounds spent recovering: after a crash-restart, every
-    /// awake round of that node until its first non-`Stay` action. This is
-    /// the *energy overhead* of recovery — the quantity the degraded
-    /// budgets bound.
-    pub recovery_awake: u64,
-    /// Total awake node-round events executed — the Sleeping model's cost
-    /// unit, and what the event-compressed executors' work is proportional
-    /// to. Always equals [`total_awake`](Metrics::total_awake), but kept as
-    /// a running counter so reports read it in O(1).
-    pub awake_events: u64,
-    /// Virtual rounds jumped over without per-round work: rounds in which
-    /// no node was awake, skipped by the wheel's batch-cascade. Together
-    /// with [`rounds`](Metrics::rounds) this quantifies the compression
-    /// (`rounds = executed rounds + rounds_skipped` for a run that starts
-    /// at round 1).
-    pub rounds_skipped: u64,
+    /// The event counters (also readable through `Deref`).
+    pub counters: Counters,
     /// Interned span labels, in first-seen order.
     span_names: Vec<&'static str>,
     /// One dense per-node counter column per interned span:
     /// `span_counts[s][v]` = awake rounds of node `v` attributed to span `s`.
     span_counts: Vec<Vec<u64>>,
+}
+
+impl Deref for Metrics {
+    type Target = Counters;
+    fn deref(&self) -> &Counters {
+        &self.counters
+    }
+}
+
+impl DerefMut for Metrics {
+    fn deref_mut(&mut self) -> &mut Counters {
+        &mut self.counters
+    }
 }
 
 impl Metrics {
@@ -75,20 +141,7 @@ impl Metrics {
     pub fn new(n: usize) -> Self {
         Metrics {
             awake: vec![0; n],
-            rounds: 0,
-            messages_sent: 0,
-            messages_delivered: 0,
-            messages_lost: 0,
-            faults_dropped: 0,
-            faults_duplicated: 0,
-            faults_delayed: 0,
-            faults_crashed: 0,
-            recovery_rounds: 0,
-            recovery_awake: 0,
-            awake_events: 0,
-            rounds_skipped: 0,
-            span_names: Vec::new(),
-            span_counts: Vec::new(),
+            ..Metrics::default()
         }
     }
 
@@ -128,7 +181,7 @@ impl Metrics {
     #[inline]
     pub fn note_awake(&mut self, v: NodeId, span: &'static str) {
         self.awake[v.index()] += 1;
-        self.awake_events += 1;
+        self.counters.awake_events += 1;
         let id = self.span_id(span);
         self.span_counts[id][v.index()] += 1;
     }

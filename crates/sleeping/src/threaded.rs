@@ -110,10 +110,11 @@ use crate::checkpoint::{
     Controller, CrashIo, EngineStateRef, Paused, ProgramsRef, Reader, Snapshot, Writer,
 };
 use crate::engine::{
-    finish_run, next_awake_set, peek_next, route_entries, Boundary, FaultCtx, NEVER,
+    finish_run, next_awake_set, peek_next, resolve_due_delays, route_entries, Boundary, FaultCtx,
+    NEVER,
 };
 use crate::faults::{DelayedMsg, FaultKind, FaultPlan};
-use crate::metrics::{Metrics, PhaseTimes};
+use crate::metrics::{Counters, Metrics, PhaseTimes};
 use crate::program::{Action, Envelope, OutEntry, Outbox, Program, View};
 use crate::trace::{TraceEvent, Tracer};
 use crate::wheel::WakeWheel;
@@ -161,6 +162,19 @@ impl RoundCtx {
     #[inline]
     fn chunk_of(&self, pos: u32) -> usize {
         self.chunk[pos as usize] as usize
+    }
+
+    /// Where a message to awake node `to` is staged: the recipient's owner
+    /// chunk and its entry there.
+    #[inline]
+    fn stage_entry<M>(&self, from: NodeId, to: NodeId, msg: M) -> (usize, ShardEntry<M>) {
+        let pos = self.awake_pos[to.index()];
+        let c = self.chunk_of(pos);
+        let entry = ShardEntry {
+            to_local: pos - self.bounds[c],
+            env: Envelope { from, msg },
+        };
+        (c, entry)
     }
 }
 
@@ -235,14 +249,8 @@ struct SendResults<P: Program> {
     /// Per-job `(node, span)`, captured before `send` exactly as the
     /// serial engine attributes it, in the chunk's node order.
     node_spans: Vec<(u32, &'static str)>,
-    /// Message tallies of this chunk.
-    sent: u64,
-    delivered: u64,
-    lost: u64,
-    /// Injected-fault tallies of this chunk.
-    fdropped: u64,
-    fduplicated: u64,
-    fdelayed: u64,
+    /// Message and injected-fault tallies of this chunk.
+    tally: Counters,
     /// Messages fated to arrive in a later round, in the chunk's
     /// transmission order; the coordinator appends them (chunk order =
     /// node order) to the run's delayed buffer.
@@ -258,12 +266,7 @@ impl<P: Program> SendResults<P> {
     fn new() -> Self {
         SendResults {
             node_spans: Vec::new(),
-            sent: 0,
-            delivered: 0,
-            lost: 0,
-            fdropped: 0,
-            fduplicated: 0,
-            fdelayed: 0,
+            tally: Counters::default(),
             delayed_out: Vec::new(),
             trace: Vec::new(),
             error: None,
@@ -291,8 +294,8 @@ struct Batch<P: Program> {
     shards: Vec<Vec<ShardEntry<P::Msg>>>,
     /// Fault plan + crash I/O of the run; `None` for fault-free runs.
     faults: Option<FaultHooks<P>>,
-    /// Receive result: crash-restarts applied in this chunk.
-    fcrashed: u64,
+    /// Receive result: tallies of this chunk (crash-restarts applied).
+    tally: Counters,
     /// `(node, start-of-round state)` of this chunk's nodes that crash
     /// this round, ascending by node. Written by the send phase (the blob
     /// is saved *before* the node acts), consumed by the receive phase.
@@ -335,7 +338,7 @@ impl<P: Program> Batch<P> {
             res: SendResults::new(),
             shards: Vec::new(),
             faults: None,
-            fcrashed: 0,
+            tally: Counters::default(),
             crashes: Vec::new(),
             crashed_nodes: Vec::new(),
             late: Vec::new(),
@@ -719,24 +722,19 @@ fn stage_delivery<M>(
     to: NodeId,
     msg: M,
     shards: &mut [Vec<ShardEntry<M>>],
-    delivered: &mut u64,
-    lost: &mut u64,
+    tally: &mut Counters,
     trace_on: bool,
     trace: &mut Vec<TraceEvent>,
 ) {
     if ctx.next_wake[to.index()] == round {
-        *delivered += 1;
+        tally.messages_delivered += 1;
         if trace_on {
             trace.push(TraceEvent::Delivered { round, from, to });
         }
-        let pos = ctx.awake_pos[to.index()];
-        let c = ctx.chunk_of(pos);
-        shards[c].push(ShardEntry {
-            to_local: pos - ctx.bounds[c],
-            env: Envelope { from, msg },
-        });
+        let (c, entry) = ctx.stage_entry(from, to, msg);
+        shards[c].push(entry);
     } else {
-        *lost += 1;
+        tally.messages_lost += 1;
         if trace_on {
             trace.push(TraceEvent::Lost { round, from, to });
         }
@@ -780,12 +778,7 @@ fn run_send_phase_body<P: Program, const FAULTY: bool>(
     } = b;
     let SendResults {
         node_spans,
-        sent,
-        delivered,
-        lost,
-        fdropped,
-        fduplicated,
-        fdelayed,
+        tally,
         delayed_out,
         trace,
         error,
@@ -796,8 +789,7 @@ fn run_send_phase_body<P: Program, const FAULTY: bool>(
     node_spans.clear();
     trace.clear();
     let trace_on = *trace_on;
-    (*sent, *delivered, *lost) = (0, 0, 0);
-    (*fdropped, *fduplicated, *fdelayed) = (0, 0, 0);
+    *tally = Counters::default();
     delayed_out.clear();
     crashes.clear();
     *error = None;
@@ -834,10 +826,8 @@ fn run_send_phase_body<P: Program, const FAULTY: bool>(
         let res = if !FAULTY {
             // A recipient is listening iff awake exactly now; if so, its
             // awake position stamp is valid and names its owner chunk.
-            route_entries(graph, outbox.items.drain(..), vid, sent, |to, msg| {
-                stage_delivery(
-                    ctx, round, vid, to, msg, shards, delivered, lost, trace_on, trace,
-                );
+            route_entries(graph, outbox.items.drain(..), vid, tally, |t, to, msg| {
+                stage_delivery(ctx, round, vid, to, msg, shards, t, trace_on, trace);
             })
         } else {
             {
@@ -845,15 +835,15 @@ fn run_send_phase_body<P: Program, const FAULTY: bool>(
                 // One fate roll per transmission, counted per sender per
                 // round — the same sequence the serial engine rolls.
                 let mut k = 0u32;
-                route_entries(graph, outbox.items.drain(..), vid, sent, |to, msg| {
+                route_entries(graph, outbox.items.drain(..), vid, tally, |t, to, msg| {
                     let fate = fh.plan.message_fate(round, vid.0, to.0, k);
                     k += 1;
                     match fate {
-                        FaultKind::Deliver => stage_delivery(
-                            ctx, round, vid, to, msg, shards, delivered, lost, trace_on, trace,
-                        ),
+                        FaultKind::Deliver => {
+                            stage_delivery(ctx, round, vid, to, msg, shards, t, trace_on, trace)
+                        }
                         FaultKind::Duplicate => {
-                            *fduplicated += 1;
+                            t.faults_duplicated += 1;
                             stage_delivery(
                                 ctx,
                                 round,
@@ -861,17 +851,14 @@ fn run_send_phase_body<P: Program, const FAULTY: bool>(
                                 to,
                                 msg.clone(),
                                 shards,
-                                delivered,
-                                lost,
+                                t,
                                 trace_on,
                                 trace,
                             );
-                            stage_delivery(
-                                ctx, round, vid, to, msg, shards, delivered, lost, trace_on, trace,
-                            );
+                            stage_delivery(ctx, round, vid, to, msg, shards, t, trace_on, trace);
                         }
                         FaultKind::Drop => {
-                            *fdropped += 1;
+                            t.faults_dropped += 1;
                             if trace_on {
                                 trace.push(TraceEvent::FaultDrop {
                                     round,
@@ -881,7 +868,7 @@ fn run_send_phase_body<P: Program, const FAULTY: bool>(
                             }
                         }
                         FaultKind::Delay => {
-                            *fdelayed += 1;
+                            t.faults_delayed += 1;
                             let until = round + fh.plan.delay_rounds;
                             if trace_on {
                                 trace.push(TraceEvent::FaultDelay {
@@ -940,7 +927,7 @@ fn run_receive_phase_body<P: Program, const FAULTY: bool>(
     let Batch {
         jobs,
         faults,
-        fcrashed,
+        tally,
         crashes,
         crashed_nodes,
         late,
@@ -955,7 +942,7 @@ fn run_receive_phase_body<P: Program, const FAULTY: bool>(
     } = b;
     let trace_on = *trace_on;
     trace.clear();
-    *fcrashed = 0;
+    *tally = Counters::default();
     crashed_nodes.clear();
     // The caller has already drained this chunk's deliveries into
     // `inboxes` in source-chunk order (senders ascend within a chunk and
@@ -1001,7 +988,7 @@ fn run_receive_phase_body<P: Program, const FAULTY: bool>(
             if trace_on {
                 trace.push(TraceEvent::Crash { round, node: vid });
             }
-            *fcrashed += 1;
+            tally.faults_crashed += 1;
             crashed_nodes.push(*v);
             stays.push(*v);
             continue;
@@ -1070,12 +1057,7 @@ fn merge_send_results<P: Program>(
         metrics.note_awake(NodeId(v), span);
     }
     r.node_spans.clear();
-    metrics.messages_sent += r.sent;
-    metrics.messages_delivered += r.delivered;
-    metrics.messages_lost += r.lost;
-    metrics.faults_dropped += r.fdropped;
-    metrics.faults_duplicated += r.fduplicated;
-    metrics.faults_delayed += r.fdelayed;
+    metrics.counters += r.tally;
     if let Some(f) = faults {
         // Chunk order = node order, so the run-wide delayed buffer grows
         // in the serial engine's transmission order.
@@ -1084,63 +1066,12 @@ fn merge_send_results<P: Program>(
     tracer.absorb(&mut r.trace);
 }
 
-/// Between the phases: resolve fault-delayed messages that have come due.
-/// A delayed message is delivered only if its recipient is awake at
-/// exactly its due round; a due round nobody executed (or an asleep
-/// recipient) loses it — the model's rule, applied late. Deliverable
-/// messages are handed to `stage` as `(owner chunk, entry)` in the
-/// run-wide buffer order the serial engine drains; the coordinator stages
-/// them into the recipient's parked batch (`late` buffer) — on faulty
-/// rounds every receive descriptor is still gated closed here, so the
-/// batches are parked by construction.
-fn resolve_due_delays<P: Program>(
-    f: &mut FaultCtx<P>,
-    round: Round,
-    ctx: &RoundCtx,
-    metrics: &mut Metrics,
-    tracer: &mut Tracer,
-    stage: &mut dyn FnMut(usize, ShardEntry<P::Msg>),
-) {
-    if !f.state.delayed.iter().any(|d| d.due <= round) {
-        return;
-    }
-    let mut kept = Vec::with_capacity(f.state.delayed.len());
-    for d in f.state.delayed.drain(..) {
-        if d.due > round {
-            kept.push(d);
-            continue;
-        }
-        let (due, from, to) = (d.due, d.from, d.to);
-        if due == round && ctx.next_wake[to.index()] == round {
-            metrics.messages_delivered += 1;
-            tracer.push(|| TraceEvent::Delivered { round, from, to });
-            let pos = ctx.awake_pos[to.index()];
-            let c = ctx.chunk_of(pos);
-            stage(
-                c,
-                ShardEntry {
-                    to_local: pos - ctx.bounds[c],
-                    env: Envelope { from, msg: d.msg },
-                },
-            );
-        } else {
-            metrics.messages_lost += 1;
-            tracer.push(|| TraceEvent::Lost {
-                round: due,
-                from,
-                to,
-            });
-        }
-    }
-    f.state.delayed = kept;
-}
-
 /// Apply one chunk's receive partials in node order: stay lane extension
 /// (chunks ascend, so the lane stays globally sorted), batched wheel
 /// scheduling, halt outputs, wake stamps, staged trace events, and
 /// program restoration. Returns whether this chunk touched recovery
 /// accounting (a crashed or still-recovering node), so the coordinator can
-/// bump [`Metrics::recovery_rounds`] once per round like the serial
+/// bump [`Counters::recovery_rounds`] once per round like the serial
 /// engine.
 #[allow(clippy::too_many_arguments)]
 fn apply_receive_partials<P: Program>(
@@ -1156,8 +1087,7 @@ fn apply_receive_partials<P: Program>(
     faults: Option<&mut FaultCtx<P>>,
 ) -> bool {
     tracer.absorb(&mut b.trace);
-    metrics.faults_crashed += b.fcrashed;
-    b.fcrashed = 0;
+    metrics.counters += std::mem::take(&mut b.tally);
     // Recovery accounting, in the chunk's node order — the same merge the
     // serial engine's phase B does inline. A node that crashed this round
     // starts recovering (the crashed round itself is not recovery energy);
@@ -1435,16 +1365,13 @@ where
                     }
                     merge_send_results(&mut b.res, &mut metrics, &mut tracer, faults.as_mut());
                     if let Some(f) = faults.as_mut() {
+                        // A single chunk: every due message is this batch's.
                         let ctx = pool.ctx.read().expect("round context lock");
-                        let late = &mut b.late;
-                        resolve_due_delays(
-                            f,
-                            round,
-                            &ctx,
-                            &mut metrics,
-                            &mut tracer,
-                            &mut |_, e| late.push(e),
-                        );
+                        let (late, wake) = (&mut b.late, &ctx.next_wake);
+                        let c = &mut metrics.counters;
+                        resolve_due_delays(&mut f.state, round, wake, c, &mut tracer, |d| {
+                            late.push(ctx.stage_entry(d.from, d.to, d.msg).1)
+                        });
                     }
                     // Drain the single chunk's own shards — the inline
                     // counterpart of a receive descriptor draining its cells.
@@ -1541,23 +1468,22 @@ where
                     if let Some(f) = faults.as_mut() {
                         {
                             let ctx = pool.ctx.read().expect("round context lock");
-                            resolve_due_delays(
-                                f,
-                                round,
-                                &ctx,
-                                &mut metrics,
-                                &mut tracer,
-                                &mut |c, entry| {
-                                    pool.slots[c]
-                                        .batch
-                                        .lock()
-                                        .expect("batch slot lock")
-                                        .as_mut()
-                                        .expect("batch parked for staging")
-                                        .late
-                                        .push(entry);
-                                },
-                            );
+                            // Stage each due message into its recipient's
+                            // parked batch: every receive descriptor is
+                            // still gated closed here on a faulty round.
+                            let wake = &ctx.next_wake;
+                            let c = &mut metrics.counters;
+                            resolve_due_delays(&mut f.state, round, wake, c, &mut tracer, |d| {
+                                let (c, entry) = ctx.stage_entry(d.from, d.to, d.msg);
+                                pool.slots[c]
+                                    .batch
+                                    .lock()
+                                    .expect("batch slot lock")
+                                    .as_mut()
+                                    .expect("batch parked for staging")
+                                    .late
+                                    .push(entry);
+                            });
                         }
                         for c in 0..k {
                             pool.slots[c].recv_state.store(READY, Ordering::SeqCst);
