@@ -16,12 +16,6 @@ use awake_lab::scenario::presets;
 /// The seed the snapshots were blessed at (also the suite binary's default).
 const GOLDEN_SEED: u64 = 1;
 
-/// Presets pinned by a committed snapshot, each at `tests/golden_<preset>.json`.
-/// `quick` and `edges` are fault-free; `faults` and `soak` carry nonzero
-/// fault and recovery columns, so every counter column is pinned with a
-/// nonzero value somewhere.
-const GOLDEN_PRESETS: [&str; 4] = ["quick", "edges", "faults", "soak"];
-
 fn report(preset: &str, runner: Runner) -> Report {
     let suite = presets::by_name(preset).expect("preset exists");
     runner
@@ -29,37 +23,60 @@ fn report(preset: &str, runner: Runner) -> Report {
         .unwrap_or_else(|e| panic!("{preset} suite runs: {e:?}"))
 }
 
-#[test]
-fn presets_canonical_json_match_golden_snapshots_at_any_shard_count() {
-    for preset in GOLDEN_PRESETS {
-        let serial = report(preset, Runner::serial());
-        assert!(
-            serial.scenarios.iter().all(|s| s.valid),
-            "{preset}: validators must accept every scenario"
-        );
-        // Byte-identical reports at any shard count — the runner's
-        // determinism contract, fault-injected rows included.
-        let canon = serial.canonical_json();
-        for shards in [1usize, 2, 4, 7] {
-            let sharded = report(preset, Runner::sharded(shards));
-            assert_eq!(
-                canon,
-                sharded.canonical_json(),
-                "{preset}: shards = {shards}"
-            );
-        }
-        let path = format!("{}/tests/golden_{preset}.json", env!("CARGO_MANIFEST_DIR"));
-        if std::env::var_os("BLESS").is_some() {
-            std::fs::write(&path, &canon).expect("write blessed snapshot");
-            continue;
-        }
-        let expected = std::fs::read_to_string(&path).expect("committed snapshot exists");
+/// Checks `preset` against its committed snapshot at
+/// `tests/golden_<preset>.json`, and byte-identical at shard counts
+/// 1, 2, 4 and 7 (the runner's determinism contract, fault-injected rows
+/// included).
+fn assert_matches_golden_at_any_shard_count(preset: &str) {
+    let serial = report(preset, Runner::serial());
+    assert!(
+        serial.scenarios.iter().all(|s| s.valid),
+        "{preset}: validators must accept every scenario"
+    );
+    let canon = serial.canonical_json();
+    for shards in [1usize, 2, 4, 7] {
+        let sharded = report(preset, Runner::sharded(shards));
         assert_eq!(
-            canon, expected,
-            "canonical {preset} JSON drifted from {path} — if the change is \
-             intentional, regenerate with BLESS=1"
+            canon,
+            sharded.canonical_json(),
+            "{preset}: shards = {shards}"
         );
     }
+    let path = format!("{}/tests/golden_{preset}.json", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var_os("BLESS").is_some() {
+        std::fs::write(&path, &canon).expect("write blessed snapshot");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).expect("committed snapshot exists");
+    assert_eq!(
+        canon, expected,
+        "canonical {preset} JSON drifted from {path} — if the change is \
+         intentional, regenerate with BLESS=1"
+    );
+}
+
+// `quick` and `edges` are fault-free; `faults` and `soak` carry nonzero
+// fault and recovery columns, so every counter column is pinned with a
+// nonzero value somewhere.
+
+#[test]
+fn quick_canonical_json_matches_golden_snapshot() {
+    assert_matches_golden_at_any_shard_count("quick");
+}
+
+#[test]
+fn edges_canonical_json_matches_golden_snapshot_at_any_shard_count() {
+    assert_matches_golden_at_any_shard_count("edges");
+}
+
+#[test]
+fn faults_canonical_json_matches_golden_snapshot_at_any_shard_count() {
+    assert_matches_golden_at_any_shard_count("faults");
+}
+
+#[test]
+fn soak_canonical_json_matches_golden_snapshot_at_any_shard_count() {
+    assert_matches_golden_at_any_shard_count("soak");
 }
 
 #[test]
