@@ -1,4 +1,5 @@
-//! Allocation-count regression test for the line-graph edge adapter.
+//! Allocation-count regression tests for the line-graph edge adapter and
+//! the Lemma 7 virtual-graph simulator.
 //!
 //! PRs 1–9 drove the engine's vertex hot path to a zero-allocation steady
 //! state; the edge adapter used to undo that by cloning the problem and
@@ -11,15 +12,30 @@
 //! while one-time setup (graph, index, hosts, engine arenas) is excluded
 //! from the counted window.
 //!
+//! The Lemma 7 stack (`VirtSim` running Lemma 15, and Lemma 11 on `H`)
+//! used to deep-copy the gathered cluster input and every virtual message
+//! into each replica: 21.1 and 11.6 allocations per awake event on sparse
+//! random graphs. Sharing both behind `Arc`s brings them to about 6; the
+//! caps here (10 and 7) catch a copy creeping back in.
+//!
 //! The counting allocator is test-local: integration tests are separate
 //! binaries, so installing it here does not affect any other test.
 
+use awake_core::clustering::Clustering;
+use awake_core::gather::ClusterGather;
+use awake_core::lemma15::{Lemma15Config, Lemma15Vertex};
 use awake_core::linegraph::{self, EdgeGreedy, LineGraphHost};
+use awake_core::params::Params;
+use awake_core::theorem13;
+use awake_core::theorem9::Lemma11Vertex;
+use awake_core::virt::{virt_rounds, VertexInput, VirtSim};
 use awake_graphs::{generators, Graph};
 use awake_olocal::edge::{EdgeColoring, EdgeIndex, EdgeProblem, MaximalMatching};
-use awake_sleeping::{Config, Engine};
+use awake_olocal::problems::MaximalIndependentSet;
+use awake_sleeping::{Config, Engine, Program};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 struct CountingAlloc;
 
@@ -46,6 +62,14 @@ fn alloc_count() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
+/// The counter is process-wide, so the tests take turns: each holds this
+/// lock while it counts.
+static COUNTING: Mutex<()> = Mutex::new(());
+
+fn counting_alone() -> MutexGuard<'static, ()> {
+    COUNTING.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Steady-state allocations per awake node-round for `problem` on `g`:
 /// hosts are built *outside* the counted window (per-replica construction
 /// is setup, not steady state), the engine run is counted.
@@ -69,6 +93,7 @@ where
 
 #[test]
 fn edge_adapter_steady_state_stays_allocation_free() {
+    let _alone = counting_alone();
     let g = generators::random_regular(2048, 8, 2);
     let idx = EdgeIndex::new(&g);
     let inputs = vec![(); idx.m()];
@@ -83,5 +108,80 @@ fn edge_adapter_steady_state_stays_allocation_free() {
     assert!(
         coloring <= 0.1,
         "edge-coloring adapter steady state regressed: {coloring:.4} allocs/node-round (cap 0.1)"
+    );
+}
+
+/// Allocations per awake event of one engine run over `programs`; only
+/// `Engine::run` is counted, building the programs is not.
+fn run_allocs_per_event<P: Program>(g: &Graph, config: Config, programs: Vec<P>) -> f64 {
+    let engine = Engine::new(g, config);
+    let a0 = alloc_count();
+    let run = engine.run(programs).unwrap();
+    let allocs = alloc_count() - a0;
+    println!(
+        "  run window: {} allocs / {} awake events",
+        allocs, run.metrics.awake_events
+    );
+    allocs as f64 / run.metrics.awake_events as f64
+}
+
+#[test]
+fn virtualized_lemma15_and_lemma11_share_instead_of_copying() {
+    let _alone = counting_alone();
+    let n = 2048;
+    let g = generators::gnp_sparse(n, 4.0 / (n - 1) as f64, 7);
+    let params = Params::for_graph(&g);
+
+    // Lemma 15 as Theorem 13's first iteration runs it: singleton clusters.
+    let cfg = Lemma15Config {
+        b: params.b,
+        label_bound: params.label_bound(1),
+        ab2: params.ab2,
+    };
+    let db = params.depth_bound;
+    let factory = move |vi: &VertexInput<()>| Lemma15Vertex::new(cfg, vi);
+    let singletons = Clustering::singletons(&g);
+    let programs: Vec<_> = g
+        .nodes()
+        .map(|v| {
+            let a = singletons.assign[v.index()].unwrap();
+            VirtSim::participant(a.label, a.depth, g.ident(v), (), db, factory)
+        })
+        .collect();
+    let config = Config::with_max_rounds(virt_rounds(db, cfg.vrounds() + 2) + 2);
+    let lemma15 = run_allocs_per_event(&g, config, programs);
+
+    // Lemma 11 on H as Theorem 9 runs it, over Theorem 13's clustering.
+    let clustering = theorem13::compute(&g, &params).unwrap().clustering;
+    let db = g.n() as u32;
+    let gather: Vec<ClusterGather<()>> = g
+        .nodes()
+        .map(|v| {
+            let a = clustering.assign[v.index()].unwrap();
+            ClusterGather::participant(a.label, a.depth, g.ident(v), (), db)
+        })
+        .collect();
+    let views = Engine::new(&g, Config::default()).run(gather).unwrap();
+    let c_bound = params.color_bound();
+    let factory =
+        move |vi: &VertexInput<(u64, ())>| Lemma11Vertex::new(MaximalIndependentSet, vi, c_bound);
+    let programs: Vec<_> = g
+        .nodes()
+        .map(|v| {
+            let a = clustering.assign[v.index()].unwrap();
+            let root = views.outputs[v.index()].as_ref().unwrap().root_ident();
+            VirtSim::participant(root, a.depth, g.ident(v), (a.label, ()), db, factory)
+        })
+        .collect();
+    let lemma11 = run_allocs_per_event(&g, Config::default(), programs);
+
+    println!("VirtSim allocs/awake event: lemma15 {lemma15:.3}, lemma11 on H {lemma11:.3}");
+    assert!(
+        lemma15 <= 10.0,
+        "VirtSim<Lemma15Vertex> regressed: {lemma15:.3} allocs/awake event (cap 10)"
+    );
+    assert!(
+        lemma11 <= 7.0,
+        "VirtSim<Lemma11Vertex> regressed: {lemma11:.3} allocs/awake event (cap 7)"
     );
 }

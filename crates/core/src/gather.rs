@@ -135,7 +135,8 @@ pub struct GatherCore<P> {
     has_children: bool,
     bag: Vec<MemberRec<P>>,
     bag_idents: BTreeSet<u64>,
-    view: Option<ClusterView<P>>,
+    /// Whether the bag holds the whole cluster (the view is ready).
+    done: bool,
     my_ports: Vec<(NodeId, u64, u64)>,
 }
 
@@ -169,7 +170,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
             has_children: false,
             bag: Vec::new(),
             bag_idents: BTreeSet::new(),
-            view: None,
+            done: false,
             my_ports: Vec::new(),
         }
     }
@@ -195,14 +196,26 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
         self.bc_base() + self.depth as Round
     }
 
-    /// The completed view (once [`GatherStep::Done`]).
-    pub fn view(&self) -> Option<&ClusterView<P>> {
-        self.view.as_ref()
+    /// A copy of the completed view (once [`GatherStep::Done`]).
+    pub fn view(&self) -> Option<ClusterView<P>> {
+        self.done.then(|| ClusterView {
+            label: self.label,
+            my_ident: self.ident,
+            my_depth: self.depth,
+            members: self.bag.iter().map(|r| (r.ident, r.clone())).collect(),
+            my_ports: self.my_ports.clone(),
+        })
     }
 
-    /// Consume the core, returning the view.
+    /// Consume the core, moving its records into the completed view.
     pub fn into_view(self) -> Option<ClusterView<P>> {
-        self.view
+        self.done.then(|| ClusterView {
+            label: self.label,
+            my_ident: self.ident,
+            my_depth: self.depth,
+            members: self.bag.into_iter().map(|r| (r.ident, r)).collect(),
+            my_ports: self.my_ports,
+        })
     }
 
     /// Messages to emit at `round`.
@@ -234,7 +247,6 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
 
     /// Process the inbox at `round`; returns the next step.
     pub fn recv_at(&mut self, round: Round, inbox: &[Envelope<GatherMsg<P>>]) -> GatherStep {
-        let me_ident = self.ident;
         if round == self.hello_round() {
             // Learn all neighbors; build own record.
             let mut intra = Vec::new();
@@ -256,16 +268,16 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
             intra.sort_unstable();
             border.sort_unstable_by_key(|b| (b.0, b.1));
             self.bag = vec![MemberRec {
-                ident: me_ident,
+                ident: self.ident,
                 depth: self.depth,
                 payload: self.payload.clone(),
                 intra,
                 border,
             }];
-            self.bag_idents = BTreeSet::from([me_ident]);
+            self.bag_idents = BTreeSet::from([self.ident]);
             // Singleton root: nothing more to do.
             if self.depth == 0 && !self.has_children {
-                self.finish(me_ident);
+                self.done = true;
                 return GatherStep::Done;
             }
             if self.has_children {
@@ -279,7 +291,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
             self.merge_bags(inbox, true);
             if self.depth == 0 {
                 // Root: bag complete; deliver downward next.
-                self.finish(me_ident);
+                self.done = true;
                 return GatherStep::WakeAt(self.bc_send_round());
             }
             return GatherStep::WakeAt(self.cc_send_round());
@@ -291,7 +303,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
 
         if round == self.bc_recv_round() && self.depth > 0 {
             self.merge_bags(inbox, false);
-            self.finish(me_ident);
+            self.done = true;
             if self.has_children {
                 return GatherStep::WakeAt(self.bc_send_round());
             }
@@ -318,29 +330,16 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
             }
         }
     }
-
-    fn finish(&mut self, me_ident: u64) {
-        let members: BTreeMap<u64, MemberRec<P>> =
-            self.bag.iter().cloned().map(|r| (r.ident, r)).collect();
-        self.view = Some(ClusterView {
-            label: self.label,
-            my_ident: me_ident,
-            my_depth: self.depth,
-            members,
-            my_ports: self.my_ports.clone(),
-        });
-    }
 }
 
 impl<P: Clone + std::fmt::Debug + Send + Sync + Codec> GatherCore<P> {
     /// Write the core's dynamic state (everything `recv_at` mutates). The
-    /// ident index and the finished view are derivable from the bag and the
-    /// ports, so only a completion flag travels for the view.
+    /// ident index is derivable from the bag.
     pub fn save(&self, w: &mut Writer) {
         self.has_children.encode(w);
         self.bag.encode(w);
         self.my_ports.encode(w);
-        self.view.is_some().encode(w);
+        self.done.encode(w);
     }
 
     /// Overwrite the dynamic state on a freshly constructed core.
@@ -349,12 +348,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync + Codec> GatherCore<P> {
         self.bag = r.get()?;
         self.my_ports = r.get()?;
         self.bag_idents = self.bag.iter().map(|m| m.ident).collect();
-        let finished: bool = r.get()?;
-        if finished {
-            self.finish(self.ident);
-        } else {
-            self.view = None;
-        }
+        self.done = r.get()?;
         Ok(())
     }
 }
@@ -410,7 +404,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> Program for ClusterGather<P> {
         match core.recv_at(view.round, inbox) {
             GatherStep::WakeAt(r) => Action::SleepUntil(r),
             GatherStep::Done => {
-                self.done_view = core.view().cloned();
+                self.done_view = core.view();
                 Action::Halt
             }
         }
@@ -450,7 +444,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync + Codec> Persist for ClusterGather
             (Some(core), true) => {
                 core.restore(r)?;
                 let done: bool = r.get()?;
-                self.done_view = if done { core.view().cloned() } else { None };
+                self.done_view = if done { core.view() } else { None };
                 Ok(())
             }
             _ => Err(CheckpointError::Corrupt("gather participation mismatch")),

@@ -66,8 +66,11 @@ pub struct TreeGatherVertex {
     rec: VertexRec,
     /// Parent cluster label (`None` for the `δ' = 0` root vertex).
     parent: Option<u64>,
-    bag: Vec<VertexRec>,
-    all: Option<Vec<VertexRec>>,
+    /// Records gathered so far on the convergecast; sent up as is.
+    bag: Arc<Vec<VertexRec>>,
+    /// The merged cluster's records, shared with the message that
+    /// delivered them and forwarded as is.
+    all: Option<Arc<Vec<VertexRec>>>,
     out: Option<L14Out>,
 }
 
@@ -119,7 +122,7 @@ impl TreeGatherVertex {
             depth_bound,
             rec: rec.clone(),
             parent: if d2 == 0 { None } else { parent },
-            bag: vec![rec],
+            bag: Arc::new(vec![rec]),
             all: None,
             out: None,
         }
@@ -154,33 +157,34 @@ impl TreeGatherVertex {
             .find(|&&(_, d)| d == 0)
             .map(|&(i, _)| i)
             .expect("root cluster has a depth-0 node");
-        // BFS over the merged cluster's idents.
-        let mut adj: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-        let mut members: Vec<u64> = Vec::new();
-        for r in all {
-            members.extend(r.members.iter().map(|&(i, _)| i));
-            for &(a, b) in &r.edges {
-                adj.entry(a).or_default().push(b);
-                adj.entry(b).or_default().push(a);
-            }
-        }
+        // BFS over the merged cluster's idents, with the arcs in one flat
+        // vector sorted by tail.
+        let mut arcs: Vec<(u64, u64)> = all
+            .iter()
+            .flat_map(|r| r.edges.iter().flat_map(|&(a, b)| [(a, b), (b, a)]))
+            .collect();
+        arcs.sort_unstable();
         let mut depths: BTreeMap<u64, u32> = BTreeMap::new();
         depths.insert(root, 0);
-        let mut q = std::collections::VecDeque::from([root]);
-        while let Some(x) = q.pop_front() {
-            let dx = depths[&x];
-            for &w in adj.get(&x).into_iter().flatten() {
+        let mut queue = vec![(root, 0)];
+        let mut head = 0;
+        while let Some(&(x, dx)) = queue.get(head) {
+            head += 1;
+            let from = arcs.partition_point(|a| a.0 < x);
+            for &(_, w) in arcs[from..].iter().take_while(|a| a.0 == x) {
                 if let std::collections::btree_map::Entry::Vacant(e) = depths.entry(w) {
                     e.insert(dx + 1);
-                    q.push_back(w);
+                    queue.push((w, dx + 1));
                 }
             }
         }
-        for &m in &members {
-            assert!(
-                depths.contains_key(&m),
-                "merged cluster must be connected (ident {m})"
-            );
+        for r in all.iter() {
+            for &(m, _) in &r.members {
+                assert!(
+                    depths.contains_key(&m),
+                    "merged cluster must be connected (ident {m})"
+                );
+            }
         }
         self.out = Some(L14Out {
             l2: self.rec.l2,
@@ -197,16 +201,13 @@ impl VirtualProgram for TreeGatherVertex {
     fn send(&mut self, vround: Round, out: &mut Vec<VOutgoing<L14Msg>>) {
         if vround == self.cc_send() {
             if let Some(p) = self.parent {
-                out.push(VOutgoing::ToCluster(
-                    p,
-                    L14Msg::Up(Arc::new(self.bag.clone())),
-                ));
+                out.push(VOutgoing::ToCluster(p, L14Msg::Up(Arc::clone(&self.bag))));
                 return;
             }
         }
         if vround == self.bc_send() {
             if let Some(all) = &self.all {
-                out.push(VOutgoing::Broadcast(L14Msg::Down(Arc::new(all.clone()))));
+                out.push(VOutgoing::Broadcast(L14Msg::Down(Arc::clone(all))));
             }
         }
     }
@@ -219,18 +220,19 @@ impl VirtualProgram for TreeGatherVertex {
         if vround == self.cc_recv() {
             let mut seen: std::collections::BTreeSet<u64> =
                 self.bag.iter().map(|r| r.label).collect();
+            let bag = Arc::make_mut(&mut self.bag);
             for e in inbox {
                 if let L14Msg::Up(recs) = &e.msg {
                     for r in recs.iter() {
                         if r.l2 == self.rec.l2 && seen.insert(r.label) {
-                            self.bag.push(r.clone());
+                            bag.push(r.clone());
                         }
                     }
                 }
             }
             if self.parent.is_none() {
                 // Root vertex: complete; deliver downward.
-                self.all = Some(self.bag.clone());
+                self.all = Some(Arc::clone(&self.bag));
                 self.finish();
                 return Action::SleepUntil(self.bc_send());
             }
@@ -241,7 +243,7 @@ impl VirtualProgram for TreeGatherVertex {
         }
         if vround == self.bc_recv() {
             let all = inbox.iter().find_map(|e| match &e.msg {
-                L14Msg::Down(recs) if Some(e.from) == self.parent => Some(recs.as_ref().clone()),
+                L14Msg::Down(recs) if Some(e.from) == self.parent => Some(Arc::clone(recs)),
                 _ => None,
             });
             self.all = Some(all.expect("parent cluster broadcasts the merge"));

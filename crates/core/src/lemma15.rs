@@ -91,7 +91,7 @@ pub enum L15Msg {
     /// `c₁` announcement.
     Info1(u64),
     /// 2-hop table: `(neighbor label, its c₁)` pairs.
-    Info2(Vec<(u64, u64)>),
+    Info2(Arc<Vec<(u64, u64)>>),
     /// `(c₂, p₂)` announcement.
     Info3(u64, Option<u64>),
     /// Convergecast bag of tree records.
@@ -141,23 +141,29 @@ pub struct Lemma15Vertex {
     nbr_labels: Vec<u64>,
     c1: u64,
     nbr_c1: BTreeMap<u64, u64>,
-    nbr_tables: BTreeMap<u64, Vec<(u64, u64)>>,
+    nbr_tables: BTreeMap<u64, Arc<Vec<(u64, u64)>>>,
     p1: Option<u64>,
     shift: u64,
     c2: u64,
     p2: Option<u64>,
     p2_c2: Option<u64>,
     children: Vec<u64>,
-    bag_tree: Vec<TreeRec>,
-    tree: Vec<TreeRec>,
+    /// Tree records gathered so far on the first convergecast.
+    bag_tree: Arc<Vec<TreeRec>>,
+    /// The whole `F₂` tree, shared with the message that delivered it.
+    tree: Arc<Vec<TreeRec>>,
     l_aux: u64,
     in_u: bool,
     same_cluster_nbrs: Vec<u64>,
-    bag_edges: Vec<(u64, Vec<u64>)>,
-    edges: Vec<(u64, Vec<u64>)>,
+    /// Adjacency lists gathered so far on the second convergecast.
+    bag_edges: Arc<Vec<(u64, Vec<u64>)>>,
+    /// The cluster's full adjacency, shared like `tree`.
+    edges: Arc<Vec<(u64, Vec<u64>)>>,
     delta_aux: u32,
     lin_color: u64,
     lin_steps: Vec<Step>,
+    /// Pooled neighbor-color scratch of the Linial duty (transient).
+    lin_nbrs: Vec<u64>,
     agenda: std::collections::VecDeque<(Round, Duty)>,
     out: Option<Lemma15Out>,
 }
@@ -195,16 +201,17 @@ impl Lemma15Vertex {
             p2: None,
             p2_c2: None,
             children: Vec::new(),
-            bag_tree: Vec::new(),
-            tree: Vec::new(),
+            bag_tree: Arc::default(),
+            tree: Arc::default(),
             l_aux: 0,
             in_u: false,
             same_cluster_nbrs: Vec::new(),
-            bag_edges: Vec::new(),
-            edges: Vec::new(),
+            bag_edges: Arc::default(),
+            edges: Arc::default(),
             delta_aux: 0,
             lin_color: 0,
             lin_steps: cfg.lin_steps(),
+            lin_nbrs: Vec::new(),
             agenda: Default::default(),
             out: None,
         }
@@ -230,7 +237,7 @@ impl Lemma15Vertex {
         // N²(v): strictly-2-away vertices from the tables.
         let mut two_hop: BTreeMap<u64, u64> = BTreeMap::new(); // label -> c1
         for (_, table) in self.nbr_tables.iter() {
-            for &(w, c) in table {
+            for &(w, c) in table.iter() {
                 if w != self.label && !self.nbr_labels.contains(&w) {
                     two_hop.entry(w).or_insert(c);
                 }
@@ -302,12 +309,14 @@ impl Lemma15Vertex {
         }
     }
 
-    fn duties_at(&self, vround: Round) -> Vec<Duty> {
-        self.agenda
-            .iter()
-            .filter(|&&(r, _)| r == vround)
-            .map(|&(_, d)| d)
-            .collect()
+    /// The duty at `i` on the agenda, if it falls due at `vround`. The
+    /// callers walk the indices the agenda had on entry, so duties it
+    /// gains meanwhile (always later rounds) wait for their own round.
+    fn duty_at(&self, i: usize, vround: Round) -> Option<Duty> {
+        match self.agenda[i] {
+            (r, d) if r == vround => Some(d),
+            _ => None,
+        }
     }
 
     fn next_action(&mut self, vround: Round) -> Action {
@@ -340,7 +349,7 @@ impl Lemma15Vertex {
 
     /// Once the tree is known (after the first broadcast pass), derive the
     /// root, `U`-membership, and our own record sanity.
-    fn absorb_tree(&mut self, tree: Vec<TreeRec>) {
+    fn absorb_tree(&mut self, tree: Arc<Vec<TreeRec>>) {
         self.tree = tree;
         let root = self
             .tree
@@ -363,32 +372,14 @@ impl Lemma15Vertex {
     }
 
     /// Once the cluster's adjacency is known, compute the exact BFS depth.
-    fn absorb_edges(&mut self, edges: Vec<(u64, Vec<u64>)>) {
+    fn absorb_edges(&mut self, edges: Arc<Vec<(u64, Vec<u64>)>>) {
         self.edges = edges;
-        let mut adj: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-        for (l, nbrs) in &self.edges {
-            for &w in nbrs {
-                adj.entry(*l).or_default().push(w);
-                adj.entry(w).or_default().push(*l);
-            }
-        }
-        // BFS from the root over cluster members.
-        let members: std::collections::BTreeSet<u64> = self.tree.iter().map(|r| r.label).collect();
-        let mut dist: BTreeMap<u64, u32> = BTreeMap::new();
-        dist.insert(self.l_aux, 0);
-        let mut queue = std::collections::VecDeque::from([self.l_aux]);
-        while let Some(x) = queue.pop_front() {
-            let dx = dist[&x];
-            for &w in adj.get(&x).into_iter().flatten() {
-                if members.contains(&w) && !dist.contains_key(&w) {
-                    dist.insert(w, dx + 1);
-                    queue.push_back(w);
-                }
-            }
-        }
-        self.delta_aux = *dist
-            .get(&self.label)
-            .expect("cluster is connected through p₂/tree edges");
+        self.delta_aux = if self.label == self.l_aux {
+            0
+        } else {
+            bfs_depth(&self.tree, &self.edges, self.l_aux, self.label)
+                .expect("cluster is connected through p₂/tree edges")
+        };
     }
 
     fn tree_rec(&self) -> TreeRec {
@@ -401,6 +392,41 @@ impl Lemma15Vertex {
     }
 }
 
+/// BFS distance from `root` to `target` over the adjacency lists `edges`
+/// (read as undirected), restricted to the members of `tree`. Works on flat
+/// sorted vectors: the arcs sorted by tail, and `(label, distance)` sorted
+/// by label.
+fn bfs_depth(tree: &[TreeRec], edges: &[(u64, Vec<u64>)], root: u64, target: u64) -> Option<u32> {
+    let mut arcs: Vec<(u64, u64)> = edges
+        .iter()
+        .flat_map(|(l, nbrs)| nbrs.iter().flat_map(move |&w| [(*l, w), (w, *l)]))
+        .collect();
+    arcs.sort_unstable();
+    let mut dist: Vec<(u64, u32)> = tree.iter().map(|r| (r.label, u32::MAX)).collect();
+    dist.sort_unstable();
+    let slot = |dist: &[(u64, u32)], l: u64| dist.binary_search_by_key(&l, |e| e.0).ok();
+    let r = slot(&dist, root)?;
+    dist[r].1 = 0;
+    let mut queue = vec![root];
+    let mut head = 0;
+    while let Some(&x) = queue.get(head) {
+        head += 1;
+        let dx = dist[slot(&dist, x)?].1;
+        let from = arcs.partition_point(|a| a.0 < x);
+        for &(_, w) in arcs[from..].iter().take_while(|a| a.0 == x) {
+            if let Some(i) = slot(&dist, w) {
+                if dist[i].1 == u32::MAX {
+                    dist[i].1 = dx + 1;
+                    queue.push(w);
+                }
+            }
+        }
+    }
+    slot(&dist, target)
+        .map(|i| dist[i].1)
+        .filter(|&d| d != u32::MAX)
+}
+
 impl VirtualProgram for Lemma15Vertex {
     type Msg = L15Msg;
     type Output = Lemma15Out;
@@ -411,25 +437,28 @@ impl VirtualProgram for Lemma15Vertex {
             1 => out.push(VOutgoing::Broadcast(L15Msg::Info1(self.c1))),
             2 => {
                 let table: Vec<(u64, u64)> = self.nbr_c1.iter().map(|(&l, &c)| (l, c)).collect();
-                out.push(VOutgoing::Broadcast(L15Msg::Info2(table)));
+                out.push(VOutgoing::Broadcast(L15Msg::Info2(Arc::new(table))));
             }
             3 => out.push(VOutgoing::Broadcast(L15Msg::Info3(self.c2, self.p2))),
             _ => {
-                for duty in self.duties_at(vround) {
+                for i in 0..self.agenda.len() {
+                    let Some(duty) = self.duty_at(i, vround) else {
+                        continue;
+                    };
                     match duty {
                         Duty::CcSend(0) => out.push(VOutgoing::ToCluster(
                             self.p2.expect("cc send implies a parent"),
-                            L15Msg::TreeUp(Arc::new(self.bag_tree.clone())),
+                            L15Msg::TreeUp(Arc::clone(&self.bag_tree)),
                         )),
                         Duty::CcSend(_) => out.push(VOutgoing::ToCluster(
                             self.p2.expect("cc send implies a parent"),
-                            L15Msg::EdgeUp(Arc::new(self.bag_edges.clone())),
+                            L15Msg::EdgeUp(Arc::clone(&self.bag_edges)),
                         )),
                         Duty::BcSend(0) => out.push(VOutgoing::Broadcast(L15Msg::TreeDown(
-                            Arc::new(self.tree.clone()),
+                            Arc::clone(&self.tree),
                         ))),
                         Duty::BcSend(_) => out.push(VOutgoing::Broadcast(L15Msg::EdgeDown(
-                            Arc::new(self.edges.clone()),
+                            Arc::clone(&self.edges),
                         ))),
                         Duty::Info4 => out.push(VOutgoing::Broadcast(L15Msg::Info4(self.l_aux))),
                         Duty::Lin(_) => out.push(VOutgoing::Broadcast(L15Msg::Lin(self.lin_color))),
@@ -453,7 +482,7 @@ impl VirtualProgram for Lemma15Vertex {
             2 => {
                 for e in inbox {
                     if let L15Msg::Info2(t) = &e.msg {
-                        self.nbr_tables.insert(e.from, t.clone());
+                        self.nbr_tables.insert(e.from, Arc::clone(t));
                     }
                 }
                 self.compute_pointers();
@@ -471,28 +500,31 @@ impl VirtualProgram for Lemma15Vertex {
                     }
                 }
                 self.children.sort_unstable();
-                self.bag_tree = vec![self.tree_rec()];
+                self.bag_tree = Arc::new(vec![self.tree_rec()]);
                 self.build_tree_agenda();
-                // A singleton root's tree is itself.
+                // A singleton root's tree is itself; it schedules Linial
+                // at the Info4 round, once its adjacency is known too.
                 if self.p2.is_none() && self.children.is_empty() {
-                    self.absorb_tree(vec![self.tree_rec()]);
-                    self.maybe_schedule_linial_after_pass2_for_singleton();
+                    self.absorb_tree(Arc::clone(&self.bag_tree));
                 }
                 self.next_action(vround)
             }
             _ => {
-                let duties = self.duties_at(vround);
-                for duty in duties {
+                for i in 0..self.agenda.len() {
+                    let Some(duty) = self.duty_at(i, vround) else {
+                        continue;
+                    };
                     match duty {
                         Duty::CcRecv(0) => {
                             let mut seen: std::collections::BTreeSet<u64> =
                                 self.bag_tree.iter().map(|r| r.label).collect();
+                            let bag = Arc::make_mut(&mut self.bag_tree);
                             for e in inbox {
                                 if let L15Msg::TreeUp(recs) = &e.msg {
                                     if self.children.contains(&e.from) {
                                         for r in recs.iter() {
                                             if seen.insert(r.label) {
-                                                self.bag_tree.push(r.clone());
+                                                bag.push(r.clone());
                                             }
                                         }
                                     }
@@ -500,33 +532,33 @@ impl VirtualProgram for Lemma15Vertex {
                             }
                             if self.p2.is_none() {
                                 // Root: the tree is complete.
-                                self.tree = self.bag_tree.clone();
-                                self.absorb_tree(self.bag_tree.clone());
+                                self.absorb_tree(Arc::clone(&self.bag_tree));
                             }
                         }
                         Duty::CcRecv(_) => {
                             let mut seen: std::collections::BTreeSet<u64> =
                                 self.bag_edges.iter().map(|r| r.0).collect();
+                            let bag = Arc::make_mut(&mut self.bag_edges);
                             for e in inbox {
                                 if let L15Msg::EdgeUp(recs) = &e.msg {
                                     if self.children.contains(&e.from) {
                                         for r in recs.iter() {
                                             if seen.insert(r.0) {
-                                                self.bag_edges.push(r.clone());
+                                                bag.push(r.clone());
                                             }
                                         }
                                     }
                                 }
                             }
                             if self.p2.is_none() {
-                                self.absorb_edges(self.bag_edges.clone());
+                                self.absorb_edges(Arc::clone(&self.bag_edges));
                                 self.maybe_schedule_linial();
                             }
                         }
                         Duty::BcRecv(0) => {
                             let tree = inbox.iter().find_map(|e| match &e.msg {
                                 L15Msg::TreeDown(t) if Some(e.from) == self.p2 => {
-                                    Some(t.as_ref().clone())
+                                    Some(Arc::clone(t))
                                 }
                                 _ => None,
                             });
@@ -536,7 +568,7 @@ impl VirtualProgram for Lemma15Vertex {
                         Duty::BcRecv(_) => {
                             let edges = inbox.iter().find_map(|e| match &e.msg {
                                 L15Msg::EdgeDown(t) if Some(e.from) == self.p2 => {
-                                    Some(t.as_ref().clone())
+                                    Some(Arc::clone(t))
                                 }
                                 _ => None,
                             });
@@ -553,24 +585,24 @@ impl VirtualProgram for Lemma15Vertex {
                                 })
                                 .collect();
                             self.same_cluster_nbrs.sort_unstable();
-                            self.bag_edges = vec![(self.label, self.same_cluster_nbrs.clone())];
+                            self.bag_edges =
+                                Arc::new(vec![(self.label, self.same_cluster_nbrs.clone())]);
                             // Singleton clusters already know everything.
                             if self.p2.is_none() && self.children.is_empty() {
-                                self.absorb_edges(self.bag_edges.clone());
+                                self.absorb_edges(Arc::clone(&self.bag_edges));
                                 self.maybe_schedule_linial();
                             }
                         }
                         Duty::Lin(t) => {
-                            let nbr_colors: Vec<u64> = inbox
-                                .iter()
-                                .filter_map(|e| match &e.msg {
+                            self.lin_nbrs.clear();
+                            self.lin_nbrs
+                                .extend(inbox.iter().filter_map(|e| match &e.msg {
                                     L15Msg::Lin(c) => Some(*c),
                                     _ => None,
-                                })
-                                .collect();
+                                }));
                             if let Some(step) = self.lin_steps.get(t as usize).copied() {
                                 self.lin_color =
-                                    linial::reduce_color(self.lin_color, &nbr_colors, step);
+                                    linial::reduce_color(self.lin_color, &self.lin_nbrs, step);
                             }
                         }
                         Duty::CcSend(_) | Duty::BcSend(_) => {}
@@ -583,15 +615,6 @@ impl VirtualProgram for Lemma15Vertex {
 
     fn output(&self) -> Option<Lemma15Out> {
         self.out.clone()
-    }
-}
-
-impl Lemma15Vertex {
-    /// Singleton roots skip both tree passes entirely; they still wait for
-    /// the Info4 round (already on the agenda) and schedule Linial when
-    /// their (trivial) cluster adjacency is established there.
-    fn maybe_schedule_linial_after_pass2_for_singleton(&mut self) {
-        // Intentionally empty: handled in the Info4 duty.
     }
 }
 

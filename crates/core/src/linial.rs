@@ -159,11 +159,13 @@ pub fn schedule(m0: u64, delta: u64) -> Vec<Step> {
 
 /// Evaluate the polynomial encoding of `color` at `x` over `GF(q)`.
 fn poly_eval(color: u64, d: u64, q: u64, x: u64) -> u64 {
-    // coefficients: base-q digits of color (d+1 of them), Horner order.
-    let mut coeffs = Vec::with_capacity(d as usize + 1);
+    // coefficients: base-q digits of color (d+1 of them, d ≤ 64 as
+    // `step_params` picks it), evaluated in Horner order.
+    let mut coeffs = [0u64; 65];
+    let coeffs = &mut coeffs[..=d as usize];
     let mut c = color;
-    for _ in 0..=d {
-        coeffs.push(c % q);
+    for co in coeffs.iter_mut() {
+        *co = c % q;
         c /= q;
     }
     let mut acc: u128 = 0;
@@ -179,7 +181,8 @@ fn poly_eval(color: u64, d: u64, q: u64, x: u64) -> u64 {
 /// echo our own color back).
 ///
 /// # Panics
-/// Panics if no good point exists — impossible when `#neighbors·d < q`.
+/// Panics if no good point exists — impossible when `#neighbors·d < q` —
+/// or if `step.d > 64` (no step [`step_params`] picks).
 pub fn reduce_color(my_color: u64, neighbor_colors: &[u64], step: Step) -> u64 {
     let Step { d, q, .. } = step;
     for x in 0..q {
@@ -204,6 +207,8 @@ pub struct ColorReduction {
     color: u64,
     steps: Vec<Step>,
     t: usize,
+    /// Pooled neighbor-color scratch (transient).
+    neighbor_colors: Vec<u64>,
 }
 
 impl ColorReduction {
@@ -217,6 +222,7 @@ impl ColorReduction {
             color: initial_color,
             steps: schedule(m0, delta_bound),
             t: 0,
+            neighbor_colors: Vec::new(),
         }
     }
 
@@ -245,8 +251,9 @@ impl Program for ColorReduction {
         if self.t >= self.steps.len() {
             return Action::Halt;
         }
-        let neighbor_colors: Vec<u64> = inbox.iter().map(|e| e.msg).collect();
-        self.color = reduce_color(self.color, &neighbor_colors, self.steps[self.t]);
+        self.neighbor_colors.clear();
+        self.neighbor_colors.extend(inbox.iter().map(|e| e.msg));
+        self.color = reduce_color(self.color, &self.neighbor_colors, self.steps[self.t]);
         self.t += 1;
         if self.t == self.steps.len() {
             Action::Halt
@@ -385,6 +392,56 @@ mod tests {
         assert_eq!(poly_eval(7, 1, 5, 0), 2);
         assert_eq!(poly_eval(7, 1, 5, 1), 3);
         assert_eq!(poly_eval(7, 1, 5, 4), 1);
+    }
+
+    /// `reduce_color` as it was with a heap-allocated digit vector.
+    fn reduce_color_with_digit_vec(my_color: u64, neighbor_colors: &[u64], step: Step) -> u64 {
+        let eval = |color: u64, x: u64| {
+            let mut coeffs = Vec::with_capacity(step.d as usize + 1);
+            let mut c = color;
+            for _ in 0..=step.d {
+                coeffs.push(c % step.q);
+                c /= step.q;
+            }
+            let mut acc: u128 = 0;
+            for &co in coeffs.iter().rev() {
+                acc = (acc * x as u128 + co as u128) % step.q as u128;
+            }
+            acc as u64
+        };
+        (0..step.q)
+            .find_map(|x| {
+                let mine = eval(my_color, x);
+                let clash = neighbor_colors
+                    .iter()
+                    .any(|&nc| nc != my_color && eval(nc, x) == mine);
+                (!clash).then_some(x * step.q + mine)
+            })
+            .expect("a conflict-free point exists")
+    }
+
+    #[test]
+    fn reduce_color_matches_the_digit_vec_evaluation() {
+        let mut rng = awake_graphs::rng::Rng::seed_from_u64(0x11a1);
+        for (m0, delta) in [
+            (1u64 << 40, 3u64),
+            (1 << 20, 8),
+            (5000, 16),
+            (u64::MAX / 2, 2),
+        ] {
+            for step in schedule(m0, delta) {
+                for _ in 0..200 {
+                    let mine = rng.bounded_u64(step.m);
+                    let k = rng.bounded_u64(delta + 1) as usize;
+                    let nbrs: Vec<u64> = (0..k).map(|_| rng.bounded_u64(step.m)).collect();
+                    assert_eq!(
+                        reduce_color(mine, &nbrs, step),
+                        reduce_color_with_digit_vec(mine, &nbrs, step),
+                        "color {mine}, neighbors {nbrs:?}, {step:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,35 +19,39 @@
 //! A member is awake ≤ 5 real rounds per awake virtual round (the paper
 //! proves ≤ 7), and clusters whose vertex sleeps are entirely asleep —
 //! messages sent to them are lost, exactly the Sleeping semantics on `H`.
+//!
+//! # Sharing
+//!
+//! Replicas share read-only data instead of copying it. The gathered
+//! [`VertexInput`] keeps its member records behind one `Arc`, and every
+//! virtual message is wrapped in an `Arc` once, when its replica sends it:
+//! each port, merge bag and collected entry that carries it afterwards
+//! holds the same allocation. Neither is ever mutated once shared. An
+//! `Arc<T>` encodes exactly like `T`, so snapshots do not see the sharing.
 
-use crate::gather::{gather_rounds, ClusterView, GatherCore, GatherMsg, GatherStep, MemberRec};
+use crate::gather::{gather_rounds, GatherCore, GatherMsg, GatherStep, MemberRec};
 use awake_sleeping::{
     Action, CheckpointError, Codec, Envelope, Outbox, Outgoing, Persist, Program, Reader, Round,
     View, Writer,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Cluster-level input handed to the inner program's factory.
 ///
 /// Deliberately excludes member-specific data (own ident/ports) so that all
-/// replicas of a vertex are identical.
+/// replicas of a vertex are identical. The member records are shared, not
+/// copied: cloning an input costs one reference-count increment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VertexInput<P> {
     /// The vertex's label (= cluster label).
     pub label: u64,
-    /// Every member's record.
-    pub members: BTreeMap<u64, MemberRec<P>>,
+    /// Every member's record, shared by every holder of this input and
+    /// never mutated.
+    pub members: Arc<BTreeMap<u64, MemberRec<P>>>,
 }
 
 impl<P: Clone> VertexInput<P> {
-    fn from_view(view: &ClusterView<P>) -> Self {
-        VertexInput {
-            label: view.label,
-            members: view.members.clone(),
-        }
-    }
-
     /// Sorted distinct labels of adjacent vertices in `H`.
     pub fn neighbor_labels(&self) -> Vec<u64> {
         let mut l: Vec<u64> = self
@@ -127,6 +131,11 @@ pub enum VOutgoing<M> {
 ///
 /// Implementations must be deterministic — every cluster member replays an
 /// identical replica.
+///
+/// The [`VertexInput`] a replica is built from, and every message it
+/// sends, are shared by all replicas that see them and are never mutated:
+/// a program that wants to keep part of either keeps a copy or an `Arc`
+/// of its own.
 pub trait VirtualProgram: Sized {
     /// Virtual message type.
     type Msg: Clone + std::fmt::Debug + Send + Sync + PartialEq;
@@ -208,6 +217,12 @@ fn bc_send(db: u32, vround: Round, depth: u32) -> Round {
     bc_base(db, vround) + depth as Round
 }
 
+/// The physical message type [`VirtSim`] sends: virtual payloads shared.
+type Wire<VP> = VirtMsg<<VP as VirtualProgram>::Payload, Arc<<VP as VirtualProgram>::Msg>>;
+
+/// A collected exchange item: `(sending vertex, seq, shared payload)`.
+type Item<M> = (u64, u16, Arc<M>);
+
 struct RunState<VP: VirtualProgram> {
     vp: VP,
     /// The cluster-level input the replica was built from — kept so a
@@ -222,25 +237,20 @@ struct RunState<VP: VirtualProgram> {
     cur: Round,
     /// The vertex's next awake virtual round (set by `prime`).
     next: Round,
-    /// The vertex's outgoing messages for `vround`.
-    outgoing: Vec<(u16, Option<u64>, VP::Msg)>,
-    /// Exchange items collected during the current phase.
-    collected: Vec<(u64, u16, VP::Msg)>,
-    /// Dedup keys of `collected`.
-    collected_keys: BTreeSet<(u64, u16)>,
+    /// The vertex's outgoing messages for `vround`, each wrapped once.
+    outgoing: Vec<(u16, Option<u64>, Arc<VP::Msg>)>,
+    /// Exchange items collected during the current phase, sorted by
+    /// `(from, seq)` with one item per key (the first to arrive).
+    collected: Vec<Item<VP::Msg>>,
     /// Full merged inbox, kept behind one shared `Arc` so the downward
-    /// re-broadcast and the local replica advance reuse the same buffer —
-    /// a phase moves the item vector once (`mem::take`) instead of
-    /// re-cloning it at every hand-off. [`publish_bag`] recycles the Vec's
-    /// allocation back into `collected` once the Arc is unshared.
-    bc_copy: Arc<Vec<(u64, u16, VP::Msg)>>,
+    /// re-broadcast and the local replica advance reuse the same buffer.
+    /// [`publish_bag`] refills it in place once the Arc is unshared.
+    bc_copy: Arc<Vec<Item<VP::Msg>>>,
     /// Set once the inner program halts.
     vp_done: bool,
     /// Pooled scratch for [`VirtualProgram::send`] (never persisted —
     /// empty outside `prime`).
     send_buf: Vec<VOutgoing<VP::Msg>>,
-    /// Pooled index scratch for the merged-inbox sort (transient).
-    order: Vec<u32>,
     /// Pooled inbox the replica reads each phase (transient).
     inbox_buf: Vec<VEnvelope<VP::Msg>>,
 }
@@ -306,8 +316,8 @@ where
 }
 
 /// Prepare the outgoing messages for the vertex's next awake round. Both
-/// the send scratch and the numbered `outgoing` buffer are pooled — a
-/// steady-state prime allocates nothing.
+/// the send scratch and the numbered `outgoing` buffer are pooled; each
+/// message is wrapped in its one `Arc` here.
 fn prime<VP: VirtualProgram>(run: &mut RunState<VP>, next: Round) {
     run.next = next;
     run.send_buf.clear();
@@ -315,24 +325,32 @@ fn prime<VP: VirtualProgram>(run: &mut RunState<VP>, next: Round) {
     run.outgoing.clear();
     run.outgoing
         .extend(run.send_buf.drain(..).enumerate().map(|(i, o)| match o {
-            VOutgoing::ToCluster(j, m) => (i as u16, Some(j), m),
-            VOutgoing::Broadcast(m) => (i as u16, None, m),
+            VOutgoing::ToCluster(j, m) => (i as u16, Some(j), Arc::new(m)),
+            VOutgoing::Broadcast(m) => (i as u16, None, Arc::new(m)),
         }));
     run.collected.clear();
-    run.collected_keys.clear();
 }
 
-/// Publish `collected` as the phase's merged inbox bag. The previous
-/// phase's bag allocation is recycled into the next `collected` whenever
-/// this replica held its last `Arc` reference (the steady state: the
-/// engine has delivered and dropped every broadcast copy by the time the
-/// next phase merges) — so phase turnover reallocates nothing.
+/// Restore `collected`'s order after a merge appended to it: sorted by
+/// `(from, seq)`, keeping the first-collected item of each key (the sort
+/// is stable and earlier items sit before later ones).
+fn settle<M>(collected: &mut Vec<Item<M>>) {
+    collected.sort_by_key(|it| (it.0, it.1));
+    collected.dedup_by_key(|it| (it.0, it.1));
+}
+
+/// Publish `collected` as the phase's merged inbox bag. When this replica
+/// holds the previous bag's last reference (the steady state: the engine
+/// has delivered and dropped every broadcast copy by the time the next
+/// phase merges) the bag is refilled in place and its old buffer becomes
+/// the next `collected`, so phase turnover allocates nothing.
 fn publish_bag<VP: VirtualProgram>(run: &mut RunState<VP>) {
-    let fresh = Arc::new(std::mem::take(&mut run.collected));
-    let old = std::mem::replace(&mut run.bc_copy, fresh);
-    if let Ok(mut v) = Arc::try_unwrap(old) {
-        v.clear();
-        run.collected = v;
+    match Arc::get_mut(&mut run.bc_copy) {
+        Some(bag) => {
+            std::mem::swap(bag, &mut run.collected);
+            run.collected.clear();
+        }
+        None => run.bc_copy = Arc::new(std::mem::take(&mut run.collected)),
     }
 }
 
@@ -343,29 +361,13 @@ fn process<VP: VirtualProgram>(
     db: u32,
     run: &mut RunState<VP>,
 ) -> Action {
-    // Sort/dedup through an index vector so only the surviving payloads are
-    // cloned (into the inbox the replica reads) — the merged bag itself is
-    // never copied. The stable sort keeps the first-inserted item among
-    // equal `(from, seq)` keys, matching the old clone-sort-dedup exactly.
-    let bag: &[(u64, u16, VP::Msg)] = &run.bc_copy;
-    run.order.clear();
-    run.order.extend(0..bag.len() as u32);
-    run.order.sort_by_key(|&i| {
-        let it = &bag[i as usize];
-        (it.0, it.1)
-    });
-    run.order.dedup_by(|a, b| {
-        let (x, y) = (&bag[*a as usize], &bag[*b as usize]);
-        x.0 == y.0 && x.1 == y.1
-    });
+    // The merged bag is already sorted by `(from, seq)` and deduplicated.
     run.inbox_buf.clear();
-    run.inbox_buf.extend(run.order.iter().map(|&i| {
-        let (from, _, msg) = &bag[i as usize];
-        VEnvelope {
+    run.inbox_buf
+        .extend(run.bc_copy.iter().map(|(from, _, msg)| VEnvelope {
             from: *from,
-            msg: msg.clone(),
-        }
-    }));
+            msg: VP::Msg::clone(msg),
+        }));
     let x = run.cur;
     match run.vp.receive(x, &run.inbox_buf) {
         Action::Stay => prime(run, x + 1),
@@ -389,11 +391,7 @@ fn process<VP: VirtualProgram>(
     }
 }
 
-fn merge_items<VP: VirtualProgram>(
-    run: &mut RunState<VP>,
-    inbox: &[Envelope<VirtMsg<VP::Payload, VP::Msg>>],
-    up: bool,
-) {
+fn merge_items<VP: VirtualProgram>(run: &mut RunState<VP>, inbox: &[Envelope<Wire<VP>>], up: bool) {
     for e in inbox {
         if let VirtMsg::Bag {
             label,
@@ -402,14 +400,11 @@ fn merge_items<VP: VirtualProgram>(
         } = &e.msg
         {
             if *label == run.label && *u == up {
-                for it in items.iter() {
-                    if run.collected_keys.insert((it.0, it.1)) {
-                        run.collected.push(it.clone());
-                    }
-                }
+                run.collected.extend(items.iter().cloned());
             }
         }
     }
+    settle(&mut run.collected);
 }
 
 impl<VP, F> Program for VirtSim<VP, F>
@@ -417,7 +412,7 @@ where
     VP: VirtualProgram,
     F: Fn(&VertexInput<VP::Payload>) -> VP,
 {
-    type Msg = VirtMsg<VP::Payload, VP::Msg>;
+    type Msg = Wire<VP>;
     type Output = Option<VP::Output>;
 
     fn initial_wake(&self) -> Option<Round> {
@@ -451,7 +446,7 @@ where
                                         from: run.label,
                                         to: *to,
                                         seq: *seq,
-                                        msg: msg.clone(),
+                                        msg: Arc::clone(msg),
                                     },
                                 );
                             }
@@ -497,9 +492,10 @@ where
                 match core.recv_at(round, &ginbox) {
                     GatherStep::WakeAt(r) => Action::SleepUntil(r),
                     GatherStep::Done => {
-                        let cview = core.view().expect("gather done").clone();
-                        let vinput = VertexInput::from_view(&cview);
-                        let vp = (self.factory)(&vinput);
+                        let St::Gather(core) = std::mem::replace(&mut self.st, St::Done) else {
+                            unreachable!("in the gather stage")
+                        };
+                        let cview = core.into_view().expect("gather done");
                         let has_children = cview.my_ports.iter().any(|&(_, nid, l)| {
                             l == cview.label
                                 && cview
@@ -507,22 +503,25 @@ where
                                     .get(&nid)
                                     .is_some_and(|m| m.depth == cview.my_depth + 1)
                         });
+                        let vinput = VertexInput {
+                            label: cview.label,
+                            members: Arc::new(cview.members),
+                        };
+                        let vp = (self.factory)(&vinput);
                         let mut run = Box::new(RunState {
                             vp,
                             vinput,
                             depth: cview.my_depth,
                             has_children,
-                            ports: cview.my_ports.clone(),
+                            ports: cview.my_ports,
                             label: cview.label,
                             cur: 1,
                             next: 1,
                             outgoing: vec![],
                             collected: vec![],
-                            collected_keys: BTreeSet::new(),
                             bc_copy: Arc::new(vec![]),
                             vp_done: false,
                             send_buf: vec![],
-                            order: vec![],
                             inbox_buf: vec![],
                         });
                         // All vertices are awake at virtual round 1.
@@ -540,13 +539,12 @@ where
                     let x = run.cur;
                     for e in inbox {
                         if let VirtMsg::Exchange { from, to, seq, msg } = &e.msg {
-                            let accept =
-                                *from != run.label && (to.is_none() || *to == Some(run.label));
-                            if accept && run.collected_keys.insert((*from, *seq)) {
-                                run.collected.push((*from, *seq, msg.clone()));
+                            if *from != run.label && (to.is_none() || *to == Some(run.label)) {
+                                run.collected.push((*from, *seq, Arc::clone(msg)));
                             }
                         }
                     }
+                    settle(&mut run.collected);
                     if run.depth == 0 && !run.has_children {
                         publish_bag(run);
                         process(&mut self.out, db, run)
@@ -567,7 +565,6 @@ where
                     Action::SleepUntil(bc_recv(db, run.cur, run.depth))
                 } else if round == bc_recv(db, run.cur, run.depth) && run.depth > 0 {
                     run.collected.clear();
-                    run.collected_keys.clear();
                     merge_items(run, inbox, false);
                     publish_bag(run);
                     process(&mut self.out, db, run)
@@ -676,11 +673,10 @@ where
                 let cur = r.get()?;
                 let next = r.get()?;
                 let outgoing = r.get()?;
-                let collected: Vec<(u64, u16, VP::Msg)> = r.get()?;
+                let collected = r.get()?;
                 let bc_copy = r.get()?;
                 let vp_done = r.get()?;
                 vp.restore(r)?;
-                let collected_keys = collected.iter().map(|it| (it.0, it.1)).collect();
                 self.st = St::Run(Box::new(RunState {
                     vp,
                     vinput,
@@ -692,11 +688,9 @@ where
                     next,
                     outgoing,
                     collected,
-                    collected_keys,
                     bc_copy,
                     vp_done,
                     send_buf: vec![],
-                    order: vec![],
                     inbox_buf: vec![],
                 }));
             }

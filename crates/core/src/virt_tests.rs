@@ -4,8 +4,10 @@
 use crate::clustering::{Assign, Clustering};
 use crate::gather::{ClusterGather, ClusterView};
 use crate::virt::{VEnvelope, VOutgoing, VertexInput, VirtSim, VirtualProgram};
-use awake_graphs::{generators, Graph};
-use awake_sleeping::{Action, Config, Engine, Round};
+use awake_graphs::{generators, Graph, GraphBuilder};
+use awake_sleeping::{
+    Action, CheckpointError, Codec, Config, Engine, Persist, Reader, Round, RunSpec, Writer,
+};
 
 /// Run a standalone gather over a clustering and return each node's view.
 fn run_gather(g: &Graph, cl: &Clustering) -> Vec<Option<ClusterView<u64>>> {
@@ -310,4 +312,135 @@ fn messages_to_sleeping_vertices_are_lost_on_h() {
     let run = Engine::new(&g, Config::default()).run(programs).unwrap();
     // vertex 2 hears vrounds 1 and 3 but NOT 2 (it was asleep on H).
     assert_eq!(run.outputs[1].as_ref().unwrap(), &vec![(1, 10), (3, 30)]);
+}
+
+/// `(vround, [(from, seq, sent at)])` per awake virtual round.
+type InboxLog = Vec<(Round, Vec<(u64, u64, Round)>)>;
+
+/// Records every inbox it reads; sends one broadcast (seq 0) and one
+/// addressed message per `H`-neighbor (seq 1, 2, …) at each of virtual
+/// rounds 1–3.
+#[derive(Debug)]
+struct Recorder {
+    nbrs: Vec<u64>,
+    log: InboxLog,
+}
+
+impl VirtualProgram for Recorder {
+    type Msg = (u64, Round);
+    type Output = InboxLog;
+    type Payload = ();
+
+    fn send(&mut self, vround: Round, out: &mut Vec<VOutgoing<(u64, Round)>>) {
+        out.push(VOutgoing::Broadcast((0, vround)));
+        for (k, &j) in self.nbrs.iter().enumerate() {
+            out.push(VOutgoing::ToCluster(j, (k as u64 + 1, vround)));
+        }
+    }
+
+    fn receive(&mut self, vround: Round, inbox: &[VEnvelope<(u64, Round)>]) -> Action {
+        let seen = inbox.iter().map(|e| (e.from, e.msg.0, e.msg.1)).collect();
+        self.log.push((vround, seen));
+        if vround < 3 {
+            Action::Stay
+        } else {
+            Action::Halt
+        }
+    }
+
+    fn output(&self) -> Option<Self::Output> {
+        Some(self.log.clone())
+    }
+}
+
+impl Persist for Recorder {
+    fn save(&self, w: &mut Writer) {
+        self.log.encode(w);
+    }
+    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
+        self.log = r.get()?;
+        Ok(())
+    }
+}
+
+#[test]
+fn replicas_read_one_sorted_deduplicated_inbox() {
+    // Three path-shaped clusters of three nodes (labels 5, 2, 9), with
+    // every member of the middle cluster adjacent to every member of both
+    // others: each exchange message reaches all three members of a
+    // neighboring cluster, and each member hears it from three ports.
+    let mut b = GraphBuilder::new(9);
+    b.edges([(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)]);
+    for m in 3..6 {
+        for o in (0..3).chain(6..9) {
+            b.edge(m, o);
+        }
+    }
+    let g = b.build().unwrap();
+    let labels = [5u64, 2, 9];
+    let cl = Clustering {
+        assign: (0..9u32)
+            .map(|v| {
+                Some(Assign {
+                    label: labels[v as usize / 3],
+                    depth: v % 3,
+                })
+            })
+            .collect(),
+    };
+    cl.validate_uniquely_labeled(&g).unwrap();
+    let h_nbrs = |l: u64| -> Vec<u64> {
+        match l {
+            2 => vec![5, 9],
+            _ => vec![2],
+        }
+    };
+    let run = |workers: Option<usize>| {
+        let factory = move |vi: &VertexInput<()>| Recorder {
+            nbrs: vi.neighbor_labels(),
+            log: vec![],
+        };
+        let programs: Vec<VirtSim<Recorder, _>> = g
+            .nodes()
+            .map(|v| {
+                let a = cl.assign[v.index()].unwrap();
+                VirtSim::participant(a.label, a.depth, g.ident(v), (), 9, factory)
+            })
+            .collect();
+        Engine::new(&g, Config::default())
+            .run_spec(programs, &RunSpec::on(workers))
+            .unwrap()
+            .finished()
+            .outputs
+    };
+    let serial = run(None);
+    for v in g.nodes() {
+        let me = labels[v.index() / 3];
+        let log = serial[v.index()].as_ref().unwrap();
+        assert_eq!(log.len(), 3);
+        for (vround, inbox) in log {
+            let keys: Vec<(u64, u64)> = inbox.iter().map(|&(from, seq, _)| (from, seq)).collect();
+            assert!(
+                keys.windows(2).all(|w| w[0] < w[1]),
+                "inbox sorted by (from, seq), each message once: {keys:?}"
+            );
+            // From each neighbor: its broadcast and the one message it
+            // addressed to us, both sent this virtual round.
+            let mut expected: Vec<(u64, u64, Round)> = h_nbrs(me)
+                .into_iter()
+                .flat_map(|j| {
+                    let k = h_nbrs(j).iter().position(|&l| l == me).unwrap() as u64;
+                    [(j, 0, *vround), (j, k + 1, *vround)]
+                })
+                .collect();
+            expected.sort_unstable();
+            assert_eq!(inbox, &expected, "node {v:?} at vround {vround}");
+        }
+        // Every replica of a vertex read the same inboxes.
+        let first = &serial[3 * (v.index() / 3)];
+        assert_eq!(&serial[v.index()], first);
+    }
+    for workers in [2, 4] {
+        assert_eq!(run(Some(workers)), serial, "{workers} workers");
+    }
 }
