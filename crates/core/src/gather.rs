@@ -19,8 +19,7 @@
 
 use awake_graphs::NodeId;
 use awake_sleeping::{
-    Action, CheckpointError, Codec, Envelope, Outbox, Outgoing, Persist, Program, Reader, Round,
-    View, Writer,
+    Action, CheckpointError, Codec, Envelope, Outbox, Persist, Program, Reader, Round, View, Writer,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -133,8 +132,9 @@ pub struct GatherCore<P> {
     depth_bound: u32,
     base: Round,
     has_children: bool,
-    bag: Vec<MemberRec<P>>,
-    bag_idents: BTreeSet<u64>,
+    /// The records gathered so far, shared with the bags that carry them
+    /// (a send is a reference-count increment, not a copy).
+    bag: Arc<Vec<MemberRec<P>>>,
     /// Whether the bag holds the whole cluster (the view is ready).
     done: bool,
     my_ports: Vec<(NodeId, u64, u64)>,
@@ -168,8 +168,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
             depth_bound,
             base,
             has_children: false,
-            bag: Vec::new(),
-            bag_idents: BTreeSet::new(),
+            bag: Arc::default(),
             done: false,
             my_ports: Vec::new(),
         }
@@ -207,54 +206,71 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
         })
     }
 
-    /// Consume the core, moving its records into the completed view.
+    /// Consume the core, moving its records into the completed view
+    /// (copying them only if a bag in flight still shares them).
     pub fn into_view(self) -> Option<ClusterView<P>> {
         self.done.then(|| ClusterView {
             label: self.label,
             my_ident: self.ident,
             my_depth: self.depth,
-            members: self.bag.into_iter().map(|r| (r.ident, r)).collect(),
+            members: Arc::unwrap_or_clone(self.bag)
+                .into_iter()
+                .map(|r| (r.ident, r))
+                .collect(),
             my_ports: self.my_ports,
         })
     }
 
-    /// Messages to emit at `round`.
-    pub fn send_at(&mut self, round: Round) -> Vec<Outgoing<GatherMsg<P>>> {
+    /// Queue the messages due at `round` on `out`, each wrapped by `wrap`
+    /// into the caller's message type.
+    pub fn send_at<M>(
+        &mut self,
+        round: Round,
+        out: &mut Outbox<M>,
+        wrap: impl Fn(GatherMsg<P>) -> M,
+    ) {
         if round == self.hello_round() {
-            return vec![Outgoing::Broadcast(GatherMsg::Hello(
+            out.broadcast(wrap(GatherMsg::Hello(
                 self.label,
                 self.depth,
                 self.ident,
                 self.payload.clone(),
-            ))];
-        }
-        if round == self.cc_send_round() && self.depth > 0 {
-            return vec![Outgoing::Broadcast(GatherMsg::Bag {
+            )));
+        } else if round == self.cc_send_round() && self.depth > 0 {
+            out.broadcast(wrap(GatherMsg::Bag {
                 label: self.label,
                 up: true,
-                recs: Arc::new(self.bag.clone()),
-            })];
-        }
-        if round == self.bc_send_round() && self.has_children {
-            return vec![Outgoing::Broadcast(GatherMsg::Bag {
+                recs: Arc::clone(&self.bag),
+            }));
+        } else if round == self.bc_send_round() && self.has_children {
+            out.broadcast(wrap(GatherMsg::Bag {
                 label: self.label,
                 up: false,
-                recs: Arc::new(self.bag.clone()),
-            })];
+                recs: Arc::clone(&self.bag),
+            }));
         }
-        vec![]
     }
 
-    /// Process the inbox at `round`; returns the next step.
-    pub fn recv_at(&mut self, round: Round, inbox: &[Envelope<GatherMsg<P>>]) -> GatherStep {
+    /// Process the inbox at `round`; returns the next step. `gather` picks
+    /// the gather messages out of the caller's message type, so the inbox
+    /// is read in place.
+    pub fn recv_at<M>(
+        &mut self,
+        round: Round,
+        inbox: &[Envelope<M>],
+        gather: impl Fn(&M) -> Option<&GatherMsg<P>>,
+    ) -> GatherStep {
+        let msgs = inbox
+            .iter()
+            .filter_map(|e| gather(&e.msg).map(|m| (e.from, m)));
         if round == self.hello_round() {
             // Learn all neighbors; build own record.
             let mut intra = Vec::new();
             let mut border = Vec::new();
             self.my_ports.clear();
-            for e in inbox {
-                if let GatherMsg::Hello(l, d, ident, pl) = &e.msg {
-                    self.my_ports.push((e.from, *ident, *l));
+            for (from, msg) in msgs {
+                if let GatherMsg::Hello(l, d, ident, pl) = msg {
+                    self.my_ports.push((from, *ident, *l));
                     if *l == self.label {
                         intra.push(*ident);
                         if *d == self.depth + 1 {
@@ -267,14 +283,13 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
             }
             intra.sort_unstable();
             border.sort_unstable_by_key(|b| (b.0, b.1));
-            self.bag = vec![MemberRec {
+            self.bag = Arc::new(vec![MemberRec {
                 ident: self.ident,
                 depth: self.depth,
                 payload: self.payload.clone(),
                 intra,
                 border,
-            }];
-            self.bag_idents = BTreeSet::from([self.ident]);
+            }]);
             // Singleton root: nothing more to do.
             if self.depth == 0 && !self.has_children {
                 self.done = true;
@@ -288,7 +303,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
         }
 
         if round == self.cc_recv_round() && self.has_children {
-            self.merge_bags(inbox, true);
+            self.merge_bags(msgs, true);
             if self.depth == 0 {
                 // Root: bag complete; deliver downward next.
                 self.done = true;
@@ -302,7 +317,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
         }
 
         if round == self.bc_recv_round() && self.depth > 0 {
-            self.merge_bags(inbox, false);
+            self.merge_bags(msgs, false);
             self.done = true;
             if self.has_children {
                 return GatherStep::WakeAt(self.bc_send_round());
@@ -317,13 +332,20 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
         unreachable!("gather core woke at unscheduled round {round}");
     }
 
-    fn merge_bags(&mut self, inbox: &[Envelope<GatherMsg<P>>], up: bool) {
-        for e in inbox {
-            if let GatherMsg::Bag { label, up: u, recs } = &e.msg {
+    fn merge_bags<'a>(&mut self, msgs: impl Iterator<Item = (NodeId, &'a GatherMsg<P>)>, up: bool)
+    where
+        P: 'a,
+    {
+        // By the time a bag merges, the engine has dropped every copy of
+        // this node's earlier bag, so this copies nothing.
+        let bag = Arc::make_mut(&mut self.bag);
+        let mut seen: BTreeSet<u64> = bag.iter().map(|r| r.ident).collect();
+        for (_, msg) in msgs {
+            if let GatherMsg::Bag { label, up: u, recs } = msg {
                 if *label == self.label && *u == up {
                     for r in recs.iter() {
-                        if self.bag_idents.insert(r.ident) {
-                            self.bag.push(r.clone());
+                        if seen.insert(r.ident) {
+                            bag.push(r.clone());
                         }
                     }
                 }
@@ -333,8 +355,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
 }
 
 impl<P: Clone + std::fmt::Debug + Send + Sync + Codec> GatherCore<P> {
-    /// Write the core's dynamic state (everything `recv_at` mutates). The
-    /// ident index is derivable from the bag.
+    /// Write the core's dynamic state (everything `recv_at` mutates).
     pub fn save(&self, w: &mut Writer) {
         self.has_children.encode(w);
         self.bag.encode(w);
@@ -347,7 +368,6 @@ impl<P: Clone + std::fmt::Debug + Send + Sync + Codec> GatherCore<P> {
         self.has_children = r.get()?;
         self.bag = r.get()?;
         self.my_ports = r.get()?;
-        self.bag_idents = self.bag.iter().map(|m| m.ident).collect();
         self.done = r.get()?;
         Ok(())
     }
@@ -357,7 +377,8 @@ impl<P: Clone + std::fmt::Debug + Send + Sync + Codec> GatherCore<P> {
 /// [`ClusterView`]; non-participants output `None` and never wake.
 pub struct ClusterGather<P> {
     core: Option<GatherCore<P>>,
-    done_view: Option<ClusterView<P>>,
+    /// Whether the participant has halted (its view is the output).
+    finished: bool,
 }
 
 impl<P: Clone + std::fmt::Debug + Send + Sync> ClusterGather<P> {
@@ -372,7 +393,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> ClusterGather<P> {
                 depth_bound,
                 1,
             )),
-            done_view: None,
+            finished: false,
         }
     }
 
@@ -380,7 +401,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> ClusterGather<P> {
     pub fn bystander() -> Self {
         ClusterGather {
             core: None,
-            done_view: None,
+            finished: false,
         }
     }
 }
@@ -395,26 +416,27 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> Program for ClusterGather<P> {
 
     fn send(&mut self, view: &View<'_>, out: &mut Outbox<GatherMsg<P>>) {
         if let Some(core) = &mut self.core {
-            out.extend(core.send_at(view.round));
+            core.send_at(view.round, out, |m| m);
         }
     }
 
     fn receive(&mut self, view: &View<'_>, inbox: &[Envelope<GatherMsg<P>>]) -> Action {
         let core = self.core.as_mut().expect("bystanders never wake");
-        match core.recv_at(view.round, inbox) {
+        match core.recv_at(view.round, inbox, |m| Some(m)) {
             GatherStep::WakeAt(r) => Action::SleepUntil(r),
             GatherStep::Done => {
-                self.done_view = core.view();
+                self.finished = true;
                 Action::Halt
             }
         }
     }
 
     fn output(&self) -> Option<Self::Output> {
-        if self.core.is_none() {
-            return Some(None);
+        match &self.core {
+            None => Some(None),
+            Some(core) if self.finished => Some(core.view()),
+            Some(_) => None,
         }
-        self.done_view.clone().map(Some)
     }
 
     fn span(&self) -> &'static str {
@@ -422,8 +444,8 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> Program for ClusterGather<P> {
     }
 }
 
-/// Dynamic state: the core's gather progress plus a completion flag for
-/// the output view (rebuilt from the core, never serialized twice).
+/// Dynamic state: the core's gather progress plus the completion flag (the
+/// output view is built from the core, never serialized twice).
 /// Participation itself is a construction input: a crash-restart or resume
 /// rebuilds the same participant/bystander split from the scenario.
 impl<P: Clone + std::fmt::Debug + Send + Sync + Codec> Persist for ClusterGather<P> {
@@ -433,7 +455,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync + Codec> Persist for ClusterGather
             Some(core) => {
                 true.encode(w);
                 core.save(w);
-                self.done_view.is_some().encode(w);
+                self.finished.encode(w);
             }
         }
     }
@@ -443,8 +465,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync + Codec> Persist for ClusterGather
             (None, false) => Ok(()),
             (Some(core), true) => {
                 core.restore(r)?;
-                let done: bool = r.get()?;
-                self.done_view = if done { core.view() } else { None };
+                self.finished = r.get()?;
                 Ok(())
             }
             _ => Err(CheckpointError::Corrupt("gather participation mismatch")),

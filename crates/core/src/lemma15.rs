@@ -24,7 +24,7 @@
 use crate::linial::{self, Step};
 use crate::virt::{VEnvelope, VOutgoing, VertexInput, VirtualProgram};
 use awake_sleeping::{Action, CheckpointError, Codec, Persist, Reader, Round, Writer};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Phase parameters (shared by all vertices).
@@ -392,39 +392,66 @@ impl Lemma15Vertex {
     }
 }
 
-/// BFS distance from `root` to `target` over the adjacency lists `edges`
-/// (read as undirected), restricted to the members of `tree`. Works on flat
-/// sorted vectors: the arcs sorted by tail, and `(label, distance)` sorted
-/// by label.
+/// BFS distance from `root` to `target` over the adjacency lists `edges`,
+/// restricted to the members of `tree`; `None` when either end is not a
+/// member or `target` is unreachable. The lists are symmetric (both ends
+/// of a same-cluster edge list each other), so the search follows them
+/// directly: members are indexed by label once, and the search stops as
+/// soon as it reaches `target`.
 fn bfs_depth(tree: &[TreeRec], edges: &[(u64, Vec<u64>)], root: u64, target: u64) -> Option<u32> {
-    let mut arcs: Vec<(u64, u64)> = edges
-        .iter()
-        .flat_map(|(l, nbrs)| nbrs.iter().flat_map(move |&w| [(*l, w), (w, *l)]))
-        .collect();
-    arcs.sort_unstable();
-    let mut dist: Vec<(u64, u32)> = tree.iter().map(|r| (r.label, u32::MAX)).collect();
-    dist.sort_unstable();
-    let slot = |dist: &[(u64, u32)], l: u64| dist.binary_search_by_key(&l, |e| e.0).ok();
-    let r = slot(&dist, root)?;
-    dist[r].1 = 0;
-    let mut queue = vec![root];
+    let slot: HashMap<u64, usize> = tree.iter().enumerate().map(|(i, r)| (r.label, i)).collect();
+    let (r, t) = (*slot.get(&root)?, *slot.get(&target)?);
+    let mut adj: Vec<&[u64]> = vec![&[]; tree.len()];
+    for (l, nbrs) in edges {
+        if let Some(&i) = slot.get(l) {
+            adj[i] = nbrs;
+        }
+    }
+    let mut dist = vec![u32::MAX; tree.len()];
+    dist[r] = 0;
+    let mut queue = vec![r];
     let mut head = 0;
     while let Some(&x) = queue.get(head) {
         head += 1;
-        let dx = dist[slot(&dist, x)?].1;
-        let from = arcs.partition_point(|a| a.0 < x);
-        for &(_, w) in arcs[from..].iter().take_while(|a| a.0 == x) {
-            if let Some(i) = slot(&dist, w) {
-                if dist[i].1 == u32::MAX {
-                    dist[i].1 = dx + 1;
-                    queue.push(w);
+        if x == t {
+            return Some(dist[x]);
+        }
+        for w in adj[x] {
+            if let Some(&i) = slot.get(w) {
+                if dist[i] == u32::MAX {
+                    dist[i] = dist[x] + 1;
+                    queue.push(i);
                 }
             }
         }
     }
-    slot(&dist, target)
-        .map(|i| dist[i].1)
-        .filter(|&d| d != u32::MAX)
+    None
+}
+
+/// Append the records `incoming` yields to `bag`, skipping any whose key
+/// the bag (or an earlier incoming record) already holds; the kept records
+/// stay in arrival order. The duplicates are found by one sort of the
+/// keys, not a set built per call.
+fn append_unseen<'a, T: Clone + 'a>(
+    bag: &mut Vec<T>,
+    incoming: impl IntoIterator<Item = &'a T>,
+    key: impl Fn(&T) -> u64,
+) {
+    bag.extend(incoming.into_iter().cloned());
+    let mut keys: Vec<(u64, usize)> = bag.iter().enumerate().map(|(i, r)| (key(r), i)).collect();
+    keys.sort_unstable();
+    let mut keep = vec![true; bag.len()];
+    let mut dup = false;
+    for w in keys.windows(2) {
+        if w[0].0 == w[1].0 {
+            keep[w[1].1] = false;
+            dup = true;
+        }
+    }
+    if dup {
+        let mut k = keep.into_iter();
+        bag.retain(|_| k.next().unwrap_or(true));
+    }
 }
 
 impl VirtualProgram for Lemma15Vertex {
@@ -516,40 +543,28 @@ impl VirtualProgram for Lemma15Vertex {
                     };
                     match duty {
                         Duty::CcRecv(0) => {
-                            let mut seen: std::collections::BTreeSet<u64> =
-                                self.bag_tree.iter().map(|r| r.label).collect();
-                            let bag = Arc::make_mut(&mut self.bag_tree);
-                            for e in inbox {
-                                if let L15Msg::TreeUp(recs) = &e.msg {
-                                    if self.children.contains(&e.from) {
-                                        for r in recs.iter() {
-                                            if seen.insert(r.label) {
-                                                bag.push(r.clone());
-                                            }
-                                        }
-                                    }
+                            let recs = inbox.iter().filter_map(|e| match &e.msg {
+                                L15Msg::TreeUp(recs) if self.children.contains(&e.from) => {
+                                    Some(recs.iter())
                                 }
-                            }
+                                _ => None,
+                            });
+                            let bag = Arc::make_mut(&mut self.bag_tree);
+                            append_unseen(bag, recs.flatten(), |r| r.label);
                             if self.p2.is_none() {
                                 // Root: the tree is complete.
                                 self.absorb_tree(Arc::clone(&self.bag_tree));
                             }
                         }
                         Duty::CcRecv(_) => {
-                            let mut seen: std::collections::BTreeSet<u64> =
-                                self.bag_edges.iter().map(|r| r.0).collect();
-                            let bag = Arc::make_mut(&mut self.bag_edges);
-                            for e in inbox {
-                                if let L15Msg::EdgeUp(recs) = &e.msg {
-                                    if self.children.contains(&e.from) {
-                                        for r in recs.iter() {
-                                            if seen.insert(r.0) {
-                                                bag.push(r.clone());
-                                            }
-                                        }
-                                    }
+                            let recs = inbox.iter().filter_map(|e| match &e.msg {
+                                L15Msg::EdgeUp(recs) if self.children.contains(&e.from) => {
+                                    Some(recs.iter())
                                 }
-                            }
+                                _ => None,
+                            });
+                            let bag = Arc::make_mut(&mut self.bag_edges);
+                            append_unseen(bag, recs.flatten(), |r| r.0);
                             if self.p2.is_none() {
                                 self.absorb_edges(Arc::clone(&self.bag_edges));
                                 self.maybe_schedule_linial();
@@ -785,5 +800,138 @@ impl Persist for Lemma15Vertex {
         self.agenda = r.get()?;
         self.out = r.get()?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use awake_graphs::rng::Rng;
+
+    /// The arc-sorting search `bfs_depth` replaced: both directions of every
+    /// listed pair as one sorted arc vector, `(label, distance)` sorted by
+    /// label.
+    fn bfs_depth_by_sorted_arcs(
+        tree: &[TreeRec],
+        edges: &[(u64, Vec<u64>)],
+        root: u64,
+        target: u64,
+    ) -> Option<u32> {
+        let mut arcs: Vec<(u64, u64)> = edges
+            .iter()
+            .flat_map(|(l, nbrs)| nbrs.iter().flat_map(move |&w| [(*l, w), (w, *l)]))
+            .collect();
+        arcs.sort_unstable();
+        let mut dist: Vec<(u64, u32)> = tree.iter().map(|r| (r.label, u32::MAX)).collect();
+        dist.sort_unstable();
+        let slot = |dist: &[(u64, u32)], l: u64| dist.binary_search_by_key(&l, |e| e.0).ok();
+        let r = slot(&dist, root)?;
+        dist[r].1 = 0;
+        let mut queue = vec![root];
+        let mut head = 0;
+        while let Some(&x) = queue.get(head) {
+            head += 1;
+            let dx = dist[slot(&dist, x)?].1;
+            let from = arcs.partition_point(|a| a.0 < x);
+            for &(_, w) in arcs[from..].iter().take_while(|a| a.0 == x) {
+                if let Some(i) = slot(&dist, w) {
+                    if dist[i].1 == u32::MAX {
+                        dist[i].1 = dx + 1;
+                        queue.push(w);
+                    }
+                }
+            }
+        }
+        slot(&dist, target)
+            .map(|i| dist[i].1)
+            .filter(|&d| d != u32::MAX)
+    }
+
+    /// A random cluster: `k` members with distinct labels, a random
+    /// spanning tree over the first `reach` of them and another over the
+    /// rest (unreachable from the first part), plus extra random edges
+    /// inside each part. Lists are symmetric, sorted and in random order.
+    fn random_cluster(
+        rng: &mut Rng,
+        k: usize,
+        reach: usize,
+    ) -> (Vec<TreeRec>, Vec<(u64, Vec<u64>)>) {
+        let mut labels: Vec<u64> = (1..=4 * k as u64).collect();
+        rng.shuffle(&mut labels);
+        labels.truncate(k);
+        let part = |i: usize| i < reach;
+        let mut adj: Vec<Vec<u64>> = vec![vec![]; k];
+        let link = |adj: &mut Vec<Vec<u64>>, i: usize, j: usize| {
+            if i != j && !adj[i].contains(&labels[j]) {
+                adj[i].push(labels[j]);
+                adj[j].push(labels[i]);
+            }
+        };
+        for i in 1..k {
+            let lo = if part(i) { 0 } else { reach };
+            if i > lo {
+                let j = lo + rng.gen_range(0..i - lo);
+                link(&mut adj, i, j);
+            }
+        }
+        for _ in 0..k {
+            let (i, j) = (rng.gen_range(0..k), rng.gen_range(0..k));
+            if part(i) == part(j) {
+                link(&mut adj, i, j);
+            }
+        }
+        let tree: Vec<TreeRec> = labels
+            .iter()
+            .map(|&label| TreeRec {
+                label,
+                c2: 0,
+                p2: None,
+                deg_h: 0,
+            })
+            .collect();
+        let mut edges: Vec<(u64, Vec<u64>)> = labels
+            .iter()
+            .zip(adj)
+            .map(|(&l, mut nbrs)| {
+                nbrs.sort_unstable();
+                (l, nbrs)
+            })
+            .collect();
+        rng.shuffle(&mut edges);
+        (tree, edges)
+    }
+
+    #[test]
+    fn bfs_depth_matches_the_sorted_arc_search() {
+        let mut rng = Rng::seed_from_u64(15);
+        let mut found = 0;
+        let mut none = 0;
+        for _ in 0..300 {
+            let k = 1 + rng.gen_range(0..30);
+            let reach = 1 + rng.gen_range(0..k);
+            let (tree, edges) = random_cluster(&mut rng, k, reach);
+            let root = tree[rng.gen_range(0..reach)].label;
+            // Every member, plus labels outside `tree`.
+            let targets = tree.iter().map(|r| r.label).chain([0, 4 * k as u64 + 1]);
+            for target in targets {
+                let want = bfs_depth_by_sorted_arcs(&tree, &edges, root, target);
+                assert_eq!(
+                    bfs_depth(&tree, &edges, root, target),
+                    want,
+                    "k={k} reach={reach} root={root} target={target}"
+                );
+                if want.is_some() {
+                    found += 1;
+                } else {
+                    none += 1;
+                }
+            }
+            // A root outside `tree` reaches nothing.
+            assert_eq!(bfs_depth(&tree, &edges, 0, tree[0].label), None);
+        }
+        assert!(
+            found > 1000 && none > 1000,
+            "both outcomes exercised: {found} / {none}"
+        );
     }
 }

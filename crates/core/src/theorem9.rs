@@ -28,19 +28,27 @@ use awake_sleeping::{
     Action, CheckpointError, Codec, Config, Persist, Reader, Round, SimError, Writer,
 };
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Per-node payload of the stage-2 gather: `(γ, problem input)`.
 type Payload<I> = (u64, I);
 
 /// The state a vertex broadcasts once decided: its members' outputs.
+///
+/// This is the virtual message of Lemma 11 on `H`, so it is cheap to clone
+/// (see [`VirtualProgram::Msg`](crate::virt::VirtualProgram::Msg)): both
+/// lists sit behind an `Arc`. A vertex builds its state once, when it
+/// decides, and every send, port, inbox and receiver's `states` entry
+/// shares it; nobody mutates it afterwards. It encodes exactly like the
+/// plain lists.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VertexState<O> {
     /// The sending vertex's color.
     pub color: u64,
-    /// `(ident, output)` for every member.
-    pub outputs: Vec<(u64, O)>,
-    /// Accumulated closure for problems that need it.
-    pub closure: Vec<(u64, O)>,
+    /// `(ident, output)` for every member, ascending by ident.
+    pub outputs: Arc<Vec<(u64, O)>>,
+    /// Accumulated closure for problems that need it (empty otherwise).
+    pub closure: Arc<Vec<(u64, O)>>,
 }
 
 /// The Π′ vertex program (Lemma 11 on `H`).
@@ -57,6 +65,9 @@ pub struct Lemma11Vertex<P: OLocalProblem> {
     states: BTreeMap<u64, VertexState<P::Output>>,
     decided: Option<BTreeMap<u64, P::Output>>,
     closure: BTreeMap<u64, P::Output>,
+    /// The state this vertex sends, built once from `decided` and
+    /// `closure` at decision time. Never persisted: `restore` rebuilds it.
+    state: Option<VertexState<P::Output>>,
 }
 
 impl<P: OLocalProblem> Lemma11Vertex<P> {
@@ -85,10 +96,16 @@ impl<P: OLocalProblem> Lemma11Vertex<P> {
             states: BTreeMap::new(),
             decided: None,
             closure: BTreeMap::new(),
+            state: None,
         }
     }
 
     /// Decide every member in `(δ, ident)` order (the paper's `µ_G`).
+    ///
+    /// One running closure map serves every member: it holds the received
+    /// closure (when the problem needs it), every out-neighbor output seen
+    /// so far and every member decided so far. That is a superset of each
+    /// member's descendant closure, which [`GreedyView`] permits.
     fn decide(&mut self) {
         let mut order: Vec<(u32, u64)> = self
             .input
@@ -97,17 +114,20 @@ impl<P: OLocalProblem> Lemma11Vertex<P> {
             .map(|m| (m.depth, m.ident))
             .collect();
         order.sort_unstable();
-        if self.problem.needs_full_closure() {
+        let full = self.problem.needs_full_closure();
+        let mut closure = std::mem::take(&mut self.closure);
+        if full {
             for st in self.states.values() {
                 for (i, o) in st.outputs.iter().chain(st.closure.iter()) {
-                    self.closure.insert(*i, o.clone());
+                    closure.insert(*i, o.clone());
                 }
             }
         }
         let mut decided: BTreeMap<u64, P::Output> = BTreeMap::new();
+        let mut out_neighbors: Vec<(u64, P::Output)> = Vec::new();
         for (depth, ident) in order {
             let m = &self.input.members[&ident];
-            let mut out_neighbors: Vec<(u64, P::Output)> = Vec::new();
+            out_neighbors.clear();
             // Intra-cluster out-neighbors: smaller (δ, ident).
             for &u in &m.intra {
                 let mu = &self.input.members[&u];
@@ -126,19 +146,12 @@ impl<P: OLocalProblem> Lemma11Vertex<P> {
                     });
                     let out = st
                         .outputs
-                        .iter()
-                        .find(|(i, _)| *i == nbr_ident)
-                        .map(|(_, o)| o.clone())
+                        .binary_search_by_key(&nbr_ident, |(i, _)| *i)
+                        .map(|k| st.outputs[k].1.clone())
                         .expect("neighbor cluster reports all members");
+                    closure.insert(nbr_ident, out.clone());
                     out_neighbors.push((nbr_ident, out));
                 }
-            }
-            let mut closure: BTreeMap<u64, P::Output> = self.closure.clone();
-            for (i, o) in &out_neighbors {
-                closure.insert(*i, o.clone());
-            }
-            for (i, o) in &decided {
-                closure.insert(*i, o.clone());
             }
             let gv = GreedyView {
                 ident,
@@ -148,32 +161,28 @@ impl<P: OLocalProblem> Lemma11Vertex<P> {
                 closure_outputs: &closure,
             };
             let out = self.problem.decide(&gv);
+            closure.insert(ident, out.clone());
             decided.insert(ident, out);
         }
-        if self.problem.needs_full_closure() {
-            for (i, o) in &decided {
-                self.closure.insert(*i, o.clone());
-            }
+        if full {
+            // The received closure plus every member's output.
+            self.closure = closure;
         }
         self.decided = Some(decided);
+        self.state = self.build_state();
     }
 
-    fn state(&self) -> VertexState<P::Output> {
-        VertexState {
+    /// The state to send, once decided.
+    fn build_state(&self) -> Option<VertexState<P::Output>> {
+        let decided = self.decided.as_ref()?;
+        let collect = |m: &BTreeMap<u64, P::Output>| {
+            Arc::new(m.iter().map(|(i, o)| (*i, o.clone())).collect())
+        };
+        Some(VertexState {
             color: self.color,
-            outputs: self
-                .decided
-                .as_ref()
-                .expect("decided before sending")
-                .iter()
-                .map(|(i, o)| (*i, o.clone()))
-                .collect(),
-            closure: if self.problem.needs_full_closure() {
-                self.closure.iter().map(|(i, o)| (*i, o.clone())).collect()
-            } else {
-                vec![]
-            },
-        }
+            outputs: collect(decided),
+            closure: collect(&self.closure),
+        })
     }
 }
 
@@ -184,7 +193,8 @@ impl<P: OLocalProblem> crate::virt::VirtualProgram for Lemma11Vertex<P> {
 
     fn send(&mut self, vround: Round, out: &mut Vec<VOutgoing<Self::Msg>>) {
         if vround > self.phi_vround {
-            out.push(VOutgoing::Broadcast(self.state()));
+            let state = self.state.as_ref().expect("decided before sending");
+            out.push(VOutgoing::Broadcast(state.clone()));
         }
     }
 
@@ -230,7 +240,9 @@ impl<O: Codec> Codec for VertexState<O> {
 
 /// Dynamic state: the wake cursor, the received neighbor-vertex states,
 /// the decision map, and the closure. The wake schedule and the decision
-/// round derive from `(γ, c)` and are rebuilt by the factory.
+/// round derive from `(γ, c)` and are rebuilt by the factory; the state
+/// to send derives from the decision map and the closure and is rebuilt
+/// here.
 impl<P: OLocalProblem> Persist for Lemma11Vertex<P>
 where
     P::Output: Codec,
@@ -246,6 +258,7 @@ where
         self.states = r.get()?;
         self.decided = r.get()?;
         self.closure = r.get()?;
+        self.state = self.build_state();
         Ok(())
     }
 }

@@ -23,16 +23,17 @@
 //! # Sharing
 //!
 //! Replicas share read-only data instead of copying it. The gathered
-//! [`VertexInput`] keeps its member records behind one `Arc`, and every
-//! virtual message is wrapped in an `Arc` once, when its replica sends it:
-//! each port, merge bag and collected entry that carries it afterwards
-//! holds the same allocation. Neither is ever mutated once shared. An
-//! `Arc<T>` encodes exactly like `T`, so snapshots do not see the sharing.
+//! [`VertexInput`] keeps its member records behind one `Arc`. Virtual
+//! messages travel inline: every port, merge bag and collected entry that
+//! carries one holds its own clone, so [`VirtualProgram::Msg`] must be
+//! cheap to clone — a program keeps a large payload behind an `Arc` inside
+//! its message type, and cloning the message then shares the payload.
+//! Nothing is mutated once shared. An `Arc<T>` encodes exactly like `T`,
+//! so snapshots do not see the sharing.
 
 use crate::gather::{gather_rounds, GatherCore, GatherMsg, GatherStep, MemberRec};
 use awake_sleeping::{
-    Action, CheckpointError, Codec, Envelope, Outbox, Outgoing, Persist, Program, Reader, Round,
-    View, Writer,
+    Action, CheckpointError, Codec, Envelope, Outbox, Persist, Program, Reader, Round, View, Writer,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -132,12 +133,15 @@ pub enum VOutgoing<M> {
 /// Implementations must be deterministic — every cluster member replays an
 /// identical replica.
 ///
-/// The [`VertexInput`] a replica is built from, and every message it
-/// sends, are shared by all replicas that see them and are never mutated:
-/// a program that wants to keep part of either keeps a copy or an `Arc`
-/// of its own.
+/// The [`VertexInput`] a replica is built from is shared by all replicas
+/// and never mutated: a program that wants to keep part of it keeps a copy
+/// or an `Arc` of its own.
 pub trait VirtualProgram: Sized {
-    /// Virtual message type.
+    /// Virtual message type. It must be cheap to clone: the simulator
+    /// clones a sent message once per port, merge bag and replica inbox
+    /// that carries it, so a message with a large payload keeps the
+    /// payload behind an `Arc` (as `L15Msg` and `L14Msg` do) and a clone
+    /// costs a reference-count increment.
     type Msg: Clone + std::fmt::Debug + Send + Sync + PartialEq;
     /// Vertex-level output.
     type Output: Clone + std::fmt::Debug + Send + Sync;
@@ -174,8 +178,8 @@ pub enum VirtMsg<P, M> {
         /// Payload.
         msg: M,
     },
-    /// Intra-cluster merge traffic (`Arc`-shared: per-recipient clones
-    /// are O(1)).
+    /// Intra-cluster merge traffic (the item list is `Arc`-shared:
+    /// per-recipient clones are O(1)).
     Bag {
         /// The cluster this bag belongs to.
         label: u64,
@@ -217,11 +221,11 @@ fn bc_send(db: u32, vround: Round, depth: u32) -> Round {
     bc_base(db, vround) + depth as Round
 }
 
-/// The physical message type [`VirtSim`] sends: virtual payloads shared.
-type Wire<VP> = VirtMsg<<VP as VirtualProgram>::Payload, Arc<<VP as VirtualProgram>::Msg>>;
+/// The physical message type [`VirtSim`] sends: virtual messages inline.
+type Wire<VP> = VirtMsg<<VP as VirtualProgram>::Payload, <VP as VirtualProgram>::Msg>;
 
-/// A collected exchange item: `(sending vertex, seq, shared payload)`.
-type Item<M> = (u64, u16, Arc<M>);
+/// A collected exchange item: `(sending vertex, seq, payload)`.
+type Item<M> = (u64, u16, M);
 
 struct RunState<VP: VirtualProgram> {
     vp: VP,
@@ -237,8 +241,8 @@ struct RunState<VP: VirtualProgram> {
     cur: Round,
     /// The vertex's next awake virtual round (set by `prime`).
     next: Round,
-    /// The vertex's outgoing messages for `vround`, each wrapped once.
-    outgoing: Vec<(u16, Option<u64>, Arc<VP::Msg>)>,
+    /// The vertex's outgoing messages for `vround`, numbered.
+    outgoing: Vec<(u16, Option<u64>, VP::Msg)>,
     /// Exchange items collected during the current phase, sorted by
     /// `(from, seq)` with one item per key (the first to arrive).
     collected: Vec<Item<VP::Msg>>,
@@ -316,8 +320,7 @@ where
 }
 
 /// Prepare the outgoing messages for the vertex's next awake round. Both
-/// the send scratch and the numbered `outgoing` buffer are pooled; each
-/// message is wrapped in its one `Arc` here.
+/// the send scratch and the numbered `outgoing` buffer are pooled.
 fn prime<VP: VirtualProgram>(run: &mut RunState<VP>, next: Round) {
     run.next = next;
     run.send_buf.clear();
@@ -325,8 +328,8 @@ fn prime<VP: VirtualProgram>(run: &mut RunState<VP>, next: Round) {
     run.outgoing.clear();
     run.outgoing
         .extend(run.send_buf.drain(..).enumerate().map(|(i, o)| match o {
-            VOutgoing::ToCluster(j, m) => (i as u16, Some(j), Arc::new(m)),
-            VOutgoing::Broadcast(m) => (i as u16, None, Arc::new(m)),
+            VOutgoing::ToCluster(j, m) => (i as u16, Some(j), m),
+            VOutgoing::Broadcast(m) => (i as u16, None, m),
         }));
     run.collected.clear();
 }
@@ -366,7 +369,7 @@ fn process<VP: VirtualProgram>(
     run.inbox_buf
         .extend(run.bc_copy.iter().map(|(from, _, msg)| VEnvelope {
             from: *from,
-            msg: VP::Msg::clone(msg),
+            msg: msg.clone(),
         }));
     let x = run.cur;
     match run.vp.receive(x, &run.inbox_buf) {
@@ -426,10 +429,7 @@ where
         let db = self.depth_bound;
         match &mut self.st {
             St::Inactive | St::Done => {}
-            St::Gather(core) => out.extend(core.send_at(view.round).into_iter().map(|o| match o {
-                Outgoing::To(p, m) => Outgoing::To(p, VirtMsg::Gather(m)),
-                Outgoing::Broadcast(m) => Outgoing::Broadcast(VirtMsg::Gather(m)),
-            })),
+            St::Gather(core) => core.send_at(view.round, out, VirtMsg::Gather),
             St::Run(run) => {
                 let round = view.round;
                 if !run.vp_done && round == t0(db, run.next) {
@@ -446,7 +446,7 @@ where
                                         from: run.label,
                                         to: *to,
                                         seq: *seq,
-                                        msg: Arc::clone(msg),
+                                        msg: msg.clone(),
                                     },
                                 );
                             }
@@ -479,17 +479,11 @@ where
         match &mut self.st {
             St::Inactive | St::Done => unreachable!("inactive nodes never wake"),
             St::Gather(core) => {
-                let ginbox: Vec<Envelope<GatherMsg<VP::Payload>>> = inbox
-                    .iter()
-                    .filter_map(|e| match &e.msg {
-                        VirtMsg::Gather(g) => Some(Envelope {
-                            from: e.from,
-                            msg: g.clone(),
-                        }),
-                        _ => None,
-                    })
-                    .collect();
-                match core.recv_at(round, &ginbox) {
+                let step = core.recv_at(round, inbox, |m| match m {
+                    VirtMsg::Gather(g) => Some(g),
+                    _ => None,
+                });
+                match step {
                     GatherStep::WakeAt(r) => Action::SleepUntil(r),
                     GatherStep::Done => {
                         let St::Gather(core) = std::mem::replace(&mut self.st, St::Done) else {
@@ -540,7 +534,7 @@ where
                     for e in inbox {
                         if let VirtMsg::Exchange { from, to, seq, msg } = &e.msg {
                             if *from != run.label && (to.is_none() || *to == Some(run.label)) {
-                                run.collected.push((*from, *seq, Arc::clone(msg)));
+                                run.collected.push((*from, *seq, msg.clone()));
                             }
                         }
                     }

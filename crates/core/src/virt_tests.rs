@@ -1,13 +1,20 @@
 //! Unit tests for the gather and Lemma 7 simulation machinery (kept in a
 //! separate module to keep the implementation files focused).
 
-use crate::clustering::{Assign, Clustering};
+use crate::clustering::{synthesize, Assign, Clustering};
 use crate::gather::{ClusterGather, ClusterView};
+use crate::lemma15::{Lemma15Config, Lemma15Vertex};
+use crate::params::Params;
+use crate::theorem9::Lemma11Vertex;
 use crate::virt::{VEnvelope, VOutgoing, VertexInput, VirtSim, VirtualProgram};
-use awake_graphs::{generators, Graph, GraphBuilder};
+use awake_graphs::{generators, Graph, GraphBuilder, NodeId};
+use awake_olocal::problems::MaximalIndependentSet;
 use awake_sleeping::{
-    Action, CheckpointError, Codec, Config, Engine, Persist, Reader, Round, RunSpec, Writer,
+    Action, CheckpointError, Codec, Config, Engine, Envelope, Outbox, Persist, Program, Reader,
+    Round, RunSpec, View, Writer,
 };
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Run a standalone gather over a clustering and return each node's view.
 fn run_gather(g: &Graph, cl: &Clustering) -> Vec<Option<ClusterView<u64>>> {
@@ -156,6 +163,16 @@ impl VirtualProgram for VFlood {
 
     fn output(&self) -> Option<u64> {
         Some(self.best)
+    }
+}
+
+impl Persist for VFlood {
+    fn save(&self, w: &mut Writer) {
+        self.best.encode(w);
+    }
+    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
+        self.best = r.get()?;
+        Ok(())
     }
 }
 
@@ -443,4 +460,264 @@ fn replicas_read_one_sorted_deduplicated_inbox() {
     for workers in [2, 4] {
         assert_eq!(run(Some(workers)), serial, "{workers} workers");
     }
+}
+
+/// Counts the inner program's awake virtual rounds (its `receive` calls)
+/// and reports the count with the output, so a run through [`VirtSim`]
+/// and a run on `H` can compare per-vertex virtual awake counts.
+struct Counted<VP> {
+    vp: VP,
+    awake: u64,
+}
+
+impl<VP: Persist> Persist for Counted<VP> {
+    fn save(&self, w: &mut Writer) {
+        self.vp.save(w);
+        self.awake.encode(w);
+    }
+    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
+        self.vp.restore(r)?;
+        self.awake = r.get()?;
+        Ok(())
+    }
+}
+
+impl<VP: VirtualProgram> VirtualProgram for Counted<VP> {
+    type Msg = VP::Msg;
+    type Output = (VP::Output, u64);
+    type Payload = VP::Payload;
+
+    fn send(&mut self, vround: Round, out: &mut Vec<VOutgoing<VP::Msg>>) {
+        self.vp.send(vround, out);
+    }
+
+    fn receive(&mut self, vround: Round, inbox: &[VEnvelope<VP::Msg>]) -> Action {
+        self.awake += 1;
+        self.vp.receive(vround, inbox)
+    }
+
+    fn output(&self) -> Option<Self::Output> {
+        self.vp.output().map(|o| (o, self.awake))
+    }
+}
+
+/// The differential oracle's direct run: a [`VirtualProgram`] as a plain
+/// [`Program`] on the explicit virtual graph `H`, one virtual round per
+/// engine round. Messages carry their index in the sender's send list, and
+/// each inbox is handed over sorted by `(sender label, index)` — the order
+/// the simulator promises.
+struct OnH<VP: VirtualProgram> {
+    vp: VP,
+    /// The label behind each port (`H`'s identifiers are the labels).
+    port_label: BTreeMap<NodeId, u64>,
+    send_buf: Vec<VOutgoing<VP::Msg>>,
+    out: Option<VP::Output>,
+}
+
+impl<VP: VirtualProgram> Program for OnH<VP> {
+    type Msg = (u16, VP::Msg);
+    type Output = VP::Output;
+
+    fn initial_wake(&self) -> Option<Round> {
+        Some(1)
+    }
+
+    fn send(&mut self, view: &View<'_>, out: &mut Outbox<Self::Msg>) {
+        self.send_buf.clear();
+        self.vp.send(view.round, &mut self.send_buf);
+        for (seq, o) in self.send_buf.drain(..).enumerate() {
+            match o {
+                VOutgoing::Broadcast(m) => out.broadcast((seq as u16, m)),
+                VOutgoing::ToCluster(j, m) => {
+                    let port = self
+                        .port_label
+                        .iter()
+                        .find(|&(_, &l)| l == j)
+                        .map(|(&p, _)| p)
+                        .expect("addressed vertex is adjacent in H");
+                    out.to(port, (seq as u16, m));
+                }
+            }
+        }
+    }
+
+    fn receive(&mut self, view: &View<'_>, inbox: &[Envelope<Self::Msg>]) -> Action {
+        let mut items: Vec<(u64, u16, VP::Msg)> = inbox
+            .iter()
+            .map(|e| (self.port_label[&e.from], e.msg.0, e.msg.1.clone()))
+            .collect();
+        items.sort_by_key(|it| (it.0, it.1));
+        let inbox: Vec<VEnvelope<VP::Msg>> = items
+            .into_iter()
+            .map(|(from, _, msg)| VEnvelope { from, msg })
+            .collect();
+        let action = self.vp.receive(view.round, &inbox);
+        if action == Action::Halt {
+            self.out = self.vp.output();
+        }
+        action
+    }
+
+    fn output(&self) -> Option<VP::Output> {
+        self.out.clone()
+    }
+}
+
+/// Run `factory`'s program through [`VirtSim`] on `g` over the
+/// uniquely-labeled clustering `cl` (payloads `payload(v)`), serially and at
+/// 2 and 4 workers, and directly on `H`; assert every vertex's output and
+/// virtual awake count agree. Returns the outputs on `H`.
+fn assert_virtsim_matches_h<VP, F>(
+    g: &Graph,
+    cl: &Clustering,
+    payload: impl Fn(NodeId) -> VP::Payload,
+    factory: F,
+) -> Vec<VP::Output>
+where
+    VP: VirtualProgram + Persist + Send,
+    VP::Msg: Codec,
+    VP::Output: Codec + PartialEq,
+    VP::Payload: Codec + PartialEq,
+    F: Fn(&VertexInput<VP::Payload>) -> VP + Copy + Send + Sync,
+{
+    let db = g.n() as u32;
+    let counted = move |vi: &VertexInput<VP::Payload>| Counted {
+        vp: factory(vi),
+        awake: 0,
+    };
+
+    // Each vertex's input, from a standalone gather on G.
+    let gather: Vec<ClusterGather<VP::Payload>> = g
+        .nodes()
+        .map(|v| {
+            let a = cl.assign[v.index()].unwrap();
+            ClusterGather::participant(a.label, a.depth, g.ident(v), payload(v), db)
+        })
+        .collect();
+    let views = Engine::new(g, Config::default())
+        .run(gather)
+        .unwrap()
+        .outputs;
+    let mut inputs: BTreeMap<u64, VertexInput<VP::Payload>> = BTreeMap::new();
+    for view in views.into_iter().map(Option::unwrap) {
+        let vi = VertexInput {
+            label: view.label,
+            members: Arc::new(view.members),
+        };
+        let first = inputs.entry(vi.label).or_insert_with(|| vi.clone());
+        assert_eq!(first, &vi, "members of one cluster gather one view");
+    }
+
+    // Directly on H.
+    let q = cl.virtual_graph(g);
+    let direct: Vec<OnH<Counted<VP>>> = q
+        .graph
+        .nodes()
+        .map(|x| OnH {
+            vp: counted(&inputs[&q.labels[x.index()]]),
+            port_label: q
+                .graph
+                .neighbors(x)
+                .iter()
+                .map(|&y| (y, q.labels[y.index()]))
+                .collect(),
+            send_buf: vec![],
+            out: None,
+        })
+        .collect();
+    let on_h = Engine::new(&q.graph, Config::default())
+        .run(direct)
+        .unwrap();
+    for x in q.graph.nodes() {
+        assert_eq!(
+            on_h.outputs[x.index()].1,
+            on_h.metrics.awake[x.index()],
+            "the counter sees every awake round on H"
+        );
+    }
+
+    // Through the simulator on G.
+    for workers in [None, Some(1), Some(2), Some(4), Some(8)] {
+        let programs: Vec<VirtSim<Counted<VP>, _>> = g
+            .nodes()
+            .map(|v| {
+                let a = cl.assign[v.index()].unwrap();
+                VirtSim::participant(a.label, a.depth, g.ident(v), payload(v), db, counted)
+            })
+            .collect();
+        let sim = Engine::new(g, Config::default())
+            .run_spec(programs, &RunSpec::on(workers))
+            .unwrap()
+            .finished();
+        for v in g.nodes() {
+            let x = q.vertex_of[v.index()].unwrap();
+            let (out, awake) = sim.outputs[v.index()].as_ref().unwrap();
+            let (want, want_awake) = &on_h.outputs[x.index()];
+            assert!(
+                out == want,
+                "{workers:?} workers: node {v:?} (vertex {}) output differs from H's",
+                q.labels[x.index()]
+            );
+            assert_eq!(
+                awake,
+                want_awake,
+                "{workers:?} workers: node {v:?} (vertex {}) virtual awake count",
+                q.labels[x.index()]
+            );
+        }
+    }
+    on_h.outputs.into_iter().map(|(o, _)| o).collect()
+}
+
+#[test]
+fn virtsim_matches_direct_execution_on_h() {
+    let (mut in_u, mut deep) = (false, false);
+    for (n, p, clusters, seed) in [(40, 0.12, 7, 1), (48, 0.08, 9, 2), (36, 0.2, 5, 3)] {
+        let g = generators::gnp(n, p, seed);
+        let colored = synthesize(&g, clusters, seed + 10);
+        colored.validate_colored(&g).unwrap();
+        let cl = colored.root_ident_overlay(&g);
+        cl.validate_uniquely_labeled(&g).unwrap();
+        let q = cl.virtual_graph(&g);
+        assert!(
+            q.graph.n() < g.n() && q.graph.m() > 0,
+            "multi-member clusters and an edge in H"
+        );
+
+        assert_virtsim_matches_h(
+            &g,
+            &cl,
+            |_| (),
+            |vi: &VertexInput<()>| VFlood {
+                label: vi.label,
+                best: vi.label,
+                t: 4,
+            },
+        );
+
+        let c = colored.max_label();
+        let color = |v: NodeId| (colored.assign[v.index()].unwrap().label, ());
+        assert_virtsim_matches_h(&g, &cl, color, move |vi: &VertexInput<(u64, ())>| {
+            Lemma11Vertex::new(MaximalIndependentSet, vi, c)
+        });
+
+        let params = Params::for_graph(&g);
+        let cfg = Lemma15Config {
+            b: 3,
+            label_bound: params.label_bound(1),
+            ab2: params.ab2,
+        };
+        let l15 = assert_virtsim_matches_h(
+            &g,
+            &cl,
+            |_| (),
+            move |vi: &VertexInput<()>| Lemma15Vertex::new(cfg, vi),
+        );
+        in_u |= l15.iter().any(|o| o.in_u);
+        deep |= l15.iter().any(|o| o.delta > 1);
+    }
+    assert!(
+        in_u && deep,
+        "Lemma 15 forms both U vertices and clusters deeper than one hop"
+    );
 }

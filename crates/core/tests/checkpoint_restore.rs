@@ -9,15 +9,21 @@
 //! in `awake-sleeping` exercise synthetic programs; here the persisted
 //! state is the shipped solvers'.
 
+use awake_core::clustering::{synthesize, Clustering};
+use awake_core::gather::ClusterGather;
+use awake_core::lemma15::{Lemma15Config, Lemma15Vertex};
 use awake_core::linegraph::greedy_hosts;
+use awake_core::params::Params;
+use awake_core::theorem9::Lemma11Vertex;
 use awake_core::trivial::TrivialGreedy;
+use awake_core::virt::{VertexInput, VirtSim};
 use awake_graphs::{generators, Graph};
 use awake_olocal::edge::{EdgeIndex, MaximalMatching};
 use awake_olocal::problems::{DeltaPlusOneColoring, MaximalIndependentSet};
 use awake_olocal::EdgeProblem;
 use awake_sleeping::{
-    Checkpoint, Codec, Config, Engine, FaultPlan, Paused, Persist, Program, Run, RunSpec, Snapshot,
-    TraceMode,
+    Checkpoint, Codec, Config, Engine, FaultPlan, Paused, Persist, Program, Round, Run, RunSpec,
+    Snapshot, TraceEvent, TraceMode,
 };
 
 /// Workers exercised on every resume (the acceptance matrix).
@@ -53,11 +59,53 @@ where
     P::Output: Codec + PartialEq + std::fmt::Debug,
     F: Fn() -> Vec<P>,
 {
+    check_pauses(g, make, plan, |full| (1..=full.metrics.rounds).collect());
+}
+
+/// [`check_every_round`] for runs whose schedule spans far more rounds
+/// than it executes (the Lemma 7 simulator's phases are `2D + 6` rounds
+/// long, mostly asleep): pause after every round in which some node was
+/// awake.
+fn check_every_executed_round<P, F>(g: &Graph, make: F)
+where
+    P: Program + Persist + Send,
+    P::Msg: Codec,
+    P::Output: Codec + PartialEq + std::fmt::Debug,
+    F: Fn() -> Vec<P>,
+{
+    check_pauses(g, make, None, |full| {
+        assert_eq!(full.trace_dropped, 0, "the trace lists every awake round");
+        let mut rounds: Vec<Round> = full
+            .trace
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Awake { round, .. } => Some(*round),
+                _ => None,
+            })
+            .collect();
+        rounds.dedup();
+        rounds
+    });
+}
+
+/// Pause after each of the rounds `pauses` picks from the uninterrupted
+/// run, and check every resume (see [`check_every_round`]).
+fn check_pauses<P, F>(
+    g: &Graph,
+    make: F,
+    plan: Option<FaultPlan>,
+    pauses: impl Fn(&Run<P::Output>) -> Vec<Round>,
+) where
+    P: Program + Persist + Send,
+    P::Msg: Codec,
+    P::Output: Codec + PartialEq + std::fmt::Debug,
+    F: Fn() -> Vec<P>,
+{
     let engine = Engine::new(g, traced());
     let serial = RunSpec::default().with_faults(plan);
     let full = engine.run_spec(make(), &serial).unwrap().finished();
     let mut paused_at_least_once = false;
-    for r in 1..=full.metrics.rounds {
+    for r in pauses(&full) {
         let snap = match engine.run_spec(make(), &serial.pause_after(r)).unwrap() {
             Paused::Snapshot(s) => s,
             // pausing after the final scheduled round completes instead
@@ -147,6 +195,74 @@ fn edge_problem_snapshot_restore_is_bit_for_bit_at_every_round() {
         || greedy_hosts(&g, &idx, &MaximalMatching, &inputs),
         None,
     );
+}
+
+/// A small graph with multi-member clusters for the Lemma 7 programs: the
+/// colored clustering `synthesize` builds, and its uniquely-labeled
+/// overlay (the labels `VirtSim` runs on).
+fn clustered() -> (Graph, Clustering, Clustering) {
+    let g = generators::gnp(14, 0.25, 3);
+    let colored = synthesize(&g, 4, 5);
+    let overlay = colored.root_ident_overlay(&g);
+    overlay.validate_uniquely_labeled(&g).unwrap();
+    assert!(
+        overlay.members_by_label().values().any(|m| m.len() > 2),
+        "a cluster with a member below depth 1"
+    );
+    (g, colored, overlay)
+}
+
+#[test]
+fn virtualized_lemma15_snapshot_restore_is_bit_for_bit_at_every_round() {
+    let (g, _, cl) = clustered();
+    let params = Params::for_graph(&g);
+    let cfg = Lemma15Config {
+        b: 2,
+        label_bound: params.label_bound(1),
+        ab2: params.ab2,
+    };
+    let factory = move |vi: &VertexInput<()>| Lemma15Vertex::new(cfg, vi);
+    let make = || -> Vec<_> {
+        g.nodes()
+            .map(|v| {
+                let a = cl.assign[v.index()].unwrap();
+                VirtSim::participant(a.label, a.depth, g.ident(v), (), 3, factory)
+            })
+            .collect()
+    };
+    check_every_executed_round(&g, make);
+}
+
+#[test]
+fn virtualized_lemma11_snapshot_restore_is_bit_for_bit_at_every_round() {
+    // As Theorem 9 runs it: the root-overlay gather first, then Lemma 11
+    // on H with the colors as payload.
+    let (g, colored, cl) = clustered();
+    let gather: Vec<ClusterGather<()>> = g
+        .nodes()
+        .map(|v| {
+            let a = colored.assign[v.index()].unwrap();
+            ClusterGather::participant(a.label, a.depth, g.ident(v), (), 3)
+        })
+        .collect();
+    let views = Engine::new(&g, Config::default()).run(gather).unwrap();
+    for v in g.nodes() {
+        let root = views.outputs[v.index()].as_ref().unwrap().root_ident();
+        assert_eq!(root, cl.assign[v.index()].unwrap().label);
+    }
+    let c = colored.max_label();
+    let factory =
+        move |vi: &VertexInput<(u64, ())>| Lemma11Vertex::new(MaximalIndependentSet, vi, c);
+    let make = || -> Vec<_> {
+        g.nodes()
+            .map(|v| {
+                let a = cl.assign[v.index()].unwrap();
+                let color = colored.assign[v.index()].unwrap().label;
+                VirtSim::participant(a.label, a.depth, g.ident(v), (color, ()), 3, factory)
+            })
+            .collect()
+    };
+    check_every_executed_round(&g, make);
 }
 
 #[test]
