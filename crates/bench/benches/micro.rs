@@ -602,6 +602,9 @@ fn main() {
             row.stats.allocations_per_node_round()
         );
     }
+    if let Some(r) = sc.w1_vs_serial() {
+        println!("  1 worker vs serial: {r:.2}x");
+    }
     if let Some(r) = sc.w4_vs_serial() {
         println!("  4-worker pipeline vs serial: {r:.2}x\n");
     }

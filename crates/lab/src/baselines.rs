@@ -25,8 +25,11 @@
 //! `threaded_scaling.w4_vs_serial` ratio to the absolute
 //! [`Tolerances::w4_floor`] (default 1.5×); on a 1–3-core runner every
 //! parallel-speedup row is demoted to an informational row whose label
-//! names the detected core count. The `phase_times` per-stage timings are
-//! always informational.
+//! names the detected core count. Portable mode also holds
+//! `threaded_scaling.w1_vs_serial` to [`Tolerances::w1_floor`] (default
+//! 0.9×) on any runner: one worker runs the serial engine's driver, so no
+//! core count excuses it. The `phase_times` per-stage timings are always
+//! informational.
 
 use crate::json::Value;
 use std::fmt::Write as _;
@@ -58,6 +61,10 @@ pub struct Tolerances {
     /// baseline recorded — a relative gate alone would let the speedup
     /// decay 15% per PR forever.
     pub w4_floor: f64,
+    /// Absolute floor on `threaded_scaling.w1_vs_serial` in portable mode,
+    /// on any runner: a one-worker run is the serial engine's driver with
+    /// every round in place, so it must keep (nearly) the serial speed.
+    pub w1_floor: f64,
 }
 
 impl Default for Tolerances {
@@ -66,6 +73,7 @@ impl Default for Tolerances {
             throughput_drop: 0.15,
             alloc_epsilon: 0.002,
             w4_floor: 1.5,
+            w1_floor: 0.9,
         }
     }
 }
@@ -82,7 +90,8 @@ pub enum Rule {
     CostRatio,
     /// Higher is better; gate on an absolute minimum rather than the
     /// baseline — the row's `baseline` column shows the floor itself
-    /// ([`Tolerances::w4_floor`]), not a measured value.
+    /// ([`Tolerances::w4_floor`] or [`Tolerances::w1_floor`]), not a
+    /// measured value.
     Floor,
     /// Shown for context, never gates.
     Info,
@@ -213,18 +222,14 @@ pub fn diff_bench(
     // pipeline must actually be *faster* than serial, not merely no worse
     // than a baseline that may itself have decayed.
     if mode == GateMode::Portable {
-        let cur = current
-            .path(&["threaded_scaling", "w4_vs_serial"])
-            .and_then(Value::as_f64)
-            .ok_or("current report is missing numeric metric `threaded_scaling.w4_vs_serial`")?;
-        rows.push(demote_few_cores(MetricDiff {
-            metric: "threaded_scaling.w4_vs_serial_floor".into(),
-            baseline: tol.w4_floor,
-            current: cur,
-            change_pct: (cur - tol.w4_floor) / tol.w4_floor * 100.0,
-            rule: Rule::Floor,
-            ok: cur >= tol.w4_floor,
-        }));
+        rows.push(demote_few_cores(floor_row(
+            current,
+            "w4_vs_serial",
+            tol.w4_floor,
+        )?));
+        // One worker runs every round in place through the serial
+        // engine's driver: no core count excuses it falling behind.
+        rows.push(floor_row(current, "w1_vs_serial", tol.w1_floor)?);
     }
     rows.push(row(
         baseline,
@@ -378,6 +383,25 @@ fn energy_points(doc: &Value, which: &str) -> Result<Vec<(String, f64)>, String>
         out.push((format!("energy.{algo}.n{}", n as u64), wall / events));
     }
     Ok(out)
+}
+
+/// A portable-mode floor row: `threaded_scaling.<ratio>` of the current
+/// report against the absolute minimum `floor`.
+fn floor_row(current: &Value, ratio: &str, floor: f64) -> Result<MetricDiff, String> {
+    let cur = current
+        .path(&["threaded_scaling", ratio])
+        .and_then(Value::as_f64)
+        .ok_or_else(|| {
+            format!("current report is missing numeric metric `threaded_scaling.{ratio}`")
+        })?;
+    Ok(MetricDiff {
+        metric: format!("threaded_scaling.{ratio}_floor"),
+        baseline: floor,
+        current: cur,
+        change_pct: (cur - floor) / floor * 100.0,
+        rule: Rule::Floor,
+        ok: cur >= floor,
+    })
 }
 
 /// Like [`row`], but a metric absent from the **baseline** document is
@@ -584,7 +608,7 @@ mod tests {
             degree: 8,
             rounds: 30,
             serial: mk(base_ns),
-            rows: [(1, 1.3), (2, 0.8), (4, w4_factor), (8, 0.6)]
+            rows: [(1, 1.05), (2, 0.8), (4, w4_factor), (8, 0.6)]
                 .into_iter()
                 .map(|(workers, f)| ScalingRow {
                     workers,
@@ -599,13 +623,17 @@ mod tests {
     }
 
     fn report_with_cores(engine_ns: f64, allocs: u64, w4_factor: f64, cores: usize) -> Value {
+        json::parse(&bench_report(engine_ns, allocs, w4_factor, cores).to_json()).unwrap()
+    }
+
+    fn bench_report(engine_ns: f64, allocs: u64, w4_factor: f64, cores: usize) -> BenchReport {
         let mk = |wall_ns: f64, allocations: u64| PerfStats {
             node_rounds: 1_000_000,
             messages: 8_000_000,
             allocations,
             wall_ns,
         };
-        let b = BenchReport {
+        BenchReport {
             bench: "engine/flood".into(),
             n: 8192,
             degree: 8,
@@ -617,8 +645,7 @@ mod tests {
             threaded_scaling: scaling(engine_ns, allocs, w4_factor),
             phase_times: phase_times(),
             edge_problems: edge_problems(engine_ns, allocs),
-        };
-        json::parse(&b.to_json()).unwrap()
+        }
     }
 
     fn edge_problems(base_ns: f64, allocs: u64) -> EdgeProblemsBench {
@@ -911,6 +938,44 @@ mod tests {
         // …and absolute mode (same-machine diffs) has no floor row at all.
         let rows = diff_bench(&base, &cur, &Tolerances::default(), GateMode::Absolute).unwrap();
         assert!(!rows.iter().any(|r| r.metric.contains("w4_vs_serial_floor")));
+    }
+
+    #[test]
+    fn portable_mode_enforces_w1_floor_on_every_runner() {
+        // One worker at 1.3x the serial wall time (w1_vs_serial ≈ 0.77):
+        // baseline and current agree, so only the absolute 0.9 floor can
+        // catch it — on every core count, since one worker is the serial
+        // engine's driver and needs no cores to keep its speed.
+        let slow_w1 = |cores| {
+            let mut b = bench_report(6.0e7, 13_000, 0.55, cores);
+            b.threaded_scaling.rows[0].stats.wall_ns = 6.0e7 * 1.3;
+            json::parse(&b.to_json()).unwrap()
+        };
+        for cores in [1usize, 2, 4, 0] {
+            let (base, cur) = (slow_w1(4), slow_w1(cores));
+            let rows = diff_bench(&base, &cur, &Tolerances::default(), GateMode::Portable).unwrap();
+            let failed = failures(&rows);
+            assert_eq!(failed.len(), 1, "{cores} cores\n{}", render_table(&rows));
+            assert_eq!(failed[0].metric, "threaded_scaling.w1_vs_serial_floor");
+            assert_eq!(failed[0].rule, Rule::Floor);
+            assert_eq!(failed[0].baseline, 0.9);
+        }
+        // A one-worker run at serial speed passes the floor…
+        let good = report_with_scaling(6.0e7, 13_000, 0.55);
+        let rows = diff_bench(&good, &good, &Tolerances::default(), GateMode::Portable).unwrap();
+        assert!(failures(&rows).is_empty(), "{}", render_table(&rows));
+        assert!(rows
+            .iter()
+            .any(|r| r.metric == "threaded_scaling.w1_vs_serial_floor" && r.ok));
+        // …and absolute mode (same-machine diffs) has no floor row at all.
+        let rows = diff_bench(
+            &good,
+            &slow_w1(4),
+            &Tolerances::default(),
+            GateMode::Absolute,
+        )
+        .unwrap();
+        assert!(!rows.iter().any(|r| r.metric.contains("w1_vs_serial_floor")));
     }
 
     #[test]

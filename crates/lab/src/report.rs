@@ -383,10 +383,11 @@ pub struct ScalingRow {
 /// The `threaded_scaling` section of `BENCH_engine.json`: one dense
 /// workload at delivery-pipeline scale, run on the serial engine and on
 /// the worker-pool executor at several worker counts. The
-/// [`w4_vs_serial`](Self::w4_vs_serial) ratio is measured within one
-/// process on one machine, so it is portable across hardware — the CI
-/// gate tracks it to catch delivery-pipeline regressions that the serial
-/// rows are blind to.
+/// [`w4_vs_serial`](Self::w4_vs_serial) and
+/// [`w1_vs_serial`](Self::w1_vs_serial) ratios are measured within one
+/// process on one machine, so they are portable across hardware — the CI
+/// gate tracks them to catch delivery-pipeline regressions that the serial
+/// rows are blind to, and to hold one worker to the serial engine's speed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThreadedScaling {
     /// Nodes.
@@ -405,9 +406,20 @@ impl ThreadedScaling {
     /// 4-worker throughput over serial — the portable pipeline-health
     /// ratio. `None` if no 4-worker row was measured.
     pub fn w4_vs_serial(&self) -> Option<f64> {
+        self.vs_serial(4)
+    }
+
+    /// 1-worker throughput over serial: one worker runs every round in
+    /// place through the same driver as the serial engine, so this ratio
+    /// should sit at 1. `None` if no 1-worker row was measured.
+    pub fn w1_vs_serial(&self) -> Option<f64> {
+        self.vs_serial(1)
+    }
+
+    fn vs_serial(&self, workers: usize) -> Option<f64> {
         self.rows
             .iter()
-            .find(|r| r.workers == 4)
+            .find(|r| r.workers == workers)
             .map(|r| r.stats.node_rounds_per_sec() / self.serial.node_rounds_per_sec())
     }
 
@@ -429,6 +441,9 @@ impl ThreadedScaling {
         }
         if let Some(r) = self.w4_vs_serial() {
             let _ = write!(out, ",\n    \"w4_vs_serial\": {r:.3}");
+        }
+        if let Some(r) = self.w1_vs_serial() {
+            let _ = write!(out, ",\n    \"w1_vs_serial\": {r:.3}");
         }
         out.push_str("\n  }");
         out
@@ -788,6 +803,7 @@ mod tests {
             ],
         };
         assert!((scaling.w4_vs_serial().unwrap() - 2.0).abs() < 1e-9);
+        assert!((scaling.w1_vs_serial().unwrap() - 1.0).abs() < 1e-9);
         let b = BenchReport {
             bench: "engine/flood".into(),
             n: 8,
@@ -826,6 +842,7 @@ mod tests {
             "\"w1\"",
             "\"w4\"",
             "\"w4_vs_serial\": 2.000",
+            "\"w1_vs_serial\": 1.000",
             "\"cores\": 4",
             "\"phase_times\"",
             "\"dispatched_rounds\": 4",

@@ -16,7 +16,7 @@
 //!
 //! Two views of the same idea live here:
 //!
-//! * [`InboxArena`] — the serial engine's node-indexed segment pool over
+//! * [`InboxArena`] — the in-place round body's node-indexed segment pool over
 //!   all `n` recipients.
 //! * [`ChunkInboxes`] — a *per-worker* segment view indexed by position
 //!   within one chunk of the awake set. Each worker of the threaded
@@ -29,7 +29,7 @@
 use crate::program::Envelope;
 use awake_graphs::NodeId;
 
-/// Round-scratch inbox storage for the serial executor.
+/// Round-scratch inbox storage for the in-place round body.
 #[derive(Debug)]
 pub(crate) struct InboxArena<M> {
     /// Per-recipient segments; only awake nodes' segments are touched.
@@ -68,8 +68,8 @@ impl<M> InboxArena<M> {
     /// Restore node `v`'s sorted-by-sender invariant after an
     /// out-of-order delivery (a fault-delayed message arriving after the
     /// regular ascending-sender transmission pass). Stable, so envelopes
-    /// from the same sender keep their staging order — the serial and
-    /// threaded executors stage in the same order and therefore end with
+    /// from the same sender keep their staging order — both round bodies
+    /// stage in the same order and therefore end with
     /// identical inboxes.
     #[inline]
     pub(crate) fn resort_inbox(&mut self, v: u32) {
@@ -79,8 +79,8 @@ impl<M> InboxArena<M> {
     /// Clear node `v`'s inbox (capacity retained).
     ///
     /// Segments are *self-clearing*: rather than a separate
-    /// cold-cache pass over the awake set at round start, the serial
-    /// executor clears each inbox right after its `receive` (while the
+    /// cold-cache pass over the awake set at round start, the in-place
+    /// round body clears each inbox right after its `receive` (while the
     /// segment header is hot) — so every round starts with all segments
     /// empty by construction.
     #[inline]

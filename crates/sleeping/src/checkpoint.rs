@@ -1,6 +1,6 @@
 //! Versioned, std-only binary snapshots of engine state.
 //!
-//! A [`Snapshot`] captures everything the executors need to continue a run
+//! A [`Snapshot`] captures everything the driver needs to continue a run
 //! exactly where it stopped: the current round, every node's next wake
 //! round, the stay lane, the pending wake-wheel events, per-node program
 //! state (through the [`Persist`] trait), the outputs produced so far,
@@ -10,10 +10,9 @@
 //! The load-bearing invariant, asserted by the integration tests at every
 //! round of seeded runs: *run to round r, snapshot, restore, run to the
 //! end* is **bit-for-bit identical** to an uninterrupted run — outputs,
-//! `Metrics`, and trace — on the serial engine and the threaded executor
-//! at any worker count. Snapshots are taken at round boundaries, where the
-//! two executors' observable states coincide, so a snapshot written by one
-//! executor can be resumed by the other.
+//! `Metrics`, and trace — at any worker count. Snapshots are taken at
+//! round boundaries, where no round body holds any state of its own, so a
+//! snapshot written at one worker count can be resumed at another.
 //!
 //! # Format
 //!
@@ -477,7 +476,7 @@ pub trait Persist {
 }
 
 /// The save/restore entry points of a concrete `P: Persist`, captured as
-/// plain function pointers so the executor cores — which deliberately have
+/// plain function pointers so the round bodies — which deliberately have
 /// no `Persist` bound — can crash-restart nodes. Built by the bounded
 /// public wrappers via [`CrashIo::of`].
 pub(crate) struct CrashIo<P> {
@@ -576,45 +575,13 @@ impl<O> Paused<O> {
     }
 }
 
-/// How a snapshot encoder reads the per-node programs: the serial engine
-/// holds them flat, the threaded executor parks them in option slots
-/// (all occupied between rounds).
-pub(crate) enum ProgramsRef<'a, P> {
-    Flat(&'a [P]),
-    Slots(&'a [Option<P>]),
-}
-
-impl<'a, P> ProgramsRef<'a, P> {
-    fn get(&self, v: usize) -> &'a P {
-        match self {
-            ProgramsRef::Flat(s) => &s[v],
-            ProgramsRef::Slots(s) => s[v].as_ref().expect("program parked between rounds"),
-        }
-    }
-}
-
-/// A borrowed view of everything a snapshot captures, assembled by an
-/// executor at a round boundary.
-pub(crate) struct EngineStateRef<'a, P: Program> {
-    pub(crate) prev_round: Round,
-    pub(crate) next_wake: &'a [Round],
-    pub(crate) stay: &'a [u32],
-    /// Pending wheel events, sorted by `(round, node)`.
-    pub(crate) wheel_events: Vec<(Round, u32)>,
-    pub(crate) outputs: &'a [Option<P::Output>],
-    pub(crate) programs: ProgramsRef<'a, P>,
-    pub(crate) metrics: &'a Metrics,
-    pub(crate) tracer: &'a Tracer,
-    pub(crate) faults: Option<&'a FaultState<P::Msg>>,
-}
-
 /// The snapshot encoder of a concrete `P`, as a function pointer: the
-/// executor cores carry no [`Codec`] bounds, only
+/// driver carries no [`Codec`] bounds, only
 /// [`Engine::run_spec`](crate::Engine::run_spec) does, where
 /// `encode_snapshot::<P>` is instantiated.
-pub(crate) type Encode<P> = for<'b> fn(&Graph, Config, EngineStateRef<'b, P>) -> Snapshot;
+pub(crate) type Encode<P> = fn(&Graph, &Boundary<P>, &[Option<P>]) -> Snapshot;
 
-/// The one checkpoint controller both executors consult at every round
+/// The one checkpoint controller the driver consults at every round
 /// boundary: whether to pause before the next round, and whether a
 /// periodic snapshot is due after the last one.
 pub(crate) struct Controller<'a, P: Program> {
@@ -844,13 +811,13 @@ impl<M: Codec> Codec for DelayedMsg<M> {
     }
 }
 
-/// Serialize a paused run. Both executors call this with identical logical
-/// state at a round boundary, so serial and threaded snapshots of the same
-/// run at the same round are byte-identical (asserted in tests).
+/// Serialize the run paused at boundary `st`, with every program in its
+/// slot. The boundary is the same at any worker count, so snapshots of
+/// the same run at the same round are byte-identical (asserted in tests).
 pub(crate) fn encode_snapshot<P>(
     graph: &Graph,
-    config: Config,
-    st: EngineStateRef<'_, P>,
+    st: &Boundary<P>,
+    programs: &[Option<P>],
 ) -> Snapshot
 where
     P: Program + Persist,
@@ -858,6 +825,7 @@ where
     P::Output: Codec,
 {
     let n = graph.n();
+    let config = st.config;
     let mut w = Writer::new();
     w.bytes(&SNAPSHOT_MAGIC);
     SNAPSHOT_VERSION.encode(&mut w);
@@ -866,18 +834,20 @@ where
     config.max_rounds.encode(&mut w);
     encode_trace_mode(config.trace, &mut w);
     n.encode(&mut w);
-    st.next_wake.to_vec().encode(&mut w);
-    st.stay.to_vec().encode(&mut w);
-    st.wheel_events.encode(&mut w);
+    st.next_wake.encode(&mut w);
+    st.stay.encode(&mut w);
+    st.wheel.pending_events().encode(&mut w);
     st.outputs.len().encode(&mut w);
-    for o in st.outputs {
+    for o in &st.outputs {
         o.encode(&mut w);
     }
-    for v in 0..n {
-        st.programs.get(v).save(&mut w);
+    for p in programs {
+        p.as_ref()
+            .expect("program parked between rounds")
+            .save(&mut w);
     }
     // metrics
-    let m = st.metrics;
+    let m = &st.metrics;
     m.awake.encode(&mut w);
     m.rounds.encode(&mut w);
     for c in m.counters.values() {
@@ -893,7 +863,7 @@ where
     st.tracer.events.encode(&mut w);
     st.tracer.dropped.encode(&mut w);
     // faults
-    match st.faults {
+    match st.faults.as_ref().map(|f| &f.state) {
         None => w.bytes(&[0]),
         Some(f) => {
             w.bytes(&[1]);
@@ -1028,9 +998,11 @@ where
     // after the restored round — validated above). Bucket layout is
     // relative to the wheel's running position, so it is not
     // byte-identical to the original — but pop order and peek results
-    // are, which is all the executors observe.
+    // are, which is all the driver observes.
     let mut wheel = WakeWheel::new();
-    wheel.schedule_all(wheel_events);
+    for (round, v) in wheel_events {
+        wheel.schedule(round, v);
+    }
     Ok(Boundary {
         config,
         prev_round,
@@ -1258,18 +1230,18 @@ mod tests {
         m.rounds_skipped = 11;
         let snap = encode_snapshot(
             &graph,
-            Config::default(),
-            EngineStateRef {
+            &Boundary {
+                config: Config::default(),
                 prev_round: 99,
-                next_wake: &[NEVER],
-                stay: &[],
-                wheel_events: Vec::new(),
-                outputs: &[None],
-                programs: ProgramsRef::Flat(&[Idle]),
-                metrics: &m,
-                tracer: &Tracer::new(TraceMode::Off),
+                next_wake: vec![NEVER],
+                stay: vec![],
+                wheel: WakeWheel::new(),
+                outputs: vec![None],
+                metrics: m,
+                tracer: Tracer::new(TraceMode::Off),
                 faults: None,
             },
+            &[Some(Idle)],
         );
         // The snapshot ends with the metrics block — awake column, rounds,
         // the counters 1..=11, an empty span table — then an empty tracer

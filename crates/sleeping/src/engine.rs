@@ -1,4 +1,25 @@
-//! The deterministic skip-ahead executor.
+//! The round kernel: one driver, two round bodies, one set of per-node
+//! functions.
+//!
+//! Every run — [`Engine::run`], [`Engine::run_spec`] at any worker count,
+//! and [`crate::threaded::run_threaded_timed`] — goes through one driver,
+//! `Exec`. It pops each round's awake set, checks the round budget,
+//! accounts skipped rounds and consults checkpoint control, once per round
+//! in one loop, and then runs the round in one of two bodies:
+//!
+//! * **one chunk, in place** — programs stay in their slots and messages
+//!   go straight into the [`InboxArena`]. Every round of a one-worker run
+//!   takes this body, as does every round of a pool run whose degree mass
+//!   is too small to be worth dispatching;
+//! * **dispatched** — the awake set is split into chunks that the worker
+//!   pool executes (see [`crate::threaded`]).
+//!
+//! Both bodies call the same per-node functions: `send_node` (the awake
+//! event, the crash save, `send`, routing and the fate roll),
+//! `receive_node` (the crash restore, or `receive` and its checks) and
+//! `Boundary::apply` (the stay lane, wheel scheduling, halt outputs, wake
+//! stamps and recovery accounting, in node order). The Sleeping model's
+//! round is therefore written once.
 //!
 //! # Hot-path design
 //!
@@ -21,18 +42,20 @@
 
 use crate::arena::InboxArena;
 use crate::checkpoint::{
-    decode_snapshot, encode_snapshot, CheckpointError, Codec, Controller, CrashIo, EngineStateRef,
-    Paused, Persist, ProgramsRef, Reader, ResumeError, Snapshot,
+    decode_snapshot, encode_snapshot, CheckpointError, Codec, Controller, CrashIo, Paused, Persist,
+    Reader, ResumeError, Snapshot, Writer,
 };
-use crate::faults::{DelayedMsg, FaultPlan, FaultState};
-use crate::metrics::{Counters, Metrics};
-use crate::program::{Action, Outbox, Program, View};
+use crate::faults::{DelayedMsg, FaultKind, FaultPlan, FaultState};
+use crate::metrics::{Counters, Metrics, PhaseTimes};
+use crate::program::{Action, Envelope, OutEntry, Outbox, Program, View};
+use crate::threaded::{with_pool, Dispatcher};
 use crate::trace::{TraceEvent, TraceMode, Tracer};
 use crate::wheel::WakeWheel;
 use crate::Round;
 use awake_graphs::{Graph, NodeId};
 use std::fmt;
 use std::num::NonZeroU64;
+use std::time::Instant;
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
@@ -107,6 +130,13 @@ pub enum SimError {
         /// The requested first awake round.
         round: Round,
     },
+    /// A wake or delivery round scheduled at `round` lies past the last
+    /// representable round: a stay at `u64::MAX`, or a fault delay whose
+    /// due round overflows.
+    RoundOverflow {
+        /// The round the overflowing schedule was made in.
+        round: Round,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -133,6 +163,9 @@ impl fmt::Display for SimError {
                     crate::FIRST_ROUND
                 )
             }
+            SimError::RoundOverflow { round } => {
+                write!(f, "a round scheduled at round {round} overflows u64")
+            }
         }
     }
 }
@@ -158,6 +191,14 @@ pub struct Run<O> {
 /// which matters because the delivery check reads it once per message).
 pub(crate) const NEVER: Round = 0;
 
+/// The round after `round`, or [`SimError::RoundOverflow`].
+#[inline]
+fn next_round(round: Round) -> Result<Round, SimError> {
+    round
+        .checked_add(1)
+        .ok_or(SimError::RoundOverflow { round })
+}
+
 /// Pop the next round's awake set into `awake` (ascending), merging the
 /// stay lane (nodes that chose [`Action::Stay`] at `prev_round`, already
 /// sorted) with the wheel. Returns `None` when nothing is pending.
@@ -166,20 +207,22 @@ pub(crate) const NEVER: Round = 0;
 /// any pending event can be — so the wheel only participates when its
 /// minimum is exactly that round, and the common dense case (everybody
 /// `Stay`s) never touches the wheel at all.
-pub(crate) fn next_awake_set(
+fn next_awake_set(
     wheel: &mut WakeWheel,
     stay: &mut Vec<u32>,
     prev_round: Round,
     awake: &mut Vec<u32>,
     scratch: &mut Vec<u32>,
-) -> Option<Round> {
+) -> Result<Option<Round>, SimError> {
     awake.clear();
     if stay.is_empty() {
-        let round = wheel.pop_next(awake)?;
+        let Some(round) = wheel.pop_next(awake) else {
+            return Ok(None);
+        };
         awake.sort_unstable();
-        return Some(round);
+        return Ok(Some(round));
     }
-    let round = prev_round + 1;
+    let round = next_round(prev_round)?;
     if wheel.peek_min() == Some(round) {
         scratch.clear();
         let popped = wheel.pop_next(scratch);
@@ -204,32 +247,46 @@ pub(crate) fn next_awake_set(
     } else {
         awake.append(stay); // fast lane: already sorted
     }
-    Some(round)
+    Ok(Some(round))
 }
 
 /// The round the next [`next_awake_set`] would pop, without committing the
 /// scheduler (a non-empty stay lane wakes at `prev_round + 1`, which is
 /// the earliest any pending event can be).
-pub(crate) fn peek_next(wheel: &mut WakeWheel, stay: &[u32], prev_round: Round) -> Option<Round> {
+fn peek_next(
+    wheel: &mut WakeWheel,
+    stay: &[u32],
+    prev_round: Round,
+) -> Result<Option<Round>, SimError> {
     if stay.is_empty() {
-        wheel.peek_min()
+        Ok(wheel.peek_min())
     } else {
-        Some(prev_round + 1)
+        next_round(prev_round).map(Some)
     }
 }
 
-/// The mutable fault-injection context of one executor: the seeded state
-/// (plan + delayed-message buffer) plus the crash-restart machinery — the
-/// [`Persist`] entry points of the concrete program type (captured as
-/// function pointers so the executor core needs no `Persist` bound) and
-/// the current round's crash blobs, saved at start-of-round and consumed
-/// in phase B.
+/// The fault hooks the per-node functions need: the (immutable) seeded
+/// plan plus the [`Persist`] entry points of the concrete program type as
+/// function pointers (see [`CrashIo`]), so the round bodies carry no
+/// `Persist` bound. Copied into each dispatched chunk.
+pub(crate) struct FaultHooks<P: Program> {
+    plan: FaultPlan,
+    crash_io: CrashIo<P>,
+}
+
+impl<P: Program> Clone for FaultHooks<P> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<P: Program> Copy for FaultHooks<P> {}
+
+/// The mutable fault-injection context of a run: the seeded state (plan,
+/// delayed-message buffer, recovery flags) plus the crash-restart entry
+/// points of the concrete program type.
 pub(crate) struct FaultCtx<P: Program> {
     pub(crate) state: FaultState<P::Msg>,
-    pub(crate) crash_io: CrashIo<P>,
-    /// `(node, start-of-round state)` of nodes that crash this round, in
-    /// node order (phase A order); emptied by phase B.
-    crashed: Vec<(u32, Vec<u8>)>,
+    crash_io: CrashIo<P>,
 }
 
 impl<P: Program + Persist> FaultCtx<P> {
@@ -237,16 +294,24 @@ impl<P: Program + Persist> FaultCtx<P> {
         FaultCtx {
             state,
             crash_io: CrashIo::of(),
-            crashed: Vec::new(),
         }
     }
 }
 
-/// The round boundary both executors start from: the scheduler, the
-/// outputs so far, the accounting and the fault state after round
-/// `prev_round`. A fresh run starts from [`Boundary::start`] (round 0); a
-/// resumed one from a decoded [`Snapshot`], whose config wins over the
-/// resuming engine's so the run keeps the budget and trace mode it
+impl<P: Program> FaultCtx<P> {
+    pub(crate) fn hooks(&self) -> FaultHooks<P> {
+        FaultHooks {
+            plan: self.state.plan,
+            crash_io: self.crash_io,
+        }
+    }
+}
+
+/// The round boundary a run starts from and carries between rounds: the
+/// scheduler, the outputs so far, the accounting and the fault state after
+/// round `prev_round`. A fresh run starts from [`Boundary::start`] (round
+/// 0); a resumed one from a decoded [`Snapshot`], whose config wins over
+/// the resuming engine's so the run keeps the budget and trace mode it
 /// started under.
 pub(crate) struct Boundary<P: Program> {
     pub(crate) config: Config,
@@ -319,183 +384,447 @@ impl<P: Program> Boundary<P> {
             faults,
         })
     }
+
+    /// Apply node `v`'s outcome of `round`. Both round bodies call this in
+    /// node order, so the stay lane stays sorted, sleeps enter the wheel
+    /// and trace events enter the tracer in one order at any chunking.
+    /// A crashed node restarts awake next round and starts recovering (the
+    /// crashed round itself is not recovery energy); a recovering node's
+    /// awake rounds are overhead until its first non-`Stay` outcome puts
+    /// it back on its schedule. Returns whether `v` touched recovery
+    /// accounting, so the round bumps `recovery_rounds` at most once.
+    #[inline]
+    pub(crate) fn apply<const FAULTY: bool>(
+        &mut self,
+        round: Round,
+        v: u32,
+        outcome: Outcome<P::Output>,
+    ) -> Result<bool, SimError> {
+        let node = NodeId(v);
+        let mut recovery = false;
+        if let Some(f) = self.faults.as_mut().filter(|_| FAULTY) {
+            let recovering = &mut f.state.recovering[v as usize];
+            if matches!(outcome, Outcome::Crashed) {
+                self.tracer.push(|| TraceEvent::Crash { round, node });
+                self.metrics.faults_crashed += 1;
+                *recovering = true;
+                recovery = true;
+            } else if *recovering {
+                self.metrics.recovery_awake += 1;
+                *recovering = matches!(outcome, Outcome::Stay);
+                recovery = true;
+            }
+        }
+        match outcome {
+            Outcome::Stay | Outcome::Crashed => {
+                self.next_wake[v as usize] = next_round(round)?;
+                self.stay.push(v); // fast lane: never touches the wheel
+            }
+            Outcome::Sleep(until) => {
+                self.tracer
+                    .push(|| TraceEvent::Sleep { round, node, until });
+                self.next_wake[v as usize] = until;
+                self.wheel.schedule(until, v);
+            }
+            Outcome::Halt(output) => {
+                self.tracer.push(|| TraceEvent::Halt { round, node });
+                self.next_wake[v as usize] = NEVER;
+                self.outputs[v as usize] = Some(output);
+            }
+        }
+        Ok(recovery)
+    }
+
+    /// Close a finished run: still-buffered delayed messages never found
+    /// an executed due round with an awake recipient and are accounted
+    /// lost, and every node must have halted with an output.
+    fn finish(self) -> Result<Run<P::Output>, SimError> {
+        let Boundary {
+            outputs,
+            mut metrics,
+            mut tracer,
+            faults,
+            ..
+        } = self;
+        for d in faults.into_iter().flat_map(|f| f.state.delayed) {
+            metrics.messages_lost += 1;
+            tracer.push(|| TraceEvent::Lost {
+                round: d.due,
+                from: d.from,
+                to: d.to,
+            });
+        }
+        let outputs = outputs
+            .into_iter()
+            .enumerate()
+            .map(|(v, o)| o.ok_or(SimError::MissingOutput(NodeId(v as u32))))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Run {
+            outputs,
+            metrics,
+            trace: tracer.events,
+            trace_dropped: tracer.dropped,
+        })
+    }
 }
 
-/// Close a finished run, on either executor: still-buffered delayed
-/// messages never found an executed due round with an awake recipient and
-/// are accounted lost, and every node must have halted with an output.
-pub(crate) fn finish_run<P: Program>(
-    outputs: Vec<Option<P::Output>>,
-    mut metrics: Metrics,
-    mut tracer: Tracer,
-    faults: Option<FaultCtx<P>>,
-) -> Result<Run<P::Output>, SimError> {
-    for d in faults.into_iter().flat_map(|f| f.state.delayed) {
-        metrics.messages_lost += 1;
-        tracer.push(|| TraceEvent::Lost {
-            round: d.due,
-            from: d.from,
-            to: d.to,
-        });
+/// What one awake node's receive half decided, applied in node order by
+/// [`Boundary::apply`].
+pub(crate) enum Outcome<O> {
+    Stay,
+    Sleep(Round),
+    Halt(O),
+    /// The node crashed this round: its state was rolled back and it
+    /// restarts awake next round.
+    Crashed,
+}
+
+/// Where [`send_node`] records one sender's effects: the run's own
+/// accounting on one-chunk rounds, a chunk's staging buffers (merged by
+/// the coordinator in chunk order) on dispatched ones.
+pub(crate) struct SendLog<'a, P: Program> {
+    pub(crate) tally: &'a mut Counters,
+    pub(crate) tracer: &'a mut Tracer,
+    pub(crate) hooks: Option<&'a FaultHooks<P>>,
+    /// Messages fated to arrive later, in transmission order.
+    pub(crate) delayed: &'a mut Vec<DelayedMsg<P::Msg>>,
+    /// `(node, start-of-round state)` of the nodes that crash this round,
+    /// in node order.
+    pub(crate) crashes: &'a mut Vec<(u32, Vec<u8>)>,
+}
+
+/// One awake node's send half of `round`: the awake event, the crash
+/// save, `send`, and every transmission through [`route_entries`] and its
+/// fate roll. A copy fated to arrive goes to `deliver(from, to, msg)` if
+/// its recipient is awake at exactly this round — the arena on one-chunk
+/// rounds, the recipient's owner shard on dispatched ones — and is
+/// counted lost otherwise.
+///
+/// Monomorphized on fault presence: with `FAULTY = false` the crash save
+/// and the fate roll are dead code. Under a plan every transmission rolls
+/// its fate, keyed by `(seed, round, endpoints, k)` where `k` is the
+/// sender's per-round transmission index, so fates do not depend on
+/// chunking. Dropped messages vanish (counted as `faults_dropped`, not
+/// `messages_lost`), duplicates deliver two copies (each then subject to
+/// the awake-recipient rule), and delayed ones join `log.delayed`.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub(crate) fn send_node<P: Program, const FAULTY: bool>(
+    graph: &Graph,
+    round: Round,
+    v: u32,
+    p: &mut P,
+    outbox: &mut Outbox<P::Msg>,
+    next_wake: &[Round],
+    log: SendLog<'_, P>,
+    mut deliver: impl FnMut(NodeId, NodeId, P::Msg),
+) -> Result<(), SimError> {
+    let from = NodeId(v);
+    let SendLog {
+        tally,
+        tracer,
+        hooks,
+        delayed,
+        crashes,
+    } = log;
+    let hooks = hooks.filter(|_| FAULTY);
+    tracer.push(|| TraceEvent::Awake { round, node: from });
+    if let Some(h) = hooks.filter(|h| h.plan.crashes(round, v)) {
+        // Save the start-of-round state *before* the node acts: a crashed
+        // node loses this round's state changes but its sends still go
+        // out (they left before the crash).
+        let mut w = Writer::new();
+        (h.crash_io.save)(p, &mut w);
+        crashes.push((v, w.into_bytes()));
     }
-    let outputs = outputs
-        .into_iter()
-        .enumerate()
-        .map(|(v, o)| o.ok_or(SimError::MissingOutput(NodeId(v as u32))))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(Run {
-        outputs,
-        metrics,
-        trace: tracer.events,
-        trace_dropped: tracer.dropped,
+    let view = View {
+        round,
+        me: from,
+        ident: graph.ident(from),
+        n: graph.n(),
+        neighbors: graph.neighbors(from),
+    };
+    outbox.clear();
+    p.send(&view, outbox);
+    // One copy of a message arriving: a recipient is listening iff it is
+    // awake at exactly this round; otherwise the copy is lost.
+    let mut arrive = |c: &mut Counters, tracer: &mut Tracer, to: NodeId, msg| {
+        if next_wake[to.index()] == round {
+            c.messages_delivered += 1;
+            tracer.push(|| TraceEvent::Delivered { round, from, to });
+            deliver(from, to, msg);
+        } else {
+            c.messages_lost += 1;
+            tracer.push(|| TraceEvent::Lost { round, from, to });
+        }
+    };
+    let Some(plan) = hooks.map(|h| &h.plan) else {
+        return route_entries(graph, outbox.items.drain(..), from, tally, |c, to, msg| {
+            arrive(c, tracer, to, msg)
+        });
+    };
+    let mut k = 0u32;
+    let mut overflow = None;
+    let routed = route_entries(graph, outbox.items.drain(..), from, tally, |c, to, msg| {
+        let fate = plan.message_fate(round, v, to.0, k);
+        k += 1;
+        match fate {
+            FaultKind::Deliver => arrive(c, tracer, to, msg),
+            FaultKind::Duplicate => {
+                c.faults_duplicated += 1;
+                arrive(c, tracer, to, msg.clone());
+                arrive(c, tracer, to, msg);
+            }
+            FaultKind::Drop => {
+                c.faults_dropped += 1;
+                tracer.push(|| TraceEvent::FaultDrop { round, from, to });
+            }
+            FaultKind::Delay => {
+                c.faults_delayed += 1;
+                let Some(until) = round.checked_add(plan.delay_rounds) else {
+                    // The run stops at this node once its routing ends.
+                    overflow.get_or_insert(SimError::RoundOverflow { round });
+                    return;
+                };
+                tracer.push(|| TraceEvent::FaultDelay {
+                    round,
+                    from,
+                    to,
+                    until,
+                });
+                delayed.push(DelayedMsg {
+                    due: until,
+                    from,
+                    to,
+                    msg,
+                });
+            }
+        }
+    });
+    // A routing error ends the routing, so an overflow recorded before it
+    // is the node's first error in entry order.
+    match overflow {
+        Some(e) => Err(e),
+        None => routed,
+    }
+}
+
+/// One awake node's receive half of `round`. A node that crashed this
+/// round (its save is the next entry of `crashes`, walked in node order
+/// through `next_crash`) is rolled back to its start-of-round state and
+/// loses the round; any other node runs `receive` on its inbox, and its
+/// action is checked: a sleep must end strictly in the future, a halt must
+/// leave an output.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub(crate) fn receive_node<P: Program, const FAULTY: bool>(
+    graph: &Graph,
+    round: Round,
+    v: u32,
+    p: &mut P,
+    inbox: &[Envelope<P::Msg>],
+    hooks: Option<&FaultHooks<P>>,
+    crashes: &[(u32, Vec<u8>)],
+    next_crash: &mut usize,
+) -> Result<Outcome<P::Output>, SimError> {
+    let node = NodeId(v);
+    if let Some(h) = hooks.filter(|_| FAULTY) {
+        if let Some((_, save)) = crashes.get(*next_crash).filter(|c| c.0 == v) {
+            *next_crash += 1;
+            (h.crash_io.restore)(p, &mut Reader::new(save))
+                .expect("Persist round-trip: restore must accept its own save");
+            return Ok(Outcome::Crashed);
+        }
+    }
+    let view = View {
+        round,
+        me: node,
+        ident: graph.ident(node),
+        n: graph.n(),
+        neighbors: graph.neighbors(node),
+    };
+    Ok(match p.receive(&view, inbox) {
+        Action::Stay => Outcome::Stay,
+        Action::SleepUntil(until) if until <= round => {
+            return Err(SimError::InvalidSleep { node, round, until })
+        }
+        Action::SleepUntil(until) => Outcome::Sleep(until),
+        Action::Halt => Outcome::Halt(p.output().ok_or(SimError::MissingOutput(node))?),
     })
 }
 
-/// The serial executor's full mutable state, factored out of
-/// [`Engine::run`] so checkpointing can pause between rounds: `step`
-/// executes exactly one round, `peek_next` answers "what round would run
-/// next" without committing anything, and `state_ref` exposes the round
-/// boundary for snapshot encoding.
-struct SerialExec<'g, P: Program> {
-    graph: &'g Graph,
-    config: Config,
-    programs: Vec<P>,
-    metrics: Metrics,
-    tracer: Tracer,
-    outputs: Vec<Option<P::Output>>,
-    /// `next_wake[v] = r`: v will be awake at round r; NEVER: halted.
-    next_wake: Vec<Round>,
-    wheel: WakeWheel,
-    // Round-scratch state, all reused: zero allocations per node-round
-    // once capacities have grown to the workload's high-water mark.
-    awake: Vec<u32>,
-    scratch: Vec<u32>,
-    stay: Vec<u32>,
-    outbox: Outbox<P::Msg>,
-    arena: InboxArena<P::Msg>,
-    prev_round: Round,
-    faults: Option<FaultCtx<P>>,
+/// Per-round wall-time stamp of a timed run: the accumulator and the last
+/// lap's instant. `None` on untimed runs, which read no clock at all.
+pub(crate) type Stamp<'t> = Option<(&'t mut PhaseTimes, Instant)>;
+
+/// Add the time since the last lap to the accumulator `pick` selects and
+/// re-stamp.
+#[inline]
+pub(crate) fn lap(stamp: &mut Stamp<'_>, pick: fn(&mut PhaseTimes) -> &mut u64) {
+    if let Some((t, at)) = stamp.as_mut() {
+        let now = Instant::now();
+        *pick(t) += now.duration_since(*at).as_nanos() as u64;
+        *at = now;
+    }
 }
 
-impl<'g, P: Program> SerialExec<'g, P> {
+/// The one executor behind every entry point: the round boundary, every
+/// node's program in its slot, and the round scratch. [`Exec::rounds`]
+/// drives it round by round; each round runs either in place
+/// ([`Exec::round_in_place`]) or dispatched over a worker pool.
+pub(crate) struct Exec<'g, P: Program> {
+    pub(crate) graph: &'g Graph,
+    pub(crate) at: Boundary<P>,
+    /// Every node's program. Between rounds and on one-chunk rounds each
+    /// sits in its slot; a dispatched round lends the awake ones to their
+    /// chunks and puts them back as it applies their outcomes.
+    pub(crate) programs: Vec<Option<P>>,
+    /// The current round's awake set, ascending.
+    pub(crate) awake: Vec<u32>,
+    // Round scratch of the in-place body, all reused: zero allocations per
+    // node-round once capacities have grown to the workload's high-water
+    // mark.
+    scratch: Vec<u32>,
+    outbox: Outbox<P::Msg>,
+    arena: InboxArena<P::Msg>,
+    crashes: Vec<(u32, Vec<u8>)>,
+    delayed: Vec<DelayedMsg<P::Msg>>,
+}
+
+impl<'g, P: Program> Exec<'g, P> {
     /// Continue from `at` (whose program count [`Boundary::start`] or the
     /// snapshot decoder has checked).
     fn new(graph: &'g Graph, programs: Vec<P>, at: Boundary<P>) -> Self {
-        SerialExec {
+        Exec {
             graph,
-            config: at.config,
-            programs,
-            metrics: at.metrics,
-            tracer: at.tracer,
-            outputs: at.outputs,
-            next_wake: at.next_wake,
-            wheel: at.wheel,
+            at,
+            programs: programs.into_iter().map(Some).collect(),
             awake: Vec::new(),
             scratch: Vec::new(),
-            stay: at.stay,
             outbox: Outbox::new(),
             arena: InboxArena::new(graph.n()),
-            prev_round: at.prev_round,
-            faults: at.faults,
+            crashes: Vec::new(),
+            delayed: Vec::new(),
         }
     }
 
-    /// Execute one round; `Ok(false)` means nothing was pending.
-    fn step(&mut self) -> Result<bool, SimError> {
-        // Monomorphized on fault presence: compiled with `FAULTY = false`
-        // every crash/delay block in the body is dead code, so the
-        // fault-free round loop optimizes exactly as it did before fault
-        // injection existed (the bench gate holds the engine to that).
-        if self.faults.is_some() {
-            self.step_body::<true>()
-        } else {
-            self.step_body::<false>()
-        }
-    }
-
-    fn step_body<const FAULTY: bool>(&mut self) -> Result<bool, SimError> {
-        // Disjoint field borrows throughout the round body.
-        let SerialExec {
-            graph,
-            config,
-            programs,
-            metrics,
-            tracer,
-            outputs,
-            next_wake,
-            wheel,
-            awake,
-            scratch,
-            stay,
-            outbox,
-            arena,
-            prev_round,
-            faults,
-        } = self;
-        let n = graph.n();
-        let Some(round) = next_awake_set(wheel, stay, *prev_round, awake, scratch) else {
-            return Ok(false);
-        };
-        if round > config.max_rounds {
-            return Err(SimError::RoundBudgetExceeded {
-                limit: config.max_rounds,
-            });
-        }
-        // Rounds between the previous executed round and this one had no
-        // awake node: the wheel jumped them in one batch-cascade, and they
-        // are accounted here so `rounds = executed + skipped` stays exact
-        // under compression (identically in the threaded coordinator).
-        metrics.rounds_skipped += round - *prev_round - 1;
-        metrics.rounds = round;
-        *prev_round = round;
-
-        // Phase A: all awake nodes transmit.
-        for &v in awake.iter() {
-            let vid = NodeId(v);
-            let view = View {
-                round,
-                me: vid,
-                ident: graph.ident(vid),
-                n,
-                neighbors: graph.neighbors(vid),
-            };
-            metrics.note_awake(vid, programs[v as usize].span());
-            tracer.push(|| TraceEvent::Awake { round, node: vid });
-            if FAULTY {
-                if let Some(f) = faults.as_mut() {
-                    if f.state.plan.crashes(round, v) {
-                        // Save the start-of-round state *before* the node
-                        // acts: a crashed node loses this round's state
-                        // changes but its sends still go out (they left
-                        // before the crash).
-                        let mut w = crate::checkpoint::Writer::new();
-                        (f.crash_io.save)(&programs[v as usize], &mut w);
-                        f.crashed.push((v, w.into_bytes()));
-                    }
+    /// Run rounds until nothing is pending (`Ok(None)`) or checkpoint
+    /// control pauses at a boundary (`Ok(Some(snapshot))`). A round runs
+    /// in place unless `pool` is set and its degree mass makes it worth
+    /// splitting into more than one chunk.
+    fn rounds(
+        &mut self,
+        mut pool: Option<&mut Dispatcher<'_, '_, P>>,
+        mut ctl: Option<Controller<'_, P>>,
+        mut timing: Option<&mut PhaseTimes>,
+    ) -> Result<Option<Snapshot>, SimError> {
+        let faulty = self.at.faults.is_some();
+        loop {
+            if let Some(c) = ctl.as_mut() {
+                let at = &mut self.at;
+                let Some(next) = peek_next(&mut at.wheel, &at.stay, at.prev_round)? else {
+                    break;
+                };
+                let (graph, at, programs) = (self.graph, &self.at, &self.programs);
+                let paused =
+                    c.at_boundary(at.prev_round, next, |encode| encode(graph, at, programs));
+                if paused.is_some() {
+                    return Ok(paused);
                 }
             }
-            outbox.clear();
-            programs[v as usize].send(&view, outbox);
-            route_messages::<P::Msg, FAULTY>(
-                graph,
-                outbox.items.drain(..),
-                next_wake,
-                round,
-                vid,
-                arena,
-                metrics,
-                tracer,
-                faults.as_mut().map(|f| &mut f.state),
+            // Per-round timing stamp; partition covers pop → publish.
+            let mut stamp = timing.as_deref_mut().map(|t| (t, Instant::now()));
+            let at = &mut self.at;
+            let popped = next_awake_set(
+                &mut at.wheel,
+                &mut at.stay,
+                at.prev_round,
+                &mut self.awake,
+                &mut self.scratch,
             )?;
+            let Some(round) = popped else { break };
+            if round > at.config.max_rounds {
+                return Err(SimError::RoundBudgetExceeded {
+                    limit: at.config.max_rounds,
+                });
+            }
+            // Rounds between the previous executed round and this one had
+            // no awake node: the wheel jumped them in one batch-cascade,
+            // and they are accounted here so `rounds = executed + skipped`
+            // stays exact under compression.
+            at.metrics.rounds_skipped += round - at.prev_round - 1;
+            at.metrics.rounds = round;
+            at.prev_round = round;
+            let k = pool
+                .as_ref()
+                .map_or(1, |d| d.chunks(self.graph, &self.awake));
+            if k == 1 {
+                lap(&mut stamp, |t| &mut t.partition_ns);
+                // Monomorphized on fault presence: compiled with `FAULTY =
+                // false` every crash/delay block of the body is dead code,
+                // so the fault-free loop optimizes as if fault injection
+                // did not exist (the bench gate holds the engine to that).
+                if faulty {
+                    self.round_in_place::<true>(round)?;
+                } else {
+                    self.round_in_place::<false>(round)?;
+                }
+                lap(&mut stamp, |t| &mut t.inline_ns);
+                if let Some((t, _)) = stamp.as_mut() {
+                    t.inline_rounds += 1;
+                }
+            } else {
+                let d = pool
+                    .as_deref_mut()
+                    .expect("more than one chunk needs a pool");
+                self.round_dispatched(d, round, k, &mut stamp)?;
+                if let Some((t, _)) = stamp.as_mut() {
+                    t.dispatched_rounds += 1;
+                }
+            }
         }
+        Ok(None)
+    }
 
-        // Between phases: resolve fault-delayed messages that have come
-        // due. Late deliveries land after the ascending-sender pass;
-        // restore each touched inbox's sorted-by-sender invariant.
-        if let Some(f) = faults.as_mut().filter(|_| FAULTY) {
-            scratch.clear();
-            let c = &mut metrics.counters;
-            resolve_due_delays(&mut f.state, round, next_wake, c, tracer, |d| {
+    /// A one-chunk round, in place: every awake node sends in ascending
+    /// order straight into the arena, fault-delayed messages coming due
+    /// are resolved, and every awake node receives and has its outcome
+    /// applied.
+    fn round_in_place<const FAULTY: bool>(&mut self, round: Round) -> Result<(), SimError> {
+        let Exec {
+            graph,
+            at,
+            programs,
+            awake,
+            scratch,
+            outbox,
+            arena,
+            crashes,
+            delayed,
+        } = self;
+        let hooks = at.faults.as_ref().map(FaultCtx::hooks);
+        for &v in awake.iter() {
+            let p = programs[v as usize]
+                .as_mut()
+                .expect("programs stay in their slots");
+            at.metrics.note_awake(NodeId(v), p.span());
+            let log = SendLog {
+                tally: &mut at.metrics.counters,
+                tracer: &mut at.tracer,
+                hooks: hooks.as_ref(),
+                delayed,
+                crashes,
+            };
+            send_node::<P, FAULTY>(graph, round, v, p, outbox, &at.next_wake, log, |f, t, m| {
+                arena.stage(f, t, m)
+            })?;
+        }
+        if let Some(f) = at.faults.as_mut().filter(|_| FAULTY) {
+            f.state.delayed.append(delayed);
+            // Late deliveries land after the ascending-sender pass;
+            // restore each touched inbox's sorted-by-sender invariant.
+            let c = &mut at.metrics.counters;
+            resolve_due_delays(&mut f.state, round, &at.next_wake, c, &mut at.tracer, |d| {
                 arena.stage(d.from, d.to, d.msg);
                 scratch.push(d.to.0);
             });
@@ -506,146 +835,64 @@ impl<'g, P: Program> SerialExec<'g, P> {
             }
             scratch.clear();
         }
-
-        // Phase B: all awake nodes receive and choose their next action
-        // (crashed nodes instead lose the round and restart).
-        let mut crash_i = 0usize;
-        let mut rec_round = false;
+        let mut next_crash = 0;
+        let mut recovery = false;
         for &v in awake.iter() {
-            let vid = NodeId(v);
-            if let Some(f) = faults.as_mut().filter(|_| FAULTY) {
-                if f.crashed.get(crash_i).is_some_and(|c| c.0 == v) {
-                    let blob = &f.crashed[crash_i].1;
-                    crash_i += 1;
-                    arena.clear_inbox(v);
-                    let mut r = Reader::new(blob);
-                    (f.crash_io.restore)(&mut programs[v as usize], &mut r)
-                        .expect("Persist round-trip: restore must accept its own save");
-                    tracer.push(|| TraceEvent::Crash { round, node: vid });
-                    metrics.faults_crashed += 1;
-                    f.state.recovering[v as usize] = true;
-                    rec_round = true;
-                    next_wake[v as usize] = round + 1;
-                    stay.push(v);
-                    continue;
-                }
-            }
-            let view = View {
+            let p = programs[v as usize]
+                .as_mut()
+                .expect("programs stay in their slots");
+            let inbox = arena.inbox(v);
+            let outcome = receive_node::<P, FAULTY>(
+                graph,
                 round,
-                me: vid,
-                ident: graph.ident(vid),
-                n,
-                neighbors: graph.neighbors(vid),
-            };
-            let action = programs[v as usize].receive(&view, arena.inbox(v));
+                v,
+                p,
+                inbox,
+                hooks.as_ref(),
+                crashes,
+                &mut next_crash,
+            )?;
             // Clear while the segment header is hot (see `arena`).
             arena.clear_inbox(v);
-            // A recovering node's awake rounds are overhead until its first
-            // non-Stay action puts it back on its schedule.
-            if FAULTY {
-                if let Some(f) = faults.as_mut() {
-                    if f.state.recovering[v as usize] {
-                        metrics.recovery_awake += 1;
-                        rec_round = true;
-                        if action != Action::Stay {
-                            f.state.recovering[v as usize] = false;
-                        }
-                    }
-                }
-            }
-            match action {
-                Action::Stay => {
-                    next_wake[v as usize] = round + 1;
-                    stay.push(v); // fast lane: never touches the wheel
-                }
-                Action::SleepUntil(until) => {
-                    if until <= round {
-                        return Err(SimError::InvalidSleep {
-                            node: vid,
-                            round,
-                            until,
-                        });
-                    }
-                    tracer.push(|| TraceEvent::Sleep {
-                        round,
-                        node: vid,
-                        until,
-                    });
-                    next_wake[v as usize] = until;
-                    wheel.schedule(until, v);
-                }
-                Action::Halt => {
-                    tracer.push(|| TraceEvent::Halt { round, node: vid });
-                    next_wake[v as usize] = NEVER;
-                    match programs[v as usize].output() {
-                        Some(o) => outputs[v as usize] = Some(o),
-                        None => return Err(SimError::MissingOutput(vid)),
-                    }
-                }
-            }
+            recovery |= at.apply::<FAULTY>(round, v, outcome)?;
         }
-        if let Some(f) = faults.as_mut().filter(|_| FAULTY) {
-            f.crashed.clear();
+        crashes.clear();
+        if FAULTY && recovery {
+            at.metrics.recovery_rounds += 1;
         }
-        if FAULTY && rec_round {
-            metrics.recovery_rounds += 1;
-        }
-        Ok(true)
-    }
-
-    fn finish(self) -> Result<Run<P::Output>, SimError> {
-        finish_run(self.outputs, self.metrics, self.tracer, self.faults)
-    }
-
-    /// The round boundary as snapshot input.
-    fn state_ref(&self) -> EngineStateRef<'_, P> {
-        EngineStateRef {
-            prev_round: self.prev_round,
-            next_wake: &self.next_wake,
-            stay: &self.stay,
-            wheel_events: self.wheel.pending_events(),
-            outputs: &self.outputs,
-            programs: ProgramsRef::Flat(&self.programs),
-            metrics: &self.metrics,
-            tracer: &self.tracer,
-            faults: self.faults.as_ref().map(|f| &f.state),
-        }
-    }
-
-    fn run_out(mut self) -> Result<Run<P::Output>, SimError> {
-        while self.step()? {}
-        self.finish()
-    }
-
-    /// Run to completion under checkpoint control, consulted at every
-    /// round boundary. Without control this is [`run_out`](Self::run_out)
-    /// — the fault-free round loop stays exactly the plain one.
-    fn drive(mut self, ctl: Option<Controller<'_, P>>) -> Result<Paused<P::Output>, SimError> {
-        let Some(mut ctl) = ctl else {
-            return self.run_out().map(Paused::Done);
-        };
-        while let Some(next) = peek_next(&mut self.wheel, &self.stay, self.prev_round) {
-            let paused = ctl.at_boundary(self.prev_round, next, |encode| {
-                encode(self.graph, self.config, self.state_ref())
-            });
-            if let Some(snapshot) = paused {
-                return Ok(Paused::Snapshot(snapshot));
-            }
-            self.step()?;
-        }
-        self.finish().map(Paused::Done)
+        Ok(())
     }
 }
 
-/// How one simulation runs: on which executor, under which fault plan,
+/// Run `programs` from `start` to completion or to a checkpoint pause, on
+/// `pool` if one is given.
+pub(crate) fn drive<P: Program>(
+    graph: &Graph,
+    programs: Vec<P>,
+    start: Boundary<P>,
+    pool: Option<&mut Dispatcher<'_, '_, P>>,
+    ctl: Option<Controller<'_, P>>,
+    timing: Option<&mut PhaseTimes>,
+) -> Result<Paused<P::Output>, SimError> {
+    let mut ex = Exec::new(graph, programs, start);
+    match ex.rounds(pool, ctl, timing)? {
+        Some(snapshot) => Ok(Paused::Snapshot(snapshot)),
+        None => ex.at.finish().map(Paused::Done),
+    }
+}
+
+/// How one simulation runs: on how many workers, under which fault plan,
 /// from which round boundary, and with what checkpointing. The default is
-/// the serial engine, fault-free, from round 0. Every combination is
-/// bit-for-bit identical (outputs, [`Metrics`], trace) to the same run on
-/// the serial engine; see [`Engine::run_spec`].
+/// one worker, fault-free, from round 0. Every combination is bit-for-bit
+/// identical (outputs, [`Metrics`], trace) to the same run on one worker;
+/// see [`Engine::run_spec`].
 #[derive(Clone, Copy, Default)]
 pub struct RunSpec<'a> {
-    /// `None` runs the serial engine; `Some(w)` the worker pool with `w`
-    /// executors — the calling thread plus `w - 1` spawned ones.
+    /// Executors driving the run: `None` or `Some(1)` runs every round on
+    /// the calling thread, in place; `Some(w)` with `w > 1` adds a pool of
+    /// `w - 1` spawned workers that takes the rounds whose degree mass is
+    /// worth splitting. Both run the same driver and the same per-node
+    /// functions.
     pub workers: Option<usize>,
     /// A seeded fault plan. An inactive plan ([`FaultPlan::is_active`])
     /// means no plan.
@@ -664,7 +911,7 @@ pub struct RunSpec<'a> {
 }
 
 impl<'a> RunSpec<'a> {
-    /// The default spec on `workers` (`None`: the serial engine).
+    /// The default spec on `workers` (`None`: one worker).
     pub fn on(workers: Option<usize>) -> Self {
         RunSpec {
             workers,
@@ -713,8 +960,9 @@ pub enum Checkpoint<'a> {
     PauseAfter(Round),
 }
 
-/// The deterministic executor: the serial engine, or the worker pool of
-/// [`crate::threaded`], chosen by [`RunSpec::workers`].
+/// The deterministic executor: one driver, on the calling thread alone or
+/// with the worker pool of [`crate::threaded`], chosen by
+/// [`RunSpec::workers`].
 ///
 /// See the [crate docs](crate) for a worked example.
 pub struct Engine<'g> {
@@ -729,23 +977,24 @@ impl<'g> Engine<'g> {
     }
 
     /// Execute `programs` (one per node, indexed by [`NodeId`]) to
-    /// completion on the serial engine, fault-free: [`run_spec`](Self::run_spec)
-    /// with the default spec, for programs without [`Persist`] state. Kept with this signature because most callers,
-    /// the `perfbench` benchmark among them, need nothing more.
+    /// completion on one worker, fault-free: [`run_spec`](Self::run_spec)
+    /// with the default spec, for programs without [`Persist`] state or a
+    /// `Send` bound. Every round runs in place on the calling thread. Kept
+    /// with this signature because most callers, the `perfbench` benchmark
+    /// among them, need nothing more.
     ///
     /// # Errors
     /// Any [`SimError`]; see the variants for the contract each program must
     /// uphold.
     pub fn run<P: Program>(&self, programs: Vec<P>) -> Result<Run<P::Output>, SimError> {
         let start = Boundary::start(self.graph, self.config, &programs, None)?;
-        SerialExec::new(self.graph, programs, start).run_out()
+        drive(self.graph, programs, start, None, None, None).map(Paused::finished)
     }
 
-    /// Execute `programs` as `spec` says. The serial engine and the worker
-    /// pool agree bit for bit at any worker count, under any fault plan,
-    /// and across a pause on one executor resumed on the other. A snapshot
-    /// of the same run at the same round is byte-identical whichever
-    /// executor took it.
+    /// Execute `programs` as `spec` says. Runs agree bit for bit at any
+    /// worker count, under any fault plan, and across a pause at one
+    /// worker count resumed at another. A snapshot of the same run at the
+    /// same round is byte-identical whatever the worker count.
     ///
     /// On resume, `programs` must be the *freshly constructed initial*
     /// programs of the original run (same inputs, same order) —
@@ -755,8 +1004,8 @@ impl<'g> Engine<'g> {
     /// [`ResumeError::Checkpoint`] if the resume snapshot is corrupt,
     /// truncated, from a different graph, or was taken under a different
     /// fault plan than [`RunSpec::faults`]; [`ResumeError::Sim`] for any
-    /// [`SimError`] of the run itself, with the serial engine's error
-    /// precedence (lowest node id first).
+    /// [`SimError`] of the run itself, with one error precedence at every
+    /// worker count (lowest node id first).
     pub fn run_spec<P>(
         &self,
         mut programs: Vec<P>,
@@ -796,26 +1045,24 @@ impl<'g> Engine<'g> {
         let chaos = spec.chaos.map(|seed| crate::threaded::ChaosPlan { seed });
         #[cfg(not(test))]
         let chaos = None;
-        Ok(match spec.workers {
-            None => SerialExec::new(g, programs, start).drive(ctl)?,
-            Some(w) => crate::threaded::run_threaded_core(g, programs, start, w, ctl, None, chaos)?,
-        })
+        let workers = spec.workers.unwrap_or(1);
+        let (faulty, traced) = (start.faults.is_some(), start.tracer.enabled());
+        Ok(with_pool(g, workers, faulty, traced, chaos, |pool| {
+            drive(g, programs, start, pool, ctl, None)
+        })?)
     }
 }
 
-/// Validate and expand one node's outbox entries: the shared addressing
-/// checker of both executors. Each directed addressing is checked against
-/// the graph ([`SimError::NotANeighbor`] on the first violation, in entry
-/// order), broadcasts are expanded over the sender's neighbor list in
-/// adjacency order, `messages_sent` is counted into `tally`, and every
-/// transmission is handed to `transmit(tally, to, msg)` — the caller
-/// decides delivery (arena staging on the serial engine, owner-shard
-/// staging inside the threaded executor's workers). Because expansion
-/// order and error precedence live here, the two executors count and
-/// order identically by construction.
-pub(crate) fn route_entries<M: Clone>(
+/// Validate and expand one node's outbox entries. Each directed
+/// addressing is checked against the graph ([`SimError::NotANeighbor`] on
+/// the first violation, in entry order), broadcasts are expanded over the
+/// sender's neighbor list in adjacency order, `messages_sent` is counted
+/// into `tally`, and every transmission is handed to `transmit(tally, to,
+/// msg)`.
+#[inline]
+fn route_entries<M: Clone>(
     graph: &Graph,
-    entries: impl Iterator<Item = crate::program::OutEntry<M>>,
+    entries: impl Iterator<Item = OutEntry<M>>,
     from: NodeId,
     tally: &mut Counters,
     mut transmit: impl FnMut(&mut Counters, NodeId, M),
@@ -841,12 +1088,12 @@ pub(crate) fn route_entries<M: Clone>(
     Ok(())
 }
 
-/// Resolve the fault-delayed messages that have come due at `round`: the
-/// shared rule of both executors. A delayed message is delivered only if
-/// its recipient is awake at exactly its due round; a due round nobody
+/// Resolve the fault-delayed messages that have come due at `round`, on
+/// either round body. A delayed message is delivered only if its
+/// recipient is awake at exactly its due round; a due round nobody
 /// executed (or an asleep recipient) loses it — the model's rule, applied
 /// late. Deliverable messages go to `deliver` in buffer order, which is
-/// the run's transmission order on both executors.
+/// the run's transmission order.
 pub(crate) fn resolve_due_delays<M>(
     state: &mut FaultState<M>,
     round: Round,
@@ -879,80 +1126,6 @@ pub(crate) fn resolve_due_delays<M>(
         }
     }
     state.delayed = kept;
-}
-
-/// Route one node's outbox entries on the serial engine: validate through
-/// [`route_entries`], then stage every transmitted message into the arena
-/// (or count it lost). Monomorphized on fault presence like the round
-/// body: with `FAULTY = false` the fate roll is dead code. Under a plan
-/// (`FAULTY`, `fstate` set) every transmission first rolls its fate —
-/// keyed by `(seed, round, endpoints, k)` where `k` is the sender's
-/// per-round transmission index, so the threaded executor rolls identical
-/// fates regardless of chunking. Dropped messages vanish (traced and
-/// counted as `faults_dropped`, *not* `messages_lost`), duplicates deliver
-/// two copies (each then subject to the awake-recipient rule), delayed
-/// messages enter the buffer for later resolution.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn route_messages<M: Clone, const FAULTY: bool>(
-    graph: &Graph,
-    entries: impl Iterator<Item = crate::program::OutEntry<M>>,
-    next_wake: &[Round],
-    round: Round,
-    from: NodeId,
-    arena: &mut InboxArena<M>,
-    metrics: &mut Metrics,
-    tracer: &mut Tracer,
-    mut fstate: Option<&mut FaultState<M>>,
-) -> Result<(), SimError> {
-    let mut k = 0u32;
-    route_entries(graph, entries, from, &mut metrics.counters, |c, to, msg| {
-        // A recipient is listening iff it is awake at exactly this round.
-        let mut deliver_copy = |m: M| {
-            if next_wake[to.index()] == round {
-                c.messages_delivered += 1;
-                tracer.push(|| TraceEvent::Delivered { round, from, to });
-                arena.stage(from, to, m);
-            } else {
-                c.messages_lost += 1;
-                tracer.push(|| TraceEvent::Lost { round, from, to });
-            }
-        };
-        let Some(f) = fstate.as_deref_mut().filter(|_| FAULTY) else {
-            return deliver_copy(msg);
-        };
-        let fate = f.plan.message_fate(round, from.0, to.0, k);
-        k += 1;
-        match fate {
-            crate::faults::FaultKind::Deliver => deliver_copy(msg),
-            crate::faults::FaultKind::Duplicate => {
-                c.faults_duplicated += 1;
-                deliver_copy(msg.clone());
-                deliver_copy(msg);
-            }
-            crate::faults::FaultKind::Drop => {
-                let _ = deliver_copy; // end the closure's borrows for the tracer below
-                c.faults_dropped += 1;
-                tracer.push(|| TraceEvent::FaultDrop { round, from, to });
-            }
-            crate::faults::FaultKind::Delay => {
-                let _ = deliver_copy; // end the closure's borrows for the tracer below
-                c.faults_delayed += 1;
-                let until = round + f.plan.delay_rounds;
-                tracer.push(|| TraceEvent::FaultDelay {
-                    round,
-                    from,
-                    to,
-                    until,
-                });
-                f.delayed.push(DelayedMsg {
-                    due: until,
-                    from,
-                    to,
-                    msg,
-                });
-            }
-        }
-    })
 }
 
 #[cfg(test)]

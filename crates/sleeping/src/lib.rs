@@ -86,22 +86,24 @@
 //! queue at all: nodes staying awake ride a pre-sorted *stay lane* straight
 //! into the next round's awake set.
 //!
-//! Two executors share these mechanics: the serial engine (the reference
-//! semantics) and a persistent worker pool over degree-weighted contiguous
-//! chunks of the awake set, with message routing and inbox construction
-//! running *inside* the workers through owner-sharded delivery buffers (see
-//! the [`threaded`] module docs for the pipeline). They are required to
-//! agree **bit for bit**, outputs and [`Metrics`] alike, for deterministic
-//! programs.
+//! One driver runs every simulation on these mechanics, with two round
+//! bodies: a round runs *in place* on the calling thread (every round of a
+//! one-worker run, and the light rounds of a pool run), or is *dispatched*
+//! over a persistent worker pool as degree-weighted contiguous chunks of
+//! the awake set, with message routing and inbox construction running
+//! *inside* the workers through owner-sharded delivery buffers (see the
+//! [`threaded`] module docs for the pipeline). Both bodies call one set of
+//! per-node send, receive and apply functions, so a run agrees **bit for
+//! bit**, outputs and [`Metrics`] alike, at every worker count.
 //!
 //! # One run path: [`RunSpec`]
 //!
-//! [`Engine::run`] is the fault-free serial run. Everything else goes
+//! [`Engine::run`] is the fault-free one-worker run. Everything else goes
 //! through [`Engine::run_spec`] and one [`RunSpec`]: the executor
 //! ([`RunSpec::workers`]), a seeded [`FaultPlan`], a [`Checkpoint`]
 //! (periodic snapshots or a pause bound) and a [`Snapshot`] to resume
 //! from. Any combination is bit-for-bit
-//! identical to the same run on the serial engine.
+//! identical to the same run on one worker.
 //!
 //! ```
 //! use awake_graphs::generators;
@@ -136,9 +138,9 @@
 //!
 //! # Checkpointing and fault injection
 //!
-//! Both executors can pause at any round boundary into a versioned binary
-//! [`Snapshot`] and resume it later — on either executor, at any worker
-//! count — to a run bit-for-bit identical to the uninterrupted one;
+//! A run can pause at any round boundary into a versioned binary
+//! [`Snapshot`] and resume it later — at any worker count — to a run
+//! bit-for-bit identical to the uninterrupted one;
 //! per-node program state travels through the [`Persist`] trait. A seeded
 //! [`FaultPlan`] deterministically drops, duplicates, and delays messages
 //! and crash-restarts nodes from their start-of-round state, with

@@ -277,12 +277,12 @@ pub struct PhaseTimes {
     /// tallies, span attribution, trace absorption, delayed-message
     /// resolution and action application.
     pub merge_ns: u64,
-    /// Rounds absorbed whole by the coordinator's inline fast path
-    /// (single chunk, no descriptor traffic), end to end.
+    /// Rounds run in place on the coordinator (one chunk, no descriptor
+    /// traffic), end to end.
     pub inline_ns: u64,
     /// Rounds that went through the dispatched multi-chunk pipeline.
     pub dispatched_rounds: u64,
-    /// Rounds taken by the inline fast path.
+    /// Rounds run in place.
     pub inline_rounds: u64,
 }
 
@@ -321,7 +321,7 @@ impl PhaseTimes {
         Self::per(self.merge_ns, self.dispatched_rounds)
     }
 
-    /// Inline fast-path time per inline round.
+    /// In-place time per in-place round.
     pub fn inline_ns_per_round(&self) -> f64 {
         Self::per(self.inline_ns, self.inline_rounds)
     }

@@ -1,41 +1,49 @@
-//! A multi-threaded executor with an owner-sharded parallel delivery
-//! pipeline over a persistent worker pool.
+//! The worker pool: the dispatched round body of the one driver, over an
+//! owner-sharded parallel delivery pipeline.
 //!
-//! The serial engine is the reference implementation; this executor
-//! demonstrates that the [`Program`] abstraction maps onto real parallel
-//! hardware without giving up determinism: the two executors agree **bit
-//! for bit** — equal outputs *and* equal [`Metrics`] — which the
-//! integration tests assert at every worker count.
+//! Every run goes through one driver (see the `engine` module): it pops
+//! each round's awake set and runs the round in one of two bodies. A
+//! round runs **in place** on the calling thread — programs in their
+//! slots, messages straight into the inbox arena — when the run has one
+//! worker or the round's degree mass is at most `INLINE_MASS`:
+//! sequential-greedy schedules spend most rounds waking a handful of
+//! nodes, where descriptor traffic would dwarf the work. Any other round
+//! is **dispatched** over this module's pool. Both bodies call the same
+//! per-node send, receive and apply functions, so the Sleeping model's
+//! round is written once and the two bodies agree **bit for bit** — equal
+//! outputs, [`Metrics`], traces and snapshot bytes — at every worker count
+//! by construction, which the integration tests assert.
 //!
-//! A run selects this executor with [`RunSpec::workers`](crate::RunSpec)
-//! and goes through [`Engine::run_spec`](crate::Engine::run_spec) like any
-//! other: fault plans, checkpoints and resumes all work the same way on
-//! both executors, and a snapshot taken on one resumes on the other. The
-//! module's one public function, [`run_threaded_timed`], is a fault-free
-//! pool run with per-phase timing for programs without
-//! [`Persist`](crate::Persist) state.
+//! A run selects its worker count with
+//! [`RunSpec::workers`](crate::RunSpec) and goes through
+//! [`Engine::run_spec`](crate::Engine::run_spec) like any other: fault
+//! plans, checkpoints and resumes work the same way at every worker count,
+//! and a snapshot taken at one resumes at another. The module's one
+//! public function, [`run_threaded_timed`], is a fault-free run with
+//! per-phase timing for programs without [`Persist`](crate::Persist)
+//! state.
 //!
-//! # Design
+//! # The dispatched round
 //!
-//! `workers` threads are spawned once per run and live across all rounds.
-//! Each round the sorted awake set is split into at most `workers`
-//! contiguous chunks at **equal degree-mass boundaries** (prefix sum over
-//! `degree + 1` of the awake set), so a handful of hubs cannot serialize a
-//! round the way count-based chunking would. Message routing and inbox
-//! construction happen **inside the workers**; the coordinator is reduced
-//! to synchronization and a deterministic merge:
+//! `workers` executors — the calling thread plus `workers - 1` spawned
+//! threads — live across all rounds. A dispatched round splits the sorted
+//! awake set into at most `workers` contiguous chunks at **equal
+//! degree-mass boundaries** (prefix sum over `degree + 1` of the awake
+//! set), so a handful of hubs cannot serialize a round the way count-based
+//! chunking would. Message routing and inbox construction happen **inside
+//! the executors**; the coordinator is reduced to synchronization and a
+//! deterministic merge:
 //!
 //! ```text
 //!  coordinator                       executor e (coordinator or worker)
 //!  ───────────                       ──────────────────────────────────
-//!  pop awake set for round r
-//!  partition by degree mass,
-//!  publish {next_wake, chunk map},
-//!  park chunk jobs in the slot
-//!  arena, open SEND descriptors ──▶  claim a READY send descriptor c
-//!                                    (CAS, scan offset by executor id):
-//!                                    run send(), validate/expand, stage
-//!                                    each message into exchange cell
+//!  lend next_wake, partition by
+//!  degree mass, publish the
+//!  chunk map, park chunk jobs in
+//!  the slot arena, open SEND    ──▶  claim a READY send descriptor c
+//!  descriptors                       (CAS, scan offset by executor id):
+//!                                    send_node per job, staging each
+//!                                    delivered copy into exchange cell
 //!                                    (c, owner); publish results, count
 //!                                    down every chunk's pending gate —
 //!                                    last contributor opens that
@@ -43,19 +51,18 @@
 //!  consume send results in     ◀──   (claim-and-publish: no barrier)
 //!  chunk order (helping via
 //!  steal while waiting); merge
-//!  tallies/spans/traces/errors       claim a READY receive descriptor d:
-//!                                    drain cells (0..k, d) in source
-//!  consume receive partials in ◀──   order into local segments (born
-//!  chunk order, apply stays/         sorted), run receive() per node,
-//!  sleeps/halts, schedule_all        publish action partials
+//!  tallies/spans/traces/errors;      claim a READY receive descriptor d:
+//!  take next_wake back               drain cells (0..k, d) in source
+//!                                    order into local segments (born
+//!  apply each chunk's outcomes ◀──   sorted), receive_node per job,
+//!  in node order                     publish one outcome per job
 //! ```
 //!
 //! There is no per-phase barrier: a chunk's receive descriptor opens the
 //! moment the *last* send contribution for it lands (`pending` countdown),
 //! while other chunks' sends are still running; idle executors steal
-//! whatever descriptor is READY. The coordinator itself executes
-//! descriptors while it waits, so `workers = 1` spawns no threads and
-//! `workers = w` has `w` executors (`w - 1` spawned).
+//! whatever descriptor is READY. The coordinator executes descriptors
+//! while it waits, so `workers = w` has `w` executors (`w - 1` spawned).
 //!
 //! Determinism survives stealing because of four invariants:
 //!
@@ -68,37 +75,23 @@
 //! * **Chunks are contiguous in node order** and senders within a chunk
 //!   transmit in ascending order, so draining a recipient's incoming
 //!   cells in source-chunk index order concatenates already-sorted runs
-//!   — every inbox is born sorted by sender, exactly like the serial
-//!   arena's.
+//!   — every inbox is born sorted by sender, exactly like the arena's.
 //! * **All merges happen coordinator-side in chunk index order** (= node
-//!   order): awake/span attribution, message tallies, stay-lane
-//!   extension, batched wheel `schedule_all` and halt outputs — identical
-//!   to the serial engine's per-node order, whatever order descriptors
-//!   actually executed in.
+//!   order): awake/span attribution, message tallies, staged trace events,
+//!   and each node's outcome through the driver's one apply function — so
+//!   the stay lane, the wheel, the outputs and the trace see the in-place
+//!   body's order, whatever order descriptors actually executed in.
 //! * **Error precedence is by lowest node id**: an executor stops at its
 //!   chunk's first error and raises a run-wide abort flag (sequenced
 //!   before its pending countdown, so no receive descriptor can open on
 //!   an aborting round); the coordinator consumes results in chunk order
 //!   and surfaces the first error of the lowest-indexed chunk — the error
-//!   the serial engine would hit.
+//!   the in-place body would hit.
 //!
 //! Batches, shard buffers and exchange cells recycle their capacity
 //! (swaps only — payloads never move), executor-local segment pools are
 //! retained across rounds: the steady state allocates nothing per
-//! node-round. Rounds whose total degree mass is tiny (see `INLINE_MASS`)
-//! run **inline** on the coordinator through the very same phase
-//! functions — skip-ahead schedules spend most rounds waking a handful of
-//! nodes, where descriptor traffic would dwarf the work; the inline path
-//! is a single-chunk instance of the same pipeline, so results are
-//! identical by construction.
-//!
-//! Tracing rides the same merge discipline: when [`Config::trace`] is on,
-//! each descriptor stages its chunk's [`TraceEvent`]s in node order
-//! (awake → per-message delivered/lost in the send phase; sleep/halt in
-//! the receive phase) and the coordinator absorbs the staged buffers **in
-//! chunk order** through the shared capped tracer — so [`Run::trace`]
-//! (and [`Run::trace_dropped`]) is bit-identical to the serial engine's
-//! at any worker count.
+//! node-round.
 //!
 //! A seeded chaos hook (test-only) perturbs scheduling at every claim
 //! point — forced steals, yields, parks, unpark storms — and the
@@ -106,24 +99,20 @@
 //! interleavings too; see `ChaosPlan`.
 
 use crate::arena::ChunkInboxes;
-use crate::checkpoint::{
-    Controller, CrashIo, EngineStateRef, Paused, ProgramsRef, Reader, Snapshot, Writer,
-};
 use crate::engine::{
-    finish_run, next_awake_set, peek_next, resolve_due_delays, route_entries, Boundary, FaultCtx,
-    NEVER,
+    drive, lap, receive_node, resolve_due_delays, send_node, Boundary, Exec, FaultCtx, FaultHooks,
+    Outcome, SendLog, Stamp,
 };
-use crate::faults::{DelayedMsg, FaultKind, FaultPlan};
+use crate::faults::DelayedMsg;
 use crate::metrics::{Counters, Metrics, PhaseTimes};
-use crate::program::{Action, Envelope, OutEntry, Outbox, Program, View};
-use crate::trace::{TraceEvent, Tracer};
-use crate::wheel::WakeWheel;
-use crate::{Config, Round, Run, SimError};
+use crate::program::{Envelope, OutEntry, Outbox, Program};
+use crate::trace::{TraceMode, Tracer};
+use crate::{Config, Paused, Round, Run, SimError};
 use awake_graphs::{Graph, NodeId};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
 use std::thread::{self, Thread};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One delivered message in an outbound owner shard: the recipient's dense
 /// position within its owner chunk, plus the envelope to deliver.
@@ -134,14 +123,16 @@ struct ShardEntry<M> {
 
 /// Read-mostly per-round context shared with the executors.
 ///
-/// The coordinator write-locks it at round boundaries (when every
-/// descriptor of the previous round is DONE and every executor is idle or
-/// scanning) to publish the new wake stamps and chunk map; each send
-/// descriptor read-locks it for the duration of its execution. The lock
-/// is therefore never contended in steady state — it exists to let the
-/// borrow checker accept the sharing.
+/// The coordinator write-locks it at the start of a dispatched round
+/// (when every descriptor of the previous round is DONE and every
+/// executor is idle or scanning) to lend it the run's wake stamps and
+/// publish the chunk map, and again once every send descriptor is DONE to
+/// take the stamps back; each send descriptor read-locks it for the
+/// duration of its execution. The lock is therefore never contended — it
+/// exists to let the borrow checker accept the sharing.
 struct RoundCtx {
-    /// `next_wake[v] = r`: `v` wakes at round `r`; [`NEVER`]: halted.
+    /// `next_wake[v] = r`: `v` wakes at round `r`; `NEVER`: halted. The
+    /// driver's own stamps, lent for the send phase (empty otherwise).
     next_wake: Vec<Round>,
     /// Position of `v` in this round's awake set; only meaningful when
     /// `next_wake[v]` equals the current round (the stamp that guards it).
@@ -158,10 +149,17 @@ struct RoundCtx {
 }
 
 impl RoundCtx {
-    /// The owner chunk of awake position `pos`.
-    #[inline]
-    fn chunk_of(&self, pos: u32) -> usize {
-        self.chunk[pos as usize] as usize
+    /// Stamp every awake node's position and owner chunk from `bounds`.
+    fn stamp(&mut self, awake: &[u32]) {
+        self.chunk.clear();
+        let mut c = 0usize;
+        for (i, &v) in awake.iter().enumerate() {
+            self.awake_pos[v as usize] = i as u32;
+            while self.bounds[c + 1] as usize <= i {
+                c += 1;
+            }
+            self.chunk.push(c as u32);
+        }
     }
 
     /// Where a message to awake node `to` is staged: the recipient's owner
@@ -169,7 +167,7 @@ impl RoundCtx {
     #[inline]
     fn stage_entry<M>(&self, from: NodeId, to: NodeId, msg: M) -> (usize, ShardEntry<M>) {
         let pos = self.awake_pos[to.index()];
-        let c = self.chunk_of(pos);
+        let c = self.chunk[pos as usize] as usize;
         let entry = ShardEntry {
             to_local: pos - self.bounds[c],
             env: Envelope { from, msg },
@@ -178,11 +176,10 @@ impl RoundCtx {
     }
 }
 
-/// Rounds whose total degree mass is at or below this run inline on the
-/// coordinator (a single chunk through the same phase functions) instead
-/// of being dispatched: sequential-greedy schedules wake a handful of
-/// nodes per round for most rounds, and two channel round-trips per worker
-/// dwarf a few hundred nanoseconds of node work.
+/// Rounds whose total degree mass is at or below this run in place on the
+/// coordinator instead of being dispatched: sequential-greedy schedules
+/// wake a handful of nodes per round for most rounds, and two channel
+/// round-trips per worker dwarf a few hundred nanoseconds of node work.
 const INLINE_MASS: u64 = 256;
 
 /// Fill `prefix` with the cumulative **degree mass** (`degree + 1` per
@@ -221,23 +218,6 @@ fn partition_by_mass(prefix: &[u64], k: usize, bounds: &mut Vec<u32>) {
     bounds.push(prefix.len() as u32);
 }
 
-/// The fault hooks a worker needs per round: the (immutable) seeded plan
-/// plus the [`Persist`](crate::Persist) entry points of the concrete
-/// program type as function pointers (see [`CrashIo`]), so the phase
-/// bodies carry no `Persist` bound. Copied into each batch; the mutable fault state (the
-/// delayed-message buffer) stays with the coordinator.
-struct FaultHooks<P: Program> {
-    plan: FaultPlan,
-    crash_io: CrashIo<P>,
-}
-
-impl<P: Program> Clone for FaultHooks<P> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<P: Program> Copy for FaultHooks<P> {}
-
 /// What one chunk's send descriptor hands back to the coordinator: span
 /// attribution, message tallies, staged trace events, delayed messages,
 /// and the chunk's first error. Published through the slot's `results`
@@ -247,7 +227,7 @@ impl<P: Program> Copy for FaultHooks<P> {}
 /// — the buffers recycle their capacity across rounds.
 struct SendResults<P: Program> {
     /// Per-job `(node, span)`, captured before `send` exactly as the
-    /// serial engine attributes it, in the chunk's node order.
+    /// in-place body attributes it, in the chunk's node order.
     node_spans: Vec<(u32, &'static str)>,
     /// Message and injected-fault tallies of this chunk.
     tally: Counters,
@@ -255,20 +235,20 @@ struct SendResults<P: Program> {
     /// transmission order; the coordinator appends them (chunk order =
     /// node order) to the run's delayed buffer.
     delayed_out: Vec<DelayedMsg<P::Msg>>,
-    /// Events staged by the send phase, in the serial engine's per-node
-    /// order; absorbed by the coordinator in chunk order.
-    trace: Vec<TraceEvent>,
+    /// Events staged by the send phase, uncapped, in node order; absorbed
+    /// by the coordinator in chunk order through the run's capped tracer.
+    trace: Tracer,
     /// First error of this chunk, in node order (execution stops there).
     error: Option<SimError>,
 }
 
 impl<P: Program> SendResults<P> {
-    fn new() -> Self {
+    fn new(stage: TraceMode) -> Self {
         SendResults {
             node_spans: Vec::new(),
             tally: Counters::default(),
             delayed_out: Vec::new(),
-            trace: Vec::new(),
+            trace: Tracer::new(stage),
             error: None,
         }
     }
@@ -293,18 +273,11 @@ struct Batch<P: Program> {
     /// cell held — capacity circulates between batches and cells.
     shards: Vec<Vec<ShardEntry<P::Msg>>>,
     /// Fault plan + crash I/O of the run; `None` for fault-free runs.
-    faults: Option<FaultHooks<P>>,
-    /// Receive result: tallies of this chunk (crash-restarts applied).
-    tally: Counters,
+    hooks: Option<FaultHooks<P>>,
     /// `(node, start-of-round state)` of this chunk's nodes that crash
-    /// this round, ascending by node. Written by the send phase (the blob
-    /// is saved *before* the node acts), consumed by the receive phase.
+    /// this round, ascending by node. Written by the send phase (the save
+    /// is taken *before* the node acts), consumed by the receive phase.
     crashes: Vec<(u32, Vec<u8>)>,
-    /// Receive result: nodes of this chunk that crash-restarted this
-    /// round, ascending. [`Batch::stays`] conflates crashed nodes with
-    /// voluntary stays, so the coordinator's recovery accounting needs the
-    /// crashed set separately.
-    crashed_nodes: Vec<u32>,
     /// Fault-delayed messages coming due this round for recipients in this
     /// chunk, staged by the coordinator between the phases (the batch is
     /// parked then — faulty rounds gate receives on the coordinator); the
@@ -313,42 +286,27 @@ struct Batch<P: Program> {
     late: Vec<ShardEntry<P::Msg>>,
     /// Scratch: chunk positions touched by late deliveries.
     late_locals: Vec<u32>,
-    /// Receive result: nodes that chose [`Action::Stay`] — plus crashed
-    /// nodes, which restart awake next round — ascending.
-    stays: Vec<u32>,
-    /// Receive result: `(wake round, node)` sleeps, ascending by node.
-    sleeps: Vec<(Round, u32)>,
-    /// Receive result: halted nodes with their outputs, ascending.
-    halts: Vec<(u32, P::Output)>,
+    /// Receive result: one outcome per job, in job order, up to the
+    /// chunk's first error.
+    outcomes: Vec<Outcome<P::Output>>,
     /// Receive phase: first error of this chunk, in node order.
     error: Option<SimError>,
-    /// Whether to stage trace events (set from the run's [`Config::trace`]).
-    trace_on: bool,
-    /// Receive-phase events staged by this chunk, in the serial engine's
-    /// per-node order; absorbed by the coordinator in chunk order.
-    trace: Vec<TraceEvent>,
 }
 
 impl<P: Program> Batch<P> {
-    fn new() -> Self {
+    fn new(stage: TraceMode) -> Self {
         Batch {
             round: 0,
             jobs: Vec::new(),
             out_items: Vec::new(),
-            res: SendResults::new(),
+            res: SendResults::new(stage),
             shards: Vec::new(),
-            faults: None,
-            tally: Counters::default(),
+            hooks: None,
             crashes: Vec::new(),
-            crashed_nodes: Vec::new(),
             late: Vec::new(),
             late_locals: Vec::new(),
-            stays: Vec::new(),
-            sleeps: Vec::new(),
-            halts: Vec::new(),
+            outcomes: Vec::new(),
             error: None,
-            trace_on: false,
-            trace: Vec::new(),
         }
     }
 }
@@ -395,13 +353,13 @@ struct ChunkSlot<P: Program> {
 }
 
 impl<P: Program> ChunkSlot<P> {
-    fn new() -> Self {
+    fn new(stage: TraceMode) -> Self {
         ChunkSlot {
             send_state: AtomicUsize::new(DONE),
             recv_state: AtomicUsize::new(DONE),
             pending: AtomicUsize::new(0),
-            batch: Mutex::new(Some(Batch::new())),
-            results: Mutex::new(SendResults::new()),
+            batch: Mutex::new(Some(Batch::new(stage))),
+            results: Mutex::new(SendResults::new(stage)),
         }
     }
 }
@@ -486,11 +444,11 @@ struct StealPool<'g, P: Program> {
     /// drains cells `(0..k, dst)` in source order.
     cells: Vec<Mutex<Vec<ShardEntry<P::Msg>>>>,
     kmax: usize,
-    /// Chunk count of the round in flight (0 while idle/inline). A claim
-    /// of a READY descriptor re-reads this *after* the CAS: the READY
-    /// store is sequenced after the round's `k` store, so the claimer
-    /// always executes with the current round's chunk count even if its
-    /// scan used a stale one.
+    /// Chunk count of the round in flight (0 while idle). A claim of a
+    /// READY descriptor re-reads this *after* the CAS: the READY store is
+    /// sequenced after the round's `k` store, so the claimer always
+    /// executes with the current round's chunk count even if its scan
+    /// used a stale one.
     k: AtomicUsize,
     /// Fault-free runs auto-open a chunk's receive descriptor when its
     /// pending gate hits zero; faulty runs let the coordinator stage late
@@ -527,6 +485,21 @@ impl<P: Program> StealPool<'_, P> {
             t.unpark();
         }
     }
+
+    /// Take chunk `c`'s parked batch.
+    fn take_batch(&self, c: usize) -> Batch<P> {
+        self.slots[c]
+            .batch
+            .lock()
+            .expect("batch slot lock")
+            .take()
+            .expect("batch parked in its slot")
+    }
+
+    /// Park chunk `c`'s batch back in its slot.
+    fn park_batch(&self, c: usize, b: Batch<P>) {
+        *self.slots[c].batch.lock().expect("batch slot lock") = Some(b);
+    }
 }
 
 /// Roll the chaos plan (if any) at a scheduling edge. Returns `true` when
@@ -561,15 +534,15 @@ fn chaos_pulse<P: Program>(pool: &StealPool<'_, P>, ex: &mut ExecCtx<P::Msg>) ->
 /// contribution this was (fault-free, non-aborting rounds only).
 fn execute_send<P: Program>(pool: &StealPool<'_, P>, c: usize, k: usize, ex: &mut ExecCtx<P::Msg>) {
     let slot = &pool.slots[c];
-    let mut b = slot
-        .batch
-        .lock()
-        .expect("batch slot lock")
-        .take()
-        .expect("claimed send descriptor has a parked batch");
+    let mut b = pool.take_batch(c);
     {
         let ctx = pool.ctx.read().expect("round context lock");
-        run_send_phase(pool.graph, &ctx, &mut b);
+        // Monomorphized on fault presence, like the in-place body.
+        if b.hooks.is_some() {
+            run_send_phase::<P, true>(pool.graph, &ctx, &mut b);
+        } else {
+            run_send_phase::<P, false>(pool.graph, &ctx, &mut b);
+        }
     }
     if b.res.error.is_some() {
         // Raised before the pending decrements below: SeqCst makes the
@@ -589,7 +562,7 @@ fn execute_send<P: Program>(pool: &StealPool<'_, P>, c: usize, k: usize, ex: &mu
         let mut r = slot.results.lock().expect("send results lock");
         std::mem::swap(&mut *r, &mut b.res);
     }
-    *slot.batch.lock().expect("batch slot lock") = Some(b);
+    pool.park_batch(c, b);
     slot.send_state.store(DONE, Ordering::SeqCst);
     // Contribution countdown — only after this chunk's shards and results
     // are fully published, so an opened receive sees every cell filled.
@@ -607,20 +580,14 @@ fn execute_send<P: Program>(pool: &StealPool<'_, P>, c: usize, k: usize, ex: &mu
 /// Execute a claimed receive descriptor: drain the chunk's exchange cells
 /// in source-chunk order into the executor-local segment pool (born
 /// sorted by sender), run the receive phase, and park the batch back with
-/// its action partials for the coordinator to apply in chunk order.
+/// its outcomes for the coordinator to apply in chunk order.
 fn execute_receive<P: Program>(
     pool: &StealPool<'_, P>,
     c: usize,
     k: usize,
     ex: &mut ExecCtx<P::Msg>,
 ) {
-    let slot = &pool.slots[c];
-    let mut b = slot
-        .batch
-        .lock()
-        .expect("batch slot lock")
-        .take()
-        .expect("claimed receive descriptor has a parked batch");
+    let mut b = pool.take_batch(c);
     ex.inboxes.ensure(b.jobs.len());
     chaos_pulse(pool, ex);
     for src in 0..k {
@@ -628,9 +595,13 @@ fn execute_receive<P: Program>(
         ex.inboxes
             .extend_from(cell.drain(..).map(|e| (e.to_local, e.env)));
     }
-    run_receive_phase(pool.graph, &mut b, &mut ex.inboxes);
-    *slot.batch.lock().expect("batch slot lock") = Some(b);
-    slot.recv_state.store(DONE, Ordering::SeqCst);
+    if b.hooks.is_some() {
+        run_receive_phase::<P, true>(pool.graph, &mut b, &mut ex.inboxes);
+    } else {
+        run_receive_phase::<P, false>(pool.graph, &mut b, &mut ex.inboxes);
+    }
+    pool.park_batch(c, b);
+    pool.slots[c].recv_state.store(DONE, Ordering::SeqCst);
     pool.unpark_all();
 }
 
@@ -709,252 +680,84 @@ fn wait_done<P: Program>(pool: &StealPool<'_, P>, ex: &mut ExecCtx<P::Msg>, c: u
     }
 }
 
-/// Stage one fated-to-arrive message: deliver into the outbound shard of
-/// the recipient's owner chunk if the recipient is awake exactly now,
-/// otherwise count it lost — the model's rule, shared by the regular and
-/// duplicate delivery paths of the send phase.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn stage_delivery<M>(
-    ctx: &RoundCtx,
-    round: Round,
-    from: NodeId,
-    to: NodeId,
-    msg: M,
-    shards: &mut [Vec<ShardEntry<M>>],
-    tally: &mut Counters,
-    trace_on: bool,
-    trace: &mut Vec<TraceEvent>,
-) {
-    if ctx.next_wake[to.index()] == round {
-        tally.messages_delivered += 1;
-        if trace_on {
-            trace.push(TraceEvent::Delivered { round, from, to });
-        }
-        let (c, entry) = ctx.stage_entry(from, to, msg);
-        shards[c].push(entry);
-    } else {
-        tally.messages_lost += 1;
-        if trace_on {
-            trace.push(TraceEvent::Lost { round, from, to });
-        }
-    }
-}
-
-/// The send-phase body: run each job's `send`, validate and expand its
-/// entries through the shared checker, and stage every delivered message
-/// into the outbound shard of the recipient's owner chunk. Fills the
-/// batch's span/tally/error partials. Called by the workers and — for
-/// rounds too small to be worth dispatching — inline by the coordinator,
-/// so both paths are the same code by construction.
-fn run_send_phase<P: Program>(graph: &Graph, ctx: &RoundCtx, b: &mut Batch<P>) {
-    // Monomorphized on fault presence, like the serial `step`: with
-    // `FAULTY = false` the fate-roll closure below is dead code and the
-    // fault-free send loop optimizes as if fault injection didn't exist.
-    if b.faults.is_some() {
-        run_send_phase_body::<P, true>(graph, ctx, b);
-    } else {
-        run_send_phase_body::<P, false>(graph, ctx, b);
-    }
-}
-
-fn run_send_phase_body<P: Program, const FAULTY: bool>(
-    graph: &Graph,
-    ctx: &RoundCtx,
-    b: &mut Batch<P>,
-) {
-    let n = graph.n();
-    let round = b.round;
+/// The send-phase body: each job's span, then [`send_node`] with every
+/// delivered copy staged into the outbound shard of the recipient's owner
+/// chunk. Fills the chunk's send results.
+fn run_send_phase<P: Program, const FAULTY: bool>(graph: &Graph, ctx: &RoundCtx, b: &mut Batch<P>) {
     let k = ctx.bounds.len() - 1;
     let Batch {
+        round,
         jobs,
         out_items,
         res,
         shards,
-        faults,
+        hooks,
         crashes,
-        trace_on,
         ..
     } = b;
-    let SendResults {
-        node_spans,
-        tally,
-        delayed_out,
-        trace,
-        error,
-    } = res;
     if shards.len() < k {
         shards.resize_with(k, Vec::new);
     }
-    node_spans.clear();
-    trace.clear();
-    let trace_on = *trace_on;
-    *tally = Counters::default();
-    delayed_out.clear();
+    res.node_spans.clear();
+    res.tally = Counters::default();
+    res.delayed_out.clear();
+    res.error = None;
     crashes.clear();
-    *error = None;
-    let hooks = *faults;
     let mut outbox = Outbox::from_vec(std::mem::take(out_items));
     for (v, p) in jobs.iter_mut() {
-        let vid = NodeId(*v);
-        let view = View {
-            round,
-            me: vid,
-            ident: graph.ident(vid),
-            n,
-            neighbors: graph.neighbors(vid),
+        res.node_spans.push((*v, p.span()));
+        let log = SendLog {
+            tally: &mut res.tally,
+            tracer: &mut res.trace,
+            hooks: hooks.as_ref(),
+            delayed: &mut res.delayed_out,
+            crashes,
         };
-        node_spans.push((*v, p.span()));
-        if trace_on {
-            trace.push(TraceEvent::Awake { round, node: vid });
-        }
-        if FAULTY {
-            if let Some(fh) = hooks {
-                if fh.plan.crashes(round, *v) {
-                    // Save the start-of-round state *before* the node
-                    // acts: a crashed node loses this round's state
-                    // changes but its sends still go out (they left
-                    // before the crash).
-                    let mut w = Writer::new();
-                    (fh.crash_io.save)(p, &mut w);
-                    crashes.push((*v, w.into_bytes()));
-                }
-            }
-        }
-        outbox.clear();
-        p.send(&view, &mut outbox);
-        let res = if !FAULTY {
-            // A recipient is listening iff awake exactly now; if so, its
-            // awake position stamp is valid and names its owner chunk.
-            route_entries(graph, outbox.items.drain(..), vid, tally, |t, to, msg| {
-                stage_delivery(ctx, round, vid, to, msg, shards, t, trace_on, trace);
-            })
-        } else {
-            {
-                let fh = hooks.expect("FAULTY send phase implies hooks");
-                // One fate roll per transmission, counted per sender per
-                // round — the same sequence the serial engine rolls.
-                let mut k = 0u32;
-                route_entries(graph, outbox.items.drain(..), vid, tally, |t, to, msg| {
-                    let fate = fh.plan.message_fate(round, vid.0, to.0, k);
-                    k += 1;
-                    match fate {
-                        FaultKind::Deliver => {
-                            stage_delivery(ctx, round, vid, to, msg, shards, t, trace_on, trace)
-                        }
-                        FaultKind::Duplicate => {
-                            t.faults_duplicated += 1;
-                            stage_delivery(
-                                ctx,
-                                round,
-                                vid,
-                                to,
-                                msg.clone(),
-                                shards,
-                                t,
-                                trace_on,
-                                trace,
-                            );
-                            stage_delivery(ctx, round, vid, to, msg, shards, t, trace_on, trace);
-                        }
-                        FaultKind::Drop => {
-                            t.faults_dropped += 1;
-                            if trace_on {
-                                trace.push(TraceEvent::FaultDrop {
-                                    round,
-                                    from: vid,
-                                    to,
-                                });
-                            }
-                        }
-                        FaultKind::Delay => {
-                            t.faults_delayed += 1;
-                            let until = round + fh.plan.delay_rounds;
-                            if trace_on {
-                                trace.push(TraceEvent::FaultDelay {
-                                    round,
-                                    from: vid,
-                                    to,
-                                    until,
-                                });
-                            }
-                            delayed_out.push(DelayedMsg {
-                                due: until,
-                                from: vid,
-                                to,
-                                msg,
-                            });
-                        }
-                    }
-                })
-            }
+        // A listening recipient's awake-position stamp is valid and names
+        // its owner chunk.
+        let stage = |from, to, msg| {
+            let (c, entry) = ctx.stage_entry(from, to, msg);
+            shards[c].push(entry);
         };
-        if let Err(e) = res {
-            *error = Some(e);
+        let wake = &ctx.next_wake;
+        let sent = send_node::<P, FAULTY>(graph, *round, *v, p, &mut outbox, wake, log, stage);
+        if let Err(e) = sent {
+            res.error = Some(e);
             break;
         }
     }
-    b.out_items = outbox.into_vec();
+    *out_items = outbox.into_vec();
 }
 
-/// The receive-phase body: run each job's `receive` over the segments the
-/// caller drained into `inboxes` (a receive descriptor drains its
-/// exchange cells in source-chunk order; the inline path drains the
-/// single batch's own shards) and collect each action into the
-/// stay/sleep/halt partials. Shared by the descriptor executors and the
-/// coordinator's inline path, like [`run_send_phase`].
-fn run_receive_phase<P: Program>(
+/// The receive-phase body: deliver the chunk's late messages, then run
+/// [`receive_node`] per job over the segments the caller drained into
+/// `inboxes`, recording one outcome per job up to the first error.
+fn run_receive_phase<P: Program, const FAULTY: bool>(
     graph: &Graph,
     b: &mut Batch<P>,
     inboxes: &mut ChunkInboxes<P::Msg>,
 ) {
-    // Same monomorphization as the send phase: fault-free runs never pay
-    // for the crash-restart or late-delivery checks below.
-    if b.faults.is_some() {
-        run_receive_phase_body::<P, true>(graph, b, inboxes);
-    } else {
-        run_receive_phase_body::<P, false>(graph, b, inboxes);
-    }
-}
-
-fn run_receive_phase_body<P: Program, const FAULTY: bool>(
-    graph: &Graph,
-    b: &mut Batch<P>,
-    inboxes: &mut ChunkInboxes<P::Msg>,
-) {
-    let n = graph.n();
-    let round = b.round;
     let Batch {
+        round,
         jobs,
-        faults,
-        tally,
+        hooks,
         crashes,
-        crashed_nodes,
         late,
         late_locals,
-        stays,
-        sleeps,
-        halts,
+        outcomes,
         error,
-        trace_on,
-        trace,
         ..
     } = b;
-    let trace_on = *trace_on;
-    trace.clear();
-    *tally = Counters::default();
-    crashed_nodes.clear();
     // The caller has already drained this chunk's deliveries into
     // `inboxes` in source-chunk order (senders ascend within a chunk and
     // chunks are contiguous in node order, so each segment is a
     // concatenation of sorted runs — born sorted, same invariant as the
-    // serial arena). `ensure` here is an idempotent backstop for chunks
-    // that received nothing but still have late deliveries or jobs.
-    inboxes.ensure(jobs.len());
+    // arena's).
+    //
     // Fault-delayed messages coming due land after the ascending-sender
     // pass; deliver them, then restore each touched segment's
     // sorted-by-sender invariant (stable, so same-sender envelopes keep
-    // their staging order — identical to the serial arena's resort).
+    // their staging order — identical to the arena's resort).
     if FAULTY && !late.is_empty() {
         late_locals.clear();
         for e in late.drain(..) {
@@ -966,86 +769,40 @@ fn run_receive_phase_body<P: Program, const FAULTY: bool>(
         for &l in late_locals.iter() {
             inboxes.resort(l as usize);
         }
-        late_locals.clear();
     }
-    stays.clear();
-    sleeps.clear();
-    halts.clear();
+    outcomes.clear();
     *error = None;
-    let mut crash_i = 0usize;
+    let mut next_crash = 0;
     for (i, (v, p)) in jobs.iter_mut().enumerate() {
-        let vid = NodeId(*v);
-        // A crashed node loses the round — inbox discarded, state rolled
-        // back to start-of-round — and restarts awake next round.
-        if FAULTY && crashes.get(crash_i).is_some_and(|c| c.0 == *v) {
-            let blob = &crashes[crash_i].1;
-            crash_i += 1;
-            inboxes.clear(i);
-            let mut r = Reader::new(blob);
-            let io = faults.as_ref().expect("crash blobs imply fault hooks");
-            (io.crash_io.restore)(p, &mut r)
-                .expect("Persist round-trip: restore must accept its own save");
-            if trace_on {
-                trace.push(TraceEvent::Crash { round, node: vid });
+        let inbox = inboxes.inbox(i);
+        match receive_node::<P, FAULTY>(
+            graph,
+            *round,
+            *v,
+            p,
+            inbox,
+            hooks.as_ref(),
+            crashes,
+            &mut next_crash,
+        ) {
+            Ok(outcome) => outcomes.push(outcome),
+            Err(e) => {
+                *error = Some(e);
+                break;
             }
-            tally.faults_crashed += 1;
-            crashed_nodes.push(*v);
-            stays.push(*v);
-            continue;
         }
-        let view = View {
-            round,
-            me: vid,
-            ident: graph.ident(vid),
-            n,
-            neighbors: graph.neighbors(vid),
-        };
-        let action = p.receive(&view, inboxes.inbox(i));
         // Clear while the segment header is hot (see `arena`).
         inboxes.clear(i);
-        match action {
-            Action::Stay => stays.push(*v),
-            Action::SleepUntil(until) => {
-                if until <= round {
-                    *error = Some(SimError::InvalidSleep {
-                        node: vid,
-                        round,
-                        until,
-                    });
-                    break;
-                }
-                if trace_on {
-                    trace.push(TraceEvent::Sleep {
-                        round,
-                        node: vid,
-                        until,
-                    });
-                }
-                sleeps.push((until, *v));
-            }
-            Action::Halt => {
-                if trace_on {
-                    trace.push(TraceEvent::Halt { round, node: vid });
-                }
-                match p.output() {
-                    Some(o) => halts.push((*v, o)),
-                    None => {
-                        *error = Some(SimError::MissingOutput(vid));
-                        break;
-                    }
-                }
-            }
-        }
     }
     crashes.clear();
 }
 
 /// Merge one chunk's published send results into the run metrics:
 /// awake/span attribution per node in chunk order (= node order,
-/// preserving the serial engine's span interning order), then the message
-/// tallies, then the staged trace events (absorbed through the shared
+/// preserving the in-place body's span interning order), then the message
+/// tallies, then the staged trace events (absorbed through the run's
 /// capped tracer, so the global event sequence and drop count match the
-/// serial engine's). The coordinator calls this in chunk index order —
+/// in-place body's). The coordinator calls this in chunk index order —
 /// descriptor *execution* order is irrelevant.
 fn merge_send_results<P: Program>(
     r: &mut SendResults<P>,
@@ -1060,88 +817,10 @@ fn merge_send_results<P: Program>(
     metrics.counters += r.tally;
     if let Some(f) = faults {
         // Chunk order = node order, so the run-wide delayed buffer grows
-        // in the serial engine's transmission order.
+        // in transmission order.
         f.state.delayed.append(&mut r.delayed_out);
     }
-    tracer.absorb(&mut r.trace);
-}
-
-/// Apply one chunk's receive partials in node order: stay lane extension
-/// (chunks ascend, so the lane stays globally sorted), batched wheel
-/// scheduling, halt outputs, wake stamps, staged trace events, and
-/// program restoration. Returns whether this chunk touched recovery
-/// accounting (a crashed or still-recovering node), so the coordinator can
-/// bump [`Counters::recovery_rounds`] once per round like the serial
-/// engine.
-#[allow(clippy::too_many_arguments)]
-fn apply_receive_partials<P: Program>(
-    b: &mut Batch<P>,
-    round: Round,
-    ctx: &mut RoundCtx,
-    wheel: &mut WakeWheel,
-    stay: &mut Vec<u32>,
-    outputs: &mut [Option<P::Output>],
-    slots: &mut [Option<P>],
-    tracer: &mut Tracer,
-    metrics: &mut Metrics,
-    faults: Option<&mut FaultCtx<P>>,
-) -> bool {
-    tracer.absorb(&mut b.trace);
-    metrics.counters += std::mem::take(&mut b.tally);
-    // Recovery accounting, in the chunk's node order — the same merge the
-    // serial engine's phase B does inline. A node that crashed this round
-    // starts recovering (the crashed round itself is not recovery energy);
-    // an awake node still marked recovering pays one recovery_awake round,
-    // and its first non-`Stay` action (a sleep or halt partial) ends the
-    // recovery. Recovering nodes are always awake — a crash forces the
-    // node into the stay lane — so scanning the chunk's jobs sees them all.
-    let mut touched = false;
-    if let Some(f) = faults {
-        let rec = &mut f.state.recovering;
-        let (mut ci, mut si, mut hi) = (0usize, 0usize, 0usize);
-        for &(v, _) in b.jobs.iter() {
-            if b.crashed_nodes.get(ci).is_some_and(|&c| c == v) {
-                ci += 1;
-                rec[v as usize] = true;
-                touched = true;
-                continue;
-            }
-            if !rec[v as usize] {
-                continue;
-            }
-            metrics.recovery_awake += 1;
-            touched = true;
-            while b.sleeps.get(si).is_some_and(|&(_, s)| s < v) {
-                si += 1;
-            }
-            while b.halts.get(hi).is_some_and(|h| h.0 < v) {
-                hi += 1;
-            }
-            let non_stay = b.sleeps.get(si).is_some_and(|&(_, s)| s == v)
-                || b.halts.get(hi).is_some_and(|h| h.0 == v);
-            if non_stay {
-                rec[v as usize] = false;
-            }
-        }
-        b.crashed_nodes.clear();
-    }
-    for &v in &b.stays {
-        ctx.next_wake[v as usize] = round + 1;
-    }
-    stay.extend_from_slice(&b.stays);
-    b.stays.clear();
-    for &(until, v) in &b.sleeps {
-        ctx.next_wake[v as usize] = until;
-    }
-    wheel.schedule_all(b.sleeps.drain(..));
-    for (v, o) in b.halts.drain(..) {
-        ctx.next_wake[v as usize] = NEVER;
-        outputs[v as usize] = Some(o);
-    }
-    for (v, p) in b.jobs.drain(..) {
-        slots[v as usize] = Some(p);
-    }
-    touched
+    tracer.absorb(&mut r.trace.events);
 }
 
 /// A spawned executor: register for unpark storms, then scan-claim-execute
@@ -1173,82 +852,71 @@ fn worker_loop<P: Program>(pool: &StealPool<'_, P>, who: usize) {
     }
 }
 
-/// Advance the per-round timing stamp: add the elapsed time to the
-/// accumulator `pick` selects and re-stamp. When timing is off the stamp
-/// is `None` and no clock is read at all.
-#[inline]
-fn lap(stamp: &mut Option<(&mut PhaseTimes, Instant)>, pick: fn(&mut PhaseTimes) -> &mut u64) {
-    if let Some((t, at)) = stamp.as_mut() {
-        let now = Instant::now();
-        *pick(t) += now.duration_since(*at).as_nanos() as u64;
-        *at = now;
+/// The coordinator's handle on a running pool: the shared injector plus
+/// the coordinator's own executor context (it steals while it waits) and
+/// partition scratch.
+pub(crate) struct Dispatcher<'a, 'g, P: Program> {
+    pool: &'a StealPool<'g, P>,
+    coord: ExecCtx<P::Msg>,
+    prefix: Vec<u64>,
+}
+
+impl<P: Program> Dispatcher<'_, '_, P> {
+    /// The chunk count of a round over `awake`: one (the round runs in
+    /// place) when its degree mass is at most [`INLINE_MASS`], otherwise
+    /// one chunk per executor, capped at one node per chunk.
+    pub(crate) fn chunks(&self, graph: &Graph, awake: &[u32]) -> usize {
+        let mass: u64 = awake
+            .iter()
+            .map(|&v| graph.degree(NodeId(v)) as u64 + 1)
+            .sum();
+        if mass <= INLINE_MASS {
+            1
+        } else {
+            self.pool.kmax.min(awake.len())
+        }
     }
 }
 
-/// The worker-pool executor core behind
-/// [`Engine::run_spec`](crate::Engine::run_spec): a persistent executor
-/// pool (the coordinator plus `workers - 1` spawned threads) driven round
-/// by round from a round boundary, with the boundary's fault state (if
-/// any), optional checkpoint control, optional per-phase timing, and an
-/// optional (test-only) chaos plan perturbing the claim scheduling. All
-/// observable state lives coordinator-side between rounds, which is
-/// exactly what a [`Snapshot`] captures — byte-identical to the serial
-/// engine's at the same boundary.
-pub(crate) fn run_threaded_core<P>(
+/// Run `body` with a pool of `workers` executors (the calling thread plus
+/// `workers - 1` spawned ones), or with none when `workers <= 1`. `faulty`
+/// and `traced` say whether the run has a fault plan and records a trace.
+/// Every exit of `body` — completion, pause, error — raises shutdown and
+/// wakes every parked executor before the scope joins the threads.
+pub(crate) fn with_pool<P: Program + Send, R>(
     graph: &Graph,
-    programs: Vec<P>,
-    start: Boundary<P>,
     workers: usize,
-    mut ctl: Option<Controller<'_, P>>,
-    mut timing: Option<&mut PhaseTimes>,
+    faulty: bool,
+    traced: bool,
     chaos: Option<ChaosPlan>,
-) -> Result<Paused<P::Output>, SimError>
-where
-    P: Program + Send,
-{
-    let n = graph.n();
-    let workers = workers.max(1);
-    let Boundary {
-        config,
-        prev_round: start_round,
-        next_wake,
-        stay: start_stay,
-        mut wheel,
-        mut outputs,
-        mut metrics,
-        mut tracer,
-        mut faults,
-    } = start;
-    let trace_on = tracer.enabled();
-    if n == 0 {
-        return finish_run(outputs, metrics, tracer, faults).map(Paused::Done);
+    body: impl FnOnce(Option<&mut Dispatcher<'_, '_, P>>) -> R,
+) -> R {
+    if workers <= 1 {
+        return body(None);
     }
-    let mut slots: Vec<Option<P>> = programs.into_iter().map(Some).collect();
-    // The immutable per-round fault hooks workers need; the mutable fault
-    // state (the delayed-message buffer) stays with the coordinator.
-    let hooks: Option<FaultHooks<P>> = faults.as_ref().map(|f| FaultHooks {
-        plan: f.state.plan,
-        crash_io: f.crash_io,
-    });
-
-    // The shared injector: slot arena (one descriptor slot per potential
-    // chunk), k×k exchange cells, round context. Preallocated once; the
-    // steady state only swaps buffers through it.
+    // Chunks stage trace events uncapped; the run's tracer applies the cap
+    // as it absorbs them in chunk order.
+    let stage = if traced {
+        TraceMode::Capped(usize::MAX)
+    } else {
+        TraceMode::Off
+    };
+    // Preallocated once; the steady state only swaps buffers through it.
     let pool: StealPool<'_, P> = StealPool {
         graph,
         ctx: RwLock::new(RoundCtx {
-            next_wake,
-            awake_pos: vec![0u32; n],
+            next_wake: Vec::new(),
+            awake_pos: vec![0u32; graph.n()],
             bounds: Vec::new(),
             chunk: Vec::new(),
         }),
-        slots: (0..workers).map(|_| ChunkSlot::new()).collect(),
+        slots: (0..workers).map(|_| ChunkSlot::new(stage)).collect(),
         cells: (0..workers * workers)
             .map(|_| Mutex::new(Vec::new()))
             .collect(),
         kmax: workers,
         k: AtomicUsize::new(0),
-        auto_receive: faults.is_none(),
+        auto_receive: !faulty,
         abort: AtomicBool::new(false),
         shutdown: AtomicBool::new(false),
         registry: Mutex::new(Vec::new()),
@@ -1257,314 +925,161 @@ where
     // The coordinator is an executor too (it steals while it waits):
     // register it for unpark storms before anything can publish.
     pool.register();
-
-    let result: Result<Option<Snapshot>, SimError> = std::thread::scope(|scope| {
+    thread::scope(|scope| {
         for who in 1..workers {
-            let pool_ref = &pool;
-            scope.spawn(move || worker_loop(pool_ref, who));
+            let pool = &pool;
+            scope.spawn(move || worker_loop(pool, who));
         }
-
-        let mut awake: Vec<u32> = Vec::new();
-        let mut scratch: Vec<u32> = Vec::new();
-        let mut stay: Vec<u32> = start_stay;
-        let mut prefix: Vec<u64> = Vec::new();
-        let mut bounds: Vec<u32> = Vec::new();
-        // The coordinator's executor context: claim-scan offset 0, plus
-        // the segment pool its inline path and receive steals share.
-        let mut coord: ExecCtx<P::Msg> = ExecCtx::new(0);
-        let mut prev_round: Round = start_round;
-
-        // Wrapped so every exit — completion, pause, error — funnels
-        // through the one place below that raises shutdown and unparks
-        // every executor before the scope joins the threads.
-        let out = (|| -> Result<Option<Snapshot>, SimError> {
-            // Peek without committing anything, so a pause bound can
-            // snapshot this exact boundary.
-            while let Some(round) = peek_next(&mut wheel, &stay, prev_round) {
-                if let Some(c) = ctl.as_mut() {
-                    let paused = c.at_boundary(prev_round, round, |encode| {
-                        // Between rounds every program is parked in its slot.
-                        let ctx = pool.ctx.read().expect("round context lock");
-                        let st = EngineStateRef {
-                            prev_round,
-                            next_wake: &ctx.next_wake,
-                            stay: &stay,
-                            wheel_events: wheel.pending_events(),
-                            outputs: &outputs,
-                            programs: ProgramsRef::Slots(&slots),
-                            metrics: &metrics,
-                            tracer: &tracer,
-                            faults: faults.as_ref().map(|f| &f.state),
-                        };
-                        encode(graph, config, st)
-                    });
-                    if paused.is_some() {
-                        return Ok(paused);
-                    }
-                }
-                // Per-round timing stamp; partition covers pop → publish.
-                let mut stamp = timing.as_deref_mut().map(|t| (t, Instant::now()));
-                let popped =
-                    next_awake_set(&mut wheel, &mut stay, prev_round, &mut awake, &mut scratch);
-                debug_assert_eq!(popped, Some(round), "peek and pop must agree");
-                if round > config.max_rounds {
-                    return Err(SimError::RoundBudgetExceeded {
-                        limit: config.max_rounds,
-                    });
-                }
-                // Same skipped-round accounting as the serial `step_body`:
-                // rounds the batch-cascade jumped over had no awake node.
-                metrics.rounds_skipped += round - prev_round - 1;
-                metrics.rounds = round;
-                prev_round = round;
-                let total_mass = degree_mass_prefix(graph, &awake, &mut prefix);
-                let inline = workers == 1 || total_mass <= INLINE_MASS;
-                let k = if inline { 1 } else { workers.min(awake.len()) };
-                partition_by_mass(&prefix, k, &mut bounds);
-                {
-                    let mut ctx = pool.ctx.write().expect("round context lock");
-                    ctx.bounds.clone_from(&bounds);
-                    ctx.chunk.clear();
-                    ctx.chunk.reserve(awake.len());
-                    let mut c = 0usize;
-                    for (i, &v) in awake.iter().enumerate() {
-                        ctx.awake_pos[v as usize] = i as u32;
-                        while bounds[c + 1] as usize <= i {
-                            c += 1;
-                        }
-                        ctx.chunk.push(c as u32);
-                    }
-                }
-
-                if inline {
-                    lap(&mut stamp, |t| &mut t.partition_ns);
-                    // ---- inline path: one chunk, no descriptors. The same
-                    // phase functions the stealing executors run, so results
-                    // are identical by construction; only the descriptor
-                    // traffic is skipped. Uses chunk 0's parked batch.
-                    let mut b = pool.slots[0]
-                        .batch
-                        .lock()
-                        .expect("batch slot lock")
-                        .take()
-                        .expect("batch parked between rounds");
-                    b.round = round;
-                    b.trace_on = trace_on;
-                    b.faults = hooks;
-                    b.jobs.clear();
-                    for &v in &awake {
-                        b.jobs
-                            .push((v, slots[v as usize].take().expect("program present")));
-                    }
-                    {
-                        let ctx = pool.ctx.read().expect("round context lock");
-                        run_send_phase(graph, &ctx, &mut b);
-                    }
-                    if let Some(e) = b.res.error.take() {
-                        return Err(e);
-                    }
-                    merge_send_results(&mut b.res, &mut metrics, &mut tracer, faults.as_mut());
-                    if let Some(f) = faults.as_mut() {
-                        // A single chunk: every due message is this batch's.
-                        let ctx = pool.ctx.read().expect("round context lock");
-                        let (late, wake) = (&mut b.late, &ctx.next_wake);
-                        let c = &mut metrics.counters;
-                        resolve_due_delays(&mut f.state, round, wake, c, &mut tracer, |d| {
-                            late.push(ctx.stage_entry(d.from, d.to, d.msg).1)
-                        });
-                    }
-                    // Drain the single chunk's own shards — the inline
-                    // counterpart of a receive descriptor draining its cells.
-                    coord.inboxes.ensure(b.jobs.len());
-                    for shard in b.shards.iter_mut() {
-                        coord
-                            .inboxes
-                            .extend_from(shard.drain(..).map(|e| (e.to_local, e.env)));
-                    }
-                    run_receive_phase(graph, &mut b, &mut coord.inboxes);
-                    if let Some(e) = b.error.take() {
-                        return Err(e);
-                    }
-                    {
-                        let mut ctx = pool.ctx.write().expect("round context lock");
-                        let rec_round = apply_receive_partials(
-                            &mut b,
-                            round,
-                            &mut ctx,
-                            &mut wheel,
-                            &mut stay,
-                            &mut outputs,
-                            &mut slots,
-                            &mut tracer,
-                            &mut metrics,
-                            faults.as_mut(),
-                        );
-                        if rec_round {
-                            metrics.recovery_rounds += 1;
-                        }
-                    }
-                    *pool.slots[0].batch.lock().expect("batch slot lock") = Some(b);
-                    lap(&mut stamp, |t| &mut t.inline_ns);
-                    if let Some((t, _)) = stamp.as_mut() {
-                        t.inline_rounds += 1;
-                    }
-                } else {
-                    // ---- publish: fill every chunk descriptor first, then
-                    // open them all at once. Two loops on purpose — an
-                    // executor may claim a send the instant its slot turns
-                    // READY, and its k publish decrements must land on fully
-                    // reset `pending` counters and VACANT receive gates.
-                    pool.abort.store(false, Ordering::SeqCst);
-                    pool.k.store(k, Ordering::SeqCst);
-                    for c in 0..k {
-                        let slot = &pool.slots[c];
-                        let mut parked = slot.batch.lock().expect("batch slot lock");
-                        let b = parked.as_mut().expect("batch parked between rounds");
-                        b.round = round;
-                        b.trace_on = trace_on;
-                        b.faults = hooks;
-                        b.jobs.clear();
-                        for &v in &awake[bounds[c] as usize..bounds[c + 1] as usize] {
-                            b.jobs
-                                .push((v, slots[v as usize].take().expect("program present")));
-                        }
-                        slot.pending.store(k, Ordering::SeqCst);
-                        slot.recv_state.store(VACANT, Ordering::SeqCst);
-                    }
-                    for c in 0..k {
-                        pool.slots[c].send_state.store(READY, Ordering::SeqCst);
-                    }
-                    pool.unpark_all();
-                    lap(&mut stamp, |t| &mut t.partition_ns);
-
-                    // ---- send results, in chunk index order. The coordinator
-                    // steals work itself while waiting (`wait_done`), so the
-                    // merge order — which fixes metrics, trace, and error
-                    // precedence — is untouched by who executed what.
-                    let mut round_err = None;
-                    for c in 0..k {
-                        wait_done(&pool, &mut coord, c, false);
-                        lap(&mut stamp, |t| &mut t.route_ns);
-                        let mut r = pool.slots[c].results.lock().expect("results slot lock");
-                        // Error precedence: chunks ascend in node order and a
-                        // send stops at its chunk's first routing error, so
-                        // the first error of the lowest-indexed chunk is the
-                        // serial engine's error.
-                        if let Some(e) = r.error.take() {
-                            round_err = Some(e);
-                            break;
-                        }
-                        merge_send_results(&mut r, &mut metrics, &mut tracer, faults.as_mut());
-                        lap(&mut stamp, |t| &mut t.merge_ns);
-                    }
-                    if let Some(e) = round_err {
-                        return Err(e);
-                    }
-                    // Between the phases: route fault-delayed messages coming
-                    // due into their recipients' owner batches, exactly where
-                    // the serial engine resolves them. Only on faulty runs —
-                    // fault-free rounds auto-open their receives instead
-                    // (`auto_receive`), so this coordinator turn is skipped.
-                    if let Some(f) = faults.as_mut() {
-                        {
-                            let ctx = pool.ctx.read().expect("round context lock");
-                            // Stage each due message into its recipient's
-                            // parked batch: every receive descriptor is
-                            // still gated closed here on a faulty round.
-                            let wake = &ctx.next_wake;
-                            let c = &mut metrics.counters;
-                            resolve_due_delays(&mut f.state, round, wake, c, &mut tracer, |d| {
-                                let (c, entry) = ctx.stage_entry(d.from, d.to, d.msg);
-                                pool.slots[c]
-                                    .batch
-                                    .lock()
-                                    .expect("batch slot lock")
-                                    .as_mut()
-                                    .expect("batch parked for staging")
-                                    .late
-                                    .push(entry);
-                            });
-                        }
-                        for c in 0..k {
-                            pool.slots[c].recv_state.store(READY, Ordering::SeqCst);
-                        }
-                        pool.unpark_all();
-                        lap(&mut stamp, |t| &mut t.merge_ns);
-                    }
-
-                    // ---- receive partials, in chunk order (= node order):
-                    // stay lane stays globally sorted, wake-ups enter the
-                    // wheel in the serial engine's schedule order, halt
-                    // outputs land in place. Waiting on every receive also
-                    // quiesces the round: no executor holds work at a round
-                    // boundary, so pause/periodic snapshots stay exact.
-                    let mut rec_round = false;
-                    for c in 0..k {
-                        wait_done(&pool, &mut coord, c, true);
-                        lap(&mut stamp, |t| &mut t.deliver_ns);
-                        let mut b = pool.slots[c]
-                            .batch
-                            .lock()
-                            .expect("batch slot lock")
-                            .take()
-                            .expect("batch parked after receive");
-                        if let Some(e) = b.error.take() {
-                            return Err(e);
-                        }
-                        {
-                            let mut ctx = pool.ctx.write().expect("round context lock");
-                            rec_round |= apply_receive_partials(
-                                &mut b,
-                                round,
-                                &mut ctx,
-                                &mut wheel,
-                                &mut stay,
-                                &mut outputs,
-                                &mut slots,
-                                &mut tracer,
-                                &mut metrics,
-                                faults.as_mut(),
-                            );
-                        }
-                        *pool.slots[c].batch.lock().expect("batch slot lock") = Some(b);
-                        lap(&mut stamp, |t| &mut t.merge_ns);
-                    }
-                    if rec_round {
-                        metrics.recovery_rounds += 1;
-                    }
-                    if let Some((t, _)) = stamp.as_mut() {
-                        t.dispatched_rounds += 1;
-                    }
-                }
-            }
-            Ok(None)
-        })();
-        // One exit for every path: raise shutdown and wake every parked
-        // executor so the scope can join its threads.
+        let mut d = Dispatcher {
+            pool: &pool,
+            coord: ExecCtx::new(0),
+            prefix: Vec::new(),
+        };
+        let out = body(Some(&mut d));
         pool.shutdown.store(true, Ordering::SeqCst);
         pool.unpark_all();
         out
-    });
-    if let Some(snapshot) = result? {
-        return Ok(Paused::Snapshot(snapshot));
-    }
-
-    finish_run(outputs, metrics, tracer, faults).map(Paused::Done)
+    })
 }
 
-/// Run `programs` fault-free on the worker pool with `workers` executors,
-/// accumulating per-phase wall time into `timing` ([`PhaseTimes`]) —
-/// partition / route / deliver / merge for dispatched rounds, a single
-/// bucket for inline rounds. The probe reads the clock only between
-/// pipeline stages on the coordinator, so the run itself (outputs,
-/// [`Metrics`], trace) is bit-for-bit the serial engine's. Kept with this
-/// signature because the `perfbench` benchmark calls it: it forwards into
-/// the pool core behind [`Engine::run_spec`](crate::Engine::run_spec)
-/// without that method's [`Persist`](crate::Persist) bounds.
+impl<P: Program> Exec<'_, P> {
+    /// A dispatched round over `k > 1` chunks: lend the wake stamps to the
+    /// pool and publish the chunks, merge the send results in chunk order,
+    /// take the stamps back, stage fault-delayed messages coming due into
+    /// their recipients' chunks, and apply every chunk's outcomes in chunk
+    /// order (= node order) through [`Boundary::apply`].
+    pub(crate) fn round_dispatched(
+        &mut self,
+        d: &mut Dispatcher<'_, '_, P>,
+        round: Round,
+        k: usize,
+        stamp: &mut Stamp<'_>,
+    ) -> Result<(), SimError> {
+        let pool = d.pool;
+        let hooks = self.at.faults.as_ref().map(FaultCtx::hooks);
+        {
+            let mut ctx = pool.ctx.write().expect("round context lock");
+            std::mem::swap(&mut ctx.next_wake, &mut self.at.next_wake);
+            degree_mass_prefix(self.graph, &self.awake, &mut d.prefix);
+            partition_by_mass(&d.prefix, k, &mut ctx.bounds);
+            ctx.stamp(&self.awake);
+        }
+        // ---- publish: fill every chunk descriptor first, then open them
+        // all at once. Two loops on purpose — an executor may claim a send
+        // the instant its slot turns READY, and its k publish decrements
+        // must land on fully reset `pending` counters and VACANT receive
+        // gates.
+        pool.abort.store(false, Ordering::SeqCst);
+        pool.k.store(k, Ordering::SeqCst);
+        {
+            let ctx = pool.ctx.read().expect("round context lock");
+            for c in 0..k {
+                let slot = &pool.slots[c];
+                let mut parked = slot.batch.lock().expect("batch slot lock");
+                let b = parked.as_mut().expect("batch parked between rounds");
+                b.round = round;
+                b.hooks = hooks;
+                b.jobs.clear();
+                for &v in &self.awake[ctx.bounds[c] as usize..ctx.bounds[c + 1] as usize] {
+                    let p = self.programs[v as usize]
+                        .take()
+                        .expect("program in its slot");
+                    b.jobs.push((v, p));
+                }
+                slot.pending.store(k, Ordering::SeqCst);
+                slot.recv_state.store(VACANT, Ordering::SeqCst);
+            }
+        }
+        for c in 0..k {
+            pool.slots[c].send_state.store(READY, Ordering::SeqCst);
+        }
+        pool.unpark_all();
+        lap(stamp, |t| &mut t.partition_ns);
+
+        // ---- send results, in chunk index order. The coordinator steals
+        // work itself while waiting (`wait_done`), so the merge order —
+        // which fixes metrics, trace, and error precedence — is untouched
+        // by who executed what.
+        let at = &mut self.at;
+        for c in 0..k {
+            wait_done(pool, &mut d.coord, c, false);
+            lap(stamp, |t| &mut t.route_ns);
+            let mut r = pool.slots[c].results.lock().expect("results slot lock");
+            // Error precedence: chunks ascend in node order and a send
+            // stops at its chunk's first routing error, so the first error
+            // of the lowest-indexed chunk is the in-place body's error.
+            if let Some(e) = r.error.take() {
+                return Err(e);
+            }
+            merge_send_results(&mut r, &mut at.metrics, &mut at.tracer, at.faults.as_mut());
+            lap(stamp, |t| &mut t.merge_ns);
+        }
+        // Every send is DONE, so nothing reads the round context any more:
+        // stage fault-delayed messages coming due into their recipients'
+        // parked batches (every receive is still gated closed on a faulty
+        // round), then take the wake stamps back.
+        {
+            let mut ctx = pool.ctx.write().expect("round context lock");
+            if let Some(f) = at.faults.as_mut() {
+                let (wake, c) = (&ctx.next_wake, &mut at.metrics.counters);
+                resolve_due_delays(&mut f.state, round, wake, c, &mut at.tracer, |m| {
+                    let (owner, entry) = ctx.stage_entry(m.from, m.to, m.msg);
+                    let mut parked = pool.slots[owner].batch.lock().expect("batch slot lock");
+                    let b = parked.as_mut().expect("batch parked for staging");
+                    b.late.push(entry);
+                });
+            }
+            std::mem::swap(&mut ctx.next_wake, &mut at.next_wake);
+        }
+        if at.faults.is_some() {
+            for c in 0..k {
+                pool.slots[c].recv_state.store(READY, Ordering::SeqCst);
+            }
+            pool.unpark_all();
+            lap(stamp, |t| &mut t.merge_ns);
+        }
+
+        // ---- outcomes, in chunk order (= node order). Waiting on every
+        // receive also quiesces the round: no executor holds work at a
+        // round boundary, so pause/periodic snapshots stay exact.
+        let mut recovery = false;
+        for c in 0..k {
+            wait_done(pool, &mut d.coord, c, true);
+            lap(stamp, |t| &mut t.deliver_ns);
+            let mut b = pool.take_batch(c);
+            // Outcomes before the chunk's first error apply first, as in
+            // the in-place body. `FAULTY = true` leaves the fault checks to
+            // run time: a dispatched round is heavy enough not to notice.
+            for ((v, p), outcome) in b.jobs.drain(..).zip(b.outcomes.drain(..)) {
+                recovery |= self.at.apply::<true>(round, v, outcome)?;
+                self.programs[v as usize] = Some(p);
+            }
+            if let Some(e) = b.error.take() {
+                return Err(e);
+            }
+            pool.park_batch(c, b);
+            lap(stamp, |t| &mut t.merge_ns);
+        }
+        if recovery {
+            self.at.metrics.recovery_rounds += 1;
+        }
+        Ok(())
+    }
+}
+
+/// Run `programs` fault-free with `workers` executors, accumulating
+/// per-phase wall time into `timing` ([`PhaseTimes`]) — partition / route
+/// / deliver / merge for dispatched rounds, a single bucket for in-place
+/// ones. The probe reads the clock only between pipeline stages on the
+/// coordinator, so the run itself (outputs, [`Metrics`], trace) is bit for
+/// bit the one-worker run's. Kept with this signature because the
+/// `perfbench` benchmark calls it: it forwards into the driver behind
+/// [`Engine::run_spec`](crate::Engine::run_spec) without that method's
+/// [`Persist`](crate::Persist) bounds.
 ///
 /// # Errors
-/// Same contract as the serial engine ([`SimError`]), with its error
-/// precedence (lowest node id first).
+/// Same contract as [`Engine::run`](crate::Engine::run) ([`SimError`]),
+/// with its error precedence (lowest node id first).
 pub fn run_threaded_timed<P>(
     graph: &Graph,
     programs: Vec<P>,
@@ -1576,14 +1091,20 @@ where
     P: Program + Send,
 {
     let start = Boundary::start(graph, config, &programs, None)?;
-    run_threaded_core(graph, programs, start, workers, None, Some(timing), None)
-        .map(Paused::finished)
+    let traced = start.tracer.enabled();
+    with_pool(graph, workers, false, traced, None, |pool| {
+        drive(graph, programs, start, pool, None, Some(timing))
+    })
+    .map(Paused::finished)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CheckpointError, Codec, Engine, Outbox, Persist, ResumeError, RunSpec, TraceMode};
+    use crate::{
+        Action, CheckpointError, Codec, Engine, FaultPlan, Persist, Reader, ResumeError, RunSpec,
+        Snapshot, TraceMode, View, Writer,
+    };
     use awake_graphs::generators;
 
     /// Flood the maximum ident seen so far for `n` rounds, then halt.
@@ -1813,6 +1334,70 @@ mod tests {
                 label(&spec)
             );
         }
+    }
+
+    /// One worker (`None`) and the pool at 1, 2 and 4 workers, with an
+    /// optional fault plan.
+    fn overflow_specs(plan: Option<FaultPlan>) -> Vec<RunSpec<'static>> {
+        [None, Some(1), Some(2), Some(4)]
+            .map(|w| RunSpec::on(w).with_faults(plan))
+            .into()
+    }
+
+    #[test]
+    fn delay_past_the_last_round_is_a_typed_error() {
+        // Half of all transmissions are delayed by u64::MAX rounds: the due
+        // round overflows and must surface as a typed error instead of
+        // wrapping into an early due round. P_8 runs every round in place;
+        // P_200 (degree mass 598) dispatches round 1.
+        let mut plan = FaultPlan::new(5);
+        plan.delay_ppm = 500_000;
+        plan.delay_rounds = u64::MAX;
+        for n in [8, 200] {
+            let g = generators::path(n);
+            for spec in overflow_specs(Some(plan)) {
+                let err = run(&g, flood(n, 5)(), Config::default(), &spec).unwrap_err();
+                let at = label(&spec);
+                assert_eq!(err, SimError::RoundOverflow { round: 1 }, "n = {n}, {at}");
+            }
+        }
+    }
+
+    /// Wakes at `u64::MAX - 1` and stays awake.
+    struct StaysToTheEnd;
+    persist!(StaysToTheEnd);
+
+    impl Program for StaysToTheEnd {
+        type Msg = ();
+        type Output = ();
+        fn initial_wake(&self) -> Option<Round> {
+            Some(u64::MAX - 1)
+        }
+        fn send(&mut self, _: &View, _: &mut Outbox<()>) {}
+        fn receive(&mut self, _: &View, _: &[Envelope<()>]) -> Action {
+            Action::Stay
+        }
+        fn output(&self) -> Option<()> {
+            None
+        }
+    }
+
+    #[test]
+    fn stay_past_the_last_round_is_a_typed_error() {
+        // With the whole u64 range as budget, a stay at the last round has
+        // no next round to wake in.
+        let g = generators::path(2);
+        let cfg = Config::with_max_rounds(u64::MAX);
+        for spec in overflow_specs(None) {
+            let progs = vec![StaysToTheEnd, StaysToTheEnd];
+            let err = run(&g, progs, cfg, &spec).unwrap_err();
+            let want = SimError::RoundOverflow { round: u64::MAX };
+            assert_eq!(err, want, "{}", label(&spec));
+        }
+        let err = Engine::new(&g, cfg)
+            .run(vec![StaysToTheEnd, StaysToTheEnd])
+            .unwrap_err();
+        assert!(err.to_string().contains("overflows"));
     }
 
     // ---- degree-weighted partitioning ----

@@ -1,6 +1,6 @@
 //! The wake-up scheduler: a hierarchical bucket (timing-wheel) queue.
 //!
-//! The executors must repeatedly answer "which round is next, and who wakes
+//! The driver must repeatedly answer "which round is next, and who wakes
 //! then?" over the full `u64` round space — the paper's schedules jump by
 //! polynomially long sleeps, so the queue has to skip-ahead in O(awake)
 //! rather than scan rounds. A binary heap does this in `O(log n)` per
@@ -18,9 +18,9 @@
 //! steady state allocates nothing.
 //!
 //! The dominant action of dense algorithm phases — [`Action::Stay`] — never
-//! touches this structure at all: the executors keep a *fast lane* of nodes
-//! waking at `previous round + 1` and only consult the wheel for genuine
-//! sleeps (see `Engine::run`).
+//! touches this structure at all: the driver keeps a *fast lane* of nodes
+//! waking at `previous round + 1` and only consults the wheel for genuine
+//! sleeps (see the `engine` module).
 //!
 //! [`Action::Stay`]: crate::Action::Stay
 
@@ -69,7 +69,7 @@ impl WakeWheel {
     /// wheel's logical content for checkpointing. Bucket layout is relative
     /// to the wheel's running position, so snapshots store this canonical
     /// form and restore rebuilds a fresh wheel from it: pop order and peek
-    /// results (all the executors observe) are position-independent.
+    /// results (all the driver observes) are position-independent.
     pub(crate) fn pending_events(&self) -> Vec<(Round, u32)> {
         let mut events: Vec<(Round, u32)> = Vec::with_capacity(self.len);
         for bucket in &self.buckets {
@@ -91,7 +91,7 @@ impl WakeWheel {
     /// Queue `node` to wake at `round`.
     ///
     /// `round` must be strictly greater than the last round handed out by
-    /// [`pop_next`](Self::pop_next) — the executors validate sleeps before
+    /// [`pop_next`](Self::pop_next) — the driver validates sleeps before
     /// scheduling them.
     #[inline]
     pub(crate) fn schedule(&mut self, round: Round, node: u32) {
@@ -120,23 +120,9 @@ impl WakeWheel {
         // (peek_min) may re-arm the memo.
     }
 
-    /// Queue a batch of `(wake round, node)` events.
-    ///
-    /// The batched form of [`schedule`](Self::schedule): the threaded
-    /// executor applies each worker's sleep partial in one call, chunk by
-    /// chunk in node order, so merged wake-ups enter the wheel in exactly
-    /// the order the serial engine schedules them. Every event must be
-    /// strictly in the future, like `schedule`.
-    #[inline]
-    pub(crate) fn schedule_all(&mut self, events: impl IntoIterator<Item = (Round, u32)>) {
-        for (round, node) in events {
-            self.schedule(round, node);
-        }
-    }
-
     /// The earliest pending round, without advancing the wheel.
     ///
-    /// No cascade: the executors use this to decide whether the wheel
+    /// No cascade: the driver uses this to decide whether the wheel
     /// participates in a stay-lane round *before* committing the wheel's
     /// position, so sleeps scheduled while processing that round stay
     /// insertable. Amortized O(1): `schedule` keeps a valid memo tight,
@@ -201,7 +187,7 @@ impl WakeWheel {
             // re-insert events through `schedule`, which would otherwise
             // re-memoize the very round being popped here — and peek_min
             // would then report an already-popped round, making the
-            // executors skip coinciding wake-ups.
+            // driver skip coinciding wake-ups.
             self.cached_min = None;
             return Some(round);
         }
@@ -365,22 +351,11 @@ mod tests {
         let events = w.pending_events();
         assert_eq!(events, vec![(66, 1), (66, 3), (1 << 40, 2)]);
         let mut rebuilt = WakeWheel::new();
-        rebuilt.schedule_all(events);
+        for (r, v) in events {
+            rebuilt.schedule(r, v);
+        }
         assert_eq!(rebuilt.peek_min(), w.peek_min());
         assert_eq!(drain_all(&mut rebuilt), drain_all(&mut w));
-    }
-
-    #[test]
-    fn schedule_all_equals_repeated_schedule() {
-        let events = [(5u64, 0u32), (1, 1), (70, 2), (5, 3), (1 << 30, 4)];
-        let mut batched = WakeWheel::new();
-        batched.schedule_all(events);
-        let mut single = WakeWheel::new();
-        for (r, v) in events {
-            single.schedule(r, v);
-        }
-        assert_eq!(batched.peek_min(), single.peek_min());
-        assert_eq!(drain_all(&mut batched), drain_all(&mut single));
     }
 
     /// The batch-cascade drains one bucket per jump: events sharing the far

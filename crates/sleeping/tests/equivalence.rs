@@ -641,3 +641,106 @@ fn resuming_under_another_fault_plan_is_a_typed_error() {
         run(&g, &scripts, &resume).finished();
     }
 }
+
+// ---------------------------------------------------------------------------
+// Dispatched rounds: the pool splits a round into chunks only when its
+// degree mass is worth it, so the small graphs above never leave the
+// in-place round body. These cases mix both bodies in one run.
+
+/// The pool's dispatch threshold: on more than one worker, a round whose
+/// awake degree mass (`degree + 1` per awake node) exceeds this runs as
+/// chunks on the pool; any other round runs in place.
+const INLINE_MASS: u64 = 256;
+
+/// Random scripts with every node also awake at rounds 1, 2 and 6: these
+/// dense rounds (and the far rendezvous) are dispatched on a pool, the
+/// sparse rounds in between run in place.
+fn mixed_scripts(rng: &mut Rng, n: usize) -> Vec<Vec<u64>> {
+    random_scripts(rng, n)
+        .into_iter()
+        .map(|mut wakes| {
+            wakes.extend([1, 2, 6]);
+            wakes.sort_unstable();
+            wakes.dedup();
+            wakes
+        })
+        .collect()
+}
+
+/// Whether each executed round of a reference trace is dispatched on a
+/// pool (its awake degree mass exceeds [`INLINE_MASS`]).
+fn dispatched_rounds(g: &Graph, trace: &[TraceEvent]) -> std::collections::BTreeMap<u64, bool> {
+    let mut mass = std::collections::BTreeMap::new();
+    for e in trace {
+        if let TraceEvent::Awake { round, node } = e {
+            *mass.entry(*round).or_insert(0) += g.degree(*node) as u64 + 1;
+        }
+    }
+    mass.into_iter()
+        .map(|(r, m)| (r, m > INLINE_MASS))
+        .collect()
+}
+
+/// Graphs big enough for dense rounds to dispatch and sparse rounds not to.
+fn dispatch_graphs() -> [Graph; 2] {
+    [generators::gnp(64, 0.3, 11), generators::path(200)]
+}
+
+#[test]
+fn dispatched_rounds_match_the_reference_stepper() {
+    let mut rng = Rng(0x5eed_d15c);
+    for (case, g) in dispatch_graphs().iter().enumerate() {
+        let scripts = mixed_scripts(&mut rng, g.n());
+        let want = reference_run(g, &scripts, None);
+        let kinds = dispatched_rounds(g, &want.trace);
+        assert!(
+            kinds.values().any(|&d| d) && kinds.values().any(|&d| !d),
+            "case {case}: the run must mix dispatched and in-place rounds"
+        );
+        assert_every_executor_matches(&format!("dispatch case {case}"), g, &scripts, None, &want);
+        // Pause after a dispatched round, and inside the sparse span.
+        for bound in [1, 2, 4] {
+            assert_pause_resume_anywhere(g, &scripts, None, bound, &want);
+        }
+    }
+}
+
+#[test]
+fn faulty_dispatched_rounds_match_the_reference() {
+    let mut rng = Rng(0xfa_17ed);
+    let mut crossings = [false; 2];
+    for (case, g) in dispatch_graphs().iter().enumerate() {
+        for delay_rounds in [1, 2, 3] {
+            let scripts = mixed_scripts(&mut rng, g.n());
+            let mut plan = FaultPlan::new(2_000 + delay_rounds);
+            plan.drop_ppm = 100_000;
+            plan.dup_ppm = 100_000;
+            plan.delay_ppm = 200_000;
+            plan.crash_ppm = 50_000;
+            plan.delay_rounds = delay_rounds;
+            let want = reference_run(g, &scripts, Some(plan));
+            let tag = format!("dispatch case {case} faulty, delay {delay_rounds}");
+            assert_every_executor_matches(&tag, g, &scripts, Some(plan), &want);
+            for bound in [1, 3] {
+                assert_pause_resume_anywhere(g, &scripts, Some(plan), bound, &want);
+            }
+            // Record delayed messages staged in one kind of round and
+            // coming due in an executed round of the other kind.
+            let kinds = dispatched_rounds(g, &want.trace);
+            for e in &want.trace {
+                if let TraceEvent::FaultDelay { round, until, .. } = e {
+                    if let (Some(&sent), Some(&due)) = (kinds.get(round), kinds.get(until)) {
+                        if sent != due {
+                            crossings[sent as usize] = true;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        crossings,
+        [true, true],
+        "delays must cross from in-place into dispatched rounds and back"
+    );
+}
