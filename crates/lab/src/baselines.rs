@@ -26,10 +26,9 @@
 //! [`Tolerances::w4_floor`] (default 1.5×); on a 1–3-core runner every
 //! parallel-speedup row is demoted to an informational row whose label
 //! names the detected core count. Portable mode also holds
-//! `threaded_scaling.w1_vs_serial` to [`Tolerances::w1_floor`] (default
-//! 0.9×) on any runner: one worker runs the serial engine's driver, so no
-//! core count excuses it. The `phase_times` per-stage timings are always
-//! informational.
+//! `threaded_scaling.w1_vs_serial` to [`W1_FLOOR`] on any runner: one
+//! worker runs the serial engine's driver, so no core count excuses it.
+//! The `phase_times` per-stage timings are always informational.
 
 use crate::json::Value;
 use std::fmt::Write as _;
@@ -61,11 +60,12 @@ pub struct Tolerances {
     /// baseline recorded — a relative gate alone would let the speedup
     /// decay 15% per PR forever.
     pub w4_floor: f64,
-    /// Absolute floor on `threaded_scaling.w1_vs_serial` in portable mode,
-    /// on any runner: a one-worker run is the serial engine's driver with
-    /// every round in place, so it must keep (nearly) the serial speed.
-    pub w1_floor: f64,
 }
+
+/// Absolute floor on `threaded_scaling.w1_vs_serial` in portable mode, on
+/// any runner: a one-worker run is the serial engine's driver with every
+/// round in place, so it must keep (nearly) the serial speed.
+pub const W1_FLOOR: f64 = 0.9;
 
 impl Default for Tolerances {
     fn default() -> Self {
@@ -73,7 +73,6 @@ impl Default for Tolerances {
             throughput_drop: 0.15,
             alloc_epsilon: 0.002,
             w4_floor: 1.5,
-            w1_floor: 0.9,
         }
     }
 }
@@ -90,8 +89,7 @@ pub enum Rule {
     CostRatio,
     /// Higher is better; gate on an absolute minimum rather than the
     /// baseline — the row's `baseline` column shows the floor itself
-    /// ([`Tolerances::w4_floor`] or [`Tolerances::w1_floor`]), not a
-    /// measured value.
+    /// ([`Tolerances::w4_floor`] or [`W1_FLOOR`]), not a measured value.
     Floor,
     /// Shown for context, never gates.
     Info,
@@ -229,7 +227,7 @@ pub fn diff_bench(
         )?));
         // One worker runs every round in place through the serial
         // engine's driver: no core count excuses it falling behind.
-        rows.push(floor_row(current, "w1_vs_serial", tol.w1_floor)?);
+        rows.push(floor_row(current, "w1_vs_serial", W1_FLOOR)?);
     }
     rows.push(row(
         baseline,
@@ -608,13 +606,14 @@ mod tests {
             degree: 8,
             rounds: 30,
             serial: mk(base_ns),
-            rows: [(1, 1.05), (2, 0.8), (4, w4_factor), (8, 0.6)]
+            rows: [(1, 1.3), (2, 0.8), (4, w4_factor), (8, 0.6)]
                 .into_iter()
                 .map(|(workers, f)| ScalingRow {
                     workers,
                     stats: mk(base_ns * f),
                 })
                 .collect(),
+            w1_vs_serial: Some(1.0),
         }
     }
 
@@ -948,7 +947,7 @@ mod tests {
         // engine's driver and needs no cores to keep its speed.
         let slow_w1 = |cores| {
             let mut b = bench_report(6.0e7, 13_000, 0.55, cores);
-            b.threaded_scaling.rows[0].stats.wall_ns = 6.0e7 * 1.3;
+            b.threaded_scaling.w1_vs_serial = Some(1.0 / 1.3);
             json::parse(&b.to_json()).unwrap()
         };
         for cores in [1usize, 2, 4, 0] {
@@ -958,7 +957,7 @@ mod tests {
             assert_eq!(failed.len(), 1, "{cores} cores\n{}", render_table(&rows));
             assert_eq!(failed[0].metric, "threaded_scaling.w1_vs_serial_floor");
             assert_eq!(failed[0].rule, Rule::Floor);
-            assert_eq!(failed[0].baseline, 0.9);
+            assert_eq!(failed[0].baseline, W1_FLOOR);
         }
         // A one-worker run at serial speed passes the floor…
         let good = report_with_scaling(6.0e7, 13_000, 0.55);

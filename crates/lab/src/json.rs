@@ -414,6 +414,7 @@ mod tests {
                     workers: 4,
                     stats: p,
                 }],
+                w1_vs_serial: None,
             },
             phase_times: crate::report::PhaseTimesBench {
                 workers: 4,

@@ -756,7 +756,7 @@ impl<'g, P: Program> Exec<'g, P> {
             at.metrics.rounds = round;
             at.prev_round = round;
             let k = pool
-                .as_ref()
+                .as_deref_mut()
                 .map_or(1, |d| d.chunks(self.graph, &self.awake));
             if k == 1 {
                 lap(&mut stamp, |t| &mut t.partition_ns);

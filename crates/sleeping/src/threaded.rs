@@ -864,12 +864,11 @@ pub(crate) struct Dispatcher<'a, 'g, P: Program> {
 impl<P: Program> Dispatcher<'_, '_, P> {
     /// The chunk count of a round over `awake`: one (the round runs in
     /// place) when its degree mass is at most [`INLINE_MASS`], otherwise
-    /// one chunk per executor, capped at one node per chunk.
-    pub(crate) fn chunks(&self, graph: &Graph, awake: &[u32]) -> usize {
-        let mass: u64 = awake
-            .iter()
-            .map(|&v| graph.degree(NodeId(v)) as u64 + 1)
-            .sum();
+    /// one chunk per executor, capped at one node per chunk. Leaves the
+    /// awake set's mass prefix behind for [`Exec::round_dispatched`] to
+    /// partition by.
+    pub(crate) fn chunks(&mut self, graph: &Graph, awake: &[u32]) -> usize {
+        let mass = degree_mass_prefix(graph, awake, &mut self.prefix);
         if mass <= INLINE_MASS {
             1
         } else {
@@ -943,11 +942,12 @@ pub(crate) fn with_pool<P: Program + Send, R>(
 }
 
 impl<P: Program> Exec<'_, P> {
-    /// A dispatched round over `k > 1` chunks: lend the wake stamps to the
-    /// pool and publish the chunks, merge the send results in chunk order,
-    /// take the stamps back, stage fault-delayed messages coming due into
-    /// their recipients' chunks, and apply every chunk's outcomes in chunk
-    /// order (= node order) through [`Boundary::apply`].
+    /// A dispatched round over the `k > 1` chunks [`Dispatcher::chunks`]
+    /// counted (its mass prefix is still in `d`): lend the wake stamps to
+    /// the pool and publish the chunks, merge the send results in chunk
+    /// order, take the stamps back, stage fault-delayed messages coming due
+    /// into their recipients' chunks, and apply every chunk's outcomes in
+    /// chunk order (= node order) through [`Boundary::apply`].
     pub(crate) fn round_dispatched(
         &mut self,
         d: &mut Dispatcher<'_, '_, P>,
@@ -960,7 +960,6 @@ impl<P: Program> Exec<'_, P> {
         {
             let mut ctx = pool.ctx.write().expect("round context lock");
             std::mem::swap(&mut ctx.next_wake, &mut self.at.next_wake);
-            degree_mass_prefix(self.graph, &self.awake, &mut d.prefix);
             partition_by_mass(&d.prefix, k, &mut ctx.bounds);
             ctx.stamp(&self.awake);
         }

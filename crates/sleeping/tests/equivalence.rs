@@ -15,10 +15,12 @@
 
 use awake_graphs::{generators, Graph, NodeId};
 use awake_sleeping::checkpoint::{Paused, Persist, Reader, Snapshot, Writer};
+use awake_sleeping::threaded::run_threaded_timed;
 use awake_sleeping::{
     Action, CheckpointError, Config, Engine, Envelope, FaultKind, FaultPlan, Metrics, Outbox,
-    Program, ResumeError, Run, RunSpec, TraceEvent, TraceMode, View,
+    PhaseTimes, Program, ResumeError, Run, RunSpec, TraceEvent, TraceMode, View,
 };
+use std::collections::BTreeMap;
 
 /// The idle-gap magnitude the compression must jump in O(1) bucket work: a
 /// per-round reference could never scan 10⁹ rounds, so the reference below
@@ -649,7 +651,8 @@ fn resuming_under_another_fault_plan_is_a_typed_error() {
 
 /// The pool's dispatch threshold: on more than one worker, a round whose
 /// awake degree mass (`degree + 1` per awake node) exceeds this runs as
-/// chunks on the pool; any other round runs in place.
+/// chunks on the pool; any other round runs in place. A copy of the
+/// executor's constant, held to it by [`assert_pool_mixes_round_kinds`].
 const INLINE_MASS: u64 = 256;
 
 /// Random scripts with every node also awake at rounds 1, 2 and 6: these
@@ -669,8 +672,8 @@ fn mixed_scripts(rng: &mut Rng, n: usize) -> Vec<Vec<u64>> {
 
 /// Whether each executed round of a reference trace is dispatched on a
 /// pool (its awake degree mass exceeds [`INLINE_MASS`]).
-fn dispatched_rounds(g: &Graph, trace: &[TraceEvent]) -> std::collections::BTreeMap<u64, bool> {
-    let mut mass = std::collections::BTreeMap::new();
+fn dispatched_rounds(g: &Graph, trace: &[TraceEvent]) -> BTreeMap<u64, bool> {
+    let mut mass = BTreeMap::new();
     for e in trace {
         if let TraceEvent::Awake { round, node } = e {
             *mass.entry(*round).or_insert(0) += g.degree(*node) as u64 + 1;
@@ -679,6 +682,30 @@ fn dispatched_rounds(g: &Graph, trace: &[TraceEvent]) -> std::collections::BTree
     mass.into_iter()
         .map(|(r, m)| (r, m > INLINE_MASS))
         .collect()
+}
+
+/// Assert, from the pool's own round counters, that a fault-free
+/// 4-worker run of `scripts` dispatches exactly the rounds `kinds` (the
+/// fault-free reference trace's classification) marks as dispatched, runs
+/// every other executed round in place, and has rounds of both kinds.
+fn assert_pool_mixes_round_kinds(
+    tag: &str,
+    g: &Graph,
+    scripts: &[Vec<u64>],
+    kinds: &BTreeMap<u64, bool>,
+) {
+    let mut t = PhaseTimes::default();
+    run_threaded_timed(g, progs(scripts), cfg(), 4, &mut t).unwrap();
+    let dispatched = kinds.values().filter(|&&d| d).count() as u64;
+    assert_eq!(
+        (t.dispatched_rounds, t.inline_rounds),
+        (dispatched, kinds.len() as u64 - dispatched),
+        "{tag}: the pool must dispatch exactly the rounds above INLINE_MASS"
+    );
+    assert!(
+        t.dispatched_rounds > 0 && t.inline_rounds > 0,
+        "{tag}: the run must mix dispatched and in-place rounds"
+    );
 }
 
 /// Graphs big enough for dense rounds to dispatch and sparse rounds not to.
@@ -692,12 +719,9 @@ fn dispatched_rounds_match_the_reference_stepper() {
     for (case, g) in dispatch_graphs().iter().enumerate() {
         let scripts = mixed_scripts(&mut rng, g.n());
         let want = reference_run(g, &scripts, None);
-        let kinds = dispatched_rounds(g, &want.trace);
-        assert!(
-            kinds.values().any(|&d| d) && kinds.values().any(|&d| !d),
-            "case {case}: the run must mix dispatched and in-place rounds"
-        );
-        assert_every_executor_matches(&format!("dispatch case {case}"), g, &scripts, None, &want);
+        let tag = format!("dispatch case {case}");
+        assert_pool_mixes_round_kinds(&tag, g, &scripts, &dispatched_rounds(g, &want.trace));
+        assert_every_executor_matches(&tag, g, &scripts, None, &want);
         // Pause after a dispatched round, and inside the sparse span.
         for bound in [1, 2, 4] {
             assert_pause_resume_anywhere(g, &scripts, None, bound, &want);
@@ -720,6 +744,8 @@ fn faulty_dispatched_rounds_match_the_reference() {
             plan.delay_rounds = delay_rounds;
             let want = reference_run(g, &scripts, Some(plan));
             let tag = format!("dispatch case {case} faulty, delay {delay_rounds}");
+            let clean = reference_run(g, &scripts, None);
+            assert_pool_mixes_round_kinds(&tag, g, &scripts, &dispatched_rounds(g, &clean.trace));
             assert_every_executor_matches(&tag, g, &scripts, Some(plan), &want);
             for bound in [1, 3] {
                 assert_pause_resume_anywhere(g, &scripts, Some(plan), bound, &want);
