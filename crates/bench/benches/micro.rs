@@ -100,7 +100,7 @@ impl Persist for Flood {
 fn pool_run(g: &Graph, programs: Vec<Flood>, workers: usize) -> awake_sleeping::Run<u64> {
     let engine = Engine::new(g, Config::default());
     engine
-        .run_spec(programs, &RunSpec::on(Some(workers)))
+        .run_spec(programs, &RunSpec::on(workers))
         .unwrap()
         .finished()
 }
@@ -367,13 +367,13 @@ fn bench_threaded_scaling() -> (ThreadedScaling, PhaseTimesBench) {
             })
             .collect::<Vec<Flood>>()
     };
-    let wall_ns = |workers: Option<usize>| {
+    // The serial side is `Engine::run`, the one-worker side `run_spec`.
+    let serial_run = |progs| Engine::new(&g, Config::default()).run(progs).unwrap();
+    let w1_run = |progs| pool_run(&g, progs, 1);
+    let wall_ns = |run: &dyn Fn(Vec<Flood>) -> awake_sleeping::Run<u64>| {
         let progs = short();
         let t0 = Instant::now();
-        let run = match workers {
-            None => Engine::new(&g, Config::default()).run(progs).unwrap(),
-            Some(w) => pool_run(&g, progs, w),
-        };
+        let run = run(progs);
         let ns = t0.elapsed().as_nanos() as f64;
         black_box(&run.outputs);
         ns
@@ -382,11 +382,11 @@ fn bench_threaded_scaling() -> (ThreadedScaling, PhaseTimesBench) {
         .map(|i| {
             // Same node-rounds on both sides: throughput ratio = time ratio.
             if i % 2 == 0 {
-                let s = wall_ns(None);
-                s / wall_ns(Some(1))
+                let s = wall_ns(&serial_run);
+                s / wall_ns(&w1_run)
             } else {
-                let w = wall_ns(Some(1));
-                wall_ns(None) / w
+                let w = wall_ns(&w1_run);
+                wall_ns(&serial_run) / w
             }
         })
         .collect();

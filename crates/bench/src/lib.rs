@@ -1,7 +1,8 @@
 //! Shared helpers for the experiment harness.
 //!
 //! Each `benches/exp_*.rs` target regenerates one evaluation artifact of
-//! the paper (see DESIGN.md §4 and EXPERIMENTS.md) and prints a table.
+//! the paper (experiments E1–E7; each target's header states the claim it
+//! checks) and prints a table.
 
 use awake_core::trivial::TrivialGreedy;
 use awake_graphs::Graph;

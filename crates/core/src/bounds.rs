@@ -4,9 +4,11 @@
 //! bounds are the paper's statements made concrete with this
 //! implementation's exact constants (no hidden `O(·)`).
 
+use crate::gather::gather_rounds;
 use crate::lemma10::PaletteTree;
+use crate::lemma14::lemma14_vrounds;
 use crate::params::Params;
-use crate::{gather, linial, virt};
+use crate::{linial, virt};
 use awake_graphs::Graph;
 use awake_sleeping::{redundancy_for, FaultPlan};
 
@@ -73,16 +75,10 @@ pub fn lemma15_vertex_awake(p: &Params, iteration: u32) -> u64 {
     3 + 4 + 1 + 4 + 1 + t_u
 }
 
-/// Virtual-round budget of the Lemma 14 tree-gather (cluster-tree depth is
-/// bounded by `n`).
-pub fn lemma14_vrounds(p: &Params) -> u64 {
-    2 * p.depth_bound as u64 + 8
-}
-
 /// Real-round budget of one full Theorem 13 iteration.
 pub fn theorem13_iteration_rounds(p: &Params, iteration: u32) -> u64 {
     virt::virt_rounds(p.depth_bound, lemma15_vrounds(p, iteration))
-        + virt::virt_rounds(p.depth_bound, lemma14_vrounds(p))
+        + virt::virt_rounds(p.depth_bound, lemma14_vrounds(p.depth_bound))
 }
 
 /// Awake bound of one Theorem 13 iteration: the Lemma 7 overhead on every
@@ -116,11 +112,6 @@ pub fn theorem9_rounds(p: &Params, c: u64) -> u64 {
 /// Theorem 1 awake bound: Theorem 13 + Theorem 9 on `≤ k·a·b²` colors.
 pub fn theorem1_awake(p: &Params) -> u64 {
     theorem13_awake(p) + theorem9_awake(p.color_bound())
-}
-
-/// The gather's exact round budget (re-exported for the harness).
-pub fn gather_rounds(depth_bound: u32) -> u64 {
-    gather::gather_rounds(depth_bound)
 }
 
 // ---- round bounds ----
@@ -286,7 +277,7 @@ pub fn theorem13_stage_budgets(p: &Params) -> Vec<Budget> {
         });
         v.push(Budget {
             awake: GATHER_AWAKE + VIRT_AWAKE_PER_VROUND * 5,
-            rounds: virt::virt_rounds(p.depth_bound, lemma14_vrounds(p)),
+            rounds: virt::virt_rounds(p.depth_bound, lemma14_vrounds(p.depth_bound)),
         });
     }
     v

@@ -332,7 +332,8 @@ impl Persist for TreeGatherVertex {
     }
 }
 
-/// Virtual-round budget of the Lemma 14 stage.
+/// Virtual-round budget of the Lemma 14 tree-gather stage, for clusters
+/// of depth at most `depth_bound`.
 pub fn lemma14_vrounds(depth_bound: u32) -> u64 {
     2 * depth_bound as u64 + 8
 }

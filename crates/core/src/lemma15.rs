@@ -16,7 +16,8 @@
 //!    `ℓ_aux`, and whether the root has degree ≤ `b` (the set `U`);
 //! 4. exchanges cluster membership and runs a second pass carrying
 //!    intra-cluster edges, so `δ_aux` is the *exact* BFS distance within
-//!    the cluster (Definition 2) — a sharpening documented in DESIGN.md;
+//!    the cluster (Definition 2), computed from the gathered edges rather
+//!    than read off the `F₂` tree;
 //! 5. vertices in `U` run Linial on `H[U]` (degree ≤ `b`) down to the
 //!    `a·b²` palette and become singleton clusters of that color; the
 //!    rest form the uniquely-labeled part, `≤ n_H/b` many clusters.

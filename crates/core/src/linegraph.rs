@@ -538,7 +538,7 @@ where
     EP: EdgeProblem + Clone + Send + Sync,
     EP::Output: Codec,
 {
-    solve_edges_spec(g, problem, inputs, config, &StageSpec::on(Some(workers)))
+    solve_edges_spec(g, problem, inputs, config, &StageSpec::on(workers))
 }
 
 /// [`solve_edges_spec`] on the worker pool under `plan`. Kept with this
@@ -556,7 +556,7 @@ where
     EP: EdgeProblem + Clone + Send + Sync,
     EP::Output: Codec,
 {
-    let pool = StageSpec::on(Some(workers));
+    let pool = StageSpec::on(workers);
     solve_edges_spec(g, problem, inputs, config, &pool.with_faults(Some(*plan)))
 }
 
@@ -772,7 +772,7 @@ mod tests {
         let g = generators::gnp(28, 0.18, 11);
         let a = solve(&g, &EdgeColoring, &StageSpec::default());
         for workers in [1, 2, 4] {
-            let b = solve(&g, &EdgeColoring, &StageSpec::on(Some(workers)));
+            let b = solve(&g, &EdgeColoring, &StageSpec::on(workers));
             assert_eq!(a.outputs, b.outputs, "workers = {workers}");
             assert_eq!(a.metrics, b.metrics, "workers = {workers}");
         }

@@ -2,8 +2,8 @@
 //! crash-recovery contract it implements.
 //!
 //! Every solver is a Lemma 8 chain of stage runs, and every stage runs
-//! through [`run_stage`]: the executor (serial engine or worker pool) and
-//! the fault plan come from the caller's [`StageSpec`], so each solver has
+//! through [`run_stage`]: the worker count and the fault plan come from
+//! the caller's [`StageSpec`], so each solver has
 //! one body for every executor and every plan. A single-stage run may also
 //! checkpoint and resume, through a full [`RunSpec`].
 //!
@@ -33,20 +33,26 @@ use awake_sleeping::{
 
 /// How a multi-stage solver runs each of its stages: the executor and the
 /// fault plan of a [`RunSpec`], without its checkpoint and resume — a
-/// snapshot captures one stage, not a solver. The default is the serial
-/// engine, fault-free.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// snapshot captures one stage, not a solver. The default is one worker,
+/// fault-free.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StageSpec {
-    /// `None` runs the serial engine; `Some(w)` the worker pool with `w`
-    /// executors.
-    pub workers: Option<usize>,
+    /// Executors driving each stage, as [`RunSpec::workers`]: 1 runs every
+    /// round in place, `w > 1` adds the worker pool.
+    pub workers: usize,
     /// A seeded fault plan. An inactive plan means no plan.
     pub faults: Option<FaultPlan>,
 }
 
+impl Default for StageSpec {
+    fn default() -> Self {
+        StageSpec::on(1)
+    }
+}
+
 impl StageSpec {
-    /// The fault-free spec on `workers` (`None`: the serial engine).
-    pub fn on(workers: Option<usize>) -> Self {
+    /// The fault-free spec on `workers` executors.
+    pub fn on(workers: usize) -> Self {
         StageSpec {
             workers,
             faults: None,

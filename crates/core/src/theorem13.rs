@@ -155,7 +155,7 @@ pub fn compute_spec(
                     _ => VirtSim::bystander(factory),
                 })
                 .collect();
-            let base_rounds = virt_rounds(db, bounds::lemma14_vrounds(params));
+            let base_rounds = virt_rounds(db, lemma14_vrounds(db));
             let run = solver_stage(g, programs, budget, base_rounds, spec)?;
             composition.push(format!("theorem13/iter{iteration}/lemma14"), run.metrics);
             for v in g.nodes() {

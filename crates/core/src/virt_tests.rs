@@ -412,7 +412,7 @@ fn replicas_read_one_sorted_deduplicated_inbox() {
             _ => vec![2],
         }
     };
-    let run = |workers: Option<usize>| {
+    let run = |workers: usize| {
         let factory = move |vi: &VertexInput<()>| Recorder {
             nbrs: vi.neighbor_labels(),
             log: vec![],
@@ -430,7 +430,7 @@ fn replicas_read_one_sorted_deduplicated_inbox() {
             .finished()
             .outputs
     };
-    let serial = run(None);
+    let serial = run(1);
     for v in g.nodes() {
         let me = labels[v.index() / 3];
         let log = serial[v.index()].as_ref().unwrap();
@@ -458,7 +458,7 @@ fn replicas_read_one_sorted_deduplicated_inbox() {
         assert_eq!(&serial[v.index()], first);
     }
     for workers in [2, 4] {
-        assert_eq!(run(Some(workers)), serial, "{workers} workers");
+        assert_eq!(run(workers), serial, "{workers} workers");
     }
 }
 
@@ -564,8 +564,8 @@ impl<VP: VirtualProgram> Program for OnH<VP> {
 }
 
 /// Run `factory`'s program through [`VirtSim`] on `g` over the
-/// uniquely-labeled clustering `cl` (payloads `payload(v)`), serially and at
-/// 2 and 4 workers, and directly on `H`; assert every vertex's output and
+/// uniquely-labeled clustering `cl` (payloads `payload(v)`) at 1, 2, 4 and
+/// 8 workers, and directly on `H`; assert every vertex's output and
 /// virtual awake count agree. Returns the outputs on `H`.
 fn assert_virtsim_matches_h<VP, F>(
     g: &Graph,
@@ -637,7 +637,7 @@ where
     }
 
     // Through the simulator on G.
-    for workers in [None, Some(1), Some(2), Some(4), Some(8)] {
+    for workers in [1, 2, 4, 8] {
         let programs: Vec<VirtSim<Counted<VP>, _>> = g
             .nodes()
             .map(|v| {
@@ -655,13 +655,13 @@ where
             let (want, want_awake) = &on_h.outputs[x.index()];
             assert!(
                 out == want,
-                "{workers:?} workers: node {v:?} (vertex {}) output differs from H's",
+                "{workers} workers: node {v:?} (vertex {}) output differs from H's",
                 q.labels[x.index()]
             );
             assert_eq!(
                 awake,
                 want_awake,
-                "{workers:?} workers: node {v:?} (vertex {}) virtual awake count",
+                "{workers} workers: node {v:?} (vertex {}) virtual awake count",
                 q.labels[x.index()]
             );
         }

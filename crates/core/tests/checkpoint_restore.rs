@@ -116,20 +116,20 @@ fn check_pauses<P, F>(
         };
         paused_at_least_once = true;
         assert_eq!(snap.round(), r, "snapshot stamps its pause bound");
-        let pool = RunSpec::on(Some(3)).with_faults(plan).pause_after(r);
+        let pool = RunSpec::on(3).with_faults(plan).pause_after(r);
         let threaded_snap = engine.run_spec(make(), &pool).unwrap().into_snapshot();
         assert_eq!(
             snap.as_bytes(),
             threaded_snap.as_bytes(),
             "serial and threaded snapshots differ at round {r}"
         );
-        for workers in std::iter::once(None).chain(WORKERS.map(Some)) {
+        for workers in WORKERS {
             let resume = RunSpec::on(workers).with_faults(plan).resume_from(&snap);
             let resumed = engine.run_spec(make(), &resume).unwrap().finished();
             assert_same_run(
                 &full,
                 &resumed,
-                &format!("resume from round {r} on {workers:?}"),
+                &format!("resume from round {r} on {workers} workers"),
             );
         }
     }
@@ -353,14 +353,14 @@ fn corrupted_and_mismatched_snapshots_are_rejected() {
     let other = generators::gnp(12, 0.25, 99);
     // (and the pool's resume path applies the same checks)
     let engine = Engine::new(&other, traced());
-    for workers in [None, Some(2)] {
+    for workers in [1, 2] {
         let err = engine.run_spec(
             mis_programs(&other),
             &RunSpec::on(workers).resume_from(&snap),
         );
         assert!(
             err.is_err(),
-            "{workers:?}: snapshot restored onto another graph"
+            "{workers} workers: snapshot restored onto another graph"
         );
     }
 }

@@ -7,7 +7,7 @@
 //! run, batch, and diff:
 //!
 //! * [`scenario`] — a [`Scenario`](scenario::Scenario) names a
-//!   (graph family × problem × algorithm/executor) tuple over the four
+//!   (graph family × problem × algorithm × executor) tuple over the four
 //!   vertex problems and the two edge problems (maximal matching,
 //!   (2Δ−1)-edge coloring, via the line-graph adapter). Build one with
 //!   [`Scenario::of`](scenario::Scenario::of), or take a curated suite

@@ -41,7 +41,7 @@ pub enum RunError {
     Sim(SimError),
     /// The scenario paired a problem with a solver that cannot run it —
     /// edge problems ride the line-graph adapter, which exists for the
-    /// `trivial` / `trivial-t*` executors only. Fault injection is *not* a
+    /// `trivial` solver only. Fault injection is *not* a
     /// reason anymore: every solver, the staged pipelines and the
     /// line-graph adapter included, takes crash/drop/dup/delay injection
     /// through the time-redundancy recovery contract
@@ -165,60 +165,39 @@ impl Runner {
             seed,
             scenarios: rows.to_vec(),
         };
-        let results: Vec<Result<ScenarioReport, LabError>> = if self.shards == 1 {
-            let mut acc: Vec<Result<ScenarioReport, LabError>> =
-                Vec::with_capacity(scenarios.len());
-            let mut prefix: Vec<ScenarioReport> = Vec::with_capacity(scenarios.len());
-            for sc in scenarios {
-                let r = run_scenario(sc, seed, self.alloc_probe);
-                if let Ok(row) = &r {
-                    if prefix.len() == acc.len() {
-                        prefix.push(row.clone());
+        let slots: Vec<Mutex<Option<Result<ScenarioReport, LabError>>>> =
+            scenarios.iter().map(|_| Mutex::new(None)).collect();
+        let next = AtomicUsize::new(0);
+        // The contiguous completed-and-ok prefix emitted so far; a worker
+        // that fills a slot tries to extend it (lock order is always
+        // prefix → slot, and a slot lock is never held while waiting on
+        // the prefix, so the two cannot deadlock).
+        let emitted: Mutex<Vec<ScenarioReport>> = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            for _ in 0..self.shards.min(scenarios.len()) {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(sc) = scenarios.get(i) else { break };
+                    let r = run_scenario(sc, seed, self.alloc_probe);
+                    *slots[i].lock().unwrap() = Some(r);
+                    let mut prefix = emitted.lock().unwrap();
+                    let mut grew = false;
+                    while let Some(slot) = slots.get(prefix.len()) {
+                        let Some(Ok(row)) = slot.lock().unwrap().clone() else {
+                            break;
+                        };
+                        prefix.push(row);
+                        grew = true;
+                    }
+                    if grew {
                         observer(&partial(&prefix));
                     }
-                }
-                acc.push(r);
+                });
             }
-            acc
-        } else {
-            let slots: Vec<Mutex<Option<Result<ScenarioReport, LabError>>>> =
-                scenarios.iter().map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            // The contiguous completed-and-ok prefix emitted so far; a
-            // worker that fills a slot tries to extend it (lock order is
-            // always prefix → slot, and a slot lock is never held while
-            // waiting on the prefix, so the two cannot deadlock).
-            let emitted: Mutex<Vec<ScenarioReport>> = Mutex::new(Vec::new());
-            std::thread::scope(|scope| {
-                for _ in 0..self.shards.min(scenarios.len()) {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(sc) = scenarios.get(i) else { break };
-                        let r = run_scenario(sc, seed, self.alloc_probe);
-                        *slots[i].lock().unwrap() = Some(r);
-                        let mut prefix = emitted.lock().unwrap();
-                        let mut grew = false;
-                        while let Some(slot) = slots.get(prefix.len()) {
-                            let Some(Ok(row)) = slot.lock().unwrap().clone() else {
-                                break;
-                            };
-                            prefix.push(row);
-                            grew = true;
-                        }
-                        if grew {
-                            observer(&partial(&prefix));
-                        }
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|slot| slot.into_inner().unwrap().expect("every slot filled"))
-                .collect()
-        };
-        let mut out = Vec::with_capacity(results.len());
-        for r in results {
-            out.push(r?);
+        });
+        let mut out = Vec::with_capacity(scenarios.len());
+        for slot in slots {
+            out.push(slot.into_inner().unwrap().expect("every slot filled")?);
         }
         Ok(Report {
             suite: suite.to_string(),
@@ -237,8 +216,8 @@ impl Runner {
     ///   deterministic fields are identical either way — wall time and
     ///   allocations of reloaded rows read as zero, which only the
     ///   non-canonical report form shows).
-    /// * With `every = Some(n)`, vertex scenarios on the `trivial` /
-    ///   `trivial-t*` executors additionally persist an engine
+    /// * With `every = Some(n)`, vertex scenarios of the `trivial` solver,
+    ///   on any executor, additionally persist an engine
     ///   [`Snapshot`] to `dir/<scenario>.ckpt` (atomically) every `n`
     ///   rounds; a re-invocation restores the newest snapshot and runs
     ///   only the remaining rounds. Scenarios without snapshot support
@@ -334,7 +313,7 @@ impl ProgressRow {
     fn to_report(&self, sc: &Scenario, suite_seed: u64) -> Option<ScenarioReport> {
         if self.problem != sc.problem.key()
             || self.family != sc.family.key()
-            || self.algo != sc.algo.key()
+            || self.algo != sc.algo_key()
         {
             return None;
         }
@@ -342,7 +321,7 @@ impl ProgressRow {
             name: sc.name.clone(),
             problem: sc.problem.key(),
             family: sc.family.key(),
-            algo: sc.algo.key(),
+            algo: sc.algo_key(),
             seed: sc.seed(suite_seed),
             n: usize::try_from(self.n).ok()?,
             m: usize::try_from(self.m).ok()?,
@@ -534,7 +513,7 @@ fn run_scenario_inner(
         name: sc.name.clone(),
         problem: sc.problem.key(),
         family: sc.family.key(),
-        algo: sc.algo.key(),
+        algo: sc.algo_key(),
         seed,
         n: g.n(),
         m: g.m(),
@@ -552,10 +531,9 @@ fn run_scenario_inner(
 
 /// The closed-form budget of a scenario on its built graph — the
 /// [`bounds::budget_for`] entry point with the harness's axis mapping.
-/// The worker-pool executor is bit-for-bit identical to the serial one,
-/// so both trivial executors share [`BoundAlgo::Trivial`]; the staged
-/// pipelines use the same [`Params`] derivation the solvers themselves
-/// apply ([`Params::for_graph`]).
+/// A run is bit-for-bit identical at every worker count, so the budget
+/// ignores the executor; the staged pipelines use the same [`Params`]
+/// derivation the solvers themselves apply ([`Params::for_graph`]).
 ///
 /// # Panics
 /// Panics on an unsupported (algo × problem) pairing — those fail the
@@ -589,11 +567,11 @@ pub fn audited_budget_of(sc: &Scenario, g: &Graph, seed: u64) -> bounds::Budget 
     }
 }
 
-/// The harness's axis mapping into [`bounds`]: both trivial executors are
-/// bit-for-bit identical and share [`BoundAlgo::Trivial`].
+/// The harness's axis mapping into [`bounds`]: the solver and the
+/// problem class; the executor does not enter.
 fn bound_axes(sc: &Scenario) -> (BoundAlgo, ProblemClass) {
     let algo = match sc.algo {
-        Algo::Trivial | Algo::TrivialThreaded(_) => BoundAlgo::Trivial,
+        Algo::Trivial => BoundAlgo::Trivial,
         Algo::Bm21 => BoundAlgo::Bm21,
         Algo::Theorem1 => BoundAlgo::Theorem1,
     };
@@ -605,22 +583,17 @@ fn bound_axes(sc: &Scenario) -> (BoundAlgo, ProblemClass) {
     (algo, class)
 }
 
-/// The spec a scenario names: the `w`-worker pool for `trivial-t<w>`,
-/// the serial engine otherwise, under the scenario's fault plan seeded
-/// with its derived `seed`.
+/// The spec a scenario names: its executor's worker count, under its
+/// fault plan seeded with its derived `seed`.
 fn spec_of(sc: &Scenario, seed: u64) -> StageSpec {
-    let workers = match sc.algo {
-        Algo::TrivialThreaded(w) => Some(w),
-        _ => None,
-    };
-    StageSpec::on(workers).with_faults(sc.faults.map(|f| f.plan(seed)))
+    StageSpec::on(sc.executor.workers()).with_faults(sc.faults.map(|f| f.plan(seed)))
 }
 
 /// Solve the scenario's problem on `g` with the scenario's algorithm and
 /// validate the outputs. `seed` is the scenario's derived seed (it also
 /// seeds the fault plan, if any). Every algorithm runs through one spec:
-/// the executor, the fault plan (an inactive one means no plan) and — for
-/// the single-stage trivial executors — the recoverable run's snapshot
+/// the worker count, the fault plan (an inactive one means no plan) and —
+/// for the single-stage trivial solver — the recoverable run's snapshot
 /// file `ckpt`, resumed from if it exists and refreshed every
 /// `ckpt.every` rounds. Snapshots carry the fault plan and its stream
 /// position, so a resumed faulty run continues the exact same injection
@@ -640,7 +613,7 @@ where
     let inputs = problem.trivial_inputs(g);
     let spec = spec_of(sc, seed);
     let (metrics, outputs) = match sc.algo {
-        Algo::Trivial | Algo::TrivialThreaded(_) => {
+        Algo::Trivial => {
             let resumed = ckpt.map(CkptFile::load).transpose()?.flatten();
             let store_err = RefCell::new(None);
             let sink = |s: &Snapshot| {
@@ -709,7 +682,7 @@ where
     if matches!(sc.algo, Algo::Bm21 | Algo::Theorem1) {
         return Err(RunError::UnsupportedAlgo {
             problem: problem.name(),
-            algo: sc.algo.key(),
+            algo: sc.algo_key(),
         });
     }
     let inputs = problem.trivial_inputs(g);
@@ -722,21 +695,21 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::GraphFamily;
+    use crate::scenario::{GraphFamily, ScenarioBuilder};
 
-    fn tiny(algo: Algo) -> Scenario {
-        Scenario::of(GraphFamily::Gnp { n: 24, p: 0.15 }, ProblemKind::Mis, algo).build()
+    fn tiny(algo: Algo) -> ScenarioBuilder {
+        Scenario::of(GraphFamily::Gnp { n: 24, p: 0.15 }, ProblemKind::Mis, algo)
     }
 
     #[test]
     fn all_algorithms_run_and_validate_within_budget() {
-        for algo in [
-            Algo::Trivial,
-            Algo::TrivialThreaded(2),
-            Algo::Bm21,
-            Algo::Theorem1,
+        for sc in [
+            tiny(Algo::Trivial).build(),
+            tiny(Algo::Trivial).on(2).build(),
+            tiny(Algo::Bm21).build(),
+            tiny(Algo::Theorem1).build(),
         ] {
-            let r = run_scenario(&tiny(algo), 3, None).unwrap();
+            let r = run_scenario(&sc, 3, None).unwrap();
             assert!(r.valid, "{} invalid", r.name);
             assert!(r.metrics.max_awake > 0);
             assert_eq!(r.n, 24);
@@ -753,10 +726,33 @@ mod tests {
 
     #[test]
     fn serial_and_threaded_trivial_agree_exactly() {
-        // same family ⇒ same seed ⇒ same graph instance
-        let a = run_scenario(&tiny(Algo::Trivial), 3, None).unwrap();
-        let b = run_scenario(&tiny(Algo::TrivialThreaded(4)), 3, None).unwrap();
-        assert_eq!(a.metrics, b.metrics, "executors must agree bit for bit");
+        // same family ⇒ same seed ⇒ same graph instance (and fault stream)
+        for algo in [Algo::Trivial, Algo::Bm21, Algo::Theorem1] {
+            for faults in [None, Some(rough())] {
+                let sc = |workers| {
+                    let sc = tiny(algo).on(workers);
+                    match faults {
+                        Some(f) => sc.with_faults(f).build(),
+                        None => sc.build(),
+                    }
+                };
+                let a = run_scenario(&sc(1), 3, None).unwrap();
+                let b = run_scenario(&sc(4), 3, None).unwrap();
+                assert!(a.valid && b.valid, "{}: invalid", b.name);
+                assert_eq!(a.metrics, b.metrics, "{}: executors disagree", b.name);
+            }
+        }
+    }
+
+    #[test]
+    fn pool_scenarios_of_staged_solvers_run_on_their_worker_count() {
+        // Equal outputs cannot show that the pool ran: check the spec.
+        for algo in [Algo::Bm21, Algo::Theorem1] {
+            let pool = tiny(algo).on(8).build();
+            assert_eq!(pool.algo_key(), format!("{}-t8", algo.key()));
+            assert_eq!(spec_of(&pool, 3).workers, 8);
+            assert_eq!(spec_of(&tiny(algo).build(), 3).workers, 1);
+        }
     }
 
     #[test]
@@ -817,14 +813,14 @@ mod tests {
         assert!(e.to_string().contains("budget 1"));
     }
 
-    fn tiny_edge(problem: ProblemKind, algo: Algo) -> Scenario {
-        Scenario::of(GraphFamily::Gnp { n: 24, p: 0.15 }, problem, algo).build()
+    fn tiny_edge(problem: ProblemKind, algo: Algo) -> ScenarioBuilder {
+        Scenario::of(GraphFamily::Gnp { n: 24, p: 0.15 }, problem, algo)
     }
 
     #[test]
     fn edge_problems_run_and_validate_on_both_executors() {
         for problem in ProblemKind::EDGE {
-            let a = run_scenario(&tiny_edge(problem, Algo::Trivial), 3, None).unwrap();
+            let a = run_scenario(&tiny_edge(problem, Algo::Trivial).build(), 3, None).unwrap();
             assert!(a.valid, "{} invalid", a.name);
             assert!(a.metrics.max_awake > 0);
             assert!(
@@ -833,15 +829,16 @@ mod tests {
                 a.name, a.metrics.max_awake, a.awake_bound, a.metrics.rounds, a.round_bound
             );
             // serial/threaded share the graph instance and must agree
-            let b = run_scenario(&tiny_edge(problem, Algo::TrivialThreaded(4)), 3, None).unwrap();
+            let pool = tiny_edge(problem, Algo::Trivial).on(4).build();
+            let b = run_scenario(&pool, 3, None).unwrap();
             assert_eq!(a.metrics, b.metrics, "executors must agree bit for bit");
         }
     }
 
     #[test]
     fn edge_problems_reject_staged_solvers() {
-        let e =
-            run_scenario(&tiny_edge(ProblemKind::Matching, Algo::Theorem1), 3, None).unwrap_err();
+        let sc = tiny_edge(ProblemKind::Matching, Algo::Theorem1).build();
+        let e = run_scenario(&sc, 3, None).unwrap_err();
         assert!(
             matches!(e.error, RunError::UnsupportedAlgo { .. }),
             "got {e}"
@@ -868,17 +865,16 @@ mod tests {
         }
     }
 
-    fn faulty(problem: ProblemKind, algo: Algo) -> Scenario {
-        Scenario::of(GraphFamily::Gnp { n: 80, p: 0.08 }, problem, algo)
-            .with_faults(rough())
-            .build()
+    fn faulty(problem: ProblemKind, algo: Algo) -> ScenarioBuilder {
+        Scenario::of(GraphFamily::Gnp { n: 80, p: 0.08 }, problem, algo).with_faults(rough())
     }
 
     #[test]
     fn fault_injected_scenarios_complete_identically_on_both_executors() {
         for problem in [ProblemKind::Mis, ProblemKind::Coloring] {
-            let a = run_scenario(&faulty(problem, Algo::Trivial), 5, None).unwrap();
-            let b = run_scenario(&faulty(problem, Algo::TrivialThreaded(4)), 5, None).unwrap();
+            let a = run_scenario(&faulty(problem, Algo::Trivial).build(), 5, None).unwrap();
+            let pool = faulty(problem, Algo::Trivial).on(4).build();
+            let b = run_scenario(&pool, 5, None).unwrap();
             assert_eq!(a.metrics, b.metrics, "{problem:?}: executors diverged");
             // the plan must actually have injected something, crashes
             // included — the run recovers, validates, and stays within
@@ -902,29 +898,22 @@ mod tests {
             crash_ppm: 0,
             ..rough()
         };
-        let sc = |algo| {
-            Scenario::of(
-                GraphFamily::Gnp { n: 80, p: 0.08 },
-                ProblemKind::Matching,
-                algo,
-            )
-            .with_faults(msg_only)
-            .build()
-        };
-        let a = run_scenario(&sc(Algo::Trivial), 5, None).unwrap();
-        let b = run_scenario(&sc(Algo::TrivialThreaded(4)), 5, None).unwrap();
+        let sc = Scenario::of(
+            GraphFamily::Gnp { n: 80, p: 0.08 },
+            ProblemKind::Matching,
+            Algo::Trivial,
+        )
+        .with_faults(msg_only);
+        let a = run_scenario(&sc.clone().build(), 5, None).unwrap();
+        let b = run_scenario(&sc.on(4).build(), 5, None).unwrap();
         assert_eq!(a.metrics, b.metrics, "executors diverged");
         assert!(a.metrics.counters.faults_dropped > 0, "no drops injected");
         // crash-restart now rides the adapter too: every host replica
         // rewinds together under the time-redundancy wrapper, recovers,
         // and the row gates against the degraded budget
-        let a = run_scenario(&faulty(ProblemKind::Matching, Algo::Trivial), 5, None).unwrap();
-        let b = run_scenario(
-            &faulty(ProblemKind::Matching, Algo::TrivialThreaded(4)),
-            5,
-            None,
-        )
-        .unwrap();
+        let sc = faulty(ProblemKind::Matching, Algo::Trivial);
+        let a = run_scenario(&sc.clone().build(), 5, None).unwrap();
+        let b = run_scenario(&sc.on(4).build(), 5, None).unwrap();
         assert_eq!(a.metrics, b.metrics, "executors diverged under crashes");
         assert!(a.metrics.counters.faults_crashed > 0, "no crashes injected");
         assert!(a.valid, "{}: invalid after recovery", a.name);
@@ -961,9 +950,9 @@ mod tests {
         // a complete ledger parses cleanly, every counter exactly as written
         // (fault counters included)
         let suite = vec![
-            tiny(Algo::Trivial),
-            tiny(Algo::Bm21),
-            faulty(ProblemKind::Mis, Algo::Trivial),
+            tiny(Algo::Trivial).build(),
+            tiny(Algo::Bm21).build(),
+            faulty(ProblemKind::Mis, Algo::Trivial).build(),
         ];
         let report = Runner::serial().run("t", &suite, 9).unwrap();
         assert!(report.scenarios[2].metrics.counters.faults_crashed > 0);
@@ -1015,11 +1004,11 @@ mod tests {
     /// scenario (re-runs deterministically), and a staged pipeline.
     fn mixed_suite() -> Vec<Scenario> {
         vec![
-            tiny(Algo::Trivial),
-            tiny(Algo::TrivialThreaded(2)),
-            faulty(ProblemKind::Mis, Algo::Trivial),
-            tiny_edge(ProblemKind::Matching, Algo::Trivial),
-            tiny(Algo::Bm21),
+            tiny(Algo::Trivial).build(),
+            tiny(Algo::Trivial).on(2).build(),
+            faulty(ProblemKind::Mis, Algo::Trivial).build(),
+            tiny_edge(ProblemKind::Matching, Algo::Trivial).build(),
+            tiny(Algo::Bm21).build(),
         ]
     }
 
@@ -1072,7 +1061,7 @@ mod tests {
     fn garbage_progress_is_ignored_and_garbage_snapshots_are_reported() {
         let dir = scratch_dir("garbage");
         std::fs::create_dir_all(&dir).unwrap();
-        let suite = vec![tiny(Algo::Trivial)];
+        let suite = vec![tiny(Algo::Trivial).build()];
         // unparseable progress: treated as "nothing done yet"
         std::fs::write(dir.join("progress.json"), b"not json at all").unwrap();
         let plain = Runner::serial().run("t", &suite, 9).unwrap();

@@ -1,7 +1,7 @@
 //! Scenario specifications: what to run, on what graph, with which solver.
 //!
 //! A [`Scenario`] is one point of the paper's trade-off surface — a
-//! (graph family × problem × algorithm/executor) tuple plus a name. The
+//! (graph family × problem × algorithm × executor) tuple plus a name. The
 //! [`presets`] registry enumerates curated suites; [`ScenarioBuilder`]
 //! assembles one-off scenarios for examples and tests.
 
@@ -174,26 +174,23 @@ impl ProblemKind {
     }
 
     /// Whether this is an edge problem (solved on the line graph through
-    /// the virtualization adapter; only the `trivial` / `trivial-t*`
-    /// executors apply).
+    /// the virtualization adapter; only the `trivial` solver applies, on
+    /// any executor).
     pub fn is_edge(&self) -> bool {
         matches!(self, ProblemKind::Matching | ProblemKind::EdgeColoring)
     }
 }
 
-/// The solver / executor — the third axis.
+/// The solver — the third axis.
 ///
-/// `Trivial*` run the folklore by-identifier greedy as a Sleeping-model
-/// [`Program`](awake_sleeping::Program) on the serial engine or the
-/// persistent worker pool; `Bm21` and `Theorem1` are the staged pipelines
-/// from `awake-core`.
+/// `Trivial` runs the folklore by-identifier greedy as one Sleeping-model
+/// [`Program`](awake_sleeping::Program); `Bm21` and `Theorem1` are the
+/// staged pipelines from `awake-core`. Every solver runs on any
+/// [`Executor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algo {
-    /// By-identifier greedy on the serial skip-ahead engine, awake `O(Δ)`.
+    /// By-identifier greedy, awake `O(Δ)`.
     Trivial,
-    /// By-identifier greedy on the worker-pool executor with this many
-    /// workers (bit-for-bit identical results to [`Algo::Trivial`]).
-    TrivialThreaded(usize),
     /// Barenboim–Maimon, awake `O(log Δ + log* n)`.
     Bm21,
     /// The paper's Theorem 1, awake `O(√log n · log* n)`.
@@ -202,12 +199,34 @@ pub enum Algo {
 
 impl Algo {
     /// A short stable label.
-    pub fn key(&self) -> String {
+    pub fn key(&self) -> &'static str {
         match self {
-            Algo::Trivial => "trivial".into(),
-            Algo::TrivialThreaded(w) => format!("trivial-t{w}"),
-            Algo::Bm21 => "bm21".into(),
-            Algo::Theorem1 => "theorem1".into(),
+            Algo::Trivial => "trivial",
+            Algo::Bm21 => "bm21",
+            Algo::Theorem1 => "theorem1",
+        }
+    }
+}
+
+/// The executor — the fourth axis: the worker count every stage of the
+/// scenario runs on ([`awake_core::resilient::StageSpec::workers`]). A
+/// run's outputs and metrics are bit-for-bit identical on either variant,
+/// so the axis only moves wall time and the row's label.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Executor {
+    /// One worker, every round in place; the label has no suffix.
+    Serial,
+    /// `w` workers, labelled `-t<w>`. `Pool(1)` runs exactly as
+    /// [`Executor::Serial`]; only its label differs.
+    Pool(usize),
+}
+
+impl Executor {
+    /// The worker count the scenario's stages run on.
+    pub fn workers(self) -> usize {
+        match self {
+            Executor::Serial => 1,
+            Executor::Pool(w) => w,
         }
     }
 }
@@ -259,7 +278,8 @@ impl FaultSpec {
     }
 }
 
-/// One runnable experiment: a named (family × problem × algo) tuple.
+/// One runnable experiment: a named (family × problem × algo × executor)
+/// tuple.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Unique name within a suite (labeling only — the RNG seed derives
@@ -269,22 +289,34 @@ pub struct Scenario {
     pub family: GraphFamily,
     /// The problem to solve.
     pub problem: ProblemKind,
-    /// The solver/executor.
+    /// The solver.
     pub algo: Algo,
+    /// The executor.
+    pub executor: Executor,
     /// Optional seeded fault injection.
     pub faults: Option<FaultSpec>,
 }
 
 impl Scenario {
-    /// Start building a scenario from its three axes; the name defaults to
-    /// `problem/family/algo`.
+    /// Start building a serial scenario from its first three axes; the
+    /// name defaults to `problem/family/algo`.
     pub fn of(family: GraphFamily, problem: ProblemKind, algo: Algo) -> ScenarioBuilder {
         ScenarioBuilder {
             name: None,
             family,
             problem,
             algo,
+            executor: Executor::Serial,
             faults: None,
+        }
+    }
+
+    /// The report's `algo` column: the solver's key, suffixed `-t<w>` on
+    /// [`Executor::Pool`].
+    pub fn algo_key(&self) -> String {
+        match self.executor {
+            Executor::Serial => self.algo.key().to_string(),
+            Executor::Pool(w) => format!("{}-t{w}", self.algo.key()),
         }
     }
 
@@ -308,10 +340,17 @@ pub struct ScenarioBuilder {
     family: GraphFamily,
     problem: ProblemKind,
     algo: Algo,
+    executor: Executor,
     faults: Option<FaultSpec>,
 }
 
 impl ScenarioBuilder {
+    /// Run on [`Executor::Pool`] with `workers` workers.
+    pub fn on(mut self, workers: usize) -> Self {
+        self.executor = Executor::Pool(workers);
+        self
+    }
+
     /// Override the derived name.
     pub fn named(mut self, name: impl Into<String>) -> Self {
         self.name = Some(name.into());
@@ -327,22 +366,24 @@ impl ScenarioBuilder {
 
     /// Finish the scenario.
     pub fn build(self) -> Scenario {
-        let name = self.name.unwrap_or_else(|| {
-            format!(
-                "{}/{}/{}{}",
-                self.problem.key(),
-                self.family.key(),
-                self.algo.key(),
-                if self.faults.is_some() { "+faults" } else { "" }
-            )
-        });
-        Scenario {
-            name,
+        let mut sc = Scenario {
+            name: String::new(),
             family: self.family,
             problem: self.problem,
             algo: self.algo,
+            executor: self.executor,
             faults: self.faults,
-        }
+        };
+        sc.name = self.name.unwrap_or_else(|| {
+            format!(
+                "{}/{}/{}{}",
+                sc.problem.key(),
+                sc.family.key(),
+                sc.algo_key(),
+                if sc.faults.is_some() { "+faults" } else { "" }
+            )
+        });
+        sc
     }
 }
 
@@ -406,32 +447,38 @@ pub mod presets {
         ProblemKind::ALL
             .iter()
             .flat_map(|&problem| {
-                let family = family.clone();
+                let of = |algo| Scenario::of(family.clone(), problem, algo);
+                let [trivial, pool] = serial_and_pool(of(Algo::Trivial), 4);
                 [
-                    Algo::Trivial,
-                    Algo::TrivialThreaded(4),
-                    Algo::Bm21,
-                    Algo::Theorem1,
+                    trivial,
+                    pool,
+                    of(Algo::Bm21).build(),
+                    of(Algo::Theorem1).build(),
                 ]
-                .into_iter()
-                .map(move |algo| Scenario::of(family.clone(), problem, algo).build())
             })
             .collect()
     }
 
     /// Serial vs. worker-pool executor agreement workload: every problem
-    /// on `G(n, p)` under both executors (8 scenarios).
+    /// on `G(n, p)` under each solver, serial and on an 8-worker pool
+    /// (24 scenarios, the trivial pairs first).
     pub fn executors() -> Vec<Scenario> {
         let family = GraphFamily::Gnp { n: 300, p: 0.05 };
-        ProblemKind::ALL
-            .iter()
-            .flat_map(|&problem| {
-                let family = family.clone();
-                [Algo::Trivial, Algo::TrivialThreaded(8)]
-                    .into_iter()
-                    .map(move |algo| Scenario::of(family.clone(), problem, algo).build())
+        [Algo::Trivial, Algo::Bm21, Algo::Theorem1]
+            .into_iter()
+            .flat_map(|algo| {
+                ProblemKind::ALL
+                    .map(|problem| serial_and_pool(Scenario::of(family.clone(), problem, algo), 8))
             })
+            .flatten()
             .collect()
+    }
+
+    /// `sc` serial, then on a `workers`-worker pool. The pair shares a
+    /// family, hence a graph instance and a fault stream, so its
+    /// deterministic metrics must agree row for row.
+    fn serial_and_pool(sc: ScenarioBuilder, workers: usize) -> [Scenario; 2] {
+        [sc.clone().build(), sc.on(workers).build()]
     }
 
     /// Million-node sparse workloads on the owner-sharded worker-pool
@@ -445,24 +492,18 @@ pub mod presets {
             n: 1_000_000,
             avg_deg: 6.0,
         };
+        let trivial = |family, problem| Scenario::of(family, problem, Algo::Trivial);
+        let sgnp = GraphFamily::SparseGnp {
+            n: 250_000,
+            avg_deg: 8.0,
+        };
         vec![
-            Scenario::of(million.clone(), ProblemKind::Mis, Algo::TrivialThreaded(4)).build(),
-            Scenario::of(
-                GraphFamily::RandomTree { n: 1_000_000 },
-                ProblemKind::Mis,
-                Algo::TrivialThreaded(4),
-            )
-            .build(),
-            Scenario::of(
-                GraphFamily::SparseGnp {
-                    n: 250_000,
-                    avg_deg: 8.0,
-                },
-                ProblemKind::Coloring,
-                Algo::TrivialThreaded(4),
-            )
-            .build(),
-            Scenario::of(million, ProblemKind::Mis, Algo::Trivial).build(),
+            trivial(million.clone(), ProblemKind::Mis).on(4).build(),
+            trivial(GraphFamily::RandomTree { n: 1_000_000 }, ProblemKind::Mis)
+                .on(4)
+                .build(),
+            trivial(sgnp, ProblemKind::Coloring).on(4).build(),
+            trivial(million, ProblemKind::Mis).build(),
         ]
     }
 
@@ -487,13 +528,11 @@ pub mod presets {
         families
             .into_iter()
             .flat_map(|family| {
-                ProblemKind::EDGE.iter().flat_map(move |&problem| {
-                    let family = family.clone();
-                    [Algo::Trivial, Algo::TrivialThreaded(4)]
-                        .into_iter()
-                        .map(move |algo| Scenario::of(family.clone(), problem, algo).build())
+                ProblemKind::EDGE.map(|problem| {
+                    serial_and_pool(Scenario::of(family.clone(), problem, Algo::Trivial), 4)
                 })
             })
+            .flatten()
             .collect()
     }
 
@@ -552,16 +591,10 @@ pub mod presets {
             quiet_after: 64,
         };
         ProblemKind::ALL
-            .iter()
-            .flat_map(|&problem| {
-                let family = family.clone();
-                [Algo::Trivial, Algo::TrivialThreaded(4)]
-                    .into_iter()
-                    .map(move |algo| {
-                        Scenario::of(family.clone(), problem, algo)
-                            .with_faults(spec)
-                            .build()
-                    })
+            .into_iter()
+            .flat_map(|problem| {
+                let sc = Scenario::of(family.clone(), problem, Algo::Trivial).with_faults(spec);
+                serial_and_pool(sc, 4)
             })
             .collect()
     }
@@ -648,56 +681,32 @@ pub mod presets {
             p: 0.1,
         };
         let small = GraphFamily::Gnp { n: 36, p: 0.12 };
-        let mut out = vec![Scenario::of(gnp.clone(), ProblemKind::Mis, Algo::Trivial)
-            .with_faults(decision_crashes)
-            .build()];
-        out.extend([1usize, 2, 4, 8].into_iter().map(|w| {
-            Scenario::of(gnp.clone(), ProblemKind::Mis, Algo::TrivialThreaded(w))
-                .with_faults(decision_crashes)
-                .build()
-        }));
+        let crashes =
+            Scenario::of(gnp, ProblemKind::Mis, Algo::Trivial).with_faults(decision_crashes);
+        let mut out = vec![crashes.clone().build()];
+        out.extend([1, 2, 4, 8].map(|w| crashes.clone().on(w).build()));
+        let tree = GraphFamily::RandomTree { n: 72 };
+        let star = GraphFamily::Star { n: 48 };
+        out.extend(serial_and_pool(
+            Scenario::of(tree, ProblemKind::Coloring, Algo::Trivial).with_faults(tree_path_drops),
+            4,
+        ));
+        out.extend(serial_and_pool(
+            Scenario::of(star, ProblemKind::VertexCover, Algo::Trivial).with_faults(gap_delays),
+            2,
+        ));
         out.extend([
-            Scenario::of(
-                GraphFamily::RandomTree { n: 72 },
-                ProblemKind::Coloring,
-                Algo::Trivial,
-            )
-            .with_faults(tree_path_drops)
-            .build(),
-            Scenario::of(
-                GraphFamily::RandomTree { n: 72 },
-                ProblemKind::Coloring,
-                Algo::TrivialThreaded(4),
-            )
-            .with_faults(tree_path_drops)
-            .build(),
-            Scenario::of(
-                GraphFamily::Star { n: 48 },
-                ProblemKind::VertexCover,
-                Algo::Trivial,
-            )
-            .with_faults(gap_delays)
-            .build(),
-            Scenario::of(
-                GraphFamily::Star { n: 48 },
-                ProblemKind::VertexCover,
-                Algo::TrivialThreaded(2),
-            )
-            .with_faults(gap_delays)
-            .build(),
             Scenario::of(small.clone(), ProblemKind::Mis, Algo::Bm21)
                 .with_faults(staged_crashes)
                 .build(),
             Scenario::of(small.clone(), ProblemKind::Mis, Algo::Theorem1)
                 .with_faults(staged_crashes)
                 .build(),
-            Scenario::of(small.clone(), ProblemKind::Matching, Algo::Trivial)
-                .with_faults(staged_crashes)
-                .build(),
-            Scenario::of(small, ProblemKind::Matching, Algo::TrivialThreaded(4))
-                .with_faults(staged_crashes)
-                .build(),
         ]);
+        out.extend(serial_and_pool(
+            Scenario::of(small, ProblemKind::Matching, Algo::Trivial).with_faults(staged_crashes),
+            4,
+        ));
         out
     }
 
@@ -749,7 +758,7 @@ pub mod presets {
             ),
             entry(
                 "executors",
-                "serial vs. worker-pool executor on G(n,p), all problems",
+                "trivial + BM21 + Theorem 1 at 1 vs. 8 workers on G(n,p), all problems",
                 NONE,
                 executors(),
             ),
@@ -874,11 +883,11 @@ mod tests {
         // same derived seed and graph instance
         let threaded = huge
             .iter()
-            .find(|s| s.algo == Algo::TrivialThreaded(4))
+            .find(|s| s.executor == Executor::Pool(4))
             .expect("threaded row");
         let serial = huge
             .iter()
-            .find(|s| s.algo == Algo::Trivial)
+            .find(|s| s.executor == Executor::Serial)
             .expect("serial cross-check row");
         assert_eq!(threaded.family, serial.family);
         assert_eq!(threaded.seed(1), serial.seed(1));
@@ -907,10 +916,13 @@ mod tests {
             .collect();
         assert_eq!(variants.len(), 10, "families: {variants:?}");
         // serial/threaded pairs share a family, hence a graph instance
-        let serial = edges.iter().filter(|s| s.algo == Algo::Trivial).count();
+        let serial = edges
+            .iter()
+            .filter(|s| s.executor == Executor::Serial)
+            .count();
         let threaded = edges
             .iter()
-            .filter(|s| s.algo == Algo::TrivialThreaded(4))
+            .filter(|s| s.executor == Executor::Pool(4))
             .count();
         assert_eq!((serial, threaded), (20, 20));
     }
@@ -924,13 +936,9 @@ mod tests {
                 .iter()
                 .filter(|s| matches!(s.family, GraphFamily::SparseGnp { n, .. } if n == 1 << exp))
                 .collect();
-            let algos: std::collections::BTreeSet<String> =
+            let algos: std::collections::BTreeSet<&str> =
                 at_n.iter().map(|s| s.algo.key()).collect();
-            assert_eq!(
-                algos,
-                ["bm21".to_string(), "theorem1".to_string()].into(),
-                "n = 2^{exp}"
-            );
+            assert_eq!(algos, ["bm21", "theorem1"].into(), "n = 2^{exp}");
             // same family spec ⇒ same derived seed ⇒ same graph instance,
             // so the two algos compare like for like at every point
             assert_eq!(at_n[0].seed(1), at_n[1].seed(1));
@@ -977,10 +985,13 @@ mod tests {
             assert!(plan.delay_rounds >= 1);
         }
         // serial/threaded pairs share family ⇒ seed ⇒ graph and fault stream
-        let serial = faults.iter().filter(|s| s.algo == Algo::Trivial).count();
+        let serial = faults
+            .iter()
+            .filter(|s| s.executor == Executor::Serial)
+            .count();
         let threaded = faults
             .iter()
-            .filter(|s| s.algo == Algo::TrivialThreaded(4))
+            .filter(|s| s.executor == Executor::Pool(4))
             .count();
         assert_eq!((serial, threaded), (4, 4));
     }
@@ -1002,7 +1013,7 @@ mod tests {
             .filter(|s| s.faults.is_some_and(|f| f.crash_ppm > 300_000))
             .collect();
         let algos: std::collections::BTreeSet<String> =
-            crash_rows.iter().map(|s| s.algo.key()).collect();
+            crash_rows.iter().map(|s| s.algo_key()).collect();
         assert_eq!(
             algos,
             [

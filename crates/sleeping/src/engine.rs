@@ -886,14 +886,13 @@ pub(crate) fn drive<P: Program>(
 /// one worker, fault-free, from round 0. Every combination is bit-for-bit
 /// identical (outputs, [`Metrics`], trace) to the same run on one worker;
 /// see [`Engine::run_spec`].
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy)]
 pub struct RunSpec<'a> {
-    /// Executors driving the run: `None` or `Some(1)` runs every round on
-    /// the calling thread, in place; `Some(w)` with `w > 1` adds a pool of
-    /// `w - 1` spawned workers that takes the rounds whose degree mass is
-    /// worth splitting. Both run the same driver and the same per-node
-    /// functions.
-    pub workers: Option<usize>,
+    /// Executors driving the run: 1 runs every round on the calling
+    /// thread, in place; `w > 1` adds a pool of `w - 1` spawned workers
+    /// that takes the rounds whose degree mass is worth splitting. Both
+    /// run the same driver and the same per-node functions.
+    pub workers: usize,
     /// A seeded fault plan. An inactive plan ([`FaultPlan::is_active`])
     /// means no plan.
     pub faults: Option<FaultPlan>,
@@ -910,12 +909,22 @@ pub struct RunSpec<'a> {
     pub(crate) chaos: Option<u64>,
 }
 
+impl Default for RunSpec<'_> {
+    fn default() -> Self {
+        RunSpec::on(1)
+    }
+}
+
 impl<'a> RunSpec<'a> {
-    /// The default spec on `workers` (`None`: one worker).
-    pub fn on(workers: Option<usize>) -> Self {
+    /// The default spec on `workers` executors.
+    pub fn on(workers: usize) -> Self {
         RunSpec {
             workers,
-            ..RunSpec::default()
+            faults: None,
+            checkpoint: None,
+            resume: None,
+            #[cfg(test)]
+            chaos: None,
         }
     }
 
@@ -1045,9 +1054,8 @@ impl<'g> Engine<'g> {
         let chaos = spec.chaos.map(|seed| crate::threaded::ChaosPlan { seed });
         #[cfg(not(test))]
         let chaos = None;
-        let workers = spec.workers.unwrap_or(1);
         let (faulty, traced) = (start.faults.is_some(), start.tracer.enabled());
-        Ok(with_pool(g, workers, faulty, traced, chaos, |pool| {
+        Ok(with_pool(g, spec.workers, faulty, traced, chaos, |pool| {
             drive(g, programs, start, pool, ctl, None)
         })?)
     }

@@ -99,11 +99,12 @@
 //! # One run path: [`RunSpec`]
 //!
 //! [`Engine::run`] is the fault-free one-worker run. Everything else goes
-//! through [`Engine::run_spec`] and one [`RunSpec`]: the executor
-//! ([`RunSpec::workers`]), a seeded [`FaultPlan`], a [`Checkpoint`]
+//! through [`Engine::run_spec`] and one [`RunSpec`]: a worker count
+//! ([`RunSpec::workers`]; 1, the default, runs every round in place and
+//! `w > 1` adds the pool), a seeded [`FaultPlan`], a [`Checkpoint`]
 //! (periodic snapshots or a pause bound) and a [`Snapshot`] to resume
-//! from. Any combination is bit-for-bit
-//! identical to the same run on one worker.
+//! from. Any combination is bit-for-bit identical to the same run on one
+//! worker.
 //!
 //! ```
 //! use awake_graphs::generators;
@@ -131,7 +132,7 @@
 //!     unreachable!("the run is longer than two rounds")
 //! };
 //! // Resume on a two-worker pool: the same run as the uninterrupted one.
-//! let resume = RunSpec::on(Some(2)).resume_from(&snap);
+//! let resume = RunSpec::on(2).resume_from(&snap);
 //! let run = engine.run_spec(vec![Hello; 5], &resume).unwrap().finished();
 //! assert_eq!(run.metrics, engine.run(vec![Hello; 5]).unwrap().metrics);
 //! ```

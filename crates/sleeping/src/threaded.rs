@@ -1187,7 +1187,7 @@ mod tests {
             .iter()
             .flat_map(|&w| {
                 [None, Some(31 * w as u64 + seed)].map(|chaos| RunSpec {
-                    workers: Some(w),
+                    workers: w,
                     faults: plan,
                     chaos,
                     ..RunSpec::default()
@@ -1198,7 +1198,7 @@ mod tests {
 
     fn label(spec: &RunSpec) -> String {
         format!(
-            "workers = {:?}, chaos = {:?}, faults = {}",
+            "workers = {}, chaos = {:?}, faults = {}",
             spec.workers,
             spec.chaos,
             spec.faults.is_some()
@@ -1284,7 +1284,7 @@ mod tests {
         // so dense rounds genuinely run the multi-chunk parallel pipeline.
         let g = generators::random_tree(160, 9);
         assert_bitwise_equal(&g, flood(160, 170), &[1, 2, 4, 8], 7);
-        let pool = RunSpec::on(Some(4));
+        let pool = RunSpec::on(4);
         let run = run(&g, flood(160, 170)(), Config::default(), &pool).unwrap();
         // everyone learned the max ident (tree has diameter < 170 rounds)
         assert!(run.outputs.iter().all(|&b| b == 160));
@@ -1293,7 +1293,7 @@ mod tests {
     #[test]
     fn threaded_single_worker() {
         let g = generators::cycle(6);
-        let pool = RunSpec::on(Some(1));
+        let pool = RunSpec::on(1);
         let run = run(&g, flood(6, 3)(), Config::default(), &pool).unwrap();
         assert_eq!(run.metrics.rounds, 3);
     }
@@ -1303,7 +1303,7 @@ mod tests {
         // Tiny awake set, tiny mass: the inline path absorbs the round.
         let g = generators::path(3);
         assert_bitwise_equal(&g, flood(3, 3), &[1, 16], 7);
-        let pool = RunSpec::on(Some(16));
+        let pool = RunSpec::on(16);
         let run = run(&g, flood(3, 3)(), Config::default(), &pool).unwrap();
         assert_eq!(run.outputs, vec![3, 3, 3]);
         assert_eq!(run.metrics.rounds, 3);
@@ -1316,7 +1316,7 @@ mod tests {
         // chunker must cap k at the awake count, one node per chunk.
         let g = generators::complete(20);
         assert_bitwise_equal(&g, flood(20, 3), &[32], 7);
-        let pool = RunSpec::on(Some(32));
+        let pool = RunSpec::on(32);
         let run = run(&g, flood(20, 3)(), Config::default(), &pool).unwrap();
         assert!(run.outputs.iter().all(|&b| b == 20));
     }
@@ -1335,12 +1335,10 @@ mod tests {
         }
     }
 
-    /// One worker (`None`) and the pool at 1, 2 and 4 workers, with an
-    /// optional fault plan.
+    /// One worker and the pool at 2 and 4 workers, with an optional fault
+    /// plan.
     fn overflow_specs(plan: Option<FaultPlan>) -> Vec<RunSpec<'static>> {
-        [None, Some(1), Some(2), Some(4)]
-            .map(|w| RunSpec::on(w).with_faults(plan))
-            .into()
+        [1, 2, 4].map(|w| RunSpec::on(w).with_faults(plan)).into()
     }
 
     #[test]
@@ -1605,7 +1603,7 @@ mod tests {
     /// A pool spec on `workers` executors under the chaos plan `seed`.
     fn chaos_spec(workers: usize, faults: Option<FaultPlan>, seed: u64) -> RunSpec<'static> {
         RunSpec {
-            workers: Some(workers),
+            workers,
             faults,
             chaos: Some(seed),
             ..RunSpec::default()

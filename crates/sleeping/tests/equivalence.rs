@@ -5,9 +5,9 @@
 //! not elapsed rounds. This file checks that the jump is unobservable: on
 //! randomized schedules — including 10⁹-round idle gaps, fault delays
 //! whose due rounds land inside a jumped span, and snapshots taken inside
-//! one — the serial engine and the threaded executor at 1/2/4/8 workers
-//! are bit-for-bit identical (outputs, `Metrics`, trace, snapshot bytes)
-//! to a *reference per-round stepper* implemented here from the model's
+//! one — the executor at 1, 2, 4 and 8 workers is bit-for-bit identical
+//! (outputs, `Metrics`, trace, snapshot bytes) to a *reference per-round
+//! stepper* implemented here from the model's
 //! definition, with none of the engine's machinery: no wheel, no stay
 //! lane, no inbox arena. The reference derives each executed round by a
 //! brute-force scan over every node's next wake round, which is the
@@ -32,6 +32,7 @@ const GAP: u64 = 1_000_000_000;
 /// ever drops an event (asserted via `trace_dropped == 0` comparisons).
 const CAP: usize = 200_000;
 
+/// The executor rows of every table.
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 // ---------------------------------------------------------------------------
@@ -427,12 +428,6 @@ fn assert_runs_equal(tag: &str, want: &Run<Vec<(u64, u64)>>, got: &Run<Vec<(u64,
     assert_eq!(got.trace_dropped, want.trace_dropped, "[{tag}] drop count");
 }
 
-/// The executor rows of every table: the serial engine, then the worker
-/// pool at each of [`WORKER_COUNTS`].
-fn executors() -> impl Iterator<Item = Option<usize>> {
-    std::iter::once(None).chain(WORKER_COUNTS.into_iter().map(Some))
-}
-
 fn run(g: &Graph, scripts: &[Vec<u64>], spec: &RunSpec) -> Paused<Vec<(u64, u64)>> {
     Engine::new(g, cfg())
         .run_spec(progs(scripts), spec)
@@ -451,9 +446,9 @@ fn assert_every_executor_matches(
     plan: Option<FaultPlan>,
     want: &Run<Vec<(u64, u64)>>,
 ) {
-    for workers in executors() {
+    for workers in WORKER_COUNTS {
         let got = run(g, scripts, &RunSpec::on(workers).with_faults(plan)).finished();
-        assert_runs_equal(&format!("{tag} workers {workers:?}"), want, &got);
+        assert_runs_equal(&format!("{tag} workers {workers}"), want, &got);
     }
 }
 
@@ -467,15 +462,15 @@ fn assert_pause_resume_anywhere(
     want: &Run<Vec<(u64, u64)>>,
 ) -> Snapshot {
     let snap = pause(g, scripts, &RunSpec::default().with_faults(plan), bound);
-    for workers in executors() {
+    for workers in WORKER_COUNTS {
         let got = pause(g, scripts, &RunSpec::on(workers).with_faults(plan), bound);
         assert_eq!(
             got, snap,
-            "pause at {bound}: workers {workers:?} snapshot differs"
+            "pause at {bound}: workers {workers} snapshot differs"
         );
         let resume = RunSpec::on(workers).with_faults(plan).resume_from(&snap);
         let resumed = run(g, scripts, &resume).finished();
-        assert_runs_equal(&format!("resume at {bound} on {workers:?}"), want, &resumed);
+        assert_runs_equal(&format!("resume at {bound} on {workers}"), want, &resumed);
     }
     snap
 }
@@ -621,7 +616,7 @@ fn resuming_under_another_fault_plan_is_a_typed_error() {
     let inactive = FaultPlan::new(7);
     let faulty = pause(&g, &scripts, &RunSpec::default().with_faults(Some(plan)), 2);
     let clean = pause(&g, &scripts, &RunSpec::default(), 2);
-    for workers in executors() {
+    for workers in WORKER_COUNTS {
         let on = RunSpec::on(workers);
         for (snap, faults) in [
             (&faulty, None),
@@ -636,7 +631,7 @@ fn resuming_under_another_fault_plan_is_a_typed_error() {
                     got,
                     Err(ResumeError::Checkpoint(CheckpointError::FaultPlanMismatch))
                 ),
-                "{workers:?}: resume under {faults:?} must be refused"
+                "{workers}: resume under {faults:?} must be refused"
             );
         }
         let resume = on.with_faults(Some(inactive)).resume_from(&clean);

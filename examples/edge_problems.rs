@@ -6,8 +6,8 @@
 //! preset), plus a direct pass that re-runs one graph through the adapter
 //! and checks the distributed outputs against the sequential edge greedy
 //! — the class-defining reference — edge by edge. The executor is one
-//! field of the solver's `StageSpec`: `workers: None` is the serial engine,
-//! `Some(w)` the `w`-worker pool.
+//! field of the solver's `StageSpec`: `workers = 1` runs every round in
+//! place, `workers = w > 1` adds the pool.
 //!
 //! ```sh
 //! cargo run --release --example edge_problems
@@ -74,7 +74,7 @@ fn main() {
     );
 
     let cinputs = EdgeColoring.trivial_inputs(&g);
-    let pool = StageSpec::on(Some(4));
+    let pool = StageSpec::on(4);
     let col = linegraph::solve_edges_spec(&g, &EdgeColoring, &cinputs, Config::default(), &pool)
         .expect("adapter runs on the pool");
     EdgeColoring

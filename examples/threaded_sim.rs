@@ -3,12 +3,13 @@
 //! bit — outputs, metrics, and the resulting suite report alike.
 //!
 //! A thin front-end over the `awake-lab` scenario harness: the `executors`
-//! preset pairs every problem with a serial and an 8-worker scenario on
-//! the same `G(n, p)` instance. The harness rows compare the summary
-//! metrics; the direct pass below re-runs both executors on the same graph
-//! and compares the raw per-node outputs and full `Metrics`. The executor
-//! is one field of the run's `RunSpec`: `workers: None` is the serial
-//! engine, `Some(w)` the `w`-worker pool.
+//! preset runs every problem under each solver (trivial, BM21, Theorem 1)
+//! at one worker and on an 8-worker pool, on the same `G(n, p)` instance.
+//! The harness rows compare the summary metrics; the direct pass below
+//! re-runs the trivial greedy at both worker counts on the same graph and
+//! compares the raw per-node outputs and full `Metrics`. The executor is
+//! one field of the run's `RunSpec`: `workers = 1` runs every round in
+//! place, `workers = w > 1` adds the pool.
 //!
 //! ```sh
 //! cargo run --release --example threaded_sim
@@ -48,7 +49,7 @@ where
             .unwrap()
             .finished()
     };
-    let (serial, par) = (run(None), run(Some(WORKERS)));
+    let (serial, par) = (run(1), run(WORKERS));
     assert_eq!(serial.outputs, par.outputs, "per-node outputs diverge");
     assert_eq!(serial.metrics, par.metrics, "metrics diverge");
 }
@@ -61,17 +62,19 @@ fn main() {
         .expect("suite runs");
     print!("{}", report.text_table());
 
-    // Scenario pairs (serial, threaded) share a graph family — and hence a
-    // graph instance — so their deterministic metrics must be identical.
+    // Scenario pairs (serial, threaded) of one problem and solver share a
+    // graph family, and hence a graph instance, so their deterministic
+    // metrics must be identical.
     for pair in report.scenarios.chunks(2) {
         let [serial, threaded] = pair else {
             unreachable!("executors preset pairs scenarios")
         };
         assert_eq!(serial.problem, threaded.problem);
+        assert_eq!(threaded.algo, format!("{}-t{WORKERS}", serial.algo));
         assert_eq!(
             serial.metrics, threaded.metrics,
             "executors disagree on {}",
-            serial.problem
+            threaded.name
         );
         assert!(serial.valid && threaded.valid);
     }
@@ -85,8 +88,8 @@ fn main() {
     assert_outputs_agree(&MinimalVertexCover, &g);
 
     println!(
-        "\nall {} problems: serial and {WORKERS}-worker executors agree bit for bit \
-         (outputs and metrics) ✓",
+        "\nall {} scenario pairs: serial and {WORKERS}-worker executors agree bit for \
+         bit (outputs and metrics) ✓",
         report.scenarios.len() / 2
     );
 }

@@ -1,7 +1,7 @@
 //! # awake — sub-logarithmic awake complexity for sequential greedy problems
 //!
 //! Umbrella crate re-exporting the whole workspace. See the README for a
-//! tour and `DESIGN.md` for the paper-to-module map.
+//! tour and its paper-to-module correspondence table.
 
 #![forbid(unsafe_code)]
 

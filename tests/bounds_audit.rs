@@ -57,13 +57,13 @@ fn vertex_problems_stay_within_budget_on_all_families_and_algos() {
     for suite_seed in [1u64, 7, 1234] {
         for family in families() {
             for problem in ProblemKind::ALL {
-                for algo in [
-                    Algo::Trivial,
-                    Algo::TrivialThreaded(3),
-                    Algo::Bm21,
-                    Algo::Theorem1,
+                let of = |algo| Scenario::of(family.clone(), problem, algo);
+                for sc in [
+                    of(Algo::Trivial).build(),
+                    of(Algo::Trivial).on(3).build(),
+                    of(Algo::Bm21).build(),
+                    of(Algo::Theorem1).build(),
                 ] {
-                    let sc = Scenario::of(family.clone(), problem, algo).build();
                     assert_within_budget(&sc, suite_seed);
                 }
             }
@@ -76,8 +76,10 @@ fn edge_problems_stay_within_budget_on_all_families() {
     for suite_seed in [1u64, 7, 1234] {
         for family in families() {
             for problem in ProblemKind::EDGE {
-                for algo in [Algo::Trivial, Algo::TrivialThreaded(4)] {
-                    let sc = Scenario::of(family.clone(), problem, algo).build();
+                for workers in [1, 4] {
+                    let sc = Scenario::of(family.clone(), problem, Algo::Trivial)
+                        .on(workers)
+                        .build();
                     assert_within_budget(&sc, suite_seed);
                 }
             }

@@ -1,20 +1,17 @@
 //! The spec table shared by the executor-equivalence suites: every run
-//! family is executed on the serial engine and on the worker pool at
-//! 1/2/4/8 workers, fault-free and under a seeded fault plan, traced
-//! (uncapped and under a biting cap), and paused halfway and resumed on
-//! every executor. Every row must agree with the serial engine bit for
-//! bit: outputs (or the error), [`Metrics`], trace, drop counter and
-//! snapshot bytes.
+//! family is executed at 1, 2, 4 and 8 workers, fault-free and under a
+//! seeded fault plan, traced (uncapped and under a biting cap), and paused
+//! halfway and resumed on every worker count. Every row must agree with
+//! the one-worker run bit for bit: outputs (or the error), [`Metrics`],
+//! trace, drop counter and snapshot bytes.
 
 use awake::sleeping::{
     Config, FaultPlan, Metrics, Paused, ResumeError, Run, RunSpec, SimError, Snapshot, TraceMode,
 };
 use std::fmt::Debug;
 
-/// The executor rows: the serial engine, then the pool at 1, 2, 4, 8.
-pub fn executors() -> impl Iterator<Item = Option<usize>> {
-    std::iter::once(None).chain([1, 2, 4, 8].map(Some))
-}
+/// The executor rows: worker counts.
+pub const EXECUTORS: [usize; 4] = [1, 2, 4, 8];
 
 /// The seeded plan of the faulty rows: every message fate and crashes.
 pub fn plan() -> FaultPlan {
@@ -62,7 +59,7 @@ where
 {
     for faults in [None, Some(plan())] {
         let spec = |workers| RunSpec::on(workers).with_faults(faults);
-        let want = finished(run(Config::default(), &spec(None)));
+        let want = finished(run(Config::default(), &spec(1)));
         // Uncapped, then under a cap that bites: the kept prefix and the
         // drop counter must both agree.
         let traced = [usize::MAX, 100].map(|cap| {
@@ -70,10 +67,10 @@ where
                 trace: TraceMode::Capped(cap),
                 ..Config::default()
             };
-            (cfg, finished(run(cfg, &spec(None))))
+            (cfg, finished(run(cfg, &spec(1))))
         });
-        for workers in executors() {
-            let at = format!("workers = {workers:?}, faults = {faults:?}");
+        for workers in EXECUTORS {
+            let at = format!("workers = {workers}, faults = {faults:?}");
             assert_same(
                 &want,
                 &finished(run(Config::default(), &spec(workers))),
@@ -101,9 +98,9 @@ where
                 .unwrap()
                 .into_snapshot()
         };
-        let snap = pause(None);
-        for workers in executors() {
-            let at = format!("pause at {bound}, workers = {workers:?}, faults = {faults:?}");
+        let snap = pause(1);
+        for workers in EXECUTORS {
+            let at = format!("pause at {bound}, workers = {workers}, faults = {faults:?}");
             assert_eq!(pause(workers), snap, "snapshot bytes, {at}");
             let resume = spec(workers).resume_from(&snap);
             assert_same(&want, &finished(run(Config::default(), &resume)), &at);

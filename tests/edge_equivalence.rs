@@ -1,8 +1,8 @@
 //! Executor equivalence for the **line-graph virtualization adapter**:
 //! adapted edge programs must produce bit-for-bit identical outputs *and*
-//! [`Metrics`](awake::sleeping::Metrics) on the serial engine and the
-//! worker-pool executor at 1/2/4/8 workers, fault-free and under a seeded
-//! plan, paused and resumed on either executor (the spec table of
+//! [`Metrics`](awake::sleeping::Metrics) at 1, 2, 4 and 8 workers,
+//! fault-free and under a seeded plan, paused and resumed at any worker
+//! count (the spec table of
 //! `common`) — on Erdős–Rényi graphs, random trees, and the hub-heavy
 //! families (star, caterpillar, lollipop) whose dominant-degree nodes
 //! stress the degree-weighted chunking — and engine errors raised through

@@ -24,9 +24,9 @@ fn inactive() -> FaultPlan {
     plan
 }
 
-/// The (no plan, inactive plan) spec pairs: serial, then a 2-worker pool.
+/// The (no plan, inactive plan) spec pairs: one worker, then two.
 fn spec_pairs() -> [(StageSpec, StageSpec); 2] {
-    [None, Some(2)].map(|w| {
+    [1, 2].map(|w| {
         (
             StageSpec::on(w),
             StageSpec::on(w).with_faults(Some(inactive())),
@@ -89,19 +89,19 @@ fn lab_trivial_rows_ignore_an_all_zero_fault_spec() {
         ..FaultSpec::default()
     };
     let family = GraphFamily::RandomTree { n: 64 };
-    for algo in [Algo::Trivial, Algo::TrivialThreaded(2)] {
-        let plain = Scenario::of(family.clone(), ProblemKind::Mis, algo).build();
-        let zeroed = Scenario::of(family.clone(), ProblemKind::Mis, algo)
-            .with_faults(zero)
-            .build();
-        let want = run_scenario(&plain, 7, None).unwrap();
-        let got = run_scenario(&zeroed, 7, None).unwrap();
-        assert!(want.valid && got.valid, "{algo:?}: outputs validate");
-        assert_eq!(want.metrics, got.metrics, "{algo:?}: metrics");
+    for workers in [1, 2] {
+        let sc = Scenario::of(family.clone(), ProblemKind::Mis, Algo::Trivial).on(workers);
+        let want = run_scenario(&sc.clone().build(), 7, None).unwrap();
+        let got = run_scenario(&sc.with_faults(zero).build(), 7, None).unwrap();
+        assert!(
+            want.valid && got.valid,
+            "{workers} workers: outputs validate"
+        );
+        assert_eq!(want.metrics, got.metrics, "{workers} workers: metrics");
         assert_eq!(
             (want.awake_bound, want.round_bound),
             (got.awake_bound, got.round_bound),
-            "{algo:?}: an inactive plan is audited against the fault-free budget"
+            "{workers} workers: an inactive plan is audited against the fault-free budget"
         );
     }
 }

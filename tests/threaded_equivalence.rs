@@ -138,7 +138,7 @@ fn stay_lane_meets_wheel_wake_across_block_boundary() {
     };
     assert_equivalent(&g, mk);
     let engine = Engine::new(&g, Default::default());
-    for workers in common::executors() {
+    for workers in common::EXECUTORS {
         let run = engine
             .run_spec(mk(), &RunSpec::on(workers))
             .unwrap()
