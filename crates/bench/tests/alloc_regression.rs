@@ -23,6 +23,11 @@
 //! the output view is built once. Each cap here is the measured rate plus
 //! at most 25%, so a copy creeping back in fails it.
 //!
+//! The worker pool's dispatched rounds recycle every buffer they use, so
+//! once the first rounds have grown them a flood at 4 workers allocates
+//! nothing per node-round; the cap here catches a per-round or per-node
+//! allocation creeping into the pool.
+//!
 //! The counting allocator is test-local: integration tests are separate
 //! binaries, so installing it here does not affect any other test.
 
@@ -37,7 +42,9 @@ use awake_core::virt::{virt_rounds, VertexInput, VirtSim};
 use awake_graphs::{generators, Graph};
 use awake_olocal::edge::{EdgeColoring, EdgeIndex, EdgeProblem, MaximalMatching};
 use awake_olocal::problems::MaximalIndependentSet;
-use awake_sleeping::{Config, Engine, Program};
+use awake_sleeping::{
+    threaded, Action, Config, Engine, Envelope, Outbox, PhaseTimes, Program, View,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -200,5 +207,71 @@ fn virtualized_lemma15_and_lemma11_share_instead_of_copying() {
     assert!(
         lemma11 <= 2.0,
         "VirtSim<Lemma11Vertex> regressed: {lemma11:.3} allocs/awake event (cap 2)"
+    );
+}
+
+/// Floods the largest ident seen for `rounds` rounds, then halts: every
+/// node is awake in every round.
+struct Flood {
+    best: u64,
+    rounds: u64,
+}
+
+impl Program for Flood {
+    type Msg = u64;
+    type Output = u64;
+    fn send(&mut self, _: &View, out: &mut Outbox<u64>) {
+        out.broadcast(self.best);
+    }
+    fn receive(&mut self, view: &View, inbox: &[Envelope<u64>]) -> Action {
+        self.best = self.best.max(view.ident);
+        for e in inbox {
+            self.best = self.best.max(e.msg);
+        }
+        if view.round >= self.rounds {
+            Action::Halt
+        } else {
+            Action::Stay
+        }
+    }
+    fn output(&self) -> Option<u64> {
+        Some(self.best)
+    }
+}
+
+/// Allocations of a `rounds`-round flood on `g` at `workers` workers, and
+/// its awake node-rounds. Building the programs is not counted; every
+/// round must run dispatched.
+fn pool_flood_allocs(g: &Graph, workers: usize, rounds: u64) -> (u64, u64) {
+    let programs: Vec<Flood> = (0..g.n()).map(|_| Flood { best: 0, rounds }).collect();
+    let mut phases = PhaseTimes::default();
+    let a0 = alloc_count();
+    let run =
+        threaded::run_threaded_timed(g, programs, Config::default(), workers, &mut phases).unwrap();
+    let allocs = alloc_count() - a0;
+    assert_eq!(
+        phases.dispatched_rounds, rounds,
+        "every flood round dispatches"
+    );
+    (allocs, run.metrics.total_awake())
+}
+
+#[test]
+fn dispatched_rounds_stay_allocation_free() {
+    let _alone = counting_alone();
+    let g = generators::random_regular(2048, 8, 3);
+    // A short and a long run pay the same setup (the pool, its threads,
+    // the first rounds' buffer growth); their difference is the steady
+    // state.
+    let (short, short_rounds) = pool_flood_allocs(&g, 4, 10);
+    let (long, long_rounds) = pool_flood_allocs(&g, 4, 60);
+    println!("  runs: {short} allocs / {short_rounds} node-rounds, {long} / {long_rounds}");
+    let rate = (long as f64 - short as f64) / (long_rounds - short_rounds) as f64;
+    println!("4-worker pool steady state: {rate:.5} allocs/node-round");
+    // Measured: 0 (both runs allocate the same). One allocation per
+    // dispatched round would read 1/2048 ≈ 0.0005 here.
+    assert!(
+        rate <= 0.0001,
+        "dispatched rounds regressed: {rate:.5} allocs/node-round (cap 0.0001)"
     );
 }

@@ -216,8 +216,8 @@ pub fn diff_bench(
         tol,
     )?));
     // On a runner that physically has the cores (≥ 4 detected), portable
-    // mode additionally holds the ratio to an absolute floor: the steal
-    // pipeline must actually be *faster* than serial, not merely no worse
+    // mode additionally holds the ratio to an absolute floor: the worker
+    // pool must actually be *faster* than serial, not merely no worse
     // than a baseline that may itself have decayed.
     if mode == GateMode::Portable {
         rows.push(demote_few_cores(floor_row(

@@ -462,9 +462,9 @@ pub struct PhaseTimesBench {
     pub inline_rounds: u64,
     /// Awake-set partitioning + job publication, ns per executed round.
     pub partition_ns_per_round: f64,
-    /// Send-descriptor (route) wait, ns per dispatched round.
+    /// Send step (route), ns per dispatched round.
     pub route_ns_per_round: f64,
-    /// Receive-descriptor (deliver) wait, ns per dispatched round.
+    /// Receive step (deliver), ns per dispatched round.
     pub deliver_ns_per_round: f64,
     /// Coordinator-side merge/apply, ns per dispatched round.
     pub merge_ns_per_round: f64,

@@ -18,9 +18,9 @@
 //!
 //! * [`InboxArena`] — the in-place round body's node-indexed segment pool over
 //!   all `n` recipients.
-//! * [`ChunkInboxes`] — a *per-worker* segment view indexed by position
-//!   within one chunk of the awake set. Each worker of the threaded
-//!   executor owns one and builds its chunk's inboxes locally by draining
+//! * [`ChunkInboxes`] — a *per-chunk* segment view indexed by position
+//!   within one chunk of the awake set. Each chunk of the worker pool
+//!   owns one, and the chunk's executor builds its inboxes by draining
 //!   the incoming owner shards in source-chunk order (chunks are
 //!   contiguous in node order and senders within a chunk ascend, so the
 //!   concatenation is a full sort by sender — same born-sorted invariant,
@@ -138,7 +138,7 @@ impl<M> ChunkInboxes<M> {
     }
 
     /// Drain a shard of `(chunk position, envelope)` deliveries into the
-    /// pool — the threaded executor's receive descriptors pull incoming
+    /// pool — the worker pool's receive step pulls incoming
     /// shards through this, one source chunk at a time in chunk index
     /// order, which preserves the born-sorted invariant checked by
     /// [`inbox`](Self::inbox). Callers [`ensure`](Self::ensure) capacity

@@ -903,10 +903,6 @@ pub struct RunSpec<'a> {
     /// [`faults`](Self::faults) must name the plan the snapshot was taken
     /// under.
     pub resume: Option<&'a Snapshot>,
-    /// Test-only seed of the pool's scheduling chaos (the threaded
-    /// module's `ChaosPlan`).
-    #[cfg(test)]
-    pub(crate) chaos: Option<u64>,
 }
 
 impl Default for RunSpec<'_> {
@@ -923,8 +919,6 @@ impl<'a> RunSpec<'a> {
             faults: None,
             checkpoint: None,
             resume: None,
-            #[cfg(test)]
-            chaos: None,
         }
     }
 
@@ -1050,12 +1044,8 @@ impl<'g> Engine<'g> {
         let ctl = spec
             .checkpoint
             .map(|c| Controller::new(c, start.prev_round, encode_snapshot::<P>));
-        #[cfg(test)]
-        let chaos = spec.chaos.map(|seed| crate::threaded::ChaosPlan { seed });
-        #[cfg(not(test))]
-        let chaos = None;
-        let (faulty, traced) = (start.faults.is_some(), start.tracer.enabled());
-        Ok(with_pool(g, spec.workers, faulty, traced, chaos, |pool| {
+        let traced = start.tracer.enabled();
+        Ok(with_pool(g, spec.workers, traced, |pool| {
             drive(g, programs, start, pool, ctl, None)
         })?)
     }

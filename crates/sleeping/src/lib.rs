@@ -90,9 +90,10 @@
 //! bodies: a round runs *in place* on the calling thread (every round of a
 //! one-worker run, and the light rounds of a pool run), or is *dispatched*
 //! over a persistent worker pool as degree-weighted contiguous chunks of
-//! the awake set, with message routing and inbox construction running
+//! the awake set, one per executor, in a send step and a receive step
+//! between barriers, with message routing and inbox construction running
 //! *inside* the workers through owner-sharded delivery buffers (see the
-//! [`threaded`] module docs for the pipeline). Both bodies call one set of
+//! [`threaded`] module docs). Both bodies call one set of
 //! per-node send, receive and apply functions, so a run agrees **bit for
 //! bit**, outputs and [`Metrics`] alike, at every worker count.
 //!

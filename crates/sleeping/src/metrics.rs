@@ -259,26 +259,27 @@ impl Metrics {
 /// `*_ns_per_round` accessors divide by the number of rounds that actually
 /// exercised the corresponding stage, so the numbers stay comparable across
 /// runs with different inline/dispatched mixes. Attribution is from the
-/// coordinator's point of view: `route`/`deliver` time includes the
-/// coordinator *helping* (stealing descriptors) while it waits, which is
-/// exactly the wall-clock cost a caller observes.
+/// coordinator's point of view: `route`/`deliver` time is a whole step,
+/// from its opening barrier to its closing one — the coordinator's own
+/// chunk plus the wait for the slowest executor, which is exactly the
+/// wall-clock cost a caller observes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     /// Popping the next awake set, mass-partitioning it into chunks and
-    /// publishing the round context plus per-chunk job batches.
+    /// publishing the round context plus each chunk's jobs.
     pub partition_ns: u64,
-    /// Dispatched rounds: waiting (and helping) until every send
-    /// descriptor is executed — routing, fault fate rolls, shard staging.
+    /// Dispatched rounds: the send step, until every executor has closed
+    /// it — routing, fault fate rolls, shard staging.
     pub route_ns: u64,
-    /// Dispatched rounds: waiting (and helping) until every receive
-    /// descriptor is executed — shard draining and `Program::receive`.
+    /// Dispatched rounds: the receive step, until every executor has
+    /// closed it — shard draining and `Program::receive`.
     pub deliver_ns: u64,
     /// Coordinator-side merging of partial results in chunk order: metric
     /// tallies, span attribution, trace absorption, delayed-message
     /// resolution and action application.
     pub merge_ns: u64,
-    /// Rounds run in place on the coordinator (one chunk, no descriptor
-    /// traffic), end to end.
+    /// Rounds run in place on the coordinator (one chunk, no barrier),
+    /// end to end.
     pub inline_ns: u64,
     /// Rounds that went through the dispatched multi-chunk pipeline.
     pub dispatched_rounds: u64,
@@ -306,12 +307,12 @@ impl PhaseTimes {
         Self::per(self.partition_ns, self.rounds())
     }
 
-    /// Send-descriptor (route) wait time per dispatched round.
+    /// Send-step (route) time per dispatched round.
     pub fn route_ns_per_round(&self) -> f64 {
         Self::per(self.route_ns, self.dispatched_rounds)
     }
 
-    /// Receive-descriptor (deliver) wait time per dispatched round.
+    /// Receive-step (deliver) time per dispatched round.
     pub fn deliver_ns_per_round(&self) -> f64 {
         Self::per(self.deliver_ns, self.dispatched_rounds)
     }

@@ -1,5 +1,5 @@
-//! The worker pool: the dispatched round body of the one driver, over an
-//! owner-sharded parallel delivery pipeline.
+//! The worker pool: the dispatched round body of the one driver, run as
+//! the Sleeping model's two synchronous steps over fixed chunks.
 //!
 //! Every run goes through one driver (see the `engine` module): it pops
 //! each round's awake set and runs the round in one of two bodies. A
@@ -7,12 +7,12 @@
 //! slots, messages straight into the inbox arena — when the run has one
 //! worker or the round's degree mass is at most `INLINE_MASS`:
 //! sequential-greedy schedules spend most rounds waking a handful of
-//! nodes, where descriptor traffic would dwarf the work. Any other round
-//! is **dispatched** over this module's pool. Both bodies call the same
-//! per-node send, receive and apply functions, so the Sleeping model's
-//! round is written once and the two bodies agree **bit for bit** — equal
-//! outputs, [`Metrics`], traces and snapshot bytes — at every worker count
-//! by construction, which the integration tests assert.
+//! nodes, where the pool's barrier crossings would dwarf the work. Any
+//! other round is **dispatched** over this module's pool. Both bodies call
+//! the same per-node send, receive and apply functions, so the Sleeping
+//! model's round is written once and the two bodies agree **bit for bit**
+//! — equal outputs, [`Metrics`], traces and snapshot bytes — at every
+//! worker count by construction, which the integration tests assert.
 //!
 //! A run selects its worker count with
 //! [`RunSpec::workers`](crate::RunSpec) and goes through
@@ -25,78 +25,70 @@
 //!
 //! # The dispatched round
 //!
-//! `workers` executors — the calling thread plus `workers - 1` spawned
-//! threads — live across all rounds. A dispatched round splits the sorted
-//! awake set into at most `workers` contiguous chunks at **equal
-//! degree-mass boundaries** (prefix sum over `degree + 1` of the awake
-//! set), so a handful of hubs cannot serialize a round the way count-based
-//! chunking would. Message routing and inbox construction happen **inside
-//! the executors**; the coordinator is reduced to synchronization and a
-//! deterministic merge:
+//! The model's round is synchronous — every awake node sends, then every
+//! awake node receives — and the pool runs it as exactly that: a send step
+//! and a receive step, each bounded by a barrier on both sides. `workers`
+//! executors — the calling thread (executor 0, the coordinator) plus
+//! `workers - 1` spawned threads — live across all rounds, and executor
+//! `c` always runs chunk `c`. A dispatched round splits the sorted awake
+//! set into at most `workers` contiguous chunks at **equal degree-mass
+//! boundaries** (prefix sum over `degree + 1` of the awake set), so a
+//! handful of hubs cannot serialize a round the way count-based chunking
+//! would. Message routing and inbox construction happen inside the
+//! executors; the coordinator partitions and merges:
 //!
 //! ```text
-//!  coordinator                       executor e (coordinator or worker)
-//!  ───────────                       ──────────────────────────────────
+//!  coordinator (executor 0)              executor c (chunk c)
+//!  ────────────────────────              ────────────────────
 //!  lend next_wake, partition by
-//!  degree mass, publish the
-//!  chunk map, park chunk jobs in
-//!  the slot arena, open SEND    ──▶  claim a READY send descriptor c
-//!  descriptors                       (CAS, scan offset by executor id):
-//!                                    send_node per job, staging each
-//!                                    delivered copy into exchange cell
-//!                                    (c, owner); publish results, count
-//!                                    down every chunk's pending gate —
-//!                                    last contributor opens that
-//!                                    chunk's RECEIVE descriptor
-//!  consume send results in     ◀──   (claim-and-publish: no barrier)
-//!  chunk order (helping via
-//!  steal while waiting); merge
-//!  tallies/spans/traces/errors;      claim a READY receive descriptor d:
-//!  take next_wake back               drain cells (0..k, d) in source
-//!                                    order into local segments (born
-//!  apply each chunk's outcomes ◀──   sorted), receive_node per job,
-//!  in node order                     publish one outcome per job
+//!  degree mass, move each chunk's
+//!  programs into it
+//!  ════════════════ barrier: the send step opens ════════════════
+//!  chunk 0's sends                       send_node per job, each delivered
+//!                                        copy staged into the shard of its
+//!                                        recipient's owner chunk; shards
+//!                                        swapped into cells (c, owner)
+//!  ════════════════ barrier: the send step closes ═══════════════
+//!  merge send results in chunk
+//!  order (first error wins), stage
+//!  due delayed messages into their
+//!  owner chunks, take next_wake back
+//!  ════════════════ barrier: the receive step opens ═════════════
+//!  chunk 0's receives                    drain cells (0..k, c) in source
+//!                                        order (born sorted), deliver late
+//!                                        messages, receive_node per job
+//!  ════════════════ barrier: the receive step closes ════════════
+//!  apply outcomes in chunk order
 //! ```
 //!
-//! There is no per-phase barrier: a chunk's receive descriptor opens the
-//! moment the *last* send contribution for it lands (`pending` countdown),
-//! while other chunks' sends are still running; idle executors steal
-//! whatever descriptor is READY. The coordinator executes descriptors
-//! while it waits, so `workers = w` has `w` executors (`w - 1` spawned).
+//! Determinism holds by construction: during a step, a chunk's buffers
+//! belong to one thread, its executor; an exchange cell `(source, owner)`
+//! is written in the send step by the source's executor only and drained
+//! in the receive step by the owner's only; between steps only the
+//! coordinator runs. So which thread ran a chunk, and when, leaves no
+//! trace in any buffer, and:
 //!
-//! Determinism survives stealing because of four invariants:
-//!
-//! * **Executor identity is unobservable.** Work units are *chunk*
-//!   descriptors, not worker assignments: a chunk's batch, shards and
-//!   result buffers are indexed by chunk, every phase body reads only the
-//!   round context and its own chunk's state, and exchange cells are
-//!   `(source chunk, owner chunk)`-addressed. Who executes a descriptor
-//!   leaves no trace in any buffer.
-//! * **Chunks are contiguous in node order** and senders within a chunk
-//!   transmit in ascending order, so draining a recipient's incoming
-//!   cells in source-chunk index order concatenates already-sorted runs
-//!   — every inbox is born sorted by sender, exactly like the arena's.
-//! * **All merges happen coordinator-side in chunk index order** (= node
+//! * **Every inbox is born sorted.** Chunks are contiguous in node order
+//!   and senders within a chunk transmit in ascending order, so draining a
+//!   recipient's incoming cells in source-chunk order concatenates
+//!   already-sorted runs, exactly like the arena's.
+//! * **All merges happen on the coordinator in chunk order** (= node
 //!   order): awake/span attribution, message tallies, staged trace events,
 //!   and each node's outcome through the driver's one apply function — so
 //!   the stay lane, the wheel, the outputs and the trace see the in-place
-//!   body's order, whatever order descriptors actually executed in.
-//! * **Error precedence is by lowest node id**: an executor stops at its
-//!   chunk's first error and raises a run-wide abort flag (sequenced
-//!   before its pending countdown, so no receive descriptor can open on
-//!   an aborting round); the coordinator consumes results in chunk order
-//!   and surfaces the first error of the lowest-indexed chunk — the error
-//!   the in-place body would hit.
+//!   body's order.
+//! * **The first failure in node order wins.** A chunk stops at its first
+//!   error or panic; the coordinator inspects chunks in order after each
+//!   step and returns the lowest chunk's error, or re-raises its panic —
+//!   the failure the in-place body would hit. An executor catches a panic
+//!   of its chunk's programs and still closes the step, and every exit of
+//!   the run (completion, pause, error or unwinding) opens the shutdown
+//!   step, so a panicking program reaches the caller instead of leaving
+//!   the pool waiting.
 //!
-//! Batches, shard buffers and exchange cells recycle their capacity
-//! (swaps only — payloads never move), executor-local segment pools are
-//! retained across rounds: the steady state allocates nothing per
+//! Chunk buffers and exchange cells recycle their capacity (swaps only —
+//! payloads never move): the steady state allocates nothing per
 //! node-round.
-//!
-//! A seeded chaos hook (test-only) perturbs scheduling at every claim
-//! point — forced steals, yields, parks, unpark storms — and the
-//! equivalence tests assert bit-for-bit agreement under those
-//! interleavings too; see `ChaosPlan`.
 
 use crate::arena::ChunkInboxes;
 use crate::engine::{
@@ -109,10 +101,11 @@ use crate::program::{Envelope, OutEntry, Outbox, Program};
 use crate::trace::{TraceMode, Tracer};
 use crate::{Config, Paused, Round, Run, SimError};
 use awake_graphs::{Graph, NodeId};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
-use std::thread::{self, Thread};
-use std::time::Duration;
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Barrier, Mutex, MutexGuard, RwLock};
+use std::thread;
 
 /// One delivered message in an outbound owner shard: the recipient's dense
 /// position within its owner chunk, plus the envelope to deliver.
@@ -121,18 +114,14 @@ struct ShardEntry<M> {
     env: Envelope<M>,
 }
 
-/// Read-mostly per-round context shared with the executors.
-///
-/// The coordinator write-locks it at the start of a dispatched round
-/// (when every descriptor of the previous round is DONE and every
-/// executor is idle or scanning) to lend it the run's wake stamps and
-/// publish the chunk map, and again once every send descriptor is DONE to
-/// take the stamps back; each send descriptor read-locks it for the
-/// duration of its execution. The lock is therefore never contended — it
-/// exists to let the borrow checker accept the sharing.
+/// Per-round context shared with the executors: written by the
+/// coordinator between steps (to lend it the run's wake stamps and
+/// publish the chunk map), read by every executor during the send step.
+/// The lock is never contended — it exists to let the borrow checker
+/// accept the sharing.
 struct RoundCtx {
     /// `next_wake[v] = r`: `v` wakes at round `r`; `NEVER`: halted. The
-    /// driver's own stamps, lent for the send phase (empty otherwise).
+    /// driver's own stamps, lent for the send step (empty otherwise).
     next_wake: Vec<Round>,
     /// Position of `v` in this round's awake set; only meaningful when
     /// `next_wake[v]` equals the current round (the stamp that guards it).
@@ -178,8 +167,9 @@ impl RoundCtx {
 
 /// Rounds whose total degree mass is at or below this run in place on the
 /// coordinator instead of being dispatched: sequential-greedy schedules
-/// wake a handful of nodes per round for most rounds, and two channel
-/// round-trips per worker dwarf a few hundred nanoseconds of node work.
+/// wake a handful of nodes per round for most rounds, and a dispatched
+/// round's four barrier crossings per executor dwarf a few hundred
+/// nanoseconds of node work.
 const INLINE_MASS: u64 = 256;
 
 /// Fill `prefix` with the cumulative **degree mass** (`degree + 1` per
@@ -218,14 +208,17 @@ fn partition_by_mass(prefix: &[u64], k: usize, bounds: &mut Vec<u32>) {
     bounds.push(prefix.len() as u32);
 }
 
-/// What one chunk's send descriptor hands back to the coordinator: span
-/// attribution, message tallies, staged trace events, delayed messages,
-/// and the chunk's first error. Published through the slot's `results`
-/// mutex the instant the descriptor completes (separately from the parked
-/// batch, so the coordinator can merge in chunk order while the batch
-/// buffers wait for the receive descriptor), and drained coordinator-side
-/// — the buffers recycle their capacity across rounds.
-struct SendResults<P: Program> {
+/// One chunk of a dispatched round: its jobs and every buffer its two
+/// steps fill, owned by executor `c` during a step and by the coordinator
+/// between steps. All buffers recycle their capacity across rounds.
+struct Chunk<P: Program> {
+    round: Round,
+    /// Fault plan + crash I/O of the run; `None` for fault-free runs.
+    hooks: Option<FaultHooks<P>>,
+    /// The chunk's `(node, program)` pairs, ascending by node.
+    jobs: Vec<(u32, P)>,
+    /// Recycled backing buffer of the chunk's outbox.
+    out_items: Vec<OutEntry<P::Msg>>,
     /// Per-job `(node, span)`, captured before `send` exactly as the
     /// in-place body attributes it, in the chunk's node order.
     node_spans: Vec<(u32, &'static str)>,
@@ -235,482 +228,231 @@ struct SendResults<P: Program> {
     /// transmission order; the coordinator appends them (chunk order =
     /// node order) to the run's delayed buffer.
     delayed_out: Vec<DelayedMsg<P::Msg>>,
-    /// Events staged by the send phase, uncapped, in node order; absorbed
+    /// Events staged by the send step, uncapped, in node order; absorbed
     /// by the coordinator in chunk order through the run's capped tracer.
     trace: Tracer,
-    /// First error of this chunk, in node order (execution stops there).
+    /// Send step: outbound messages sharded by the recipient's owner
+    /// chunk. At the end of the step each shard is swapped into the
+    /// exchange cell `(this chunk, owner chunk)`, taking back the buffer
+    /// the cell's owner drained in the previous round.
+    shards: Vec<Vec<ShardEntry<P::Msg>>>,
+    /// `(node, start-of-round state)` of this chunk's nodes that crash
+    /// this round, ascending by node. Written by the send step (the save
+    /// is taken *before* the node acts), consumed by the receive step.
+    crashes: Vec<(u32, Vec<u8>)>,
+    /// Fault-delayed messages coming due this round for recipients in this
+    /// chunk, staged by the coordinator between the steps; the receive
+    /// step delivers them after the regular shards and restores each
+    /// touched inbox's sorted-by-sender invariant.
+    late: Vec<ShardEntry<P::Msg>>,
+    /// Scratch: chunk positions touched by late deliveries.
+    late_locals: Vec<u32>,
+    /// The chunk's inboxes, indexed by position within the chunk.
+    inboxes: ChunkInboxes<P::Msg>,
+    /// Receive result: one outcome per job, in job order, up to the
+    /// chunk's first error.
+    outcomes: Vec<Outcome<P::Output>>,
+    /// The step's first error, in node order (execution stops there).
+    /// Taken by [`failure`](Self::failure); a round that fails ends the
+    /// run, so every step starts with none.
     error: Option<SimError>,
+    /// The payload of a panic that ended the step early.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
-impl<P: Program> SendResults<P> {
+impl<P: Program> Chunk<P> {
     fn new(stage: TraceMode) -> Self {
-        SendResults {
+        Chunk {
+            round: 0,
+            hooks: None,
+            jobs: Vec::new(),
+            out_items: Vec::new(),
             node_spans: Vec::new(),
             tally: Counters::default(),
             delayed_out: Vec::new(),
             trace: Tracer::new(stage),
-            error: None,
-        }
-    }
-}
-
-/// One chunk's reusable unit of work: a contiguous chunk of the awake set
-/// plus the buffers that carry its phase results back to the coordinator.
-/// Parked in its chunk's [`ChunkSlot`] between executions; whichever
-/// executor claims the descriptor takes the batch, runs the phase, and
-/// parks it back — batches are chunk-addressed, never worker-addressed.
-struct Batch<P: Program> {
-    round: Round,
-    /// The chunk's `(node, program)` pairs, ascending by node.
-    jobs: Vec<(u32, P)>,
-    /// Recycled backing buffer of the executor-side outbox.
-    out_items: Vec<OutEntry<P::Msg>>,
-    /// Send-phase results, published through the slot on completion.
-    res: SendResults<P>,
-    /// Send phase: outbound messages sharded by the recipient's owner
-    /// chunk. On completion each shard is swapped into the exchange cell
-    /// `(this chunk, owner chunk)`, taking back the (drained) buffer the
-    /// cell held — capacity circulates between batches and cells.
-    shards: Vec<Vec<ShardEntry<P::Msg>>>,
-    /// Fault plan + crash I/O of the run; `None` for fault-free runs.
-    hooks: Option<FaultHooks<P>>,
-    /// `(node, start-of-round state)` of this chunk's nodes that crash
-    /// this round, ascending by node. Written by the send phase (the save
-    /// is taken *before* the node acts), consumed by the receive phase.
-    crashes: Vec<(u32, Vec<u8>)>,
-    /// Fault-delayed messages coming due this round for recipients in this
-    /// chunk, staged by the coordinator between the phases (the batch is
-    /// parked then — faulty rounds gate receives on the coordinator); the
-    /// receive phase delivers them after the regular shards and restores
-    /// each touched inbox's sorted-by-sender invariant.
-    late: Vec<ShardEntry<P::Msg>>,
-    /// Scratch: chunk positions touched by late deliveries.
-    late_locals: Vec<u32>,
-    /// Receive result: one outcome per job, in job order, up to the
-    /// chunk's first error.
-    outcomes: Vec<Outcome<P::Output>>,
-    /// Receive phase: first error of this chunk, in node order.
-    error: Option<SimError>,
-}
-
-impl<P: Program> Batch<P> {
-    fn new(stage: TraceMode) -> Self {
-        Batch {
-            round: 0,
-            jobs: Vec::new(),
-            out_items: Vec::new(),
-            res: SendResults::new(stage),
             shards: Vec::new(),
-            hooks: None,
             crashes: Vec::new(),
             late: Vec::new(),
             late_locals: Vec::new(),
+            inboxes: ChunkInboxes::new(),
             outcomes: Vec::new(),
             error: None,
+            panic: None,
         }
+    }
+
+    /// The step's failure, if any: re-raise its panic on the calling
+    /// thread, or return its error.
+    fn failure(&mut self) -> Result<(), SimError> {
+        if let Some(payload) = self.panic.take() {
+            panic::resume_unwind(payload);
+        }
+        self.error.take().map_or(Ok(()), Err)
     }
 }
 
-// ---- the injector: chunk descriptors over a preallocated slot arena ----
-//
-// Descriptor life cycle (all transitions SeqCst):
-//
-//   send:  DONE ──coordinator──▶ READY ──CAS claim──▶ RUNNING ──▶ DONE
-//   recv:  DONE ──coordinator──▶ VACANT ──gate──▶ READY ──CAS──▶ RUNNING ──▶ DONE
-//
-// The atomics carry the claim protocol; the `Mutex`es under them only
-// transfer buffer ownership (a claimed descriptor's batch mutex is always
-// uncontended — the CAS serialized access first). This keeps the whole
-// executor inside `#![forbid(unsafe_code)]`.
+/// The steps an executor runs between two barriers, as stored in
+/// [`Pool::step`].
+const SEND: u8 = 0;
+const RECEIVE: u8 = 1;
+/// Not a step: the executors leave their loop.
+const SHUTDOWN: u8 = 2;
 
-/// Descriptor states. `VACANT` is only meaningful for receive
-/// descriptors: reset at round publish, it keeps stale scanners from
-/// claiming a receive whose send contributions haven't all landed.
-const VACANT: usize = 0;
-const READY: usize = 1;
-const RUNNING: usize = 2;
-const DONE: usize = 3;
-
-/// One chunk's slot in the descriptor arena.
-struct ChunkSlot<P: Program> {
-    /// Send descriptor state.
-    send_state: AtomicUsize,
-    /// Receive descriptor state.
-    recv_state: AtomicUsize,
-    /// Send contributions this chunk's receive still waits for. Reset to
-    /// `k` at round publish; every completed send execution decrements
-    /// every chunk's gate (after publishing its shards), and the
-    /// decrement that hits zero opens the receive descriptor — unless the
-    /// round is faulty (coordinator gates receives to stage late
-    /// deliveries first) or aborting.
-    pending: AtomicUsize,
-    /// The chunk's parked batch; `None` exactly while an executor runs a
-    /// claimed descriptor for this chunk.
-    batch: Mutex<Option<Batch<P>>>,
-    /// The chunk's published send results, swapped in on send completion
-    /// and drained by the coordinator in chunk order.
-    results: Mutex<SendResults<P>>,
-}
-
-impl<P: Program> ChunkSlot<P> {
-    fn new(stage: TraceMode) -> Self {
-        ChunkSlot {
-            send_state: AtomicUsize::new(DONE),
-            recv_state: AtomicUsize::new(DONE),
-            pending: AtomicUsize::new(0),
-            batch: Mutex::new(Some(Batch::new(stage))),
-            results: Mutex::new(SendResults::new(stage)),
-        }
-    }
-}
-
-/// Test-only scheduler perturbation: a seeded plan that injects forced
-/// steals (skipping a claimable descriptor), yields, short parks and
-/// unpark storms at every claim point and publication edge. Rolls are a
-/// pure function of `(seed, executor id, per-executor counter)` —
-/// deterministic per executor, chaotic in interleaving — and never touch
-/// any buffer, so the bit-for-bit equivalence tests assert that *no*
-/// interleaving the protocol admits changes an observable result.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ChaosPlan {
-    pub(crate) seed: u64,
-}
-
-enum ChaosOp {
-    Pass,
-    /// Skip a claimable descriptor this scan — forces another executor
-    /// (or a later scan) to steal it.
-    Steal,
-    Yield,
-    /// Park for the given number of microseconds (consumes a pending
-    /// unpark token, exercising the lost-wakeup paths).
-    Nap(u64),
-    /// Unpark every executor out of turn.
-    Storm,
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-impl ChaosPlan {
-    fn roll(&self, who: usize, ctr: u64) -> ChaosOp {
-        let r = splitmix64(self.seed ^ ((who as u64) << 48) ^ ctr);
-        match r & 0xf {
-            0..=2 => ChaosOp::Steal,
-            3..=4 => ChaosOp::Yield,
-            5 => ChaosOp::Nap(1 + ((r >> 8) & 0x1f)),
-            6 => ChaosOp::Storm,
-            _ => ChaosOp::Pass,
-        }
-    }
-}
-
-/// Per-executor state: its scan offset (so executors start their claim
-/// scans at different descriptors), its local inbox segment pool
-/// (capacity retained across rounds and whichever chunks it happens to
-/// execute), and its chaos counter.
-struct ExecCtx<M> {
-    who: usize,
-    inboxes: ChunkInboxes<M>,
-    chaos_ctr: u64,
-}
-
-impl<M> ExecCtx<M> {
-    fn new(who: usize) -> Self {
-        ExecCtx {
-            who,
-            inboxes: ChunkInboxes::new(),
-            chaos_ctr: 0,
-        }
-    }
-}
-
-/// The shared injector: the round context, the descriptor slot arena, the
-/// k×k exchange cells, and the park/unpark registry. One per run, borrowed
-/// by every executor for the duration of the scope.
-struct StealPool<'g, P: Program> {
+/// The pool shared by the executors: the round context, one chunk per
+/// executor, the k×k exchange cells and the barrier. One per run,
+/// borrowed by every executor for the duration of the scope.
+struct Pool<'g, P: Program> {
     graph: &'g Graph,
     ctx: RwLock<RoundCtx>,
-    /// Chunk descriptor slots, `kmax` of them (chunk count never exceeds
-    /// the executor count).
-    slots: Vec<ChunkSlot<P>>,
+    /// Chunk `c`, run by executor `c`; `kmax` of them (the chunk count
+    /// never exceeds the executor count).
+    chunks: Vec<Mutex<Chunk<P>>>,
     /// Exchange cells, `(source chunk, owner chunk)`-addressed at
-    /// `src * kmax + dst`: send descriptor `src` swaps its outbound shard
-    /// for chunk `dst` into cell `(src, dst)`; receive descriptor `dst`
-    /// drains cells `(0..k, dst)` in source order.
+    /// `src * kmax + dst`: the send step of chunk `src` swaps its outbound
+    /// shard for chunk `dst` into cell `(src, dst)`; the receive step of
+    /// chunk `dst` drains cells `(0..k, dst)` in source order.
     cells: Vec<Mutex<Vec<ShardEntry<P::Msg>>>>,
     kmax: usize,
-    /// Chunk count of the round in flight (0 while idle). A claim of a
-    /// READY descriptor re-reads this *after* the CAS: the READY store is
-    /// sequenced after the round's `k` store, so the claimer always
-    /// executes with the current round's chunk count even if its scan
-    /// used a stale one.
+    /// Every executor waits here twice per step: once for the step to
+    /// open, once for it to close.
+    barrier: Barrier,
+    /// The step the next opening of the barrier starts, and the current
+    /// round's chunk count (executors `c >= k` sit the round out). The
+    /// coordinator stores both before it opens a step; the barrier orders
+    /// those stores before every executor's loads, so relaxed ordering
+    /// suffices.
+    step: AtomicU8,
     k: AtomicUsize,
-    /// Fault-free runs auto-open a chunk's receive descriptor when its
-    /// pending gate hits zero; faulty runs let the coordinator stage late
-    /// deliveries into the parked batches first and open all receives
-    /// itself.
-    auto_receive: bool,
-    /// Raised (before any pending decrement) by a send descriptor that
-    /// hit an error: no receive descriptor opens on an aborting round.
-    abort: AtomicBool,
-    shutdown: AtomicBool,
-    /// Every executor's thread handle, for unpark storms. Executors
-    /// register before their first scan, so a registered executor never
-    /// misses a wakeup: state stores happen before `unpark_all`, and a
-    /// scan-then-park races at worst into a pending unpark token.
-    registry: Mutex<Vec<Thread>>,
-    chaos: Option<ChaosPlan>,
 }
 
-impl<P: Program> StealPool<'_, P> {
+impl<P: Program> Pool<'_, P> {
     #[inline]
-    fn cell(&self, src: usize, dst: usize) -> &Mutex<Vec<ShardEntry<P::Msg>>> {
-        &self.cells[src * self.kmax + dst]
-    }
-
-    fn register(&self) {
-        self.registry
+    fn cell(&self, src: usize, dst: usize) -> MutexGuard<'_, Vec<ShardEntry<P::Msg>>> {
+        self.cells[src * self.kmax + dst]
             .lock()
-            .expect("registry lock")
-            .push(thread::current());
+            .expect("exchange cell lock")
     }
 
-    fn unpark_all(&self) {
-        for t in self.registry.lock().expect("registry lock").iter() {
-            t.unpark();
-        }
+    fn chunk(&self, c: usize) -> MutexGuard<'_, Chunk<P>> {
+        self.chunks[c].lock().expect("chunk lock")
     }
 
-    /// Take chunk `c`'s parked batch.
-    fn take_batch(&self, c: usize) -> Batch<P> {
-        self.slots[c]
-            .batch
-            .lock()
-            .expect("batch slot lock")
-            .take()
-            .expect("batch parked in its slot")
-    }
-
-    /// Park chunk `c`'s batch back in its slot.
-    fn park_batch(&self, c: usize, b: Batch<P>) {
-        *self.slots[c].batch.lock().expect("batch slot lock") = Some(b);
+    /// Coordinator side: open `step`, run chunk 0's share of it, and wait
+    /// until every executor has closed it.
+    fn run(&self, step: u8) {
+        self.step.store(step, Ordering::Relaxed);
+        self.barrier.wait();
+        run_step(self, 0, step);
+        self.barrier.wait();
     }
 }
 
-/// Roll the chaos plan (if any) at a scheduling edge. Returns `true` when
-/// the roll demands skipping a claimable descriptor (a forced steal);
-/// side-effect ops (yield/nap/storm) happen here and return `false`.
-#[inline]
-fn chaos_pulse<P: Program>(pool: &StealPool<'_, P>, ex: &mut ExecCtx<P::Msg>) -> bool {
-    let Some(plan) = pool.chaos else { return false };
-    ex.chaos_ctr += 1;
-    match plan.roll(ex.who, ex.chaos_ctr) {
-        ChaosOp::Pass => false,
-        ChaosOp::Steal => true,
-        ChaosOp::Yield => {
-            thread::yield_now();
-            false
+/// Executor `c`'s share of `step`: chunk `c`'s sends or receives, if the
+/// round has that many chunks. A panic of the chunk's programs is caught
+/// and kept for the coordinator, so the executor still closes the step.
+fn run_step<P: Program>(pool: &Pool<'_, P>, c: usize, step: u8) {
+    let k = pool.k.load(Ordering::Relaxed);
+    if c >= k {
+        return;
+    }
+    let mut guard = pool.chunk(c);
+    let ch = &mut *guard;
+    let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+        if step == SEND {
+            send_step(pool, c, k, ch);
+        } else {
+            receive_step(pool, c, k, ch);
         }
-        ChaosOp::Nap(us) => {
-            thread::park_timeout(Duration::from_micros(us));
-            false
-        }
-        ChaosOp::Storm => {
-            pool.unpark_all();
-            false
-        }
+    }));
+    if let Err(payload) = ran {
+        ch.panic = Some(payload);
     }
 }
 
-/// Execute a claimed send descriptor: take the parked batch, run the send
-/// phase against the published round context, publish shards into the
-/// exchange cells and results into the slot, then count down every
-/// chunk's pending gate — opening any receive descriptor whose last
-/// contribution this was (fault-free, non-aborting rounds only).
-fn execute_send<P: Program>(pool: &StealPool<'_, P>, c: usize, k: usize, ex: &mut ExecCtx<P::Msg>) {
-    let slot = &pool.slots[c];
-    let mut b = pool.take_batch(c);
+/// A spawned executor: run chunk `c`'s share of every step until the
+/// shutdown step opens.
+fn executor<P: Program>(pool: &Pool<'_, P>, c: usize) {
+    loop {
+        pool.barrier.wait();
+        let step = pool.step.load(Ordering::Relaxed);
+        if step == SHUTDOWN {
+            return;
+        }
+        run_step(pool, c, step);
+        pool.barrier.wait();
+    }
+}
+
+/// The send step of chunk `c`: every job's sends against the round
+/// context, then the outbound shards published into the exchange cells —
+/// swapping each filled buffer for the drained one the cell held, so
+/// capacity circulates and nothing reallocates.
+fn send_step<P: Program>(pool: &Pool<'_, P>, c: usize, k: usize, ch: &mut Chunk<P>) {
     {
         let ctx = pool.ctx.read().expect("round context lock");
         // Monomorphized on fault presence, like the in-place body.
-        if b.hooks.is_some() {
-            run_send_phase::<P, true>(pool.graph, &ctx, &mut b);
+        if ch.hooks.is_some() {
+            run_sends::<P, true>(pool.graph, &ctx, ch);
         } else {
-            run_send_phase::<P, false>(pool.graph, &ctx, &mut b);
+            run_sends::<P, false>(pool.graph, &ctx, ch);
         }
     }
-    if b.res.error.is_some() {
-        // Raised before the pending decrements below: SeqCst makes the
-        // store visible to whichever executor decrements a gate to zero,
-        // so no receive descriptor ever opens on an aborting round.
-        pool.abort.store(true, Ordering::SeqCst);
-    }
-    chaos_pulse(pool, ex);
-    // Publish outbound shards: swap each filled buffer into its exchange
-    // cell, taking back the buffer the previous round's receive drained —
-    // capacity circulates between batches and cells, nothing reallocates.
     for dst in 0..k {
-        let mut cell = pool.cell(c, dst).lock().expect("exchange cell lock");
-        std::mem::swap(&mut *cell, &mut b.shards[dst]);
+        std::mem::swap(&mut *pool.cell(c, dst), &mut ch.shards[dst]);
     }
-    {
-        let mut r = slot.results.lock().expect("send results lock");
-        std::mem::swap(&mut *r, &mut b.res);
-    }
-    pool.park_batch(c, b);
-    slot.send_state.store(DONE, Ordering::SeqCst);
-    // Contribution countdown — only after this chunk's shards and results
-    // are fully published, so an opened receive sees every cell filled.
-    for dst in 0..k {
-        if pool.slots[dst].pending.fetch_sub(1, Ordering::SeqCst) == 1
-            && pool.auto_receive
-            && !pool.abort.load(Ordering::SeqCst)
-        {
-            pool.slots[dst].recv_state.store(READY, Ordering::SeqCst);
-        }
-    }
-    pool.unpark_all();
 }
 
-/// Execute a claimed receive descriptor: drain the chunk's exchange cells
-/// in source-chunk order into the executor-local segment pool (born
-/// sorted by sender), run the receive phase, and park the batch back with
-/// its outcomes for the coordinator to apply in chunk order.
-fn execute_receive<P: Program>(
-    pool: &StealPool<'_, P>,
-    c: usize,
-    k: usize,
-    ex: &mut ExecCtx<P::Msg>,
-) {
-    let mut b = pool.take_batch(c);
-    ex.inboxes.ensure(b.jobs.len());
-    chaos_pulse(pool, ex);
+/// The receive step of chunk `c`: drain the cells addressed to it in
+/// source-chunk order into its inboxes (born sorted by sender), then every
+/// job's receive.
+fn receive_step<P: Program>(pool: &Pool<'_, P>, c: usize, k: usize, ch: &mut Chunk<P>) {
+    ch.inboxes.ensure(ch.jobs.len());
     for src in 0..k {
-        let mut cell = pool.cell(src, c).lock().expect("exchange cell lock");
-        ex.inboxes
+        let mut cell = pool.cell(src, c);
+        ch.inboxes
             .extend_from(cell.drain(..).map(|e| (e.to_local, e.env)));
     }
-    if b.hooks.is_some() {
-        run_receive_phase::<P, true>(pool.graph, &mut b, &mut ex.inboxes);
+    if ch.hooks.is_some() {
+        run_receives::<P, true>(pool.graph, ch);
     } else {
-        run_receive_phase::<P, false>(pool.graph, &mut b, &mut ex.inboxes);
-    }
-    pool.park_batch(c, b);
-    pool.slots[c].recv_state.store(DONE, Ordering::SeqCst);
-    pool.unpark_all();
-}
-
-/// One claim scan over the descriptor arena, starting at this executor's
-/// offset: claim (CAS READY → RUNNING) and execute the first claimable
-/// send, then receive, descriptor. Returns whether anything was executed.
-fn try_execute<P: Program>(pool: &StealPool<'_, P>, ex: &mut ExecCtx<P::Msg>) -> bool {
-    let k = pool.k.load(Ordering::SeqCst);
-    if k == 0 {
-        return false;
-    }
-    for i in 0..k {
-        let c = (ex.who + i) % k;
-        let slot = &pool.slots[c];
-        if slot.send_state.load(Ordering::SeqCst) == READY {
-            if chaos_pulse(pool, ex) {
-                continue; // forced steal: leave it for someone else
-            }
-            if slot
-                .send_state
-                .compare_exchange(READY, RUNNING, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                // Re-read k after the claim: the READY we claimed was
-                // published after the round's k store, so this load sees
-                // the in-flight round's chunk count (the scan's k may be
-                // stale).
-                let kr = pool.k.load(Ordering::SeqCst);
-                execute_send(pool, c, kr, ex);
-                return true;
-            }
-        }
-    }
-    for i in 0..k {
-        let c = (ex.who + i) % k;
-        let slot = &pool.slots[c];
-        if slot.recv_state.load(Ordering::SeqCst) == READY {
-            if chaos_pulse(pool, ex) {
-                continue;
-            }
-            if slot
-                .recv_state
-                .compare_exchange(READY, RUNNING, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                let kr = pool.k.load(Ordering::SeqCst);
-                execute_receive(pool, c, kr, ex);
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// How long the coordinator parks between help attempts while waiting on
-/// a descriptor (workers park unbounded — every publication edge ends in
-/// `unpark_all`, and the coordinator's timeout backstops lost tokens).
-const COORD_NAP: Duration = Duration::from_micros(200);
-
-/// Coordinator-side wait for a descriptor to reach DONE, stealing
-/// whatever other descriptors are READY in the meantime.
-fn wait_done<P: Program>(pool: &StealPool<'_, P>, ex: &mut ExecCtx<P::Msg>, c: usize, recv: bool) {
-    loop {
-        let state = if recv {
-            &pool.slots[c].recv_state
-        } else {
-            &pool.slots[c].send_state
-        };
-        if state.load(Ordering::SeqCst) == DONE {
-            return;
-        }
-        if try_execute(pool, ex) {
-            continue;
-        }
-        thread::park_timeout(COORD_NAP);
+        run_receives::<P, false>(pool.graph, ch);
     }
 }
 
-/// The send-phase body: each job's span, then [`send_node`] with every
-/// delivered copy staged into the outbound shard of the recipient's owner
-/// chunk. Fills the chunk's send results.
-fn run_send_phase<P: Program, const FAULTY: bool>(graph: &Graph, ctx: &RoundCtx, b: &mut Batch<P>) {
+/// Each job's span, then [`send_node`] with every delivered copy staged
+/// into the outbound shard of the recipient's owner chunk.
+fn run_sends<P: Program, const FAULTY: bool>(graph: &Graph, ctx: &RoundCtx, ch: &mut Chunk<P>) {
     let k = ctx.bounds.len() - 1;
-    let Batch {
+    let Chunk {
         round,
+        hooks,
         jobs,
         out_items,
-        res,
+        node_spans,
+        tally,
+        delayed_out,
+        trace,
         shards,
-        hooks,
         crashes,
+        error,
         ..
-    } = b;
+    } = ch;
     if shards.len() < k {
         shards.resize_with(k, Vec::new);
     }
-    res.node_spans.clear();
-    res.tally = Counters::default();
-    res.delayed_out.clear();
-    res.error = None;
+    node_spans.clear();
+    *tally = Counters::default();
+    delayed_out.clear();
     crashes.clear();
     let mut outbox = Outbox::from_vec(std::mem::take(out_items));
     for (v, p) in jobs.iter_mut() {
-        res.node_spans.push((*v, p.span()));
+        node_spans.push((*v, p.span()));
         let log = SendLog {
-            tally: &mut res.tally,
-            tracer: &mut res.trace,
+            tally,
+            tracer: trace,
             hooks: hooks.as_ref(),
-            delayed: &mut res.delayed_out,
+            delayed: delayed_out,
             crashes,
         };
         // A listening recipient's awake-position stamp is valid and names
@@ -722,38 +464,28 @@ fn run_send_phase<P: Program, const FAULTY: bool>(graph: &Graph, ctx: &RoundCtx,
         let wake = &ctx.next_wake;
         let sent = send_node::<P, FAULTY>(graph, *round, *v, p, &mut outbox, wake, log, stage);
         if let Err(e) = sent {
-            res.error = Some(e);
+            *error = Some(e);
             break;
         }
     }
     *out_items = outbox.into_vec();
 }
 
-/// The receive-phase body: deliver the chunk's late messages, then run
-/// [`receive_node`] per job over the segments the caller drained into
-/// `inboxes`, recording one outcome per job up to the first error.
-fn run_receive_phase<P: Program, const FAULTY: bool>(
-    graph: &Graph,
-    b: &mut Batch<P>,
-    inboxes: &mut ChunkInboxes<P::Msg>,
-) {
-    let Batch {
+/// Deliver the chunk's late messages, then run [`receive_node`] per job
+/// over its inboxes, recording one outcome per job up to the first error.
+fn run_receives<P: Program, const FAULTY: bool>(graph: &Graph, ch: &mut Chunk<P>) {
+    let Chunk {
         round,
-        jobs,
         hooks,
+        jobs,
         crashes,
         late,
         late_locals,
+        inboxes,
         outcomes,
         error,
         ..
-    } = b;
-    // The caller has already drained this chunk's deliveries into
-    // `inboxes` in source-chunk order (senders ascend within a chunk and
-    // chunks are contiguous in node order, so each segment is a
-    // concatenation of sorted runs — born sorted, same invariant as the
-    // arena's).
-    //
+    } = ch;
     // Fault-delayed messages coming due land after the ascending-sender
     // pass; deliver them, then restore each touched segment's
     // sorted-by-sender invariant (stable, so same-sender envelopes keep
@@ -771,17 +503,17 @@ fn run_receive_phase<P: Program, const FAULTY: bool>(
         }
     }
     outcomes.clear();
-    *error = None;
     let mut next_crash = 0;
     for (i, (v, p)) in jobs.iter_mut().enumerate() {
         let inbox = inboxes.inbox(i);
+        let hooks = hooks.as_ref();
         match receive_node::<P, FAULTY>(
             graph,
             *round,
             *v,
             p,
             inbox,
-            hooks.as_ref(),
+            hooks,
             crashes,
             &mut next_crash,
         ) {
@@ -797,67 +529,34 @@ fn run_receive_phase<P: Program, const FAULTY: bool>(
     crashes.clear();
 }
 
-/// Merge one chunk's published send results into the run metrics:
-/// awake/span attribution per node in chunk order (= node order,
-/// preserving the in-place body's span interning order), then the message
-/// tallies, then the staged trace events (absorbed through the run's
-/// capped tracer, so the global event sequence and drop count match the
-/// in-place body's). The coordinator calls this in chunk index order —
-/// descriptor *execution* order is irrelevant.
-fn merge_send_results<P: Program>(
-    r: &mut SendResults<P>,
+/// Merge one chunk's send results into the run metrics: awake/span
+/// attribution per node in chunk order (= node order, preserving the
+/// in-place body's span interning order), then the message tallies, then
+/// the staged trace events (absorbed through the run's capped tracer, so
+/// the global event sequence and drop count match the in-place body's).
+/// The coordinator calls this in chunk index order.
+fn merge_sends<P: Program>(
+    ch: &mut Chunk<P>,
     metrics: &mut Metrics,
     tracer: &mut Tracer,
     faults: Option<&mut FaultCtx<P>>,
 ) {
-    for &(v, span) in r.node_spans.iter() {
+    for &(v, span) in ch.node_spans.iter() {
         metrics.note_awake(NodeId(v), span);
     }
-    r.node_spans.clear();
-    metrics.counters += r.tally;
+    metrics.counters += ch.tally;
     if let Some(f) = faults {
         // Chunk order = node order, so the run-wide delayed buffer grows
         // in transmission order.
-        f.state.delayed.append(&mut r.delayed_out);
+        f.state.delayed.append(&mut ch.delayed_out);
     }
-    tracer.absorb(&mut r.trace.events);
+    tracer.absorb(&mut ch.trace.events);
 }
 
-/// A spawned executor: register for unpark storms, then scan-claim-execute
-/// until shutdown. Parks (unbounded) when a scan comes up empty — every
-/// publication edge (round publish, descriptor completion, shutdown) ends
-/// in `unpark_all`, and registration happens before the first scan, so a
-/// wakeup can race at worst into a pending unpark token, never past one.
-fn worker_loop<P: Program>(pool: &StealPool<'_, P>, who: usize) {
-    pool.register();
-    let mut ex: ExecCtx<P::Msg> = ExecCtx::new(who);
-    loop {
-        if pool.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        if try_execute(pool, &mut ex) {
-            continue;
-        }
-        if pool.chaos.is_some() {
-            // A chaos nap is a `park_timeout`: it may swallow an unpark
-            // token raised (by a publication or shutdown) after the scan
-            // above. Loop back to re-check instead of falling through to
-            // the unbounded park — otherwise that lost token parks this
-            // executor forever.
-            chaos_pulse(pool, &mut ex);
-            thread::park_timeout(COORD_NAP);
-            continue;
-        }
-        thread::park();
-    }
-}
-
-/// The coordinator's handle on a running pool: the shared injector plus
-/// the coordinator's own executor context (it steals while it waits) and
-/// partition scratch.
+/// The coordinator's handle on a running pool, plus its partition
+/// scratch.
 pub(crate) struct Dispatcher<'a, 'g, P: Program> {
-    pool: &'a StealPool<'g, P>,
-    coord: ExecCtx<P::Msg>,
+    pool: &'a Pool<'g, P>,
     prefix: Vec<u64>,
 }
 
@@ -877,17 +576,24 @@ impl<P: Program> Dispatcher<'_, '_, P> {
     }
 }
 
+/// Opens the shutdown step when dropped, so the scope can join the
+/// spawned executors on every exit of the run, unwinding included.
+struct Shutdown<'a, 'g, P: Program>(&'a Pool<'g, P>);
+
+impl<P: Program> Drop for Shutdown<'_, '_, P> {
+    fn drop(&mut self) {
+        self.0.step.store(SHUTDOWN, Ordering::Relaxed);
+        self.0.barrier.wait();
+    }
+}
+
 /// Run `body` with a pool of `workers` executors (the calling thread plus
-/// `workers - 1` spawned ones), or with none when `workers <= 1`. `faulty`
-/// and `traced` say whether the run has a fault plan and records a trace.
-/// Every exit of `body` — completion, pause, error — raises shutdown and
-/// wakes every parked executor before the scope joins the threads.
+/// `workers - 1` spawned ones), or with none when `workers <= 1`. `traced`
+/// says whether the run records a trace.
 pub(crate) fn with_pool<P: Program + Send, R>(
     graph: &Graph,
     workers: usize,
-    faulty: bool,
     traced: bool,
-    chaos: Option<ChaosPlan>,
     body: impl FnOnce(Option<&mut Dispatcher<'_, '_, P>>) -> R,
 ) -> R {
     if workers <= 1 {
@@ -901,7 +607,7 @@ pub(crate) fn with_pool<P: Program + Send, R>(
         TraceMode::Off
     };
     // Preallocated once; the steady state only swaps buffers through it.
-    let pool: StealPool<'_, P> = StealPool {
+    let pool: Pool<'_, P> = Pool {
         graph,
         ctx: RwLock::new(RoundCtx {
             next_wake: Vec::new(),
@@ -909,45 +615,38 @@ pub(crate) fn with_pool<P: Program + Send, R>(
             bounds: Vec::new(),
             chunk: Vec::new(),
         }),
-        slots: (0..workers).map(|_| ChunkSlot::new(stage)).collect(),
+        chunks: (0..workers)
+            .map(|_| Mutex::new(Chunk::new(stage)))
+            .collect(),
         cells: (0..workers * workers)
             .map(|_| Mutex::new(Vec::new()))
             .collect(),
         kmax: workers,
+        barrier: Barrier::new(workers),
+        step: AtomicU8::new(SHUTDOWN),
         k: AtomicUsize::new(0),
-        auto_receive: !faulty,
-        abort: AtomicBool::new(false),
-        shutdown: AtomicBool::new(false),
-        registry: Mutex::new(Vec::new()),
-        chaos,
     };
-    // The coordinator is an executor too (it steals while it waits):
-    // register it for unpark storms before anything can publish.
-    pool.register();
     thread::scope(|scope| {
-        for who in 1..workers {
+        for c in 1..workers {
             let pool = &pool;
-            scope.spawn(move || worker_loop(pool, who));
+            scope.spawn(move || executor(pool, c));
         }
-        let mut d = Dispatcher {
+        let _shutdown = Shutdown(&pool);
+        body(Some(&mut Dispatcher {
             pool: &pool,
-            coord: ExecCtx::new(0),
             prefix: Vec::new(),
-        };
-        let out = body(Some(&mut d));
-        pool.shutdown.store(true, Ordering::SeqCst);
-        pool.unpark_all();
-        out
+        }))
     })
 }
 
 impl<P: Program> Exec<'_, P> {
     /// A dispatched round over the `k > 1` chunks [`Dispatcher::chunks`]
     /// counted (its mass prefix is still in `d`): lend the wake stamps to
-    /// the pool and publish the chunks, merge the send results in chunk
-    /// order, take the stamps back, stage fault-delayed messages coming due
-    /// into their recipients' chunks, and apply every chunk's outcomes in
-    /// chunk order (= node order) through [`Boundary::apply`].
+    /// the pool and move the chunks' programs in, run the send step, merge
+    /// its results in chunk order, stage fault-delayed messages coming due
+    /// into their recipients' chunks and take the stamps back, run the
+    /// receive step, and apply every chunk's outcomes in chunk order (=
+    /// node order) through [`Boundary::apply`].
     pub(crate) fn round_dispatched(
         &mut self,
         d: &mut Dispatcher<'_, '_, P>,
@@ -962,106 +661,62 @@ impl<P: Program> Exec<'_, P> {
             std::mem::swap(&mut ctx.next_wake, &mut self.at.next_wake);
             partition_by_mass(&d.prefix, k, &mut ctx.bounds);
             ctx.stamp(&self.awake);
-        }
-        // ---- publish: fill every chunk descriptor first, then open them
-        // all at once. Two loops on purpose — an executor may claim a send
-        // the instant its slot turns READY, and its k publish decrements
-        // must land on fully reset `pending` counters and VACANT receive
-        // gates.
-        pool.abort.store(false, Ordering::SeqCst);
-        pool.k.store(k, Ordering::SeqCst);
-        {
-            let ctx = pool.ctx.read().expect("round context lock");
             for c in 0..k {
-                let slot = &pool.slots[c];
-                let mut parked = slot.batch.lock().expect("batch slot lock");
-                let b = parked.as_mut().expect("batch parked between rounds");
-                b.round = round;
-                b.hooks = hooks;
-                b.jobs.clear();
+                let mut ch = pool.chunk(c);
+                ch.round = round;
+                ch.hooks = hooks;
+                ch.jobs.clear();
                 for &v in &self.awake[ctx.bounds[c] as usize..ctx.bounds[c + 1] as usize] {
                     let p = self.programs[v as usize]
                         .take()
                         .expect("program in its slot");
-                    b.jobs.push((v, p));
+                    ch.jobs.push((v, p));
                 }
-                slot.pending.store(k, Ordering::SeqCst);
-                slot.recv_state.store(VACANT, Ordering::SeqCst);
             }
         }
-        for c in 0..k {
-            pool.slots[c].send_state.store(READY, Ordering::SeqCst);
-        }
-        pool.unpark_all();
+        pool.k.store(k, Ordering::Relaxed);
         lap(stamp, |t| &mut t.partition_ns);
 
-        // ---- send results, in chunk index order. The coordinator steals
-        // work itself while waiting (`wait_done`), so the merge order —
-        // which fixes metrics, trace, and error precedence — is untouched
-        // by who executed what.
+        pool.run(SEND);
+        lap(stamp, |t| &mut t.route_ns);
         let at = &mut self.at;
         for c in 0..k {
-            wait_done(pool, &mut d.coord, c, false);
-            lap(stamp, |t| &mut t.route_ns);
-            let mut r = pool.slots[c].results.lock().expect("results slot lock");
-            // Error precedence: chunks ascend in node order and a send
-            // stops at its chunk's first routing error, so the first error
-            // of the lowest-indexed chunk is the in-place body's error.
-            if let Some(e) = r.error.take() {
-                return Err(e);
-            }
-            merge_send_results(&mut r, &mut at.metrics, &mut at.tracer, at.faults.as_mut());
-            lap(stamp, |t| &mut t.merge_ns);
+            let mut ch = pool.chunk(c);
+            ch.failure()?;
+            merge_sends(&mut ch, &mut at.metrics, &mut at.tracer, at.faults.as_mut());
         }
-        // Every send is DONE, so nothing reads the round context any more:
-        // stage fault-delayed messages coming due into their recipients'
-        // parked batches (every receive is still gated closed on a faulty
-        // round), then take the wake stamps back.
         {
             let mut ctx = pool.ctx.write().expect("round context lock");
             if let Some(f) = at.faults.as_mut() {
                 let (wake, c) = (&ctx.next_wake, &mut at.metrics.counters);
                 resolve_due_delays(&mut f.state, round, wake, c, &mut at.tracer, |m| {
                     let (owner, entry) = ctx.stage_entry(m.from, m.to, m.msg);
-                    let mut parked = pool.slots[owner].batch.lock().expect("batch slot lock");
-                    let b = parked.as_mut().expect("batch parked for staging");
-                    b.late.push(entry);
+                    pool.chunk(owner).late.push(entry);
                 });
             }
             std::mem::swap(&mut ctx.next_wake, &mut at.next_wake);
         }
-        if at.faults.is_some() {
-            for c in 0..k {
-                pool.slots[c].recv_state.store(READY, Ordering::SeqCst);
-            }
-            pool.unpark_all();
-            lap(stamp, |t| &mut t.merge_ns);
-        }
+        lap(stamp, |t| &mut t.merge_ns);
 
-        // ---- outcomes, in chunk order (= node order). Waiting on every
-        // receive also quiesces the round: no executor holds work at a
-        // round boundary, so pause/periodic snapshots stay exact.
+        pool.run(RECEIVE);
+        lap(stamp, |t| &mut t.deliver_ns);
         let mut recovery = false;
         for c in 0..k {
-            wait_done(pool, &mut d.coord, c, true);
-            lap(stamp, |t| &mut t.deliver_ns);
-            let mut b = pool.take_batch(c);
-            // Outcomes before the chunk's first error apply first, as in
+            let mut guard = pool.chunk(c);
+            let ch = &mut *guard;
+            // Outcomes before the chunk's first failure apply first, as in
             // the in-place body. `FAULTY = true` leaves the fault checks to
             // run time: a dispatched round is heavy enough not to notice.
-            for ((v, p), outcome) in b.jobs.drain(..).zip(b.outcomes.drain(..)) {
+            for ((v, p), outcome) in ch.jobs.drain(..).zip(ch.outcomes.drain(..)) {
                 recovery |= self.at.apply::<true>(round, v, outcome)?;
                 self.programs[v as usize] = Some(p);
             }
-            if let Some(e) = b.error.take() {
-                return Err(e);
-            }
-            pool.park_batch(c, b);
-            lap(stamp, |t| &mut t.merge_ns);
+            ch.failure()?;
         }
         if recovery {
             self.at.metrics.recovery_rounds += 1;
         }
+        lap(stamp, |t| &mut t.merge_ns);
         Ok(())
     }
 }
@@ -1069,10 +724,10 @@ impl<P: Program> Exec<'_, P> {
 /// Run `programs` fault-free with `workers` executors, accumulating
 /// per-phase wall time into `timing` ([`PhaseTimes`]) — partition / route
 /// / deliver / merge for dispatched rounds, a single bucket for in-place
-/// ones. The probe reads the clock only between pipeline stages on the
-/// coordinator, so the run itself (outputs, [`Metrics`], trace) is bit for
-/// bit the one-worker run's. Kept with this signature because the
-/// `perfbench` benchmark calls it: it forwards into the driver behind
+/// ones. The probe reads the clock only between steps on the coordinator,
+/// so the run itself (outputs, [`Metrics`], trace) is bit for bit the
+/// one-worker run's. Kept with this signature because the `perfbench`
+/// benchmark calls it: it forwards into the driver behind
 /// [`Engine::run_spec`](crate::Engine::run_spec) without that method's
 /// [`Persist`](crate::Persist) bounds.
 ///
@@ -1091,7 +746,7 @@ where
 {
     let start = Boundary::start(graph, config, &programs, None)?;
     let traced = start.tracer.enabled();
-    with_pool(graph, workers, false, traced, None, |pool| {
+    with_pool(graph, workers, traced, |pool| {
         drive(graph, programs, start, pool, None, Some(timing))
     })
     .map(Paused::finished)
@@ -1179,28 +834,19 @@ mod tests {
         }
     }
 
-    /// The pool rows of every agreement table: each worker count, plain and
-    /// under a chaos plan seeded from `seed` (forced steals, yields, naps
-    /// and unpark storms at every claim point).
-    fn pool_specs(workers: &[usize], plan: Option<FaultPlan>, seed: u64) -> Vec<RunSpec<'static>> {
+    /// The pool rows of every agreement table: one per worker count, with
+    /// an optional fault plan.
+    fn pool_specs(workers: &[usize], plan: Option<FaultPlan>) -> Vec<RunSpec<'static>> {
         workers
             .iter()
-            .flat_map(|&w| {
-                [None, Some(31 * w as u64 + seed)].map(|chaos| RunSpec {
-                    workers: w,
-                    faults: plan,
-                    chaos,
-                    ..RunSpec::default()
-                })
-            })
+            .map(|&w| RunSpec::on(w).with_faults(plan))
             .collect()
     }
 
     fn label(spec: &RunSpec) -> String {
         format!(
-            "workers = {}, chaos = {:?}, faults = {}",
+            "workers = {}, faults = {}",
             spec.workers,
-            spec.chaos,
             spec.faults.is_some()
         )
     }
@@ -1224,7 +870,7 @@ mod tests {
     /// the drop counter are checked) — fault-free and under a seeded plan.
     /// A pause halfway through is byte-identical on every row, and resumes
     /// to the uninterrupted run on the other executor.
-    fn assert_bitwise_equal<P>(g: &Graph, mk: impl Fn() -> Vec<P>, workers: &[usize], seed: u64)
+    fn assert_bitwise_equal<P>(g: &Graph, mk: impl Fn() -> Vec<P>, workers: &[usize])
     where
         P: Program + Persist + Send,
         P::Msg: Codec,
@@ -1246,7 +892,7 @@ mod tests {
             let want_traced = run(g, mk(), traced, &serial).unwrap();
             let pause = want.metrics.rounds / 2;
             let serial_snap = (pause > 0).then(|| snapshot_at(g, mk(), &serial, pause));
-            for spec in pool_specs(workers, faults, seed) {
+            for spec in pool_specs(workers, faults) {
                 let at = label(&spec);
                 let got = run(g, mk(), Config::default(), &spec).unwrap();
                 assert!(want.outputs == got.outputs, "outputs, {at}");
@@ -1260,8 +906,8 @@ mod tests {
                 let Some(serial_snap) = &serial_snap else {
                     continue;
                 };
-                // Rounds quiesce before every boundary, so the pool's pause
-                // is the serial engine's byte for byte, chaos or not.
+                // Both steps close before every boundary, so the pool's
+                // pause is the serial engine's byte for byte.
                 let pool_snap = snapshot_at(g, mk(), &spec, pause);
                 assert_eq!(&pool_snap, serial_snap, "snapshot bytes, {at}");
                 for (snap, on) in [(serial_snap, spec), (&pool_snap, serial)] {
@@ -1283,7 +929,7 @@ mod tests {
         // 160 nodes: total degree mass (2m + n = 478) exceeds INLINE_MASS,
         // so dense rounds genuinely run the multi-chunk parallel pipeline.
         let g = generators::random_tree(160, 9);
-        assert_bitwise_equal(&g, flood(160, 170), &[1, 2, 4, 8], 7);
+        assert_bitwise_equal(&g, flood(160, 170), &[1, 2, 4, 8]);
         let pool = RunSpec::on(4);
         let run = run(&g, flood(160, 170)(), Config::default(), &pool).unwrap();
         // everyone learned the max ident (tree has diameter < 170 rounds)
@@ -1302,7 +948,7 @@ mod tests {
     fn more_workers_than_awake_nodes() {
         // Tiny awake set, tiny mass: the inline path absorbs the round.
         let g = generators::path(3);
-        assert_bitwise_equal(&g, flood(3, 3), &[1, 16], 7);
+        assert_bitwise_equal(&g, flood(3, 3), &[1, 16]);
         let pool = RunSpec::on(16);
         let run = run(&g, flood(3, 3)(), Config::default(), &pool).unwrap();
         assert_eq!(run.outputs, vec![3, 3, 3]);
@@ -1315,7 +961,7 @@ mod tests {
         // the round dispatches with k = 20 chunks under 32 workers — the
         // chunker must cap k at the awake count, one node per chunk.
         let g = generators::complete(20);
-        assert_bitwise_equal(&g, flood(20, 3), &[32], 7);
+        assert_bitwise_equal(&g, flood(20, 3), &[32]);
         let pool = RunSpec::on(32);
         let run = run(&g, flood(20, 3)(), Config::default(), &pool).unwrap();
         assert!(run.outputs.iter().all(|&b| b == 20));
@@ -1324,7 +970,7 @@ mod tests {
     #[test]
     fn threaded_detects_budget() {
         let g = generators::path(2);
-        for spec in pool_specs(&[1, 2], None, 7) {
+        for spec in pool_specs(&[1, 2], None) {
             let err = run(&g, flood(2, 100)(), Config::with_max_rounds(5), &spec).unwrap_err();
             assert_eq!(
                 err,
@@ -1479,7 +1125,7 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        assert_bitwise_equal(&g, mk, &[1, 2, 4, 8], 7);
+        assert_bitwise_equal(&g, mk, &[1, 2, 4, 8]);
         let run = Engine::new(&g, Config::default()).run(mk()).unwrap();
         // round 1: hub hears all 5 leaves; rounds 2..=5: hub is alone and
         // its broadcasts are lost to the halted leaves.
@@ -1526,7 +1172,7 @@ mod tests {
                 .map(|&wake| GappedWake { wake, heard: 0 })
                 .collect::<Vec<_>>()
         };
-        assert_bitwise_equal(&g, mk, &[1, 2, 4, 8], 7);
+        assert_bitwise_equal(&g, mk, &[1, 2, 4, 8]);
         let run = Engine::new(&g, Config::default()).run(mk()).unwrap();
         assert_eq!(run.metrics.rounds, 1_000_000_000);
         assert_eq!(run.metrics.awake, vec![1; 6]);
@@ -1547,7 +1193,7 @@ mod tests {
             b.edge(v - 1, v);
         }
         let g = b.build().unwrap();
-        assert_bitwise_equal(&g, flood(240, 12), &[1, 2, 3, 4, 8, 16], 7);
+        assert_bitwise_equal(&g, flood(240, 12), &[1, 2, 3, 4, 8, 16]);
     }
 
     // ---- error precedence matches the serial engine ----
@@ -1578,8 +1224,7 @@ mod tests {
     fn routing_error_reports_lowest_offending_node() {
         // Round 1 on P_200 has degree mass 598 > INLINE_MASS: the error
         // surfaces from the parallel path, where higher chunks' offenders
-        // run concurrently (under chaos, possibly long after their
-        // neighbors) and must lose to node 3's error.
+        // run concurrently and must lose to node 3's error.
         let g = generators::path(200);
         let mk = || {
             (0..200)
@@ -1594,41 +1239,9 @@ mod tests {
                 to: NodeId(5)
             }
         );
-        for spec in pool_specs(&[1, 2, 4, 8], None, 7) {
+        for spec in pool_specs(&[1, 2, 4, 8], None) {
             let err = run(&g, mk(), Config::default(), &spec).unwrap_err();
             assert_eq!(err, serial_err, "{}", label(&spec));
-        }
-    }
-
-    /// A pool spec on `workers` executors under the chaos plan `seed`.
-    fn chaos_spec(workers: usize, faults: Option<FaultPlan>, seed: u64) -> RunSpec<'static> {
-        RunSpec {
-            workers,
-            faults,
-            chaos: Some(seed),
-            ..RunSpec::default()
-        }
-    }
-
-    #[test]
-    fn chaos_preserves_error_precedence() {
-        // Under chaos the erroring chunk may finish long after its
-        // neighbors — the coordinator's chunk-order scan must still report
-        // the serial engine's error (lowest node id).
-        let g = generators::path(200);
-        for seed in 11..=13 {
-            let progs: Vec<BadSendAt> = (0..200).map(|v| BadSendAt { bad: v >= 3 }).collect();
-            let spec = chaos_spec(4, None, seed);
-            let err = run(&g, progs, Config::default(), &spec).unwrap_err();
-            assert_eq!(
-                err,
-                SimError::NotANeighbor {
-                    from: NodeId(3),
-                    to: NodeId(5)
-                },
-                "{}",
-                label(&spec)
-            );
         }
     }
 
@@ -1658,7 +1271,7 @@ mod tests {
     fn invalid_sleep_reports_lowest_offending_node() {
         // C_150 (mass 450): the offending round runs the parallel path.
         let g = generators::cycle(150);
-        for spec in pool_specs(&[1, 2, 4, 8], None, 7) {
+        for spec in pool_specs(&[1, 2, 4, 8], None) {
             let progs: Vec<SleepsBackward> = (0..150)
                 .map(|v| SleepsBackward { offender: v >= 4 })
                 .collect();
@@ -1673,99 +1286,6 @@ mod tests {
                 "{}",
                 label(&spec)
             );
-        }
-    }
-
-    // ---- seeded chaos interleavings: determinism is not scheduling luck --
-
-    #[test]
-    fn chaos_interleavings_stay_bit_identical() {
-        // Forced steals, yields, naps, and unpark storms at seeded points
-        // shuffle which executor runs each descriptor and when — outputs
-        // and metrics must not move by a bit relative to the serial engine.
-        let g = generators::random_tree(160, 9);
-        let serial = Engine::new(&g, Config::default())
-            .run(flood(160, 40)())
-            .unwrap();
-        for seed in 1..=8 {
-            for workers in [2, 4, 8] {
-                let spec = chaos_spec(workers, None, seed);
-                let got = run(&g, flood(160, 40)(), Config::default(), &spec).unwrap();
-                assert!(serial.outputs == got.outputs, "outputs, {}", label(&spec));
-                assert_eq!(serial.metrics, got.metrics, "metrics, {}", label(&spec));
-            }
-        }
-        // Traces too, including the drop counter under a biting cap.
-        let capped = Config {
-            trace: TraceMode::Capped(500),
-            ..Config::default()
-        };
-        let serial = Engine::new(&g, capped).run(flood(160, 40)()).unwrap();
-        for seed in [9, 10] {
-            for workers in [2, 8] {
-                let spec = chaos_spec(workers, None, seed);
-                let got = run(&g, flood(160, 40)(), capped, &spec).unwrap();
-                assert_eq!(serial.trace, got.trace, "trace, {}", label(&spec));
-                assert_eq!(
-                    serial.trace_dropped,
-                    got.trace_dropped,
-                    "trace_dropped, {}",
-                    label(&spec)
-                );
-            }
-        }
-        // Snapshot bytes, resumes and faulty runs over more chaos seeds
-        // than the agreement table's one per row.
-        for seed in 1..=3 {
-            assert_bitwise_equal(&g, flood(160, 40), &[2, 4, 8], seed);
-        }
-    }
-
-    #[test]
-    fn chaos_under_faults_matches_serial() {
-        // Chaos and the fault pipeline compose: the coordinator-gated
-        // receives and staged late deliveries keep the serial fault
-        // semantics under storms (auto_receive is off on faulty runs).
-        let mut plan = FaultPlan::new(77);
-        plan.drop_ppm = 60_000;
-        plan.dup_ppm = 60_000;
-        plan.delay_ppm = 60_000;
-        plan.delay_rounds = 1;
-        let g = generators::random_tree(120, 5);
-        let serial = RunSpec::default().with_faults(Some(plan));
-        let want = run(&g, flood(120, 30)(), Config::default(), &serial).unwrap();
-        for seed in 21..=23 {
-            for workers in [2, 4] {
-                let spec = chaos_spec(workers, Some(plan), seed);
-                let got = run(&g, flood(120, 30)(), Config::default(), &spec).unwrap();
-                assert!(want.outputs == got.outputs, "outputs, {}", label(&spec));
-                assert_eq!(want.metrics, got.metrics, "metrics, {}", label(&spec));
-            }
-        }
-    }
-
-    #[test]
-    fn chaos_snapshot_bytes_match_serial() {
-        // Rounds quiesce before every boundary — the coordinator consumes
-        // every send and receive descriptor before moving on — so pause
-        // snapshots must be byte-identical to the serial engine's even
-        // when steal storms shuffled the round that just finished.
-        let g = generators::random_tree(160, 9);
-        let serial_full = Engine::new(&g, Config::default())
-            .run(flood(160, 40)())
-            .unwrap();
-        let want = snapshot_at(&g, flood(160, 40)(), &RunSpec::default(), 20);
-        for seed in 31..=33 {
-            for workers in [2, 4] {
-                let spec = chaos_spec(workers, None, seed);
-                let got = snapshot_at(&g, flood(160, 40)(), &spec, 20);
-                assert_eq!(got, want, "snapshot bytes, {}", label(&spec));
-                // And the chaotic pause resumes to the uninterrupted run.
-                let resume = spec.resume_from(&got);
-                let resumed = run(&g, flood(160, 40)(), Config::default(), &resume).unwrap();
-                assert!(resumed.outputs == serial_full.outputs, "resumed outputs");
-                assert_eq!(resumed.metrics, serial_full.metrics, "resumed metrics");
-            }
         }
     }
 
@@ -1787,5 +1307,65 @@ mod tests {
             "every executed round lands in exactly one bucket"
         );
         assert!(t.dispatched_rounds > 0, "dense rounds must dispatch");
+    }
+
+    // ---- a panicking program reaches the caller ----
+
+    /// Panics at round 1 at node `bad`, in `send` or in `receive`.
+    struct PanicsAt {
+        bad: u32,
+        in_send: bool,
+    }
+
+    impl Program for PanicsAt {
+        type Msg = ();
+        type Output = ();
+        fn send(&mut self, view: &View, out: &mut Outbox<()>) {
+            if self.in_send && view.me.0 == self.bad {
+                panic!("node {} panics in send", self.bad);
+            }
+            out.broadcast(());
+        }
+        fn receive(&mut self, view: &View, _: &[Envelope<()>]) -> Action {
+            if !self.in_send && view.me.0 == self.bad {
+                panic!("node {} panics in receive", self.bad);
+            }
+            Action::Halt
+        }
+        fn output(&self) -> Option<()> {
+            Some(())
+        }
+    }
+
+    #[test]
+    fn a_panicking_program_reaches_the_caller() {
+        // Round 1 on P_200 (degree mass 598) dispatches: node 0 is in the
+        // first chunk, node 199 in the last. A pool that lost a step to a
+        // panic would wait forever, so each run goes on a helper thread and
+        // the test waits for its panic with a timeout.
+        for workers in [1, 2, 4, 8] {
+            for bad in [0, 199] {
+                for in_send in [true, false] {
+                    let (tx, rx) = std::sync::mpsc::channel();
+                    thread::spawn(move || {
+                        let g = generators::path(200);
+                        let progs = (0..200).map(|_| PanicsAt { bad, in_send }).collect();
+                        let mut t = PhaseTimes::default();
+                        let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+                            run_threaded_timed(&g, progs, Config::default(), workers, &mut t)
+                        }));
+                        let msg = ran.err().and_then(|p| p.downcast_ref::<String>().cloned());
+                        tx.send(msg).expect("the test waits for the run");
+                    });
+                    let at = format!("workers = {workers}, node {bad}, in send: {in_send}");
+                    let got = rx
+                        .recv_timeout(std::time::Duration::from_secs(30))
+                        .unwrap_or_else(|_| panic!("the run hung, {at}"));
+                    let step = if in_send { "send" } else { "receive" };
+                    let want = format!("node {bad} panics in {step}");
+                    assert_eq!(got.as_deref(), Some(want.as_str()), "{at}");
+                }
+            }
+        }
     }
 }

@@ -108,8 +108,8 @@ impl Tracer {
         }
     }
 
-    /// Whether events should be recorded at all (the threaded executor's
-    /// chunk descriptors stage events only when this is true).
+    /// Whether events should be recorded at all (the worker pool's chunks
+    /// stage events only when this is true).
     #[inline]
     pub(crate) fn enabled(&self) -> bool {
         self.mode != TraceMode::Off
