@@ -1,29 +1,8 @@
-//! Shared helpers for the experiment harness.
+//! Micro benchmarks (`benches/micro.rs`) and allocation-regression tests
+//! (`tests/alloc_regression.rs`) for the simulator. The library exports
+//! nothing; it exists because a Cargo package needs a lib or bin target.
 //!
-//! Each `benches/exp_*.rs` target regenerates one evaluation artifact of
-//! the paper (experiments E1–E7; each target's header states the claim it
-//! checks) and prints a table.
-
-use awake_core::trivial::TrivialGreedy;
-use awake_graphs::Graph;
-use awake_olocal::OLocalProblem;
-use awake_sleeping::{Config, Engine, Metrics};
-
-/// Run the trivial baseline and return its metrics.
-pub fn run_trivial<P: OLocalProblem + Clone>(g: &Graph, p: &P) -> Metrics {
-    let inputs = p.trivial_inputs(g);
-    let programs: Vec<TrivialGreedy<P>> = g
-        .nodes()
-        .map(|v| TrivialGreedy::new(p.clone(), inputs[v.index()].clone()))
-        .collect();
-    Engine::new(g, Config::default())
-        .run(programs)
-        .expect("trivial baseline runs")
-        .metrics
-}
-
-/// Print a table header and a separator sized to it.
-pub fn header(cols: &str) {
-    println!("{cols}");
-    println!("{}", "-".repeat(cols.len().min(120)));
-}
+//! The paper's experiments are checked elsewhere: awake cost against `n`
+//! and against Δ is the `regime` preset of `awake-lab`
+//! (`suite --preset regime --audit`), and the per-lemma claims are unit
+//! tests of `awake-core`.

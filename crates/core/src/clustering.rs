@@ -256,8 +256,8 @@ pub fn split_components(g: &Graph, members: &[NodeId]) -> Vec<Vec<NodeId>> {
 /// Synthesize a valid colored BFS-clustering with exactly `clusters`
 /// clusters (plus extras on disconnected graphs): Voronoi cells of random
 /// seeds (connected, exact BFS depths), then a greedy proper coloring of
-/// the cluster graph. Used by experiment E4 to sweep the color count `c`
-/// of Theorem 9.
+/// the cluster graph. Theorem 9's tests use it to sweep the color count
+/// `c`.
 ///
 /// # Panics
 /// Panics on an empty graph.

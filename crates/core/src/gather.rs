@@ -56,24 +56,6 @@ pub struct ClusterView<P> {
 }
 
 impl<P> ClusterView<P> {
-    /// Sorted distinct labels of adjacent clusters (the vertex's neighbors
-    /// in the virtual graph `H`).
-    pub fn neighbor_labels(&self) -> Vec<u64> {
-        let mut l: Vec<u64> = self
-            .members
-            .values()
-            .flat_map(|m| m.border.iter().map(|b| b.1))
-            .collect();
-        l.sort_unstable();
-        l.dedup();
-        l
-    }
-
-    /// Degree of the vertex in `H`.
-    pub fn h_degree(&self) -> usize {
-        self.neighbor_labels().len()
-    }
-
     /// The root member's identifier (depth 0).
     pub fn root_ident(&self) -> u64 {
         self.members
@@ -81,21 +63,6 @@ impl<P> ClusterView<P> {
             .find(|m| m.depth == 0)
             .map(|m| m.ident)
             .expect("BFS cluster has a root")
-    }
-
-    /// Intra-cluster edges as ident pairs (each once, `a < b`).
-    pub fn intra_edges(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        for m in self.members.values() {
-            for &w in &m.intra {
-                if m.ident < w {
-                    out.push((m.ident, w));
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 }
 

@@ -15,7 +15,8 @@
 //!
 //! Awake complexity: exactly `2 + log₂ q` where `q` is the covering power
 //! of two of `k` (one mandatory initial round + the `1 + log₂ q` rounds of
-//! `r(c)`) — asserted by tests and experiment E7.
+//! `r(c)`) — asserted by the tests, on cycles and on cliques with `k`
+//! distinct colors.
 
 use crate::lemma10::PaletteTree;
 use awake_olocal::{GreedyView, OLocalProblem};
@@ -305,17 +306,26 @@ mod tests {
 
     #[test]
     fn awake_is_exactly_one_plus_path_len() {
-        let g = generators::cycle(24);
-        let colors = greedy_coloring(&g); // colors in 1..=3
-        let k = 3;
-        let programs: Vec<ColorScheduled<DeltaPlusOneColoring>> = g
-            .nodes()
-            .map(|v| ColorScheduled::new(DeltaPlusOneColoring, (), colors[v.index()], k))
-            .collect();
-        let budget = programs[0].awake_budget();
-        let run = Engine::new(&g, Config::default()).run(programs).unwrap();
-        // every node is awake exactly 1 + |r(c)| rounds
-        assert!(run.metrics.awake.iter().all(|&a| a == budget));
+        // a cycle colored from 1..=3, then cliques K_k with k distinct colors
+        let cycle = generators::cycle(24);
+        let mut cases = vec![(greedy_coloring(&cycle), cycle, 3)];
+        for k in [8u64, 16, 32, 64] {
+            cases.push(((1..=k).collect(), generators::complete(k as usize), k));
+        }
+        for (colors, g, k) in cases {
+            let programs: Vec<ColorScheduled<DeltaPlusOneColoring>> = g
+                .nodes()
+                .map(|v| ColorScheduled::new(DeltaPlusOneColoring, (), colors[v.index()], k))
+                .collect();
+            let budget = programs[0].awake_budget();
+            // 1 + |r(c)| = 2 + log₂ q for the covering power of two q ≥ k
+            let q = PaletteTree::covering(k).q();
+            assert_eq!(budget, 2 + u64::from(q.trailing_zeros()), "k = {k}");
+            let run = Engine::new(&g, Config::default()).run(programs).unwrap();
+            coloring::check_proper(&g, &run.outputs).unwrap();
+            // every node is awake exactly 1 + |r(c)| rounds
+            assert!(run.metrics.awake.iter().all(|&a| a == budget), "k = {k}");
+        }
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!   have larger `L`, hence smaller `L'`, hence earlier turns.
 //!
 //! Awake complexity: the root is awake twice, every other node exactly 3
-//! times — asserted by the tests and measured by experiment E5.
+//! times — asserted by the tests, which also hold both protocols to
+//! `N + 4` rounds.
 
 use awake_graphs::NodeId;
 use awake_sleeping::{Action, Envelope, Outbox, Program, Round, View};

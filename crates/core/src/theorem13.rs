@@ -41,7 +41,8 @@ pub struct Theorem13Result {
     /// Stage-by-stage accounting.
     pub composition: Composition,
     /// Per-iteration statistics: `(iteration, clusters before, finalized
-    /// nodes, surviving clusters)` — experiment E3's shrink-factor series.
+    /// nodes, surviving clusters)` — the series Lemma 15's shrink factor is
+    /// checked on.
     pub iteration_stats: Vec<IterationStats>,
 }
 
@@ -219,12 +220,18 @@ mod tests {
         assert_eq!(res.clustering.assigned(), g.n());
         res.clustering.validate_colored(g).unwrap();
         assert!(res.clustering.max_label() <= params.color_bound());
-        // Awake complexity within the closed-form budget.
+        // Awake and round complexity within the closed-form budgets.
         assert!(
             res.composition.max_awake() <= bounds::theorem13_awake(&params),
             "awake {} > bound {}",
             res.composition.max_awake(),
             bounds::theorem13_awake(&params)
+        );
+        assert!(
+            res.composition.rounds() <= bounds::theorem13_rounds(&params),
+            "rounds {} > bound {}",
+            res.composition.rounds(),
+            bounds::theorem13_rounds(&params)
         );
         res
     }

@@ -417,10 +417,15 @@ mod tests {
             (generators::gnp(60, 0.1, 3), 12),
             (generators::random_tree(45, 2), 5),
             (generators::clique_cycle(6, 5), 6),
+            // every pair of clusters is adjacent, so c = 16
+            (generators::complete(40), 16),
         ] {
             let cl = synthesize(&g, k, 11);
             cl.validate_colored(&g).unwrap();
             let c = cl.max_label();
+            if 2 * g.m() == g.n() * (g.n() - 1) {
+                assert_eq!(c, k as u64, "one color per cluster");
+            }
 
             let r = solve(&g, &DeltaPlusOneColoring, &vec![(); g.n()], &cl, c).unwrap();
             DeltaPlusOneColoring

@@ -31,7 +31,7 @@
 //! Nothing is mutated once shared. An `Arc<T>` encodes exactly like `T`,
 //! so snapshots do not see the sharing.
 
-use crate::gather::{gather_rounds, GatherCore, GatherMsg, GatherStep, MemberRec};
+use crate::gather::{gather_rounds, ClusterView, GatherCore, GatherMsg, GatherStep, MemberRec};
 use awake_sleeping::{
     Action, CheckpointError, Codec, Envelope, Outbox, Persist, Program, Reader, Round, View, Writer,
 };
@@ -50,6 +50,16 @@ pub struct VertexInput<P> {
     /// Every member's record, shared by every holder of this input and
     /// never mutated.
     pub members: Arc<BTreeMap<u64, MemberRec<P>>>,
+}
+
+/// A member's gathered view, less its own identifier, depth and ports.
+impl<P> From<ClusterView<P>> for VertexInput<P> {
+    fn from(view: ClusterView<P>) -> Self {
+        VertexInput {
+            label: view.label,
+            members: Arc::new(view.members),
+        }
+    }
 }
 
 impl<P: Clone> VertexInput<P> {
@@ -489,7 +499,7 @@ where
                         let St::Gather(core) = std::mem::replace(&mut self.st, St::Done) else {
                             unreachable!("in the gather stage")
                         };
-                        let cview = core.into_view().expect("gather done");
+                        let mut cview = core.into_view().expect("gather done");
                         let has_children = cview.my_ports.iter().any(|&(_, nid, l)| {
                             l == cview.label
                                 && cview
@@ -497,18 +507,17 @@ where
                                     .get(&nid)
                                     .is_some_and(|m| m.depth == cview.my_depth + 1)
                         });
-                        let vinput = VertexInput {
-                            label: cview.label,
-                            members: Arc::new(cview.members),
-                        };
+                        let (depth, ports) = (cview.my_depth, std::mem::take(&mut cview.my_ports));
+                        let vinput = VertexInput::from(cview);
                         let vp = (self.factory)(&vinput);
+                        let label = vinput.label;
                         let mut run = Box::new(RunState {
                             vp,
                             vinput,
-                            depth: cview.my_depth,
+                            depth,
                             has_children,
-                            ports: cview.my_ports,
-                            label: cview.label,
+                            ports,
+                            label,
                             cur: 1,
                             next: 1,
                             outgoing: vec![],

@@ -71,7 +71,8 @@ fn gather_collects_full_cluster_structure() {
     assert_eq!(v0.label, 10);
     assert_eq!(v0.members.len(), 3);
     assert_eq!(v0.root_ident(), g.ident(awake_graphs::NodeId(1)));
-    assert_eq!(v0.intra_edges(), vec![(1, 2), (2, 3)]); // idents 1-2, 2-3
+    let input = VertexInput::from(v0.clone());
+    assert_eq!(input.intra_edges(), vec![(1, 2), (2, 3)]); // idents 1-2, 2-3
 
     // border edge 3-4 (idents) seen from cluster 10 with neighbor label 20
     let border: Vec<_> = v0.members.values().flat_map(|m| m.border.iter()).collect();
@@ -101,7 +102,7 @@ fn gather_singleton_cluster_is_one_awake_round() {
     for v in g.nodes() {
         let view = run.outputs[v.index()].as_ref().unwrap();
         assert_eq!(view.members.len(), 1);
-        assert_eq!(view.h_degree(), g.degree(v));
+        assert_eq!(VertexInput::from(view.clone()).h_degree(), g.degree(v));
     }
 }
 

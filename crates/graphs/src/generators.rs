@@ -326,7 +326,7 @@ pub fn power_law(n: usize, beta: f64, avg_deg: f64, seed: u64) -> Graph {
 /// Random graph with max degree ~`target_delta`: starts from a Hamiltonian
 /// path (connectivity) and adds random edges while respecting the cap.
 ///
-/// Used by the crossover experiment (E2) to sweep Δ at fixed `n`.
+/// The lab's `regime` preset sweeps Δ at fixed `n` with it.
 pub fn random_with_max_degree(n: usize, target_delta: usize, seed: u64) -> Graph {
     assert!(target_delta >= 2, "need Δ >= 2");
     let mut rng = Rng::seed_from_u64(seed);

@@ -570,6 +570,43 @@ pub mod presets {
             .collect()
     }
 
+    /// The paper's regime, `Δ > b`, where Theorem 1's Δ-free awake bound
+    /// `O(√log n · log* n)` is meant to beat BM21's `O(log Δ + log* n)`.
+    /// The trivial greedy, BM21 and Theorem 1 each run on two sweeps of
+    /// bounded-degree graphs (36 scenarios):
+    ///
+    /// * (Δ+1)-coloring at `Δ = ⌊√n⌋` for `n = 2^6 .. 2^10`, awake cost
+    ///   against `n`;
+    /// * MIS at `n = 512` for `Δ = 4, 8, …, 256`, awake cost against Δ.
+    ///
+    /// `--audit` gates every row against its closed-form budget. Theorem
+    /// 1's is [`theorem1_awake`](awake_core::bounds::theorem1_awake), which
+    /// reads only `n`, so its budget is the same on all seven rows of the
+    /// Δ sweep. The measured value is not: it jumps once Δ passes `b`.
+    pub fn regime() -> Vec<Scenario> {
+        let by_n = (6..=10).map(|k: u32| {
+            let n = 1usize << k;
+            let family = GraphFamily::BoundedDegree {
+                n,
+                delta: n.isqrt(),
+            };
+            (ProblemKind::Coloring, family)
+        });
+        let by_delta = (2..=8).map(|k: u32| {
+            let family = GraphFamily::BoundedDegree {
+                n: 512,
+                delta: 1 << k,
+            };
+            (ProblemKind::Mis, family)
+        });
+        by_n.chain(by_delta)
+            .flat_map(|(problem, family)| {
+                [Algo::Trivial, Algo::Bm21, Algo::Theorem1]
+                    .map(|algo| Scenario::of(family.clone(), problem, algo).build())
+            })
+            .collect()
+    }
+
     /// Seeded fault injection on the by-identifier greedy: every vertex
     /// problem on `G(n, p)` under drops, duplicates, delays and
     /// crash-restarts, on the serial engine and the 4-worker pool
@@ -787,6 +824,12 @@ pub mod presets {
                 deep(),
             ),
             entry(
+                "regime",
+                "trivial + BM21 + Theorem 1 at Δ = √n (n = 2^6..2^10) and n = 512 (Δ = 4..256)",
+                NONE,
+                regime(),
+            ),
+            entry(
                 "faults",
                 "seeded drop/dup/delay/crash injection on G(n,p), serial + threaded",
                 &["degraded-audit"],
@@ -943,6 +986,36 @@ mod tests {
             // so the two algos compare like for like at every point
             assert_eq!(at_n[0].seed(1), at_n[1].seed(1));
         }
+    }
+
+    #[test]
+    fn regime_preset_sweeps_n_at_sqrt_n_and_delta_at_fixed_n() {
+        let regime = presets::by_name("regime").expect("regime preset registered");
+        let rows: Vec<(&str, usize, usize, &str)> = regime
+            .iter()
+            .map(|s| {
+                assert_eq!(s.executor, Executor::Serial, "{}", s.name);
+                let GraphFamily::BoundedDegree { n, delta } = s.family else {
+                    panic!("{}: not a bounded-degree family", s.name)
+                };
+                (s.problem.key(), n, delta, s.algo.key())
+            })
+            .collect();
+        let expect: Vec<(&str, usize, usize, &str)> = [64, 128, 256, 512, 1024]
+            .into_iter()
+            .zip([8, 11, 16, 22, 32])
+            .map(|(n, delta)| ("coloring", n, delta))
+            .chain([4, 8, 16, 32, 64, 128, 256].map(|delta| ("mis", 512, delta)))
+            .flat_map(|(p, n, delta)| ["trivial", "bm21", "theorem1"].map(|a| (p, n, delta, a)))
+            .collect();
+        assert_eq!(rows, expect);
+        // Theorem 1's budget never reads Δ: one figure across the Δ sweep
+        let budgets: std::collections::BTreeSet<u64> = regime
+            .iter()
+            .filter(|s| s.problem == ProblemKind::Mis && s.algo == Algo::Theorem1)
+            .map(|s| crate::runner::budget_of(s, &s.family.build(s.seed(1))).awake)
+            .collect();
+        assert_eq!(budgets.len(), 1, "budgets {budgets:?}");
     }
 
     #[test]

@@ -26,15 +26,18 @@ fn bfs_tree_inputs(g: &Graph) -> Vec<TreeInput> {
 
 #[test]
 fn lemma6_awake_is_exactly_three_on_many_trees() {
-    for seed in 0..10 {
-        let g = generators::random_tree(37, seed);
+    let trees = (0..10).map(|seed| generators::random_tree(37, seed));
+    for g in trees.chain([generators::random_tree(4096, 9)]) {
         let inputs = bfs_tree_inputs(&g);
+        // round complexity O(N): within N + 4 for the label bound N
+        let round_bound = inputs[0].label_bound + 4;
         let programs: Vec<Broadcast<u64>> = inputs
             .iter()
             .map(|i| Broadcast::new(i.clone(), i.parent.is_none().then_some(99)))
             .collect();
         let run = Engine::new(&g, Config::default()).run(programs).unwrap();
         assert!(run.outputs.iter().all(|&m| m == 99));
+        assert!(run.metrics.rounds <= round_bound, "{}", run.metrics.rounds);
         for v in g.nodes() {
             let expect = if inputs[v.index()].parent.is_none() {
                 2
@@ -52,6 +55,7 @@ fn lemma6_awake_is_exactly_three_on_many_trees() {
         let run = Engine::new(&g, Config::default()).run(programs).unwrap();
         assert_eq!(run.outputs[0].len(), g.n(), "root gathers everything");
         assert_eq!(run.metrics.max_awake(), 3);
+        assert!(run.metrics.rounds <= round_bound, "{}", run.metrics.rounds);
     }
 }
 
