@@ -22,8 +22,8 @@ use awake_lab::report::{
 use awake_olocal::edge::{solve_edges_sequentially, EdgeColoring, EdgeIndex, MaximalMatching};
 use awake_olocal::EdgeProblem;
 use awake_sleeping::{
-    threaded, Action, CheckpointError, Codec, Config, Engine, Envelope, Outbox, Outgoing, Persist,
-    PhaseTimes, Program, Reader, RunSpec, View, Writer,
+    threaded, Action, Config, Engine, Envelope, Outbox, Outgoing, PhaseTimes, Program, RunSpec,
+    View,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -86,15 +86,7 @@ impl Program for Flood {
     }
 }
 
-impl Persist for Flood {
-    fn save(&self, w: &mut Writer) {
-        self.best.encode(w);
-    }
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
-        self.best = r.get()?;
-        Ok(())
-    }
-}
+awake_sleeping::persist!(Flood { best });
 
 /// Run `programs` to completion on the `workers`-worker pool.
 fn pool_run(g: &Graph, programs: Vec<Flood>, workers: usize) -> awake_sleeping::Run<u64> {

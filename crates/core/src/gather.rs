@@ -19,7 +19,8 @@
 
 use awake_graphs::NodeId;
 use awake_sleeping::{
-    Action, CheckpointError, Codec, Envelope, Outbox, Persist, Program, Reader, Round, View, Writer,
+    codec, persist, Action, CheckpointError, Codec, Envelope, Outbox, Persist, Program, Reader,
+    Round, View, Writer,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -321,23 +322,9 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
     }
 }
 
-impl<P: Clone + std::fmt::Debug + Send + Sync + Codec> GatherCore<P> {
-    /// Write the core's dynamic state (everything `recv_at` mutates).
-    pub fn save(&self, w: &mut Writer) {
-        self.has_children.encode(w);
-        self.bag.encode(w);
-        self.my_ports.encode(w);
-        self.done.encode(w);
-    }
-
-    /// Overwrite the dynamic state on a freshly constructed core.
-    pub fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
-        self.has_children = r.get()?;
-        self.bag = r.get()?;
-        self.my_ports = r.get()?;
-        self.done = r.get()?;
-        Ok(())
-    }
+persist! {
+    /// Dynamic state: everything `recv_at` mutates.
+    GatherCore<P: Codec> { has_children, bag, my_ports, done }
 }
 
 /// Standalone gather program: every participant outputs its
@@ -440,71 +427,11 @@ impl<P: Clone + std::fmt::Debug + Send + Sync + Codec> Persist for ClusterGather
     }
 }
 
-impl<P: Codec> Codec for MemberRec<P> {
-    fn encode(&self, w: &mut Writer) {
-        self.ident.encode(w);
-        self.depth.encode(w);
-        self.payload.encode(w);
-        self.intra.encode(w);
-        self.border.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(MemberRec {
-            ident: r.get()?,
-            depth: r.get()?,
-            payload: r.get()?,
-            intra: r.get()?,
-            border: r.get()?,
-        })
-    }
-}
+codec!(struct MemberRec<P: Codec> { ident, depth, payload, intra, border });
 
-impl<P: Codec> Codec for ClusterView<P> {
-    fn encode(&self, w: &mut Writer) {
-        self.label.encode(w);
-        self.my_ident.encode(w);
-        self.my_depth.encode(w);
-        self.members.encode(w);
-        self.my_ports.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(ClusterView {
-            label: r.get()?,
-            my_ident: r.get()?,
-            my_depth: r.get()?,
-            members: r.get()?,
-            my_ports: r.get()?,
-        })
-    }
-}
+codec!(struct ClusterView<P: Codec> { label, my_ident, my_depth, members, my_ports });
 
-impl<P: Codec> Codec for GatherMsg<P> {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            GatherMsg::Hello(label, depth, ident, payload) => {
-                0u8.encode(w);
-                label.encode(w);
-                depth.encode(w);
-                ident.encode(w);
-                payload.encode(w);
-            }
-            GatherMsg::Bag { label, up, recs } => {
-                1u8.encode(w);
-                label.encode(w);
-                up.encode(w);
-                recs.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        match u8::decode(r)? {
-            0 => Ok(GatherMsg::Hello(r.get()?, r.get()?, r.get()?, r.get()?)),
-            1 => Ok(GatherMsg::Bag {
-                label: r.get()?,
-                up: r.get()?,
-                recs: r.get()?,
-            }),
-            _ => Err(CheckpointError::Corrupt("GatherMsg tag")),
-        }
-    }
-}
+codec!(enum GatherMsg<P: Codec> {
+    0 => Hello(label, depth, ident, payload),
+    1 => Bag { label, up, recs },
+});

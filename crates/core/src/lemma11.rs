@@ -20,9 +20,7 @@
 
 use crate::lemma10::PaletteTree;
 use awake_olocal::{GreedyView, OLocalProblem};
-use awake_sleeping::{
-    Action, CheckpointError, Codec, Envelope, Outbox, Persist, Program, Reader, Round, View, Writer,
-};
+use awake_sleeping::{codec, persist, Action, Codec, Envelope, Outbox, Program, Round, View};
 use std::collections::BTreeMap;
 
 /// The state a node shares once decided.
@@ -176,42 +174,17 @@ impl<P: OLocalProblem> Program for ColorScheduled<P> {
     }
 }
 
-impl<O: Codec> Codec for NodeState<O> {
-    fn encode(&self, w: &mut Writer) {
-        self.ident.encode(w);
-        self.color.encode(w);
-        self.output.encode(w);
-        self.closure.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(NodeState {
-            ident: r.get()?,
-            color: r.get()?,
-            output: r.get()?,
-            closure: r.get()?,
-        })
-    }
-}
+codec!(struct NodeState<O: Codec> { ident, color, output, closure });
 
-/// Dynamic state: the schedule cursor, the collected out-neighbor states,
-/// the decision, and the closure. The palette tree and the wake schedule
-/// are pure functions of `(color, k)` and stay put.
-impl<P: OLocalProblem> Persist for ColorScheduled<P>
-where
-    P::Output: Codec,
-{
-    fn save(&self, w: &mut Writer) {
-        self.cursor.encode(w);
-        self.collected.encode(w);
-        self.decided.encode(w);
-        self.closure.encode(w);
-    }
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
-        self.cursor = r.get()?;
-        self.collected = r.get()?;
-        self.decided = r.get()?;
-        self.closure = r.get()?;
-        Ok(())
+persist! {
+    /// Dynamic state: the schedule cursor, the collected out-neighbor states,
+    /// the decision, and the closure. The palette tree and the wake schedule
+    /// are pure functions of `(color, k)` and stay put.
+    ColorScheduled<P: OLocalProblem> where P::Output: Codec {
+        cursor,
+        collected,
+        decided,
+        closure,
     }
 }
 

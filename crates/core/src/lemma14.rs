@@ -16,7 +16,7 @@
 //! `O(1)`; round complexity `O(n²)`.
 
 use crate::virt::{VEnvelope, VOutgoing, VertexInput, VirtualProgram};
-use awake_sleeping::{Action, CheckpointError, Codec, Persist, Reader, Round, Writer};
+use awake_sleeping::{codec, persist, Action, Round};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -261,75 +261,17 @@ impl VirtualProgram for TreeGatherVertex {
     }
 }
 
-impl Codec for VertexRec {
-    fn encode(&self, w: &mut Writer) {
-        self.label.encode(w);
-        self.l2.encode(w);
-        self.d2.encode(w);
-        self.members.encode(w);
-        self.edges.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(VertexRec {
-            label: r.get()?,
-            l2: r.get()?,
-            d2: r.get()?,
-            members: r.get()?,
-            edges: r.get()?,
-        })
-    }
-}
+codec!(struct VertexRec { label, l2, d2, members, edges });
 
-impl Codec for L14Msg {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            L14Msg::Up(v) => {
-                0u8.encode(w);
-                v.encode(w);
-            }
-            L14Msg::Down(v) => {
-                1u8.encode(w);
-                v.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        match u8::decode(r)? {
-            0 => Ok(L14Msg::Up(r.get()?)),
-            1 => Ok(L14Msg::Down(r.get()?)),
-            _ => Err(CheckpointError::Corrupt("L14Msg tag")),
-        }
-    }
-}
+codec!(enum L14Msg { 0 => Up(v), 1 => Down(v) });
 
-impl Codec for L14Out {
-    fn encode(&self, w: &mut Writer) {
-        self.l2.encode(w);
-        self.depths.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(L14Out {
-            l2: r.get()?,
-            depths: r.get()?,
-        })
-    }
-}
+codec!(struct L14Out { l2, depths });
 
-/// Dynamic state: the convergecast bag, the completed record set, and the
-/// output. The own record and parent pointer are pure functions of the
-/// gathered [`VertexInput`] and are rebuilt by the factory.
-impl Persist for TreeGatherVertex {
-    fn save(&self, w: &mut Writer) {
-        self.bag.encode(w);
-        self.all.encode(w);
-        self.out.encode(w);
-    }
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
-        self.bag = r.get()?;
-        self.all = r.get()?;
-        self.out = r.get()?;
-        Ok(())
-    }
+persist! {
+    /// Dynamic state: the convergecast bag, the completed record set, and the
+    /// output. The own record and parent pointer are pure functions of the
+    /// gathered [`VertexInput`] and are rebuilt by the factory.
+    TreeGatherVertex { bag, all, out }
 }
 
 /// Virtual-round budget of the Lemma 14 tree-gather stage, for clusters

@@ -24,7 +24,7 @@
 
 use crate::linial::{self, Step};
 use crate::virt::{VEnvelope, VOutgoing, VertexInput, VirtualProgram};
-use awake_sleeping::{Action, CheckpointError, Codec, Persist, Reader, Round, Writer};
+use awake_sleeping::{codec, persist, Action, CheckpointError, Codec, Reader, Round, Writer};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -634,39 +634,9 @@ impl VirtualProgram for Lemma15Vertex {
     }
 }
 
-impl Codec for TreeRec {
-    fn encode(&self, w: &mut Writer) {
-        self.label.encode(w);
-        self.c2.encode(w);
-        self.p2.encode(w);
-        self.deg_h.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(TreeRec {
-            label: r.get()?,
-            c2: r.get()?,
-            p2: r.get()?,
-            deg_h: r.get()?,
-        })
-    }
-}
+codec!(struct TreeRec { label, c2, p2, deg_h });
 
-impl Codec for Lemma15Out {
-    fn encode(&self, w: &mut Writer) {
-        self.gamma.encode(w);
-        self.delta.encode(w);
-        self.l_aux.encode(w);
-        self.in_u.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(Lemma15Out {
-            gamma: r.get()?,
-            delta: r.get()?,
-            l_aux: r.get()?,
-            in_u: r.get()?,
-        })
-    }
-}
+codec!(struct Lemma15Out { gamma, delta, l_aux, in_u });
 
 impl Codec for Duty {
     fn encode(&self, w: &mut Writer) {
@@ -696,111 +666,43 @@ impl Codec for Duty {
     }
 }
 
-impl Codec for L15Msg {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            L15Msg::Info1(c) => {
-                0u8.encode(w);
-                c.encode(w);
-            }
-            L15Msg::Info2(t) => {
-                1u8.encode(w);
-                t.encode(w);
-            }
-            L15Msg::Info3(c, p) => {
-                2u8.encode(w);
-                c.encode(w);
-                p.encode(w);
-            }
-            L15Msg::TreeUp(v) => {
-                3u8.encode(w);
-                v.encode(w);
-            }
-            L15Msg::TreeDown(v) => {
-                4u8.encode(w);
-                v.encode(w);
-            }
-            L15Msg::Info4(l) => {
-                5u8.encode(w);
-                l.encode(w);
-            }
-            L15Msg::EdgeUp(v) => {
-                6u8.encode(w);
-                v.encode(w);
-            }
-            L15Msg::EdgeDown(v) => {
-                7u8.encode(w);
-                v.encode(w);
-            }
-            L15Msg::Lin(c) => {
-                8u8.encode(w);
-                c.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(match u8::decode(r)? {
-            0 => L15Msg::Info1(r.get()?),
-            1 => L15Msg::Info2(r.get()?),
-            2 => L15Msg::Info3(r.get()?, r.get()?),
-            3 => L15Msg::TreeUp(r.get()?),
-            4 => L15Msg::TreeDown(r.get()?),
-            5 => L15Msg::Info4(r.get()?),
-            6 => L15Msg::EdgeUp(r.get()?),
-            7 => L15Msg::EdgeDown(r.get()?),
-            8 => L15Msg::Lin(r.get()?),
-            _ => return Err(CheckpointError::Corrupt("L15Msg tag")),
-        })
-    }
-}
+codec!(enum L15Msg {
+    0 => Info1(c),
+    1 => Info2(t),
+    2 => Info3(c, p),
+    3 => TreeUp(v),
+    4 => TreeDown(v),
+    5 => Info4(l),
+    6 => EdgeUp(v),
+    7 => EdgeDown(v),
+    8 => Lin(c),
+});
 
-/// Dynamic state: everything the phase's receive handlers mutate. The
-/// config, the label, the `H`-neighborhood, `c₁`, and the Linial schedule
-/// are pure functions of the constructor inputs and are rebuilt by the
-/// simulator's factory before `restore` overlays the rest.
-impl Persist for Lemma15Vertex {
-    fn save(&self, w: &mut Writer) {
-        self.nbr_c1.encode(w);
-        self.nbr_tables.encode(w);
-        self.p1.encode(w);
-        self.shift.encode(w);
-        self.c2.encode(w);
-        self.p2.encode(w);
-        self.p2_c2.encode(w);
-        self.children.encode(w);
-        self.bag_tree.encode(w);
-        self.tree.encode(w);
-        self.l_aux.encode(w);
-        self.in_u.encode(w);
-        self.same_cluster_nbrs.encode(w);
-        self.bag_edges.encode(w);
-        self.edges.encode(w);
-        self.delta_aux.encode(w);
-        self.lin_color.encode(w);
-        self.agenda.encode(w);
-        self.out.encode(w);
-    }
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
-        self.nbr_c1 = r.get()?;
-        self.nbr_tables = r.get()?;
-        self.p1 = r.get()?;
-        self.shift = r.get()?;
-        self.c2 = r.get()?;
-        self.p2 = r.get()?;
-        self.p2_c2 = r.get()?;
-        self.children = r.get()?;
-        self.bag_tree = r.get()?;
-        self.tree = r.get()?;
-        self.l_aux = r.get()?;
-        self.in_u = r.get()?;
-        self.same_cluster_nbrs = r.get()?;
-        self.bag_edges = r.get()?;
-        self.edges = r.get()?;
-        self.delta_aux = r.get()?;
-        self.lin_color = r.get()?;
-        self.agenda = r.get()?;
-        self.out = r.get()?;
-        Ok(())
+persist! {
+    /// Dynamic state: everything the phase's receive handlers mutate. The
+    /// config, the label, the `H`-neighborhood, `c₁`, and the Linial schedule
+    /// are pure functions of the constructor inputs and are rebuilt by the
+    /// simulator's factory before `restore` overlays the rest.
+    Lemma15Vertex {
+        nbr_c1,
+        nbr_tables,
+        p1,
+        shift,
+        c2,
+        p2,
+        p2_c2,
+        children,
+        bag_tree,
+        tree,
+        l_aux,
+        in_u,
+        same_cluster_nbrs,
+        bag_edges,
+        edges,
+        delta_aux,
+        lin_color,
+        agenda,
+        out,
     }
 }
 

@@ -32,8 +32,8 @@ use crate::virt::{VEnvelope, VOutgoing, VirtMsg, VirtualProgram};
 use awake_graphs::{Graph, NodeId};
 use awake_olocal::edge::{EdgeGreedyView, EdgeIndex, EdgeProblem};
 use awake_sleeping::{
-    Action, CheckpointError, Codec, Config, Envelope, FaultPlan, Metrics, Outbox, Persist, Program,
-    Reader, Round, SimError, View, Writer,
+    persist, Action, CheckpointError, Codec, Config, Envelope, FaultPlan, Metrics, Outbox, Persist,
+    Program, Reader, Round, SimError, View, Writer,
 };
 use std::sync::Arc;
 
@@ -631,24 +631,11 @@ where
     }
 }
 
-/// Dynamic state: the schedule cursor, collected lower decisions and the
-/// own decision. The schedule itself (`wakes`) is derived from the static
-/// [`EdgeCtx`] in [`EdgeGreedy::new`] and stays put.
-impl<EP: EdgeProblem> Persist for EdgeGreedy<EP>
-where
-    EP::Output: Codec,
-{
-    fn save(&self, w: &mut Writer) {
-        self.cursor.encode(w);
-        self.collected.encode(w);
-        self.decided.encode(w);
-    }
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
-        self.cursor = r.get()?;
-        self.collected = r.get()?;
-        self.decided = r.get()?;
-        Ok(())
-    }
+persist! {
+    /// Dynamic state: the schedule cursor, collected lower decisions and the
+    /// own decision. The schedule itself (`wakes`) is derived from the static
+    /// [`EdgeCtx`] in [`EdgeGreedy::new`] and stays put.
+    EdgeGreedy<EP: EdgeProblem> where EP::Output: Codec { cursor, collected, decided }
 }
 
 /// Flatten per-node owned outputs back to canonical edge order.

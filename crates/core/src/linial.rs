@@ -25,9 +25,7 @@
 //!   first step in the general-identifier regime);
 //! * plain function calls inside virtual programs (Lemma 15 on `H[U]`).
 
-use awake_sleeping::{
-    Action, CheckpointError, Codec, Envelope, Outbox, Persist, Program, Reader, View, Writer,
-};
+use awake_sleeping::{persist, Action, Envelope, Outbox, Program, View};
 
 /// Parameters of one reduction step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -271,18 +269,10 @@ impl Program for ColorReduction {
     }
 }
 
-/// Dynamic state: the current color and the schedule cursor. The step
-/// sequence is a pure function of the constructor arguments.
-impl Persist for ColorReduction {
-    fn save(&self, w: &mut Writer) {
-        self.color.encode(w);
-        self.t.encode(w);
-    }
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
-        self.color = r.get()?;
-        self.t = r.get()?;
-        Ok(())
-    }
+persist! {
+    /// Dynamic state: the current color and the schedule cursor. The step
+    /// sequence is a pure function of the constructor arguments.
+    ColorReduction { color, t }
 }
 
 /// Distance-2 variant: colors `G²` using two `G`-rounds per step

@@ -25,7 +25,7 @@ use crate::virt::{VEnvelope, VOutgoing, VertexInput, VirtSim};
 use awake_graphs::Graph;
 use awake_olocal::{GreedyView, OLocalProblem};
 use awake_sleeping::{
-    Action, CheckpointError, Codec, Config, Persist, Reader, Round, SimError, Writer,
+    codec, Action, CheckpointError, Codec, Config, Persist, Reader, Round, SimError, Writer,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -223,20 +223,7 @@ impl<P: OLocalProblem> crate::virt::VirtualProgram for Lemma11Vertex<P> {
     }
 }
 
-impl<O: Codec> Codec for VertexState<O> {
-    fn encode(&self, w: &mut Writer) {
-        self.color.encode(w);
-        self.outputs.encode(w);
-        self.closure.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(VertexState {
-            color: r.get()?,
-            outputs: r.get()?,
-            closure: r.get()?,
-        })
-    }
-}
+codec!(struct VertexState<O: Codec> { color, outputs, closure });
 
 /// Dynamic state: the wake cursor, the received neighbor-vertex states,
 /// the decision map, and the closure. The wake schedule and the decision

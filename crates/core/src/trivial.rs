@@ -9,9 +9,7 @@
 //! `O(√log n · log* n)` (Theorem 1).
 
 use awake_olocal::{GreedyView, OLocalProblem};
-use awake_sleeping::{
-    Action, CheckpointError, Codec, Envelope, Outbox, Persist, Program, Reader, Round, View, Writer,
-};
+use awake_sleeping::{codec, persist, Action, Codec, Envelope, Outbox, Program, Round, View};
 use std::collections::BTreeMap;
 
 /// Message: `(ident, output)`.
@@ -227,65 +225,22 @@ impl<P: OLocalProblem> Program for TrivialGreedy<P> {
     }
 }
 
-impl<O: Codec> Codec for Announce<O> {
-    fn encode(&self, w: &mut Writer) {
-        self.ident.encode(w);
-        self.output.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(Announce {
-            ident: r.get()?,
-            output: r.get()?,
-        })
-    }
-}
+codec!(struct Announce<O: Codec> { ident, output });
 
-impl<O: Codec> Codec for TrivialMsg<O> {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            TrivialMsg::Hello(ident) => {
-                0u8.encode(w);
-                ident.encode(w);
-            }
-            TrivialMsg::Decision(a) => {
-                1u8.encode(w);
-                a.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        match u8::decode(r)? {
-            0 => Ok(TrivialMsg::Hello(r.get()?)),
-            1 => Ok(TrivialMsg::Decision(r.get()?)),
-            _ => Err(CheckpointError::Corrupt("TrivialMsg tag")),
-        }
-    }
-}
+codec!(enum TrivialMsg<O: Codec> { 0 => Hello(ident), 1 => Decision(a) });
 
-/// Dynamic state: the round-1 and crash-degradation flags, the
-/// ident-derived schedule (learned at round 1, hence dynamic), the
-/// schedule cursor, the collected lower decisions and the own decision.
-/// The problem and input are construction inputs and stay put.
-impl<P: OLocalProblem> Persist for TrivialGreedy<P>
-where
-    P::Output: Codec,
-{
-    fn save(&self, w: &mut Writer) {
-        self.started.encode(w);
-        self.degraded.encode(w);
-        self.inner.wakes.encode(w);
-        self.inner.cursor.encode(w);
-        self.inner.collected.encode(w);
-        self.inner.decided.encode(w);
-    }
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
-        self.started = r.get()?;
-        self.degraded = r.get()?;
-        self.inner.wakes = r.get()?;
-        self.inner.cursor = r.get()?;
-        self.inner.collected = r.get()?;
-        self.inner.decided = r.get()?;
-        Ok(())
+persist! {
+    /// Dynamic state: the round-1 and crash-degradation flags, the
+    /// ident-derived schedule (learned at round 1, hence dynamic), the
+    /// schedule cursor, the collected lower decisions and the own decision.
+    /// The problem and input are construction inputs and stay put.
+    TrivialGreedy<P: OLocalProblem> where P::Output: Codec {
+        started,
+        degraded,
+        inner.wakes,
+        inner.cursor,
+        inner.collected,
+        inner.decided,
     }
 }
 

@@ -33,7 +33,8 @@
 
 use crate::gather::{gather_rounds, ClusterView, GatherCore, GatherMsg, GatherStep, MemberRec};
 use awake_sleeping::{
-    Action, CheckpointError, Codec, Envelope, Outbox, Persist, Program, Reader, Round, View, Writer,
+    codec, Action, CheckpointError, Codec, Envelope, Outbox, Persist, Program, Reader, Round, View,
+    Writer,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -604,18 +605,7 @@ where
     }
 }
 
-impl<P: Codec> Codec for VertexInput<P> {
-    fn encode(&self, w: &mut Writer) {
-        self.label.encode(w);
-        self.members.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(VertexInput {
-            label: r.get()?,
-            members: r.get()?,
-        })
-    }
-}
+codec!(struct VertexInput<P: Codec> { label, members });
 
 /// Dynamic state of the simulator: which stage it is in, the gather core's
 /// progress, or the full phase state of the running replica. The replica
@@ -705,43 +695,8 @@ where
     }
 }
 
-impl<P: Codec, M: Codec> Codec for VirtMsg<P, M> {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            VirtMsg::Gather(g) => {
-                0u8.encode(w);
-                g.encode(w);
-            }
-            VirtMsg::Exchange { from, to, seq, msg } => {
-                1u8.encode(w);
-                from.encode(w);
-                to.encode(w);
-                seq.encode(w);
-                msg.encode(w);
-            }
-            VirtMsg::Bag { label, up, items } => {
-                2u8.encode(w);
-                label.encode(w);
-                up.encode(w);
-                items.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        match u8::decode(r)? {
-            0 => Ok(VirtMsg::Gather(r.get()?)),
-            1 => Ok(VirtMsg::Exchange {
-                from: r.get()?,
-                to: r.get()?,
-                seq: r.get()?,
-                msg: r.get()?,
-            }),
-            2 => Ok(VirtMsg::Bag {
-                label: r.get()?,
-                up: r.get()?,
-                items: r.get()?,
-            }),
-            _ => Err(CheckpointError::Corrupt("VirtMsg tag")),
-        }
-    }
-}
+codec!(enum VirtMsg<P: Codec, M: Codec> {
+    0 => Gather(g),
+    1 => Exchange { from, to, seq, msg },
+    2 => Bag { label, up, items },
+});

@@ -10,8 +10,8 @@ use crate::virt::{VEnvelope, VOutgoing, VertexInput, VirtSim, VirtualProgram};
 use awake_graphs::{generators, Graph, GraphBuilder, NodeId};
 use awake_olocal::problems::MaximalIndependentSet;
 use awake_sleeping::{
-    Action, CheckpointError, Codec, Config, Engine, Envelope, Outbox, Persist, Program, Reader,
-    Round, RunSpec, View, Writer,
+    persist, Action, CheckpointError, Codec, Config, Engine, Envelope, Outbox, Persist, Program,
+    Reader, Round, RunSpec, View, Writer,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -167,15 +167,7 @@ impl VirtualProgram for VFlood {
     }
 }
 
-impl Persist for VFlood {
-    fn save(&self, w: &mut Writer) {
-        self.best.encode(w);
-    }
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
-        self.best = r.get()?;
-        Ok(())
-    }
-}
+persist!(VFlood { best });
 
 fn run_vflood(g: &Graph, cl: &Clustering, t: Round) -> (Vec<Option<u64>>, awake_sleeping::Metrics) {
     let db = g.n() as u32;
@@ -371,15 +363,7 @@ impl VirtualProgram for Recorder {
     }
 }
 
-impl Persist for Recorder {
-    fn save(&self, w: &mut Writer) {
-        self.log.encode(w);
-    }
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
-        self.log = r.get()?;
-        Ok(())
-    }
-}
+persist!(Recorder { log });
 
 #[test]
 fn replicas_read_one_sorted_deduplicated_inbox() {

@@ -11,8 +11,11 @@
 
 use awake_core::clustering::{synthesize, Clustering};
 use awake_core::gather::ClusterGather;
-use awake_core::lemma15::{Lemma15Config, Lemma15Vertex};
+use awake_core::lemma11::ColorScheduled;
+use awake_core::lemma14::{L14Payload, TreeGatherVertex};
+use awake_core::lemma15::{Lemma15Config, Lemma15Out, Lemma15Vertex};
 use awake_core::linegraph::greedy_hosts;
+use awake_core::linial::{self, ColorReduction};
 use awake_core::params::Params;
 use awake_core::theorem9::Lemma11Vertex;
 use awake_core::trivial::TrivialGreedy;
@@ -152,17 +155,22 @@ fn node_problem_snapshot_restore_is_bit_for_bit_at_every_round() {
     check_every_round(&g, || mis_programs(&g), None);
 }
 
-#[test]
-fn fault_injected_run_snapshot_restore_is_bit_for_bit_at_every_round() {
-    let g = generators::gnp(24, 0.18, 11);
-    let plan = FaultPlan {
+/// The fault plan of the fault-injected resume and digest runs.
+fn fault_plan() -> FaultPlan {
+    FaultPlan {
         drop_ppm: 60_000,
         dup_ppm: 40_000,
         delay_ppm: 40_000,
         crash_ppm: 25_000,
         delay_rounds: 2,
         ..FaultPlan::new(0xFA17)
-    };
+    }
+}
+
+#[test]
+fn fault_injected_run_snapshot_restore_is_bit_for_bit_at_every_round() {
+    let g = generators::gnp(24, 0.18, 11);
+    let plan = fault_plan();
     let make = || -> Vec<TrivialGreedy<DeltaPlusOneColoring>> {
         g.nodes()
             .map(|_| TrivialGreedy::new(DeltaPlusOneColoring, ()))
@@ -212,24 +220,82 @@ fn clustered() -> (Graph, Clustering, Clustering) {
     (g, colored, overlay)
 }
 
-#[test]
-fn virtualized_lemma15_snapshot_restore_is_bit_for_bit_at_every_round() {
-    let (g, _, cl) = clustered();
-    let params = Params::for_graph(&g);
+/// Lemma 15 on the vertices of `clustered()`'s overlay, with `b = 2` so
+/// the small graph already has vertices of degree above `b`.
+fn lemma15_programs(
+    g: &Graph,
+    cl: &Clustering,
+) -> Vec<VirtSim<Lemma15Vertex, impl Fn(&VertexInput<()>) -> Lemma15Vertex + Copy>> {
+    let params = Params::for_graph(g);
     let cfg = Lemma15Config {
         b: 2,
         label_bound: params.label_bound(1),
         ab2: params.ab2,
     };
     let factory = move |vi: &VertexInput<()>| Lemma15Vertex::new(cfg, vi);
-    let make = || -> Vec<_> {
-        g.nodes()
-            .map(|v| {
-                let a = cl.assign[v.index()].unwrap();
-                VirtSim::participant(a.label, a.depth, g.ident(v), (), 3, factory)
+    g.nodes()
+        .map(|v| {
+            let a = cl.assign[v.index()].unwrap();
+            VirtSim::participant(a.label, a.depth, g.ident(v), (), 3, factory)
+        })
+        .collect()
+}
+
+#[test]
+fn virtualized_lemma15_snapshot_restore_is_bit_for_bit_at_every_round() {
+    let (g, _, cl) = clustered();
+    check_every_executed_round(&g, || lemma15_programs(&g, &cl));
+}
+
+/// Bounds `δ'`, the depth of a vertex in its merged cluster of `H`:
+/// `clustered()`'s `H` has fewer vertices than this.
+const H_DEPTH_BOUND: u32 = 14;
+
+fn tree_gather(vi: &VertexInput<L14Payload>) -> TreeGatherVertex {
+    TreeGatherVertex::new(vi, H_DEPTH_BOUND)
+}
+
+type TreeGatherSim = VirtSim<TreeGatherVertex, fn(&VertexInput<L14Payload>) -> TreeGatherVertex>;
+
+/// Lemma 14's inputs as Theorem 13 builds them: run Lemma 15 on
+/// `clustered()`'s `H`, finalize the `U` vertices, and hand the survivors'
+/// `(γ', δ')` to the tree gather. Returns the number of surviving nodes
+/// with a program factory.
+fn lemma14_case() -> (Graph, usize, impl Fn() -> Vec<TreeGatherSim>) {
+    let (g, _, cl) = clustered();
+    let out15: Vec<Option<Lemma15Out>> = Engine::new(&g, Config::default())
+        .run(lemma15_programs(&g, &cl))
+        .unwrap()
+        .outputs;
+    let survivors = out15
+        .iter()
+        .filter(|o| !o.as_ref().expect("every node participates").in_u)
+        .count();
+    let graph = g.clone();
+    let make = move || -> Vec<TreeGatherSim> {
+        let factory: fn(&VertexInput<L14Payload>) -> TreeGatherVertex = tree_gather;
+        graph
+            .nodes()
+            .map(|v| match &out15[v.index()] {
+                Some(o) if !o.in_u => {
+                    let a = cl.assign[v.index()].unwrap();
+                    let payload: L14Payload = (o.gamma, o.delta);
+                    VirtSim::participant(a.label, a.depth, graph.ident(v), payload, 3, factory)
+                }
+                _ => VirtSim::bystander(factory),
             })
             .collect()
     };
+    (g, survivors, make)
+}
+
+#[test]
+fn virtualized_lemma14_snapshot_restore_is_bit_for_bit_at_every_round() {
+    let (g, survivors, make) = lemma14_case();
+    assert!(
+        survivors > 0,
+        "Lemma 15 finalized every vertex: no Lemma 14 run"
+    );
     check_every_executed_round(&g, make);
 }
 
@@ -263,6 +329,148 @@ fn virtualized_lemma11_snapshot_restore_is_bit_for_bit_at_every_round() {
             .collect()
     };
     check_every_executed_round(&g, make);
+}
+
+/// FNV-1a over bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The FNV-1a digest of the traced run's snapshots after each of the
+/// `rounds`, in order.
+fn snapshot_digest<P>(
+    g: &Graph,
+    make: impl Fn() -> Vec<P>,
+    plan: Option<FaultPlan>,
+    rounds: &[Round],
+) -> u64
+where
+    P: Program + Persist + Send,
+    P::Msg: Codec,
+    P::Output: Codec,
+{
+    let engine = Engine::new(g, traced());
+    let spec = RunSpec::default().with_faults(plan);
+    let mut bytes = Vec::new();
+    for &r in rounds {
+        let snap = engine
+            .run_spec(make(), &spec.pause_after(r))
+            .unwrap()
+            .into_snapshot();
+        bytes.extend_from_slice(snap.as_bytes());
+    }
+    fnv1a(&bytes)
+}
+
+/// The snapshot format, pinned: fixed runs of every persisted program
+/// family, paused at fixed rounds, must encode to the same bytes. A
+/// change to any of these digests is a format change and must bump
+/// `SNAPSHOT_VERSION` in the same commit.
+#[test]
+fn snapshot_bytes_match_the_pinned_digests() {
+    let trivial_g = generators::gnp(24, 0.18, 11);
+    let (clustered_g, colored, cl) = clustered();
+    let edges_g = generators::gnp(16, 0.2, 5);
+    let idx = EdgeIndex::new(&edges_g);
+    let matching_inputs = MaximalMatching.trivial_inputs(&edges_g);
+    let bm21_g = generators::cycle(200);
+    let delta = bm21_g.max_degree() as u64;
+    let linial = || -> Vec<ColorReduction> {
+        bm21_g
+            .nodes()
+            .map(|v| ColorReduction::from_ident(bm21_g.ident(v), bm21_g.ident_bound(), delta))
+            .collect()
+    };
+    let colors = Engine::new(&bm21_g, Config::default())
+        .run(linial())
+        .unwrap()
+        .outputs;
+    let k = linial::final_palette(delta);
+    let scheduled = || -> Vec<ColorScheduled<MaximalIndependentSet>> {
+        bm21_g
+            .nodes()
+            .map(|v| ColorScheduled::new(MaximalIndependentSet, (), colors[v.index()] + 1, k))
+            .collect()
+    };
+    let c = colored.max_label();
+    let lemma11_factory =
+        move |vi: &VertexInput<(u64, ())>| Lemma11Vertex::new(MaximalIndependentSet, vi, c);
+    let lemma11 = || -> Vec<_> {
+        clustered_g
+            .nodes()
+            .map(|v| {
+                let a = cl.assign[v.index()].unwrap();
+                let color = colored.assign[v.index()].unwrap().label;
+                let ident = clustered_g.ident(v);
+                VirtSim::participant(a.label, a.depth, ident, (color, ()), 3, lemma11_factory)
+            })
+            .collect()
+    };
+    let (l14_g, _, l14) = lemma14_case();
+    let cases: [(&str, u64, u64); 7] = [
+        (
+            "trivial MIS under faults",
+            snapshot_digest(
+                &trivial_g,
+                || mis_programs(&trivial_g),
+                Some(fault_plan()),
+                &[3, 9, 17],
+            ),
+            0x687c_9665_73f9_173e,
+        ),
+        (
+            "VirtSim<Lemma15Vertex>",
+            snapshot_digest(
+                &clustered_g,
+                || lemma15_programs(&clustered_g, &cl),
+                None,
+                &[9, 749, 1493, 2225],
+            ),
+            0x942e_76d3_98a1_6815,
+        ),
+        (
+            "VirtSim<Lemma11Vertex>",
+            snapshot_digest(&clustered_g, lemma11, None, &[9, 41, 77]),
+            0x3f58_7971_329d_c151,
+        ),
+        (
+            "greedy_hosts",
+            snapshot_digest(
+                &edges_g,
+                || greedy_hosts(&edges_g, &idx, &MaximalMatching, &matching_inputs),
+                None,
+                &[3, 8, 13],
+            ),
+            0x2668_fc44_a738_802f,
+        ),
+        (
+            "ColorReduction",
+            snapshot_digest(&bm21_g, linial, None, &[1]),
+            0x6862_5a35_406c_e176,
+        ),
+        (
+            "ColorScheduled",
+            snapshot_digest(&bm21_g, scheduled, None, &[2, 5, 9, 13]),
+            0xc9c1_2a53_387a_0279,
+        ),
+        (
+            "VirtSim<TreeGatherVertex>",
+            snapshot_digest(&l14_g, l14, None, &[9, 185, 233]),
+            0x4e3b_8210_0f07_0025,
+        ),
+    ];
+    let drifted: Vec<String> = cases
+        .iter()
+        .filter(|(_, got, want)| got != want)
+        .map(|(name, got, want)| format!("{name}: {got:#018x} (pinned {want:#018x})"))
+        .collect();
+    assert!(
+        drifted.is_empty(),
+        "snapshot format drifted:\n{}",
+        drifted.join("\n")
+    );
 }
 
 #[test]

@@ -49,6 +49,16 @@
 //! dynamic field it saved. Crash-restart uses the same pair mid-round, so
 //! a `restore` after `save` must reproduce the saved state exactly even on
 //! a program that has advanced past it.
+//!
+//! # Declaring a layout
+//!
+//! A layout is written once, as a field list: [`codec!`](crate::codec!)
+//! for message, output and record types (structs and tagged enums), and
+//! [`persist!`](crate::persist!) for a program's dynamic fields. Each
+//! expands to an encode and a decode that walk the same list, so the two
+//! orders cannot drift apart. Hand-write an impl only when `restore` must
+//! validate the image, rebuild state derived from it, or delegate to an
+//! inner [`Persist`].
 
 use crate::engine::{Boundary, Checkpoint, FaultCtx, NEVER};
 use crate::faults::{DelayedMsg, FaultPlan, FaultState};
@@ -242,9 +252,10 @@ impl<'a> Reader<'a> {
 
 /// Binary serialization of one value, little-endian and self-delimiting.
 ///
-/// Implemented for the std types snapshots are built from; algorithm
-/// crates implement it for their message and output types so their
-/// programs can be [`Persist`]ed.
+/// Implemented here for the std types snapshots are built from. A struct
+/// or enum of such values declares its layout once with
+/// [`codec!`](crate::codec!); write an impl by hand only when decoding
+/// must validate or the layout is not a plain field list.
 pub trait Codec: Sized {
     /// Append this value's encoding to `w`.
     fn encode(&self, w: &mut Writer);
@@ -456,6 +467,132 @@ tuple_codec!(A: 0, B: 1, C: 2);
 tuple_codec!(A: 0, B: 1, C: 2, D: 3);
 tuple_codec!(A: 0, B: 1, C: 2, D: 3, E: 4);
 
+/// Implement [`Codec`] for a struct or an enum from one list of its
+/// fields, so the encode and decode orders cannot drift apart.
+///
+/// A struct lists its fields; they are encoded in order. An enum lists
+/// `tag => Variant` arms, each a unit, tuple or struct variant naming its
+/// fields; the tag is one byte, and an unlisted tag decodes to
+/// [`CheckpointError::Corrupt`]. Each type parameter takes one bound.
+///
+/// ```
+/// use awake_sleeping::{codec, Codec, Reader, Writer};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Rec<P> { id: u64, payload: P }
+/// codec!(struct Rec<P: Codec> { id, payload });
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Msg { Ping, Hello(u64, bool), Bag { label: u64, items: Vec<u32> } }
+/// codec!(enum Msg { 0 => Ping, 1 => Hello(id, up), 2 => Bag { label, items } });
+///
+/// let mut w = Writer::new();
+/// w.put(&Rec { id: 7, payload: Msg::Hello(3, true) });
+/// let bytes = w.into_bytes();
+/// let back: Rec<Msg> = Reader::new(&bytes).get().unwrap();
+/// assert_eq!(back, Rec { id: 7, payload: Msg::Hello(3, true) });
+/// assert!(Reader::new(&[9]).get::<Msg>().is_err());
+/// ```
+#[macro_export]
+macro_rules! codec {
+    (
+        struct $name:ident $(<$($g:ident $(: $b:path)?),+>)?
+        { $($field:ident),* $(,)? }
+    ) => {
+        impl $(<$($g $(: $b)?),+>)? $crate::Codec for $name $(<$($g),+>)? {
+            fn encode(&self, w: &mut $crate::Writer) {
+                $(w.put(&self.$field);)*
+            }
+            fn decode(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::CheckpointError> {
+                Ok(Self { $($field: r.get()?),* })
+            }
+        }
+    };
+    (
+        enum $name:ident $(<$($g:ident $(: $b:path)?),+>)?
+        {
+            $($tag:literal => $var:ident
+                $(($($tf:ident),+))?
+                $({ $($sf:ident),+ })?),+
+            $(,)?
+        }
+    ) => {
+        impl $(<$($g $(: $b)?),+>)? $crate::Codec for $name $(<$($g),+>)? {
+            fn encode(&self, w: &mut $crate::Writer) {
+                match self {
+                    $(Self::$var $(($($tf),+))? $({ $($sf),+ })? => {
+                        w.put::<u8>(&$tag);
+                        $($(w.put($tf);)+)?
+                        $($(w.put($sf);)+)?
+                    })+
+                }
+            }
+            fn decode(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::CheckpointError> {
+                match r.get::<u8>()? {
+                    $($tag => {
+                        $($(let $tf = r.get()?;)+)?
+                        $($(let $sf = r.get()?;)+)?
+                        Ok(Self::$var $(($($tf),+))? $({ $($sf),+ })?)
+                    })+
+                    _ => Err($crate::CheckpointError::Corrupt(concat!(stringify!($name), " tag"))),
+                }
+            }
+        }
+    };
+}
+
+/// Implement [`Persist`] from one list of a program's dynamic fields:
+/// `save` encodes them in order and `restore` decodes them back in
+/// place. A field may be a nested path such as `inner.cursor`. Each type
+/// parameter takes one bound, and an optional `where` clause adds more;
+/// doc comments before the type name document the impl.
+///
+/// Write the impl by hand only when `restore` must validate the image,
+/// rebuild derived state, or delegate to an inner [`Persist`].
+///
+/// ```
+/// use awake_sleeping::{persist, Persist, Reader, Writer};
+///
+/// struct Schedule { wakes: Vec<u64>, cursor: usize }
+/// struct Node { ident: u64, best: u64, inner: Schedule }
+/// // `ident` and `wakes` are construction inputs: not persisted
+/// persist!(Node { best, inner.cursor });
+///
+/// let fresh = || Node { ident: 4, best: 4, inner: Schedule { wakes: vec![2, 5], cursor: 0 } };
+/// let mut node = fresh();
+/// (node.best, node.inner.cursor) = (9, 1);
+/// let mut w = Writer::new();
+/// node.save(&mut w);
+/// let bytes = w.into_bytes();
+/// let mut restored = fresh();
+/// restored.restore(&mut Reader::new(&bytes)).unwrap();
+/// assert_eq!((restored.best, restored.inner.cursor), (9, 1));
+/// ```
+#[macro_export]
+macro_rules! persist {
+    (
+        $(#[$attr:meta])*
+        $name:ident $(<$($g:ident $(: $b:path)?),+>)?
+        $(where $($wt:ty: $wb:path),+)?
+        { $($head:ident $(.$tail:ident)*),* $(,)? }
+    ) => {
+        $(#[$attr])*
+        impl $(<$($g $(: $b)?),+>)? $crate::Persist for $name $(<$($g),+>)?
+        $(where $($wt: $wb),+)?
+        {
+            fn save(&self, w: &mut $crate::Writer) {
+                $(w.put(&self.$head $(.$tail)*);)*
+                let _ = w; // unused when the list is empty
+            }
+            fn restore(&mut self, r: &mut $crate::Reader<'_>) -> Result<(), $crate::CheckpointError> {
+                $(self.$head $(.$tail)* = r.get()?;)*
+                let _ = r;
+                Ok(())
+            }
+        }
+    };
+}
+
 /// Per-node program state capture for snapshots and crash-restart.
 ///
 /// `save` writes the program's *dynamic* state (everything that changes
@@ -647,169 +784,32 @@ fn graph_fingerprint(g: &Graph) -> u64 {
     h
 }
 
-fn encode_trace_mode(mode: TraceMode, w: &mut Writer) {
-    match mode {
-        TraceMode::Off => w.bytes(&[0]),
-        TraceMode::Capped(cap) => {
-            w.bytes(&[1]);
-            cap.encode(w);
-        }
-    }
-}
+codec!(enum TraceMode { 0 => Off, 1 => Capped(cap) });
 
-fn decode_trace_mode(r: &mut Reader<'_>) -> Result<TraceMode, CheckpointError> {
-    match r.take(1)?[0] {
-        0 => Ok(TraceMode::Off),
-        1 => Ok(TraceMode::Capped(usize::decode(r)?)),
-        _ => Err(CheckpointError::Corrupt("trace mode tag")),
-    }
-}
+codec!(enum TraceEvent {
+    0 => Awake { round, node },
+    1 => Delivered { round, from, to },
+    2 => Lost { round, from, to },
+    3 => Sleep { round, node, until },
+    4 => Halt { round, node },
+    5 => FaultDrop { round, from, to },
+    6 => FaultDelay { round, from, to, until },
+    7 => Crash { round, node },
+});
 
-impl Codec for TraceEvent {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            TraceEvent::Awake { round, node } => {
-                w.bytes(&[0]);
-                round.encode(w);
-                node.encode(w);
-            }
-            TraceEvent::Delivered { round, from, to } => {
-                w.bytes(&[1]);
-                round.encode(w);
-                from.encode(w);
-                to.encode(w);
-            }
-            TraceEvent::Lost { round, from, to } => {
-                w.bytes(&[2]);
-                round.encode(w);
-                from.encode(w);
-                to.encode(w);
-            }
-            TraceEvent::Sleep { round, node, until } => {
-                w.bytes(&[3]);
-                round.encode(w);
-                node.encode(w);
-                until.encode(w);
-            }
-            TraceEvent::Halt { round, node } => {
-                w.bytes(&[4]);
-                round.encode(w);
-                node.encode(w);
-            }
-            TraceEvent::FaultDrop { round, from, to } => {
-                w.bytes(&[5]);
-                round.encode(w);
-                from.encode(w);
-                to.encode(w);
-            }
-            TraceEvent::FaultDelay {
-                round,
-                from,
-                to,
-                until,
-            } => {
-                w.bytes(&[6]);
-                round.encode(w);
-                from.encode(w);
-                to.encode(w);
-                until.encode(w);
-            }
-            TraceEvent::Crash { round, node } => {
-                w.bytes(&[7]);
-                round.encode(w);
-                node.encode(w);
-            }
-        }
-    }
+codec!(struct FaultPlan {
+    seed,
+    drop_ppm,
+    dup_ppm,
+    delay_ppm,
+    crash_ppm,
+    delay_rounds,
+    burst_start,
+    burst_len,
+    quiet_after,
+});
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(match r.take(1)?[0] {
-            0 => TraceEvent::Awake {
-                round: r.get()?,
-                node: r.get()?,
-            },
-            1 => TraceEvent::Delivered {
-                round: r.get()?,
-                from: r.get()?,
-                to: r.get()?,
-            },
-            2 => TraceEvent::Lost {
-                round: r.get()?,
-                from: r.get()?,
-                to: r.get()?,
-            },
-            3 => TraceEvent::Sleep {
-                round: r.get()?,
-                node: r.get()?,
-                until: r.get()?,
-            },
-            4 => TraceEvent::Halt {
-                round: r.get()?,
-                node: r.get()?,
-            },
-            5 => TraceEvent::FaultDrop {
-                round: r.get()?,
-                from: r.get()?,
-                to: r.get()?,
-            },
-            6 => TraceEvent::FaultDelay {
-                round: r.get()?,
-                from: r.get()?,
-                to: r.get()?,
-                until: r.get()?,
-            },
-            7 => TraceEvent::Crash {
-                round: r.get()?,
-                node: r.get()?,
-            },
-            _ => return Err(CheckpointError::Corrupt("trace event tag")),
-        })
-    }
-}
-
-impl Codec for FaultPlan {
-    fn encode(&self, w: &mut Writer) {
-        self.seed.encode(w);
-        self.drop_ppm.encode(w);
-        self.dup_ppm.encode(w);
-        self.delay_ppm.encode(w);
-        self.crash_ppm.encode(w);
-        self.delay_rounds.encode(w);
-        self.burst_start.encode(w);
-        self.burst_len.encode(w);
-        self.quiet_after.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(FaultPlan {
-            seed: r.get()?,
-            drop_ppm: r.get()?,
-            dup_ppm: r.get()?,
-            delay_ppm: r.get()?,
-            crash_ppm: r.get()?,
-            delay_rounds: r.get()?,
-            burst_start: r.get()?,
-            burst_len: r.get()?,
-            quiet_after: r.get()?,
-        })
-    }
-}
-
-impl<M: Codec> Codec for DelayedMsg<M> {
-    fn encode(&self, w: &mut Writer) {
-        self.due.encode(w);
-        self.from.encode(w);
-        self.to.encode(w);
-        self.msg.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(DelayedMsg {
-            due: r.get()?,
-            from: r.get()?,
-            to: r.get()?,
-            msg: r.get()?,
-        })
-    }
-}
+codec!(struct DelayedMsg<M: Codec> { due, from, to, msg });
 
 /// Serialize the run paused at boundary `st`, with every program in its
 /// slot. The boundary is the same at any worker count, so snapshots of
@@ -832,7 +832,7 @@ where
     st.prev_round.encode(&mut w);
     graph_fingerprint(graph).encode(&mut w);
     config.max_rounds.encode(&mut w);
-    encode_trace_mode(config.trace, &mut w);
+    config.trace.encode(&mut w);
     n.encode(&mut w);
     st.next_wake.encode(&mut w);
     st.stay.encode(&mut w);
@@ -906,7 +906,7 @@ where
         return Err(CheckpointError::GraphMismatch);
     }
     let max_rounds = Round::decode(&mut r)?;
-    let trace = decode_trace_mode(&mut r)?;
+    let trace = TraceMode::decode(&mut r)?;
     let config = Config { max_rounds, trace };
     if usize::decode(&mut r)? != n {
         return Err(CheckpointError::GraphMismatch);
@@ -1093,6 +1093,17 @@ mod tests {
             Option::<u8>::decode(&mut r).unwrap_err(),
             CheckpointError::Corrupt(_)
         ));
+        // one past the last tag of each enum `codec!` implements here
+        let mut r = Reader::new(&[8, 0]);
+        assert_eq!(
+            TraceEvent::decode(&mut r).unwrap_err(),
+            CheckpointError::Corrupt("TraceEvent tag")
+        );
+        let mut r = Reader::new(&[2, 0]);
+        assert_eq!(
+            TraceMode::decode(&mut r).unwrap_err(),
+            CheckpointError::Corrupt("TraceMode tag")
+        );
     }
 
     #[test]
@@ -1170,6 +1181,8 @@ mod tests {
         ] {
             roundtrip(ev);
         }
+        roundtrip(TraceMode::Off);
+        roundtrip(TraceMode::Capped(1 << 20));
     }
 
     #[test]
@@ -1208,12 +1221,7 @@ mod tests {
                 None
             }
         }
-        impl Persist for Idle {
-            fn save(&self, _: &mut Writer) {}
-            fn restore(&mut self, _: &mut Reader<'_>) -> Result<(), CheckpointError> {
-                Ok(())
-            }
-        }
+        persist!(Idle {});
         let graph = awake_graphs::generators::path(1);
         let mut m = Metrics::new(1);
         m.rounds = 99;

@@ -110,7 +110,7 @@
 //! ```
 //! use awake_graphs::generators;
 //! use awake_sleeping::{Config, Engine, Paused, RunSpec};
-//! # use awake_sleeping::{Action, CheckpointError, Envelope, Outbox, Persist, Program, Reader, View, Writer};
+//! # use awake_sleeping::{Action, Envelope, Outbox, Program, View};
 //! # #[derive(Clone)]
 //! # struct Hello;
 //! # impl Program for Hello {
@@ -122,10 +122,7 @@
 //! #     }
 //! #     fn output(&self) -> Option<u64> { Some(1) }
 //! # }
-//! # impl Persist for Hello {
-//! #     fn save(&self, _: &mut Writer) {}
-//! #     fn restore(&mut self, _: &mut Reader<'_>) -> Result<(), CheckpointError> { Ok(()) }
-//! # }
+//! # awake_sleeping::persist!(Hello {});
 //! let g = generators::cycle(5);
 //! let engine = Engine::new(&g, Config::default());
 //! let pause = RunSpec::default().pause_after(2);

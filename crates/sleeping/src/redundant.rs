@@ -344,17 +344,7 @@ mod tests {
         }
     }
 
-    impl Persist for FloodMax {
-        fn save(&self, w: &mut Writer) {
-            self.best.encode(w);
-            self.quiet.encode(w);
-        }
-        fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
-            self.best = u64::decode(r)?;
-            self.quiet = u64::decode(r)?;
-            Ok(())
-        }
-    }
+    crate::persist!(FloodMax { best, quiet });
 
     fn flood(n: usize) -> Vec<FloodMax> {
         (0..n)

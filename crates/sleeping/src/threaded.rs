@@ -756,8 +756,7 @@ where
 mod tests {
     use super::*;
     use crate::{
-        Action, CheckpointError, Codec, Engine, FaultPlan, Persist, Reader, ResumeError, RunSpec,
-        Snapshot, TraceMode, View, Writer,
+        Action, Codec, Engine, FaultPlan, Persist, ResumeError, RunSpec, Snapshot, TraceMode, View,
     };
     use awake_graphs::generators;
 
@@ -790,30 +789,7 @@ mod tests {
         }
     }
 
-    /// `Persist` for test programs whose whole dynamic state is one
-    /// `Codec` field (or nothing).
-    macro_rules! persist {
-        ($t:ty, $field:ident) => {
-            impl Persist for $t {
-                fn save(&self, w: &mut Writer) {
-                    self.$field.encode(w);
-                }
-                fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
-                    self.$field = r.get()?;
-                    Ok(())
-                }
-            }
-        };
-        ($t:ty) => {
-            impl Persist for $t {
-                fn save(&self, _: &mut Writer) {}
-                fn restore(&mut self, _: &mut Reader<'_>) -> Result<(), CheckpointError> {
-                    Ok(())
-                }
-            }
-        };
-    }
-    persist!(FloodMax, best);
+    crate::persist!(FloodMax { best });
 
     /// Run `spec` to completion (no pause bound is set by callers).
     fn run<P>(
@@ -1008,7 +984,7 @@ mod tests {
 
     /// Wakes at `u64::MAX - 1` and stays awake.
     struct StaysToTheEnd;
-    persist!(StaysToTheEnd);
+    crate::persist!(StaysToTheEnd {});
 
     impl Program for StaysToTheEnd {
         type Msg = ();
@@ -1093,7 +1069,7 @@ mod tests {
         rounds: u64,
         heard: u64,
     }
-    persist!(LoneStayer, heard);
+    crate::persist!(LoneStayer { heard });
 
     impl Program for LoneStayer {
         type Msg = u64;
@@ -1140,7 +1116,7 @@ mod tests {
         wake: Round,
         heard: u64,
     }
-    persist!(GappedWake, heard);
+    crate::persist!(GappedWake { heard });
 
     impl Program for GappedWake {
         type Msg = u64;
@@ -1201,7 +1177,7 @@ mod tests {
     struct BadSendAt {
         bad: bool,
     }
-    persist!(BadSendAt);
+    crate::persist!(BadSendAt {});
     impl Program for BadSendAt {
         type Msg = ();
         type Output = ();
@@ -1248,7 +1224,7 @@ mod tests {
     struct SleepsBackward {
         offender: bool,
     }
-    persist!(SleepsBackward);
+    crate::persist!(SleepsBackward {});
     impl Program for SleepsBackward {
         type Msg = ();
         type Output = ();

@@ -14,7 +14,7 @@
 //! Sleeping model's semantics stated directly.
 
 use awake_graphs::{generators, Graph, NodeId};
-use awake_sleeping::checkpoint::{Paused, Persist, Reader, Snapshot, Writer};
+use awake_sleeping::checkpoint::{Paused, Snapshot};
 use awake_sleeping::threaded::run_threaded_timed;
 use awake_sleeping::{
     Action, CheckpointError, Config, Engine, Envelope, FaultKind, FaultPlan, Metrics, Outbox,
@@ -82,20 +82,7 @@ impl Program for ScriptProg {
     }
 }
 
-impl Persist for ScriptProg {
-    fn save(&self, w: &mut Writer) {
-        use awake_sleeping::checkpoint::Codec;
-        self.heard.encode(w);
-    }
-    fn restore(
-        &mut self,
-        r: &mut Reader<'_>,
-    ) -> Result<(), awake_sleeping::checkpoint::CheckpointError> {
-        use awake_sleeping::checkpoint::Codec;
-        self.heard = Vec::decode(r)?;
-        Ok(())
-    }
-}
+awake_sleeping::persist!(ScriptProg { heard });
 
 fn progs(scripts: &[Vec<u64>]) -> Vec<ScriptProg> {
     scripts

@@ -18,9 +18,7 @@ use awake::graphs::{generators, Graph, NodeId};
 use awake::olocal::edge::{
     solve_edges_sequentially, EdgeColoring, EdgeIndex, EdgeProblem, MaximalMatching,
 };
-use awake::sleeping::{
-    Action, CheckpointError, Codec, Config, Engine, Persist, Reader, Round, SimError, Writer,
-};
+use awake::sleeping::{Action, Codec, Config, Engine, Round, SimError};
 
 /// Run the spec table over the adapter's hosts for `problem` — through
 /// the stage runner the solver uses, so faulty rows run wrapped in time
@@ -125,12 +123,7 @@ impl VirtualProgram for MaybeBad {
     }
 }
 
-impl Persist for MaybeBad {
-    fn save(&self, _: &mut Writer) {}
-    fn restore(&mut self, _: &mut Reader<'_>) -> Result<(), CheckpointError> {
-        Ok(())
-    }
-}
+awake::sleeping::persist!(MaybeBad {});
 
 fn bad_hosts(g: &Graph, idx: &EdgeIndex, bad_labels: &[u64]) -> Vec<LineGraphHost<MaybeBad>> {
     hosts(g, idx, |ctx| MaybeBad {

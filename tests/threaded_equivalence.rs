@@ -13,8 +13,7 @@ use awake::graphs::{generators, Graph};
 use awake::olocal::problems::{DeltaPlusOneColoring, MaximalIndependentSet};
 use awake::olocal::OLocalProblem;
 use awake::sleeping::{
-    Action, CheckpointError, Codec, Engine, Envelope, Outbox, Persist, Program, Reader, Round,
-    RunSpec, View, Writer,
+    Action, Codec, Engine, Envelope, Outbox, Persist, Program, Round, RunSpec, View,
 };
 
 fn assert_equivalent<P>(g: &Graph, mk: impl Fn() -> Vec<P>)
@@ -105,15 +104,7 @@ impl Program for BlockBoundary {
     }
 }
 
-impl Persist for BlockBoundary {
-    fn save(&self, w: &mut Writer) {
-        self.heard.encode(w);
-    }
-    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
-        self.heard = r.get()?;
-        Ok(())
-    }
-}
+awake::sleeping::persist!(BlockBoundary { heard });
 
 /// A wheel wake (node 1 at round 66) coinciding with a stay-lane round
 /// after the seed events cascade across the first 64-round block boundary.
