@@ -23,6 +23,14 @@
 //! the output view is built once. Each cap here is the measured rate plus
 //! at most 25%, so a copy creeping back in fails it.
 //!
+//! In the paper's regime (Δ > b, here `random_regular(64, 16)`) clusters
+//! merge and grow, and a per-member copy of the cluster costs |C|² per
+//! cluster. There Lemma 14 read 14.1 allocations per awake event while
+//! every replica rebuilt the merged cluster's BFS, and the root-overlay
+//! gather read 46.9 while every member deep-copied every member record.
+//! With the BFS memoized on the shared record set and one `Arc` per member
+//! record they read 6.8 and 10.6; the sparse rates above did not move.
+//!
 //! The worker pool's dispatched rounds recycle every buffer they use, so
 //! once the first rounds have grown them a flood at 4 workers allocates
 //! nothing per node-round; the cap here catches a per-round or per-node
@@ -33,6 +41,7 @@
 
 use awake_core::clustering::Clustering;
 use awake_core::gather::ClusterGather;
+use awake_core::lemma14::{lemma14_vrounds, L14Payload, TreeGatherVertex};
 use awake_core::lemma15::{Lemma15Config, Lemma15Vertex};
 use awake_core::linegraph::{self, EdgeGreedy, LineGraphHost};
 use awake_core::params::Params;
@@ -207,6 +216,86 @@ fn virtualized_lemma15_and_lemma11_share_instead_of_copying() {
     assert!(
         lemma11 <= 2.0,
         "VirtSim<Lemma11Vertex> regressed: {lemma11:.3} allocs/awake event (cap 2)"
+    );
+}
+
+#[test]
+fn dense_regime_lemma14_and_gather_share_instead_of_copying() {
+    let _alone = counting_alone();
+    // The paper's regime, Δ > b: Lemma 15 leaves survivors, Lemma 14
+    // merges them, and the final clusters are large.
+    let g = generators::random_regular(64, 16, 1);
+    let params = Params::for_graph(&g);
+    let db = params.depth_bound;
+    let singletons = Clustering::singletons(&g);
+
+    // Lemma 15 as Theorem 13's first iteration runs it (not counted).
+    let cfg = Lemma15Config {
+        b: params.b,
+        label_bound: params.label_bound(1),
+        ab2: params.ab2,
+    };
+    let factory = move |vi: &VertexInput<()>| Lemma15Vertex::new(cfg, vi);
+    let programs: Vec<_> = g
+        .nodes()
+        .map(|v| {
+            let a = singletons.assign[v.index()].unwrap();
+            VirtSim::participant(a.label, a.depth, g.ident(v), (), db, factory)
+        })
+        .collect();
+    let config = Config::with_max_rounds(virt_rounds(db, cfg.vrounds() + 2) + 2);
+    let out15 = Engine::new(&g, config).run(programs).unwrap().outputs;
+
+    // Lemma 14 on its survivors.
+    let factory = move |vi: &VertexInput<L14Payload>| TreeGatherVertex::new(vi, db);
+    let programs: Vec<_> = g
+        .nodes()
+        .map(
+            |v| match (singletons.assign[v.index()], &out15[v.index()]) {
+                (Some(a), Some(o)) if !o.in_u => VirtSim::participant(
+                    a.label,
+                    a.depth,
+                    g.ident(v),
+                    (o.gamma, o.delta),
+                    db,
+                    factory,
+                ),
+                _ => VirtSim::bystander(factory),
+            },
+        )
+        .collect();
+    let config = Config::with_max_rounds(virt_rounds(db, lemma14_vrounds(db) + 2) + 2);
+    let (lemma14, outs) = run_allocs_per_event(&g, config, programs);
+    assert!(
+        outs.iter().flatten().any(|o| o.depths.len() > 1),
+        "Lemma 14 merges clusters"
+    );
+
+    // The root-overlay gather Theorem 9 runs over Theorem 13's clustering.
+    let clustering = theorem13::compute(&g, &params).unwrap().clustering;
+    let db = g.n() as u32;
+    let gather: Vec<ClusterGather<()>> = g
+        .nodes()
+        .map(|v| {
+            let a = clustering.assign[v.index()].unwrap();
+            ClusterGather::participant(a.label, a.depth, g.ident(v), (), db)
+        })
+        .collect();
+    let (gather, views) = run_allocs_per_event(&g, Config::default(), gather);
+    let largest = views.iter().flatten().map(|v| v.members.len()).max();
+    assert!(
+        largest > Some(1),
+        "the final clustering has a multi-member cluster"
+    );
+
+    println!("dense allocs/awake event: lemma14 {lemma14:.3}, root-overlay gather {gather:.3}");
+    assert!(
+        lemma14 <= 8.5,
+        "VirtSim<TreeGatherVertex> regressed: {lemma14:.3} allocs/awake event (cap 8.5)"
+    );
+    assert!(
+        gather <= 13.0,
+        "dense ClusterGather regressed: {gather:.3} allocs/awake event (cap 13)"
     );
 }
 

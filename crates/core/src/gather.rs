@@ -50,8 +50,9 @@ pub struct ClusterView<P> {
     pub my_ident: u64,
     /// This node's depth.
     pub my_depth: u32,
-    /// All members, keyed by identifier.
-    pub members: BTreeMap<u64, MemberRec<P>>,
+    /// All members, keyed by identifier. Each record is shared with the
+    /// bags that carried it and with every other member's view.
+    pub members: BTreeMap<u64, Arc<MemberRec<P>>>,
     /// This node's ports: `(port, neighbor ident, neighbor label)`.
     pub my_ports: Vec<(NodeId, u64, u64)>,
 }
@@ -73,14 +74,15 @@ pub enum GatherMsg<P> {
     /// Round-1 announcement: `(label, depth, ident, payload)`.
     Hello(u64, u32, u64, P),
     /// A bag of member records; `up = true` on the convergecast leg.
-    /// Shared via `Arc` so per-recipient clones are O(1).
+    /// Shared via `Arc` so per-recipient clones are O(1), and each record
+    /// sits behind its own `Arc` so merging a bag copies pointers.
     Bag {
         /// The sending cluster's label (receivers filter on it).
         label: u64,
         /// Convergecast (`true`) or broadcast (`false`) leg.
         up: bool,
         /// The records.
-        recs: Arc<Vec<MemberRec<P>>>,
+        recs: Arc<Vec<Arc<MemberRec<P>>>>,
     },
 }
 
@@ -102,7 +104,7 @@ pub struct GatherCore<P> {
     has_children: bool,
     /// The records gathered so far, shared with the bags that carry them
     /// (a send is a reference-count increment, not a copy).
-    bag: Arc<Vec<MemberRec<P>>>,
+    bag: Arc<Vec<Arc<MemberRec<P>>>>,
     /// Whether the bag holds the whole cluster (the view is ready).
     done: bool,
     my_ports: Vec<(NodeId, u64, u64)>,
@@ -163,19 +165,21 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
         self.bc_base() + self.depth as Round
     }
 
-    /// A copy of the completed view (once [`GatherStep::Done`]).
+    /// The completed view (once [`GatherStep::Done`]); its records are
+    /// shared with the core, not copied.
     pub fn view(&self) -> Option<ClusterView<P>> {
         self.done.then(|| ClusterView {
             label: self.label,
             my_ident: self.ident,
             my_depth: self.depth,
-            members: self.bag.iter().map(|r| (r.ident, r.clone())).collect(),
+            members: self.bag.iter().map(|r| (r.ident, Arc::clone(r))).collect(),
             my_ports: self.my_ports.clone(),
         })
     }
 
     /// Consume the core, moving its records into the completed view
-    /// (copying them only if a bag in flight still shares them).
+    /// (copying the record pointers only if a bag in flight still shares
+    /// them).
     pub fn into_view(self) -> Option<ClusterView<P>> {
         self.done.then(|| ClusterView {
             label: self.label,
@@ -251,13 +255,13 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
             }
             intra.sort_unstable();
             border.sort_unstable_by_key(|b| (b.0, b.1));
-            self.bag = Arc::new(vec![MemberRec {
+            self.bag = Arc::new(vec![Arc::new(MemberRec {
                 ident: self.ident,
                 depth: self.depth,
                 payload: self.payload.clone(),
                 intra,
                 border,
-            }]);
+            })]);
             // Singleton root: nothing more to do.
             if self.depth == 0 && !self.has_children {
                 self.done = true;
@@ -313,7 +317,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
                 if *label == self.label && *u == up {
                     for r in recs.iter() {
                         if seen.insert(r.ident) {
-                            bag.push(r.clone());
+                            bag.push(Arc::clone(r));
                         }
                     }
                 }

@@ -148,4 +148,44 @@ mod tests {
                 .unwrap();
         }
     }
+
+    /// In the paper's regime (Δ > b) clusters merge and Lemma 14's shared
+    /// record sets fill their depth memo from whichever worker gets there
+    /// first; the run must still equal the serial one bit for bit.
+    #[test]
+    fn pooled_runs_equal_the_serial_run_when_clusters_merge() {
+        let g = generators::random_regular(64, 16, 1);
+        let inputs = vec![(); g.n()];
+        let solve = |spec: &StageSpec| {
+            solve_spec(
+                &g,
+                &MaximalIndependentSet,
+                &inputs,
+                Options::default(),
+                spec,
+            )
+            .unwrap()
+        };
+        let serial = solve(&StageSpec::default());
+        assert!(
+            serial
+                .composition
+                .stages
+                .iter()
+                .any(|s| s.name.contains("lemma14")),
+            "Lemma 14 runs"
+        );
+        for workers in [1, 2, 4, 8] {
+            let pooled = solve(&StageSpec::on(workers));
+            assert_eq!(serial.outputs, pooled.outputs, "{workers} workers: outputs");
+            assert_eq!(
+                serial.clustering, pooled.clustering,
+                "{workers} workers: clustering"
+            );
+            assert_eq!(
+                serial.composition, pooled.composition,
+                "{workers} workers: stages"
+            );
+        }
+    }
 }

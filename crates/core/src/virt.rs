@@ -22,14 +22,23 @@
 //!
 //! # Sharing
 //!
-//! Replicas share read-only data instead of copying it. The gathered
-//! [`VertexInput`] keeps its member records behind one `Arc`. Virtual
-//! messages travel inline: every port, merge bag and collected entry that
-//! carries one holds its own clone, so [`VirtualProgram::Msg`] must be
-//! cheap to clone — a program keeps a large payload behind an `Arc` inside
-//! its message type, and cloning the message then shares the payload.
-//! Nothing is mutated once shared. An `Arc<T>` encodes exactly like `T`,
-//! so snapshots do not see the sharing.
+//! Replicas share read-only data instead of copying it. Each member record
+//! is one `Arc`, created by its member in the setup gather and shared from
+//! then on by every bag that carries it, every member's view and every
+//! replica's [`VertexInput`], so building a cluster's inputs copies
+//! pointers, not records. Virtual messages travel inline: every port,
+//! merge bag and collected entry that carries one holds its own clone, so
+//! [`VirtualProgram::Msg`] must be cheap to clone — a program keeps a large
+//! payload behind an `Arc` inside its message type, and cloning the message
+//! then shares the payload.
+//!
+//! Nothing is mutated once shared. A result that is a pure function of a
+//! shared value — the same for every replica of a cluster, such as Lemma
+//! 14's merged-cluster depths — may be memoized on that value's allocation,
+//! so the first replica computes it and the others read it (see
+//! [`crate::lemma14::RecordSet`]). An `Arc<T>` encodes exactly like `T` and
+//! a memo is never encoded, so snapshots see neither the sharing nor the
+//! memo: a decoded value starts with an empty memo and fills it again.
 
 use crate::gather::{gather_rounds, ClusterView, GatherCore, GatherMsg, GatherStep, MemberRec};
 use awake_sleeping::{
@@ -50,7 +59,7 @@ pub struct VertexInput<P> {
     pub label: u64,
     /// Every member's record, shared by every holder of this input and
     /// never mutated.
-    pub members: Arc<BTreeMap<u64, MemberRec<P>>>,
+    pub members: Arc<BTreeMap<u64, Arc<MemberRec<P>>>>,
 }
 
 /// A member's gathered view, less its own identifier, depth and ports.
