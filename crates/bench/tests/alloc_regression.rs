@@ -30,6 +30,10 @@
 //! gather read 46.9 while every member deep-copied every member record.
 //! With the BFS memoized on the shared record set and one `Arc` per member
 //! record they read 6.8 and 10.6; the sparse rates above did not move.
+//! Lemma 11 on `H` read 2.06 there while every replica ran the cluster's
+//! sequential greedy and kept its own map of every member's output. With
+//! one decision per cluster, stored on the root's shared record and read
+//! by every replica whose inputs are the same allocations, it reads 1.19.
 //!
 //! The worker pool's dispatched rounds recycle every buffer they use, so
 //! once the first rounds have grown them a flood at 4 workers allocates
@@ -288,7 +292,24 @@ fn dense_regime_lemma14_and_gather_share_instead_of_copying() {
         "the final clustering has a multi-member cluster"
     );
 
-    println!("dense allocs/awake event: lemma14 {lemma14:.3}, root-overlay gather {gather:.3}");
+    // Lemma 11 on H over the root overlay, as Theorem 9 runs it.
+    let c_bound = params.color_bound();
+    let factory =
+        move |vi: &VertexInput<(u64, ())>| Lemma11Vertex::new(MaximalIndependentSet, vi, c_bound);
+    let programs: Vec<_> = g
+        .nodes()
+        .map(|v| {
+            let a = clustering.assign[v.index()].unwrap();
+            let root = views[v.index()].as_ref().unwrap().root_ident();
+            VirtSim::participant(root, a.depth, g.ident(v), (a.label, ()), db, factory)
+        })
+        .collect();
+    let (lemma11, _) = run_allocs_per_event(&g, Config::default(), programs);
+
+    println!(
+        "dense allocs/awake event: lemma14 {lemma14:.3}, root-overlay gather {gather:.3}, \
+         lemma11 on H {lemma11:.3}"
+    );
     assert!(
         lemma14 <= 8.5,
         "VirtSim<TreeGatherVertex> regressed: {lemma14:.3} allocs/awake event (cap 8.5)"
@@ -296,6 +317,10 @@ fn dense_regime_lemma14_and_gather_share_instead_of_copying() {
     assert!(
         gather <= 13.0,
         "dense ClusterGather regressed: {gather:.3} allocs/awake event (cap 13)"
+    );
+    assert!(
+        lemma11 <= 1.45,
+        "dense VirtSim<Lemma11Vertex> regressed: {lemma11:.3} allocs/awake event (cap 1.45)"
     );
 }
 

@@ -22,8 +22,9 @@ use awake_sleeping::{
     codec, persist, Action, CheckpointError, Codec, Envelope, Outbox, Persist, Program, Reader,
     Round, View, Writer,
 };
+use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A member record traveling in gather bags.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,6 +40,43 @@ pub struct MemberRec<P> {
     /// Its border edges: `(neighbor ident, neighbor label, neighbor depth,
     /// neighbor payload)`.
     pub border: Vec<(u64, u64, u32, P)>,
+    /// A slot for a result every holder of this record shares (see
+    /// [`Memo`]); the root's record carries its cluster's.
+    pub(crate) memo: Memo,
+}
+
+/// A write-once slot for a result derived from a shared record, so that
+/// the first replica computes it and the others read it (the `# Sharing`
+/// section of [`crate::virt`]). The slot is type-erased because the record
+/// does not know what its readers compute. It is never encoded and never
+/// compared, and a cloned or decoded record starts with an empty slot.
+#[derive(Default)]
+pub(crate) struct Memo(OnceLock<Box<dyn Any + Send + Sync>>);
+
+impl Memo {
+    /// The stored value, computed by `init` if the slot is empty; `None`
+    /// if the slot holds a value of another type.
+    pub(crate) fn get_or_init<T: Any + Send + Sync>(&self, init: impl FnOnce() -> T) -> Option<&T> {
+        self.0.get_or_init(|| Box::new(init())).downcast_ref()
+    }
+}
+
+impl Clone for Memo {
+    fn clone(&self) -> Self {
+        Memo::default()
+    }
+}
+
+impl PartialEq for Memo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl std::fmt::Debug for Memo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Memo")
+    }
 }
 
 /// What every member knows after the gather.
@@ -261,6 +299,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
                 payload: self.payload.clone(),
                 intra,
                 border,
+                memo: Memo::default(),
             })]);
             // Singleton root: nothing more to do.
             if self.depth == 0 && !self.has_children {
@@ -431,7 +470,26 @@ impl<P: Clone + std::fmt::Debug + Send + Sync + Codec> Persist for ClusterGather
     }
 }
 
-codec!(struct MemberRec<P: Codec> { ident, depth, payload, intra, border });
+/// Encodes the record's fields; the memo is never encoded.
+impl<P: Codec> Codec for MemberRec<P> {
+    fn encode(&self, w: &mut Writer) {
+        w.put(&self.ident);
+        w.put(&self.depth);
+        w.put(&self.payload);
+        w.put(&self.intra);
+        w.put(&self.border);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        Ok(MemberRec {
+            ident: r.get()?,
+            depth: r.get()?,
+            payload: r.get()?,
+            intra: r.get()?,
+            border: r.get()?,
+            memo: Memo::default(),
+        })
+    }
+}
 
 codec!(struct ClusterView<P: Codec> { label, my_ident, my_depth, members, my_ports });
 

@@ -36,8 +36,13 @@
 //! shared value — the same for every replica of a cluster, such as Lemma
 //! 14's merged-cluster depths — may be memoized on that value's allocation,
 //! so the first replica computes it and the others read it (see
-//! [`crate::lemma14::RecordSet`]). An `Arc<T>` encodes exactly like `T` and
-//! a memo is never encoded, so snapshots see neither the sharing nor the
+//! [`crate::lemma14::RecordSet`]). A result that also depends on received
+//! messages may be memoized only when it is keyed by the pointer identity
+//! of everything it read: a replica reads the stored result only if it
+//! holds exactly those allocations, and otherwise computes its own (see
+//! Theorem 9's Π′ decision, stored in a write-once slot on the cluster
+//! root's member record). An `Arc<T>` encodes exactly like `T` and a
+//! memo is never encoded, so snapshots see neither the sharing nor the
 //! memo: a decoded value starts with an empty memo and fills it again.
 
 use crate::gather::{gather_rounds, ClusterView, GatherCore, GatherMsg, GatherStep, MemberRec};

@@ -16,6 +16,7 @@
 //! checked against pinned seeds rather than argued by construction.
 
 use awake_core::bounds::{self, BoundAlgo, Budget, ProblemClass};
+use awake_core::gather::gather_rounds;
 use awake_core::linegraph::{self, greedy_hosts};
 use awake_core::params::Params;
 use awake_core::resilient::{run_stage, StageSpec};
@@ -26,7 +27,8 @@ use awake_olocal::edge::{EdgeIndex, MaximalMatching};
 use awake_olocal::problems::{DeltaPlusOneColoring, MaximalIndependentSet};
 use awake_olocal::{EdgeProblem, OLocalProblem};
 use awake_sleeping::{
-    CheckpointError, Codec, Config, FaultPlan, Paused, Persist, Program, ResumeError, RunSpec,
+    redundancy_for, CheckpointError, Codec, Config, FaultPlan, Paused, Persist, Program,
+    ResumeError, RunSpec, MAX_REDUNDANCY,
 };
 
 /// The pool specs under `plan` at every worker count.
@@ -146,27 +148,20 @@ fn bm21_recovers_within_the_degraded_budget_at_every_worker_count() {
 
 // ---- Theorem 1 (staged pipeline: gather + virt layers included) ----
 
-#[test]
-fn theorem1_recovers_within_the_degraded_budget_at_every_worker_count() {
-    let g = generators::gnp(20, 0.2, 3);
-    let plan = crash_burst(0x71);
-    let budget = budget(BoundAlgo::Theorem1, ProblemClass::Vertex, &g, &plan);
+/// Theorem 1 MIS on `g` under `plan`: valid, within the degraded budget,
+/// and bit-for-bit equal at every worker count. Returns the serial run's
+/// stages.
+fn check_theorem1_recovery(g: &Graph, plan: FaultPlan) -> awake_core::compose::Composition {
+    let budget = budget(BoundAlgo::Theorem1, ProblemClass::Vertex, g, &plan);
     let inputs = vec![(); g.n()];
     let solve = |spec: &StageSpec| {
-        theorem1::solve_spec(
-            &g,
-            &MaximalIndependentSet,
-            &inputs,
-            Default::default(),
-            spec,
-        )
-        .unwrap()
+        theorem1::solve_spec(g, &MaximalIndependentSet, &inputs, Default::default(), spec).unwrap()
     };
     let serial = solve(&StageSpec::default().with_faults(Some(plan)));
     MaximalIndependentSet
-        .validate(&g, &inputs, &serial.outputs)
+        .validate(g, &inputs, &serial.outputs)
         .unwrap();
-    serial.clustering.validate_colored(&g).unwrap();
+    serial.clustering.validate_colored(g).unwrap();
     let c = &serial.composition;
     assert_within(c.max_awake(), c.rounds(), budget, "theorem1");
     for spec in pools(plan) {
@@ -174,6 +169,55 @@ fn theorem1_recovers_within_the_degraded_budget_at_every_worker_count() {
         let at = format!("{:?} workers", spec.workers);
         assert_eq!(serial.outputs, t.outputs, "{at}: outputs");
         assert_eq!(serial.composition, t.composition, "{at}: stages");
+    }
+    serial.composition
+}
+
+#[test]
+fn theorem1_recovers_within_the_degraded_budget_at_every_worker_count() {
+    check_theorem1_recovery(&generators::gnp(20, 0.2, 3), crash_burst(0x71));
+}
+
+/// A crash burst in the first virtual phase of Theorem 9's Lemma 11 stage
+/// on a 64-node graph, whose stretch is `MAX_REDUNDANCY` (checked below).
+/// About a third of the nodes crash there, after the setup gather, so
+/// they restore decoded copies of their cluster's inputs and decide on
+/// their own, next to replicas that share their cluster's decision.
+fn crash_burst_after_the_gather(seed: u64) -> FaultPlan {
+    let start = gather_rounds(64) * MAX_REDUNDANCY + 2;
+    FaultPlan {
+        crash_ppm: 100_000,
+        burst_start: start,
+        burst_len: 4,
+        quiet_after: start + 30,
+        ..FaultPlan::new(seed)
+    }
+}
+
+/// The paper's regime (Δ > b): clusters merge, and crashed replicas of a
+/// merged cluster restore in the Lemma 11 stage on `H`.
+#[test]
+fn theorem1_recovers_within_the_degraded_budget_at_every_worker_count_when_clusters_merge() {
+    let g = generators::random_regular(64, 16, 1);
+    let c = Params::for_graph(&g).color_bound();
+    let base = bounds::theorem9_stage_budgets(g.n() as u32, c)[1].rounds;
+    for plan in [crash_burst(0x73), crash_burst_after_the_gather(0x74)] {
+        let stages = check_theorem1_recovery(&g, plan);
+        assert!(
+            stages.stages.iter().any(|s| s.name.contains("lemma14")),
+            "clusters merge"
+        );
+        let lemma11 = stages
+            .stages
+            .iter()
+            .find(|s| s.name.ends_with("theorem9/lemma11-on-H"))
+            .expect("Theorem 9 runs Lemma 11 on H");
+        assert!(
+            lemma11.metrics.faults_crashed > 0,
+            "plan {:#x} crashes nodes in the Lemma 11 stage",
+            plan.seed
+        );
+        assert_eq!(redundancy_for(&plan, g.n(), base), MAX_REDUNDANCY);
     }
 }
 

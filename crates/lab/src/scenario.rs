@@ -573,11 +573,14 @@ pub mod presets {
     /// The paper's regime, `Δ > b`, where Theorem 1's Δ-free awake bound
     /// `O(√log n · log* n)` is meant to beat BM21's `O(log Δ + log* n)`.
     /// The trivial greedy, BM21 and Theorem 1 each run on two sweeps of
-    /// bounded-degree graphs (36 scenarios):
+    /// bounded-degree graphs (36 scenarios), then BM21 and Theorem 1 on a
+    /// third (8 scenarios):
     ///
     /// * (Δ+1)-coloring at `Δ = ⌊√n⌋` for `n = 2^6 .. 2^10`, awake cost
     ///   against `n`;
-    /// * MIS at `n = 512` for `Δ = 4, 8, …, 256`, awake cost against Δ.
+    /// * MIS at `n = 512` for `Δ = 4, 8, …, 256`, awake cost against Δ;
+    /// * MIS on random `2b`-regular graphs for `n = 2^8 .. 2^11`, where
+    ///   Theorem 13's clusters merge into large ones (`b` = 8, 8, 16, 16).
     ///
     /// `--audit` gates every row against its closed-form budget. Theorem
     /// 1's is [`theorem1_awake`](awake_core::bounds::theorem1_awake), which
@@ -599,11 +602,17 @@ pub mod presets {
             };
             (ProblemKind::Mis, family)
         });
+        let at_2b = [(256, 16), (512, 16), (1024, 32), (2048, 32)].map(|(n, d)| {
+            let family = GraphFamily::RandomRegular { n, d };
+            [Algo::Bm21, Algo::Theorem1]
+                .map(|algo| Scenario::of(family.clone(), ProblemKind::Mis, algo).build())
+        });
         by_n.chain(by_delta)
             .flat_map(|(problem, family)| {
                 [Algo::Trivial, Algo::Bm21, Algo::Theorem1]
                     .map(|algo| Scenario::of(family.clone(), problem, algo).build())
             })
+            .chain(at_2b.into_iter().flatten())
             .collect()
     }
 
@@ -825,7 +834,8 @@ pub mod presets {
             ),
             entry(
                 "regime",
-                "trivial + BM21 + Theorem 1 at Δ = √n (n = 2^6..2^10) and n = 512 (Δ = 4..256)",
+                "trivial + BM21 + Theorem 1 at Δ = √n (n = 2^6..2^10) and n = 512 (Δ = 4..256); \
+                 BM21 + Theorem 1 MIS at Δ = 2b (n = 2^8..2^11)",
                 NONE,
                 regime(),
             ),
@@ -991,28 +1001,41 @@ mod tests {
     #[test]
     fn regime_preset_sweeps_n_at_sqrt_n_and_delta_at_fixed_n() {
         let regime = presets::by_name("regime").expect("regime preset registered");
-        let rows: Vec<(&str, usize, usize, &str)> = regime
+        let rows: Vec<(&str, String, &str)> = regime
             .iter()
             .map(|s| {
                 assert_eq!(s.executor, Executor::Serial, "{}", s.name);
-                let GraphFamily::BoundedDegree { n, delta } = s.family else {
-                    panic!("{}: not a bounded-degree family", s.name)
-                };
-                (s.problem.key(), n, delta, s.algo.key())
+                (s.problem.key(), s.family.key(), s.algo.key())
             })
             .collect();
-        let expect: Vec<(&str, usize, usize, &str)> = [64, 128, 256, 512, 1024]
+        let bounded = |n, delta| GraphFamily::BoundedDegree { n, delta }.key();
+        let expect: Vec<(&str, String, &str)> = [64, 128, 256, 512, 1024]
             .into_iter()
             .zip([8, 11, 16, 22, 32])
-            .map(|(n, delta)| ("coloring", n, delta))
-            .chain([4, 8, 16, 32, 64, 128, 256].map(|delta| ("mis", 512, delta)))
-            .flat_map(|(p, n, delta)| ["trivial", "bm21", "theorem1"].map(|a| (p, n, delta, a)))
+            .map(|(n, delta)| ("coloring", bounded(n, delta)))
+            .chain([4, 8, 16, 32, 64, 128, 256].map(|delta| ("mis", bounded(512, delta))))
+            .flat_map(|(p, f)| ["trivial", "bm21", "theorem1"].map(|a| (p, f.clone(), a)))
+            .chain(
+                [(256, 16), (512, 16), (1024, 32), (2048, 32)]
+                    .into_iter()
+                    .flat_map(|(n, d)| {
+                        let f = GraphFamily::RandomRegular { n, d }.key();
+                        ["bm21", "theorem1"].map(|a| ("mis", f.clone(), a))
+                    }),
+            )
             .collect();
         assert_eq!(rows, expect);
+        // The appended sweep runs at Δ = 2b, inside the paper's regime.
+        for s in &regime[36..] {
+            let g = s.family.build(s.seed(1));
+            let b = awake_core::params::Params::for_graph(&g).b as usize;
+            assert_eq!(g.max_degree(), 2 * b, "{}", s.name);
+        }
         // Theorem 1's budget never reads Δ: one figure across the Δ sweep
         let budgets: std::collections::BTreeSet<u64> = regime
             .iter()
             .filter(|s| s.problem == ProblemKind::Mis && s.algo == Algo::Theorem1)
+            .filter(|s| matches!(s.family, GraphFamily::BoundedDegree { .. }))
             .map(|s| crate::runner::budget_of(s, &s.family.build(s.seed(1))).awake)
             .collect();
         assert_eq!(budgets.len(), 1, "budgets {budgets:?}");

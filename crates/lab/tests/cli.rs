@@ -181,7 +181,7 @@ fn suite_list_shows_scenario_counts_and_gate_flags() {
     // advertise which gate treats them specially
     assert!(text.contains("scenarios]"), "counts missing: {text}");
     assert!(
-        text.contains("  regime ") && text.contains("[36 scenarios]"),
+        text.contains("  regime ") && text.contains("[44 scenarios]"),
         "the regime preset must be registered: {text}"
     );
     assert!(

@@ -67,10 +67,11 @@ impl std::error::Error for Violation {}
 /// guarantee over random graphs and orientations.
 pub trait OLocalProblem {
     /// Per-node input (e.g. the color lists of list-coloring). Use `()`
-    /// for input-free problems.
-    type Input: Clone + fmt::Debug + Send + Sync;
+    /// for input-free problems. Inputs and outputs are owned values
+    /// (`'static`), so a solver may keep them in a type-erased memo.
+    type Input: Clone + fmt::Debug + Send + Sync + 'static;
     /// Per-node output labeling.
-    type Output: Clone + fmt::Debug + PartialEq + Send + Sync;
+    type Output: Clone + fmt::Debug + PartialEq + Send + Sync + 'static;
 
     /// A short name for reports.
     fn name(&self) -> &'static str;
