@@ -72,7 +72,7 @@ where
 {
     assert_eq!(inputs.len(), g.n(), "inputs length mismatch");
     let delta = delta.unwrap_or_else(|| g.max_degree()).max(1) as u64;
-    let stage_budgets = bounds::bm21_stage_budgets(g, delta);
+    let [linial_stage, lemma11_stage] = bounds::bm21_stages(g, delta);
     let mut composition = Composition::new();
 
     // Stage 1: Linial to k = O(Δ²) colors. Hoist the `O(n)` ident-bound
@@ -87,12 +87,12 @@ where
         g,
         programs,
         Config::default(),
-        stage_budgets[0].rounds,
+        linial_stage.budget.rounds,
         spec,
     )?;
     let k = linial::final_palette(delta);
     let colors: Vec<u64> = run.outputs.iter().map(|c| c + 1).collect();
-    composition.push("bm21/linial", run.metrics);
+    composition.push(linial_stage.name, run.metrics);
 
     // Stage 2: Lemma 11 on the computed coloring.
     let programs: Vec<ColorScheduled<P>> = g
@@ -110,10 +110,10 @@ where
         g,
         programs,
         Config::default(),
-        stage_budgets[1].rounds,
+        lemma11_stage.budget.rounds,
         spec,
     )?;
-    composition.push("bm21/lemma11", run.metrics);
+    composition.push(lemma11_stage.name, run.metrics);
 
     Ok(Bm21Result {
         outputs: run.outputs,
@@ -138,22 +138,19 @@ mod tests {
             generators::grid(7, 8),
             generators::complete(9),
         ] {
+            let table = bounds::bm21_stages(&g, g.max_degree().max(1) as u64);
             let r = solve(&g, &DeltaPlusOneColoring, &vec![(); g.n()], None).unwrap();
             DeltaPlusOneColoring
                 .validate(&g, &vec![(); g.n()], &r.outputs)
                 .unwrap();
             coloring::check_proper(&g, &r.colors).unwrap();
-            assert!(
-                r.composition.max_awake() <= bounds::bm21_awake(&g),
-                "awake {} > bound {}",
-                r.composition.max_awake(),
-                bounds::bm21_awake(&g)
-            );
+            bounds::audit_stages(&r.composition, &table).unwrap();
 
             let r = solve(&g, &MaximalIndependentSet, &vec![(); g.n()], None).unwrap();
             MaximalIndependentSet
                 .validate(&g, &vec![(); g.n()], &r.outputs)
                 .unwrap();
+            bounds::audit_stages(&r.composition, &table).unwrap();
 
             let r = solve(&g, &MinimalVertexCover, &vec![(); g.n()], None).unwrap();
             MinimalVertexCover

@@ -1,12 +1,24 @@
 //! Closed-form awake/round budgets for every algorithm in the crate.
 //!
+//! Every solver is a Lemma 8 chain of stages, and this module declares
+//! each solver's stages once, as a table of named budgets: [`stages_for`]
+//! returns it for every supported (solver × problem class) pairing, built
+//! from [`bm21_stages`], [`theorem13_iteration`] and [`theorem9_stages`].
+//! A stage's name is the one its solver records in its [`Composition`],
+//! and its rounds figure is the one the solver sizes the stage's engine
+//! run from. The table is the one source: [`budget_for`] is its Lemma 8
+//! sum, [`degraded_budget_for`] its stage-by-stage degraded sum, and
+//! [`audit_stages`] checks a run against it stage by stage.
+//!
 //! The tests and the experiment harness assert `measured ≤ bound`; the
 //! bounds are the paper's statements made concrete with this
 //! implementation's exact constants (no hidden `O(·)`).
 
+use crate::compose::Composition;
 use crate::gather::gather_rounds;
 use crate::lemma10::PaletteTree;
 use crate::lemma14::lemma14_vrounds;
+use crate::lemma15::Lemma15Config;
 use crate::params::Params;
 use crate::{linial, virt};
 use awake_graphs::Graph;
@@ -43,78 +55,10 @@ pub fn lemma11_rounds(k: u64) -> u64 {
     1 + PaletteTree::covering(k).horizon()
 }
 
-/// BM21 awake bound for a graph: Linial rounds (always awake, ≥ 1 for the
-/// mandatory first round) + Lemma 11 on the `O(Δ²)` palette.
-pub fn bm21_awake(g: &Graph) -> u64 {
-    let delta = g.max_degree().max(1) as u64;
-    linial_rounds(g.ident_bound(), delta).max(1) + lemma11_awake(linial::final_palette(delta))
-}
-
 /// Trivial baseline awake bound: `Δ + 2`.
 pub fn trivial_awake(g: &Graph) -> u64 {
     g.max_degree() as u64 + 2
 }
-
-/// Virtual-round budget of one Lemma 15 execution at iteration `i`
-/// (label bound `lb`): the constant info rounds, two Lemma 6 passes over
-/// the `F₂` forest with labels `≤ 4·lb + 1`, and the Linial loop on
-/// `H[U]`.
-pub fn lemma15_vrounds(p: &Params, iteration: u32) -> u64 {
-    let lb = p.label_bound(iteration);
-    let n6 = 4 * lb + 2; // c₂ ranges over 0..=4·lb+1
-    let t_u = linial_rounds(lb + 1, p.b);
-    3 + 2 * (n6 + 2) + 1 + 2 * (n6 + 2) + 1 + 1 + t_u + 2
-}
-
-/// Awake virtual rounds a vertex spends inside Lemma 15 (constant + the
-/// Linial loop).
-pub fn lemma15_vertex_awake(p: &Params, iteration: u32) -> u64 {
-    let lb = p.label_bound(iteration);
-    let t_u = linial_rounds(lb + 1, p.b);
-    // vr1..3 info + 2·(cc+bc) twice + membership round + Linial loop
-    3 + 4 + 1 + 4 + 1 + t_u
-}
-
-/// Real-round budget of one full Theorem 13 iteration.
-pub fn theorem13_iteration_rounds(p: &Params, iteration: u32) -> u64 {
-    virt::virt_rounds(p.depth_bound, lemma15_vrounds(p, iteration))
-        + virt::virt_rounds(p.depth_bound, lemma14_vrounds(p.depth_bound))
-}
-
-/// Awake bound of one Theorem 13 iteration: the Lemma 7 overhead on every
-/// awake virtual round of Lemma 15, plus the O(1)-awake Lemma 14 stage.
-pub fn theorem13_iteration_awake(p: &Params, iteration: u32) -> u64 {
-    GATHER_AWAKE
-        + VIRT_AWAKE_PER_VROUND * lemma15_vertex_awake(p, iteration)
-        + GATHER_AWAKE
-        + VIRT_AWAKE_PER_VROUND * 5
-}
-
-/// Awake bound for the whole Theorem 13 pipeline:
-/// `O(√log n · log* n)` with explicit constants.
-pub fn theorem13_awake(p: &Params) -> u64 {
-    (1..=p.iterations)
-        .map(|i| theorem13_iteration_awake(p, i))
-        .sum()
-}
-
-/// Theorem 9 awake bound given a `c`-colored clustering: one gather plus
-/// Lemma 11 on `H` through the Lemma 7 simulator.
-pub fn theorem9_awake(c: u64) -> u64 {
-    GATHER_AWAKE + VIRT_AWAKE_PER_VROUND * (1 + lemma11_awake(c))
-}
-
-/// Theorem 9 round bound: `O(c·n)`.
-pub fn theorem9_rounds(p: &Params, c: u64) -> u64 {
-    virt::virt_rounds(p.depth_bound, lemma11_rounds(c) + 1)
-}
-
-/// Theorem 1 awake bound: Theorem 13 + Theorem 9 on `≤ k·a·b²` colors.
-pub fn theorem1_awake(p: &Params) -> u64 {
-    theorem13_awake(p) + theorem9_awake(p.color_bound())
-}
-
-// ---- round bounds ----
 
 /// Trivial baseline round bound: every node announces at round
 /// `1 + ident`, so the schedule ends by `ident_bound + 1`.
@@ -122,30 +66,16 @@ pub fn trivial_rounds(g: &Graph) -> u64 {
     g.ident_bound() + 1
 }
 
-/// BM21 round bound: the always-awake Linial stage (≥ 1 for the mandatory
-/// first round) plus the Lemma 11 horizon on the `O(Δ²)` palette.
-pub fn bm21_rounds(g: &Graph) -> u64 {
-    let delta = g.max_degree().max(1) as u64;
-    linial_rounds(g.ident_bound(), delta).max(1) + lemma11_rounds(linial::final_palette(delta))
-}
-
-/// Round bound of the whole Theorem 13 pipeline (`Σ` iteration budgets).
-pub fn theorem13_rounds(p: &Params) -> u64 {
-    (1..=p.iterations)
-        .map(|i| theorem13_iteration_rounds(p, i))
-        .sum()
-}
-
-/// Theorem 9 round bound including its stage-1 root-overlay gather (the
-/// [`theorem9_rounds`] figure covers only the Lemma-11-on-`H` stage).
-pub fn theorem9_rounds_total(p: &Params, c: u64) -> u64 {
-    gather_rounds(p.depth_bound) + theorem9_rounds(p, c)
-}
-
-/// Theorem 1 round bound: Theorem 13 followed by Theorem 9 on the
-/// `k·a·b²` color budget.
-pub fn theorem1_rounds(p: &Params) -> u64 {
-    theorem13_rounds(p) + theorem9_rounds_total(p, p.color_bound())
+/// Virtual-round budget of one Lemma 15 execution at iteration `i`: the
+/// phase's own schedule ([`Lemma15Config::vrounds`]: the constant info
+/// rounds, two Lemma 6 passes over the `F₂` forest, the membership round
+/// and the Linial loop on `H[U]`) plus two virtual rounds of headroom.
+/// The headroom is the slack Theorem 13's engine cap for the stage has
+/// always granted (the cap is this budget plus two real rounds), so the
+/// budget and the cap stay one figure; the phase itself ends by
+/// `vrounds() − 1`.
+pub fn lemma15_vrounds(p: &Params, iteration: u32) -> u64 {
+    Lemma15Config::at(p, iteration).vrounds() + 2
 }
 
 // ---- line-graph adapter bounds (edge problems) ----
@@ -177,7 +107,7 @@ pub fn linegraph_rounds(g: &Graph) -> u64 {
     g.m() as u64
 }
 
-// ---- the audit entry point ----
+// ---- the stage table ----
 
 /// A closed-form resource budget: the paper's bound with this
 /// implementation's exact constants. The harness asserts
@@ -188,6 +118,107 @@ pub struct Budget {
     pub awake: u64,
     /// Round-complexity budget (last round any node is awake).
     pub rounds: u64,
+}
+
+/// Lemma 8: budgets compose by adding awake and rounds figures.
+impl std::iter::Sum for Budget {
+    fn sum<I: Iterator<Item = Budget>>(iter: I) -> Budget {
+        let (mut awake, mut rounds) = (0u64, 0u64);
+        for b in iter {
+            awake = awake.saturating_add(b.awake);
+            rounds = rounds.saturating_add(b.rounds);
+        }
+        Budget { awake, rounds }
+    }
+}
+
+/// One Lemma 8 stage of a solver: the name the solver records it under
+/// in its [`Composition`] and its fault-free budget.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Stage {
+    /// The stage's name, e.g. `"theorem13/iter1/lemma15"`.
+    pub name: String,
+    /// Its closed-form budget.
+    pub budget: Budget,
+}
+
+fn stage(name: impl Into<String>, awake: u64, rounds: u64) -> Stage {
+    Stage {
+        name: name.into(),
+        budget: Budget { awake, rounds },
+    }
+}
+
+/// BM21's stages at degree bound `delta`: Linial's reduction to the
+/// `O(Δ²)` palette, awake for the whole stage (≥ 1 round, the mandatory
+/// first one), then Lemma 11 on that palette.
+pub fn bm21_stages(g: &Graph, delta: u64) -> [Stage; 2] {
+    let t = linial_rounds(g.ident_bound(), delta).max(1);
+    let k = linial::final_palette(delta);
+    [
+        stage("bm21/linial", t, t),
+        stage("bm21/lemma11", lemma11_awake(k), lemma11_rounds(k)),
+    ]
+}
+
+/// Theorem 13's stages at iteration `i`: Lemma 15 on `H`, then Lemma 14
+/// on the survivors, each one setup gather plus
+/// [`VIRT_AWAKE_PER_VROUND`] per awake virtual round of the Lemma 7
+/// simulator. A Lemma 15 vertex is awake at the three info rounds, two
+/// rounds of each cast in its two passes, the membership round and the
+/// Linial loop on `H[U]`; a Lemma 14 vertex at the first round and two
+/// rounds of each cast.
+pub fn theorem13_iteration(p: &Params, i: u32) -> [Stage; 2] {
+    let db = p.depth_bound;
+    let t_u = Lemma15Config::at(p, i).lin_steps().len() as u64;
+    [
+        stage(
+            format!("theorem13/iter{i}/lemma15"),
+            GATHER_AWAKE + VIRT_AWAKE_PER_VROUND * (3 + 4 + 1 + 4 + 1 + t_u),
+            virt::virt_rounds(db, lemma15_vrounds(p, i)),
+        ),
+        stage(
+            format!("theorem13/iter{i}/lemma14"),
+            GATHER_AWAKE + VIRT_AWAKE_PER_VROUND * 5,
+            virt::virt_rounds(db, lemma14_vrounds(db)),
+        ),
+    ]
+}
+
+/// Theorem 13's stages over all `k` iterations, in execution order. A
+/// run that exhausts the graph early skips the trailing stages.
+pub fn theorem13_stages(p: &Params) -> Vec<Stage> {
+    (1..=p.iterations)
+        .flat_map(|i| theorem13_iteration(p, i))
+        .collect()
+}
+
+/// Theorem 9's stages on a `c`-colored clustering with depth bound `db`:
+/// the root-overlay gather, then Lemma 11 on `H` through the Lemma 7
+/// simulator. Takes the depth bound directly: the solver passes `g.n()`,
+/// the table `Params::depth_bound`, equal by construction.
+pub fn theorem9_stages(db: u32, c: u64) -> [Stage; 2] {
+    [
+        stage("theorem9/root-overlay", GATHER_AWAKE, gather_rounds(db)),
+        stage(
+            "theorem9/lemma11-on-H",
+            VIRT_AWAKE_PER_VROUND * (1 + lemma11_awake(c)),
+            virt::virt_rounds(db, lemma11_rounds(c) + 1),
+        ),
+    ]
+}
+
+/// Theorem 1's stages: Theorem 13's, then Theorem 9's on the `k·a·b²`
+/// color budget, each named with the `theorem1/` prefix.
+pub fn theorem1_stages(p: &Params) -> Vec<Stage> {
+    theorem13_stages(p)
+        .into_iter()
+        .chain(theorem9_stages(p.depth_bound, p.color_bound()))
+        .map(|s| Stage {
+            name: format!("theorem1/{}", s.name),
+            ..s
+        })
+        .collect()
 }
 
 /// The solver generations the budgets cover. The threaded executor is
@@ -215,91 +246,67 @@ pub enum ProblemClass {
     Edge,
 }
 
-/// The single audit entry point: the exact awake/round budget of running
-/// `algo` on a `class` problem over `g` with parameters `p`.
+/// The stage table: every stage of running `algo` on a `class` problem
+/// over `g` with parameters `p`, in execution order. The trivial greedy
+/// and the line-graph adapter are one stage each.
 ///
 /// Returns `None` for the unsupported pairings (edge problems exist for
 /// the trivial adapter only — the same combinations the harness rejects
 /// with a typed error).
+pub fn stages_for(
+    algo: BoundAlgo,
+    class: ProblemClass,
+    g: &Graph,
+    p: &Params,
+) -> Option<Vec<Stage>> {
+    Some(match (class, algo) {
+        (ProblemClass::Vertex, BoundAlgo::Trivial) => {
+            vec![stage("trivial", trivial_awake(g), trivial_rounds(g))]
+        }
+        (ProblemClass::Vertex, BoundAlgo::Bm21) => {
+            bm21_stages(g, g.max_degree().max(1) as u64).to_vec()
+        }
+        (ProblemClass::Vertex, BoundAlgo::Theorem1) => theorem1_stages(p),
+        (ProblemClass::Edge, BoundAlgo::Trivial) => {
+            vec![stage("linegraph", linegraph_awake(g), linegraph_rounds(g))]
+        }
+        (ProblemClass::Edge, _) => return None,
+    })
+}
+
+/// The single audit entry point: the exact awake/round budget of running
+/// `algo` on a `class` problem over `g` with parameters `p` — the Lemma 8
+/// sum over [`stages_for`], and `None` where it is.
 pub fn budget_for(algo: BoundAlgo, class: ProblemClass, g: &Graph, p: &Params) -> Option<Budget> {
-    match (class, algo) {
-        (ProblemClass::Vertex, BoundAlgo::Trivial) => Some(Budget {
-            awake: trivial_awake(g),
-            rounds: trivial_rounds(g),
-        }),
-        (ProblemClass::Vertex, BoundAlgo::Bm21) => Some(Budget {
-            awake: bm21_awake(g),
-            rounds: bm21_rounds(g),
-        }),
-        (ProblemClass::Vertex, BoundAlgo::Theorem1) => Some(Budget {
-            awake: theorem1_awake(p),
-            rounds: theorem1_rounds(p),
-        }),
-        (ProblemClass::Edge, BoundAlgo::Trivial) => Some(Budget {
-            awake: linegraph_awake(g),
-            rounds: linegraph_rounds(g),
-        }),
-        (ProblemClass::Edge, _) => None,
+    let stages = stages_for(algo, class, g, p)?;
+    Some(stages.iter().map(|s| s.budget).sum())
+}
+
+/// Check a run's stages against a stage table: every stage `composition`
+/// records needs a table entry of the same name, and its `max_awake` and
+/// `rounds` must lie within that entry's budget. Table entries the run
+/// skipped are not checked.
+///
+/// # Errors
+/// Names the first stage without an entry or over its budget.
+pub fn audit_stages(composition: &Composition, table: &[Stage]) -> Result<(), String> {
+    for s in &composition.stages {
+        let Some(t) = table.iter().find(|t| t.name == s.name) else {
+            return Err(format!("{}: no budget", s.name));
+        };
+        let (awake, rounds) = (s.metrics.max_awake(), s.metrics.rounds);
+        if awake > t.budget.awake || rounds > t.budget.rounds {
+            let b = t.budget;
+            return Err(format!(
+                "{}: awake {awake}, rounds {rounds} over {b:?}",
+                s.name
+            ));
+        }
     }
+    Ok(())
 }
 
 // ---- degraded budgets (the recovery contract) ----
-
-/// Per-stage budgets of the BM21 pipeline at degree bound `delta`:
-/// `[linial, lemma11]`. The rounds figures are the *same* closed forms the
-/// resilient solvers size their [`Redundant`](awake_sleeping::Redundant)
-/// windows from, so solver and auditor always agree on the stretch factor.
-pub fn bm21_stage_budgets(g: &Graph, delta: u64) -> [Budget; 2] {
-    let t = linial_rounds(g.ident_bound(), delta).max(1);
-    let k = linial::final_palette(delta);
-    [
-        // Linial keeps every node awake for the whole stage.
-        Budget {
-            awake: t,
-            rounds: t,
-        },
-        Budget {
-            awake: lemma11_awake(k),
-            rounds: lemma11_rounds(k),
-        },
-    ]
-}
-
-/// Per-stage budgets of the Theorem 13 pipeline, two per iteration
-/// (`lemma15`, `lemma14`), in execution order. Early-exhausted runs simply
-/// skip trailing stages, which only lowers the measured figures.
-pub fn theorem13_stage_budgets(p: &Params) -> Vec<Budget> {
-    let mut v = Vec::with_capacity(2 * p.iterations as usize);
-    for i in 1..=p.iterations {
-        v.push(Budget {
-            awake: GATHER_AWAKE + VIRT_AWAKE_PER_VROUND * lemma15_vertex_awake(p, i),
-            rounds: virt::virt_rounds(p.depth_bound, lemma15_vrounds(p, i)),
-        });
-        v.push(Budget {
-            awake: GATHER_AWAKE + VIRT_AWAKE_PER_VROUND * 5,
-            rounds: virt::virt_rounds(p.depth_bound, lemma14_vrounds(p.depth_bound)),
-        });
-    }
-    v
-}
-
-/// Per-stage budgets of Theorem 9 on a `c`-colored clustering with depth
-/// bound `db`: `[root-overlay gather, lemma11-on-H]`. Takes the depth
-/// bound directly (the solver passes `g.n()`, the auditor
-/// `Params::depth_bound` — equal by construction) so both sides derive
-/// identical stretch factors.
-pub fn theorem9_stage_budgets(db: u32, c: u64) -> [Budget; 2] {
-    [
-        Budget {
-            awake: GATHER_AWAKE,
-            rounds: gather_rounds(db),
-        },
-        Budget {
-            awake: VIRT_AWAKE_PER_VROUND * (1 + lemma11_awake(c)),
-            rounds: virt::virt_rounds(db, lemma11_rounds(c) + 1),
-        },
-    ]
-}
 
 /// Round budget of one stage degraded by `plan` at stretch factor `s`
 /// (from [`redundancy_for`]): the stretched fault-free budget, extended to
@@ -341,15 +348,14 @@ pub fn degraded_stage_awake(base_awake: u64, s: u64, plan: &FaultPlan, rounds_d:
 /// [`Redundant`](awake_sleeping::Redundant) time redundancy the way the
 /// resilient solvers do it.
 ///
-/// The inflation is a pure function of the plan: per stage, the stretch
-/// factor comes from [`redundancy_for`] on the same closed-form stage
-/// round bound the solver uses, and the stage budget degrades by
-/// [`degraded_stage_rounds`] / [`degraded_stage_awake`]. Stage budgets are
-/// then summed per Lemma 8. An inactive plan degrades nothing — the result
-/// equals [`budget_for`].
+/// Each stage of [`stages_for`] degrades on its own: its stretch factor
+/// comes from [`redundancy_for`] on the stage's rounds figure (the one the
+/// solver sizes its windows from), and its budget degrades by
+/// [`degraded_stage_rounds`] / [`degraded_stage_awake`]. The degraded
+/// stages are then summed per Lemma 8. An inactive plan degrades nothing —
+/// the result equals [`budget_for`].
 ///
-/// Returns `None` exactly where [`budget_for`] does (edge problems exist
-/// for the trivial adapter only).
+/// Returns `None` exactly where [`budget_for`] does.
 pub fn degraded_budget_for(
     algo: BoundAlgo,
     class: ProblemClass,
@@ -357,36 +363,25 @@ pub fn degraded_budget_for(
     p: &Params,
     plan: &FaultPlan,
 ) -> Option<Budget> {
-    let base = budget_for(algo, class, g, p)?;
     if !plan.is_active() {
-        return Some(base);
+        return budget_for(algo, class, g, p);
     }
-    let stages: Vec<Budget> = match (class, algo) {
-        (_, BoundAlgo::Trivial) => vec![base],
-        (ProblemClass::Vertex, BoundAlgo::Bm21) => {
-            bm21_stage_budgets(g, g.max_degree().max(1) as u64).to_vec()
-        }
-        (ProblemClass::Vertex, BoundAlgo::Theorem1) => {
-            let mut v = theorem13_stage_budgets(p);
-            v.extend(theorem9_stage_budgets(p.depth_bound, p.color_bound()));
-            v
-        }
-        (ProblemClass::Edge, _) => unreachable!("budget_for rejected these above"),
-    };
-    let mut awake = 0u64;
-    let mut rounds = 0u64;
-    for b in stages {
+    let stages = stages_for(algo, class, g, p)?;
+    let degrade = |b: Budget| {
         let s = redundancy_for(plan, g.n(), b.rounds);
-        let rd = degraded_stage_rounds(b.rounds, s, plan);
-        awake = awake.saturating_add(degraded_stage_awake(b.awake, s, plan, rd));
-        rounds = rounds.saturating_add(rd);
-    }
-    Some(Budget { awake, rounds })
+        let rounds = degraded_stage_rounds(b.rounds, s, plan);
+        Budget {
+            awake: degraded_stage_awake(b.awake, s, plan, rounds),
+            rounds,
+        }
+    };
+    Some(stages.iter().map(|s| degrade(s.budget)).sum())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use awake_graphs::generators;
 
     #[test]
     fn lemma11_bounds_are_logarithmic() {
@@ -401,10 +396,15 @@ mod tests {
     fn theorem1_bound_is_sublogarithmic_in_n() {
         // The bound divided by log₂ n must *shrink* as n grows
         // (√log n · log* n = o(log n)).
-        let small = Params::new(1 << 10, 1 << 10);
-        let large = Params::new(1 << 26, 1 << 26);
-        let ratio_small = theorem1_awake(&small) as f64 / 10.0;
-        let ratio_large = theorem1_awake(&large) as f64 / 26.0;
+        let awake = |p: Params| {
+            theorem1_stages(&p)
+                .iter()
+                .map(|s| s.budget)
+                .sum::<Budget>()
+                .awake as f64
+        };
+        let ratio_small = awake(Params::new(1 << 10, 1 << 10)) / 10.0;
+        let ratio_large = awake(Params::new(1 << 26, 1 << 26)) / 26.0;
         assert!(
             ratio_large < ratio_small,
             "bound/log n should decrease: {ratio_small} vs {ratio_large}"
@@ -415,27 +415,24 @@ mod tests {
     fn bounds_are_monotone_in_iteration() {
         let p = Params::new(4096, 4096);
         assert!(lemma15_vrounds(&p, 2) >= lemma15_vrounds(&p, 1));
-        assert!(theorem13_iteration_rounds(&p, 1) > 0);
+        let [l15, l14] = theorem13_iteration(&p, 1);
+        assert!(l15.budget.rounds > 0 && l14.budget.rounds > 0);
     }
 
-    /// The closed-form `lemma15_vrounds` must dominate the virtual-round
-    /// budget the Theorem 13 engine actually allots (`cfg.vrounds() + 2`),
-    /// or the round bounds would undercut the execution they audit.
+    /// The closed-form `lemma15_vrounds` must cover every virtual round
+    /// the phase's schedule uses, up to its last Linial duty, or the round
+    /// bounds would undercut the execution they audit.
     #[test]
     fn lemma15_vrounds_covers_the_engine_budget() {
         for n in [16usize, 256, 4096, 1 << 16] {
             let p = Params::new(n, n as u64);
             for i in 1..=p.iterations {
-                let cfg = crate::lemma15::Lemma15Config {
-                    b: p.b,
-                    label_bound: p.label_bound(i),
-                    ab2: p.ab2,
-                };
+                let cfg = Lemma15Config::at(&p, i);
+                let last_duty = cfg.lin_start() + cfg.lin_steps().len().max(1) as u64 - 1;
                 assert!(
-                    lemma15_vrounds(&p, i) >= cfg.vrounds() + 2,
-                    "n={n} iter={i}: bound {} < engine budget {}",
+                    lemma15_vrounds(&p, i) > last_duty,
+                    "n={n} iter={i}: bound {} ≤ last duty {last_duty}",
                     lemma15_vrounds(&p, i),
-                    cfg.vrounds() + 2
                 );
             }
         }
@@ -443,7 +440,6 @@ mod tests {
 
     #[test]
     fn linegraph_bounds_closed_form() {
-        use awake_graphs::generators;
         // Star S_4: hub degree 4. Hub bound = 16 + 4·1 = 20; a leaf pays
         // 1 + deg(hub) = 5. Rounds = m = 4.
         let g = generators::star(5);
@@ -457,7 +453,6 @@ mod tests {
 
     #[test]
     fn budget_for_covers_every_supported_pairing() {
-        use awake_graphs::generators;
         let g = generators::gnp(48, 0.1, 3);
         let p = Params::for_graph(&g);
         for algo in [BoundAlgo::Trivial, BoundAlgo::Bm21, BoundAlgo::Theorem1] {
@@ -478,37 +473,48 @@ mod tests {
 
     #[test]
     fn round_bounds_dominate_awake_bounds() {
-        // A node can be awake at most once per round, so every pipeline's
+        // A node can be awake at most once per round, so every stage's
         // round budget must be at least its awake budget.
-        use awake_graphs::generators;
         let g = generators::gnp(64, 0.1, 5);
         let p = Params::for_graph(&g);
-        assert!(trivial_rounds(&g) >= trivial_awake(&g));
-        assert!(bm21_rounds(&g) >= bm21_awake(&g));
-        assert!(theorem1_rounds(&p) >= theorem1_awake(&p));
+        for algo in [BoundAlgo::Trivial, BoundAlgo::Bm21, BoundAlgo::Theorem1] {
+            for s in stages_for(algo, ProblemClass::Vertex, &g, &p).unwrap() {
+                assert!(
+                    s.budget.rounds >= s.budget.awake,
+                    "{}: {:?}",
+                    s.name,
+                    s.budget
+                );
+            }
+        }
     }
 
     #[test]
     fn stage_budgets_sum_to_at_most_the_pipeline_budget() {
-        // The degraded model decomposes each pipeline into stages whose
-        // fault-free bounds must never exceed the composed closed form —
-        // otherwise the inactive-plan degraded budget would be looser than
-        // the audited one.
-        use awake_graphs::generators;
+        // Theorem 1's table is Theorem 13's followed by Theorem 9's, under
+        // the `theorem1/` prefix, with one name per stage; its Lemma 8 sum
+        // is the pipeline budget.
         let g = generators::gnp(48, 0.1, 3);
         let p = Params::for_graph(&g);
-        let bm = bm21_stage_budgets(&g, g.max_degree().max(1) as u64);
-        assert!(bm.iter().map(|b| b.awake).sum::<u64>() <= bm21_awake(&g));
-        assert!(bm.iter().map(|b| b.rounds).sum::<u64>() <= bm21_rounds(&g));
-        let mut t1 = theorem13_stage_budgets(&p);
-        t1.extend(theorem9_stage_budgets(p.depth_bound, p.color_bound()));
-        assert!(t1.iter().map(|b| b.awake).sum::<u64>() <= theorem1_awake(&p));
-        assert!(t1.iter().map(|b| b.rounds).sum::<u64>() <= theorem1_rounds(&p));
+        let t1 = stages_for(BoundAlgo::Theorem1, ProblemClass::Vertex, &g, &p).unwrap();
+        let mut parts = theorem13_stages(&p);
+        parts.extend(theorem9_stages(p.depth_bound, p.color_bound()));
+        assert_eq!(t1.len(), 2 * p.iterations as usize + 2);
+        for (whole, part) in t1.iter().zip(&parts) {
+            assert_eq!(whole.name, format!("theorem1/{}", part.name));
+            assert_eq!(whole.budget, part.budget);
+        }
+        let names: std::collections::BTreeSet<&str> = t1.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names.len(), t1.len(), "stage names are unique");
+        let sum: Budget = parts.iter().map(|s| s.budget).sum();
+        assert_eq!(
+            budget_for(BoundAlgo::Theorem1, ProblemClass::Vertex, &g, &p),
+            Some(sum)
+        );
     }
 
     #[test]
     fn degraded_budget_is_identity_on_inactive_plans() {
-        use awake_graphs::generators;
         let g = generators::gnp(40, 0.12, 1);
         let p = Params::for_graph(&g);
         let quiet = FaultPlan::new(5);
@@ -538,7 +544,6 @@ mod tests {
         // An active plan can only inflate: the degraded budget must
         // dominate the fault-free closed form for every supported pairing,
         // and the inflation must grow with the redundancy the plan forces.
-        use awake_graphs::generators;
         let g = generators::gnp(40, 0.12, 1);
         let p = Params::for_graph(&g);
         let mut mild = FaultPlan::new(11);

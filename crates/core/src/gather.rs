@@ -15,7 +15,8 @@
 //!
 //! The logic lives in [`GatherCore`] (driven relative to a base round) so
 //! that the standalone [`ClusterGather`] program and the Lemma 7 simulator
-//! ([`crate::virt`]) share one implementation.
+//! ([`crate::virt`]) share one implementation; the simulator's phases
+//! replay its schedule (`Cast`) from their own base rounds.
 
 use awake_graphs::NodeId;
 use awake_sleeping::{
@@ -23,7 +24,7 @@ use awake_sleeping::{
     Round, View, Writer,
 };
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 /// A member record traveling in gather bags.
@@ -129,16 +130,75 @@ pub fn gather_rounds(d: u32) -> Round {
     2 * d as Round + 6
 }
 
+/// The depth-synchronized schedule of one cast window that starts at
+/// `base` under depth bound `db`, at a node of `depth`: when it collects
+/// and forwards on the convergecast leg, and when it receives and forwards
+/// on the broadcast leg. The window lasts [`gather_rounds`]`(db)` rounds.
+/// The gather runs one window; the Lemma 7 simulator runs one per awake
+/// virtual round.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cast {
+    pub(crate) base: Round,
+    pub(crate) db: u32,
+    pub(crate) depth: u32,
+}
+
+impl Cast {
+    pub(crate) fn cc_recv(self) -> Round {
+        self.base + 1 + (self.db - self.depth) as Round
+    }
+    pub(crate) fn cc_send(self) -> Round {
+        self.cc_recv() + 1
+    }
+    /// A node of depth `d ≥ 1` receives its parent's `bc_send`; the root
+    /// "receives" at its `cc_recv` instead.
+    pub(crate) fn bc_recv(self) -> Round {
+        self.bc_send() - 1
+    }
+    pub(crate) fn bc_send(self) -> Round {
+        self.base + self.db as Round + 3 + self.depth as Round
+    }
+}
+
+/// Append to `bag` the records `incoming` yields whose key neither the
+/// bag nor an earlier incoming record holds: the first arrival of each
+/// key wins, and the kept records stay in arrival order. The bag's keys
+/// must be distinct. One sort of the keys finds the duplicates, and only
+/// the kept records are cloned.
+pub(crate) fn append_unseen<'a, T: Clone + 'a>(
+    bag: &mut Vec<T>,
+    incoming: impl IntoIterator<Item = &'a T>,
+    key: impl Fn(&T) -> u64,
+) {
+    let incoming: Vec<&T> = incoming.into_iter().collect();
+    let held = bag.len();
+    // Every key with its arrival position, the bag's records first.
+    let mut keys: Vec<(u64, usize)> = bag
+        .iter()
+        .chain(incoming.iter().copied())
+        .map(&key)
+        .zip(0..)
+        .collect();
+    keys.sort_unstable();
+    keys.dedup_by_key(|k| k.0);
+    let mut fresh: Vec<usize> = keys
+        .into_iter()
+        .filter_map(|(_, i)| i.checked_sub(held))
+        .collect();
+    fresh.sort_unstable();
+    bag.extend(fresh.into_iter().map(|i| incoming[i].clone()));
+}
+
 /// The reusable gather state machine, operating at rounds relative to
 /// `base` (the standalone program uses `base = 1`).
 #[derive(Debug)]
 pub struct GatherCore<P> {
     label: u64,
-    depth: u32,
     ident: u64,
     payload: P,
-    depth_bound: u32,
-    base: Round,
+    /// The node's schedule: its BFS depth, the depth bound, and the base
+    /// round, which is the hello round.
+    cast: Cast,
     has_children: bool,
     /// The records gathered so far, shared with the bags that carry them
     /// (a send is a reference-count increment, not a copy).
@@ -159,48 +219,19 @@ pub enum GatherStep {
 
 impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
     /// New core for a node with cluster `label`, BFS `depth`, its own
-    /// identifier, and payload.
-    pub fn new(
-        label: u64,
-        depth: u32,
-        ident: u64,
-        payload: P,
-        depth_bound: u32,
-        base: Round,
-    ) -> Self {
+    /// identifier and payload, under depth bound `db`, whose window starts
+    /// at round `base`.
+    pub fn new(label: u64, depth: u32, ident: u64, payload: P, db: u32, base: Round) -> Self {
         GatherCore {
             label,
-            depth,
             ident,
             payload,
-            depth_bound,
-            base,
+            cast: Cast { base, db, depth },
             has_children: false,
             bag: Arc::default(),
             done: false,
             my_ports: Vec::new(),
         }
-    }
-
-    fn hello_round(&self) -> Round {
-        self.base
-    }
-    fn cc_recv_round(&self) -> Round {
-        self.base + 1 + (self.depth_bound - self.depth) as Round
-    }
-    fn cc_send_round(&self) -> Round {
-        self.cc_recv_round() + 1
-    }
-    fn bc_base(&self) -> Round {
-        self.base + self.depth_bound as Round + 3
-    }
-    fn bc_recv_round(&self) -> Round {
-        // depth d ≥ 1 receives at base + d − 1; the root "receives" at its
-        // cc_recv_round instead.
-        self.bc_base() + self.depth as Round - 1
-    }
-    fn bc_send_round(&self) -> Round {
-        self.bc_base() + self.depth as Round
     }
 
     /// The completed view (once [`GatherStep::Done`]); its records are
@@ -209,7 +240,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
         self.done.then(|| ClusterView {
             label: self.label,
             my_ident: self.ident,
-            my_depth: self.depth,
+            my_depth: self.cast.depth,
             members: self.bag.iter().map(|r| (r.ident, Arc::clone(r))).collect(),
             my_ports: self.my_ports.clone(),
         })
@@ -222,7 +253,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
         self.done.then(|| ClusterView {
             label: self.label,
             my_ident: self.ident,
-            my_depth: self.depth,
+            my_depth: self.cast.depth,
             members: Arc::unwrap_or_clone(self.bag)
                 .into_iter()
                 .map(|r| (r.ident, r))
@@ -239,20 +270,20 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
         out: &mut Outbox<M>,
         wrap: impl Fn(GatherMsg<P>) -> M,
     ) {
-        if round == self.hello_round() {
+        if round == self.cast.base {
             out.broadcast(wrap(GatherMsg::Hello(
                 self.label,
-                self.depth,
+                self.cast.depth,
                 self.ident,
                 self.payload.clone(),
             )));
-        } else if round == self.cc_send_round() && self.depth > 0 {
+        } else if round == self.cast.cc_send() && self.cast.depth > 0 {
             out.broadcast(wrap(GatherMsg::Bag {
                 label: self.label,
                 up: true,
                 recs: Arc::clone(&self.bag),
             }));
-        } else if round == self.bc_send_round() && self.has_children {
+        } else if round == self.cast.bc_send() && self.has_children {
             out.broadcast(wrap(GatherMsg::Bag {
                 label: self.label,
                 up: false,
@@ -273,7 +304,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
         let msgs = inbox
             .iter()
             .filter_map(|e| gather(&e.msg).map(|m| (e.from, m)));
-        if round == self.hello_round() {
+        if round == self.cast.base {
             // Learn all neighbors; build own record.
             let mut intra = Vec::new();
             let mut border = Vec::new();
@@ -283,7 +314,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
                     self.my_ports.push((from, *ident, *l));
                     if *l == self.label {
                         intra.push(*ident);
-                        if *d == self.depth + 1 {
+                        if *d == self.cast.depth + 1 {
                             self.has_children = true;
                         }
                     } else {
@@ -295,48 +326,48 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
             border.sort_unstable_by_key(|b| (b.0, b.1));
             self.bag = Arc::new(vec![Arc::new(MemberRec {
                 ident: self.ident,
-                depth: self.depth,
+                depth: self.cast.depth,
                 payload: self.payload.clone(),
                 intra,
                 border,
                 memo: Memo::default(),
             })]);
             // Singleton root: nothing more to do.
-            if self.depth == 0 && !self.has_children {
+            if self.cast.depth == 0 && !self.has_children {
                 self.done = true;
                 return GatherStep::Done;
             }
             if self.has_children {
-                return GatherStep::WakeAt(self.cc_recv_round());
+                return GatherStep::WakeAt(self.cast.cc_recv());
             }
             // Leaf: go straight to our forwarding (cc) round.
-            return GatherStep::WakeAt(self.cc_send_round());
+            return GatherStep::WakeAt(self.cast.cc_send());
         }
 
-        if round == self.cc_recv_round() && self.has_children {
+        if round == self.cast.cc_recv() && self.has_children {
             self.merge_bags(msgs, true);
-            if self.depth == 0 {
+            if self.cast.depth == 0 {
                 // Root: bag complete; deliver downward next.
                 self.done = true;
-                return GatherStep::WakeAt(self.bc_send_round());
+                return GatherStep::WakeAt(self.cast.bc_send());
             }
-            return GatherStep::WakeAt(self.cc_send_round());
+            return GatherStep::WakeAt(self.cast.cc_send());
         }
 
-        if round == self.cc_send_round() && self.depth > 0 {
-            return GatherStep::WakeAt(self.bc_recv_round());
+        if round == self.cast.cc_send() && self.cast.depth > 0 {
+            return GatherStep::WakeAt(self.cast.bc_recv());
         }
 
-        if round == self.bc_recv_round() && self.depth > 0 {
+        if round == self.cast.bc_recv() && self.cast.depth > 0 {
             self.merge_bags(msgs, false);
             self.done = true;
             if self.has_children {
-                return GatherStep::WakeAt(self.bc_send_round());
+                return GatherStep::WakeAt(self.cast.bc_send());
             }
             return GatherStep::Done;
         }
 
-        if round == self.bc_send_round() {
+        if round == self.cast.bc_send() {
             return GatherStep::Done;
         }
 
@@ -347,21 +378,15 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
     where
         P: 'a,
     {
+        let recs = msgs.filter_map(|(_, msg)| match msg {
+            GatherMsg::Bag { label, up: u, recs } if *label == self.label && *u == up => {
+                Some(recs.iter())
+            }
+            _ => None,
+        });
         // By the time a bag merges, the engine has dropped every copy of
         // this node's earlier bag, so this copies nothing.
-        let bag = Arc::make_mut(&mut self.bag);
-        let mut seen: BTreeSet<u64> = bag.iter().map(|r| r.ident).collect();
-        for (_, msg) in msgs {
-            if let GatherMsg::Bag { label, up: u, recs } = msg {
-                if *label == self.label && *u == up {
-                    for r in recs.iter() {
-                        if seen.insert(r.ident) {
-                            bag.push(Arc::clone(r));
-                        }
-                    }
-                }
-            }
-        }
+        append_unseen(Arc::make_mut(&mut self.bag), recs.flatten(), |r| r.ident);
     }
 }
 

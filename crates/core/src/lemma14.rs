@@ -22,9 +22,10 @@
 //! holding the same allocation reads the result. Messages, awake counts
 //! and snapshots are the same as if every replica computed it.
 
+use crate::gather::append_unseen;
 use crate::virt::{VEnvelope, VOutgoing, VertexInput, VirtualProgram};
 use awake_sleeping::{codec, persist, Action, CheckpointError, Codec, Reader, Round, Writer};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 /// Payload each node contributes to the setup gather: its vertex's
@@ -66,9 +67,11 @@ impl RecordSet {
         &self.recs
     }
 
-    fn push(&mut self, rec: VertexRec) {
+    /// Append the incoming records whose label the set does not hold yet
+    /// (first arrival wins), dropping the memo.
+    fn append_unseen<'a>(&mut self, incoming: impl IntoIterator<Item = &'a VertexRec>) {
         self.depths = OnceLock::new();
-        self.recs.push(rec);
+        append_unseen(&mut self.recs, incoming, |r| r.label);
     }
 
     /// `δ''` per node ident: exact BFS depths in the merged cluster from
@@ -282,17 +285,12 @@ impl VirtualProgram for TreeGatherVertex {
             return Action::SleepUntil(self.cc_recv());
         }
         if vround == self.cc_recv() {
-            let mut seen: BTreeSet<u64> = self.bag.records().iter().map(|r| r.label).collect();
-            let bag = Arc::make_mut(&mut self.bag);
-            for e in inbox {
-                if let L14Msg::Up(recs) = &e.msg {
-                    for r in recs.records() {
-                        if r.l2 == self.l2 && seen.insert(r.label) {
-                            bag.push(r.clone());
-                        }
-                    }
-                }
-            }
+            let l2 = self.l2;
+            let recs = inbox.iter().filter_map(|e| match &e.msg {
+                L14Msg::Up(recs) => Some(recs.records().iter().filter(move |r| r.l2 == l2)),
+                L14Msg::Down(_) => None,
+            });
+            Arc::make_mut(&mut self.bag).append_unseen(recs.flatten());
             if self.parent.is_none() {
                 // Root vertex: complete; deliver downward.
                 self.all = Some(Arc::clone(&self.bag));
@@ -362,6 +360,7 @@ mod tests {
     use awake_graphs::traversal::bfs_distances_within;
     use awake_graphs::{generators, Graph, NodeId};
     use awake_sleeping::{Config, Engine};
+    use std::collections::BTreeSet;
 
     /// Lemma 15 on `H` of `cl`, through the simulator.
     fn lemma15(g: &Graph, cl: &Clustering, cfg: Lemma15Config, db: u32) -> Vec<Option<Lemma15Out>> {

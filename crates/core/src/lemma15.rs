@@ -22,7 +22,9 @@
 //!    `a·b²` palette and become singleton clusters of that color; the
 //!    rest form the uniquely-labeled part, `≤ n_H/b` many clusters.
 
+use crate::gather::append_unseen;
 use crate::linial::{self, Step};
+use crate::params::Params;
 use crate::virt::{VEnvelope, VOutgoing, VertexInput, VirtualProgram};
 use awake_sleeping::{codec, persist, Action, CheckpointError, Codec, Reader, Round, Writer};
 use std::collections::{BTreeMap, HashMap};
@@ -40,6 +42,14 @@ pub struct Lemma15Config {
 }
 
 impl Lemma15Config {
+    /// The phase Theorem 13 runs at `iteration` under `p`.
+    pub fn at(p: &Params, iteration: u32) -> Self {
+        Lemma15Config {
+            b: p.b,
+            label_bound: p.label_bound(iteration),
+            ab2: p.ab2,
+        }
+    }
     /// `N₆`: bound on `c₂` labels (`c₂ ≤ 4·label_bound + 1`).
     pub fn n6(&self) -> u64 {
         4 * self.label_bound + 2
@@ -427,32 +437,6 @@ fn bfs_depth(tree: &[TreeRec], edges: &[(u64, Vec<u64>)], root: u64, target: u64
         }
     }
     None
-}
-
-/// Append the records `incoming` yields to `bag`, skipping any whose key
-/// the bag (or an earlier incoming record) already holds; the kept records
-/// stay in arrival order. The duplicates are found by one sort of the
-/// keys, not a set built per call.
-fn append_unseen<'a, T: Clone + 'a>(
-    bag: &mut Vec<T>,
-    incoming: impl IntoIterator<Item = &'a T>,
-    key: impl Fn(&T) -> u64,
-) {
-    bag.extend(incoming.into_iter().cloned());
-    let mut keys: Vec<(u64, usize)> = bag.iter().enumerate().map(|(i, r)| (key(r), i)).collect();
-    keys.sort_unstable();
-    let mut keep = vec![true; bag.len()];
-    let mut dup = false;
-    for w in keys.windows(2) {
-        if w[0].0 == w[1].0 {
-            keep[w[1].1] = false;
-            dup = true;
-        }
-    }
-    if dup {
-        let mut k = keep.into_iter();
-        bag.retain(|_| k.next().unwrap_or(true));
-    }
 }
 
 impl VirtualProgram for Lemma15Vertex {

@@ -17,12 +17,9 @@
 //! identically at every node). [`final_palette`] is the paper's `a·b²`
 //! (with `Δ = b`), computed exactly instead of bounded.
 //!
-//! The same kernel serves three deployments:
+//! The same kernel serves two deployments:
 //! * [`ColorReduction`] — a Sleeping-model [`Program`] on `G` (always awake
 //!   for its `O(log* n)` rounds, as in BM21);
-//! * the distance-2 variant [`ColorReductionD2`] (two rounds per step:
-//!   colors, then neighbor-color tables) for coloring `G²` (Lemma 15's
-//!   first step in the general-identifier regime);
 //! * plain function calls inside virtual programs (Lemma 15 on `H[U]`).
 
 use awake_sleeping::{persist, Action, Envelope, Outbox, Program, View};
@@ -275,97 +272,10 @@ persist! {
     ColorReduction { color, t }
 }
 
-/// Distance-2 variant: colors `G²` using two `G`-rounds per step
-/// (broadcast own color, then broadcast the collected neighbor table).
-#[derive(Debug)]
-pub struct ColorReductionD2 {
-    color: u64,
-    steps: Vec<Step>,
-    t: usize,
-    /// Colors heard at the odd round (distance-1 neighbors).
-    ring1: Vec<u64>,
-    phase2: bool,
-}
-
-impl ColorReductionD2 {
-    /// Start from an explicit proper distance-2 coloring value in `0..m0`
-    /// (identifiers always qualify). `delta_bound` must bound `Δ(G²)`,
-    /// e.g. `Δ²` or `n`.
-    ///
-    /// # Panics
-    /// Panics if `initial_color ≥ m0`.
-    pub fn new(initial_color: u64, m0: u64, delta_bound: u64) -> Self {
-        assert!(initial_color < m0, "color {initial_color} ≥ palette {m0}");
-        ColorReductionD2 {
-            color: initial_color,
-            steps: schedule(m0, delta_bound),
-            t: 0,
-            ring1: Vec::new(),
-            phase2: false,
-        }
-    }
-
-    /// Number of communication rounds (two per step).
-    pub fn rounds(&self) -> u64 {
-        2 * self.steps.len() as u64
-    }
-}
-
-impl Program for ColorReductionD2 {
-    type Msg = Vec<u64>;
-    type Output = u64;
-
-    fn send(&mut self, _view: &View<'_>, out: &mut Outbox<Vec<u64>>) {
-        if self.t >= self.steps.len() {
-            return;
-        }
-        if !self.phase2 {
-            out.broadcast(vec![self.color]);
-        } else {
-            let mut table = vec![self.color];
-            table.extend(self.ring1.iter().copied());
-            out.broadcast(table);
-        }
-    }
-
-    fn receive(&mut self, _view: &View<'_>, inbox: &[Envelope<Vec<u64>>]) -> Action {
-        if self.t >= self.steps.len() {
-            return Action::Halt;
-        }
-        if !self.phase2 {
-            self.ring1 = inbox.iter().map(|e| e.msg[0]).collect();
-            self.phase2 = true;
-            Action::Stay
-        } else {
-            // Union of neighbors' tables = colors at distance ≤ 2.
-            let mut d2: Vec<u64> = inbox.iter().flat_map(|e| e.msg.iter().copied()).collect();
-            d2.sort_unstable();
-            d2.dedup();
-            self.color = reduce_color(self.color, &d2, self.steps[self.t]);
-            self.t += 1;
-            self.phase2 = false;
-            self.ring1.clear();
-            if self.t == self.steps.len() {
-                Action::Halt
-            } else {
-                Action::Stay
-            }
-        }
-    }
-
-    fn output(&self) -> Option<u64> {
-        Some(self.color)
-    }
-
-    fn span(&self) -> &'static str {
-        "linial-d2"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use awake_graphs::{coloring, generators, ops};
+    use awake_graphs::{coloring, generators};
     use awake_sleeping::{Config, Engine};
 
     #[test]
@@ -485,19 +395,6 @@ mod tests {
             // O(log* n): tiny round count
             assert!(run.metrics.rounds <= 8);
         }
-    }
-
-    #[test]
-    fn distributed_d2_colors_the_square() {
-        let g = generators::random_with_max_degree(50, 5, 7);
-        let d2_bound = (g.max_degree() * g.max_degree()) as u64;
-        let programs: Vec<ColorReductionD2> = g
-            .nodes()
-            .map(|v| ColorReductionD2::new(g.ident(v) - 1, g.ident_bound(), d2_bound))
-            .collect();
-        let run = Engine::new(&g, Config::default()).run(programs).unwrap();
-        coloring::check_proper(&ops::square(&g), &run.outputs).unwrap();
-        assert!(run.outputs.iter().all(|&c| c < final_palette(d2_bound)));
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! A stage is made resilient by wrapping each node's program in
 //! [`Redundant`] time redundancy: the stretch factor `S` comes from
 //! [`redundancy_for`] applied to the stage's *closed-form* round bound
-//! (the same figure [`crate::bounds`] degrades, so the audit and the
-//! execution always agree), and the engine's round cap becomes the
-//! degraded stage budget. The contract is:
+//! (its entry in the [stage table](crate::bounds::stages_for), the one
+//! source [`crate::bounds`] degrades too, so the audit and the execution
+//! always agree), and the engine's round cap becomes the degraded stage
+//! budget. The contract is:
 //!
 //! * under any seeded [`FaultPlan`] with a quiet period after the last
 //!   fault, the run still produces a valid output;

@@ -130,22 +130,21 @@ mod tests {
             generators::gnp(40, 0.15, 1),
             generators::cycle(15),
             generators::complete(9),
+            // Δ > b: clusters merge and Lemma 14 runs
+            generators::random_regular(64, 16, 1),
         ] {
+            let table = bounds::theorem1_stages(&Params::for_graph(&g));
             let r = solve(&g, &DeltaPlusOneColoring, Options::default()).unwrap();
             DeltaPlusOneColoring
                 .validate(&g, &vec![(); g.n()], &r.outputs)
                 .unwrap();
-            assert!(
-                r.composition.max_awake() <= bounds::theorem1_awake(&r.params),
-                "awake {} > bound {}",
-                r.composition.max_awake(),
-                bounds::theorem1_awake(&r.params)
-            );
+            bounds::audit_stages(&r.composition, &table).unwrap();
 
             let r = solve(&g, &MaximalIndependentSet, Options::default()).unwrap();
             MaximalIndependentSet
                 .validate(&g, &vec![(); g.n()], &r.outputs)
                 .unwrap();
+            bounds::audit_stages(&r.composition, &table).unwrap();
         }
     }
 

@@ -24,12 +24,12 @@
 use crate::bounds;
 use crate::clustering::{Assign, Clustering};
 use crate::compose::Composition;
-use crate::lemma14::{lemma14_vrounds, L14Payload, TreeGatherVertex};
+use crate::gather::gather_rounds;
+use crate::lemma14::{L14Payload, TreeGatherVertex};
 use crate::lemma15::{Lemma15Config, Lemma15Out, Lemma15Vertex};
-use crate::linial;
 use crate::params::Params;
 use crate::resilient::{solver_stage, StageSpec};
-use crate::virt::{virt_rounds, VirtSim};
+use crate::virt::VirtSim;
 use awake_graphs::Graph;
 use awake_sleeping::{Config, SimError};
 
@@ -97,11 +97,8 @@ pub fn compute_spec(
         if current.iter().all(|a| a.is_none()) {
             break;
         }
-        let cfg = Lemma15Config {
-            b: params.b,
-            label_bound: params.label_bound(iteration),
-            ab2: params.ab2,
-        };
+        let cfg = Lemma15Config::at(params, iteration);
+        let [l15, l14] = bounds::theorem13_iteration(params, iteration);
         let clusters_before = Clustering {
             assign: current.clone(),
         }
@@ -109,7 +106,8 @@ pub fn compute_spec(
         .len();
 
         // ---- Stage 1: Lemma 15 on H via Lemma 7 ----
-        let budget = Config::with_max_rounds(virt_rounds(db, cfg.vrounds() + 2) + 2);
+        // The engine cap: the stage's budget plus a two-round tail.
+        let budget = Config::with_max_rounds(l15.budget.rounds + 2);
         let factory = move |vi: &crate::virt::VertexInput<()>| Lemma15Vertex::new(cfg, vi);
         let programs: Vec<VirtSim<Lemma15Vertex, _>> = g
             .nodes()
@@ -118,9 +116,8 @@ pub fn compute_spec(
                 None => VirtSim::bystander(factory),
             })
             .collect();
-        let base_rounds = virt_rounds(db, bounds::lemma15_vrounds(params, iteration));
-        let run = solver_stage(g, programs, budget, base_rounds, spec)?;
-        composition.push(format!("theorem13/iter{iteration}/lemma15"), run.metrics);
+        let run = solver_stage(g, programs, budget, l15.budget.rounds, spec)?;
+        composition.push(l15.name, run.metrics);
         let out15: Vec<Option<Lemma15Out>> = run.outputs;
 
         // ---- Finalize U vertices ----
@@ -143,7 +140,9 @@ pub fn compute_spec(
         let survivors = current.iter().flatten().count();
         let mut clusters_after = 0;
         if survivors > 0 {
-            let budget = Config::with_max_rounds(virt_rounds(db, lemma14_vrounds(db) + 2) + 2);
+            // The cap adds the two phases of headroom Lemma 15's budget
+            // has built in, then the same two-round tail.
+            let budget = Config::with_max_rounds(l14.budget.rounds + 2 * gather_rounds(db) + 2);
             let factory =
                 move |vi: &crate::virt::VertexInput<L14Payload>| TreeGatherVertex::new(vi, db);
             let programs: Vec<VirtSim<TreeGatherVertex, _>> = g
@@ -156,9 +155,8 @@ pub fn compute_spec(
                     _ => VirtSim::bystander(factory),
                 })
                 .collect();
-            let base_rounds = virt_rounds(db, lemma14_vrounds(db));
-            let run = solver_stage(g, programs, budget, base_rounds, spec)?;
-            composition.push(format!("theorem13/iter{iteration}/lemma14"), run.metrics);
+            let run = solver_stage(g, programs, budget, l14.budget.rounds, spec)?;
+            composition.push(l14.name, run.metrics);
             for v in g.nodes() {
                 if current[v.index()].is_some() {
                     let o = run.outputs[v.index()]
@@ -196,21 +194,9 @@ pub fn compute_spec(
     })
 }
 
-/// Closed-form sanity used by tests: the paper's color bound `k·a·b²`.
-pub fn color_bound(params: &Params) -> u64 {
-    params.color_bound()
-}
-
-/// Linial's fixpoint at the pipeline's degree threshold (`a·b²`),
-/// re-exported for reporting.
-pub fn ab2(params: &Params) -> u64 {
-    linial::final_palette(params.b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bounds;
     use awake_graphs::generators;
 
     fn check(g: &Graph) -> Theorem13Result {
@@ -220,19 +206,8 @@ mod tests {
         assert_eq!(res.clustering.assigned(), g.n());
         res.clustering.validate_colored(g).unwrap();
         assert!(res.clustering.max_label() <= params.color_bound());
-        // Awake and round complexity within the closed-form budgets.
-        assert!(
-            res.composition.max_awake() <= bounds::theorem13_awake(&params),
-            "awake {} > bound {}",
-            res.composition.max_awake(),
-            bounds::theorem13_awake(&params)
-        );
-        assert!(
-            res.composition.rounds() <= bounds::theorem13_rounds(&params),
-            "rounds {} > bound {}",
-            res.composition.rounds(),
-            bounds::theorem13_rounds(&params)
-        );
+        // Every stage within its closed-form budget.
+        bounds::audit_stages(&res.composition, &bounds::theorem13_stages(&params)).unwrap();
         res
     }
 

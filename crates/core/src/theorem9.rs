@@ -403,7 +403,7 @@ where
     );
     let mut composition = Composition::new();
     let db = g.n() as u32;
-    let stage_budgets = crate::bounds::theorem9_stage_budgets(db, c_bound);
+    let [overlay_stage, lemma11_stage] = crate::bounds::theorem9_stages(db, c_bound);
 
     // ---- Stage 1: learn root identifiers (colored → uniquely labeled) ----
     let programs: Vec<ClusterGather<()>> = g
@@ -417,7 +417,7 @@ where
         g,
         programs,
         Config::default(),
-        stage_budgets[0].rounds,
+        overlay_stage.budget.rounds,
         spec,
     )?;
     let root_ident: Vec<u64> = run
@@ -425,7 +425,7 @@ where
         .iter()
         .map(|o| o.as_ref().expect("participants finish").root_ident())
         .collect();
-    composition.push("theorem9/root-overlay", run.metrics);
+    composition.push(overlay_stage.name, run.metrics);
 
     // ---- Stage 2: Lemma 11 on H via Lemma 7 ----
     let programs: Vec<VirtSim<Lemma11Vertex<P>, _>> = g
@@ -448,10 +448,10 @@ where
         g,
         programs,
         Config::default(),
-        stage_budgets[1].rounds,
+        lemma11_stage.budget.rounds,
         spec,
     )?;
-    composition.push("theorem9/lemma11-on-H", run.metrics);
+    composition.push(lemma11_stage.name, run.metrics);
 
     let outputs: Vec<P::Output> = g
         .nodes()
@@ -632,21 +632,18 @@ mod tests {
                 assert_eq!(c, k as u64, "one color per cluster");
             }
 
+            let table = bounds::theorem9_stages(g.n() as u32, c);
             let r = solve(&g, &DeltaPlusOneColoring, &vec![(); g.n()], &cl, c).unwrap();
             DeltaPlusOneColoring
                 .validate(&g, &vec![(); g.n()], &r.outputs)
                 .unwrap();
-            assert!(
-                r.composition.max_awake() <= bounds::theorem9_awake(c),
-                "awake {} > bound {}",
-                r.composition.max_awake(),
-                bounds::theorem9_awake(c)
-            );
+            bounds::audit_stages(&r.composition, &table).unwrap();
 
             let r = solve(&g, &MaximalIndependentSet, &vec![(); g.n()], &cl, c).unwrap();
             MaximalIndependentSet
                 .validate(&g, &vec![(); g.n()], &r.outputs)
                 .unwrap();
+            bounds::audit_stages(&r.composition, &table).unwrap();
 
             let r = solve(&g, &MinimalVertexCover, &vec![(); g.n()], &cl, c).unwrap();
             MinimalVertexCover

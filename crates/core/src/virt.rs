@@ -45,7 +45,9 @@
 //! memo is never encoded, so snapshots see neither the sharing nor the
 //! memo: a decoded value starts with an empty memo and fills it again.
 
-use crate::gather::{gather_rounds, ClusterView, GatherCore, GatherMsg, GatherStep, MemberRec};
+use crate::gather::{
+    gather_rounds, Cast, ClusterView, GatherCore, GatherMsg, GatherStep, MemberRec,
+};
 use awake_sleeping::{
     codec, Action, CheckpointError, Codec, Envelope, Outbox, Persist, Program, Reader, Round, View,
     Writer,
@@ -215,35 +217,24 @@ pub enum VirtMsg<P, M> {
     },
 }
 
-/// Rounds one phase occupies for depth bound `d`.
-pub fn phase_rounds(d: u32) -> Round {
-    2 * d as Round + 6
-}
-
-/// Total rounds of a simulation with `inner_rounds` virtual rounds.
+/// Total rounds of a simulation with `inner_rounds` virtual rounds: the
+/// setup gather, then one phase per virtual round, each as long as a
+/// gather.
 pub fn virt_rounds(d: u32, inner_rounds: Round) -> Round {
-    gather_rounds(d) + inner_rounds * phase_rounds(d)
+    (1 + inner_rounds) * gather_rounds(d)
 }
 
-// ---- phase timing (free functions over the public depth bound) ----
+// ---- phase timing (over the public depth bound) ----
 
+/// The exchange round that opens virtual round `vround`'s phase.
 fn t0(db: u32, vround: Round) -> Round {
-    1 + gather_rounds(db) + (vround - 1) * phase_rounds(db)
+    1 + vround * gather_rounds(db)
 }
-fn cc_recv(db: u32, vround: Round, depth: u32) -> Round {
-    t0(db, vround) + 1 + (db - depth) as Round
-}
-fn cc_send(db: u32, vround: Round, depth: u32) -> Round {
-    cc_recv(db, vround, depth) + 1
-}
-fn bc_base(db: u32, vround: Round) -> Round {
-    t0(db, vround) + db as Round + 3
-}
-fn bc_recv(db: u32, vround: Round, depth: u32) -> Round {
-    bc_base(db, vround) + depth as Round - 1
-}
-fn bc_send(db: u32, vround: Round, depth: u32) -> Round {
-    bc_base(db, vround) + depth as Round
+
+/// The cast schedule of virtual round `vround`'s phase at `depth`.
+fn cast(db: u32, vround: Round, depth: u32) -> Cast {
+    let base = t0(db, vround);
+    Cast { base, db, depth }
 }
 
 /// The physical message type [`VirtSim`] sends: virtual messages inline.
@@ -411,7 +402,7 @@ fn process<VP: VirtualProgram>(
     }
     if run.has_children {
         // Still owe the downward re-broadcast of the merged inbox.
-        Action::SleepUntil(bc_send(db, x, run.depth))
+        Action::SleepUntil(cast(db, x, run.depth).bc_send())
     } else if run.vp_done {
         Action::Halt
     } else {
@@ -477,7 +468,7 @@ where
                             }
                         }
                     }
-                } else if round == cc_send(db, run.cur, run.depth) && run.depth > 0 {
+                } else if round == cast(db, run.cur, run.depth).cc_send() && run.depth > 0 {
                     // The up-leg bag is dead locally after this broadcast
                     // (bc_recv clears and refills `collected`): move it
                     // into the Arc instead of cloning the item vector.
@@ -486,7 +477,7 @@ where
                         up: true,
                         items: Arc::new(std::mem::take(&mut run.collected)),
                     });
-                } else if round == bc_send(db, run.cur, run.depth) && run.has_children {
+                } else if round == cast(db, run.cur, run.depth).bc_send() && run.has_children {
                     // O(1): the merged inbox is already behind an Arc.
                     out.broadcast(VirtMsg::Bag {
                         label: run.label,
@@ -551,6 +542,7 @@ where
                 }
             }
             St::Run(run) => {
+                let c = cast(db, run.cur, run.depth); // the phase under way
                 let action = if round == t0(db, run.next) {
                     // Entering the phase of the next awake virtual round.
                     run.cur = run.next;
@@ -567,26 +559,26 @@ where
                         publish_bag(run);
                         process(&mut self.out, db, run)
                     } else if run.has_children {
-                        Action::SleepUntil(cc_recv(db, x, run.depth))
+                        Action::SleepUntil(cast(db, x, run.depth).cc_recv())
                     } else {
-                        Action::SleepUntil(cc_send(db, x, run.depth))
+                        Action::SleepUntil(cast(db, x, run.depth).cc_send())
                     }
-                } else if round == cc_recv(db, run.cur, run.depth) && run.has_children {
+                } else if round == c.cc_recv() && run.has_children {
                     merge_items(run, inbox, true);
                     if run.depth == 0 {
                         publish_bag(run);
                         process(&mut self.out, db, run)
                     } else {
-                        Action::SleepUntil(cc_send(db, run.cur, run.depth))
+                        Action::SleepUntil(c.cc_send())
                     }
-                } else if round == cc_send(db, run.cur, run.depth) && run.depth > 0 {
-                    Action::SleepUntil(bc_recv(db, run.cur, run.depth))
-                } else if round == bc_recv(db, run.cur, run.depth) && run.depth > 0 {
+                } else if round == c.cc_send() && run.depth > 0 {
+                    Action::SleepUntil(c.bc_recv())
+                } else if round == c.bc_recv() && run.depth > 0 {
                     run.collected.clear();
                     merge_items(run, inbox, false);
                     publish_bag(run);
                     process(&mut self.out, db, run)
-                } else if round == bc_send(db, run.cur, run.depth) {
+                } else if round == c.bc_send() {
                     if run.vp_done {
                         Action::Halt
                     } else {

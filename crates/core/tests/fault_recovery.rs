@@ -200,7 +200,7 @@ fn crash_burst_after_the_gather(seed: u64) -> FaultPlan {
 fn theorem1_recovers_within_the_degraded_budget_at_every_worker_count_when_clusters_merge() {
     let g = generators::random_regular(64, 16, 1);
     let c = Params::for_graph(&g).color_bound();
-    let base = bounds::theorem9_stage_budgets(g.n() as u32, c)[1].rounds;
+    let base = bounds::theorem9_stages(g.n() as u32, c)[1].budget.rounds;
     for plan in [crash_burst(0x73), crash_burst_after_the_gather(0x74)] {
         let stages = check_theorem1_recovery(&g, plan);
         assert!(
@@ -335,14 +335,14 @@ fn mid_outage_snapshots_are_bit_for_bit_for_every_resilient_program() {
 
     // BM21 stage 1 (Linial color reduction).
     let delta = g.max_degree().max(1) as u64;
-    let sb = bounds::bm21_stage_budgets(&g, delta);
+    let [linial_stage, _] = bounds::bm21_stages(&g, delta);
     let ident_bound = g.ident_bound();
     let linial = || {
         g.nodes()
             .map(|v| awake_core::linial::ColorReduction::from_ident(g.ident(v), ident_bound, delta))
             .collect()
     };
-    check_mid_outage_snapshots(&g, linial, sb[0].rounds, plan, "bm21/linial");
+    check_mid_outage_snapshots(&g, linial, linial_stage.budget.rounds, plan, "bm21/linial");
 
     // BM21 stage 2 (Lemma 11 on a proper coloring — identifiers are one).
     let k = ident_bound;

@@ -24,7 +24,7 @@ use awake_olocal::problems::{
 };
 use awake_olocal::{EdgeProblem, OLocalProblem};
 use awake_sleeping::{
-    Checkpoint, Codec, Config, Counters, ResumeError, RunSpec, SimError, Snapshot,
+    Checkpoint, Codec, Config, Counters, FaultPlan, ResumeError, RunSpec, SimError, Snapshot,
 };
 use std::cell::RefCell;
 use std::fmt;
@@ -507,7 +507,7 @@ fn run_scenario_inner(
     })?;
     let wall_ns = t0.elapsed().as_nanos() as f64;
     let allocations = probe.map(|p| p() - a0).unwrap_or(0);
-    let budget = audited_budget_of(sc, &g, seed);
+    let budget = budget_of(sc, &g, seed);
     let bound_ok = metrics.max_awake <= budget.awake && metrics.rounds <= budget.rounds;
     Ok(ScenarioReport {
         name: sc.name.clone(),
@@ -529,42 +529,27 @@ fn run_scenario_inner(
     })
 }
 
-/// The closed-form budget of a scenario on its built graph — the
-/// [`bounds::budget_for`] entry point with the harness's axis mapping.
-/// A run is bit-for-bit identical at every worker count, so the budget
-/// ignores the executor; the staged pipelines use the same [`Params`]
-/// derivation the solvers themselves apply ([`Params::for_graph`]).
+/// The budget a scenario is audited against on its built graph: the
+/// [`bounds::degraded_budget_for`] entry point with the harness's axis
+/// mapping, at the exact [`FaultPlan`] the run injects (`seed` is the
+/// scenario's derived seed, which also seeds the plan). A fault-free row
+/// has no plan, and a missing or inactive plan degrades nothing, so those
+/// rows get the fault-free [`bounds::budget_for`]. There is no audit
+/// exemption for fault scenarios: the degraded budget is a hard gate like
+/// any other. A run is bit-for-bit identical at every worker count, so
+/// the budget ignores the executor; the staged pipelines use the same
+/// [`Params`] derivation the solvers themselves apply
+/// ([`Params::for_graph`]).
 ///
 /// # Panics
 /// Panics on an unsupported (algo × problem) pairing — those fail the
 /// scenario with [`RunError::UnsupportedAlgo`] before budgets are
 /// consulted, so reaching this with one is a harness bug.
-pub fn budget_of(sc: &Scenario, g: &Graph) -> bounds::Budget {
+pub fn budget_of(sc: &Scenario, g: &Graph, seed: u64) -> bounds::Budget {
     let (algo, class) = bound_axes(sc);
-    let params = Params::for_graph(g);
-    bounds::budget_for(algo, class, g, &params)
+    let plan = sc.faults.map_or(FaultPlan::new(seed), |f| f.plan(seed));
+    bounds::degraded_budget_for(algo, class, g, &Params::for_graph(g), &plan)
         .expect("supported (algo × problem) pairings have budgets")
-}
-
-/// The budget a scenario is *audited* against: [`budget_of`] on fault-free
-/// rows, the closed-form degraded budget
-/// ([`bounds::degraded_budget_for`]) on fault-injected ones — evaluated at
-/// the exact [`FaultPlan`](awake_sleeping::FaultPlan) the run injects (`seed` is the scenario's
-/// derived seed, which also seeds the plan). There is no audit exemption
-/// for fault scenarios: the degraded budget is a hard gate like any other.
-///
-/// # Panics
-/// Like [`budget_of`], on an unsupported (algo × problem) pairing.
-pub fn audited_budget_of(sc: &Scenario, g: &Graph, seed: u64) -> bounds::Budget {
-    match sc.faults.map(|f| f.plan(seed)) {
-        Some(plan) if plan.is_active() => {
-            let (algo, class) = bound_axes(sc);
-            let params = Params::for_graph(g);
-            bounds::degraded_budget_for(algo, class, g, &params, &plan)
-                .expect("supported (algo × problem) pairings have degraded budgets")
-        }
-        _ => budget_of(sc, g),
-    }
 }
 
 /// The harness's axis mapping into [`bounds`]: the solver and the

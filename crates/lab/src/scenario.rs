@@ -583,9 +583,9 @@ pub mod presets {
     ///   Theorem 13's clusters merge into large ones (`b` = 8, 8, 16, 16).
     ///
     /// `--audit` gates every row against its closed-form budget. Theorem
-    /// 1's is [`theorem1_awake`](awake_core::bounds::theorem1_awake), which
-    /// reads only `n`, so its budget is the same on all seven rows of the
-    /// Δ sweep. The measured value is not: it jumps once Δ passes `b`.
+    /// 1's is the sum over its
+    /// [stage table](awake_core::bounds::theorem1_stages), which reads only
+    /// `n`, so its budget is the same on all seven rows of the Δ sweep. The measured value is not: it jumps once Δ passes `b`.
     pub fn regime() -> Vec<Scenario> {
         let by_n = (6..=10).map(|k: u32| {
             let n = 1usize << k;
@@ -1036,7 +1036,7 @@ mod tests {
             .iter()
             .filter(|s| s.problem == ProblemKind::Mis && s.algo == Algo::Theorem1)
             .filter(|s| matches!(s.family, GraphFamily::BoundedDegree { .. }))
-            .map(|s| crate::runner::budget_of(s, &s.family.build(s.seed(1))).awake)
+            .map(|s| crate::runner::budget_of(s, &s.family.build(s.seed(1)), s.seed(1)).awake)
             .collect();
         assert_eq!(budgets.len(), 1, "budgets {budgets:?}");
     }

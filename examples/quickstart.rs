@@ -4,7 +4,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use awake::core::{bounds, theorem1};
+use awake::core::bounds::{self, BoundAlgo, ProblemClass};
+use awake::core::theorem1;
 use awake::graphs::{coloring, generators};
 use awake::olocal::problems::DeltaPlusOneColoring;
 
@@ -23,10 +24,17 @@ fn main() {
         coloring::palette_size(&result.outputs),
         g.max_degree() + 1
     );
+    let budget = bounds::budget_for(
+        BoundAlgo::Theorem1,
+        ProblemClass::Vertex,
+        &g,
+        &result.params,
+    )
+    .expect("vertex problems have a Theorem 1 budget");
     println!(
         "awake complexity: {} (closed-form budget {})",
         result.composition.max_awake(),
-        bounds::theorem1_awake(&result.params)
+        budget.awake
     );
     println!(
         "round complexity: {} — the skip-ahead simulator only paid for {} awake node-rounds",

@@ -44,8 +44,8 @@ fn assert_within_budget(sc: &Scenario, suite_seed: u64) {
         r.name
     );
     // The report's budget columns are exactly the audit entry point's.
-    let g = sc.family.build(sc.seed(suite_seed));
-    let budget = budget_of(sc, &g);
+    let seed = sc.seed(suite_seed);
+    let budget = budget_of(sc, &sc.family.build(seed), seed);
     assert_eq!(
         (r.awake_bound, r.round_bound),
         (budget.awake, budget.rounds)
