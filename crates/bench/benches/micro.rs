@@ -1,29 +1,27 @@
-//! Micro-benchmarks for the substrate: engine throughput, the Lemma 10
-//! mapping, Linial reduction steps, and graph operations.
+//! Micro-benchmarks of the round engine: serial and worker-pool flood
+//! throughput, the worker-count sweep with its per-phase attribution, and
+//! the line-graph adapter.
 //!
 //! Run with `cargo bench --bench micro`. Emits `BENCH_engine.json`
 //! (override the path with `BENCH_OUT`) through the shared
-//! `awake_lab::report::{PerfStats, BenchReport}` schema — the same format
-//! the scenario suite and the CI baseline differ consume — so the engine's
-//! perf trajectory is machine-readable across PRs: ns per awake node-round,
-//! node-rounds/sec,
-//! messages/sec, and heap allocations per node-round — for the current
-//! executors *and* for a faithful in-bench reconstruction of the
-//! pre-optimization hot path (binary-heap scheduler, per-send `Vec`,
-//! per-node `Vec<Vec<Envelope>>` inboxes with a per-round sort, `BTreeMap`
-//! span metrics), so every report carries its own baseline.
+//! `awake_lab::report::{PerfStats, BenchReport}` schema: ns per awake
+//! node-round, node-rounds/sec, messages/sec and heap allocations per
+//! node-round. It then checks the within-run floors
+//! (`ThreadedScaling::floor_failures`: one worker at ≥ 0.9× serial on
+//! any runner, four workers at ≥ 1.5× serial on 4 or more cores) and
+//! exits non-zero if one is missed. Code speed across commits is measured
+//! by the `ab` binary's paired runs of the benchmark, and the allocation
+//! rates are capped by `tests/alloc_regression.rs`.
 
-use awake_core::lemma10::PaletteTree;
-use awake_core::{linegraph, linial};
-use awake_graphs::{generators, ops, traversal, Graph, NodeId};
+use awake_core::linegraph;
+use awake_graphs::{generators, Graph};
 use awake_lab::report::{
     BenchReport, EdgeProblemsBench, PerfStats, PhaseTimesBench, ScalingRow, ThreadedScaling,
 };
 use awake_olocal::edge::{solve_edges_sequentially, EdgeColoring, EdgeIndex, MaximalMatching};
 use awake_olocal::EdgeProblem;
 use awake_sleeping::{
-    threaded, Action, Config, Engine, Envelope, Outbox, Outgoing, PhaseTimes, Program, RunSpec,
-    View,
+    threaded, Action, Config, Engine, Envelope, Outbox, PhaseTimes, Program, Run, RunSpec, View,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -89,7 +87,7 @@ impl Program for Flood {
 awake_sleeping::persist!(Flood { best });
 
 /// Run `programs` to completion on the `workers`-worker pool.
-fn pool_run(g: &Graph, programs: Vec<Flood>, workers: usize) -> awake_sleeping::Run<u64> {
+fn pool_run(g: &Graph, programs: Vec<Flood>, workers: usize) -> Run<u64> {
     let engine = Engine::new(g, Config::default());
     engine
         .run_spec(programs, &RunSpec::on(workers))
@@ -97,196 +95,46 @@ fn pool_run(g: &Graph, programs: Vec<Flood>, workers: usize) -> awake_sleeping::
         .finished()
 }
 
-/// The same flood workload on a reconstruction of the seed engine's hot
-/// path, costed per node-round exactly as the pre-optimization executor
-/// was: a fresh `Vec<Outgoing>` per `send`, a `BinaryHeap` push/pop per
-/// node-round (including `Stay`), per-node `Vec<Vec<Envelope>>` inboxes
-/// re-sorted every round, and per-node `BTreeMap` span accounting.
-mod legacy {
-    use super::*;
-    use std::cmp::Reverse;
-    use std::collections::{BTreeMap, BinaryHeap};
-
-    pub struct LegacyStats {
-        pub node_rounds: u64,
-        pub messages: u64,
-        pub delivered: u64,
-        pub lost: u64,
-        pub outputs: Vec<u64>,
+/// Best-of-`iters` wall time of `run` on fresh programs from `mk`, with
+/// the allocations of the last timed run, and that run. Building the
+/// programs is neither timed nor counted, so the window is the engine.
+fn best_of<P: Program>(
+    iters: usize,
+    mk: impl Fn() -> Vec<P>,
+    run: impl Fn(Vec<P>) -> Run<P::Output>,
+) -> (PerfStats, Run<P::Output>) {
+    let mut best_ns = f64::INFINITY;
+    let mut last = None;
+    for _ in 0..iters {
+        let progs = mk();
+        let a0 = alloc_count();
+        let t0 = Instant::now();
+        let r = run(progs);
+        let ns = t0.elapsed().as_nanos() as f64;
+        let allocs = alloc_count() - a0;
+        black_box(&r.outputs);
+        best_ns = best_ns.min(ns);
+        last = Some((allocs, r));
     }
+    let (allocations, run) = last.expect("iters > 0");
+    let stats = PerfStats {
+        node_rounds: run.metrics.total_awake(),
+        messages: run.metrics.messages_sent,
+        allocations,
+        wall_ns: best_ns,
+    };
+    (stats, run)
+}
 
-    pub fn flood(graph: &Graph, t: u64) -> LegacyStats {
-        let n = graph.n();
-        let mut best: Vec<u64> = vec![0; n];
-        let mut halted: Vec<bool> = vec![false; n];
-        let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::with_capacity(n);
-        let mut next_wake: Vec<Option<u64>> = vec![Some(1); n];
-        let mut node_spans: Vec<BTreeMap<&'static str, u64>> = vec![BTreeMap::new(); n];
-        let mut inboxes: Vec<Vec<Envelope<u64>>> = (0..n).map(|_| Vec::new()).collect();
-        let mut node_rounds = 0u64;
-        let mut messages = 0u64;
-        let mut delivered = 0u64;
-        let mut lost = 0u64;
-        for v in 0..n {
-            heap.push(Reverse((1, v as u32)));
-        }
-        let mut awake: Vec<u32> = Vec::new();
-        while let Some(&Reverse((round, _))) = heap.peek() {
-            awake.clear();
-            while let Some(&Reverse((r, v))) = heap.peek() {
-                if r != round {
-                    break;
-                }
-                heap.pop();
-                awake.push(v);
-            }
-            awake.sort_unstable();
-            for &v in &awake {
-                node_rounds += 1;
-                *node_spans[v as usize].entry("main").or_insert(0) += 1;
-                // per-send allocation, exactly like the seed API
-                let out: Vec<Outgoing<u64>> = vec![Outgoing::Broadcast(best[v as usize])];
-                for o in out {
-                    if let Outgoing::Broadcast(m) = o {
-                        for &w in graph.neighbors(NodeId(v)) {
-                            messages += 1;
-                            if next_wake[w.index()] == Some(round) {
-                                delivered += 1;
-                                inboxes[w.index()].push(Envelope {
-                                    from: NodeId(v),
-                                    msg: m,
-                                });
-                            } else {
-                                lost += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            for &v in &awake {
-                let mut inbox = std::mem::take(&mut inboxes[v as usize]);
-                inbox.sort_by_key(|e| e.from);
-                let b = &mut best[v as usize];
-                *b = (*b).max(graph.ident(NodeId(v)));
-                for e in &inbox {
-                    *b = (*b).max(e.msg);
-                }
-                if round >= t {
-                    halted[v as usize] = true;
-                    next_wake[v as usize] = None;
-                } else {
-                    next_wake[v as usize] = Some(round + 1);
-                    heap.push(Reverse((round + 1, v)));
-                }
-                inbox.clear();
-                inboxes[v as usize] = inbox;
-            }
-        }
-        assert!(halted.iter().all(|&h| h));
-        black_box(&node_spans);
-        LegacyStats {
-            node_rounds,
-            messages,
-            delivered,
-            lost,
-            outputs: best,
-        }
-    }
+/// `n` flood programs that halt after round `t`.
+fn floods(n: usize, t: u64) -> Vec<Flood> {
+    (0..n).map(|_| Flood { best: 0, t }).collect()
 }
 
 const N: usize = 8192;
 const DEG: usize = 8;
 const ROUNDS: u64 = 150;
 const ITERS: usize = 5;
-
-fn bench_engine_flood(g: &Graph) -> (PerfStats, PerfStats) {
-    let mk = || {
-        (0..N)
-            .map(|_| Flood { best: 0, t: ROUNDS })
-            .collect::<Vec<Flood>>()
-    };
-
-    // Current engine: best-of-ITERS wall time; allocations from the last
-    // timed run (programs pre-built so the measured window is the engine).
-    let mut best_ns = f64::INFINITY;
-    let mut allocs = 0u64;
-    let mut totals = (0u64, 0u64);
-    for _ in 0..ITERS {
-        let progs = mk();
-        let a0 = alloc_count();
-        let t0 = Instant::now();
-        let run = Engine::new(g, Config::default()).run(progs).unwrap();
-        let ns = t0.elapsed().as_nanos() as f64;
-        allocs = alloc_count() - a0;
-        totals = (run.metrics.total_awake(), run.metrics.messages_sent);
-        black_box(&run.outputs);
-        best_ns = best_ns.min(ns);
-    }
-    let engine = PerfStats {
-        node_rounds: totals.0,
-        messages: totals.1,
-        allocations: allocs,
-        wall_ns: best_ns,
-    };
-
-    // Legacy reconstruction, same workload.
-    let mut best_ns = f64::INFINITY;
-    let mut lallocs = 0u64;
-    let mut ltotals = (0u64, 0u64);
-    for _ in 0..ITERS {
-        let a0 = alloc_count();
-        let t0 = Instant::now();
-        let stats = legacy::flood(g, ROUNDS);
-        let ns = t0.elapsed().as_nanos() as f64;
-        lallocs = alloc_count() - a0;
-        ltotals = (stats.node_rounds, stats.messages);
-        black_box(&stats.outputs);
-        best_ns = best_ns.min(ns);
-    }
-    let legacy = PerfStats {
-        node_rounds: ltotals.0,
-        messages: ltotals.1,
-        allocations: lallocs,
-        wall_ns: best_ns,
-    };
-
-    // The two must compute the same answer, or the comparison is vacuous.
-    let cur = Engine::new(g, Config::default()).run(mk()).unwrap();
-    let leg = legacy::flood(g, ROUNDS);
-    assert_eq!(cur.outputs, leg.outputs, "baseline must agree on outputs");
-    assert_eq!(cur.metrics.messages_delivered, leg.delivered);
-    assert_eq!(cur.metrics.messages_lost, leg.lost);
-
-    (engine, legacy)
-}
-
-fn bench_threaded_flood(g: &Graph) -> PerfStats {
-    let mk = || {
-        (0..N)
-            .map(|_| Flood { best: 0, t: ROUNDS })
-            .collect::<Vec<Flood>>()
-    };
-    let mut best_ns = f64::INFINITY;
-    let mut allocs = 0u64;
-    let mut totals = (0u64, 0u64);
-    for _ in 0..ITERS {
-        let progs = mk();
-        let a0 = alloc_count();
-        let t0 = Instant::now();
-        let run = pool_run(g, progs, 4);
-        let ns = t0.elapsed().as_nanos() as f64;
-        allocs = alloc_count() - a0;
-        totals = (run.metrics.total_awake(), run.metrics.messages_sent);
-        black_box(&run.outputs);
-        best_ns = best_ns.min(ns);
-    }
-    PerfStats {
-        node_rounds: totals.0,
-        messages: totals.1,
-        allocations: allocs,
-        wall_ns: best_ns,
-    }
-}
 
 /// Delivery-pipeline scale for the worker sweep: a sparse `G(n, p)` at the
 /// size regime the owner-sharded pipeline exists for.
@@ -306,36 +154,8 @@ const W1_ROUNDS: u64 = 5;
 fn bench_threaded_scaling() -> (ThreadedScaling, PhaseTimesBench) {
     let p = SCALE_DEG as f64 / (SCALE_N - 1) as f64;
     let g = generators::gnp_sparse(SCALE_N, p, 7);
-    let mk = || {
-        (0..SCALE_N)
-            .map(|_| Flood {
-                best: 0,
-                t: SCALE_ROUNDS,
-            })
-            .collect::<Vec<Flood>>()
-    };
-    let measure = |runner: &dyn Fn(Vec<Flood>) -> awake_sleeping::Run<u64>| -> PerfStats {
-        let mut best_ns = f64::INFINITY;
-        let mut allocs = 0u64;
-        let mut totals = (0u64, 0u64);
-        for _ in 0..SCALE_ITERS {
-            let progs = mk();
-            let a0 = alloc_count();
-            let t0 = Instant::now();
-            let run = runner(progs);
-            let ns = t0.elapsed().as_nanos() as f64;
-            allocs = alloc_count() - a0;
-            totals = (run.metrics.total_awake(), run.metrics.messages_sent);
-            black_box(&run.outputs);
-            best_ns = best_ns.min(ns);
-        }
-        PerfStats {
-            node_rounds: totals.0,
-            messages: totals.1,
-            allocations: allocs,
-            wall_ns: best_ns,
-        }
-    };
+    let mk = || floods(SCALE_N, SCALE_ROUNDS);
+    let measure = |run: &dyn Fn(Vec<Flood>) -> Run<u64>| best_of(SCALE_ITERS, mk, run).0;
 
     let serial = measure(&|progs| Engine::new(&g, Config::default()).run(progs).unwrap());
     let rows: Vec<ScalingRow> = [1usize, 2, 4, 8]
@@ -348,22 +168,14 @@ fn bench_threaded_scaling() -> (ThreadedScaling, PhaseTimesBench) {
 
     // Serial and one worker run the same driver, so the quotient of their
     // best-of rows is mostly this machine's run-to-run noise (tens of
-    // percent per run on a shared host). The gated ratio comes from many
+    // percent per run on a shared host). The floored ratio comes from many
     // short runs in interleaved pairs instead, alternating which side goes
-    // first: the median of the per-pair throughput ratios.
-    let short = || {
-        (0..SCALE_N)
-            .map(|_| Flood {
-                best: 0,
-                t: W1_ROUNDS,
-            })
-            .collect::<Vec<Flood>>()
-    };
-    // The serial side is `Engine::run`, the one-worker side `run_spec`.
+    // first: the median of the per-pair throughput ratios. The serial side
+    // is `Engine::run`, the one-worker side `run_spec`.
     let serial_run = |progs| Engine::new(&g, Config::default()).run(progs).unwrap();
     let w1_run = |progs| pool_run(&g, progs, 1);
-    let wall_ns = |run: &dyn Fn(Vec<Flood>) -> awake_sleeping::Run<u64>| {
-        let progs = short();
+    let wall_ns = |run: &dyn Fn(Vec<Flood>) -> Run<u64>| {
+        let progs = floods(SCALE_N, W1_ROUNDS);
         let t0 = Instant::now();
         let run = run(progs);
         let ns = t0.elapsed().as_nanos() as f64;
@@ -434,9 +246,9 @@ const EDGE_ITERS: usize = 3;
 ///
 /// The counted window is the engine run only — host construction is
 /// one-time setup, excluded so `allocations` reports the adapter's
-/// *steady-state* rate (the number `tests/alloc_regression.rs` pins at
-/// ≤ 0.1 allocs/node-round; the whole-solve rate was 3.7–3.9 before the
-/// shared-`Arc` + pooled-scratch rework).
+/// *steady-state* rate (the number `tests/alloc_regression.rs` caps; the
+/// whole-solve rate was 3.7–3.9 before the shared-`Arc` + pooled-scratch
+/// rework).
 fn bench_edge_problems() -> EdgeProblemsBench {
     let g = generators::random_regular(EDGE_N, EDGE_DEG, 2);
     let idx = EdgeIndex::new(&g);
@@ -451,42 +263,24 @@ fn bench_edge_problems() -> EdgeProblemsBench {
     where
         P: EdgeProblem + Clone,
     {
-        let mut best_ns = f64::INFINITY;
-        let mut allocs = 0u64;
-        let mut totals = (0u64, 0u64);
-        let mut outputs = Vec::new();
-        for _ in 0..EDGE_ITERS {
-            let programs = linegraph::greedy_hosts(g, idx, problem, inputs);
-            let a0 = alloc_count();
-            let t0 = Instant::now();
-            let run = Engine::new(g, Config::default()).run(programs).unwrap();
-            let ns = t0.elapsed().as_nanos() as f64;
-            allocs = alloc_count() - a0;
-            totals = (run.metrics.total_awake(), run.metrics.messages_sent);
-            black_box(&run.outputs);
-            // Flatten per-node owned outputs back to canonical edge order
-            // (what `linegraph::solve_edges` does), outside the window.
-            let mut flat: Vec<Option<P::Output>> = vec![None; idx.m()];
-            for owned in &run.outputs {
-                for (label, out) in owned {
-                    flat[idx.index_of_label(*label)] = Some(out.clone());
-                }
+        let (stats, run) = best_of(
+            EDGE_ITERS,
+            || linegraph::greedy_hosts(g, idx, problem, inputs),
+            |programs| Engine::new(g, Config::default()).run(programs).unwrap(),
+        );
+        // Flatten per-node owned outputs back to canonical edge order
+        // (what `linegraph::solve_edges` does), outside the window.
+        let mut flat: Vec<Option<P::Output>> = vec![None; idx.m()];
+        for owned in &run.outputs {
+            for (label, out) in owned {
+                flat[idx.index_of_label(*label)] = Some(out.clone());
             }
-            outputs = flat
-                .into_iter()
-                .map(|o| o.expect("every edge has exactly one owner"))
-                .collect();
-            best_ns = best_ns.min(ns);
         }
-        (
-            PerfStats {
-                node_rounds: totals.0,
-                messages: totals.1,
-                allocations: allocs,
-                wall_ns: best_ns,
-            },
-            outputs,
-        )
+        let outputs = flat
+            .into_iter()
+            .map(|o| o.expect("every edge has exactly one owner"))
+            .collect();
+        (stats, outputs)
     }
 
     let (matching, matched) = measure(&g, &idx, &MaximalMatching, &inputs);
@@ -511,72 +305,16 @@ fn bench_edge_problems() -> EdgeProblemsBench {
     }
 }
 
-fn bench_lemma10() {
-    let t = PaletteTree::new(1 << 12);
-    let t0 = Instant::now();
-    let mut acc = 0u64;
-    for _ in 0..50 {
-        for color in 1..=4096u64 {
-            acc += t.r(black_box(color)).len() as u64;
-        }
-    }
-    println!(
-        "lemma10/r-path-4096          {:>12.1} ns/call (acc {acc})",
-        t0.elapsed().as_nanos() as f64 / (50.0 * 4096.0)
-    );
-}
-
-fn bench_linial() {
-    let step = linial::step_params(1 << 20, 16);
-    let neighbors: Vec<u64> = (0..16).map(|i| i * 991 + 7).collect();
-    let t0 = Instant::now();
-    let mut acc = 0u64;
-    for i in 0..100_000 {
-        acc += linial::reduce_color(black_box(123_456 + i % 7), &neighbors, step);
-    }
-    println!(
-        "linial/reduce-color          {:>12.1} ns/call (acc {acc})",
-        t0.elapsed().as_nanos() as f64 / 1e5
-    );
-    let t0 = Instant::now();
-    let mut len = 0usize;
-    for _ in 0..100 {
-        len = linial::schedule(black_box(1u64 << 40), 16).len();
-    }
-    println!(
-        "linial/schedule-from-2^40    {:>12.1} ns/call (len {len})",
-        t0.elapsed().as_nanos() as f64 / 100.0
-    );
-}
-
-fn bench_graphs() {
-    let g = generators::gnp(512, 0.05, 3);
-    let t0 = Instant::now();
-    let mut m = 0usize;
-    for _ in 0..20 {
-        m = ops::square(black_box(&g)).m();
-    }
-    println!(
-        "graphs/square-512            {:>12.1} µs/call (m {m})",
-        t0.elapsed().as_nanos() as f64 / 20.0 / 1e3
-    );
-    let t0 = Instant::now();
-    let mut d = 0usize;
-    for _ in 0..200 {
-        d = traversal::bfs_distances(black_box(&g), NodeId(0)).len();
-    }
-    println!(
-        "graphs/bfs-512               {:>12.1} µs/call (n {d})",
-        t0.elapsed().as_nanos() as f64 / 200.0 / 1e3
-    );
-}
-
 fn main() {
     let g = generators::random_regular(N, DEG, 1);
     println!("engine/flood: n = {N}, degree ≈ {DEG}, {ROUNDS} rounds, best of {ITERS}\n");
 
-    let (engine, legacy) = bench_engine_flood(&g);
-    let thr = bench_threaded_flood(&g);
+    let flood = || floods(N, ROUNDS);
+    let engine = best_of(ITERS, flood, |progs| {
+        Engine::new(&g, Config::default()).run(progs).unwrap()
+    })
+    .0;
+    let thr = best_of(ITERS, flood, |progs| pool_run(&g, progs, 4)).0;
     let (scaling, phase_times) = bench_threaded_scaling();
     let edge_problems = bench_edge_problems();
     let report = BenchReport {
@@ -589,7 +327,6 @@ fn main() {
             .unwrap_or(0),
         engine,
         threaded_4_workers: thr,
-        legacy_baseline: legacy,
         threaded_scaling: scaling,
         phase_times,
         edge_problems,
@@ -602,21 +339,10 @@ fn main() {
         engine.allocations_per_node_round()
     );
     println!(
-        "engine  (4 workers){:>9.1} ns/node-round  {:>12.0} node-rounds/s  {:>7} allocs",
+        "engine  (4 workers){:>9.1} ns/node-round  {:>12.0} node-rounds/s  {:>7} allocs\n",
         thr.ns_per_node_round(),
         thr.node_rounds_per_sec(),
         thr.allocations
-    );
-    println!(
-        "legacy  baseline   {:>9.1} ns/node-round  {:>12.0} node-rounds/s  {:>7} allocs ({:.4}/node-round)",
-        legacy.ns_per_node_round(),
-        legacy.node_rounds_per_sec(),
-        legacy.allocations,
-        legacy.allocations_per_node_round()
-    );
-    println!(
-        "speedup (serial vs legacy baseline): {:.2}x\n",
-        report.speedup_vs_legacy()
     );
 
     let sc = &report.threaded_scaling;
@@ -682,14 +408,18 @@ fn main() {
     // cargo runs benches with CWD = the package dir; anchor the report at
     // the workspace root so its path is stable across invocation styles.
     // Atomic write: a killed bench must not leave a torn JSON document
-    // under the name baseline-diff reads.
+    // under the committed report's name.
     let out = std::env::var("BENCH_OUT")
         .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json").into());
     awake_lab::fsio::write_atomic(std::path::Path::new(&out), report.to_json().as_bytes())
         .expect("write bench report");
     println!("wrote {out}");
 
-    bench_lemma10();
-    bench_linial();
-    bench_graphs();
+    let missed = sc.floor_failures(report.cores);
+    for m in &missed {
+        eprintln!("micro: floor missed: {m}");
+    }
+    if !missed.is_empty() {
+        std::process::exit(1);
+    }
 }

@@ -1,6 +1,7 @@
-//! Micro benchmarks (`benches/micro.rs`) and allocation-regression tests
-//! (`tests/alloc_regression.rs`) for the simulator. The library exports
-//! nothing; it exists because a Cargo package needs a lib or bin target.
+//! Micro benchmarks (`benches/micro.rs`), allocation-regression tests
+//! (`tests/alloc_regression.rs`) and `ab`, the paired A/B runner of the
+//! benchmark across commits (`src/bin/ab.rs`). The library exports
+//! nothing; it exists because a Cargo package needs a lib target.
 //!
 //! The paper's experiments are checked elsewhere: awake cost against `n`
 //! and against Δ is the `regime` preset of `awake-lab`

@@ -1,43 +1,27 @@
-//! Diff a fresh `BENCH_engine.json` against the committed baseline — the
-//! CI bench-regression gate.
+//! Diff a fresh `BENCH_energy.json` against the committed one — CI's
+//! compression-regression gate.
 //!
 //! ```sh
 //! cargo run --release -p awake-lab --bin baseline-diff -- \
-//!     BENCH_baseline.json BENCH_engine.json [--tolerance 0.15]
+//!     BENCH_energy.json energy_current.json
 //! ```
 //!
-//! Prints the per-metric diff table and exits non-zero on a gated
-//! regression: a throughput drop beyond the tolerance, or any increase in
-//! allocations per node-round (see `awake_lab::baselines` for the rules).
+//! Prints the per-point diff table and exits non-zero when a point's
+//! `wall_ms / awake_events` rises more than [`COST_TOLERANCE`] above the
+//! baseline's (see `awake_lab::baselines`).
 //!
-//! With `--energy` the inputs are `BENCH_energy.json` documents instead
-//! and the gate is the compression-cost ratio `wall_ms / awake_events`
-//! per sweep point (fails on a rise beyond the tolerance).
-//!
-//! Exit codes: `0` gate passed, `1` gate failed (a metric regressed),
+//! Exit codes: `0` gate passed, `1` gate failed (a point regressed),
 //! `2` usage or malformed JSON, `3` an input file is missing or
 //! unreadable (the error names the file and how to produce it).
 
-use awake_lab::baselines::{self, GateMode, Tolerances};
+use awake_lab::baselines::{self, COST_TOLERANCE};
 use awake_lab::json;
 use std::process::ExitCode;
 
 /// Exit code for a missing/unreadable input file, distinct from parse
-/// and usage errors (`2`) so CI can tell "you forgot to run the bench"
-/// from "the bench emitted garbage".
+/// and usage errors (`2`) so CI can tell "you forgot to run the sweep"
+/// from "the sweep emitted garbage".
 const EXIT_NO_INPUT: u8 = 3;
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: baseline-diff <baseline.json> <current.json> [--tolerance FRACTION] [--portable] [--energy]\n\
-         \n  --portable  gate only machine-portable metrics (vs-legacy throughput\n\
-         \x20             ratios and allocations per node-round); use when the\n\
-         \x20             baseline was recorded on different hardware, e.g. in CI\n\
-         \x20 --energy    inputs are BENCH_energy.json documents; gate the\n\
-         \x20             wall_ms / awake_events compression-cost ratio per point"
-    );
-    std::process::exit(2);
-}
 
 /// Read and parse one input report. I/O failures (missing or unreadable
 /// file) come back as `(EXIT_NO_INPUT, message-with-production-hint)`;
@@ -54,56 +38,22 @@ fn load(path: &str, role: &str, hint: &str) -> Result<json::Value, (u8, String)>
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut paths = Vec::new();
-    let mut tol = Tolerances::default();
-    let mut mode = GateMode::Absolute;
-    let mut energy = false;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--tolerance" => {
-                i += 1;
-                let Some(v) = argv.get(i).and_then(|s| s.parse::<f64>().ok()) else {
-                    usage()
-                };
-                tol.throughput_drop = v;
-            }
-            "--portable" => mode = GateMode::Portable,
-            "--energy" => energy = true,
-            p if !p.starts_with("--") => paths.push(p.to_string()),
-            _ => usage(),
-        }
-        i += 1;
-    }
-    let [baseline_path, current_path] = paths.as_slice() else {
-        usage()
+    let [baseline_path, current_path] = argv.as_slice() else {
+        eprintln!("usage: baseline-diff <baseline BENCH_energy.json> <current energy.json>");
+        return ExitCode::from(2);
     };
-
     let result = (|| {
-        if energy {
-            let baseline = load(
-                baseline_path,
-                "baseline",
-                "git restore the committed BENCH_energy.json, or bless a fresh sweep as the new baseline",
-            )?;
-            let current = load(
-                current_path,
-                "current",
-                "cargo run --release -p awake-lab --bin suite -- --preset scaling  (writes BENCH_energy.json)",
-            )?;
-            return baselines::diff_energy(&baseline, &current, &tol).map_err(|e| (2u8, e));
-        }
         let baseline = load(
             baseline_path,
             "baseline",
-            "git restore the committed BENCH_baseline.json, or bless a fresh BENCH_engine.json as the new baseline",
+            "git restore the committed BENCH_energy.json, or bless a fresh sweep as the new baseline",
         )?;
         let current = load(
             current_path,
             "current",
-            "cargo bench -p awake-bench --bench micro  (writes BENCH_engine.json; BENCH_OUT=PATH overrides)",
+            "cargo run --release -p awake-lab --bin suite -- --preset scaling --energy-out PATH",
         )?;
-        baselines::diff_bench(&baseline, &current, &tol, mode).map_err(|e| (2u8, e))
+        baselines::diff_energy(&baseline, &current).map_err(|e| (2u8, e))
     })();
     let rows = match result {
         Ok(rows) => rows,
@@ -114,17 +64,8 @@ fn main() -> ExitCode {
     };
 
     println!(
-        "{} regression gate: {} vs {} (throughput tolerance {:.0}%, alloc epsilon {}{})\n",
-        if energy { "compression" } else { "bench" },
-        baseline_path,
-        current_path,
-        tol.throughput_drop * 100.0,
-        tol.alloc_epsilon,
-        if mode == GateMode::Portable {
-            ", portable metrics only"
-        } else {
-            ""
-        }
+        "compression regression gate: {baseline_path} vs {current_path} (tolerance {:.0}%)\n",
+        COST_TOLERANCE * 100.0
     );
     print!("{}", baselines::render_table(&rows));
 
@@ -133,7 +74,7 @@ fn main() -> ExitCode {
         println!("\ngate PASSED");
         ExitCode::SUCCESS
     } else {
-        println!("\ngate FAILED ({} metric(s) regressed):", failed.len());
+        println!("\ngate FAILED ({} point(s) regressed):", failed.len());
         for r in &failed {
             println!(
                 "  {}: {:.4} -> {:.4} ({:+.1}%)",

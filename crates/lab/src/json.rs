@@ -1,15 +1,18 @@
-//! A minimal JSON reader for the baseline differ.
+//! A minimal JSON reader and writer.
 //!
 //! The workspace builds without external crates, so this module stands in
-//! for `serde_json` where the harness must *read* JSON back (diffing a
-//! fresh `BENCH_engine.json` against the committed baseline). It parses
+//! for `serde_json` where a tool must *read* JSON back (the energy gate
+//! diffing a fresh `BENCH_energy.json` against the committed one, the A/B
+//! tool reading each benchmark run's last line) or write a document it
+//! did not render by hand ([`Value::to_json`]). It parses
 //! the full JSON grammar, including `\uXXXX` escapes: surrogate *pairs*
 //! decode to the real supplementary-plane code point, and lone surrogates
 //! are a parse error — report strings round-trip exactly, never silently
 //! corrupting to U+FFFD.
 
+use crate::report::json_str;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,6 +58,53 @@ impl Value {
         match self {
             Value::Str(s) => Some(s),
             _ => None,
+        }
+    }
+
+    /// The document as text: an object's members one per line, indented
+    /// two spaces per level, an array on one line. JSON has no non-finite
+    /// numbers, so those are written as `null`. [`parse`] reads the text
+    /// back to an equal value.
+    pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, out: &mut String, indent: usize) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => {
+                let _ = write!(out, "{b}");
+            }
+            Value::Num(x) if x.is_finite() => {
+                let _ = write!(out, "{x}");
+            }
+            Value::Num(_) => out.push_str("null"),
+            Value::Str(s) => out.push_str(&json_str(s)),
+            Value::Arr(items) => {
+                out.push('[');
+                for (i, v) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    v.write(out, indent);
+                }
+                out.push(']');
+            }
+            Value::Obj(members) => {
+                out.push('{');
+                for (i, (k, v)) in members.iter().enumerate() {
+                    let sep = if i > 0 { ",\n" } else { "\n" };
+                    let _ = write!(out, "{sep}{:w$}{}: ", "", json_str(k), w = indent + 2);
+                    v.write(out, indent + 2);
+                }
+                if !members.is_empty() {
+                    let _ = write!(out, "\n{:indent$}", "");
+                }
+                out.push('}');
+            }
         }
     }
 }
@@ -350,7 +400,7 @@ mod tests {
     #[test]
     fn parses_the_bench_schema() {
         let doc = r#"{
-          "bench": "engine/flood", "n": 8192, "speedup_vs_legacy": 2.168,
+          "bench": "engine/flood", "n": 8192, "cores": 2,
           "engine": {"node_rounds_per_sec": 16530428, "allocations_per_node_round": 0.0134}
         }"#;
         let v = parse(doc).unwrap();
@@ -359,7 +409,7 @@ mod tests {
             v.path(&["engine", "node_rounds_per_sec"]).unwrap().as_f64(),
             Some(16530428.0)
         );
-        assert_eq!(v.get("speedup_vs_legacy").unwrap().as_f64(), Some(2.168));
+        assert_eq!(v.get("cores").unwrap().as_f64(), Some(2.0));
         assert!(v.get("missing").is_none());
     }
 
@@ -374,6 +424,18 @@ mod tests {
             panic!()
         };
         assert_eq!(nums[1].as_f64(), Some(-2.5e-3));
+    }
+
+    #[test]
+    fn written_documents_parse_back_equal() {
+        let doc = r#"{"schema": "awake-lab/ab/v1", "pairs": 30, "ok": true, "none": null,
+          "w": {"ratios": [0.5, 1, -2.5e-3], "note": "a\"b\n", "empty": {}, "list": []}}"#;
+        let v = parse(doc).unwrap();
+        let text = v.to_json();
+        assert_eq!(parse(&text).unwrap(), v);
+        assert!(text.contains("\n  \"pairs\": 30,\n"), "{text}");
+        assert!(text.contains("\"ratios\": [0.5, 1, -0.0025]"), "{text}");
+        assert_eq!(Value::Num(f64::NAN).to_json(), "null\n");
     }
 
     #[test]
@@ -404,7 +466,6 @@ mod tests {
             cores: 4,
             engine: p,
             threaded_4_workers: p,
-            legacy_baseline: p,
             threaded_scaling: crate::report::ThreadedScaling {
                 n: 20,
                 degree: 3,

@@ -25,10 +25,12 @@
 //!   [`PerfStats`](report::PerfStats)/[`BenchReport`](report::BenchReport)
 //!   are the schema of `BENCH_engine.json`, so micro benches and suites
 //!   share one format.
-//! * [`baselines`] — diffs a fresh bench report against the committed
-//!   `BENCH_baseline.json` with per-metric tolerance rules (the CI
-//!   regression gate).
-//! * [`json`] — the minimal std-only JSON reader backing the differ.
+//! * [`baselines`] — the energy gate: diffs a fresh `BENCH_energy.json`
+//!   against the committed one, point by point. Code speed across
+//!   commits is measured by paired runs of the benchmark instead (the
+//!   `ab` binary of `awake-bench`).
+//! * [`json`] — the minimal std-only JSON reader and writer behind the
+//!   gate and the A/B tool.
 //!
 //! # Defining and running a scenario
 //!
@@ -65,7 +67,7 @@
 //! ```sh
 //! cargo run --release -p awake-lab --bin suite -- --preset quick
 //! cargo run --release -p awake-lab --bin baseline-diff -- \
-//!     BENCH_baseline.json BENCH_engine.json
+//!     BENCH_energy.json energy_current.json
 //! ```
 
 #![forbid(unsafe_code)]

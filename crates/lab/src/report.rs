@@ -9,9 +9,9 @@
 //!   [`Report::to_json`] adds the per-scenario wall time and allocation
 //!   counts.
 //! * [`PerfStats`] / [`BenchReport`] — the micro-bench schema
-//!   (`awake-lab/bench/v1`, the shape of `BENCH_engine.json`). The bench
-//!   crate emits through these types, so the CI baseline differ and the
-//!   suite runner read one format.
+//!   (`awake-lab/bench/v1`, the shape of `BENCH_engine.json`), which the
+//!   bench crate's `micro` writes, and the within-run floors it holds
+//!   ([`ThreadedScaling::floor_failures`]).
 
 use awake_sleeping::{percentile_of_sorted, Counters, Metrics, PhaseTimes};
 use std::fmt::Write as _;
@@ -339,8 +339,8 @@ impl PerfStats {
         self.wall_ns / self.node_rounds as f64
     }
 
-    /// Awake node-rounds per second — the headline throughput metric the
-    /// CI regression gate checks.
+    /// Awake node-rounds per second — the headline throughput metric,
+    /// whose ratios the `w1`/`w4` floors check.
     pub fn node_rounds_per_sec(&self) -> f64 {
         self.node_rounds as f64 / (self.wall_ns / 1e9)
     }
@@ -385,9 +385,8 @@ pub struct ScalingRow {
 /// the worker-pool executor at several worker counts. The
 /// [`w4_vs_serial`](Self::w4_vs_serial) and
 /// [`w1_vs_serial`](Self::w1_vs_serial) ratios are measured within one
-/// process on one machine, so they are portable across hardware — the CI
-/// gate tracks them to catch delivery-pipeline regressions that the serial
-/// rows are blind to, and to hold one worker to the serial engine's speed.
+/// process on one machine, so they hold on any hardware: `micro` fails
+/// when one misses its floor ([`floor_failures`](Self::floor_failures)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThreadedScaling {
     /// Nodes.
@@ -409,9 +408,37 @@ pub struct ThreadedScaling {
     pub w1_vs_serial: Option<f64>,
 }
 
+/// Floor on [`ThreadedScaling::w1_vs_serial`] on any runner: one worker
+/// runs every round in place through the serial engine's driver, so no
+/// core count excuses it falling behind.
+pub const W1_FLOOR: f64 = 0.9;
+
+/// Floor on [`ThreadedScaling::w4_vs_serial`] on a runner with at least 4
+/// cores: the 4-worker pipeline must beat the serial engine there.
+pub const W4_FLOOR: f64 = 1.5;
+
 impl ThreadedScaling {
-    /// 4-worker throughput over serial — the portable pipeline-health
-    /// ratio. `None` if no 4-worker row was measured.
+    /// The floors this sweep misses on a `cores`-core runner, one message
+    /// each: [`W1_FLOOR`] on any runner, [`W4_FLOOR`] with 4 or more
+    /// cores. A runner with 1–3 cores cannot show a 4-worker speedup, so
+    /// there the `w4` floor is skipped; `cores = 0` (detection failed)
+    /// keeps it armed.
+    pub fn floor_failures(&self, cores: usize) -> Vec<String> {
+        let mut out = Vec::new();
+        if let Some(r) = self.w1_vs_serial.filter(|&r| r < W1_FLOOR) {
+            out.push(format!("w1_vs_serial {r:.3} < floor {W1_FLOOR}"));
+        }
+        let w4 = self.w4_vs_serial().filter(|&r| r < W4_FLOOR);
+        if let (Some(r), false) = (w4, (1..4).contains(&cores)) {
+            out.push(format!(
+                "w4_vs_serial {r:.3} < floor {W4_FLOOR} ({cores}-core runner)"
+            ));
+        }
+        out
+    }
+
+    /// 4-worker throughput over serial — the pipeline-health ratio.
+    /// `None` if no 4-worker row was measured.
     pub fn w4_vs_serial(&self) -> Option<f64> {
         self.rows
             .iter()
@@ -449,9 +476,9 @@ impl ThreadedScaling {
 /// The `phase_times` section of `BENCH_engine.json`: where a worker-pool
 /// round's wall time goes, collected by
 /// `awake_sleeping::threaded::run_threaded_timed` on the scaling workload.
-/// Phase splits move with hardware and load, so these rows never gate in
-/// `baselines::diff_bench` — they are the forensic context for a
-/// `w4_vs_serial` regression: *which* pipeline stage ate the time.
+/// Phase splits move with hardware and load, so they never gate — they are
+/// the forensic context for a `w4_vs_serial` miss: *which* pipeline stage
+/// ate the time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseTimesBench {
     /// Worker threads the timed run used.
@@ -534,10 +561,9 @@ impl EdgeProblemsBench {
     }
 }
 
-/// The micro-bench report (`BENCH_engine.json`): current serial engine,
-/// worker-pool executor, the in-bench legacy reconstruction — every
-/// report carries its own baseline — the threaded-scaling sweep, and the
-/// edge-problem adapter workload.
+/// The micro-bench report (`BENCH_engine.json`): the serial engine, the
+/// worker-pool executor, the threaded-scaling sweep, and the edge-problem
+/// adapter workload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
     /// Workload label (e.g. `"engine/flood"`).
@@ -549,41 +575,31 @@ pub struct BenchReport {
     /// Rounds simulated.
     pub rounds: u64,
     /// Detected core count of the machine that produced the report
-    /// (`std::thread::available_parallelism`, `0` = detection failed). CI
-    /// reads this to demote multi-worker throughput ratios to
-    /// informational rows on runners that cannot physically exhibit
-    /// parallel speedup (see `baselines::diff_bench`).
+    /// (`std::thread::available_parallelism`, `0` = detection failed):
+    /// the `w4` floor applies only with 4 or more
+    /// ([`ThreadedScaling::floor_failures`]).
     pub cores: usize,
     /// The current serial engine.
     pub engine: PerfStats,
     /// The worker-pool executor (4 workers).
     pub threaded_4_workers: PerfStats,
-    /// The pre-optimization hot-path reconstruction.
-    pub legacy_baseline: PerfStats,
     /// Worker-count sweep of the delivery pipeline at a larger n.
     pub threaded_scaling: ThreadedScaling,
     /// Per-phase wall-time attribution of the worker-pool pipeline on the
-    /// scaling workload (informational in the CI gate).
+    /// scaling workload (informational).
     pub phase_times: PhaseTimesBench,
     /// Edge problems through the line-graph adapter.
     pub edge_problems: EdgeProblemsBench,
 }
 
 impl BenchReport {
-    /// Serial-engine throughput over the legacy reconstruction — the
-    /// machine-portable speedup figure.
-    pub fn speedup_vs_legacy(&self) -> f64 {
-        self.engine.node_rounds_per_sec() / self.legacy_baseline.node_rounds_per_sec()
-    }
-
     /// The full `BENCH_engine.json` document.
     pub fn to_json(&self) -> String {
         format!(
             "{{\n  \"schema\": \"{BENCH_SCHEMA}\",\n  \"bench\": {},\n  \"n\": {},\n  \
              \"degree\": {},\n  \"rounds\": {},\n  \"cores\": {},\n  \"engine\": {},\n  \
-             \"threaded_4_workers\": {},\n  \"legacy_baseline\": {},\n  \
-             \"threaded_scaling\": {},\n  \"phase_times\": {},\n  \"edge_problems\": {},\n  \
-             \"speedup_vs_legacy\": {:.3}\n}}\n",
+             \"threaded_4_workers\": {},\n  \"threaded_scaling\": {},\n  \
+             \"phase_times\": {},\n  \"edge_problems\": {}\n}}\n",
             json_str(&self.bench),
             self.n,
             self.degree,
@@ -591,11 +607,9 @@ impl BenchReport {
             self.cores,
             self.engine.section_json(),
             self.threaded_4_workers.section_json(),
-            self.legacy_baseline.section_json(),
             self.threaded_scaling.section_json(),
             self.phase_times.section_json(),
             self.edge_problems.section_json(),
-            self.speedup_vs_legacy()
         )
     }
 }
@@ -808,7 +822,6 @@ mod tests {
             cores: 4,
             engine: p,
             threaded_4_workers: p,
-            legacy_baseline: PerfStats { wall_ns: 2e6, ..p },
             threaded_scaling: scaling,
             phase_times: PhaseTimesBench {
                 workers: 4,
@@ -827,13 +840,11 @@ mod tests {
                 edge_coloring: p,
             },
         };
-        assert!((b.speedup_vs_legacy() - 2.0).abs() < 1e-9);
         let j = b.to_json();
         for key in [
             "\"schema\"",
             "\"engine\"",
             "\"threaded_4_workers\"",
-            "\"legacy_baseline\"",
             "\"threaded_scaling\"",
             "\"w1\"",
             "\"w4\"",
@@ -851,9 +862,74 @@ mod tests {
             "\"edge_problems\"",
             "\"matching\"",
             "\"edge_coloring\"",
-            "\"speedup_vs_legacy\": 2.000",
         ] {
             assert!(j.contains(key), "missing {key} in {j}");
+        }
+        assert!(!j.contains("legacy"), "{j}");
+        assert!(crate::json::parse(&j).is_ok(), "{j}");
+    }
+
+    /// A sweep whose 1-worker and 4-worker rows run at `w1` and `w4` times
+    /// the serial throughput.
+    fn sweep(w1: f64, w4: f64) -> ThreadedScaling {
+        let p = PerfStats {
+            node_rounds: 1_000_000,
+            messages: 8_000_000,
+            allocations: 0,
+            wall_ns: 6e7,
+        };
+        let at = |workers, speedup: f64| ScalingRow {
+            workers,
+            stats: PerfStats {
+                wall_ns: p.wall_ns / speedup,
+                ..p
+            },
+        };
+        ThreadedScaling {
+            n: 65_536,
+            degree: 8,
+            rounds: 25,
+            serial: p,
+            rows: vec![at(1, w1), at(4, w4)],
+            w1_vs_serial: Some(w1),
+        }
+    }
+
+    #[test]
+    fn w1_floor_holds_on_every_runner() {
+        // One worker at 1/1.3 of the serial speed fails on every core
+        // count, since one worker runs the serial driver and needs no
+        // cores to keep its speed; at serial speed it passes.
+        for cores in [1, 2, 4, 0] {
+            let failed = sweep(1.0 / 1.3, 2.0).floor_failures(cores);
+            assert_eq!(failed.len(), 1, "{cores} cores: {failed:?}");
+            assert!(failed[0].starts_with("w1_vs_serial 0.769 < floor 0.9"));
+            assert!(sweep(1.0, 2.0).floor_failures(cores).is_empty());
+        }
+    }
+
+    #[test]
+    fn w4_floor_holds_on_four_or_more_cores() {
+        // 1.25 < 1.5: fails where the cores exist, and where detection
+        // failed (unknown hardware must not silently disarm the floor).
+        for cores in [4, 8, 0] {
+            let failed = sweep(1.0, 1.25).floor_failures(cores);
+            assert_eq!(
+                failed,
+                [format!(
+                    "w4_vs_serial 1.250 < floor 1.5 ({cores}-core runner)"
+                )]
+            );
+            assert!(sweep(1.0, 1.6).floor_failures(cores).is_empty());
+        }
+    }
+
+    #[test]
+    fn few_core_runners_skip_the_w4_floor() {
+        // A 1–3-core runner cannot exhibit a 4-worker speedup: a slow w4
+        // row is hardware there, not code.
+        for cores in 1..4 {
+            assert!(sweep(1.0, 0.6).floor_failures(cores).is_empty());
         }
     }
 
