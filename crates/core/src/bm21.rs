@@ -72,7 +72,7 @@ where
 {
     assert_eq!(inputs.len(), g.n(), "inputs length mismatch");
     let delta = delta.unwrap_or_else(|| g.max_degree()).max(1) as u64;
-    let [linial_stage, lemma11_stage] = bounds::bm21_stages(g, delta);
+    let [linial_stage, lemma11_stage] = bounds::bm21_stages(g, delta)?;
     let mut composition = Composition::new();
 
     // Stage 1: Linial to k = O(Δ²) colors. Hoist the `O(n)` ident-bound
@@ -138,7 +138,7 @@ mod tests {
             generators::grid(7, 8),
             generators::complete(9),
         ] {
-            let table = bounds::bm21_stages(&g, g.max_degree().max(1) as u64);
+            let table = bounds::bm21_stages(&g, g.max_degree().max(1) as u64).unwrap();
             let r = solve(&g, &DeltaPlusOneColoring, &vec![(); g.n()], None).unwrap();
             DeltaPlusOneColoring
                 .validate(&g, &vec![(); g.n()], &r.outputs)

@@ -13,6 +13,11 @@
 //! The tests and the experiment harness assert `measured ≤ bound`; the
 //! bounds are the paper's statements made concrete with this
 //! implementation's exact constants (no hidden `O(·)`).
+//!
+//! Every figure is computed in checked arithmetic. A figure past
+//! `u64::MAX` is `None` at the helper level and a [`BoundOverflow`]
+//! naming its stage at the table level, never a wrapped or saturated
+//! number, because the report pins these figures.
 
 use crate::compose::Composition;
 use crate::gather::gather_rounds;
@@ -22,14 +27,40 @@ use crate::lemma15::Lemma15Config;
 use crate::params::Params;
 use crate::{linial, virt};
 use awake_graphs::Graph;
-use awake_sleeping::{redundancy_for, FaultPlan};
+use awake_sleeping::{redundancy_for, FaultPlan, SimError};
+use std::fmt;
+
+/// A budget figure that does not fit in `u64`: the stage whose own
+/// figure, degraded figure or running Lemma 8 sum overflowed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BoundOverflow {
+    /// The stage's name, as in the stage table.
+    pub stage: String,
+}
+
+impl fmt::Display for BoundOverflow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "the budget of stage {} overflows u64", self.stage)
+    }
+}
+
+impl std::error::Error for BoundOverflow {}
+
+/// A solver sizes its stages' engine runs from the stage table, so a
+/// table that overflows is a schedule that cannot be made: it fails
+/// before round 1.
+impl From<BoundOverflow> for SimError {
+    fn from(_: BoundOverflow) -> Self {
+        SimError::RoundOverflow { round: 0 }
+    }
+}
 
 /// Lemma 6: broadcast/convergecast awake complexity (non-root nodes).
 pub const LEMMA6_AWAKE: u64 = 3;
 
 /// Lemma 6: round complexity for label bound `n_labels`.
-pub fn lemma6_rounds(n_labels: u64) -> u64 {
-    n_labels + 3
+pub fn lemma6_rounds(n_labels: u64) -> Option<u64> {
+    n_labels.checked_add(3)
 }
 
 /// Awake rounds of the intra-cluster gather (per node).
@@ -50,20 +81,24 @@ pub fn lemma11_awake(k: u64) -> u64 {
     2 + PaletteTree::covering(k).q().trailing_zeros() as u64
 }
 
-/// Lemma 11 round complexity (`1 + (2q − 1)`).
-pub fn lemma11_rounds(k: u64) -> u64 {
-    1 + PaletteTree::covering(k).horizon()
+/// Lemma 11 round complexity (`1 + (2q − 1)`), `None` once `2q` leaves
+/// `u64` (`k > 2^63`).
+pub fn lemma11_rounds(k: u64) -> Option<u64> {
+    if k > 1 << 63 {
+        return None;
+    }
+    PaletteTree::covering(k).horizon().checked_add(1)
 }
 
 /// Trivial baseline awake bound: `Δ + 2`.
-pub fn trivial_awake(g: &Graph) -> u64 {
-    g.max_degree() as u64 + 2
+pub fn trivial_awake(g: &Graph) -> Option<u64> {
+    (g.max_degree() as u64).checked_add(2)
 }
 
 /// Trivial baseline round bound: every node announces at round
 /// `1 + ident`, so the schedule ends by `ident_bound + 1`.
-pub fn trivial_rounds(g: &Graph) -> u64 {
-    g.ident_bound() + 1
+pub fn trivial_rounds(g: &Graph) -> Option<u64> {
+    g.ident_bound().checked_add(1)
 }
 
 /// Virtual-round budget of one Lemma 15 execution at iteration `i`: the
@@ -74,8 +109,17 @@ pub fn trivial_rounds(g: &Graph) -> u64 {
 /// always granted (the cap is this budget plus two real rounds), so the
 /// budget and the cap stay one figure; the phase itself ends by
 /// `vrounds() − 1`.
-pub fn lemma15_vrounds(p: &Params, iteration: u32) -> u64 {
-    Lemma15Config::at(p, iteration).vrounds() + 2
+///
+/// The schedule is four windows of `N₆ + 2` rounds with
+/// `N₆ = 4·ℓ + 2` over the iteration's label bound `ℓ`, plus a constant
+/// and the `log*` Linial loop, so it fits in `u64` whenever `32·ℓ` does;
+/// `ℓ` is checked against that before the phase computes its schedule.
+pub fn lemma15_vrounds(p: &Params, iteration: u32) -> Option<u64> {
+    u64::from(iteration.saturating_sub(1))
+        .checked_mul(p.ab2)?
+        .checked_add(p.ident_bound)?
+        .checked_mul(32)?;
+    Lemma15Config::at(p, iteration).vrounds().checked_add(2)
 }
 
 // ---- line-graph adapter bounds (edge problems) ----
@@ -89,15 +133,17 @@ pub fn lemma15_vrounds(p: &Params, iteration: u32) -> u64 {
 /// pays at most `Σ_{e ∋ v} (deg_L(e) + 2)` awake rounds. With
 /// `deg_L({u, w}) = deg(u) + deg(w) − 2` this collapses to the closed form
 /// `deg(v)² + Σ_{u ∼ v} deg(u)`, maximized over hosts.
-pub fn linegraph_awake(g: &Graph) -> u64 {
-    g.nodes()
-        .map(|v| {
-            let dv = g.degree(v) as u64;
-            let nbr_deg: u64 = g.neighbors(v).iter().map(|&u| g.degree(u) as u64).sum();
-            dv * dv + nbr_deg
-        })
-        .max()
-        .unwrap_or(0)
+pub fn linegraph_awake(g: &Graph) -> Option<u64> {
+    g.nodes().try_fold(0u64, |max, v| {
+        let dv = g.degree(v) as u64;
+        let host = g
+            .neighbors(v)
+            .iter()
+            .try_fold(dv.checked_mul(dv)?, |acc, &u| {
+                acc.checked_add(g.degree(u) as u64)
+            })?;
+        Some(max.max(host))
+    })
 }
 
 /// Round bound of the line-graph adapter: labels are `1..=m` and the
@@ -120,18 +166,6 @@ pub struct Budget {
     pub rounds: u64,
 }
 
-/// Lemma 8: budgets compose by adding awake and rounds figures.
-impl std::iter::Sum for Budget {
-    fn sum<I: Iterator<Item = Budget>>(iter: I) -> Budget {
-        let (mut awake, mut rounds) = (0u64, 0u64);
-        for b in iter {
-            awake = awake.saturating_add(b.awake);
-            rounds = rounds.saturating_add(b.rounds);
-        }
-        Budget { awake, rounds }
-    }
-}
-
 /// One Lemma 8 stage of a solver: the name the solver records it under
 /// in its [`Composition`] and its fault-free budget.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,23 +176,63 @@ pub struct Stage {
     pub budget: Budget,
 }
 
-fn stage(name: impl Into<String>, awake: u64, rounds: u64) -> Stage {
-    Stage {
-        name: name.into(),
-        budget: Budget { awake, rounds },
+/// A stage from its checked figures, or the overflow naming it.
+fn stage(
+    name: impl Into<String>,
+    awake: Option<u64>,
+    rounds: Option<u64>,
+) -> Result<Stage, BoundOverflow> {
+    let name = name.into();
+    match (awake, rounds) {
+        (Some(awake), Some(rounds)) => Ok(Stage {
+            name,
+            budget: Budget { awake, rounds },
+        }),
+        _ => Err(BoundOverflow { stage: name }),
     }
+}
+
+/// Lemma 8: budgets compose by adding awake and rounds figures. An
+/// overflowing sum names the stage whose term overflowed it.
+pub fn lemma8_sum(stages: &[Stage]) -> Result<Budget, BoundOverflow> {
+    let mut sum = Budget {
+        awake: 0,
+        rounds: 0,
+    };
+    for s in stages {
+        sum = match (
+            sum.awake.checked_add(s.budget.awake),
+            sum.rounds.checked_add(s.budget.rounds),
+        ) {
+            (Some(awake), Some(rounds)) => Budget { awake, rounds },
+            _ => {
+                return Err(BoundOverflow {
+                    stage: s.name.clone(),
+                })
+            }
+        };
+    }
+    Ok(sum)
 }
 
 /// BM21's stages at degree bound `delta`: Linial's reduction to the
 /// `O(Δ²)` palette, awake for the whole stage (≥ 1 round, the mandatory
 /// first one), then Lemma 11 on that palette.
-pub fn bm21_stages(g: &Graph, delta: u64) -> [Stage; 2] {
+pub fn bm21_stages(g: &Graph, delta: u64) -> Result<[Stage; 2], BoundOverflow> {
     let t = linial_rounds(g.ident_bound(), delta).max(1);
     let k = linial::final_palette(delta);
-    [
-        stage("bm21/linial", t, t),
-        stage("bm21/lemma11", lemma11_awake(k), lemma11_rounds(k)),
-    ]
+    Ok([
+        stage("bm21/linial", Some(t), Some(t))?,
+        stage("bm21/lemma11", Some(lemma11_awake(k)), lemma11_rounds(k))?,
+    ])
+}
+
+/// Awake rounds of a stage the Lemma 7 simulator runs for `vrounds`
+/// awake virtual rounds, after `setup` awake rounds of its own.
+fn virt_awake(setup: u64, vrounds: u64) -> Option<u64> {
+    VIRT_AWAKE_PER_VROUND
+        .checked_mul(vrounds)?
+        .checked_add(setup)
 }
 
 /// Theorem 13's stages at iteration `i`: Lemma 15 on `H`, then Lemma 14
@@ -168,57 +242,79 @@ pub fn bm21_stages(g: &Graph, delta: u64) -> [Stage; 2] {
 /// rounds of each cast in its two passes, the membership round and the
 /// Linial loop on `H[U]`; a Lemma 14 vertex at the first round and two
 /// rounds of each cast.
-pub fn theorem13_iteration(p: &Params, i: u32) -> [Stage; 2] {
+pub fn theorem13_iteration(p: &Params, i: u32) -> Result<[Stage; 2], BoundOverflow> {
     let db = p.depth_bound;
-    let t_u = Lemma15Config::at(p, i).lin_steps().len() as u64;
-    [
+    let vrounds = lemma15_vrounds(p, i);
+    // `vrounds` checks the label bound the Linial loop is sized from.
+    let t_u = vrounds.map(|_| Lemma15Config::at(p, i).lin_steps().len() as u64);
+    Ok([
         stage(
             format!("theorem13/iter{i}/lemma15"),
-            GATHER_AWAKE + VIRT_AWAKE_PER_VROUND * (3 + 4 + 1 + 4 + 1 + t_u),
-            virt::virt_rounds(db, lemma15_vrounds(p, i)),
-        ),
+            t_u.and_then(|t_u| virt_awake(GATHER_AWAKE, 3 + 4 + 1 + 4 + 1 + t_u)),
+            vrounds.and_then(|v| virt::checked_virt_rounds(db, v)),
+        )?,
         stage(
             format!("theorem13/iter{i}/lemma14"),
-            GATHER_AWAKE + VIRT_AWAKE_PER_VROUND * 5,
-            virt::virt_rounds(db, lemma14_vrounds(db)),
-        ),
-    ]
+            virt_awake(GATHER_AWAKE, 5),
+            virt::checked_virt_rounds(db, lemma14_vrounds(db)),
+        )?,
+    ])
 }
 
 /// Theorem 13's stages over all `k` iterations, in execution order. A
 /// run that exhausts the graph early skips the trailing stages.
-pub fn theorem13_stages(p: &Params) -> Vec<Stage> {
-    (1..=p.iterations)
-        .flat_map(|i| theorem13_iteration(p, i))
-        .collect()
+pub fn theorem13_stages(p: &Params) -> Result<Vec<Stage>, BoundOverflow> {
+    let mut stages = Vec::with_capacity(2 * p.iterations as usize);
+    for i in 1..=p.iterations {
+        stages.extend(theorem13_iteration(p, i)?);
+    }
+    Ok(stages)
 }
 
 /// Theorem 9's stages on a `c`-colored clustering with depth bound `db`:
 /// the root-overlay gather, then Lemma 11 on `H` through the Lemma 7
 /// simulator. Takes the depth bound directly: the solver passes `g.n()`,
 /// the table `Params::depth_bound`, equal by construction.
-pub fn theorem9_stages(db: u32, c: u64) -> [Stage; 2] {
-    [
-        stage("theorem9/root-overlay", GATHER_AWAKE, gather_rounds(db)),
+pub fn theorem9_stages(db: u32, c: u64) -> Result<[Stage; 2], BoundOverflow> {
+    Ok([
+        stage(
+            "theorem9/root-overlay",
+            Some(GATHER_AWAKE),
+            Some(gather_rounds(db)),
+        )?,
         stage(
             "theorem9/lemma11-on-H",
-            VIRT_AWAKE_PER_VROUND * (1 + lemma11_awake(c)),
-            virt::virt_rounds(db, lemma11_rounds(c) + 1),
-        ),
-    ]
+            lemma11_awake(c)
+                .checked_add(1)
+                .and_then(|v| virt_awake(0, v)),
+            lemma11_rounds(c)
+                .and_then(|r| r.checked_add(1))
+                .and_then(|v| virt::checked_virt_rounds(db, v)),
+        )?,
+    ])
 }
 
 /// Theorem 1's stages: Theorem 13's, then Theorem 9's on the `k·a·b²`
 /// color budget, each named with the `theorem1/` prefix.
-pub fn theorem1_stages(p: &Params) -> Vec<Stage> {
+pub fn theorem1_stages(p: &Params) -> Result<Vec<Stage>, BoundOverflow> {
+    let prefix = |name: &str| format!("theorem1/{name}");
     theorem13_stages(p)
-        .into_iter()
-        .chain(theorem9_stages(p.depth_bound, p.color_bound()))
-        .map(|s| Stage {
-            name: format!("theorem1/{}", s.name),
-            ..s
+        .and_then(|mut stages| {
+            stages.extend(theorem9_stages(p.depth_bound, p.color_bound())?);
+            Ok(stages)
         })
-        .collect()
+        .map(|stages| {
+            stages
+                .into_iter()
+                .map(|s| Stage {
+                    name: prefix(&s.name),
+                    ..s
+                })
+                .collect()
+        })
+        .map_err(|e| BoundOverflow {
+            stage: prefix(&e.stage),
+        })
 }
 
 /// The solver generations the budgets cover. The threaded executor is
@@ -252,34 +348,35 @@ pub enum ProblemClass {
 ///
 /// Returns `None` for the unsupported pairings (edge problems exist for
 /// the trivial adapter only — the same combinations the harness rejects
-/// with a typed error).
+/// with a typed error), and the overflow naming the stage where a figure
+/// leaves `u64`.
 pub fn stages_for(
     algo: BoundAlgo,
     class: ProblemClass,
     g: &Graph,
     p: &Params,
-) -> Option<Vec<Stage>> {
+) -> Option<Result<Vec<Stage>, BoundOverflow>> {
     Some(match (class, algo) {
         (ProblemClass::Vertex, BoundAlgo::Trivial) => {
-            vec![stage("trivial", trivial_awake(g), trivial_rounds(g))]
+            stage("trivial", trivial_awake(g), trivial_rounds(g)).map(|s| vec![s])
         }
         (ProblemClass::Vertex, BoundAlgo::Bm21) => {
-            bm21_stages(g, g.max_degree().max(1) as u64).to_vec()
+            bm21_stages(g, g.max_degree().max(1) as u64).map(Vec::from)
         }
         (ProblemClass::Vertex, BoundAlgo::Theorem1) => theorem1_stages(p),
         (ProblemClass::Edge, BoundAlgo::Trivial) => {
-            vec![stage("linegraph", linegraph_awake(g), linegraph_rounds(g))]
+            stage("linegraph", linegraph_awake(g), Some(linegraph_rounds(g))).map(|s| vec![s])
         }
         (ProblemClass::Edge, _) => return None,
     })
 }
 
-/// The single audit entry point: the exact awake/round budget of running
-/// `algo` on a `class` problem over `g` with parameters `p` — the Lemma 8
-/// sum over [`stages_for`], and `None` where it is.
+/// The exact awake/round budget of running `algo` on a `class` problem
+/// over `g` with parameters `p` — the Lemma 8 sum over [`stages_for`] —
+/// or `None` for an unsupported pairing or an overflowing figure. Use
+/// [`checked_budget_for`] to learn which stage overflowed.
 pub fn budget_for(algo: BoundAlgo, class: ProblemClass, g: &Graph, p: &Params) -> Option<Budget> {
-    let stages = stages_for(algo, class, g, p)?;
-    Some(stages.iter().map(|s| s.budget).sum())
+    checked_budget_for(algo, class, g, p, &FaultPlan::new(0))?.ok()
 }
 
 /// Check a run's stages against a stage table: every stage `composition`
@@ -313,12 +410,12 @@ pub fn audit_stages(composition: &Composition, table: &[Stage]) -> Result<(), St
 /// the end of the fault window (crash-forced wake-ups can chain until the
 /// quiet period) plus the delay horizon and a constant tail for the
 /// crash-forced wake-up past the last faulty round. The resilient solvers
-/// use this very figure as the engine's round cap.
-pub fn degraded_stage_rounds(base_rounds: u64, s: u64, plan: &FaultPlan) -> u64 {
-    s.saturating_mul(base_rounds)
+/// use this very figure as the engine's round cap. `None` past `u64`.
+pub fn degraded_stage_rounds(base_rounds: u64, s: u64, plan: &FaultPlan) -> Option<u64> {
+    s.checked_mul(base_rounds)?
         .max(plan.quiet_after)
-        .saturating_add(plan.delay_rounds)
-        .saturating_add(4)
+        .checked_add(plan.delay_rounds)?
+        .checked_add(4)
 }
 
 /// Awake budget of one stage degraded by `plan`: the stretched fault-free
@@ -326,7 +423,8 @@ pub fn degraded_stage_rounds(base_rounds: u64, s: u64, plan: &FaultPlan) -> u64 
 /// only on awake node-rounds inside the fault window, so the extra term is
 /// bounded by the window length (`burst_len`, then `quiet_after`, then the
 /// whole degraded run), and a node is never awake more often than the run
-/// has rounds.
+/// has rounds. That cap makes the figure exact even where the sum leaves
+/// `u64`: it then exceeds `rounds_d`, which is the answer.
 pub fn degraded_stage_awake(base_awake: u64, s: u64, plan: &FaultPlan, rounds_d: u64) -> u64 {
     let mut window = if plan.quiet_after > 0 {
         plan.quiet_after.min(rounds_d)
@@ -336,13 +434,13 @@ pub fn degraded_stage_awake(base_awake: u64, s: u64, plan: &FaultPlan, rounds_d:
     if plan.burst_len > 0 {
         window = window.min(plan.burst_len);
     }
-    s.saturating_mul(base_awake)
-        .saturating_add(window)
-        .saturating_add(2)
-        .min(rounds_d)
+    s.checked_mul(base_awake)
+        .and_then(|a| a.checked_add(window))
+        .and_then(|a| a.checked_add(2))
+        .map_or(rounds_d, |a| a.min(rounds_d))
 }
 
-/// The degraded audit entry point: the closed-form awake/round budget of
+/// The checked audit entry point: the closed-form awake/round budget of
 /// running `algo` on a `class` problem over `g` under fault injection
 /// `plan`, with every stage wrapped in
 /// [`Redundant`](awake_sleeping::Redundant) time redundancy the way the
@@ -352,10 +450,44 @@ pub fn degraded_stage_awake(base_awake: u64, s: u64, plan: &FaultPlan, rounds_d:
 /// comes from [`redundancy_for`] on the stage's rounds figure (the one the
 /// solver sizes its windows from), and its budget degrades by
 /// [`degraded_stage_rounds`] / [`degraded_stage_awake`]. The degraded
-/// stages are then summed per Lemma 8. An inactive plan degrades nothing —
-/// the result equals [`budget_for`].
+/// stages are then summed per Lemma 8 ([`lemma8_sum`]). An inactive plan
+/// degrades nothing.
 ///
-/// Returns `None` exactly where [`budget_for`] does.
+/// Returns `None` for an unsupported pairing, and the overflow naming
+/// the stage where a figure or the running sum leaves `u64`.
+pub fn checked_budget_for(
+    algo: BoundAlgo,
+    class: ProblemClass,
+    g: &Graph,
+    p: &Params,
+    plan: &FaultPlan,
+) -> Option<Result<Budget, BoundOverflow>> {
+    let stages = match stages_for(algo, class, g, p)? {
+        Ok(stages) => stages,
+        Err(e) => return Some(Err(e)),
+    };
+    if !plan.is_active() {
+        return Some(lemma8_sum(&stages));
+    }
+    let degrade = |s: &Stage| {
+        let b = s.budget;
+        let stretch = redundancy_for(plan, g.n(), b.rounds);
+        let rounds = degraded_stage_rounds(b.rounds, stretch, plan);
+        let awake = rounds.map(|r| degraded_stage_awake(b.awake, stretch, plan, r));
+        stage(s.name.as_str(), awake, rounds)
+    };
+    Some(
+        stages
+            .iter()
+            .map(degrade)
+            .collect::<Result<Vec<Stage>, _>>()
+            .and_then(|degraded| lemma8_sum(&degraded)),
+    )
+}
+
+/// [`checked_budget_for`] for callers that treat a missing budget as an
+/// error of their own: `None` for an unsupported pairing or an
+/// overflowing figure. An inactive plan gives [`budget_for`].
 pub fn degraded_budget_for(
     algo: BoundAlgo,
     class: ProblemClass,
@@ -363,19 +495,7 @@ pub fn degraded_budget_for(
     p: &Params,
     plan: &FaultPlan,
 ) -> Option<Budget> {
-    if !plan.is_active() {
-        return budget_for(algo, class, g, p);
-    }
-    let stages = stages_for(algo, class, g, p)?;
-    let degrade = |b: Budget| {
-        let s = redundancy_for(plan, g.n(), b.rounds);
-        let rounds = degraded_stage_rounds(b.rounds, s, plan);
-        Budget {
-            awake: degraded_stage_awake(b.awake, s, plan, rounds),
-            rounds,
-        }
-    };
-    Some(stages.iter().map(|s| degrade(s.budget)).sum())
+    checked_budget_for(algo, class, g, p, plan)?.ok()
 }
 
 #[cfg(test)]
@@ -389,20 +509,14 @@ mod tests {
         assert_eq!(lemma11_awake(2), 3);
         assert_eq!(lemma11_awake(8), 5);
         assert_eq!(lemma11_awake(9), 6); // q = 16
-        assert_eq!(lemma11_rounds(8), 16);
+        assert_eq!(lemma11_rounds(8), Some(16));
     }
 
     #[test]
     fn theorem1_bound_is_sublogarithmic_in_n() {
         // The bound divided by log₂ n must *shrink* as n grows
         // (√log n · log* n = o(log n)).
-        let awake = |p: Params| {
-            theorem1_stages(&p)
-                .iter()
-                .map(|s| s.budget)
-                .sum::<Budget>()
-                .awake as f64
-        };
+        let awake = |p: Params| lemma8_sum(&theorem1_stages(&p).unwrap()).unwrap().awake as f64;
         let ratio_small = awake(Params::new(1 << 10, 1 << 10)) / 10.0;
         let ratio_large = awake(Params::new(1 << 26, 1 << 26)) / 26.0;
         assert!(
@@ -415,7 +529,7 @@ mod tests {
     fn bounds_are_monotone_in_iteration() {
         let p = Params::new(4096, 4096);
         assert!(lemma15_vrounds(&p, 2) >= lemma15_vrounds(&p, 1));
-        let [l15, l14] = theorem13_iteration(&p, 1);
+        let [l15, l14] = theorem13_iteration(&p, 1).unwrap();
         assert!(l15.budget.rounds > 0 && l14.budget.rounds > 0);
     }
 
@@ -429,10 +543,10 @@ mod tests {
             for i in 1..=p.iterations {
                 let cfg = Lemma15Config::at(&p, i);
                 let last_duty = cfg.lin_start() + cfg.lin_steps().len().max(1) as u64 - 1;
+                let bound = lemma15_vrounds(&p, i).unwrap();
                 assert!(
-                    lemma15_vrounds(&p, i) > last_duty,
-                    "n={n} iter={i}: bound {} ≤ last duty {last_duty}",
-                    lemma15_vrounds(&p, i),
+                    bound > last_duty,
+                    "n={n} iter={i}: bound {bound} ≤ last duty {last_duty}"
                 );
             }
         }
@@ -443,11 +557,11 @@ mod tests {
         // Star S_4: hub degree 4. Hub bound = 16 + 4·1 = 20; a leaf pays
         // 1 + deg(hub) = 5. Rounds = m = 4.
         let g = generators::star(5);
-        assert_eq!(linegraph_awake(&g), 20);
+        assert_eq!(linegraph_awake(&g), Some(20));
         assert_eq!(linegraph_rounds(&g), 4);
         // Edgeless graph: nothing wakes.
         let empty = awake_graphs::GraphBuilder::new(3).build().unwrap();
-        assert_eq!(linegraph_awake(&empty), 0);
+        assert_eq!(linegraph_awake(&empty), Some(0));
         assert_eq!(linegraph_rounds(&empty), 0);
     }
 
@@ -478,7 +592,10 @@ mod tests {
         let g = generators::gnp(64, 0.1, 5);
         let p = Params::for_graph(&g);
         for algo in [BoundAlgo::Trivial, BoundAlgo::Bm21, BoundAlgo::Theorem1] {
-            for s in stages_for(algo, ProblemClass::Vertex, &g, &p).unwrap() {
+            for s in stages_for(algo, ProblemClass::Vertex, &g, &p)
+                .unwrap()
+                .unwrap()
+            {
                 assert!(
                     s.budget.rounds >= s.budget.awake,
                     "{}: {:?}",
@@ -496,9 +613,11 @@ mod tests {
         // is the pipeline budget.
         let g = generators::gnp(48, 0.1, 3);
         let p = Params::for_graph(&g);
-        let t1 = stages_for(BoundAlgo::Theorem1, ProblemClass::Vertex, &g, &p).unwrap();
-        let mut parts = theorem13_stages(&p);
-        parts.extend(theorem9_stages(p.depth_bound, p.color_bound()));
+        let t1 = stages_for(BoundAlgo::Theorem1, ProblemClass::Vertex, &g, &p)
+            .unwrap()
+            .unwrap();
+        let mut parts = theorem13_stages(&p).unwrap();
+        parts.extend(theorem9_stages(p.depth_bound, p.color_bound()).unwrap());
         assert_eq!(t1.len(), 2 * p.iterations as usize + 2);
         for (whole, part) in t1.iter().zip(&parts) {
             assert_eq!(whole.name, format!("theorem1/{}", part.name));
@@ -506,7 +625,7 @@ mod tests {
         }
         let names: std::collections::BTreeSet<&str> = t1.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names.len(), t1.len(), "stage names are unique");
-        let sum: Budget = parts.iter().map(|s| s.budget).sum();
+        let sum = lemma8_sum(&parts).unwrap();
         assert_eq!(
             budget_for(BoundAlgo::Theorem1, ProblemClass::Vertex, &g, &p),
             Some(sum)
@@ -573,13 +692,125 @@ mod tests {
         }
     }
 
+    /// The Lemma 8 sum of `stages` in `u128`, where nothing can wrap.
+    fn wide_sum(stages: &[Stage]) -> (u128, u128) {
+        stages.iter().fold((0, 0), |(a, r), s| {
+            (
+                a + u128::from(s.budget.awake),
+                r + u128::from(s.budget.rounds),
+            )
+        })
+    }
+
+    /// Up to `n = u32::MAX` (the largest depth bound) and identifier
+    /// bounds up to `u64::MAX`, every budget is exact or a typed overflow
+    /// naming a stage: the stage figures grow with `n` and never drop as a
+    /// wrapped product would, the Lemma 8 sum equals its `u128` value or
+    /// names the stage whose term took the `u128` prefix sum past
+    /// `u64::MAX`, and nothing panics (a plain overflow would, in the test
+    /// profile).
+    #[test]
+    fn extreme_budgets_are_exact_or_a_named_overflow() {
+        let tiny = generators::path(2);
+        let mut hot = FaultPlan::new(3);
+        hot.delay_ppm = 100_000;
+        hot.delay_rounds = u64::MAX / 2;
+        let max_n = u32::MAX as usize;
+        let ns = (10..=32)
+            .flat_map(|k| [(1usize << k) - 1, 1 << k, (1 << k) + 3])
+            .filter(|&n| n <= max_n);
+        for ident_scale in [None, Some(1u64 << 40), Some(1 << 58), Some(u64::MAX)] {
+            let (mut last, mut overflowed) = (
+                Budget {
+                    awake: 0,
+                    rounds: 0,
+                },
+                false,
+            );
+            for n in ns.clone() {
+                let p = Params::new(n, ident_scale.unwrap_or(n as u64));
+                let what = format!("n={n} ident_bound={}", p.ident_bound);
+                let total = match theorem1_stages(&p) {
+                    Ok(stages) => match lemma8_sum(&stages) {
+                        Ok(b) => {
+                            let wide = wide_sum(&stages);
+                            assert_eq!((u128::from(b.awake), u128::from(b.rounds)), wide, "{what}");
+                            Some(b)
+                        }
+                        Err(e) => {
+                            let at = stages
+                                .iter()
+                                .position(|s| s.name == e.stage)
+                                .expect("a table stage");
+                            let (a, r) = wide_sum(&stages[..=at]);
+                            let (a0, r0) = wide_sum(&stages[..at]);
+                            let max = u128::from(u64::MAX);
+                            assert!(
+                                (a > max || r > max) && a0 <= max && r0 <= max,
+                                "{what}: {e}"
+                            );
+                            None
+                        }
+                    },
+                    Err(e) => {
+                        assert!(e.stage.starts_with("theorem1/theorem"), "{what}: {e}");
+                        None
+                    }
+                };
+                match total {
+                    Some(b) => {
+                        assert!(!overflowed, "{what}: a budget after an overflow");
+                        assert!(
+                            b.awake >= last.awake && b.rounds >= last.rounds,
+                            "{what}: a drop"
+                        );
+                        last = b;
+                    }
+                    None => overflowed = true,
+                }
+                // The degraded sum is checked too: a huge delay horizon
+                // overflows it, with a typed error and no panic.
+                let degraded =
+                    checked_budget_for(BoundAlgo::Theorem1, ProblemClass::Vertex, &tiny, &p, &hot);
+                assert!(matches!(degraded, Some(Err(_))), "{what}: {degraded:?}");
+            }
+            assert!(
+                overflowed,
+                "the largest depth bound overflows the virtual schedule"
+            );
+        }
+        // The first stage past u64 at the largest depth bound is Lemma 15
+        // in the first iteration.
+        let p = Params::new(max_n, max_n as u64);
+        assert_eq!(
+            theorem1_stages(&p),
+            Err(BoundOverflow {
+                stage: "theorem1/theorem13/iter1/lemma15".into()
+            })
+        );
+        // An identifier at u64::MAX overflows the trivial round bound.
+        let g = generators::path(2).with_idents(vec![1, u64::MAX]);
+        assert_eq!(
+            checked_budget_for(
+                BoundAlgo::Trivial,
+                ProblemClass::Vertex,
+                &g,
+                &Params::for_graph(&g),
+                &FaultPlan::new(0)
+            ),
+            Some(Err(BoundOverflow {
+                stage: "trivial".into()
+            }))
+        );
+    }
+
     #[test]
     fn degraded_stage_math_is_monotone_and_capped() {
         let mut plan = FaultPlan::new(1);
         plan.drop_ppm = 10_000;
         plan.quiet_after = 20;
-        let r2 = degraded_stage_rounds(50, 2, &plan);
-        let r4 = degraded_stage_rounds(50, 4, &plan);
+        let r2 = degraded_stage_rounds(50, 2, &plan).unwrap();
+        let r4 = degraded_stage_rounds(50, 4, &plan).unwrap();
         assert!(r2 >= 2 * 50 && r4 > r2, "stretch inflates rounds");
         // Awake is never more than one event per degraded round.
         assert!(degraded_stage_awake(10_000, 4, &plan, r4) <= r4);

@@ -664,9 +664,12 @@ fn collect<O: Clone + std::fmt::Debug>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::virt_tests::{Counted, OnH};
     use awake_graphs::generators;
+    use awake_graphs::ops::line_graph;
     use awake_olocal::edge::{solve_edges_sequentially, EdgeColoring, MaximalMatching};
-    use awake_sleeping::Engine;
+    use awake_sleeping::{Engine, RunSpec};
+    use std::collections::BTreeMap;
 
     fn families() -> Vec<Graph> {
         vec![
@@ -700,6 +703,110 @@ mod tests {
     {
         let inputs = vec![(); g.m()];
         solve_edges_spec(g, problem, &inputs, Config::default(), spec).unwrap()
+    }
+
+    /// The line-graph oracle for `problem` on `g`: [`EdgeGreedy`] run
+    /// directly on `L(G)` ([`line_graph`]) as a plain program, one virtual
+    /// round per engine round, with each edge's context read off `L(G)`'s
+    /// own identifiers and adjacency. The adapter on `G` must give every
+    /// edge the same output ([`solve_edges_spec`]) and the same number of
+    /// awake virtual rounds ([`Counted`] replicas through [`hosts`]), at
+    /// 1, 2, 4 and 8 workers.
+    fn assert_adapter_matches_the_line_graph<EP>(g: &Graph, problem: &EP)
+    where
+        EP: EdgeProblem<Input = ()> + Clone + Send + Sync,
+        EP::Output: Codec + PartialEq,
+    {
+        let idx = EdgeIndex::new(g);
+        let inputs = vec![(); g.m()];
+        let shared = Arc::new(GreedyShared {
+            problem: problem.clone(),
+            inputs: inputs.clone(),
+        });
+        let lg = line_graph(g);
+        let direct: Vec<OnH<Counted<EdgeGreedy<EP>>>> = lg
+            .graph
+            .nodes()
+            .map(|x| {
+                let (u, v) = lg.host_edges[x.index()];
+                let (a, b) = (g.ident(u), g.ident(v));
+                let port_label: BTreeMap<NodeId, u64> = lg
+                    .graph
+                    .neighbors(x)
+                    .iter()
+                    .map(|&y| (y, lg.graph.ident(y)))
+                    .collect();
+                let mut adjacent: Vec<u64> = port_label.values().copied().collect();
+                adjacent.sort_unstable();
+                let ctx = EdgeCtx {
+                    label: lg.graph.ident(x),
+                    endpoints: (a.min(b), a.max(b)),
+                    line_degree: lg.graph.degree(x),
+                    adjacent,
+                };
+                assert_eq!(idx.index_of_label(ctx.label), x.index(), "one edge order");
+                OnH {
+                    vp: Counted {
+                        vp: EdgeGreedy::new(Arc::clone(&shared), x.index(), &ctx),
+                        awake: 0,
+                    },
+                    port_label,
+                    send_buf: vec![],
+                    out: None,
+                }
+            })
+            .collect();
+        let on_l = Engine::new(&lg.graph, Config::default())
+            .run(direct)
+            .unwrap();
+        let want = on_l.outputs;
+        for (x, (_, awake)) in want.iter().enumerate() {
+            assert_eq!(
+                *awake, on_l.metrics.awake[x],
+                "the counter sees every awake round"
+            );
+        }
+
+        for workers in [1, 2, 4, 8] {
+            let run = solve_edges_spec(
+                g,
+                problem,
+                &inputs,
+                Config::default(),
+                &StageSpec::on(workers),
+            )
+            .unwrap();
+            let counted = hosts(g, &idx, |ctx| Counted {
+                vp: EdgeGreedy::new(Arc::clone(&shared), idx.index_of_label(ctx.label), ctx),
+                awake: 0,
+            });
+            let sim = Engine::new(g, Config::default())
+                .run_spec(counted, &RunSpec::on(workers))
+                .unwrap()
+                .finished();
+            let per_edge = collect(&idx, sim.outputs, sim.metrics);
+            for (i, (want_out, want_awake)) in want.iter().enumerate() {
+                let label = idx.label(i);
+                assert!(
+                    run.outputs[i] == *want_out && per_edge.outputs[i].0 == *want_out,
+                    "{workers} workers: edge {label} output differs from L(G)'s on {g:?}"
+                );
+                assert_eq!(
+                    per_edge.outputs[i].1, *want_awake,
+                    "{workers} workers: edge {label} awake virtual rounds on {g:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn adapter_matches_edge_greedy_run_directly_on_the_line_graph() {
+        let mut graphs = families();
+        graphs.extend((1..=3).map(|seed| generators::random_regular(24, 5, seed)));
+        for g in &graphs {
+            assert_adapter_matches_the_line_graph(g, &MaximalMatching);
+            assert_adapter_matches_the_line_graph(g, &EdgeColoring);
+        }
     }
 
     #[test]

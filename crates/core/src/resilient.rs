@@ -83,7 +83,9 @@ impl From<StageSpec> for RunSpec<'_> {
 ///
 /// # Errors
 /// Like [`Engine::run_spec`]; a resume under a different plan than the
-/// snapshot's fails with a [`ResumeError::Checkpoint`] error.
+/// snapshot's fails with a [`ResumeError::Checkpoint`] error, and a
+/// degraded round cap past `u64` with [`SimError::RoundOverflow`] at
+/// round 0.
 pub fn run_stage<P>(
     g: &Graph,
     programs: Vec<P>,
@@ -100,8 +102,10 @@ where
         return Engine::new(g, config).run_spec(programs, spec);
     };
     let s = redundancy_for(&plan, g.n(), base_rounds);
+    let max_rounds = crate::bounds::degraded_stage_rounds(base_rounds, s, &plan)
+        .ok_or(SimError::RoundOverflow { round: 0 })?;
     let config = Config {
-        max_rounds: crate::bounds::degraded_stage_rounds(base_rounds, s, &plan),
+        max_rounds,
         ..config
     };
     let wrapped: Vec<Redundant<P>> = programs.into_iter().map(|p| Redundant::new(p, s)).collect();

@@ -133,7 +133,7 @@ mod tests {
             // Δ > b: clusters merge and Lemma 14 runs
             generators::random_regular(64, 16, 1),
         ] {
-            let table = bounds::theorem1_stages(&Params::for_graph(&g));
+            let table = bounds::theorem1_stages(&Params::for_graph(&g)).unwrap();
             let r = solve(&g, &DeltaPlusOneColoring, Options::default()).unwrap();
             DeltaPlusOneColoring
                 .validate(&g, &vec![(); g.n()], &r.outputs)

@@ -98,7 +98,7 @@ pub fn compute_spec(
             break;
         }
         let cfg = Lemma15Config::at(params, iteration);
-        let [l15, l14] = bounds::theorem13_iteration(params, iteration);
+        let [l15, l14] = bounds::theorem13_iteration(params, iteration)?;
         let clusters_before = Clustering {
             assign: current.clone(),
         }
@@ -207,7 +207,11 @@ mod tests {
         res.clustering.validate_colored(g).unwrap();
         assert!(res.clustering.max_label() <= params.color_bound());
         // Every stage within its closed-form budget.
-        bounds::audit_stages(&res.composition, &bounds::theorem13_stages(&params)).unwrap();
+        bounds::audit_stages(
+            &res.composition,
+            &bounds::theorem13_stages(&params).unwrap(),
+        )
+        .unwrap();
         res
     }
 

@@ -403,7 +403,7 @@ where
     );
     let mut composition = Composition::new();
     let db = g.n() as u32;
-    let [overlay_stage, lemma11_stage] = crate::bounds::theorem9_stages(db, c_bound);
+    let [overlay_stage, lemma11_stage] = crate::bounds::theorem9_stages(db, c_bound)?;
 
     // ---- Stage 1: learn root identifiers (colored → uniquely labeled) ----
     let programs: Vec<ClusterGather<()>> = g
@@ -632,7 +632,7 @@ mod tests {
                 assert_eq!(c, k as u64, "one color per cluster");
             }
 
-            let table = bounds::theorem9_stages(g.n() as u32, c);
+            let table = bounds::theorem9_stages(g.n() as u32, c).unwrap();
             let r = solve(&g, &DeltaPlusOneColoring, &vec![(); g.n()], &cl, c).unwrap();
             DeltaPlusOneColoring
                 .validate(&g, &vec![(); g.n()], &r.outputs)

@@ -220,8 +220,17 @@ pub enum VirtMsg<P, M> {
 /// Total rounds of a simulation with `inner_rounds` virtual rounds: the
 /// setup gather, then one phase per virtual round, each as long as a
 /// gather.
+///
+/// # Panics
+/// Panics where the total leaves `u64`; [`checked_virt_rounds`] is the
+/// form that returns `None` there.
 pub fn virt_rounds(d: u32, inner_rounds: Round) -> Round {
-    (1 + inner_rounds) * gather_rounds(d)
+    checked_virt_rounds(d, inner_rounds).expect("the virtual schedule fits in a Round")
+}
+
+/// [`virt_rounds`], or `None` where the total leaves `u64`.
+pub fn checked_virt_rounds(d: u32, inner_rounds: Round) -> Option<Round> {
+    inner_rounds.checked_add(1)?.checked_mul(gather_rounds(d))
 }
 
 // ---- phase timing (over the public depth bound) ----

@@ -450,9 +450,9 @@ fn replicas_read_one_sorted_deduplicated_inbox() {
 /// Counts the inner program's awake virtual rounds (its `receive` calls)
 /// and reports the count with the output, so a run through [`VirtSim`]
 /// and a run on `H` can compare per-vertex virtual awake counts.
-struct Counted<VP> {
-    vp: VP,
-    awake: u64,
+pub(crate) struct Counted<VP> {
+    pub(crate) vp: VP,
+    pub(crate) awake: u64,
 }
 
 impl<VP: Persist> Persist for Counted<VP> {
@@ -491,12 +491,12 @@ impl<VP: VirtualProgram> VirtualProgram for Counted<VP> {
 /// engine round. Messages carry their index in the sender's send list, and
 /// each inbox is handed over sorted by `(sender label, index)` — the order
 /// the simulator promises.
-struct OnH<VP: VirtualProgram> {
-    vp: VP,
+pub(crate) struct OnH<VP: VirtualProgram> {
+    pub(crate) vp: VP,
     /// The label behind each port (`H`'s identifiers are the labels).
-    port_label: BTreeMap<NodeId, u64>,
-    send_buf: Vec<VOutgoing<VP::Msg>>,
-    out: Option<VP::Output>,
+    pub(crate) port_label: BTreeMap<NodeId, u64>,
+    pub(crate) send_buf: Vec<VOutgoing<VP::Msg>>,
+    pub(crate) out: Option<VP::Output>,
 }
 
 impl<VP: VirtualProgram> Program for OnH<VP> {

@@ -92,7 +92,7 @@ fn trivial_recovers_within_the_degraded_budget_at_every_worker_count() {
                     .nodes()
                     .map(|_| TrivialGreedy::new(MaximalIndependentSet, ()))
                     .collect::<Vec<_>>();
-                let base = bounds::trivial_rounds(&g);
+                let base = bounds::trivial_rounds(&g).unwrap();
                 run_stage(&g, programs, Config::default(), base, &(*spec).into())
                     .unwrap()
                     .finished()
@@ -200,7 +200,9 @@ fn crash_burst_after_the_gather(seed: u64) -> FaultPlan {
 fn theorem1_recovers_within_the_degraded_budget_at_every_worker_count_when_clusters_merge() {
     let g = generators::random_regular(64, 16, 1);
     let c = Params::for_graph(&g).color_bound();
-    let base = bounds::theorem9_stages(g.n() as u32, c)[1].budget.rounds;
+    let base = bounds::theorem9_stages(g.n() as u32, c).unwrap()[1]
+        .budget
+        .rounds;
     for plan in [crash_burst(0x73), crash_burst_after_the_gather(0x74)] {
         let stages = check_theorem1_recovery(&g, plan);
         assert!(
@@ -331,11 +333,17 @@ fn mid_outage_snapshots_are_bit_for_bit_for_every_resilient_program() {
             .map(|_| TrivialGreedy::new(MaximalIndependentSet, ()))
             .collect()
     };
-    check_mid_outage_snapshots(&g, trivial, bounds::trivial_rounds(&g), plan, "trivial");
+    check_mid_outage_snapshots(
+        &g,
+        trivial,
+        bounds::trivial_rounds(&g).unwrap(),
+        plan,
+        "trivial",
+    );
 
     // BM21 stage 1 (Linial color reduction).
     let delta = g.max_degree().max(1) as u64;
-    let [linial_stage, _] = bounds::bm21_stages(&g, delta);
+    let [linial_stage, _] = bounds::bm21_stages(&g, delta).unwrap();
     let ident_bound = g.ident_bound();
     let linial = || {
         g.nodes()
@@ -358,7 +366,13 @@ fn mid_outage_snapshots_are_bit_for_bit_for_every_resilient_program() {
             })
             .collect()
     };
-    check_mid_outage_snapshots(&g, lemma11, bounds::lemma11_rounds(k), plan, "bm21/lemma11");
+    check_mid_outage_snapshots(
+        &g,
+        lemma11,
+        bounds::lemma11_rounds(k).unwrap(),
+        plan,
+        "bm21/lemma11",
+    );
 
     // The line-graph adapter's hosts (EdgeGreedy replicas).
     let ge = generators::gnp(10, 0.3, 5);
@@ -380,7 +394,7 @@ fn resuming_a_stage_under_another_plan_is_a_typed_error() {
         ..FaultPlan::new(0x5A)
     };
     let g = generators::gnp(14, 0.22, 9);
-    let base = bounds::trivial_rounds(&g);
+    let base = bounds::trivial_rounds(&g).unwrap();
     let run = |spec: &RunSpec| {
         let programs = g
             .nodes()

@@ -3,8 +3,7 @@
 //! ```sh
 //! cargo run --release -p awake-lab --bin suite -- --preset quick --audit
 //! suite [--preset NAME] [--seed N] [--shards K] [--out PATH] [--audit]
-//!       [--canonical] [--energy-out PATH] [--filter SUBSTR] [--list]
-//!       [--budget-secs N]
+//!       [--canonical] [--filter SUBSTR] [--list] [--budget-secs N]
 //!       [--checkpoint-dir DIR] [--checkpoint-every N] [--resume DIR]
 //! ```
 //!
@@ -15,12 +14,11 @@
 //! recover to a valid output and stay within the closed-form *degraded*
 //! budget (`awake_core::bounds::degraded_budget_for`) their fault plan
 //! implies.
-//! The `scaling` and `deep` presets additionally write
-//! `BENCH_energy.json` — the measured-vs-bound-vs-log₂ n trajectory
-//! (`--energy-out` overrides the path, or forces the document for any
-//! preset). The energy document **streams**: it is atomically rewritten
-//! with the completed prefix each time a sweep point finishes, so a
-//! killed sweep still leaves every finished point behind.
+//! Every preset writes one report format (`awake-lab/report/v5`): the
+//! full form with wall time and allocations, or with `--canonical` the
+//! deterministic form the goldens under `crates/lab/tests/` pin. CI
+//! checks the `regime` and `scaling` sweeps, the paper's numbers, with
+//! `diff -u` against their goldens.
 //!
 //! `--budget-secs N` is CI's hard wall-clock gate: if the whole suite
 //! takes longer than `N` seconds, the run fails *after completing*,
@@ -37,7 +35,6 @@
 //! uninterrupted run's.
 
 use awake_lab::fsio::write_atomic;
-use awake_lab::report::energy_json;
 use awake_lab::runner::Runner;
 use awake_lab::scenario::presets;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -81,7 +78,6 @@ struct Args {
     list: bool,
     filter: Option<String>,
     audit: bool,
-    energy_out: Option<String>,
     canonical: bool,
     budget_secs: Option<u64>,
     checkpoint_dir: Option<String>,
@@ -94,14 +90,13 @@ const DEFAULT_EVERY: NonZeroU64 = NonZeroU64::new(100_000).unwrap();
 
 fn usage() -> ! {
     eprintln!(
-        "usage: suite [--preset NAME] [--seed N] [--shards K] [--out PATH] [--audit] [--canonical] [--energy-out PATH] [--filter SUBSTR] [--list] [--budget-secs N] [--checkpoint-dir DIR] [--checkpoint-every N] [--resume DIR]\n\
+        "usage: suite [--preset NAME] [--seed N] [--shards K] [--out PATH] [--audit] [--canonical] [--filter SUBSTR] [--list] [--budget-secs N] [--checkpoint-dir DIR] [--checkpoint-every N] [--resume DIR]\n\
          \n  --preset NAME        suite preset to run (default: quick)\
          \n  --seed N             suite seed; scenario seeds derive from it (default: 1)\
          \n  --shards K           run up to K scenarios concurrently (default: 1)\
          \n  --out PATH           where to write the JSON report (default: suite_report.json)\
          \n  --audit              fail if any measured awake/round complexity exceeds its closed-form budget\
          \n  --canonical          write the byte-stable canonical JSON form (no timing/alloc noise)\
-         \n  --energy-out PATH    where to write the energy trajectory (default: BENCH_energy.json, written automatically for the scaling/deep presets; streamed point by point)\
          \n  --filter SUBSTR      run only scenarios whose name contains SUBSTR\
          \n  --list               list presets with scenario counts and gate flags, then exit\
          \n  --budget-secs N      fail if the suite's wall time exceeds N seconds, naming the slowest scenario\
@@ -121,7 +116,6 @@ fn parse_args() -> Args {
         list: false,
         filter: None,
         audit: false,
-        energy_out: None,
         canonical: false,
         budget_secs: None,
         checkpoint_dir: None,
@@ -139,7 +133,6 @@ fn parse_args() -> Args {
             "--filter" => args.filter = Some(value("--filter")),
             "--audit" => args.audit = true,
             "--canonical" => args.canonical = true,
-            "--energy-out" => args.energy_out = Some(value("--energy-out")),
             "--budget-secs" => {
                 args.budget_secs = Some(value("--budget-secs").parse().unwrap_or_else(|_| usage()))
             }
@@ -235,33 +228,12 @@ fn main() -> ExitCode {
     }
     .with_alloc_probe(alloc_count);
 
-    // The scaling/deep presets' whole point is the energy trajectory, so
-    // they always write the document; --energy-out forces it for any
-    // preset. The document streams: each finished point atomically
-    // rewrites it with the completed prefix.
-    let energy_path: Option<String> =
-        if args.energy_out.is_some() || args.preset == "scaling" || args.preset == "deep" {
-            Some(
-                args.energy_out
-                    .clone()
-                    .unwrap_or_else(|| "BENCH_energy.json".into()),
-            )
-        } else {
-            None
-        };
-
     let t0 = Instant::now();
     let run = match recovery {
         Some((dir, every)) => {
             runner.run_recoverable(&args.preset, &scenarios, args.seed, Path::new(dir), every)
         }
-        None => runner.run_observed(&args.preset, &scenarios, args.seed, |partial| {
-            if let Some(path) = &energy_path {
-                // best-effort streaming — the final write after the run
-                // reports any persistent I/O failure
-                let _ = write_atomic(Path::new(path), energy_json(partial).as_bytes());
-            }
-        }),
+        None => runner.run(&args.preset, &scenarios, args.seed),
     };
     let report = match run {
         Ok(r) => r,
@@ -285,17 +257,9 @@ fn main() -> ExitCode {
     }
     println!("wrote {}", args.out);
 
-    if let Some(path) = &energy_path {
-        if let Err(e) = write_atomic(Path::new(path), energy_json(&report).as_bytes()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-    }
-
     // The hard wall-clock budget gate (CI's per-PR sweep guard). Checked
-    // after the artifacts are written so a budget failure still leaves
-    // the full report and energy document behind for inspection.
+    // after the report is written so a budget failure still leaves it
+    // behind for inspection.
     if let Some(budget) = args.budget_secs {
         if elapsed.as_secs_f64() > budget as f64 {
             let slowest = report

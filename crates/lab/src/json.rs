@@ -1,9 +1,9 @@
 //! A minimal JSON reader and writer.
 //!
 //! The workspace builds without external crates, so this module stands in
-//! for `serde_json` where a tool must *read* JSON back (the energy gate
-//! diffing a fresh `BENCH_energy.json` against the committed one, the A/B
-//! tool reading each benchmark run's last line) or write a document it
+//! for `serde_json` where a tool must *read* JSON back (a recoverable
+//! suite run reloading its `progress.json` ledger, the A/B tool reading
+//! `BENCHMARK.json` and each benchmark run's last line) or write a document it
 //! did not render by hand ([`Value::to_json`]). It parses
 //! the full JSON grammar, including `\uXXXX` escapes: surrogate *pairs*
 //! decode to the real supplementary-plane code point, and lone surrogates

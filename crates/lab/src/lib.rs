@@ -21,16 +21,16 @@
 //! * [`report`] — a [`Report`](report::Report) captures rounds, awake
 //!   complexity, messages, wall time, and allocations per scenario, and
 //!   renders as an aligned text table or JSON. The *canonical* JSON form
-//!   is byte-stable at a fixed seed (golden-tested); the same module's
+//!   is byte-stable at a fixed seed, and the committed goldens pin it for
+//!   the `quick`, `edges`, `faults`, `soak`, `regime` and `scaling`
+//!   presets (the last two carry the paper's numbers); the same module's
 //!   [`PerfStats`](report::PerfStats)/[`BenchReport`](report::BenchReport)
 //!   are the schema of `BENCH_engine.json`, so micro benches and suites
 //!   share one format.
-//! * [`baselines`] — the energy gate: diffs a fresh `BENCH_energy.json`
-//!   against the committed one, point by point. Code speed across
-//!   commits is measured by paired runs of the benchmark instead (the
-//!   `ab` binary of `awake-bench`).
 //! * [`json`] — the minimal std-only JSON reader and writer behind the
-//!   gate and the A/B tool.
+//!   recoverable run's progress ledger and the A/B tool (the `ab` binary
+//!   of `awake-bench`, which judges code speed across commits by paired
+//!   runs of the benchmark).
 //!
 //! # Defining and running a scenario
 //!
@@ -66,14 +66,13 @@
 //!
 //! ```sh
 //! cargo run --release -p awake-lab --bin suite -- --preset quick
-//! cargo run --release -p awake-lab --bin baseline-diff -- \
-//!     BENCH_energy.json energy_current.json
+//! cargo run --release -p awake-lab --bin suite -- --preset scaling --canonical \
+//!     --out scaling.json && diff -u crates/lab/tests/golden_scaling.json scaling.json
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baselines;
 pub mod fsio;
 pub mod json;
 pub mod report;

@@ -266,59 +266,6 @@ impl Report {
     }
 }
 
-/// Schema tag of the energy-trajectory document (`BENCH_energy.json`).
-/// `v2` added the per-point compression telemetry: `awake_events` (the
-/// Sleeping model's cost unit), `rounds_skipped` (virtual rounds jumped by
-/// the batch-cascade), and `wall_ms` — together they let CI budget the
-/// sweep and gate the `wall_ms / awake_events` compression ratio.
-pub const ENERGY_SCHEMA: &str = "awake-lab/energy/v2";
-
-/// Render a suite report as the `BENCH_energy.json` document: one point
-/// per scenario, relating the **measured** awake complexity to the
-/// closed-form bound and to `log₂ n`. For the `scaling` preset (Theorem 1
-/// and BM21 swept over `n ∈ {2^10 .. 2^21}`) the `awake_per_log2n` series
-/// is the paper's headline claim made empirical — `O(√log n · log* n)` is
-/// `o(log n)`, so the ratio must trend *down* as `n` grows.
-pub fn energy_json(report: &Report) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\n  \"schema\": \"{ENERGY_SCHEMA}\",\n  \"suite\": {},\n  \"seed\": {},\n  \"points\": [",
-        json_str(&report.suite),
-        report.seed
-    );
-    for (i, s) in report.scenarios.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let log2n = (s.n.max(2) as f64).log2();
-        let _ = write!(
-            out,
-            "\n    {{\"algo\": {}, \"family\": {}, \"n\": {}, \"log2_n\": {:.3}, \
-             \"max_awake\": {}, \"awake_bound\": {}, \
-             \"awake_per_log2n\": {:.3}, \"bound_per_log2n\": {:.3}, \
-             \"rounds\": {}, \"round_bound\": {}, \"bound_ok\": {}, \
-             \"awake_events\": {}, \"rounds_skipped\": {}, \"wall_ms\": {:.3}}}",
-            json_str(&s.algo),
-            json_str(&s.family),
-            s.n,
-            log2n,
-            s.metrics.max_awake,
-            s.awake_bound,
-            s.metrics.max_awake as f64 / log2n,
-            s.awake_bound as f64 / log2n,
-            s.metrics.rounds,
-            s.round_bound,
-            s.bound_ok,
-            s.metrics.counters.awake_events,
-            s.metrics.counters.rounds_skipped,
-            s.timing.wall_ns / 1e6,
-        );
-    }
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
 /// Raw counters of one timed benchmark workload; the derived rates are the
 /// section fields of `BENCH_engine.json`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -710,29 +657,6 @@ mod tests {
             "\"bound_ok\": true",
         ] {
             assert!(canon.contains(key), "missing {key} in {canon}");
-        }
-    }
-
-    #[test]
-    fn energy_json_relates_measured_to_bound_and_log_n() {
-        let mut r = sample();
-        r.scenarios[0].n = 1024;
-        let j = energy_json(&r);
-        for key in [
-            "\"schema\": \"awake-lab/energy/v2\"",
-            "\"n\": 1024",
-            "\"log2_n\": 10.000",
-            "\"max_awake\": 3",
-            "\"awake_bound\": 5",
-            "\"awake_per_log2n\": 0.300",
-            "\"bound_per_log2n\": 0.500",
-            "\"round_bound\": 5",
-            "\"bound_ok\": true",
-            "\"awake_events\": 10",
-            "\"rounds_skipped\": 2",
-            "\"wall_ms\": 1.500",
-        ] {
-            assert!(j.contains(key), "missing {key} in {j}");
         }
     }
 

@@ -12,7 +12,7 @@
 use crate::fsio::write_atomic;
 use crate::report::{is_row_column, Report, ScenarioMetrics, ScenarioReport, Timing};
 use crate::scenario::{Algo, ProblemKind, Scenario};
-use awake_core::bounds::{self, BoundAlgo, ProblemClass};
+use awake_core::bounds::{self, BoundAlgo, BoundOverflow, ProblemClass};
 use awake_core::params::Params;
 use awake_core::resilient::{run_stage, StageSpec};
 use awake_core::trivial::TrivialGreedy;
@@ -57,6 +57,9 @@ pub enum RunError {
     /// (I/O failure, or a corrupt/foreign checkpoint under the expected
     /// name).
     Checkpoint(String),
+    /// A figure of the scenario's closed-form budget leaves `u64`; the
+    /// error names the stage.
+    Budget(BoundOverflow),
 }
 
 impl fmt::Display for RunError {
@@ -67,6 +70,7 @@ impl fmt::Display for RunError {
                 write!(f, "problem `{problem}` cannot run on solver `{algo}`")
             }
             RunError::Checkpoint(msg) => write!(f, "checkpoint: {msg}"),
+            RunError::Budget(e) => e.fmt(f),
         }
     }
 }
@@ -134,64 +138,22 @@ impl Runner {
         self
     }
 
-    /// Run every scenario and collect a [`Report`].
+    /// Run every scenario and collect a [`Report`]. Up to `shards`
+    /// workers take the next scenario in suite order and fill its slot,
+    /// so the report lists the rows in suite order at any shard count.
     ///
     /// # Errors
     /// Returns the first failing scenario's [`LabError`] (in suite order).
     pub fn run(&self, suite: &str, scenarios: &[Scenario], seed: u64) -> Result<Report, LabError> {
-        self.run_observed(suite, scenarios, seed, |_| {})
-    }
-
-    /// Like [`Runner::run`], but `observer` is invoked with the growing
-    /// partial report each time the completed **in-suite-order prefix**
-    /// extends — the hook the suite uses to stream energy points to disk
-    /// as long sweeps finish, so a killed 2²¹-node sweep still leaves
-    /// every completed point behind. On a sharded runner, scenarios
-    /// finishing out of order are buffered until their predecessors
-    /// complete, keeping each emitted partial a byte-prefix of the final
-    /// report's scenario list.
-    ///
-    /// # Errors
-    /// Returns the first failing scenario's [`LabError`] (in suite order).
-    pub fn run_observed(
-        &self,
-        suite: &str,
-        scenarios: &[Scenario],
-        seed: u64,
-        observer: impl Fn(&Report) + Sync,
-    ) -> Result<Report, LabError> {
-        let partial = |rows: &[ScenarioReport]| Report {
-            suite: suite.to_string(),
-            seed,
-            scenarios: rows.to_vec(),
-        };
         let slots: Vec<Mutex<Option<Result<ScenarioReport, LabError>>>> =
             scenarios.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
-        // The contiguous completed-and-ok prefix emitted so far; a worker
-        // that fills a slot tries to extend it (lock order is always
-        // prefix → slot, and a slot lock is never held while waiting on
-        // the prefix, so the two cannot deadlock).
-        let emitted: Mutex<Vec<ScenarioReport>> = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
             for _ in 0..self.shards.min(scenarios.len()) {
                 scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(sc) = scenarios.get(i) else { break };
-                    let r = run_scenario(sc, seed, self.alloc_probe);
-                    *slots[i].lock().unwrap() = Some(r);
-                    let mut prefix = emitted.lock().unwrap();
-                    let mut grew = false;
-                    while let Some(slot) = slots.get(prefix.len()) {
-                        let Some(Ok(row)) = slot.lock().unwrap().clone() else {
-                            break;
-                        };
-                        prefix.push(row);
-                        grew = true;
-                    }
-                    if grew {
-                        observer(&partial(&prefix));
-                    }
+                    *slots[i].lock().unwrap() = Some(run_scenario(sc, seed, self.alloc_probe));
                 });
             }
         });
@@ -493,6 +455,13 @@ fn run_scenario_inner(
     let a0 = probe.map(|p| p()).unwrap_or(0);
     let t0 = Instant::now();
     let g = sc.family.build(seed);
+    let lab_err = |error| LabError {
+        scenario: sc.name.clone(),
+        error,
+    };
+    // Before the run: the solvers size their stages from the same
+    // table, and an overflow is reported here with its stage's name.
+    let budget = budget_of(sc, &g, seed).map_err(lab_err)?;
     let (metrics, valid) = match sc.problem {
         ProblemKind::Coloring => solve(&DeltaPlusOneColoring, sc, &g, seed, ckpt),
         ProblemKind::ListColoring => solve(&DegreePlusOneListColoring, sc, &g, seed, ckpt),
@@ -501,13 +470,9 @@ fn run_scenario_inner(
         ProblemKind::Matching => solve_edge(&MaximalMatching, sc, &g, seed),
         ProblemKind::EdgeColoring => solve_edge(&EdgeColoring, sc, &g, seed),
     }
-    .map_err(|error| LabError {
-        scenario: sc.name.clone(),
-        error,
-    })?;
+    .map_err(lab_err)?;
     let wall_ns = t0.elapsed().as_nanos() as f64;
     let allocations = probe.map(|p| p() - a0).unwrap_or(0);
-    let budget = budget_of(sc, &g, seed);
     let bound_ok = metrics.max_awake <= budget.awake && metrics.rounds <= budget.rounds;
     Ok(ScenarioReport {
         name: sc.name.clone(),
@@ -541,15 +506,19 @@ fn run_scenario_inner(
 /// [`Params`] derivation the solvers themselves apply
 /// ([`Params::for_graph`]).
 ///
-/// # Panics
-/// Panics on an unsupported (algo × problem) pairing — those fail the
-/// scenario with [`RunError::UnsupportedAlgo`] before budgets are
-/// consulted, so reaching this with one is a harness bug.
-pub fn budget_of(sc: &Scenario, g: &Graph, seed: u64) -> bounds::Budget {
+/// # Errors
+/// [`RunError::UnsupportedAlgo`] for an (algo × problem) pairing without
+/// a budget, and [`RunError::Budget`] naming the stage where a figure
+/// leaves `u64`.
+pub fn budget_of(sc: &Scenario, g: &Graph, seed: u64) -> Result<bounds::Budget, RunError> {
     let (algo, class) = bound_axes(sc);
     let plan = sc.faults.map_or(FaultPlan::new(seed), |f| f.plan(seed));
-    bounds::degraded_budget_for(algo, class, g, &Params::for_graph(g), &plan)
-        .expect("supported (algo × problem) pairings have budgets")
+    bounds::checked_budget_for(algo, class, g, &Params::for_graph(g), &plan)
+        .ok_or_else(|| RunError::UnsupportedAlgo {
+            problem: sc.problem.key(),
+            algo: sc.algo_key(),
+        })?
+        .map_err(RunError::Budget)
 }
 
 /// The harness's axis mapping into [`bounds`]: the solver and the
@@ -620,7 +589,7 @@ where
                 g,
                 programs,
                 Config::default(),
-                bounds::trivial_rounds(g),
+                bounds::trivial_rounds(g).ok_or(SimError::RoundOverflow { round: 0 })?,
                 &spec,
             )
             .map_err(|e| match e {
@@ -664,12 +633,6 @@ where
     P: EdgeProblem + Clone + Send + Sync,
     P::Output: Codec,
 {
-    if matches!(sc.algo, Algo::Bm21 | Algo::Theorem1) {
-        return Err(RunError::UnsupportedAlgo {
-            problem: problem.name(),
-            algo: sc.algo_key(),
-        });
-    }
     let inputs = problem.trivial_inputs(g);
     let spec = spec_of(sc, seed);
     let run = linegraph::solve_edges_spec(g, problem, &inputs, Config::default(), &spec)?;
@@ -754,38 +717,6 @@ mod tests {
         let serial = Runner::serial().run("t", &scenarios, 11).unwrap();
         let sharded = Runner::sharded(3).run("t", &scenarios, 11).unwrap();
         assert_eq!(serial.canonical_json(), sharded.canonical_json());
-    }
-
-    #[test]
-    fn observed_run_streams_growing_in_order_prefixes() {
-        let scenarios: Vec<Scenario> = [
-            ProblemKind::Coloring,
-            ProblemKind::ListColoring,
-            ProblemKind::Mis,
-            ProblemKind::VertexCover,
-        ]
-        .into_iter()
-        .map(|p| Scenario::of(GraphFamily::RandomTree { n: 32 }, p, Algo::Bm21).build())
-        .collect();
-        for runner in [Runner::serial(), Runner::sharded(3)] {
-            let seen: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-            let r = runner
-                .run_observed("t", &scenarios, 11, |partial| {
-                    // every emission is an in-suite-order prefix
-                    for (i, row) in partial.scenarios.iter().enumerate() {
-                        assert_eq!(row.name, scenarios[i].name);
-                    }
-                    seen.lock().unwrap().push(partial.scenarios.len());
-                })
-                .unwrap();
-            let seen = seen.into_inner().unwrap();
-            assert!(seen.windows(2).all(|w| w[0] < w[1]), "prefixes must grow");
-            assert_eq!(
-                seen.last().copied(),
-                Some(r.scenarios.len()),
-                "the last emission must carry the whole suite"
-            );
-        }
     }
 
     #[test]

@@ -539,10 +539,10 @@ pub mod presets {
     /// The energy-scaling sweep: Theorem 1 and BM21 on sparse Erdős–Rényi
     /// graphs with `n ∈ {2^10 .. 2^21}` (average degree 4, so `Δ` stays
     /// small while `n` spans three orders of magnitude). One run per
-    /// (algo × size); the per-point `max_awake / log₂ n` series in
-    /// `BENCH_energy.json` is the paper's sub-logarithmic claim made
-    /// empirical, and `--audit` gates every point against the closed-form
-    /// budgets. The top sizes are only tractable because the executors'
+    /// (algo × size); the `max_awake` column against `log₂ n` is the
+    /// paper's sub-logarithmic claim made empirical. Every deterministic
+    /// column is pinned by `crates/lab/tests/golden_scaling.json`, and
+    /// `--audit` gates every point against the closed-form budgets. The top sizes are only tractable because the executors'
     /// cost is proportional to awake *events*: the wheel batch-cascades
     /// across the long all-asleep gaps these runs spend most of their
     /// virtual time in.
@@ -1036,7 +1036,11 @@ mod tests {
             .iter()
             .filter(|s| s.problem == ProblemKind::Mis && s.algo == Algo::Theorem1)
             .filter(|s| matches!(s.family, GraphFamily::BoundedDegree { .. }))
-            .map(|s| crate::runner::budget_of(s, &s.family.build(s.seed(1)), s.seed(1)).awake)
+            .map(|s| {
+                crate::runner::budget_of(s, &s.family.build(s.seed(1)), s.seed(1))
+                    .unwrap()
+                    .awake
+            })
             .collect();
         assert_eq!(budgets.len(), 1, "budgets {budgets:?}");
     }
@@ -1046,7 +1050,7 @@ mod tests {
         let scaling = presets::by_name("scaling").expect("scaling registered");
         let deep = presets::by_name("deep").expect("deep registered");
         // deep = scaling plus the 2^22 pair, same order (so a weekly deep
-        // BENCH_energy.json is a superset of the per-PR one)
+        // report is a superset of the per-PR one)
         assert_eq!(deep.len(), scaling.len() + 2);
         assert_eq!(&deep[..scaling.len()], &scaling[..]);
         assert!(deep

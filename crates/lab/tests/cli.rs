@@ -1,5 +1,5 @@
-//! Exit-code and recoverability contracts of the `suite` and
-//! `baseline-diff` binaries — what CI scripts and operators key on.
+//! Exit-code and recoverability contracts of the `suite` binary — what
+//! CI scripts and operators key on.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -11,79 +11,12 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn baseline_diff(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_baseline-diff"))
-        .args(args)
-        .output()
-        .expect("spawn baseline-diff")
-}
-
 fn suite(args: &[&str], cwd: &std::path::Path) -> Output {
     Command::new(env!("CARGO_BIN_EXE_suite"))
         .args(args)
         .current_dir(cwd)
         .output()
         .expect("spawn suite")
-}
-
-#[test]
-fn baseline_diff_names_a_missing_input_and_how_to_produce_it() {
-    let dir = scratch_dir("bd-missing");
-    let baseline = dir.join("BENCH_energy.json");
-    let current = dir.join("energy_current.json");
-    std::fs::write(
-        &baseline,
-        b"{\"schema\": \"awake-lab/energy/v2\", \"points\": []}",
-    )
-    .unwrap();
-
-    // current report missing: exit 3, names the file and the sweep command
-    let out = baseline_diff(&[baseline.to_str().unwrap(), current.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(3), "missing input gets exit 3");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("current report") && err.contains("energy_current.json"),
-        "stderr must name the missing file: {err}"
-    );
-    assert!(
-        err.contains("produce it with") && err.contains("suite -- --preset scaling --energy-out"),
-        "stderr must say how to produce it: {err}"
-    );
-
-    // baseline missing: same code, baseline-flavored hint
-    std::fs::write(&current, b"{}").unwrap();
-    std::fs::remove_file(&baseline).unwrap();
-    let out = baseline_diff(&[baseline.to_str().unwrap(), current.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(3));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("baseline report")
-            && err.contains("BENCH_energy.json")
-            && err.contains("git restore"),
-        "stderr must explain how to restore the baseline: {err}"
-    );
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn baseline_diff_keeps_exit_2_for_malformed_json() {
-    let dir = scratch_dir("bd-parse");
-    let baseline = dir.join("baseline.json");
-    let current = dir.join("current.json");
-    std::fs::write(&baseline, b"{ not json").unwrap();
-    std::fs::write(&current, b"{}").unwrap();
-    let (b, c) = (baseline.to_str().unwrap(), current.to_str().unwrap());
-    let out = baseline_diff(&[b, c]);
-    assert_eq!(
-        out.status.code(),
-        Some(2),
-        "malformed JSON is a usage-class error, not a missing-file error"
-    );
-    // The gate takes two paths and nothing else.
-    for args in [&["--energy", b, c][..], &[b], &[b, c, c]] {
-        assert_eq!(baseline_diff(args).status.code(), Some(2), "{args:?}");
-    }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

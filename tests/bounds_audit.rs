@@ -45,7 +45,7 @@ fn assert_within_budget(sc: &Scenario, suite_seed: u64) {
     );
     // The report's budget columns are exactly the audit entry point's.
     let seed = sc.seed(suite_seed);
-    let budget = budget_of(sc, &sc.family.build(seed), seed);
+    let budget = budget_of(sc, &sc.family.build(seed), seed).unwrap();
     assert_eq!(
         (r.awake_bound, r.round_bound),
         (budget.awake, budget.rounds)
@@ -110,9 +110,9 @@ fn star_hub_saturates_the_trivial_awake_bound() {
     let run = Engine::new(&g, Config::default()).run(programs).unwrap();
     assert_eq!(
         run.metrics.max_awake(),
-        bounds::trivial_awake(&g),
+        bounds::trivial_awake(&g).unwrap(),
         "Δ + 2 is tight on S_{} with the hub last",
         n - 1
     );
-    assert!(run.metrics.rounds <= bounds::trivial_rounds(&g));
+    assert!(run.metrics.rounds <= bounds::trivial_rounds(&g).unwrap());
 }

@@ -30,7 +30,7 @@ fn theorem1_coloring_everywhere() {
         DeltaPlusOneColoring
             .validate(&g, &vec![(); g.n()], &r.outputs)
             .unwrap_or_else(|e| panic!("{g:?}: {e}"));
-        bounds::audit_stages(&r.composition, &bounds::theorem1_stages(&r.params))
+        bounds::audit_stages(&r.composition, &bounds::theorem1_stages(&r.params).unwrap())
             .unwrap_or_else(|e| panic!("{g:?}: {e}"));
         r.clustering.validate_colored(&g).unwrap();
     }
@@ -81,10 +81,10 @@ fn all_three_generations_solve_the_same_instance() {
 
     // Awake bounds: trivial pays Θ(Δ), BM21 pays Θ(log Δ + log* n); the
     // staged solvers stay within every stage's budget.
-    assert!(triv.metrics.max_awake() <= bounds::trivial_awake(&g));
+    assert!(triv.metrics.max_awake() <= bounds::trivial_awake(&g).unwrap());
     let delta = g.max_degree().max(1) as u64;
-    bounds::audit_stages(&b.composition, &bounds::bm21_stages(&g, delta)).unwrap();
-    bounds::audit_stages(&t.composition, &bounds::theorem1_stages(&t.params)).unwrap();
+    bounds::audit_stages(&b.composition, &bounds::bm21_stages(&g, delta).unwrap()).unwrap();
+    bounds::audit_stages(&t.composition, &bounds::theorem1_stages(&t.params).unwrap()).unwrap();
     // And the hierarchy on this dense instance: BM21 beats trivial.
     assert!(b.composition.max_awake() < triv.metrics.max_awake());
 }
