@@ -34,6 +34,15 @@
 //! one decision per cluster, stored on the root's shared record and read
 //! by every replica whose inputs are the same allocations, it reads 1.19.
 //!
+//! Replicas used to copy each phase's merged bag into an inbox of their
+//! own, Lemma 15 rebuilt maps from inboxes that arrive sorted, and a
+//! single-member cluster stored a Theorem 9 decision no other replica
+//! could share. With replicas reading the bag in place, sorted vectors
+//! for Lemma 15's tables and no memo for single-member clusters, the
+//! sparse rates went from 4.47 and 1.68 to 4.40 and 1.44, and the dense
+//! rates from 6.66 (Lemma 14) and 1.00 (Lemma 11 on `H`) to 6.37 and 1.00;
+//! the caps were lowered to match.
+//!
 //! The round engine recycles every buffer it uses, so once the first
 //! rounds have grown them a flood allocates nothing per node-round, run in
 //! place at one worker or dispatched at four; the caps here catch a
@@ -212,16 +221,16 @@ fn virtualized_lemma15_and_lemma11_share_instead_of_copying() {
          lemma11 on H {lemma11:.3}"
     );
     assert!(
-        lemma15 <= 5.4,
-        "VirtSim<Lemma15Vertex> regressed: {lemma15:.3} allocs/awake event (cap 5.4)"
+        lemma15 <= 5.3,
+        "VirtSim<Lemma15Vertex> regressed: {lemma15:.3} allocs/awake event (cap 5.3)"
     );
     assert!(
         gather <= 12.0,
         "ClusterGather regressed: {gather:.3} allocs/awake event (cap 12)"
     );
     assert!(
-        lemma11 <= 2.0,
-        "VirtSim<Lemma11Vertex> regressed: {lemma11:.3} allocs/awake event (cap 2)"
+        lemma11 <= 1.8,
+        "VirtSim<Lemma11Vertex> regressed: {lemma11:.3} allocs/awake event (cap 1.8)"
     );
 }
 
@@ -313,16 +322,16 @@ fn dense_regime_lemma14_and_gather_share_instead_of_copying() {
          lemma11 on H {lemma11:.3}"
     );
     assert!(
-        lemma14 <= 8.5,
-        "VirtSim<TreeGatherVertex> regressed: {lemma14:.3} allocs/awake event (cap 8.5)"
+        lemma14 <= 7.9,
+        "VirtSim<TreeGatherVertex> regressed: {lemma14:.3} allocs/awake event (cap 7.9)"
     );
     assert!(
         gather <= 13.0,
         "dense ClusterGather regressed: {gather:.3} allocs/awake event (cap 13)"
     );
     assert!(
-        lemma11 <= 1.45,
-        "dense VirtSim<Lemma11Vertex> regressed: {lemma11:.3} allocs/awake event (cap 1.45)"
+        lemma11 <= 1.24,
+        "dense VirtSim<Lemma11Vertex> regressed: {lemma11:.3} allocs/awake event (cap 1.24)"
     );
 }
 

@@ -243,13 +243,19 @@ fn virt_awake(setup: u64, vrounds: u64) -> Option<u64> {
 /// Linial loop on `H[U]`; a Lemma 14 vertex at the first round and two
 /// rounds of each cast.
 pub fn theorem13_iteration(p: &Params, i: u32) -> Result<[Stage; 2], BoundOverflow> {
+    // Lemma 15 is the iteration's first Lemma 7 stage: with `n` past
+    // `u32::MAX` its depth bound `D = n` has no exact value.
+    let lemma15 = format!("theorem13/iter{i}/lemma15");
+    if u32::try_from(p.n).is_err() {
+        return Err(BoundOverflow { stage: lemma15 });
+    }
     let db = p.depth_bound;
     let vrounds = lemma15_vrounds(p, i);
     // `vrounds` checks the label bound the Linial loop is sized from.
     let t_u = vrounds.map(|_| Lemma15Config::at(p, i).lin_steps().len() as u64);
     Ok([
         stage(
-            format!("theorem13/iter{i}/lemma15"),
+            lemma15,
             t_u.and_then(|t_u| virt_awake(GATHER_AWAKE, 3 + 4 + 1 + 4 + 1 + t_u)),
             vrounds.and_then(|v| virt::checked_virt_rounds(db, v)),
         )?,
@@ -702,13 +708,14 @@ mod tests {
         })
     }
 
-    /// Up to `n = u32::MAX` (the largest depth bound) and identifier
-    /// bounds up to `u64::MAX`, every budget is exact or a typed overflow
-    /// naming a stage: the stage figures grow with `n` and never drop as a
-    /// wrapped product would, the Lemma 8 sum equals its `u128` value or
-    /// names the stage whose term took the `u128` prefix sum past
-    /// `u64::MAX`, and nothing panics (a plain overflow would, in the test
-    /// profile).
+    /// Up to `n = 2^34` (past `u32::MAX`, the largest depth bound) and
+    /// identifier bounds up to `u64::MAX`, every budget is exact or a
+    /// typed overflow naming a stage: the stage figures grow with `n` and
+    /// never drop as a wrapped product would, the Lemma 8 sum equals its
+    /// `u128` value or names the stage whose term took the `u128` prefix
+    /// sum past `u64::MAX`, and nothing panics (a plain overflow would,
+    /// in the test profile). An `n` past `u32::MAX` is an overflow of the
+    /// first Lemma 7 stage, never a truncated depth bound.
     #[test]
     fn extreme_budgets_are_exact_or_a_named_overflow() {
         let tiny = generators::path(2);
@@ -716,9 +723,7 @@ mod tests {
         hot.delay_ppm = 100_000;
         hot.delay_rounds = u64::MAX / 2;
         let max_n = u32::MAX as usize;
-        let ns = (10..=32)
-            .flat_map(|k| [(1usize << k) - 1, 1 << k, (1 << k) + 3])
-            .filter(|&n| n <= max_n);
+        let ns = (10..=34).flat_map(|k| [(1usize << k) - 1, 1 << k, (1 << k) + 3]);
         for ident_scale in [None, Some(1u64 << 40), Some(1 << 58), Some(u64::MAX)] {
             let (mut last, mut overflowed) = (
                 Budget {
@@ -780,14 +785,18 @@ mod tests {
             );
         }
         // The first stage past u64 at the largest depth bound is Lemma 15
-        // in the first iteration.
-        let p = Params::new(max_n, max_n as u64);
-        assert_eq!(
-            theorem1_stages(&p),
-            Err(BoundOverflow {
-                stage: "theorem1/theorem13/iter1/lemma15".into()
-            })
-        );
+        // in the first iteration, and so is the first stage of every `n`
+        // past it, whose depth bound would have truncated (2^32 to 0).
+        for n in [max_n, max_n + 1, 1 << 33] {
+            let p = Params::new(n, max_n as u64);
+            assert_eq!(
+                theorem1_stages(&p),
+                Err(BoundOverflow {
+                    stage: "theorem1/theorem13/iter1/lemma15".into()
+                }),
+                "n={n}"
+            );
+        }
         // An identifier at u64::MAX overflows the trivial round bound.
         let g = generators::path(2).with_idents(vec![1, u64::MAX]);
         assert_eq!(

@@ -27,7 +27,6 @@ use crate::linial::{self, Step};
 use crate::params::Params;
 use crate::virt::{VEnvelope, VOutgoing, VertexInput, VirtualProgram};
 use awake_sleeping::{codec, persist, Action, CheckpointError, Codec, Reader, Round, Writer};
-use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Phase parameters (shared by all vertices).
@@ -96,13 +95,17 @@ pub struct TreeRec {
     pub deg_h: u64,
 }
 
+/// A vertex's `(neighbor label, its c₁)` pairs, ascending by label: its
+/// 2-hop table once sent.
+pub type Table = Arc<Vec<(u64, u64)>>;
+
 /// Virtual messages of the phase.
 #[derive(Debug, Clone, PartialEq)]
 pub enum L15Msg {
     /// `c₁` announcement.
     Info1(u64),
     /// 2-hop table: `(neighbor label, its c₁)` pairs.
-    Info2(Arc<Vec<(u64, u64)>>),
+    Info2(Table),
     /// `(c₂, p₂)` announcement.
     Info3(u64, Option<u64>),
     /// Convergecast bag of tree records.
@@ -149,10 +152,11 @@ pub struct Lemma15Vertex {
     cfg: Lemma15Config,
     label: u64,
     deg_h: u64,
-    nbr_labels: Vec<u64>,
     c1: u64,
-    nbr_c1: BTreeMap<u64, u64>,
-    nbr_tables: BTreeMap<u64, Arc<Vec<(u64, u64)>>>,
+    /// The neighbors' `c₁`, sent on as this vertex's 2-hop table.
+    nbr_c1: Table,
+    /// `(neighbor label, its 2-hop table)`, ascending by label.
+    nbr_tables: Vec<(u64, Table)>,
     p1: Option<u64>,
     shift: u64,
     c2: u64,
@@ -188,8 +192,7 @@ impl Lemma15Vertex {
             "label {label} exceeds bound {}",
             cfg.label_bound
         );
-        let nbr_labels = input.neighbor_labels();
-        let deg_h = nbr_labels.len() as u64;
+        let deg_h = input.h_degree() as u64;
         // c₀ = label (unique labels form a distance-2 coloring of H);
         // low-degree vertices shift their color above the threshold.
         let c0 = label;
@@ -202,10 +205,9 @@ impl Lemma15Vertex {
             cfg,
             label,
             deg_h,
-            nbr_labels,
             c1,
-            nbr_c1: BTreeMap::new(),
-            nbr_tables: BTreeMap::new(),
+            nbr_c1: Arc::default(),
+            nbr_tables: Vec::new(),
             p1: None,
             shift: 0,
             c2: 0,
@@ -230,55 +232,6 @@ impl Lemma15Vertex {
 
     fn flip(&self, c2: u64) -> u64 {
         self.cfg.n6() - c2
-    }
-
-    /// Choose `p₁`, the shift, `c₂` and `p₂` from the 2-hop color tables.
-    fn compute_pointers(&mut self) {
-        // N(v): smallest c₁ strictly below ours.
-        let best_nbr = self.nbr_labels.iter().map(|&l| (self.nbr_c1[&l], l)).min();
-        if let Some((c, l)) = best_nbr {
-            if c < self.c1 {
-                self.p1 = Some(l);
-                self.shift = 0;
-                self.c2 = 2 * c;
-                self.p2 = Some(l);
-                return;
-            }
-        }
-        // N²(v): strictly-2-away vertices from the tables.
-        let mut two_hop: BTreeMap<u64, u64> = BTreeMap::new(); // label -> c1
-        for (_, table) in self.nbr_tables.iter() {
-            for &(w, c) in table.iter() {
-                if w != self.label && !self.nbr_labels.contains(&w) {
-                    two_hop.entry(w).or_insert(c);
-                }
-            }
-        }
-        let best2 = two_hop.iter().map(|(&l, &c)| (c, l)).min();
-        if let Some((c, l)) = best2 {
-            if c < self.c1 {
-                self.p1 = Some(l);
-                self.shift = 1;
-                self.c2 = 2 * c + 1;
-                // p₂: smallest-label common neighbor u ∈ N(v) ∩ N(p₁(v)).
-                let u = self
-                    .nbr_labels
-                    .iter()
-                    .copied()
-                    .find(|&u| {
-                        self.nbr_tables
-                            .get(&u)
-                            .is_some_and(|t| t.iter().any(|&(w, _)| w == l))
-                    })
-                    .expect("a 2-hop parent is reachable through a common neighbor");
-                self.p2 = Some(u);
-                return;
-            }
-        }
-        // Local minimum of c₁ in N ∪ N²: a root.
-        self.p1 = None;
-        self.p2 = None;
-        self.c2 = 0;
     }
 
     /// Agenda for the two Lemma 6 passes over `F₂`, built once `c₂(p₂)`
@@ -403,18 +356,89 @@ impl Lemma15Vertex {
     }
 }
 
+/// A vertex's Lemma 15 pointers: `p₁`, the shift `b(v)`, `c₂` and `p₂`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Pointers {
+    p1: Option<u64>,
+    shift: u64,
+    c2: u64,
+    p2: Option<u64>,
+}
+
+/// Choose the pointers of vertex `label` with color `c1` from its
+/// neighbors' colors `nbr_c1` and their 2-hop tables `nbr_tables`, each
+/// ascending by label with one entry per neighbor. A table lists a
+/// neighbor's own `nbr_c1`, and every table reports the same `c₁` for a
+/// given label, so the smallest `(c₁, label)` over all table entries
+/// outside `N[v]` is the smallest over `N²(v)`.
+fn compute_pointers(
+    label: u64,
+    c1: u64,
+    nbr_c1: &[(u64, u64)],
+    nbr_tables: &[(u64, Table)],
+) -> Pointers {
+    let has = |table: &[(u64, u64)], w: u64| table.binary_search_by_key(&w, |e| e.0).is_ok();
+    // N(v): smallest c₁ strictly below ours.
+    if let Some((c, l)) = nbr_c1.iter().map(|&(l, c)| (c, l)).min() {
+        if c < c1 {
+            return Pointers {
+                p1: Some(l),
+                shift: 0,
+                c2: 2 * c,
+                p2: Some(l),
+            };
+        }
+    }
+    // N²(v): strictly-2-away vertices from the tables.
+    let best2 = nbr_tables
+        .iter()
+        .flat_map(|(_, table)| table.iter())
+        .filter(|&&(w, _)| w != label && !has(nbr_c1, w))
+        .map(|&(w, c)| (c, w))
+        .min();
+    if let Some((c, l)) = best2 {
+        if c < c1 {
+            // p₂: smallest-label common neighbor u ∈ N(v) ∩ N(p₁(v)).
+            let (u, _) = nbr_tables
+                .iter()
+                .find(|(_, table)| has(table, l))
+                .expect("a 2-hop parent is reachable through a common neighbor");
+            return Pointers {
+                p1: Some(l),
+                shift: 1,
+                c2: 2 * c + 1,
+                p2: Some(*u),
+            };
+        }
+    }
+    // Local minimum of c₁ in N ∪ N²: a root.
+    Pointers {
+        p1: None,
+        shift: 0,
+        c2: 0,
+        p2: None,
+    }
+}
+
 /// BFS distance from `root` to `target` over the adjacency lists `edges`,
 /// restricted to the members of `tree`; `None` when either end is not a
 /// member or `target` is unreachable. The lists are symmetric (both ends
 /// of a same-cluster edge list each other), so the search follows them
-/// directly: members are indexed by label once, and the search stops as
-/// soon as it reaches `target`.
+/// directly: members are indexed once by a label-sorted vector, and the
+/// search stops as soon as it reaches `target`.
 fn bfs_depth(tree: &[TreeRec], edges: &[(u64, Vec<u64>)], root: u64, target: u64) -> Option<u32> {
-    let slot: HashMap<u64, usize> = tree.iter().enumerate().map(|(i, r)| (r.label, i)).collect();
-    let (r, t) = (*slot.get(&root)?, *slot.get(&target)?);
+    let mut slots: Vec<(u64, usize)> = tree.iter().enumerate().map(|(i, r)| (r.label, i)).collect();
+    slots.sort_unstable();
+    let slot = |l: u64| {
+        slots
+            .binary_search_by_key(&l, |e| e.0)
+            .ok()
+            .map(|k| slots[k].1)
+    };
+    let (r, t) = (slot(root)?, slot(target)?);
     let mut adj: Vec<&[u64]> = vec![&[]; tree.len()];
     for (l, nbrs) in edges {
-        if let Some(&i) = slot.get(l) {
+        if let Some(i) = slot(*l) {
             adj[i] = nbrs;
         }
     }
@@ -427,8 +451,8 @@ fn bfs_depth(tree: &[TreeRec], edges: &[(u64, Vec<u64>)], root: u64, target: u64
         if x == t {
             return Some(dist[x]);
         }
-        for w in adj[x] {
-            if let Some(&i) = slot.get(w) {
+        for &w in adj[x] {
+            if let Some(i) = slot(w) {
                 if dist[i] == u32::MAX {
                     dist[i] = dist[x] + 1;
                     queue.push(i);
@@ -447,10 +471,9 @@ impl VirtualProgram for Lemma15Vertex {
     fn send(&mut self, vround: Round, out: &mut Vec<VOutgoing<L15Msg>>) {
         match vround {
             1 => out.push(VOutgoing::Broadcast(L15Msg::Info1(self.c1))),
-            2 => {
-                let table: Vec<(u64, u64)> = self.nbr_c1.iter().map(|(&l, &c)| (l, c)).collect();
-                out.push(VOutgoing::Broadcast(L15Msg::Info2(Arc::new(table))));
-            }
+            2 => out.push(VOutgoing::Broadcast(L15Msg::Info2(Arc::clone(
+                &self.nbr_c1,
+            )))),
             3 => out.push(VOutgoing::Broadcast(L15Msg::Info3(self.c2, self.p2))),
             _ => {
                 for i in 0..self.agenda.len() {
@@ -483,21 +506,30 @@ impl VirtualProgram for Lemma15Vertex {
 
     fn receive(&mut self, vround: Round, inbox: &[VEnvelope<L15Msg>]) -> Action {
         match vround {
+            // The inbox is sorted by sender, one message per neighbor.
             1 => {
-                for e in inbox {
-                    if let L15Msg::Info1(c1) = e.msg {
-                        self.nbr_c1.insert(e.from, c1);
-                    }
-                }
+                let c1s = inbox.iter().filter_map(|e| match e.msg {
+                    L15Msg::Info1(c1) => Some((e.from, c1)),
+                    _ => None,
+                });
+                self.nbr_c1 = Arc::new(c1s.collect());
+                debug_assert_eq!(
+                    self.nbr_c1.len() as u64,
+                    self.deg_h,
+                    "every neighbor reports c₁"
+                );
                 Action::Stay
             }
             2 => {
-                for e in inbox {
-                    if let L15Msg::Info2(t) = &e.msg {
-                        self.nbr_tables.insert(e.from, Arc::clone(t));
-                    }
-                }
-                self.compute_pointers();
+                self.nbr_tables = inbox
+                    .iter()
+                    .filter_map(|e| match &e.msg {
+                        L15Msg::Info2(t) => Some((e.from, Arc::clone(t))),
+                        _ => None,
+                    })
+                    .collect();
+                let p = compute_pointers(self.label, self.c1, &self.nbr_c1, &self.nbr_tables);
+                (self.p1, self.shift, self.c2, self.p2) = (p.p1, p.shift, p.c2, p.p2);
                 Action::Stay
             }
             3 => {
@@ -694,6 +726,7 @@ persist! {
 mod tests {
     use super::*;
     use awake_graphs::rng::Rng;
+    use std::collections::BTreeMap;
 
     /// The arc-sorting search `bfs_depth` replaced: both directions of every
     /// listed pair as one sorted arc vector, `(label, distance)` sorted by
@@ -786,6 +819,122 @@ mod tests {
             .collect();
         rng.shuffle(&mut edges);
         (tree, edges)
+    }
+
+    /// The two-hop-map search `compute_pointers` replaced, over the
+    /// neighbor labels and `BTreeMap`s keyed by label: each strictly
+    /// 2-away vertex once, with the `c₁` of the first table listing it.
+    fn pointers_by_two_hop_map(
+        label: u64,
+        c1: u64,
+        nbr_labels: &[u64],
+        nbr_c1: &BTreeMap<u64, u64>,
+        nbr_tables: &BTreeMap<u64, Table>,
+    ) -> Pointers {
+        let best_nbr = nbr_labels.iter().map(|&l| (nbr_c1[&l], l)).min();
+        if let Some((c, l)) = best_nbr {
+            if c < c1 {
+                return Pointers {
+                    p1: Some(l),
+                    shift: 0,
+                    c2: 2 * c,
+                    p2: Some(l),
+                };
+            }
+        }
+        let mut two_hop: BTreeMap<u64, u64> = BTreeMap::new();
+        for table in nbr_tables.values() {
+            for &(w, c) in table.iter() {
+                if w != label && !nbr_labels.contains(&w) {
+                    two_hop.entry(w).or_insert(c);
+                }
+            }
+        }
+        let best2 = two_hop.iter().map(|(&l, &c)| (c, l)).min();
+        if let Some((c, l)) = best2 {
+            if c < c1 {
+                let u = nbr_labels
+                    .iter()
+                    .copied()
+                    .find(|&u| {
+                        nbr_tables
+                            .get(&u)
+                            .is_some_and(|t| t.iter().any(|&(w, _)| w == l))
+                    })
+                    .expect("a common neighbor");
+                return Pointers {
+                    p1: Some(l),
+                    shift: 1,
+                    c2: 2 * c + 1,
+                    p2: Some(u),
+                };
+            }
+        }
+        Pointers {
+            p1: None,
+            shift: 0,
+            c2: 0,
+            p2: None,
+        }
+    }
+
+    #[test]
+    fn pointers_match_the_two_hop_map_reference() {
+        let mut rng = Rng::seed_from_u64(16);
+        let (mut one_hop, mut two_hop, mut roots) = (0, 0, 0);
+        for _ in 0..300 {
+            // A random `H` on `k` distinct labels; `c₁` values may tie.
+            let k = 1 + rng.gen_range(0..24);
+            let pct = 5 + rng.gen_range(0..40);
+            let mut labels: Vec<u64> = (1..=4 * k as u64).collect();
+            rng.shuffle(&mut labels);
+            labels.truncate(k);
+            let c1: Vec<u64> = (0..k).map(|_| 1 + rng.gen_range(0..2 * k) as u64).collect();
+            let mut adj: Vec<Vec<usize>> = vec![vec![]; k];
+            for i in 0..k {
+                for j in i + 1..k {
+                    if rng.gen_range(0..100) < pct {
+                        adj[i].push(j);
+                        adj[j].push(i);
+                    }
+                }
+            }
+            // Each vertex's table: its neighbors' `(label, c₁)`, sorted.
+            let tables: Vec<Table> = adj
+                .iter()
+                .map(|nbrs| {
+                    let mut t: Vec<(u64, u64)> = nbrs.iter().map(|&j| (labels[j], c1[j])).collect();
+                    t.sort_unstable();
+                    Arc::new(t)
+                })
+                .collect();
+            for v in 0..k {
+                let mut nbr_tables: Vec<(u64, Table)> = adj[v]
+                    .iter()
+                    .map(|&j| (labels[j], Arc::clone(&tables[j])))
+                    .collect();
+                nbr_tables.sort_unstable_by_key(|e| e.0);
+                let got = compute_pointers(labels[v], c1[v], &tables[v], &nbr_tables);
+                let nbr_labels: Vec<u64> = tables[v].iter().map(|e| e.0).collect();
+                let want = pointers_by_two_hop_map(
+                    labels[v],
+                    c1[v],
+                    &nbr_labels,
+                    &tables[v].iter().copied().collect(),
+                    &nbr_tables.iter().cloned().collect(),
+                );
+                assert_eq!(got, want, "k={k} vertex {} c₁={}", labels[v], c1[v]);
+                match want.shift {
+                    _ if want.p1.is_none() => roots += 1,
+                    0 => one_hop += 1,
+                    _ => two_hop += 1,
+                }
+            }
+        }
+        assert!(
+            one_hop > 300 && two_hop > 300 && roots > 300,
+            "every branch exercised: {one_hop} / {two_hop} / {roots}"
+        );
     }
 
     #[test]

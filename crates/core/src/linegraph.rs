@@ -28,7 +28,7 @@
 //! ([`solve_edges_spec`]).
 
 use crate::resilient::{solver_stage, StageSpec};
-use crate::virt::{VEnvelope, VOutgoing, VirtMsg, VirtualProgram};
+use crate::virt::{settle, VEnvelope, VOutgoing, VirtMsg, VirtualProgram};
 use awake_graphs::{Graph, NodeId};
 use awake_olocal::edge::{EdgeGreedyView, EdgeIndex, EdgeProblem};
 use awake_sleeping::{
@@ -106,11 +106,6 @@ pub struct LineGraphHost<VP: VirtualProgram> {
     /// Local same-round deliveries `(replica idx, from label, seq, msg)`,
     /// filled in `send`, drained in `receive`.
     local: Vec<(u32, u64, u16, VP::Msg)>,
-    /// Pooled merge scratch, local stream: entries for the current
-    /// replica, born sorted by `(sender label, seq)`.
-    lmerge: Vec<(u64, u16, VP::Msg)>,
-    /// Pooled merge scratch, cross-edge stream (needs one stable sort).
-    xmerge: Vec<(u64, u16, VP::Msg)>,
     /// Pooled merged inbox handed to the replica each round.
     venv: Vec<VEnvelope<VP::Msg>>,
     /// Pooled scratch for [`VirtualProgram::send`] during primes.
@@ -131,8 +126,6 @@ where
         .map(|_| LineGraphHost {
             replicas: Vec::new(),
             local: Vec::new(),
-            lmerge: Vec::new(),
-            xmerge: Vec::new(),
             venv: Vec::new(),
             send_buf: Vec::new(),
         })
@@ -171,11 +164,9 @@ where
         // Warm the pooled scratch now that the replica count is known, so
         // steady state never grows a buffer mid-run: per round at most
         // every co-hosted replica hears from every other (`local`, and its
-        // per-replica `lmerge`/`xmerge`/`venv` splits are each no larger).
+        // per-replica `venv` is no larger).
         let r = h.replicas.len();
         h.local.reserve(r.saturating_sub(1) * 2);
-        h.lmerge.reserve(r);
-        h.xmerge.reserve(r);
         h.venv.reserve(r * 2);
         h.send_buf.reserve(2);
     }
@@ -241,8 +232,6 @@ impl<VP: VirtualProgram> Program for LineGraphHost<VP> {
         let LineGraphHost {
             replicas,
             local,
-            lmerge,
-            xmerge,
             venv,
             send_buf,
         } = self;
@@ -255,31 +244,22 @@ impl<VP: VirtualProgram> Program for LineGraphHost<VP> {
                 min_next = Some(min_next.map_or(n, |m| m.min(n)));
                 continue;
             }
-            // Merge local and cross-edge deliveries for replica j: keep
-            // exactly the messages from L(G)-neighbors addressed to this
-            // edge, ordered by (sender, seq) with duplicates dropped —
-            // both replicas of the edge construct this very sequence.
-            //
-            // The local stream is born sorted: `send` visits senders in
-            // ascending replica (= label) order and seqs ascend within a
-            // sender, so only the cross-edge stream needs a sort; the two
-            // streams then zip through a pre-sized two-way merge. Ties
-            // take the local entry first — exactly what the old stable
-            // sort over [local..., cross...] + keep-first dedup did, which
-            // matters when faults duplicate frames.
-            lmerge.clear();
+            // Local and cross-edge deliveries for replica j: exactly the
+            // messages from L(G)-neighbors addressed to this edge, ordered
+            // by (sender, seq) with duplicates dropped, a local copy before
+            // a cross-edge one (which matters when faults duplicate
+            // frames) — both replicas of the edge construct this very
+            // sequence.
+            venv.clear();
             for (tgt, from, seq, msg) in local.iter() {
                 if *tgt == j as u32 {
-                    lmerge.push((*from, *seq, msg.clone()));
+                    venv.push(VEnvelope {
+                        from: *from,
+                        seq: *seq,
+                        msg: msg.clone(),
+                    });
                 }
             }
-            debug_assert!(
-                lmerge
-                    .windows(2)
-                    .all(|w| (w[0].0, w[0].1) <= (w[1].0, w[1].1)),
-                "local deliveries must be born sorted by (sender, seq)"
-            );
-            xmerge.clear();
             for e in inbox {
                 if let VirtMsg::Exchange { from, to, seq, msg } = &e.msg {
                     let addressed = match to {
@@ -287,35 +267,15 @@ impl<VP: VirtualProgram> Program for LineGraphHost<VP> {
                         None => true,
                     };
                     if addressed && rep.adj.binary_search(from).is_ok() {
-                        xmerge.push((*from, *seq, msg.clone()));
+                        venv.push(VEnvelope {
+                            from: *from,
+                            seq: *seq,
+                            msg: msg.clone(),
+                        });
                     }
                 }
             }
-            xmerge.sort_by_key(|a| (a.0, a.1));
-            venv.clear();
-            venv.reserve(lmerge.len() + xmerge.len());
-            {
-                let mut a = lmerge.drain(..).peekable();
-                let mut b = xmerge.drain(..).peekable();
-                let mut last: Option<(u64, u16)> = None;
-                loop {
-                    let take_local = match (a.peek(), b.peek()) {
-                        (Some(x), Some(y)) => (x.0, x.1) <= (y.0, y.1),
-                        (Some(_), None) => true,
-                        (None, Some(_)) => false,
-                        (None, None) => break,
-                    };
-                    let (from, seq, msg) = if take_local {
-                        a.next().expect("peeked")
-                    } else {
-                        b.next().expect("peeked")
-                    };
-                    if last != Some((from, seq)) {
-                        last = Some((from, seq));
-                        venv.push(VEnvelope { from, msg });
-                    }
-                }
-            }
+            settle(venv);
             match rep.vp.receive(round, venv) {
                 Action::Stay => rep.prime(round + 1, send_buf),
                 // Deliberately unvalidated: a non-future wake round is
@@ -623,8 +583,6 @@ where
             rep.output = r.get()?;
         }
         self.local = r.get()?;
-        self.lmerge.clear();
-        self.xmerge.clear();
         self.venv.clear();
         self.send_buf.clear();
         Ok(())

@@ -25,7 +25,9 @@ pub struct Params {
     /// computed rather than bounded).
     pub ab2: u64,
     /// Depth bound used by every depth-synchronized convergecast/broadcast
-    /// (`D = n`: no BFS cluster is deeper).
+    /// (`D = n`: no BFS cluster is deeper). It saturates at `u32::MAX`
+    /// when `n` does not fit in `u32`; the stage table reports such an `n`
+    /// as an overflow of its first Lemma 7 stage.
     pub depth_bound: u32,
 }
 
@@ -44,7 +46,7 @@ impl Params {
             b,
             iterations,
             ab2,
-            depth_bound: n as u32,
+            depth_bound: u32::try_from(n).unwrap_or(u32::MAX),
         }
     }
 

@@ -21,8 +21,9 @@
 //! decision on the cluster root's shared member record, together with the
 //! allocations it read (every member record and every received state),
 //! and a replica holding exactly those allocations shares the stored
-//! decision instead of recomputing it. A replica restored from a snapshot
-//! holds decoded copies, so it computes its own. Either way the decision
+//! decision instead of recomputing it. A single-member cluster has one
+//! replica and stores nothing. A replica restored from a snapshot holds
+//! decoded copies, so it computes its own. Either way the decision
 //! is the one the replica would compute; messages, awake counts and
 //! snapshots are the same as if every replica computed it.
 
@@ -43,26 +44,33 @@ use std::sync::{Arc, Weak};
 /// Per-node payload of the stage-2 gather: `(γ, problem input)`.
 type Payload<I> = (u64, I);
 
-/// The state a vertex broadcasts once decided: its members' outputs.
+/// The state a vertex broadcasts once decided: its color and its
+/// members' outputs.
 ///
 /// This is the virtual message of Lemma 11 on `H`, and it is built once
 /// per cluster: the replica that decides first builds it, and every
 /// replica that decides from the same inputs shares it (see the module
-/// docs), as does every send, port, inbox and receiver's `states` entry.
-/// Nobody mutates it, so a clone costs two reference-count increments.
-/// It encodes exactly like the plain maps.
+/// docs), as does every send, port, merge bag and receiver's `states`
+/// entry. Nobody mutates it, and both maps sit behind one `Arc`, so a
+/// clone or a drop touches one reference count. It encodes exactly like
+/// the triple `(color, outputs, closure)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VertexState<O> {
     /// The sending vertex's color.
     pub color: u64,
-    /// Every member's output, keyed by ident.
-    pub outputs: Arc<BTreeMap<u64, O>>,
-    /// Accumulated closure for problems that need it (empty otherwise).
-    pub closure: Arc<BTreeMap<u64, O>>,
+    /// The decision's maps, shared.
+    pub maps: Arc<Maps<O>>,
 }
 
-/// A received outputs or closure map, by allocation.
-type MapPtr<O> = Weak<BTreeMap<u64, O>>;
+/// The maps a decided vertex sends.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Maps<O> {
+    /// Every member's output, keyed by ident; shared with the vertex's
+    /// output.
+    pub outputs: Arc<BTreeMap<u64, O>>,
+    /// Accumulated closure for problems that need it (empty otherwise).
+    pub closure: BTreeMap<u64, O>,
+}
 
 /// A cluster's decision as stored on its root's record, with the
 /// allocations it was computed from. The pointers are `Weak`: they keep
@@ -73,8 +81,8 @@ type MapPtr<O> = Weak<BTreeMap<u64, O>>;
 struct Decision<I, O> {
     /// Every member record, ascending by ident.
     members: Vec<Weak<MemberRec<Payload<I>>>>,
-    /// Every received state: `(sender label, outputs, closure)`.
-    states: Vec<(u64, MapPtr<O>, MapPtr<O>)>,
+    /// Every received state: `(sender label, its maps)`.
+    states: Vec<(u64, Weak<Maps<O>>)>,
     state: VertexState<O>,
 }
 
@@ -88,7 +96,7 @@ impl<I, O> Decision<I, O> {
             members: input.members.values().map(Arc::downgrade).collect(),
             states: states
                 .iter()
-                .map(|(&l, st)| (l, Arc::downgrade(&st.outputs), Arc::downgrade(&st.closure)))
+                .map(|(&l, st)| (l, Arc::downgrade(&st.maps)))
                 .collect(),
             state,
         }
@@ -111,10 +119,8 @@ impl<I, O> Decision<I, O> {
                 .states
                 .iter()
                 .zip(states)
-                .all(|((l, o, c), (label, st))| {
-                    l == label
-                        && std::ptr::eq(o.as_ptr(), Arc::as_ptr(&st.outputs))
-                        && std::ptr::eq(c.as_ptr(), Arc::as_ptr(&st.closure))
+                .all(|((l, maps), (label, st))| {
+                    l == label && std::ptr::eq(maps.as_ptr(), Arc::as_ptr(&st.maps))
                 })
     }
 }
@@ -165,15 +171,20 @@ impl<P: OLocalProblem> Lemma11Vertex<P> {
     }
 
     /// Decide, sharing the decision stored on the root's record when it
-    /// was computed from this replica's inputs.
+    /// was computed from this replica's inputs. A single-member cluster
+    /// has one replica, which would never share it, so it stores none.
     fn decide(&mut self) {
+        let greedy = || greedy(&self.problem, &self.input, self.color, &self.states);
+        if self.input.members.len() == 1 {
+            self.decided = Some(greedy());
+            return;
+        }
         let root = self
             .input
             .members
             .values()
             .find(|m| m.depth == 0)
             .expect("BFS cluster has a root");
-        let greedy = || greedy(&self.problem, &self.input, self.color, &self.states);
         let shared = root
             .memo
             .get_or_init(|| Decision::new(&self.input, &self.states, greedy()))
@@ -202,7 +213,7 @@ fn greedy<P: OLocalProblem>(
     let mut closure: BTreeMap<u64, P::Output> = BTreeMap::new();
     if full {
         for st in states.values() {
-            for (i, o) in st.outputs.iter().chain(st.closure.iter()) {
+            for (i, o) in st.maps.outputs.iter().chain(&st.maps.closure) {
                 closure.insert(*i, o.clone());
             }
         }
@@ -229,6 +240,7 @@ fn greedy<P: OLocalProblem>(
                     )
                 });
                 let out = st
+                    .maps
                     .outputs
                     .get(&nbr_ident)
                     .expect("neighbor cluster reports all members")
@@ -250,9 +262,11 @@ fn greedy<P: OLocalProblem>(
     }
     VertexState {
         color,
-        outputs: Arc::new(decided),
-        // The received closure plus every member's output.
-        closure: Arc::new(if full { closure } else { BTreeMap::new() }),
+        maps: Arc::new(Maps {
+            outputs: Arc::new(decided),
+            // The received closure plus every member's output.
+            closure: if full { closure } else { BTreeMap::new() },
+        }),
     }
 }
 
@@ -289,11 +303,13 @@ impl<P: OLocalProblem> crate::virt::VirtualProgram for Lemma11Vertex<P> {
     }
 
     fn output(&self) -> Option<Self::Output> {
-        self.decided.as_ref().map(|s| Arc::clone(&s.outputs))
+        self.decided.as_ref().map(|s| Arc::clone(&s.maps.outputs))
     }
 }
 
-codec!(struct VertexState<O: Codec> { color, outputs, closure });
+codec!(struct VertexState<O: Codec> { color, maps });
+
+codec!(struct Maps<O: Codec> { outputs, closure });
 
 /// Dynamic state: the wake cursor, the received neighbor-vertex states,
 /// the decision's outputs, and its closure (empty while undecided). The
@@ -308,8 +324,8 @@ where
         self.states.encode(w);
         match &self.decided {
             Some(st) => {
-                Some(Arc::clone(&st.outputs)).encode(w);
-                st.closure.encode(w);
+                Some(Arc::clone(&st.maps.outputs)).encode(w);
+                st.maps.closure.encode(w);
             }
             None => {
                 None::<Arc<BTreeMap<u64, P::Output>>>.encode(w);
@@ -321,11 +337,10 @@ where
         self.cursor = r.get()?;
         self.states = r.get()?;
         let outputs: Option<Arc<BTreeMap<u64, P::Output>>> = r.get()?;
-        let closure: Arc<BTreeMap<u64, P::Output>> = r.get()?;
+        let closure: BTreeMap<u64, P::Output> = r.get()?;
         self.decided = outputs.map(|outputs| VertexState {
             color: self.color,
-            outputs,
-            closure,
+            maps: Arc::new(Maps { outputs, closure }),
         });
         Ok(())
     }
@@ -612,6 +627,32 @@ mod tests {
                 }
             }
             assert!(merged > 0, "seed {seed}: a multi-member cluster");
+        }
+    }
+
+    #[test]
+    fn vertex_state_encodes_as_color_outputs_closure() {
+        let bytes = |encode: &dyn Fn(&mut Writer)| {
+            let mut w = Writer::new();
+            encode(&mut w);
+            w.into_bytes()
+        };
+        let outputs: BTreeMap<u64, u64> = [(1, 4), (9, 2), (1 << 40, 7)].into();
+        for closure in [BTreeMap::new(), [(3u64, 1u64), (8, 0)].into()] {
+            let st = VertexState {
+                color: 5,
+                maps: Arc::new(Maps {
+                    outputs: Arc::new(outputs.clone()),
+                    closure: closure.clone(),
+                }),
+            };
+            let encoded = bytes(&|w| st.encode(w));
+            assert_eq!(
+                encoded,
+                bytes(&|w| (5u64, outputs.clone(), closure.clone()).encode(w))
+            );
+            let back: VertexState<u64> = Reader::new(&encoded).get().unwrap();
+            assert_eq!(back, st);
         }
     }
 

@@ -30,7 +30,9 @@
 //! merge bag and collected entry that carries one holds its own clone, so
 //! [`VirtualProgram::Msg`] must be cheap to clone — a program keeps a large
 //! payload behind an `Arc` inside its message type, and cloning the message
-//! then shares the payload.
+//! then shares the payload. Replicas copy nothing to read: a phase's merged
+//! bag is one shared list of [`VEnvelope`]s, and every replica's
+//! [`VirtualProgram::receive`] reads it in place.
 //!
 //! Nothing is mutated once shared. A result that is a pure function of a
 //! shared value — the same for every replica of a cluster, such as Lemma
@@ -135,11 +137,15 @@ impl<P: Clone> VertexInput<P> {
     }
 }
 
-/// A message from an adjacent vertex.
+/// A message from an adjacent vertex. Inboxes are sorted by
+/// `(from, seq)` with one envelope per key; the simulator's merge bags
+/// carry envelopes too, so a replica's inbox is the merged bag itself.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VEnvelope<M> {
     /// Sender vertex label.
     pub from: u64,
+    /// The message's index in the sender's send list for the round.
+    pub seq: u16,
     /// Payload.
     pub msg: M,
 }
@@ -165,10 +171,11 @@ pub enum VOutgoing<M> {
 /// or an `Arc` of its own.
 pub trait VirtualProgram: Sized {
     /// Virtual message type. It must be cheap to clone: the simulator
-    /// clones a sent message once per port, merge bag and replica inbox
-    /// that carries it, so a message with a large payload keeps the
-    /// payload behind an `Arc` (as `L15Msg` and `L14Msg` do) and a clone
-    /// costs a reference-count increment.
+    /// clones a sent message once per port and merge bag that carries it
+    /// (replicas read the merged bag in place and clone nothing), so a
+    /// message with a large payload keeps the payload behind an `Arc` (as
+    /// `L15Msg` and `L14Msg` do) and a clone costs a reference-count
+    /// increment.
     type Msg: Clone + std::fmt::Debug + Send + Sync + PartialEq;
     /// Vertex-level output.
     type Output: Clone + std::fmt::Debug + Send + Sync;
@@ -212,8 +219,8 @@ pub enum VirtMsg<P, M> {
         label: u64,
         /// Convergecast (`true`) or broadcast (`false`) leg.
         up: bool,
-        /// `(from vertex, seq, msg)` triples.
-        items: Arc<Vec<(u64, u16, M)>>,
+        /// Envelopes sorted by `(from, seq)`.
+        items: Arc<Vec<VEnvelope<M>>>,
     },
 }
 
@@ -249,9 +256,6 @@ fn cast(db: u32, vround: Round, depth: u32) -> Cast {
 /// The physical message type [`VirtSim`] sends: virtual messages inline.
 type Wire<VP> = VirtMsg<<VP as VirtualProgram>::Payload, <VP as VirtualProgram>::Msg>;
 
-/// A collected exchange item: `(sending vertex, seq, payload)`.
-type Item<M> = (u64, u16, M);
-
 struct RunState<VP: VirtualProgram> {
     vp: VP,
     /// The cluster-level input the replica was built from — kept so a
@@ -270,18 +274,16 @@ struct RunState<VP: VirtualProgram> {
     outgoing: Vec<(u16, Option<u64>, VP::Msg)>,
     /// Exchange items collected during the current phase, sorted by
     /// `(from, seq)` with one item per key (the first to arrive).
-    collected: Vec<Item<VP::Msg>>,
+    collected: Vec<VEnvelope<VP::Msg>>,
     /// Full merged inbox, kept behind one shared `Arc` so the downward
-    /// re-broadcast and the local replica advance reuse the same buffer.
+    /// re-broadcast and the local replica's `receive` read the same buffer.
     /// [`publish_bag`] refills it in place once the Arc is unshared.
-    bc_copy: Arc<Vec<Item<VP::Msg>>>,
+    bc_copy: Arc<Vec<VEnvelope<VP::Msg>>>,
     /// Set once the inner program halts.
     vp_done: bool,
     /// Pooled scratch for [`VirtualProgram::send`] (never persisted —
     /// empty outside `prime`).
     send_buf: Vec<VOutgoing<VP::Msg>>,
-    /// Pooled inbox the replica reads each phase (transient).
-    inbox_buf: Vec<VEnvelope<VP::Msg>>,
 }
 
 enum St<VP: VirtualProgram> {
@@ -362,9 +364,9 @@ fn prime<VP: VirtualProgram>(run: &mut RunState<VP>, next: Round) {
 /// Restore `collected`'s order after a merge appended to it: sorted by
 /// `(from, seq)`, keeping the first-collected item of each key (the sort
 /// is stable and earlier items sit before later ones).
-fn settle<M>(collected: &mut Vec<Item<M>>) {
-    collected.sort_by_key(|it| (it.0, it.1));
-    collected.dedup_by_key(|it| (it.0, it.1));
+pub(crate) fn settle<M>(collected: &mut Vec<VEnvelope<M>>) {
+    collected.sort_by_key(|e| (e.from, e.seq));
+    collected.dedup_by_key(|e| (e.from, e.seq));
 }
 
 /// Publish `collected` as the phase's merged inbox bag. When this replica
@@ -390,14 +392,8 @@ fn process<VP: VirtualProgram>(
     run: &mut RunState<VP>,
 ) -> Action {
     // The merged bag is already sorted by `(from, seq)` and deduplicated.
-    run.inbox_buf.clear();
-    run.inbox_buf
-        .extend(run.bc_copy.iter().map(|(from, _, msg)| VEnvelope {
-            from: *from,
-            msg: msg.clone(),
-        }));
     let x = run.cur;
-    match run.vp.receive(x, &run.inbox_buf) {
+    match run.vp.receive(x, &run.bc_copy[..]) {
         Action::Stay => prime(run, x + 1),
         Action::SleepUntil(x2) => {
             assert!(x2 > x, "inner program must sleep strictly forward");
@@ -540,7 +536,6 @@ where
                             bc_copy: Arc::new(vec![]),
                             vp_done: false,
                             send_buf: vec![],
-                            inbox_buf: vec![],
                         });
                         // All vertices are awake at virtual round 1.
                         prime(&mut run, 1);
@@ -559,7 +554,11 @@ where
                     for e in inbox {
                         if let VirtMsg::Exchange { from, to, seq, msg } = &e.msg {
                             if *from != run.label && (to.is_none() || *to == Some(run.label)) {
-                                run.collected.push((*from, *seq, msg.clone()));
+                                run.collected.push(VEnvelope {
+                                    from: *from,
+                                    seq: *seq,
+                                    msg: msg.clone(),
+                                });
                             }
                         }
                     }
@@ -621,6 +620,10 @@ where
 }
 
 codec!(struct VertexInput<P: Codec> { label, members });
+
+// Encodes like the triple `(from, seq, msg)`, the form merge bags and
+// collected items take in snapshots.
+codec!(struct VEnvelope<M: Codec> { from, seq, msg });
 
 /// Dynamic state of the simulator: which stage it is in, the gather core's
 /// progress, or the full phase state of the running replica. The replica
@@ -699,7 +702,6 @@ where
                     bc_copy,
                     vp_done,
                     send_buf: vec![],
-                    inbox_buf: vec![],
                 }));
             }
             3 => self.st = St::Done,

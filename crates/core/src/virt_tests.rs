@@ -349,6 +349,9 @@ impl VirtualProgram for Recorder {
     }
 
     fn receive(&mut self, vround: Round, inbox: &[VEnvelope<(u64, Round)>]) -> Action {
+        for e in inbox {
+            assert_eq!(u64::from(e.seq), e.msg.0, "seq is the send-list index");
+        }
         let seen = inbox.iter().map(|e| (e.from, e.msg.0, e.msg.1)).collect();
         self.log.push((vround, seen));
         if vround < 3 {
@@ -527,15 +530,15 @@ impl<VP: VirtualProgram> Program for OnH<VP> {
     }
 
     fn receive(&mut self, view: &View<'_>, inbox: &[Envelope<Self::Msg>]) -> Action {
-        let mut items: Vec<(u64, u16, VP::Msg)> = inbox
+        let mut inbox: Vec<VEnvelope<VP::Msg>> = inbox
             .iter()
-            .map(|e| (self.port_label[&e.from], e.msg.0, e.msg.1.clone()))
+            .map(|e| VEnvelope {
+                from: self.port_label[&e.from],
+                seq: e.msg.0,
+                msg: e.msg.1.clone(),
+            })
             .collect();
-        items.sort_by_key(|it| (it.0, it.1));
-        let inbox: Vec<VEnvelope<VP::Msg>> = items
-            .into_iter()
-            .map(|(from, _, msg)| VEnvelope { from, msg })
-            .collect();
+        inbox.sort_by_key(|e| (e.from, e.seq));
         let action = self.vp.receive(view.round, &inbox);
         if action == Action::Halt {
             self.out = self.vp.output();
@@ -705,4 +708,33 @@ fn virtsim_matches_direct_execution_on_h() {
         in_u && deep,
         "Lemma 15 forms both U vertices and clusters deeper than one hop"
     );
+}
+
+/// Encoded bytes of `v`.
+fn bytes<T: Codec>(v: &T) -> Vec<u8> {
+    let mut w = Writer::new();
+    v.encode(&mut w);
+    w.into_bytes()
+}
+
+#[test]
+fn venvelope_encodes_as_the_from_seq_msg_triple() {
+    let envs = vec![
+        VEnvelope {
+            from: 3,
+            seq: 0,
+            msg: (7u64, 1 as Round),
+        },
+        VEnvelope {
+            from: u64::MAX - 1,
+            seq: u16::MAX,
+            msg: (1 << 40, 1 << 50),
+        },
+    ];
+    let triples: Vec<(u64, u16, (u64, Round))> =
+        envs.iter().map(|e| (e.from, e.seq, e.msg)).collect();
+    let encoded = bytes(&envs);
+    assert_eq!(encoded, bytes(&triples));
+    let back: Vec<VEnvelope<(u64, Round)>> = Reader::new(&encoded).get().unwrap();
+    assert_eq!(back, envs);
 }
