@@ -43,6 +43,15 @@
 //! rates from 6.66 (Lemma 14) and 1.00 (Lemma 11 on `H`) to 6.37 and 1.00;
 //! the caps were lowered to match.
 //!
+//! `Metrics` used to keep one n-long awake column per phase label beside
+//! the per-node awake vector, and the worker pool staged each job's label.
+//! Dropping them saves a few allocations per run, not per event: the
+//! edge adapter's rate went from 0.06046 to 0.06042, the 4-worker flood's
+//! whole run from 0.01492 to 0.01480, and the dense gather's from 7.871 to
+//! 7.857. Every cap whose rate fell is now at most its rate plus 25%, or
+//! plus 0.002 for the node-round rates; the dense gather cap, left at 13
+//! while its rate fell from 10.6, is 9.8.
+//!
 //! The round engine recycles every buffer it uses, so once the first
 //! rounds have grown them a flood allocates nothing per node-round, run in
 //! place at one worker or dispatched at four; the caps here catch a
@@ -135,15 +144,15 @@ fn edge_adapter_steady_state_stays_allocation_free() {
     let matching = engine_allocs_per_node_round(&g, &MaximalMatching, &inputs);
     let coloring = engine_allocs_per_node_round(&g, &EdgeColoring, &inputs);
     println!("edge adapter allocs/node-round: matching {matching:.4}, coloring {coloring:.4}");
-    // Measured: 0.0605 for both (`BENCH_engine.json`'s `edge_problems`
-    // section, the same workload); the cap is that + 0.002.
+    // Measured: 0.0604 for both (the workload of `BENCH_engine.json`'s
+    // `edge_problems` section); the cap is that + 0.002.
     assert!(
-        matching <= 0.0625,
-        "matching adapter steady state regressed: {matching:.4} allocs/node-round (cap 0.0625)"
+        matching <= 0.0624,
+        "matching adapter steady state regressed: {matching:.4} allocs/node-round (cap 0.0624)"
     );
     assert!(
-        coloring <= 0.0625,
-        "edge-coloring adapter steady state regressed: {coloring:.4} allocs/node-round (cap 0.0625)"
+        coloring <= 0.0624,
+        "edge-coloring adapter steady state regressed: {coloring:.4} allocs/node-round (cap 0.0624)"
     );
 }
 
@@ -326,8 +335,8 @@ fn dense_regime_lemma14_and_gather_share_instead_of_copying() {
         "VirtSim<TreeGatherVertex> regressed: {lemma14:.3} allocs/awake event (cap 7.9)"
     );
     assert!(
-        gather <= 13.0,
-        "dense ClusterGather regressed: {gather:.3} allocs/awake event (cap 13)"
+        gather <= 9.8,
+        "dense ClusterGather regressed: {gather:.3} allocs/awake event (cap 9.8)"
     );
     assert!(
         lemma11 <= 1.24,
@@ -388,8 +397,10 @@ fn dispatched_rounds_stay_allocation_free() {
     let g = generators::random_regular(2048, 8, 3);
     // One worker is the serial engine's in-place path; four dispatch. The
     // whole-run caps are `BENCH_engine.json`'s 150-round flood rates (serial
-    // 0.0134, 4 workers 0.0139 allocations per node-round) + 0.002.
-    for (workers, whole_cap) in [(1, 0.0154), (4, 0.0159)] {
+    // 0.0134, 4 workers 0.0139 allocations per node-round) + 0.002, the
+    // 4-worker one less the 0.0001 its run lost with the per-label awake
+    // columns.
+    for (workers, whole_cap) in [(1, 0.0154), (4, 0.0158)] {
         // A short and a long run pay the same setup (the pool, its threads,
         // the first rounds' buffer growth); their difference is the steady
         // state.

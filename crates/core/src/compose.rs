@@ -77,8 +77,7 @@ impl Composition {
     }
 
     /// The stages composed into one [`Metrics`] (Lemma 8): per-node awake
-    /// rounds, rounds and counters summed over stages. Spans stay per
-    /// stage, so the result carries none.
+    /// rounds, rounds and counters summed over stages.
     pub fn total(&self) -> Metrics {
         let mut m = Metrics::new(0);
         m.awake = self.awake_per_node();
@@ -140,7 +139,7 @@ mod tests {
         let mut m = Metrics::new(awakes.len());
         for (i, &a) in awakes.iter().enumerate() {
             for _ in 0..a {
-                m.note_awake(NodeId(i as u32), "t");
+                m.note_awake(NodeId(i as u32));
             }
         }
         m.rounds = rounds;

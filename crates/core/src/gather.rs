@@ -460,10 +460,6 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> Program for ClusterGather<P> {
             Some(_) => None,
         }
     }
-
-    fn span(&self) -> &'static str {
-        "gather"
-    }
 }
 
 /// Dynamic state: the core's gather progress plus the completion flag (the

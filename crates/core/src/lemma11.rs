@@ -168,10 +168,6 @@ impl<P: OLocalProblem> Program for ColorScheduled<P> {
     fn output(&self) -> Option<P::Output> {
         self.decided.clone()
     }
-
-    fn span(&self) -> &'static str {
-        "lemma11"
-    }
 }
 
 codec!(struct NodeState<O: Codec> { ident, color, output, closure });

@@ -144,10 +144,6 @@ impl<T: Clone + std::fmt::Debug + Send + Sync> Program for Broadcast<T> {
     fn output(&self) -> Option<T> {
         self.payload.clone().or_else(|| self.received.clone())
     }
-
-    fn span(&self) -> &'static str {
-        "lemma6/broadcast"
-    }
 }
 
 /// The convergecast program: every node's `payload` reaches the root,
@@ -250,10 +246,6 @@ impl<T: Clone + std::fmt::Debug + Send + Sync> Program for Convergecast<T> {
 
     fn output(&self) -> Option<Vec<T>> {
         Some(self.bag.clone())
-    }
-
-    fn span(&self) -> &'static str {
-        "lemma6/convergecast"
     }
 }
 

@@ -28,7 +28,7 @@
 //! ([`solve_edges_spec`]).
 
 use crate::resilient::{solver_stage, StageSpec};
-use crate::virt::{settle, VEnvelope, VOutgoing, VirtMsg, VirtualProgram};
+use crate::virt::{send_numbered, settle, VEnvelope, VOutgoing, VirtMsg, VirtualProgram};
 use awake_graphs::{Graph, NodeId};
 use awake_olocal::edge::{EdgeGreedyView, EdgeIndex, EdgeProblem};
 use awake_sleeping::{
@@ -77,19 +77,11 @@ struct Replica<VP: VirtualProgram> {
 
 impl<VP: VirtualProgram> Replica<VP> {
     /// Prepare the outgoing messages for the replica's next awake round
-    /// (the [`crate::virt`] `prime` step). `buf` is the host's pooled
-    /// send scratch — cleared here, so primes allocate nothing once the
-    /// buffers reach steady-state capacity.
+    /// (the [`crate::virt`] `prime` step); `buf` is the host's pooled send
+    /// scratch.
     fn prime(&mut self, next: Round, buf: &mut Vec<VOutgoing<VP::Msg>>) {
         self.next = next;
-        buf.clear();
-        self.vp.send(next, buf);
-        self.outgoing.clear();
-        self.outgoing
-            .extend(buf.drain(..).enumerate().map(|(i, o)| match o {
-                VOutgoing::ToCluster(j, m) => (i as u16, Some(j), m),
-                VOutgoing::Broadcast(m) => (i as u16, None, m),
-            }));
+        send_numbered(&mut self.vp, next, buf, &mut self.outgoing);
     }
 }
 
@@ -320,10 +312,6 @@ impl<VP: VirtualProgram> Program for LineGraphHost<VP> {
             )
         }));
         Some(out)
-    }
-
-    fn span(&self) -> &'static str {
-        "linegraph"
     }
 }
 

@@ -260,10 +260,6 @@ impl Program for ColorReduction {
     fn output(&self) -> Option<u64> {
         Some(self.color)
     }
-
-    fn span(&self) -> &'static str {
-        "linial"
-    }
 }
 
 persist! {

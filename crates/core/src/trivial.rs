@@ -219,10 +219,6 @@ impl<P: OLocalProblem> Program for TrivialGreedy<P> {
     fn output(&self) -> Option<P::Output> {
         self.inner.output()
     }
-
-    fn span(&self) -> &'static str {
-        "trivial"
-    }
 }
 
 codec!(struct Announce<O: Codec> { ident, output });

@@ -346,18 +346,30 @@ where
     }
 }
 
-/// Prepare the outgoing messages for the vertex's next awake round. Both
-/// the send scratch and the numbered `outgoing` buffer are pooled.
+/// The send-and-number step of every replica: `vp`'s messages for virtual
+/// round `next`, numbered by send order into `outgoing` as
+/// `(seq, Some(cluster) | None for broadcast, msg)`. `buf` is pooled send
+/// scratch and `outgoing` is refilled in place, so once both reach
+/// steady-state capacity this allocates nothing.
+pub(crate) fn send_numbered<VP: VirtualProgram>(
+    vp: &mut VP,
+    next: Round,
+    buf: &mut Vec<VOutgoing<VP::Msg>>,
+    outgoing: &mut Vec<(u16, Option<u64>, VP::Msg)>,
+) {
+    buf.clear();
+    vp.send(next, buf);
+    outgoing.clear();
+    outgoing.extend(buf.drain(..).enumerate().map(|(i, o)| match o {
+        VOutgoing::ToCluster(j, m) => (i as u16, Some(j), m),
+        VOutgoing::Broadcast(m) => (i as u16, None, m),
+    }));
+}
+
+/// Prepare the outgoing messages for the vertex's next awake round.
 fn prime<VP: VirtualProgram>(run: &mut RunState<VP>, next: Round) {
     run.next = next;
-    run.send_buf.clear();
-    run.vp.send(next, &mut run.send_buf);
-    run.outgoing.clear();
-    run.outgoing
-        .extend(run.send_buf.drain(..).enumerate().map(|(i, o)| match o {
-            VOutgoing::ToCluster(j, m) => (i as u16, Some(j), m),
-            VOutgoing::Broadcast(m) => (i as u16, None, m),
-        }));
+    send_numbered(&mut run.vp, next, &mut run.send_buf, &mut run.outgoing);
     run.collected.clear();
 }
 
@@ -608,13 +620,6 @@ where
             St::Inactive => Some(None),
             St::Done => Some(self.out.clone()),
             _ => None,
-        }
-    }
-
-    fn span(&self) -> &'static str {
-        match self.st {
-            St::Gather(_) => "virt/gather",
-            _ => "virt/phase",
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The sequential greedy reference executor — the class-defining algorithm.
 
 use crate::problem::{GreedyView, OLocalProblem};
-use awake_graphs::{AcyclicOrientation, Graph, NodeId};
+use awake_graphs::{AcyclicOrientation, Graph};
 use std::collections::BTreeMap;
 
 /// Solve `problem` on `graph` by the sequential greedy process along
@@ -65,71 +65,10 @@ pub fn solve_sequentially<P: OLocalProblem>(
         .collect()
 }
 
-/// Decide a set of nodes *inside a cluster* in `(δ, ident)` order given
-/// already-known outputs for nodes outside (used by Theorem 9's Π′ greedy;
-/// exposed here so the core crate and tests share one implementation).
-///
-/// `members` lists the cluster's nodes with their BFS depth `δ`; `mu` must
-/// orient every intra-member edge consistently with `(δ, ident)` ascending
-/// and every member↔outside edge toward `known` outputs that are already
-/// present. Returns outputs for the members.
-///
-/// # Panics
-/// Panics if an out-neighbor's output is neither known nor a member decided
-/// earlier — that indicates the caller violated the orientation contract.
-pub fn solve_cluster<P: OLocalProblem>(
-    problem: &P,
-    graph: &Graph,
-    mu: &AcyclicOrientation,
-    inputs: &[P::Input],
-    members: &[(NodeId, u32)],
-    known: &BTreeMap<NodeId, P::Output>,
-) -> BTreeMap<NodeId, P::Output> {
-    let mut order: Vec<(u32, u64, NodeId)> = members
-        .iter()
-        .map(|&(v, d)| (d, graph.ident(v), v))
-        .collect();
-    order.sort_unstable();
-    let mut decided: BTreeMap<NodeId, P::Output> = BTreeMap::new();
-    for (_, _, v) in order {
-        let out_neighbors: Vec<(u64, P::Output)> = mu
-            .out_neighbors(graph, v)
-            .into_iter()
-            .map(|u| {
-                let out = decided
-                    .get(&u)
-                    .or_else(|| known.get(&u))
-                    .unwrap_or_else(|| panic!("out-neighbor {u} of {v} has no decided output"))
-                    .clone();
-                (graph.ident(u), out)
-            })
-            .collect();
-        let mut closure: BTreeMap<u64, P::Output> = out_neighbors.iter().cloned().collect();
-        if problem.needs_full_closure() {
-            for (k, val) in known {
-                closure.insert(graph.ident(*k), val.clone());
-            }
-            for (k, val) in &decided {
-                closure.insert(graph.ident(*k), val.clone());
-            }
-        }
-        let view = GreedyView {
-            ident: graph.ident(v),
-            degree: graph.degree(v),
-            input: &inputs[v.index()],
-            out_neighbors: &out_neighbors,
-            closure_outputs: &closure,
-        };
-        let out = problem.decide(&view);
-        decided.insert(v, out);
-    }
-    decided
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problems::{DeltaPlusOneColoring, MaximalIndependentSet};
+    use crate::problems::MaximalIndependentSet;
     use awake_graphs::generators;
 
     #[test]
@@ -140,25 +79,6 @@ mod tests {
             let mu = AcyclicOrientation::random(&g, seed);
             let out = solve_sequentially(&p, &g, &mu, &p.trivial_inputs(&g));
             p.validate(&g, &p.trivial_inputs(&g), &out).unwrap();
-        }
-    }
-
-    #[test]
-    fn cluster_greedy_agrees_with_global_on_partition() {
-        // Partition a path into two halves; decide the low half globally,
-        // then the high half via solve_cluster with the boundary known.
-        let g = generators::path(8);
-        let p = DeltaPlusOneColoring;
-        // Orientation: all edges toward smaller ident (priority = ident).
-        let mu = AcyclicOrientation::by_ident(&g);
-        let full = solve_sequentially(&p, &g, &mu, &p.trivial_inputs(&g));
-        let known: BTreeMap<NodeId, u64> =
-            (0..4u32).map(|v| (NodeId(v), full[v as usize])).collect();
-        // members: nodes 4..8 with δ = distance from node 4
-        let members: Vec<(NodeId, u32)> = (4..8u32).map(|v| (NodeId(v), v - 4)).collect();
-        let got = solve_cluster(&p, &g, &mu, &p.trivial_inputs(&g), &members, &known);
-        for (v, c) in got {
-            assert_eq!(c, full[v.index()]);
         }
     }
 }

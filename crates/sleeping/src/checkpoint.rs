@@ -20,10 +20,11 @@
 //!
 //! ```text
 //! magic    8 bytes  b"AWAKECKP"
-//! version  u32      SNAPSHOT_VERSION (currently 3; v2 added the
+//! version  u32      SNAPSHOT_VERSION (currently 4; v2 added the
 //!                   awake_events / rounds_skipped metrics counters, v3
 //!                   the fault-plan window fields, the recovery counters,
-//!                   and the per-node recovering bitset)
+//!                   and the per-node recovering bitset, v4 dropped the
+//!                   per-span awake table)
 //! round    u64      last processed round
 //! graph    u64      fingerprint of (n, idents, adjacency)
 //! config   max_rounds + trace mode
@@ -31,8 +32,8 @@
 //!          per-node program blobs, metrics, tracer, fault state
 //! ```
 //!
-//! The metrics block holds the awake column, `rounds`, every
-//! [`crate::Counters`] entry in table order, then the span table.
+//! The metrics block holds the awake column, `rounds`, then every
+//! [`crate::Counters`] entry in table order.
 //!
 //! Decoding validates the magic, the version, the graph fingerprint, and
 //! every length against the remaining input; a snapshot must also be
@@ -78,10 +79,11 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"AWAKECKP";
 /// version 3 added the fault-plan window fields
 /// (`burst_start`/`burst_len`/`quiet_after`), the
 /// `recovery_rounds`/`recovery_awake` counters, and the per-node
-/// `recovering` bitset of the fault state. Older images are rejected with
+/// `recovering` bitset of the fault state; version 4 dropped the per-span
+/// awake table that followed the counters. Older images are rejected with
 /// [`CheckpointError::UnsupportedVersion`] rather than silently restored
 /// with zeroed fields.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Why a snapshot could not be decoded or applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -853,12 +855,6 @@ where
     for c in m.counters.values() {
         c.encode(&mut w);
     }
-    let (names, counts) = m.span_data();
-    names.len().encode(&mut w);
-    for name in names {
-        name.to_string().encode(&mut w);
-    }
-    counts.to_vec().encode(&mut w);
     // tracer
     st.tracer.events.encode(&mut w);
     st.tracer.dropped.encode(&mut w);
@@ -947,22 +943,6 @@ where
     for c in metrics.counters.values_mut() {
         *c = r.get()?;
     }
-    let name_count = usize::decode(&mut r)?;
-    if name_count > r.remaining() {
-        return Err(CheckpointError::Truncated);
-    }
-    let mut names: Vec<&'static str> = Vec::with_capacity(name_count);
-    for _ in 0..name_count {
-        // Span labels are `&'static str` by design (a handful per run);
-        // restored labels are leaked once per resume, and content-based
-        // interning in `Metrics` keeps them equal to the originals.
-        names.push(Box::leak(String::decode(&mut r)?.into_boxed_str()));
-    }
-    let counts: Vec<Vec<u64>> = r.get()?;
-    if counts.len() != names.len() || counts.iter().any(|c| c.len() != n) {
-        return Err(CheckpointError::Corrupt("span counts"));
-    }
-    metrics.restore_span_data(names, counts);
     // tracer
     let mut tracer = Tracer::new(trace);
     tracer.events = r.get()?;
@@ -1118,13 +1098,17 @@ mod tests {
             CheckpointError::BadMagic,
             "full-length wrong magic loses to the magic check, not length"
         );
-        let mut bad = SNAPSHOT_MAGIC.to_vec();
-        bad.extend_from_slice(&99u32.to_le_bytes());
-        bad.extend_from_slice(&5u64.to_le_bytes());
-        assert_eq!(
-            Snapshot::from_bytes(bad).unwrap_err(),
-            CheckpointError::UnsupportedVersion(99)
-        );
+        // An unknown version, and the previous one (v3 still carried the
+        // span table), are both refused.
+        for version in [99u32, 3] {
+            let mut bad = SNAPSHOT_MAGIC.to_vec();
+            bad.extend_from_slice(&version.to_le_bytes());
+            bad.extend_from_slice(&5u64.to_le_bytes());
+            assert_eq!(
+                Snapshot::from_bytes(bad).unwrap_err(),
+                CheckpointError::UnsupportedVersion(version)
+            );
+        }
         let mut wrong_magic = b"XXXXXXXX".to_vec();
         wrong_magic.extend_from_slice(&[0; 12]);
         assert_eq!(
@@ -1252,16 +1236,14 @@ mod tests {
             &[Some(Idle)],
         );
         // The snapshot ends with the metrics block — awake column, rounds,
-        // the counters 1..=11, an empty span table — then an empty tracer
-        // and no fault state, so a moved, added or dropped counter shows.
+        // the counters 1..=11 — then an empty tracer and no fault state,
+        // so a moved, added or dropped counter shows.
         let mut w = Writer::new();
         vec![0u64].encode(&mut w);
         99u64.encode(&mut w);
         for c in 1..=11u64 {
             c.encode(&mut w);
         }
-        0usize.encode(&mut w);
-        Vec::<Vec<u64>>::new().encode(&mut w);
         Vec::<TraceEvent>::new().encode(&mut w);
         0u64.encode(&mut w);
         w.bytes(&[0]);

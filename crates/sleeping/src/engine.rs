@@ -807,7 +807,7 @@ impl<'g, P: Program> Exec<'g, P> {
             let p = programs[v as usize]
                 .as_mut()
                 .expect("programs stay in their slots");
-            at.metrics.note_awake(NodeId(v), p.span());
+            at.metrics.note_awake(NodeId(v));
             let log = SendLog {
                 tally: &mut at.metrics.counters,
                 tracer: &mut at.tracer,

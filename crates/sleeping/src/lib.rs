@@ -67,9 +67,7 @@
 //! performs **zero heap allocations** no matter how many nodes broadcast:
 //!
 //! * [`Outbox::to`] queues a message to one port,
-//! * [`Outbox::broadcast`] queues a message to every neighbor,
-//! * [`Outbox::push`]/[`Extend`] accept the legacy [`Outgoing`] value form,
-//!   for helper layers that build message lists independently of a buffer.
+//! * [`Outbox::broadcast`] queues a message to every neighbor.
 //!
 //! Inboxes are pooled per-recipient segments: each delivered message is one
 //! write into its recipient's reusable buffer, and because awake nodes
@@ -166,7 +164,7 @@ pub use checkpoint::{
 pub use engine::{Checkpoint, Config, Engine, Run, RunSpec, SimError};
 pub use faults::{redundancy_for, FaultKind, FaultPlan, MAX_REDUNDANCY};
 pub use metrics::{percentile, percentile_of_sorted, Counters, Metrics, PhaseTimes};
-pub use program::{Action, Envelope, Outbox, Outgoing, Program, View};
+pub use program::{Action, Envelope, Outbox, Program, View};
 pub use redundant::{Redundant, RedundantMsg};
 pub use trace::{TraceEvent, TraceMode};
 

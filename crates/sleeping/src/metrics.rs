@@ -2,7 +2,6 @@
 
 use crate::Round;
 use awake_graphs::NodeId;
-use std::collections::BTreeMap;
 use std::ops::{AddAssign, Deref, DerefMut};
 
 /// Declares the run's event counters once: the [`Counters`] struct with
@@ -96,17 +95,10 @@ counters! {
 /// The two headline numbers of the Sleeping model are
 /// [`max_awake`](Metrics::max_awake) (the *awake complexity*) and
 /// [`rounds`](Metrics::rounds) (the *round complexity*). The event
-/// counters live in [`Counters`], which `Metrics` derefs to. Spans
-/// attribute awake rounds to algorithm phases (driven by
-/// [`crate::Program::span`]), which is how the experiment harness reports
-/// per-lemma budgets.
-///
-/// Span labels are interned on first use: each distinct label gets a small
-/// integer id and a dense per-node counter column, so the executor's
-/// per-node-round accounting is a table lookup plus an increment — no
-/// per-node map structures on the hot path. Executions that attribute the
-/// same rounds to the same spans in the same order compare equal, which is
-/// what the serial/threaded bit-for-bit equivalence tests assert.
+/// counters live in [`Counters`], which `Metrics` derefs to. Awake rounds
+/// are counted per node only: an algorithm's phases are separate engine
+/// runs (Lemma 8 stages), each with its own `Metrics`, and
+/// `awake_core::compose::Composition` sums them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Metrics {
     /// Number of awake rounds per node.
@@ -115,11 +107,6 @@ pub struct Metrics {
     pub rounds: Round,
     /// The event counters (also readable through `Deref`).
     pub counters: Counters,
-    /// Interned span labels, in first-seen order.
-    span_names: Vec<&'static str>,
-    /// One dense per-node counter column per interned span:
-    /// `span_counts[s][v]` = awake rounds of node `v` attributed to span `s`.
-    span_counts: Vec<Vec<u64>>,
 }
 
 impl Deref for Metrics {
@@ -145,45 +132,11 @@ impl Metrics {
         }
     }
 
-    /// The span table for checkpointing: `(labels, per-node counter columns)`.
-    pub(crate) fn span_data(&self) -> (&[&'static str], &[Vec<u64>]) {
-        (&self.span_names, &self.span_counts)
-    }
-
-    /// Overwrite the span table from a checkpoint. Content-based interning
-    /// in [`span_id`](Metrics::span_id) keeps restored labels equal to the
-    /// originals even though they are distinct allocations.
-    pub(crate) fn restore_span_data(&mut self, names: Vec<&'static str>, counts: Vec<Vec<u64>>) {
-        debug_assert_eq!(names.len(), counts.len());
-        self.span_names = names;
-        self.span_counts = counts;
-    }
-
-    /// The id of `span`, interning it on first use.
-    ///
-    /// Labels come from [`crate::Program::span`], so there are a handful per
-    /// execution: a linear scan (pointer comparison first) beats any map.
+    /// Record one awake round for `v`.
     #[inline]
-    fn span_id(&mut self, span: &'static str) -> usize {
-        if let Some(id) = self
-            .span_names
-            .iter()
-            .position(|&s| std::ptr::eq(s, span) || s == span)
-        {
-            return id;
-        }
-        self.span_names.push(span);
-        self.span_counts.push(vec![0; self.awake.len()]);
-        self.span_names.len() - 1
-    }
-
-    /// Record one awake round for `v`, attributed to `span`.
-    #[inline]
-    pub fn note_awake(&mut self, v: NodeId, span: &'static str) {
+    pub fn note_awake(&mut self, v: NodeId) {
         self.awake[v.index()] += 1;
         self.counters.awake_events += 1;
-        let id = self.span_id(span);
-        self.span_counts[id][v.index()] += 1;
     }
 
     /// The awake complexity: `max_v` (#rounds `v` was awake).
@@ -222,34 +175,6 @@ impl Metrics {
     pub fn total_awake(&self) -> u64 {
         self.awake.iter().sum()
     }
-
-    /// All span labels seen, in first-recorded order.
-    pub fn span_names(&self) -> &[&'static str] {
-        &self.span_names
-    }
-
-    /// Max over nodes of awake rounds attributed to `span`.
-    pub fn span_max_awake(&self, span: &str) -> u64 {
-        self.span_names
-            .iter()
-            .position(|&s| s == span)
-            .map(|id| self.span_counts[id].iter().copied().max().unwrap_or(0))
-            .unwrap_or(0)
-    }
-
-    /// All span labels seen, with `(max-per-node, total)` awake rounds.
-    pub fn span_summary(&self) -> BTreeMap<&'static str, (u64, u64)> {
-        let mut out: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
-        for (id, &name) in self.span_names.iter().enumerate() {
-            let col = &self.span_counts[id];
-            let max = col.iter().copied().max().unwrap_or(0);
-            let total: u64 = col.iter().sum();
-            let e = out.entry(name).or_insert((0, 0));
-            e.0 = e.0.max(max);
-            e.1 += total;
-        }
-        out
-    }
 }
 
 /// Coordinator-side wall-clock attribution for the threaded executor's
@@ -275,7 +200,7 @@ pub struct PhaseTimes {
     /// closed it — shard draining and `Program::receive`.
     pub deliver_ns: u64,
     /// Coordinator-side merging of partial results in chunk order: metric
-    /// tallies, span attribution, trace absorption, delayed-message
+    /// tallies, awake attribution, trace absorption, delayed-message
     /// resolution and action application.
     pub merge_ns: u64,
     /// Rounds run in place on the coordinator (one chunk, no barrier),
@@ -359,18 +284,13 @@ mod tests {
     #[test]
     fn aggregation() {
         let mut m = Metrics::new(3);
-        m.note_awake(NodeId(0), "a");
-        m.note_awake(NodeId(0), "a");
-        m.note_awake(NodeId(1), "b");
+        m.note_awake(NodeId(0));
+        m.note_awake(NodeId(0));
+        m.note_awake(NodeId(1));
         assert_eq!(m.max_awake(), 2);
         assert_eq!(m.total_awake(), 3);
         assert_eq!(m.awake_events, m.total_awake(), "running counter agrees");
         assert!((m.avg_awake() - 1.0).abs() < 1e-9);
-        assert_eq!(m.span_max_awake("a"), 2);
-        assert_eq!(m.span_max_awake("missing"), 0);
-        let s = m.span_summary();
-        assert_eq!(s["a"], (2, 2));
-        assert_eq!(s["b"], (1, 1));
     }
 
     #[test]
@@ -404,41 +324,14 @@ mod tests {
         let mut m = Metrics::new(10);
         // one hot node, nine cold ones
         for _ in 0..100 {
-            m.note_awake(NodeId(0), "hot");
+            m.note_awake(NodeId(0));
         }
         for v in 1..10u32 {
-            m.note_awake(NodeId(v), "cold");
+            m.note_awake(NodeId(v));
         }
         assert_eq!(m.max_awake(), 100);
         assert_eq!(m.awake_p50(), 1);
         assert_eq!(m.awake_p99(), 100);
         assert_eq!(m.awake_percentile(90), 1);
-    }
-
-    #[test]
-    fn interning_is_by_content_and_first_seen_order() {
-        let mut m = Metrics::new(2);
-        // distinct allocations with identical content must intern together
-        let a1: &'static str = Box::leak("phase-x".to_string().into_boxed_str());
-        let a2: &'static str = Box::leak("phase-x".to_string().into_boxed_str());
-        m.note_awake(NodeId(0), a1);
-        m.note_awake(NodeId(1), a2);
-        m.note_awake(NodeId(0), "other");
-        assert_eq!(m.span_names(), &["phase-x", "other"]);
-        assert_eq!(m.span_summary()["phase-x"], (1, 2));
-    }
-
-    #[test]
-    fn equality_tracks_span_attribution() {
-        let mk = || {
-            let mut m = Metrics::new(2);
-            m.note_awake(NodeId(0), "a");
-            m.note_awake(NodeId(1), "b");
-            m
-        };
-        assert_eq!(mk(), mk());
-        let mut other = mk();
-        other.note_awake(NodeId(1), "a");
-        assert_ne!(mk(), other);
     }
 }

@@ -32,20 +32,6 @@ impl View<'_> {
     }
 }
 
-/// A message handed to the engine for delivery *this round*.
-///
-/// Retained as the *value form* of an outbox entry so helper layers can
-/// build message lists independently of an [`Outbox`] (see
-/// [`Outbox::push`]); [`Program::send`] itself writes into the engine-owned
-/// [`Outbox`] and never allocates a `Vec` of these on the hot path.
-#[derive(Debug, Clone)]
-pub enum Outgoing<M> {
-    /// Send to one neighbor (must be in `view.neighbors`).
-    To(NodeId, M),
-    /// Send to every neighbor.
-    Broadcast(M),
-}
-
 /// One queued outbox entry: `to == None` means broadcast.
 #[derive(Debug, Clone)]
 pub(crate) struct OutEntry<M> {
@@ -59,8 +45,7 @@ pub(crate) struct OutEntry<M> {
 /// node-round, so steady-state sending performs **zero heap allocations**:
 /// the buffer's capacity is retained across nodes and rounds. Programs
 /// queue messages with [`to`](Outbox::to) and
-/// [`broadcast`](Outbox::broadcast); [`push`](Outbox::push) and
-/// [`Extend`] accept the legacy [`Outgoing`] value form.
+/// [`broadcast`](Outbox::broadcast).
 #[derive(Debug)]
 pub struct Outbox<M> {
     pub(crate) items: Vec<OutEntry<M>>,
@@ -99,16 +84,6 @@ impl<M> Outbox<M> {
         self.items.push(OutEntry { to: None, msg });
     }
 
-    /// Queue an [`Outgoing`] value (compatibility with helpers that build
-    /// message lists as values).
-    #[inline]
-    pub fn push(&mut self, out: Outgoing<M>) {
-        match out {
-            Outgoing::To(p, m) => self.to(p, m),
-            Outgoing::Broadcast(m) => self.broadcast(m),
-        }
-    }
-
     /// Number of queued entries (broadcasts count once).
     #[inline]
     pub fn len(&self) -> usize {
@@ -124,14 +99,6 @@ impl<M> Outbox<M> {
     #[inline]
     pub(crate) fn clear(&mut self) {
         self.items.clear();
-    }
-}
-
-impl<M> Extend<Outgoing<M>> for Outbox<M> {
-    fn extend<I: IntoIterator<Item = Outgoing<M>>>(&mut self, iter: I) {
-        for out in iter {
-            self.push(out);
-        }
     }
 }
 
@@ -198,12 +165,6 @@ pub trait Program {
     /// The final output; must be `Some` once the program halts.
     fn output(&self) -> Option<Self::Output>;
 
-    /// A label for the algorithm phase the node is currently in; awake
-    /// rounds are attributed to spans in [`crate::Metrics`].
-    fn span(&self) -> &'static str {
-        "main"
-    }
-
     /// First round at which this node is awake.
     ///
     /// The default, `Some(FIRST_ROUND)`, is the Sleeping model's rule that
@@ -240,9 +201,7 @@ mod tests {
         let mut ob: Outbox<u32> = Outbox::new();
         ob.to(NodeId(1), 10);
         ob.broadcast(20);
-        ob.push(Outgoing::To(NodeId(2), 30));
-        ob.extend([Outgoing::Broadcast(40)]);
-        assert_eq!(ob.len(), 4);
+        assert_eq!(ob.len(), 2);
         let cap = ob.items.capacity();
         ob.clear();
         assert!(ob.is_empty());

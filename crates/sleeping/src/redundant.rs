@@ -261,10 +261,6 @@ impl<P: Program> Program for Redundant<P> {
     fn output(&self) -> Option<P::Output> {
         self.inner.output()
     }
-
-    fn span(&self) -> &'static str {
-        self.inner.span()
-    }
 }
 
 impl<P> Persist for Redundant<P>

@@ -73,7 +73,7 @@
 //!   recipient's incoming cells in source-chunk order concatenates
 //!   already-sorted runs, exactly like the arena's.
 //! * **All merges happen on the coordinator in chunk order** (= node
-//!   order): awake/span attribution, message tallies, staged trace events,
+//!   order): awake attribution, message tallies, staged trace events,
 //!   and each node's outcome through the driver's one apply function — so
 //!   the stay lane, the wheel, the outputs and the trace see the in-place
 //!   body's order.
@@ -219,9 +219,6 @@ struct Chunk<P: Program> {
     jobs: Vec<(u32, P)>,
     /// Recycled backing buffer of the chunk's outbox.
     out_items: Vec<OutEntry<P::Msg>>,
-    /// Per-job `(node, span)`, captured before `send` exactly as the
-    /// in-place body attributes it, in the chunk's node order.
-    node_spans: Vec<(u32, &'static str)>,
     /// Message and injected-fault tallies of this chunk.
     tally: Counters,
     /// Messages fated to arrive in a later round, in the chunk's
@@ -267,7 +264,6 @@ impl<P: Program> Chunk<P> {
             hooks: None,
             jobs: Vec::new(),
             out_items: Vec::new(),
-            node_spans: Vec::new(),
             tally: Counters::default(),
             delayed_out: Vec::new(),
             trace: Tracer::new(stage),
@@ -420,8 +416,8 @@ fn receive_step<P: Program>(pool: &Pool<'_, P>, c: usize, k: usize, ch: &mut Chu
     }
 }
 
-/// Each job's span, then [`send_node`] with every delivered copy staged
-/// into the outbound shard of the recipient's owner chunk.
+/// [`send_node`] per job, with every delivered copy staged into the
+/// outbound shard of the recipient's owner chunk.
 fn run_sends<P: Program, const FAULTY: bool>(graph: &Graph, ctx: &RoundCtx, ch: &mut Chunk<P>) {
     let k = ctx.bounds.len() - 1;
     let Chunk {
@@ -429,7 +425,6 @@ fn run_sends<P: Program, const FAULTY: bool>(graph: &Graph, ctx: &RoundCtx, ch: 
         hooks,
         jobs,
         out_items,
-        node_spans,
         tally,
         delayed_out,
         trace,
@@ -441,13 +436,11 @@ fn run_sends<P: Program, const FAULTY: bool>(graph: &Graph, ctx: &RoundCtx, ch: 
     if shards.len() < k {
         shards.resize_with(k, Vec::new);
     }
-    node_spans.clear();
     *tally = Counters::default();
     delayed_out.clear();
     crashes.clear();
     let mut outbox = Outbox::from_vec(std::mem::take(out_items));
     for (v, p) in jobs.iter_mut() {
-        node_spans.push((*v, p.span()));
         let log = SendLog {
             tally,
             tracer: trace,
@@ -529,9 +522,9 @@ fn run_receives<P: Program, const FAULTY: bool>(graph: &Graph, ch: &mut Chunk<P>
     crashes.clear();
 }
 
-/// Merge one chunk's send results into the run metrics: awake/span
-/// attribution per node in chunk order (= node order, preserving the
-/// in-place body's span interning order), then the message tallies, then
+/// Merge one chunk's send results into the run metrics: one awake round
+/// per job (the chunk merges only when every job sent), then the message
+/// tallies, then
 /// the staged trace events (absorbed through the run's capped tracer, so
 /// the global event sequence and drop count match the in-place body's).
 /// The coordinator calls this in chunk index order.
@@ -541,8 +534,8 @@ fn merge_sends<P: Program>(
     tracer: &mut Tracer,
     faults: Option<&mut FaultCtx<P>>,
 ) {
-    for &(v, span) in ch.node_spans.iter() {
-        metrics.note_awake(NodeId(v), span);
+    for &(v, _) in ch.jobs.iter() {
+        metrics.note_awake(NodeId(v));
     }
     metrics.counters += ch.tally;
     if let Some(f) = faults {

@@ -222,7 +222,7 @@ fn reference_run(g: &Graph, scripts: &[Vec<u64>], plan: Option<FaultPlan>) -> Ru
         let mut crashed: Vec<u32> = Vec::new();
         for &v in &awake {
             let from = NodeId(v);
-            metrics.note_awake(from, "main");
+            metrics.note_awake(from);
             tr.push(TraceEvent::Awake { round, node: from });
             if let Some(p) = plan {
                 if p.crashes(round, v) {

@@ -120,11 +120,11 @@ fn composition_accounting_is_additive() {
     use awake::sleeping::Metrics;
 
     let mut m1 = Metrics::new(2);
-    m1.note_awake(NodeId(0), "a");
+    m1.note_awake(NodeId(0));
     m1.rounds = 100;
     let mut m2 = Metrics::new(2);
-    m2.note_awake(NodeId(0), "b");
-    m2.note_awake(NodeId(1), "b");
+    m2.note_awake(NodeId(0));
+    m2.note_awake(NodeId(1));
     m2.rounds = 50;
     let mut c = Composition::new();
     c.push("s1", m1);

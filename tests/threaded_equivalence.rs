@@ -1,9 +1,9 @@
 //! The serial skip-ahead engine and the persistent worker-pool executor
 //! must agree **bit for bit** on deterministic programs: equal outputs and
 //! equal [`Metrics`](awake::sleeping::Metrics) — awake vectors, message
-//! counters, round counts, and span attribution — and equal traces and
-//! snapshots, across worker counts, fault plans, and pause → resume on
-//! either executor (the spec table of `common`).
+//! counters and round counts — and equal traces and snapshots, across
+//! worker counts, fault plans, and pause → resume on either executor (the
+//! spec table of `common`).
 
 mod common;
 
