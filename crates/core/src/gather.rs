@@ -1,10 +1,11 @@
 //! Depth-synchronized intra-cluster convergecast + broadcast.
 //!
-//! Inside a BFS cluster every node knows its depth `δ`, so (unlike the
-//! generic Lemma 6 setting) parents' wake rounds are computable locally:
-//! depth-`d` nodes collect their children's bags at round `2 + (D − d)` and
-//! forward at the next round; the root then re-broadcasts the merged bag
-//! down, depth layer by depth layer. `D` is the public depth bound (`n`).
+//! This is Lemma 6 with labels = depths: inside a BFS cluster every node
+//! knows its depth `δ`, hence its parent's label `δ − 1`, so no label round
+//! is needed. Depth-`d` nodes collect their children's bags at round
+//! `2 + (D − d)` and forward at the next round; the root then re-broadcasts
+//! the merged bag down, depth layer by depth layer. `D` is the public depth
+//! bound (`n`).
 //!
 //! After the protocol, **every member knows the full structure of its
 //! cluster**: member identities, depths, payloads, intra-cluster edges and
@@ -13,11 +14,12 @@
 //! throughout §4–§5 of the paper. Awake complexity ≤ 5 per node, rounds
 //! `2D + 6`.
 //!
-//! The logic lives in [`GatherCore`] (driven relative to a base round) so
-//! that the standalone [`ClusterGather`] program and the Lemma 7 simulator
-//! ([`crate::virt`]) share one implementation; the simulator's phases
-//! replay its schedule (`Cast`) from their own base rounds.
+//! The logic lives in [`GatherCore`] so that the standalone
+//! [`ClusterGather`] program and the Lemma 7 simulator ([`crate::virt`])
+//! share one implementation; the simulator's phases replay its schedule
+//! (`cast`) from their own base rounds.
 
+use crate::lemma6::Slot;
 use awake_graphs::NodeId;
 use awake_sleeping::{
     codec, persist, Action, CheckpointError, Codec, Envelope, Outbox, Persist, Program, Reader,
@@ -130,34 +132,12 @@ pub fn gather_rounds(d: u32) -> Round {
     2 * d as Round + 6
 }
 
-/// The depth-synchronized schedule of one cast window that starts at
-/// `base` under depth bound `db`, at a node of `depth`: when it collects
-/// and forwards on the convergecast leg, and when it receives and forwards
-/// on the broadcast leg. The window lasts [`gather_rounds`]`(db)` rounds.
-/// The gather runs one window; the Lemma 7 simulator runs one per awake
-/// virtual round.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Cast {
-    pub(crate) base: Round,
-    pub(crate) db: u32,
-    pub(crate) depth: u32,
-}
-
-impl Cast {
-    pub(crate) fn cc_recv(self) -> Round {
-        self.base + 1 + (self.db - self.depth) as Round
-    }
-    pub(crate) fn cc_send(self) -> Round {
-        self.cc_recv() + 1
-    }
-    /// A node of depth `d ≥ 1` receives its parent's `bc_send`; the root
-    /// "receives" at its `cc_recv` instead.
-    pub(crate) fn bc_recv(self) -> Round {
-        self.bc_send() - 1
-    }
-    pub(crate) fn bc_send(self) -> Round {
-        self.base + self.db as Round + 3 + self.depth as Round
-    }
+/// The Lemma 6 slot of a node at `depth` in the cast window that opens at
+/// `base` (the hello round) under depth bound `db`. The window lasts
+/// [`gather_rounds`]`(db)` rounds. The gather runs one window; the Lemma 7
+/// simulator runs one per awake virtual round.
+pub(crate) fn cast(base: Round, db: u32, depth: u32) -> Slot {
+    Slot::by_depth(base + 1, base + db as Round + 3, db, depth)
 }
 
 /// Append to `bag` the records `incoming` yields whose key neither the
@@ -189,16 +169,15 @@ pub(crate) fn append_unseen<'a, T: Clone + 'a>(
     bag.extend(fresh.into_iter().map(|i| incoming[i].clone()));
 }
 
-/// The reusable gather state machine, operating at rounds relative to
-/// `base` (the standalone program uses `base = 1`).
+/// The reusable gather state machine: the hello round 1, then the cast
+/// window that opens there.
 #[derive(Debug)]
 pub struct GatherCore<P> {
     label: u64,
     ident: u64,
     payload: P,
-    /// The node's schedule: its BFS depth, the depth bound, and the base
-    /// round, which is the hello round.
-    cast: Cast,
+    depth: u32,
+    slot: Slot,
     has_children: bool,
     /// The records gathered so far, shared with the bags that carry them
     /// (a send is a reference-count increment, not a copy).
@@ -219,14 +198,14 @@ pub enum GatherStep {
 
 impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
     /// New core for a node with cluster `label`, BFS `depth`, its own
-    /// identifier and payload, under depth bound `db`, whose window starts
-    /// at round `base`.
-    pub fn new(label: u64, depth: u32, ident: u64, payload: P, db: u32, base: Round) -> Self {
+    /// identifier and payload, under depth bound `db`.
+    pub fn new(label: u64, depth: u32, ident: u64, payload: P, db: u32) -> Self {
         GatherCore {
             label,
             ident,
             payload,
-            cast: Cast { base, db, depth },
+            depth,
+            slot: cast(1, db, depth),
             has_children: false,
             bag: Arc::default(),
             done: false,
@@ -240,7 +219,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
         self.done.then(|| ClusterView {
             label: self.label,
             my_ident: self.ident,
-            my_depth: self.cast.depth,
+            my_depth: self.depth,
             members: self.bag.iter().map(|r| (r.ident, Arc::clone(r))).collect(),
             my_ports: self.my_ports.clone(),
         })
@@ -253,7 +232,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
         self.done.then(|| ClusterView {
             label: self.label,
             my_ident: self.ident,
-            my_depth: self.cast.depth,
+            my_depth: self.depth,
             members: Arc::unwrap_or_clone(self.bag)
                 .into_iter()
                 .map(|r| (r.ident, r))
@@ -270,20 +249,20 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
         out: &mut Outbox<M>,
         wrap: impl Fn(GatherMsg<P>) -> M,
     ) {
-        if round == self.cast.base {
+        if round == 1 {
             out.broadcast(wrap(GatherMsg::Hello(
                 self.label,
-                self.cast.depth,
+                self.depth,
                 self.ident,
                 self.payload.clone(),
             )));
-        } else if round == self.cast.cc_send() && self.cast.depth > 0 {
+        } else if Some(round) == self.slot.forward() {
             out.broadcast(wrap(GatherMsg::Bag {
                 label: self.label,
                 up: true,
                 recs: Arc::clone(&self.bag),
             }));
-        } else if round == self.cast.bc_send() && self.has_children {
+        } else if round == self.slot.rebroadcast() && self.has_children {
             out.broadcast(wrap(GatherMsg::Bag {
                 label: self.label,
                 up: false,
@@ -304,7 +283,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
         let msgs = inbox
             .iter()
             .filter_map(|e| gather(&e.msg).map(|m| (e.from, m)));
-        if round == self.cast.base {
+        if round == 1 {
             // Learn all neighbors; build own record.
             let mut intra = Vec::new();
             let mut border = Vec::new();
@@ -314,7 +293,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
                     self.my_ports.push((from, *ident, *l));
                     if *l == self.label {
                         intra.push(*ident);
-                        if *d == self.cast.depth + 1 {
+                        if *d == self.depth + 1 {
                             self.has_children = true;
                         }
                     } else {
@@ -326,48 +305,48 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
             border.sort_unstable_by_key(|b| (b.0, b.1));
             self.bag = Arc::new(vec![Arc::new(MemberRec {
                 ident: self.ident,
-                depth: self.cast.depth,
+                depth: self.depth,
                 payload: self.payload.clone(),
                 intra,
                 border,
                 memo: Memo::default(),
             })]);
-            // Singleton root: nothing more to do.
-            if self.cast.depth == 0 && !self.has_children {
-                self.done = true;
-                return GatherStep::Done;
-            }
-            if self.has_children {
-                return GatherStep::WakeAt(self.cast.cc_recv());
-            }
-            // Leaf: go straight to our forwarding (cc) round.
-            return GatherStep::WakeAt(self.cast.cc_send());
+            return match (self.has_children, self.slot.forward()) {
+                (true, _) => GatherStep::WakeAt(self.slot.collect()),
+                // Leaf: go straight to our forwarding round.
+                (false, Some(r)) => GatherStep::WakeAt(r),
+                // Singleton root: nothing more to do.
+                (false, None) => {
+                    self.done = true;
+                    GatherStep::Done
+                }
+            };
         }
 
-        if round == self.cast.cc_recv() && self.has_children {
+        if round == self.slot.collect() && self.has_children {
             self.merge_bags(msgs, true);
-            if self.cast.depth == 0 {
+            let Some(r) = self.slot.forward() else {
                 // Root: bag complete; deliver downward next.
                 self.done = true;
-                return GatherStep::WakeAt(self.cast.bc_send());
-            }
-            return GatherStep::WakeAt(self.cast.cc_send());
+                return GatherStep::WakeAt(self.slot.rebroadcast());
+            };
+            return GatherStep::WakeAt(r);
         }
 
-        if round == self.cast.cc_send() && self.cast.depth > 0 {
-            return GatherStep::WakeAt(self.cast.bc_recv());
+        if Some(round) == self.slot.forward() {
+            return GatherStep::WakeAt(self.slot.receive().expect("a forwarder has a parent"));
         }
 
-        if round == self.cast.bc_recv() && self.cast.depth > 0 {
+        if Some(round) == self.slot.receive() {
             self.merge_bags(msgs, false);
             self.done = true;
             if self.has_children {
-                return GatherStep::WakeAt(self.cast.bc_send());
+                return GatherStep::WakeAt(self.slot.rebroadcast());
             }
             return GatherStep::Done;
         }
 
-        if round == self.cast.bc_send() {
+        if round == self.slot.rebroadcast() {
             return GatherStep::Done;
         }
 
@@ -407,14 +386,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> ClusterGather<P> {
     /// A participating node.
     pub fn participant(label: u64, depth: u32, ident: u64, payload: P, depth_bound: u32) -> Self {
         ClusterGather {
-            core: Some(GatherCore::new(
-                label,
-                depth,
-                ident,
-                payload,
-                depth_bound,
-                1,
-            )),
+            core: Some(GatherCore::new(label, depth, ident, payload, depth_bound)),
             finished: false,
         }
     }

@@ -23,6 +23,31 @@ use awake_olocal::{GreedyView, OLocalProblem};
 use awake_sleeping::{codec, persist, Action, Codec, Envelope, Outbox, Program, Round, View};
 use std::collections::BTreeMap;
 
+/// The Lemma 11 schedule of color `color ∈ 1..=k`, one round past the
+/// mandatory round 1: the wake rounds `1 + r(color)`, ascending, and the
+/// decision round `1 + φ(color)`.
+///
+/// # Panics
+/// Panics if `color` is out of range.
+pub(crate) fn color_schedule(color: u64, k: u64) -> (Vec<Round>, Round) {
+    assert!((1..=k).contains(&color), "color {color} out of 1..={k}");
+    let tree = PaletteTree::covering(k);
+    let wakes = tree.r(color).into_iter().map(|x| 1 + x).collect();
+    (wakes, 1 + tree.phi(color))
+}
+
+/// The step of a program awake exactly at the rounds of a fixed ascending
+/// list: advance `cursor` past the wakes at or before `now`, then sleep
+/// until the next one, or halt once the list is spent.
+pub(crate) fn next_wake(wakes: &[Round], cursor: &mut usize, now: Round) -> Action {
+    while wakes.get(*cursor).is_some_and(|&r| r <= now) {
+        *cursor += 1;
+    }
+    wakes
+        .get(*cursor)
+        .map_or(Action::Halt, |&r| Action::SleepUntil(r))
+}
+
 /// The state a node shares once decided.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeState<O> {
@@ -41,11 +66,12 @@ pub struct ColorScheduled<P: OLocalProblem> {
     problem: P,
     input: P::Input,
     color: u64,
-    tree: PaletteTree,
     /// Wake rounds (real rounds: `1 + r(c)` elements), ascending.
     wakes: Vec<Round>,
     /// Index of the next wake.
     cursor: usize,
+    /// The decision round `1 + φ(c)`.
+    phi_round: Round,
     /// Collected out-neighbor states.
     collected: Vec<NodeState<P::Output>>,
     /// Our decided output.
@@ -60,30 +86,23 @@ impl<P: OLocalProblem> ColorScheduled<P> {
     /// # Panics
     /// Panics if `color` is out of range.
     pub fn new(problem: P, input: P::Input, color: u64, k: u64) -> Self {
-        assert!((1..=k).contains(&color), "color {color} out of 1..={k}");
-        let tree = PaletteTree::covering(k);
-        let wakes: Vec<Round> = tree.r(color).into_iter().map(|x| 1 + x).collect();
+        let (wakes, phi_round) = color_schedule(color, k);
         ColorScheduled {
             problem,
             input,
             color,
-            tree,
             wakes,
             cursor: 0,
+            phi_round,
             collected: Vec::new(),
             decided: None,
             closure: BTreeMap::new(),
         }
     }
 
-    /// The decision round of this node (`1 + φ(c)`).
-    fn phi_round(&self) -> Round {
-        1 + self.tree.phi(self.color)
-    }
-
     /// Exact awake complexity of this node: `1 + |r(c)|`.
     pub fn awake_budget(&self) -> u64 {
-        1 + self.tree.path_len()
+        1 + self.wakes.len() as u64
     }
 
     fn decide(&mut self, view: &View<'_>) {
@@ -136,7 +155,7 @@ impl<P: OLocalProblem> Program for ColorScheduled<P> {
 
     fn send(&mut self, view: &View<'_>, out: &mut Outbox<Self::Msg>) {
         // Send rounds: elements of r(c) strictly above φ(c).
-        if view.round > 1 && view.round > self.phi_round() {
+        if view.round > 1 && view.round > self.phi_round {
             out.broadcast(self.state(view));
         }
     }
@@ -151,18 +170,11 @@ impl<P: OLocalProblem> Program for ColorScheduled<P> {
                     self.collected.push(e.msg.clone());
                 }
             }
-            if view.round == self.phi_round() {
+            if view.round == self.phi_round {
                 self.decide(view);
             }
         }
-        // Advance to the next scheduled wake.
-        while self.cursor < self.wakes.len() && self.wakes[self.cursor] <= view.round {
-            self.cursor += 1;
-        }
-        match self.wakes.get(self.cursor) {
-            Some(&r) => Action::SleepUntil(r),
-            None => Action::Halt,
-        }
+        next_wake(&self.wakes, &mut self.cursor, view.round)
     }
 
     fn output(&self) -> Option<P::Output> {
@@ -174,8 +186,8 @@ codec!(struct NodeState<O: Codec> { ident, color, output, closure });
 
 persist! {
     /// Dynamic state: the schedule cursor, the collected out-neighbor states,
-    /// the decision, and the closure. The palette tree and the wake schedule
-    /// are pure functions of `(color, k)` and stay put.
+    /// the decision, and the closure. The wake schedule and the decision
+    /// round are pure functions of `(color, k)` and stay put.
     ColorScheduled<P: OLocalProblem> where P::Output: Codec {
         cursor,
         collected,

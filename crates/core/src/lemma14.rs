@@ -8,8 +8,8 @@
 //!
 //! Realization: a [`VirtualProgram`] on `H` (run through the Lemma 7
 //! simulator). Each vertex selects its parent cluster `p'` (a neighbor
-//! with the same `ℓ'` and `δ'` one smaller), then a convergecast +
-//! broadcast along the resulting cluster-tree — scheduled by `δ'` depths —
+//! with the same `ℓ'` and `δ'` one smaller), then a Lemma 6 convergecast +
+//! broadcast along the resulting cluster-tree, labeled by the depths `δ'`,
 //! circulates every member cluster's structure. Every node then knows the
 //! entire merged cluster and computes `δ''` locally by BFS from the merged
 //! root (the depth-0 node of the `δ' = 0` cluster). Awake complexity
@@ -23,6 +23,7 @@
 //! and snapshots are the same as if every replica computed it.
 
 use crate::gather::append_unseen;
+use crate::lemma6::Slot;
 use crate::virt::{VEnvelope, VOutgoing, VertexInput, VirtualProgram};
 use awake_sleeping::{codec, persist, Action, CheckpointError, Codec, Reader, Round, Writer};
 use std::collections::BTreeMap;
@@ -166,11 +167,11 @@ pub struct L14Out {
 
 /// The Lemma 14 vertex program.
 pub struct TreeGatherVertex {
-    depth_bound: u32,
     /// This vertex's merged label `ℓ'`.
     l2: u64,
-    /// This vertex's depth `δ'` in the merged cluster.
-    d2: u32,
+    /// This vertex's turns in the cast, labeled by its depth `δ'` in the
+    /// merged cluster.
+    slot: Slot,
     /// Parent cluster label (`None` for the `δ' = 0` root vertex).
     parent: Option<u64>,
     /// Records gathered so far on the convergecast; sent up as is.
@@ -225,30 +226,13 @@ impl TreeGatherVertex {
             edges,
         };
         TreeGatherVertex {
-            depth_bound,
             l2,
-            d2,
+            slot: Slot::by_depth(2, depth_bound as Round + 5, depth_bound, d2),
             parent: if d2 == 0 { None } else { parent },
             bag: Arc::new(RecordSet::from(vec![rec])),
             all: None,
             out: None,
         }
-    }
-
-    fn cc_recv(&self) -> Round {
-        2 + (self.depth_bound - self.d2) as Round
-    }
-    fn cc_send(&self) -> Round {
-        self.cc_recv() + 1
-    }
-    fn bc_base(&self) -> Round {
-        self.depth_bound as Round + 5
-    }
-    fn bc_recv(&self) -> Round {
-        self.bc_base() + self.d2 as Round - 1
-    }
-    fn bc_send(&self) -> Round {
-        self.bc_base() + self.d2 as Round
     }
 
     fn finish(&mut self) {
@@ -266,13 +250,10 @@ impl VirtualProgram for TreeGatherVertex {
     type Payload = L14Payload;
 
     fn send(&mut self, vround: Round, out: &mut Vec<VOutgoing<L14Msg>>) {
-        if vround == self.cc_send() {
-            if let Some(p) = self.parent {
-                out.push(VOutgoing::ToCluster(p, L14Msg::Up(Arc::clone(&self.bag))));
-                return;
-            }
-        }
-        if vround == self.bc_send() {
+        if Some(vround) == self.slot.forward() {
+            let p = self.parent.expect("a forwarder has a parent cluster");
+            out.push(VOutgoing::ToCluster(p, L14Msg::Up(Arc::clone(&self.bag))));
+        } else if vround == self.slot.rebroadcast() {
             if let Some(all) = &self.all {
                 out.push(VOutgoing::Broadcast(L14Msg::Down(Arc::clone(all))));
             }
@@ -282,36 +263,36 @@ impl VirtualProgram for TreeGatherVertex {
     fn receive(&mut self, vround: Round, inbox: &[VEnvelope<L14Msg>]) -> Action {
         if vround == 1 {
             // Mandatory first round: schedule the convergecast.
-            return Action::SleepUntil(self.cc_recv());
+            return Action::SleepUntil(self.slot.collect());
         }
-        if vround == self.cc_recv() {
+        if vround == self.slot.collect() {
             let l2 = self.l2;
             let recs = inbox.iter().filter_map(|e| match &e.msg {
                 L14Msg::Up(recs) => Some(recs.records().iter().filter(move |r| r.l2 == l2)),
                 L14Msg::Down(_) => None,
             });
             Arc::make_mut(&mut self.bag).append_unseen(recs.flatten());
-            if self.parent.is_none() {
+            let Some(r) = self.slot.forward() else {
                 // Root vertex: complete; deliver downward.
                 self.all = Some(Arc::clone(&self.bag));
                 self.finish();
-                return Action::SleepUntil(self.bc_send());
-            }
-            return Action::SleepUntil(self.cc_send());
+                return Action::SleepUntil(self.slot.rebroadcast());
+            };
+            return Action::SleepUntil(r);
         }
-        if vround == self.cc_send() {
-            return Action::SleepUntil(self.bc_recv());
+        if Some(vround) == self.slot.forward() {
+            return Action::SleepUntil(self.slot.receive().expect("a forwarder has a parent"));
         }
-        if vround == self.bc_recv() {
+        if Some(vround) == self.slot.receive() {
             let all = inbox.iter().find_map(|e| match &e.msg {
                 L14Msg::Down(recs) if Some(e.from) == self.parent => Some(Arc::clone(recs)),
                 _ => None,
             });
             self.all = Some(all.expect("parent cluster broadcasts the merge"));
             self.finish();
-            return Action::SleepUntil(self.bc_send());
+            return Action::SleepUntil(self.slot.rebroadcast());
         }
-        if vround == self.bc_send() {
+        if vround == self.slot.rebroadcast() {
             return Action::Halt;
         }
         unreachable!("TreeGatherVertex woke at unscheduled virtual round {vround}");

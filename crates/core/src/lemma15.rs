@@ -12,8 +12,9 @@
 //!    repaired pointers `p₂ ∈ N(v)` (Claim 16: `c₂` strictly decreases
 //!    toward the roots, so `p₂` forms a rooted spanning forest `F₂`);
 //! 3. gathers each `F₂` tree at its root and re-broadcasts it (a Lemma 6
-//!    pass with labels `c₂`), so every vertex learns its tree, its root
-//!    `ℓ_aux`, and whether the root has degree ≤ `b` (the set `U`);
+//!    pass with labels `c₂` under the bound `N₆`, scheduled by the Lemma 6
+//!    slot), so every vertex learns its tree, its root `ℓ_aux`, and whether
+//!    the root has degree ≤ `b` (the set `U`);
 //! 4. exchanges cluster membership and runs a second pass carrying
 //!    intra-cluster edges, so `δ_aux` is the *exact* BFS distance within
 //!    the cluster (Definition 2), computed from the gathered edges rather
@@ -23,6 +24,7 @@
 //!    rest form the uniquely-labeled part, `≤ n_H/b` many clusters.
 
 use crate::gather::append_unseen;
+use crate::lemma6::Slot;
 use crate::linial::{self, Step};
 use crate::params::Params;
 use crate::virt::{VEnvelope, VOutgoing, VertexInput, VirtualProgram};
@@ -230,33 +232,21 @@ impl Lemma15Vertex {
         }
     }
 
-    fn flip(&self, c2: u64) -> u64 {
-        self.cfg.n6() - c2
-    }
-
-    /// Agenda for the two Lemma 6 passes over `F₂`, built once `c₂(p₂)`
-    /// and the children are known (after virtual round 3).
+    /// Agenda for the two Lemma 6 passes over `F₂`, labeled by `c₂` under
+    /// the bound `N₆`, built once `c₂(p₂)` and the children are known
+    /// (after virtual round 3).
     fn build_tree_agenda(&mut self) {
         let cfg = self.cfg;
-        let mut ag: Vec<(Round, Duty)> = Vec::new();
-        for pass in 0..2u8 {
-            let (cc_base, bc_base) = if pass == 0 {
-                (cfg.base1(), cfg.base2())
-            } else {
-                (cfg.base4(), cfg.base5())
-            };
+        let mut ag: Vec<(Round, Duty)> = vec![(cfg.base3(), Duty::Info4)];
+        for (pass, up, down) in [(0, cfg.base1(), cfg.base2()), (1, cfg.base4(), cfg.base5())] {
+            let slot = Slot::new(up, down, cfg.n6(), self.c2, self.p2_c2);
             if !self.children.is_empty() {
-                ag.push((cc_base + self.flip(self.c2), Duty::CcRecv(pass)));
+                ag.push((slot.collect(), Duty::CcRecv(pass)));
+                ag.push((slot.rebroadcast(), Duty::BcSend(pass)));
             }
-            if let Some(pc2) = self.p2_c2 {
-                ag.push((cc_base + self.flip(pc2), Duty::CcSend(pass)));
-                ag.push((bc_base + pc2, Duty::BcRecv(pass)));
-            }
-            if !self.children.is_empty() {
-                ag.push((bc_base + self.c2, Duty::BcSend(pass)));
-            }
-            if pass == 0 {
-                ag.push((cfg.base3(), Duty::Info4));
+            if let (Some(f), Some(r)) = (slot.forward(), slot.receive()) {
+                ag.push((f, Duty::CcSend(pass)));
+                ag.push((r, Duty::BcRecv(pass)));
             }
         }
         ag.sort_unstable_by_key(|&(r, _)| r);

@@ -27,6 +27,7 @@
 //! executed unchanged by the serial engine or the worker-pool executor
 //! ([`solve_edges_spec`]).
 
+use crate::lemma11::next_wake;
 use crate::resilient::{solver_stage, StageSpec};
 use crate::virt::{send_numbered, settle, VEnvelope, VOutgoing, VirtMsg, VirtualProgram};
 use awake_graphs::{Graph, NodeId};
@@ -413,13 +414,7 @@ where
                 self.collected.push((*l, out.clone()));
             }
         }
-        while self.cursor < self.wakes.len() && self.wakes[self.cursor] <= vround {
-            self.cursor += 1;
-        }
-        match self.wakes.get(self.cursor) {
-            Some(&r) => Action::SleepUntil(r),
-            None => Action::Halt,
-        }
+        next_wake(&self.wakes, &mut self.cursor, vround)
     }
 
     fn output(&self) -> Option<EP::Output> {

@@ -30,7 +30,7 @@
 use crate::clustering::Clustering;
 use crate::compose::Composition;
 use crate::gather::{ClusterGather, MemberRec};
-use crate::lemma10::PaletteTree;
+use crate::lemma11::{color_schedule, next_wake};
 use crate::resilient::{solver_stage, StageSpec};
 use crate::virt::{VEnvelope, VOutgoing, VertexInput, VirtSim};
 use awake_graphs::Graph;
@@ -155,16 +155,14 @@ impl<P: OLocalProblem> Lemma11Vertex<P> {
             input.members.values().all(|m| m.payload.0 == color),
             "one color per cluster"
         );
-        assert!((1..=c).contains(&color), "color {color} out of 1..={c}");
-        let tree = PaletteTree::covering(c);
-        let wakes: Vec<Round> = tree.r(color).into_iter().map(|x| 1 + x).collect();
+        let (wakes, phi_vround) = color_schedule(color, c);
         Lemma11Vertex {
             problem,
             input: input.clone(),
             color,
             wakes,
             cursor: 0,
-            phi_vround: 1 + tree.phi(color),
+            phi_vround,
             states: BTreeMap::new(),
             decided: None,
         }
@@ -293,13 +291,7 @@ impl<P: OLocalProblem> crate::virt::VirtualProgram for Lemma11Vertex<P> {
                 self.decide();
             }
         }
-        while self.cursor < self.wakes.len() && self.wakes[self.cursor] <= vround {
-            self.cursor += 1;
-        }
-        match self.wakes.get(self.cursor) {
-            Some(&r) => Action::SleepUntil(r),
-            None => Action::Halt,
-        }
+        next_wake(&self.wakes, &mut self.cursor, vround)
     }
 
     fn output(&self) -> Option<Self::Output> {

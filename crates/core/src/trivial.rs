@@ -8,6 +8,7 @@
 //! improves from `O(Δ)` (trivial) through `O(log Δ + log* n)` (BM21) to
 //! `O(√log n · log* n)` (Theorem 1).
 
+use crate::lemma11::next_wake;
 use awake_olocal::{GreedyView, OLocalProblem};
 use awake_sleeping::{codec, persist, Action, Codec, Envelope, Outbox, Program, Round, View};
 use std::collections::BTreeMap;
@@ -95,13 +96,7 @@ impl<P: OLocalProblem> Program for IdentScheduled<P> {
                 self.collected.push((e.msg.ident, e.msg.output.clone()));
             }
         }
-        while self.cursor < self.wakes.len() && self.wakes[self.cursor] <= view.round {
-            self.cursor += 1;
-        }
-        match self.wakes.get(self.cursor) {
-            Some(&r) => Action::SleepUntil(r),
-            None => Action::Halt,
-        }
+        next_wake(&self.wakes, &mut self.cursor, view.round)
     }
 
     fn output(&self) -> Option<P::Output> {

@@ -48,8 +48,9 @@
 //! memo: a decoded value starts with an empty memo and fills it again.
 
 use crate::gather::{
-    gather_rounds, Cast, ClusterView, GatherCore, GatherMsg, GatherStep, MemberRec,
+    cast, gather_rounds, ClusterView, GatherCore, GatherMsg, GatherStep, MemberRec,
 };
+use crate::lemma6::Slot;
 use awake_sleeping::{
     codec, Action, CheckpointError, Codec, Envelope, Outbox, Persist, Program, Reader, Round, View,
     Writer,
@@ -247,10 +248,9 @@ fn t0(db: u32, vround: Round) -> Round {
     1 + vround * gather_rounds(db)
 }
 
-/// The cast schedule of virtual round `vround`'s phase at `depth`.
-fn cast(db: u32, vround: Round, depth: u32) -> Cast {
-    let base = t0(db, vround);
-    Cast { base, db, depth }
+/// The Lemma 6 slot of virtual round `vround`'s phase at `depth`.
+fn phase(db: u32, vround: Round, depth: u32) -> Slot {
+    cast(t0(db, vround), db, depth)
 }
 
 /// The physical message type [`VirtSim`] sends: virtual messages inline.
@@ -321,14 +321,7 @@ where
         factory: F,
     ) -> Self {
         VirtSim {
-            st: St::Gather(GatherCore::new(
-                label,
-                depth,
-                ident,
-                payload,
-                depth_bound,
-                1,
-            )),
+            st: St::Gather(GatherCore::new(label, depth, ident, payload, depth_bound)),
             factory,
             depth_bound,
             out: None,
@@ -419,7 +412,7 @@ fn process<VP: VirtualProgram>(
     }
     if run.has_children {
         // Still owe the downward re-broadcast of the merged inbox.
-        Action::SleepUntil(cast(db, x, run.depth).bc_send())
+        Action::SleepUntil(phase(db, x, run.depth).rebroadcast())
     } else if run.vp_done {
         Action::Halt
     } else {
@@ -485,16 +478,16 @@ where
                             }
                         }
                     }
-                } else if round == cast(db, run.cur, run.depth).cc_send() && run.depth > 0 {
+                } else if Some(round) == phase(db, run.cur, run.depth).forward() {
                     // The up-leg bag is dead locally after this broadcast
-                    // (bc_recv clears and refills `collected`): move it
+                    // (the receive turn clears and refills `collected`): move it
                     // into the Arc instead of cloning the item vector.
                     out.broadcast(VirtMsg::Bag {
                         label: run.label,
                         up: true,
                         items: Arc::new(std::mem::take(&mut run.collected)),
                     });
-                } else if round == cast(db, run.cur, run.depth).bc_send() && run.has_children {
+                } else if round == phase(db, run.cur, run.depth).rebroadcast() && run.has_children {
                     // O(1): the merged inbox is already behind an Arc.
                     out.broadcast(VirtMsg::Bag {
                         label: run.label,
@@ -558,7 +551,7 @@ where
                 }
             }
             St::Run(run) => {
-                let c = cast(db, run.cur, run.depth); // the phase under way
+                let c = phase(db, run.cur, run.depth); // the phase under way
                 let action = if round == t0(db, run.next) {
                     // Entering the phase of the next awake virtual round.
                     run.cur = run.next;
@@ -575,30 +568,32 @@ where
                         }
                     }
                     settle(&mut run.collected);
-                    if run.depth == 0 && !run.has_children {
-                        publish_bag(run);
-                        process(&mut self.out, db, run)
-                    } else if run.has_children {
-                        Action::SleepUntil(cast(db, x, run.depth).cc_recv())
-                    } else {
-                        Action::SleepUntil(cast(db, x, run.depth).cc_send())
+                    let c = phase(db, x, run.depth);
+                    match (run.has_children, c.forward()) {
+                        (true, _) => Action::SleepUntil(c.collect()),
+                        (false, Some(r)) => Action::SleepUntil(r),
+                        (false, None) => {
+                            publish_bag(run);
+                            process(&mut self.out, db, run)
+                        }
                     }
-                } else if round == c.cc_recv() && run.has_children {
+                } else if round == c.collect() && run.has_children {
                     merge_items(run, inbox, true);
-                    if run.depth == 0 {
-                        publish_bag(run);
-                        process(&mut self.out, db, run)
-                    } else {
-                        Action::SleepUntil(c.cc_send())
+                    match c.forward() {
+                        Some(r) => Action::SleepUntil(r),
+                        None => {
+                            publish_bag(run);
+                            process(&mut self.out, db, run)
+                        }
                     }
-                } else if round == c.cc_send() && run.depth > 0 {
-                    Action::SleepUntil(c.bc_recv())
-                } else if round == c.bc_recv() && run.depth > 0 {
+                } else if Some(round) == c.forward() {
+                    Action::SleepUntil(c.receive().expect("a forwarder has a parent"))
+                } else if Some(round) == c.receive() {
                     run.collected.clear();
                     merge_items(run, inbox, false);
                     publish_bag(run);
                     process(&mut self.out, db, run)
-                } else if round == c.bc_send() {
+                } else if round == c.rebroadcast() {
                     if run.vp_done {
                         Action::Halt
                     } else {

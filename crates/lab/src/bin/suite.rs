@@ -4,7 +4,7 @@
 //! cargo run --release -p awake-lab --bin suite -- --preset quick --audit
 //! suite [--preset NAME] [--seed N] [--shards K] [--out PATH] [--audit]
 //!       [--canonical] [--filter SUBSTR] [--list] [--budget-secs N]
-//!       [--checkpoint-dir DIR] [--checkpoint-every N] [--resume DIR]
+//!       [--checkpoint-dir DIR] [--checkpoint-every N]
 //! ```
 //!
 //! Exits non-zero if any scenario fails to run or fails validation; with
@@ -30,7 +30,7 @@
 //! name. With `--checkpoint-dir DIR` the run is *recoverable*: completed
 //! scenarios persist to `DIR/progress.json` and in-flight engine state
 //! snapshots to `DIR/<scenario>.ckpt` every `--checkpoint-every` rounds;
-//! after a kill, `--resume DIR` continues from the persisted state to a
+//! after a kill, the same command continues from the persisted state to a
 //! report that is byte-for-byte identical (in `--canonical` form) to the
 //! uninterrupted run's.
 
@@ -82,7 +82,6 @@ struct Args {
     budget_secs: Option<u64>,
     checkpoint_dir: Option<String>,
     checkpoint_every: Option<NonZeroU64>,
-    resume: Option<String>,
 }
 
 /// `--checkpoint-every` when only `--checkpoint-dir` is given.
@@ -90,7 +89,7 @@ const DEFAULT_EVERY: NonZeroU64 = NonZeroU64::new(100_000).unwrap();
 
 fn usage() -> ! {
     eprintln!(
-        "usage: suite [--preset NAME] [--seed N] [--shards K] [--out PATH] [--audit] [--canonical] [--filter SUBSTR] [--list] [--budget-secs N] [--checkpoint-dir DIR] [--checkpoint-every N] [--resume DIR]\n\
+        "usage: suite [--preset NAME] [--seed N] [--shards K] [--out PATH] [--audit] [--canonical] [--filter SUBSTR] [--list] [--budget-secs N] [--checkpoint-dir DIR] [--checkpoint-every N]\n\
          \n  --preset NAME        suite preset to run (default: quick)\
          \n  --seed N             suite seed; scenario seeds derive from it (default: 1)\
          \n  --shards K           run up to K scenarios concurrently (default: 1)\
@@ -100,9 +99,8 @@ fn usage() -> ! {
          \n  --filter SUBSTR      run only scenarios whose name contains SUBSTR\
          \n  --list               list presets with scenario counts and gate flags, then exit\
          \n  --budget-secs N      fail if the suite's wall time exceeds N seconds, naming the slowest scenario\
-         \n  --checkpoint-dir DIR make the run recoverable: persist progress and engine snapshots under DIR\
-         \n  --checkpoint-every N snapshot in-flight engine state every N >= 1 rounds (default: 100000; needs --checkpoint-dir)\
-         \n  --resume DIR         continue a killed recoverable run from DIR's progress and snapshots"
+         \n  --checkpoint-dir DIR make the run recoverable: persist progress and engine snapshots under DIR, continue from them\
+         \n  --checkpoint-every N snapshot in-flight engine state every N >= 1 rounds (default: 100000; needs --checkpoint-dir)"
     );
     std::process::exit(2);
 }
@@ -120,7 +118,6 @@ fn parse_args() -> Args {
         budget_secs: None,
         checkpoint_dir: None,
         checkpoint_every: None,
-        resume: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -144,7 +141,6 @@ fn parse_args() -> Args {
                         .unwrap_or_else(|_| usage()),
                 )
             }
-            "--resume" => args.resume = Some(value("--resume")),
             "--list" => args.list = true,
             _ => usage(),
         }
@@ -196,23 +192,11 @@ fn main() -> ExitCode {
     }
 
     // --checkpoint-dir starts (or continues) a recoverable run under DIR;
-    // --resume is the same mode but defaults to consuming snapshots only.
-    // Either way scenarios run serially, so the shard count is ignored.
-    let recovery: Option<(&str, Option<NonZeroU64>)> = match (&args.checkpoint_dir, &args.resume) {
-        (Some(_), Some(_)) => {
-            eprintln!("--checkpoint-dir and --resume are mutually exclusive (both name DIR)");
-            return ExitCode::from(2);
-        }
-        (Some(dir), None) => Some((dir, Some(args.checkpoint_every.unwrap_or(DEFAULT_EVERY)))),
-        (None, Some(dir)) => Some((dir, args.checkpoint_every)),
-        (None, None) => {
-            if args.checkpoint_every.is_some() {
-                eprintln!("--checkpoint-every needs --checkpoint-dir (or --resume)");
-                return ExitCode::from(2);
-            }
-            None
-        }
-    };
+    // its scenarios run serially, so the shard count is ignored.
+    if args.checkpoint_dir.is_none() && args.checkpoint_every.is_some() {
+        eprintln!("--checkpoint-every needs --checkpoint-dir");
+        return ExitCode::from(2);
+    }
 
     println!(
         "suite `{}`: {} scenarios, seed {}, {} shard(s)\n",
@@ -229,10 +213,14 @@ fn main() -> ExitCode {
     .with_alloc_probe(alloc_count);
 
     let t0 = Instant::now();
-    let run = match recovery {
-        Some((dir, every)) => {
-            runner.run_recoverable(&args.preset, &scenarios, args.seed, Path::new(dir), every)
-        }
+    let run = match &args.checkpoint_dir {
+        Some(dir) => runner.run_recoverable(
+            &args.preset,
+            &scenarios,
+            args.seed,
+            Path::new(dir),
+            args.checkpoint_every.unwrap_or(DEFAULT_EVERY),
+        ),
         None => runner.run(&args.preset, &scenarios, args.seed),
     };
     let report = match run {

@@ -178,15 +178,13 @@ impl Runner {
     ///   deterministic fields are identical either way — wall time and
     ///   allocations of reloaded rows read as zero, which only the
     ///   non-canonical report form shows).
-    /// * With `every = Some(n)`, vertex scenarios of the `trivial` solver,
-    ///   on any executor, additionally persist an engine
-    ///   [`Snapshot`] to `dir/<scenario>.ckpt` (atomically) every `n`
-    ///   rounds; a re-invocation restores the newest snapshot and runs
-    ///   only the remaining rounds. Scenarios without snapshot support
-    ///   (staged pipelines, edge adapters) are deterministic and simply
-    ///   re-run from scratch.
-    /// * `every = None` is resume-only mode: existing snapshots are
-    ///   consumed, no new ones are written.
+    /// * Vertex scenarios of the `trivial` solver, on any executor,
+    ///   additionally persist an engine [`Snapshot`] to
+    ///   `dir/<scenario>.ckpt` (atomically) every `every` rounds; a
+    ///   re-invocation restores the newest snapshot and runs only the
+    ///   remaining rounds. Scenarios without snapshot support (staged
+    ///   pipelines, edge adapters) are deterministic and simply re-run
+    ///   from scratch.
     ///
     /// Scenarios execute serially, in suite order — recoverability needs
     /// a well-defined "done so far" prefix, so the shard count is ignored
@@ -201,7 +199,7 @@ impl Runner {
         scenarios: &[Scenario],
         seed: u64,
         dir: &Path,
-        every: Option<NonZeroU64>,
+        every: NonZeroU64,
     ) -> Result<Report, LabError> {
         let io_err = |scenario: &Scenario, msg: String| LabError {
             scenario: scenario.name.clone(),
@@ -378,11 +376,10 @@ fn parse_progress(text: &str) -> (Vec<ProgressRow>, Vec<ProgressError>) {
 }
 
 /// One scenario's snapshot file in a recoverable run: where it lives and
-/// whether the run should keep refreshing it (`every = None` means
-/// resume-only — restore if the file exists, emit nothing new).
+/// how many rounds apart the run refreshes it.
 struct CkptFile {
     path: PathBuf,
-    every: Option<NonZeroU64>,
+    every: NonZeroU64,
 }
 
 impl CkptFile {
@@ -575,9 +572,7 @@ where
                 ck.store(s, &mut store_err.borrow_mut());
             };
             let spec = RunSpec {
-                checkpoint: ckpt
-                    .and_then(|ck| ck.every)
-                    .map(|every| Checkpoint::Every(every, &sink)),
+                checkpoint: ckpt.map(|ck| Checkpoint::Every(ck.every, &sink)),
                 resume: resumed.as_ref(),
                 ..spec.into()
             };
@@ -902,11 +897,14 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("progress.json"), &torn).unwrap();
         let recovered = Runner::serial()
-            .run_recoverable("t", &suite, 9, &dir, None)
+            .run_recoverable("t", &suite, 9, &dir, EVERY)
             .unwrap();
         assert_eq!(report.canonical_json(), recovered.canonical_json());
         std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    /// The recoverable runs' snapshot interval: every other round.
+    const EVERY: NonZeroU64 = NonZeroU64::new(2).unwrap();
 
     fn scratch_dir(tag: &str) -> std::path::PathBuf {
         let dir =
@@ -934,7 +932,7 @@ mod tests {
         let suite = mixed_suite();
         let plain = Runner::serial().run("t", &suite, 9).unwrap();
         let recoverable = Runner::serial()
-            .run_recoverable("t", &suite, 9, &dir, NonZeroU64::new(2))
+            .run_recoverable("t", &suite, 9, &dir, EVERY)
             .unwrap();
         assert_eq!(plain.canonical_json(), recoverable.canonical_json());
         assert!(dir.join("progress.json").exists());
@@ -948,7 +946,7 @@ mod tests {
         let plain = Runner::serial().run("t", &suite, 9).unwrap();
         // checkpointed first pass: leaves progress.json and .ckpt files
         Runner::serial()
-            .run_recoverable("t", &suite, 9, &dir, NonZeroU64::new(2))
+            .run_recoverable("t", &suite, 9, &dir, EVERY)
             .unwrap();
         let ckpts: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
@@ -958,7 +956,7 @@ mod tests {
         assert!(!ckpts.is_empty(), "no snapshot files were written");
         // resume with complete progress: every row reloads, nothing re-runs
         let resumed = Runner::serial()
-            .run_recoverable("t", &suite, 9, &dir, None)
+            .run_recoverable("t", &suite, 9, &dir, EVERY)
             .unwrap();
         assert_eq!(plain.canonical_json(), resumed.canonical_json());
         // drop the progress ledger but keep the snapshots: scenarios
@@ -967,7 +965,7 @@ mod tests {
         // a torn temp file from a simulated kill must be invisible
         std::fs::write(dir.join("progress.json.tmp"), b"{\"torn\":").unwrap();
         let restored = Runner::serial()
-            .run_recoverable("t", &suite, 9, &dir, None)
+            .run_recoverable("t", &suite, 9, &dir, EVERY)
             .unwrap();
         assert_eq!(plain.canonical_json(), restored.canonical_json());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -982,7 +980,7 @@ mod tests {
         std::fs::write(dir.join("progress.json"), b"not json at all").unwrap();
         let plain = Runner::serial().run("t", &suite, 9).unwrap();
         let r = Runner::serial()
-            .run_recoverable("t", &suite, 9, &dir, None)
+            .run_recoverable("t", &suite, 9, &dir, EVERY)
             .unwrap();
         assert_eq!(plain.canonical_json(), r.canonical_json());
         // a corrupt snapshot file is a hard, named error — silently
@@ -990,7 +988,7 @@ mod tests {
         std::fs::remove_file(dir.join("progress.json")).unwrap();
         std::fs::write(dir.join(ckpt_file_name(&suite[0].name)), b"BADSNAP!").unwrap();
         let e = Runner::serial()
-            .run_recoverable("t", &suite, 9, &dir, None)
+            .run_recoverable("t", &suite, 9, &dir, EVERY)
             .unwrap_err();
         assert!(matches!(e.error, RunError::Checkpoint(_)), "got {e}");
         std::fs::remove_dir_all(&dir).unwrap();

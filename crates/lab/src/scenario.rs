@@ -415,46 +415,12 @@ pub mod presets {
     /// 4 problems × 5 families = 20 scenarios; small enough for CI smoke
     /// runs and the golden-snapshot test.
     pub fn quick() -> Vec<Scenario> {
-        families_at(Size::Small)
+        core_families()
             .into_iter()
             .flat_map(|family| {
                 ProblemKind::ALL.iter().map(move |&problem| {
                     Scenario::of(family.clone(), problem, Algo::Theorem1).build()
                 })
-            })
-            .collect()
-    }
-
-    /// The full sweep: the five core families at three sizes, every
-    /// problem, Theorem 1 (60 scenarios).
-    pub fn full() -> Vec<Scenario> {
-        [Size::Small, Size::Medium, Size::Large]
-            .into_iter()
-            .flat_map(|size| {
-                families_at(size).into_iter().flat_map(|family| {
-                    ProblemKind::ALL.iter().map(move |&problem| {
-                        Scenario::of(family.clone(), problem, Algo::Theorem1).build()
-                    })
-                })
-            })
-            .collect()
-    }
-
-    /// Algorithm-generation comparison: every problem × every solver on a
-    /// bounded-degree mesh (the energy-audit workload), 16 scenarios.
-    pub fn algos() -> Vec<Scenario> {
-        let family = GraphFamily::BoundedDegree { n: 256, delta: 24 };
-        ProblemKind::ALL
-            .iter()
-            .flat_map(|&problem| {
-                let of = |algo| Scenario::of(family.clone(), problem, algo);
-                let [trivial, pool] = serial_and_pool(of(Algo::Trivial), 4);
-                [
-                    trivial,
-                    pool,
-                    of(Algo::Bm21).build(),
-                    of(Algo::Theorem1).build(),
-                ]
             })
             .collect()
     }
@@ -514,7 +480,7 @@ pub mod presets {
     /// = 40 scenarios; serial/threaded pairs share a graph instance, so
     /// their deterministic metrics must be identical row for row.
     pub fn edges() -> Vec<Scenario> {
-        let mut families = families_at(Size::Small);
+        let mut families = core_families();
         families.extend([
             GraphFamily::Path { n: 96 },
             GraphFamily::SparseGnp {
@@ -791,18 +757,6 @@ pub mod presets {
                 quick(),
             ),
             entry(
-                "full",
-                "4 problems × 5 families × 3 sizes, Theorem 1",
-                NONE,
-                full(),
-            ),
-            entry(
-                "algos",
-                "4 problems × 4 solvers on a bounded-degree mesh",
-                NONE,
-                algos(),
-            ),
-            entry(
                 "executors",
                 "trivial + BM21 + Theorem 1 at 1 vs. 8 workers on G(n,p), all problems",
                 NONE,
@@ -862,40 +816,16 @@ pub mod presets {
             .map(|p| p.scenarios)
     }
 
-    #[derive(Clone, Copy)]
-    enum Size {
-        Small,
-        Medium,
-        Large,
-    }
-
-    /// The five core families of the ISSUE spec, scaled to `size`:
-    /// Erdős–Rényi, random trees, grids, paths/cycles, bounded-degree
-    /// expanders.
-    fn families_at(size: Size) -> Vec<GraphFamily> {
-        match size {
-            Size::Small => vec![
-                GraphFamily::Gnp { n: 72, p: 0.08 },
-                GraphFamily::RandomTree { n: 72 },
-                GraphFamily::Grid { rows: 8, cols: 9 },
-                GraphFamily::Cycle { n: 64 },
-                GraphFamily::RandomRegular { n: 64, d: 4 },
-            ],
-            Size::Medium => vec![
-                GraphFamily::Gnp { n: 192, p: 0.04 },
-                GraphFamily::RandomTree { n: 192 },
-                GraphFamily::Grid { rows: 12, cols: 16 },
-                GraphFamily::Path { n: 192 },
-                GraphFamily::RandomRegular { n: 192, d: 6 },
-            ],
-            Size::Large => vec![
-                GraphFamily::Gnp { n: 384, p: 0.02 },
-                GraphFamily::RandomTree { n: 384 },
-                GraphFamily::Grid { rows: 16, cols: 24 },
-                GraphFamily::Cycle { n: 384 },
-                GraphFamily::RandomRegular { n: 384, d: 8 },
-            ],
-        }
+    /// The five core families at a small size: Erdős–Rényi, random
+    /// trees, grids, cycles, bounded-degree expanders.
+    fn core_families() -> Vec<GraphFamily> {
+        vec![
+            GraphFamily::Gnp { n: 72, p: 0.08 },
+            GraphFamily::RandomTree { n: 72 },
+            GraphFamily::Grid { rows: 8, cols: 9 },
+            GraphFamily::Cycle { n: 64 },
+            GraphFamily::RandomRegular { n: 64, d: 4 },
+        ]
     }
 }
 

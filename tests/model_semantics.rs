@@ -1,6 +1,7 @@
 //! Model-semantics checks across crates: exact awake counts for Lemma 6,
 //! message loss to sleeping nodes, and Lemma 8 composition accounting.
 
+use awake::core::bounds::{lemma6_rounds, LEMMA6_AWAKE};
 use awake::core::lemma6::{Broadcast, Convergecast, TreeInput};
 use awake::graphs::{generators, traversal, Graph, NodeId};
 use awake::sleeping::{Action, Config, Engine, Envelope, Outbox, Program, View};
@@ -29,8 +30,8 @@ fn lemma6_awake_is_exactly_three_on_many_trees() {
     let trees = (0..10).map(|seed| generators::random_tree(37, seed));
     for g in trees.chain([generators::random_tree(4096, 9)]) {
         let inputs = bfs_tree_inputs(&g);
-        // round complexity O(N): within N + 4 for the label bound N
-        let round_bound = inputs[0].label_bound + 4;
+        // round complexity O(N): within lemma6_rounds(N) for the label bound N
+        let round_bound = lemma6_rounds(inputs[0].label_bound).unwrap();
         let programs: Vec<Broadcast<u64>> = inputs
             .iter()
             .map(|i| Broadcast::new(i.clone(), i.parent.is_none().then_some(99)))
@@ -42,7 +43,7 @@ fn lemma6_awake_is_exactly_three_on_many_trees() {
             let expect = if inputs[v.index()].parent.is_none() {
                 2
             } else {
-                3
+                LEMMA6_AWAKE
             };
             assert_eq!(run.metrics.awake[v.index()], expect);
         }
@@ -54,7 +55,7 @@ fn lemma6_awake_is_exactly_three_on_many_trees() {
             .collect();
         let run = Engine::new(&g, Config::default()).run(programs).unwrap();
         assert_eq!(run.outputs[0].len(), g.n(), "root gathers everything");
-        assert_eq!(run.metrics.max_awake(), 3);
+        assert_eq!(run.metrics.max_awake(), LEMMA6_AWAKE);
         assert!(run.metrics.rounds <= round_bound, "{}", run.metrics.rounds);
     }
 }
