@@ -52,6 +52,13 @@
 //! plus 0.002 for the node-round rates; the dense gather cap, left at 13
 //! while its rate fell from 10.6, is 9.8.
 //!
+//! Every member of a Lemma 15 `F₂` tree used to run its own BFS over the
+//! tree's gathered adjacency, and every convergecast merge deep-copied
+//! the adjacency lists of the subtrees below it. With one depth table per
+//! tree, memoized on the edge set the broadcast shares, and each list
+//! behind an `Arc`, the sparse Lemma 15 rate went from 4.49 to 3.80 and
+//! its cap from 5.3 to 4.7.
+//!
 //! The round engine recycles every buffer it uses, so once the first
 //! rounds have grown them a flood allocates nothing per node-round, run in
 //! place at one worker or dispatched at four; the caps here catch a
@@ -230,8 +237,8 @@ fn virtualized_lemma15_and_lemma11_share_instead_of_copying() {
          lemma11 on H {lemma11:.3}"
     );
     assert!(
-        lemma15 <= 5.3,
-        "VirtSim<Lemma15Vertex> regressed: {lemma15:.3} allocs/awake event (cap 5.3)"
+        lemma15 <= 4.7,
+        "VirtSim<Lemma15Vertex> regressed: {lemma15:.3} allocs/awake event (cap 4.7)"
     );
     assert!(
         gather <= 12.0,

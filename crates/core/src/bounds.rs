@@ -6,9 +6,10 @@
 //! from [`bm21_stages`], [`theorem13_iteration`] and [`theorem9_stages`].
 //! A stage's name is the one its solver records in its [`Composition`],
 //! and its rounds figure is the one the solver sizes the stage's engine
-//! run from. The table is the one source: [`budget_for`] is its Lemma 8
-//! sum, [`degraded_budget_for`] its stage-by-stage degraded sum, and
-//! [`audit_stages`] checks a run against it stage by stage.
+//! run from. The table is the one source: [`degraded_stages_for`] degrades
+//! it stage by stage under a fault plan, [`budget_for`] is its Lemma 8
+//! sum, [`degraded_budget_for`] the sum of the degraded table, and
+//! [`audit_stages`] checks a run against either table stage by stage.
 //!
 //! The tests and the experiment harness assert `measured ≤ bound`; the
 //! bounds are the paper's statements made concrete with this
@@ -446,18 +447,46 @@ pub fn degraded_stage_awake(base_awake: u64, s: u64, plan: &FaultPlan, rounds_d:
         .map_or(rounds_d, |a| a.min(rounds_d))
 }
 
-/// The checked audit entry point: the closed-form awake/round budget of
-/// running `algo` on a `class` problem over `g` under fault injection
-/// `plan`, with every stage wrapped in
+/// The stage table of running `algo` on a `class` problem over `g` under
+/// fault injection `plan`, with every stage wrapped in
 /// [`Redundant`](awake_sleeping::Redundant) time redundancy the way the
 /// resilient solvers do it.
 ///
 /// Each stage of [`stages_for`] degrades on its own: its stretch factor
 /// comes from [`redundancy_for`] on the stage's rounds figure (the one the
 /// solver sizes its windows from), and its budget degrades by
-/// [`degraded_stage_rounds`] / [`degraded_stage_awake`]. The degraded
-/// stages are then summed per Lemma 8 ([`lemma8_sum`]). An inactive plan
+/// [`degraded_stage_rounds`] / [`degraded_stage_awake`]. An inactive plan
 /// degrades nothing.
+///
+/// Returns `None` for an unsupported pairing, and the overflow naming
+/// the stage where a figure leaves `u64`.
+pub fn degraded_stages_for(
+    algo: BoundAlgo,
+    class: ProblemClass,
+    g: &Graph,
+    p: &Params,
+    plan: &FaultPlan,
+) -> Option<Result<Vec<Stage>, BoundOverflow>> {
+    let stages = match stages_for(algo, class, g, p)? {
+        Ok(stages) => stages,
+        Err(e) => return Some(Err(e)),
+    };
+    if !plan.is_active() {
+        return Some(Ok(stages));
+    }
+    let degrade = |s: &Stage| {
+        let b = s.budget;
+        let stretch = redundancy_for(plan, g.n(), b.rounds);
+        let rounds = degraded_stage_rounds(b.rounds, stretch, plan);
+        let awake = rounds.map(|r| degraded_stage_awake(b.awake, stretch, plan, r));
+        stage(s.name.as_str(), awake, rounds)
+    };
+    Some(stages.iter().map(degrade).collect())
+}
+
+/// The checked audit entry point: the closed-form awake/round budget of
+/// running `algo` on a `class` problem over `g` under fault injection
+/// `plan`, the Lemma 8 sum ([`lemma8_sum`]) of [`degraded_stages_for`].
 ///
 /// Returns `None` for an unsupported pairing, and the overflow naming
 /// the stage where a figure or the running sum leaves `u64`.
@@ -468,27 +497,7 @@ pub fn checked_budget_for(
     p: &Params,
     plan: &FaultPlan,
 ) -> Option<Result<Budget, BoundOverflow>> {
-    let stages = match stages_for(algo, class, g, p)? {
-        Ok(stages) => stages,
-        Err(e) => return Some(Err(e)),
-    };
-    if !plan.is_active() {
-        return Some(lemma8_sum(&stages));
-    }
-    let degrade = |s: &Stage| {
-        let b = s.budget;
-        let stretch = redundancy_for(plan, g.n(), b.rounds);
-        let rounds = degraded_stage_rounds(b.rounds, stretch, plan);
-        let awake = rounds.map(|r| degraded_stage_awake(b.awake, stretch, plan, r));
-        stage(s.name.as_str(), awake, rounds)
-    };
-    Some(
-        stages
-            .iter()
-            .map(degrade)
-            .collect::<Result<Vec<Stage>, _>>()
-            .and_then(|degraded| lemma8_sum(&degraded)),
-    )
+    Some(degraded_stages_for(algo, class, g, p, plan)?.and_then(|stages| lemma8_sum(&stages)))
 }
 
 /// [`checked_budget_for`] for callers that treat a missing budget as an
@@ -529,6 +538,39 @@ mod tests {
             ratio_large < ratio_small,
             "bound/log n should decrease: {ratio_small} vs {ratio_large}"
         );
+    }
+
+    /// A stage over its own entry fails the audit by name, even where the
+    /// table's total still covers the run.
+    #[test]
+    fn audit_names_the_stage_over_its_entry() {
+        use awake_olocal::problems::MaximalIndependentSet;
+        let g = generators::random_regular(64, 16, 1);
+        let p = Params::for_graph(&g);
+        let r = crate::theorem1::solve(&g, &MaximalIndependentSet, Default::default()).unwrap();
+        let table = theorem1_stages(&p).unwrap();
+        audit_stages(&r.composition, &table).unwrap();
+        let total = r.composition.total();
+        for s in &r.composition.stages {
+            let awake = s.metrics.max_awake();
+            if awake == 0 {
+                continue;
+            }
+            let mut tight = table.clone();
+            let entry = tight.iter_mut().find(|t| t.name == s.name).unwrap();
+            entry.budget.awake = awake - 1;
+            let sum = lemma8_sum(&tight).unwrap();
+            assert!(
+                total.max_awake() <= sum.awake,
+                "{}: the total passes",
+                s.name
+            );
+            let err = audit_stages(&r.composition, &tight).unwrap_err();
+            assert!(err.starts_with(&format!("{}:", s.name)), "{err}");
+        }
+        let unnamed: Vec<Stage> = table.into_iter().skip(1).collect();
+        let err = audit_stages(&r.composition, &unnamed).unwrap_err();
+        assert!(err.ends_with("no budget"), "{err}");
     }
 
     #[test]

@@ -18,7 +18,10 @@
 //! 4. exchanges cluster membership and runs a second pass carrying
 //!    intra-cluster edges, so `δ_aux` is the *exact* BFS distance within
 //!    the cluster (Definition 2), computed from the gathered edges rather
-//!    than read off the `F₂` tree;
+//!    than read off the `F₂` tree. Every member computes it in the model;
+//!    the simulator runs one BFS per tree, memoized on the shared
+//!    [`EdgeSet`] the broadcast forwards, and every later member holding
+//!    the same set and tree reads its depth from that table;
 //! 5. vertices in `U` run Linial on `H[U]` (degree ≤ `b`) down to the
 //!    `a·b²` palette and become singleton clusters of that color; the
 //!    rest form the uniquely-labeled part, `≤ n_H/b` many clusters.
@@ -29,7 +32,7 @@ use crate::linial::{self, Step};
 use crate::params::Params;
 use crate::virt::{VEnvelope, VOutgoing, VertexInput, VirtualProgram};
 use awake_sleeping::{codec, persist, Action, CheckpointError, Codec, Reader, Round, Writer};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 
 /// Phase parameters (shared by all vertices).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,6 +104,137 @@ pub struct TreeRec {
 /// 2-hop table once sent.
 pub type Table = Arc<Vec<(u64, u64)>>;
 
+/// One vertex's record on the second pass: its label and its
+/// same-cluster neighbors' labels, ascending. The list is shared by every
+/// bag that carries the record.
+pub type EdgeRec = (u64, Arc<Vec<u64>>);
+
+/// Adjacency lists as the second pass carries them, with the `F₂` tree's
+/// BFS depths memoized on the allocation.
+///
+/// The memo is derived data: it is never encoded (a set encodes exactly
+/// like its record vector and decodes with an empty memo), never compared,
+/// and adding a record drops it.
+#[derive(Debug, Clone, Default)]
+pub struct EdgeSet {
+    recs: Vec<EdgeRec>,
+    /// Boxed: every vertex holds a set of its own until the broadcast, and
+    /// only one per tree fills its memo.
+    depths: OnceLock<Box<TreeDepths>>,
+}
+
+/// A depth table with the tree and root it was computed for. The tree
+/// pointer is `Weak`, as in Theorem 9's decision: it keeps the address
+/// from being reused while the table lives, without keeping the tree.
+#[derive(Debug, Clone)]
+struct TreeDepths {
+    tree: Weak<Vec<TreeRec>>,
+    root: u64,
+    table: DepthTable,
+}
+
+impl EdgeSet {
+    /// The records, in arrival order.
+    pub(crate) fn records(&self) -> &[EdgeRec] {
+        &self.recs
+    }
+
+    /// Append the incoming records whose label the set does not hold yet
+    /// (first arrival wins), dropping the memo.
+    fn append_unseen<'a>(&mut self, incoming: impl IntoIterator<Item = &'a EdgeRec>) {
+        self.depths = OnceLock::new();
+        append_unseen(&mut self.recs, incoming, |r| r.0);
+    }
+
+    /// The BFS depth of `target` from `root` over these lists, restricted
+    /// to the members of `tree` ([`DepthTable::new`]). The first caller
+    /// fills the memo for its `(tree, root)`; a caller holding another
+    /// tree allocation or root computes a table of its own.
+    fn depth(&self, tree: &Arc<Vec<TreeRec>>, root: u64, target: u64) -> Option<u32> {
+        let memo = self.depths.get_or_init(|| {
+            Box::new(TreeDepths {
+                tree: Arc::downgrade(tree),
+                root,
+                table: DepthTable::new(tree, &self.recs, root),
+            })
+        });
+        if memo.root == root && std::ptr::eq(memo.tree.as_ptr(), Arc::as_ptr(tree)) {
+            memo.table.get(target)
+        } else {
+            DepthTable::new(tree, &self.recs, root).get(target)
+        }
+    }
+}
+
+impl From<Vec<EdgeRec>> for EdgeSet {
+    fn from(recs: Vec<EdgeRec>) -> Self {
+        EdgeSet {
+            recs,
+            depths: OnceLock::new(),
+        }
+    }
+}
+
+impl PartialEq for EdgeSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.recs == other.recs
+    }
+}
+
+/// BFS depths from one root over a tree's adjacency lists.
+#[derive(Debug, Clone)]
+struct DepthTable {
+    /// The tree's labels, ascending.
+    labels: Vec<u64>,
+    /// Each label's depth, `u32::MAX` where unreached.
+    dist: Vec<u32>,
+}
+
+impl DepthTable {
+    /// Search from `root` over the adjacency lists `edges`, restricted to
+    /// the members of `tree`; nothing is reached when `root` is not a
+    /// member. The lists are symmetric (both ends of a same-cluster edge
+    /// list each other), so the search follows them directly, with the
+    /// members indexed by the label-sorted vector.
+    fn new(tree: &[TreeRec], edges: &[EdgeRec], root: u64) -> Self {
+        #[cfg(test)]
+        tests::TABLES_BUILT.with(|n| n.set(n.get() + 1));
+        let mut labels: Vec<u64> = tree.iter().map(|r| r.label).collect();
+        labels.sort_unstable();
+        let mut dist = vec![u32::MAX; labels.len()];
+        let slot = |l: u64| labels.binary_search(&l).ok();
+        if let Some(r) = slot(root) {
+            let mut adj: Vec<&[u64]> = vec![&[]; labels.len()];
+            for (l, nbrs) in edges {
+                if let Some(i) = slot(*l) {
+                    adj[i] = nbrs;
+                }
+            }
+            dist[r] = 0;
+            let mut queue = vec![r];
+            let mut head = 0;
+            while let Some(&x) = queue.get(head) {
+                head += 1;
+                for &w in adj[x] {
+                    if let Some(i) = slot(w) {
+                        if dist[i] == u32::MAX {
+                            dist[i] = dist[x] + 1;
+                            queue.push(i);
+                        }
+                    }
+                }
+            }
+        }
+        DepthTable { labels, dist }
+    }
+
+    /// The depth of `label`; `None` for a non-member or an unreached one.
+    fn get(&self, label: u64) -> Option<u32> {
+        let i = self.labels.binary_search(&label).ok()?;
+        Some(self.dist[i]).filter(|&d| d != u32::MAX)
+    }
+}
+
 /// Virtual messages of the phase.
 #[derive(Debug, Clone, PartialEq)]
 pub enum L15Msg {
@@ -117,9 +251,9 @@ pub enum L15Msg {
     /// Cluster membership announcement (`ℓ_aux`).
     Info4(u64),
     /// Convergecast bag of intra-cluster adjacency lists.
-    EdgeUp(Arc<Vec<(u64, Vec<u64>)>>),
+    EdgeUp(Arc<EdgeSet>),
     /// Broadcast of the cluster's full adjacency.
-    EdgeDown(Arc<Vec<(u64, Vec<u64>)>>),
+    EdgeDown(Arc<EdgeSet>),
     /// Linial-on-`H[U]` color.
     Lin(u64),
 }
@@ -171,11 +305,12 @@ pub struct Lemma15Vertex {
     tree: Arc<Vec<TreeRec>>,
     l_aux: u64,
     in_u: bool,
-    same_cluster_nbrs: Vec<u64>,
+    /// Same-cluster neighbors, ascending: this vertex's own edge record.
+    same_cluster_nbrs: Arc<Vec<u64>>,
     /// Adjacency lists gathered so far on the second convergecast.
-    bag_edges: Arc<Vec<(u64, Vec<u64>)>>,
+    bag_edges: Arc<EdgeSet>,
     /// The cluster's full adjacency, shared like `tree`.
-    edges: Arc<Vec<(u64, Vec<u64>)>>,
+    edges: Arc<EdgeSet>,
     delta_aux: u32,
     lin_color: u64,
     lin_steps: Vec<Step>,
@@ -220,7 +355,7 @@ impl Lemma15Vertex {
             tree: Arc::default(),
             l_aux: 0,
             in_u: false,
-            same_cluster_nbrs: Vec::new(),
+            same_cluster_nbrs: Arc::default(),
             bag_edges: Arc::default(),
             edges: Arc::default(),
             delta_aux: 0,
@@ -325,13 +460,15 @@ impl Lemma15Vertex {
         // U-neighbors, which arrive in the loop's own rounds.
     }
 
-    /// Once the cluster's adjacency is known, compute the exact BFS depth.
-    fn absorb_edges(&mut self, edges: Arc<Vec<(u64, Vec<u64>)>>) {
+    /// Once the cluster's adjacency is known, read the exact BFS depth
+    /// off the set's depth table.
+    fn absorb_edges(&mut self, edges: Arc<EdgeSet>) {
         self.edges = edges;
         self.delta_aux = if self.label == self.l_aux {
             0
         } else {
-            bfs_depth(&self.tree, &self.edges, self.l_aux, self.label)
+            self.edges
+                .depth(&self.tree, self.l_aux, self.label)
                 .expect("cluster is connected through p₂/tree edges")
         };
     }
@@ -408,49 +545,6 @@ fn compute_pointers(
         c2: 0,
         p2: None,
     }
-}
-
-/// BFS distance from `root` to `target` over the adjacency lists `edges`,
-/// restricted to the members of `tree`; `None` when either end is not a
-/// member or `target` is unreachable. The lists are symmetric (both ends
-/// of a same-cluster edge list each other), so the search follows them
-/// directly: members are indexed once by a label-sorted vector, and the
-/// search stops as soon as it reaches `target`.
-fn bfs_depth(tree: &[TreeRec], edges: &[(u64, Vec<u64>)], root: u64, target: u64) -> Option<u32> {
-    let mut slots: Vec<(u64, usize)> = tree.iter().enumerate().map(|(i, r)| (r.label, i)).collect();
-    slots.sort_unstable();
-    let slot = |l: u64| {
-        slots
-            .binary_search_by_key(&l, |e| e.0)
-            .ok()
-            .map(|k| slots[k].1)
-    };
-    let (r, t) = (slot(root)?, slot(target)?);
-    let mut adj: Vec<&[u64]> = vec![&[]; tree.len()];
-    for (l, nbrs) in edges {
-        if let Some(i) = slot(*l) {
-            adj[i] = nbrs;
-        }
-    }
-    let mut dist = vec![u32::MAX; tree.len()];
-    dist[r] = 0;
-    let mut queue = vec![r];
-    let mut head = 0;
-    while let Some(&x) = queue.get(head) {
-        head += 1;
-        if x == t {
-            return Some(dist[x]);
-        }
-        for &w in adj[x] {
-            if let Some(i) = slot(w) {
-                if dist[i] == u32::MAX {
-                    dist[i] = dist[x] + 1;
-                    queue.push(i);
-                }
-            }
-        }
-    }
-    None
 }
 
 impl VirtualProgram for Lemma15Vertex {
@@ -566,12 +660,11 @@ impl VirtualProgram for Lemma15Vertex {
                         Duty::CcRecv(_) => {
                             let recs = inbox.iter().filter_map(|e| match &e.msg {
                                 L15Msg::EdgeUp(recs) if self.children.contains(&e.from) => {
-                                    Some(recs.iter())
+                                    Some(recs.records().iter())
                                 }
                                 _ => None,
                             });
-                            let bag = Arc::make_mut(&mut self.bag_edges);
-                            append_unseen(bag, recs.flatten(), |r| r.0);
+                            Arc::make_mut(&mut self.bag_edges).append_unseen(recs.flatten());
                             if self.p2.is_none() {
                                 self.absorb_edges(Arc::clone(&self.bag_edges));
                                 self.maybe_schedule_linial();
@@ -599,16 +692,17 @@ impl VirtualProgram for Lemma15Vertex {
                             self.maybe_schedule_linial();
                         }
                         Duty::Info4 => {
-                            self.same_cluster_nbrs = inbox
+                            let mut nbrs: Vec<u64> = inbox
                                 .iter()
                                 .filter_map(|e| match &e.msg {
                                     L15Msg::Info4(l) if *l == self.l_aux => Some(e.from),
                                     _ => None,
                                 })
                                 .collect();
-                            self.same_cluster_nbrs.sort_unstable();
-                            self.bag_edges =
-                                Arc::new(vec![(self.label, self.same_cluster_nbrs.clone())]);
+                            nbrs.sort_unstable();
+                            self.same_cluster_nbrs = Arc::new(nbrs);
+                            let rec = (self.label, Arc::clone(&self.same_cluster_nbrs));
+                            self.bag_edges = Arc::new(EdgeSet::from(vec![rec]));
                             // Singleton clusters already know everything.
                             if self.p2.is_none() && self.children.is_empty() {
                                 self.absorb_edges(Arc::clone(&self.bag_edges));
@@ -643,6 +737,15 @@ impl VirtualProgram for Lemma15Vertex {
 codec!(struct TreeRec { label, c2, p2, deg_h });
 
 codec!(struct Lemma15Out { gamma, delta, l_aux, in_u });
+
+impl Codec for EdgeSet {
+    fn encode(&self, w: &mut Writer) {
+        self.recs.encode(w);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        Ok(EdgeSet::from(r.get::<Vec<EdgeRec>>()?))
+    }
+}
 
 impl Codec for Duty {
     fn encode(&self, w: &mut Writer) {
@@ -715,15 +818,25 @@ persist! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clustering::Clustering;
+    use crate::virt::{virt_rounds, VirtSim};
     use awake_graphs::rng::Rng;
+    use awake_graphs::{generators, Graph};
+    use awake_sleeping::{Config, Engine, Persist, RunSpec};
+    use std::cell::Cell;
     use std::collections::BTreeMap;
 
-    /// The arc-sorting search `bfs_depth` replaced: both directions of every
-    /// listed pair as one sorted arc vector, `(label, distance)` sorted by
-    /// label.
+    thread_local! {
+        /// Depth tables built on this thread.
+        pub(super) static TABLES_BUILT: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// The arc-sorting search the depth table replaced: both directions of
+    /// every listed pair as one sorted arc vector, `(label, distance)`
+    /// sorted by label.
     fn bfs_depth_by_sorted_arcs(
         tree: &[TreeRec],
-        edges: &[(u64, Vec<u64>)],
+        edges: &[EdgeRec],
         root: u64,
         target: u64,
     ) -> Option<u32> {
@@ -761,11 +874,7 @@ mod tests {
     /// spanning tree over the first `reach` of them and another over the
     /// rest (unreachable from the first part), plus extra random edges
     /// inside each part. Lists are symmetric, sorted and in random order.
-    fn random_cluster(
-        rng: &mut Rng,
-        k: usize,
-        reach: usize,
-    ) -> (Vec<TreeRec>, Vec<(u64, Vec<u64>)>) {
+    fn random_cluster(rng: &mut Rng, k: usize, reach: usize) -> (Vec<TreeRec>, Vec<EdgeRec>) {
         let mut labels: Vec<u64> = (1..=4 * k as u64).collect();
         rng.shuffle(&mut labels);
         labels.truncate(k);
@@ -799,12 +908,12 @@ mod tests {
                 deg_h: 0,
             })
             .collect();
-        let mut edges: Vec<(u64, Vec<u64>)> = labels
+        let mut edges: Vec<EdgeRec> = labels
             .iter()
             .zip(adj)
             .map(|(&l, mut nbrs)| {
                 nbrs.sort_unstable();
-                (l, nbrs)
+                (l, Arc::new(nbrs))
             })
             .collect();
         rng.shuffle(&mut edges);
@@ -928,7 +1037,7 @@ mod tests {
     }
 
     #[test]
-    fn bfs_depth_matches_the_sorted_arc_search() {
+    fn depth_table_matches_the_sorted_arc_search() {
         let mut rng = Rng::seed_from_u64(15);
         let mut found = 0;
         let mut none = 0;
@@ -937,12 +1046,13 @@ mod tests {
             let reach = 1 + rng.gen_range(0..k);
             let (tree, edges) = random_cluster(&mut rng, k, reach);
             let root = tree[rng.gen_range(0..reach)].label;
+            let table = DepthTable::new(&tree, &edges, root);
             // Every member, plus labels outside `tree`.
             let targets = tree.iter().map(|r| r.label).chain([0, 4 * k as u64 + 1]);
             for target in targets {
                 let want = bfs_depth_by_sorted_arcs(&tree, &edges, root, target);
                 assert_eq!(
-                    bfs_depth(&tree, &edges, root, target),
+                    table.get(target),
                     want,
                     "k={k} reach={reach} root={root} target={target}"
                 );
@@ -953,11 +1063,144 @@ mod tests {
                 }
             }
             // A root outside `tree` reaches nothing.
-            assert_eq!(bfs_depth(&tree, &edges, 0, tree[0].label), None);
+            let outside = DepthTable::new(&tree, &edges, 0);
+            assert!(tree.iter().all(|r| outside.get(r.label).is_none()));
         }
         assert!(
             found > 1000 && none > 1000,
             "both outcomes exercised: {found} / {none}"
+        );
+    }
+
+    /// A Lemma 15 vertex that also outputs the tree and the edge set it
+    /// holds.
+    struct Holding(Lemma15Vertex);
+
+    type Held = (Lemma15Out, Arc<Vec<TreeRec>>, Arc<EdgeSet>);
+
+    impl Persist for Holding {
+        fn save(&self, w: &mut Writer) {
+            self.0.save(w);
+        }
+        fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
+            self.0.restore(r)
+        }
+    }
+
+    impl VirtualProgram for Holding {
+        type Msg = L15Msg;
+        type Output = Held;
+        type Payload = ();
+
+        fn send(&mut self, vround: Round, out: &mut Vec<VOutgoing<L15Msg>>) {
+            self.0.send(vround, out);
+        }
+        fn receive(&mut self, vround: Round, inbox: &[VEnvelope<L15Msg>]) -> Action {
+            self.0.receive(vround, inbox)
+        }
+        fn output(&self) -> Option<Held> {
+            let v = &self.0;
+            let out = v.output()?;
+            Some((out, Arc::clone(&v.tree), Arc::clone(&v.edges)))
+        }
+    }
+
+    /// The held outputs of Lemma 15 on the singleton clustering of `g`
+    /// (one replica per vertex), run whole or resumed from a pause after
+    /// physical round `pause`, with the depth tables the run built.
+    fn run_holding(g: &Graph, pause: Option<Round>) -> (Vec<Held>, usize) {
+        let params = Params::for_graph(g);
+        let cfg = Lemma15Config::at(&params, 1);
+        let db = params.depth_bound;
+        let make = || -> Vec<_> {
+            let factory = move |vi: &VertexInput<()>| Holding(Lemma15Vertex::new(cfg, vi));
+            let cl = Clustering::singletons(g);
+            g.nodes()
+                .map(|v| {
+                    let a = cl.assign[v.index()].unwrap();
+                    VirtSim::participant(a.label, a.depth, g.ident(v), (), db, factory)
+                })
+                .collect()
+        };
+        let engine = Engine::new(g, Config::default());
+        let snap = pause.map(|r| {
+            let spec = RunSpec::default().pause_after(r);
+            engine.run_spec(make(), &spec).unwrap().into_snapshot()
+        });
+        let before = TABLES_BUILT.with(Cell::get);
+        let run = match &snap {
+            Some(snap) => engine
+                .run_spec(make(), &RunSpec::default().resume_from(snap))
+                .unwrap()
+                .finished(),
+            None => engine.run(make()).unwrap(),
+        };
+        let built = TABLES_BUILT.with(Cell::get) - before;
+        let held = run.outputs.into_iter().map(|o| o.unwrap()).collect();
+        (held, built)
+    }
+
+    /// The held outputs grouped by `F₂` tree (by `ℓ_aux`).
+    fn by_tree(held: &[Held]) -> BTreeMap<u64, Vec<&Held>> {
+        let mut trees: BTreeMap<u64, Vec<&Held>> = BTreeMap::new();
+        for h in held {
+            trees.entry(h.0.l_aux).or_default().push(h);
+        }
+        trees
+    }
+
+    #[test]
+    fn members_of_one_tree_share_one_edge_set_and_one_depth_table() {
+        let mut restored_tables = 0;
+        for seed in [1, 2, 3] {
+            let g = generators::random_regular(64, 16, seed);
+            let (fresh, built) = run_holding(&g, None);
+            let trees = by_tree(&fresh);
+            let mut multi = 0;
+            for (l_aux, members) in &trees {
+                let (_, tree, edges) = members[0];
+                assert_eq!(tree.len(), members.len(), "seed {seed}: tree {l_aux}");
+                for (_, t, e) in members {
+                    assert!(Arc::ptr_eq(t, tree), "seed {seed}: tree {l_aux} shared");
+                    assert!(Arc::ptr_eq(e, edges), "seed {seed}: edges {l_aux} shared");
+                }
+                if members.len() > 1 {
+                    multi += 1;
+                    let memo = edges.depths.get().expect("a member filled the table");
+                    assert!(std::ptr::eq(memo.tree.as_ptr(), Arc::as_ptr(tree)));
+                }
+            }
+            assert!(
+                trees.values().any(|m| m.len() > 2),
+                "seed {seed}: a deep tree"
+            );
+            assert_eq!(built, multi, "seed {seed}: one table per multi-member tree");
+
+            // Pause once the root has broadcast the edges: its children hold
+            // the set, and each restores a decoded copy of its own, which it
+            // forwards to its subtree.
+            let params = Params::for_graph(&g);
+            let cfg = Lemma15Config::at(&params, 1);
+            let pause = virt_rounds(params.depth_bound, cfg.base5());
+            let (restored, built) = run_holding(&g, Some(pause));
+            let outs = |h: &[Held]| h.iter().map(|h| h.0.clone()).collect::<Vec<_>>();
+            assert_eq!(outs(&restored), outs(&fresh), "seed {seed}: same δ_aux");
+            for members in by_tree(&restored).values() {
+                let (_, _, edges) = members[0];
+                let decoded = members.iter().any(|(_, _, e)| !Arc::ptr_eq(e, edges));
+                let filled = members.iter().any(|(_, _, e)| e.depths.get().is_some());
+                if decoded && filled {
+                    restored_tables += 1;
+                }
+            }
+            assert!(
+                built > 0,
+                "seed {seed}: restored members build their tables"
+            );
+        }
+        assert!(
+            restored_tables > 0,
+            "a restored member filled the table of a decoded copy"
         );
     }
 }

@@ -43,9 +43,12 @@
 //! of everything it read: a replica reads the stored result only if it
 //! holds exactly those allocations, and otherwise computes its own (see
 //! Theorem 9's Π′ decision, stored in a write-once slot on the cluster
-//! root's member record). An `Arc<T>` encodes exactly like `T` and a
-//! memo is never encoded, so snapshots see neither the sharing nor the
-//! memo: a decoded value starts with an empty memo and fills it again.
+//! root's member record, and Lemma 15's `δ_aux` table, stored on the
+//! [`crate::lemma15::EdgeSet`] a whole `F₂` tree shares and keyed by the
+//! tree allocation and root it was computed for). An `Arc<T>` encodes
+//! exactly like `T` and a memo is never encoded, so snapshots see neither
+//! the sharing nor the memo: a decoded value starts with an empty memo and
+//! fills it again.
 
 use crate::gather::{
     cast, gather_rounds, ClusterView, GatherCore, GatherMsg, GatherStep, MemberRec,

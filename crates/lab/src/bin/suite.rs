@@ -9,11 +9,13 @@
 //!
 //! Exits non-zero if any scenario fails to run or fails validation; with
 //! `--audit`, also if any scenario's measured awake/round complexity
-//! exceeds its closed-form budget (`bound_ok = false` in the report).
+//! exceeds its closed-form budget, or, on BM21 and Theorem 1 rows, any
+//! stage exceeds its entry of the stage table that budget sums
+//! (`bound_ok = false` in the report; the failure names the stage).
 //! Fault-injected scenarios are **not** exempt from either gate: they must
 //! recover to a valid output and stay within the closed-form *degraded*
-//! budget (`awake_core::bounds::degraded_budget_for`) their fault plan
-//! implies.
+//! stage table (`awake_core::bounds::degraded_stages_for`) their fault
+//! plan implies.
 //! Every preset writes one report format (`awake-lab/report/v5`): the
 //! full form with wall time and allocations, or with `--canonical` the
 //! deterministic form the goldens under `crates/lab/tests/` pin. CI
@@ -94,7 +96,7 @@ fn usage() -> ! {
          \n  --seed N             suite seed; scenario seeds derive from it (default: 1)\
          \n  --shards K           run up to K scenarios concurrently (default: 1)\
          \n  --out PATH           where to write the JSON report (default: suite_report.json)\
-         \n  --audit              fail if any measured awake/round complexity exceeds its closed-form budget\
+         \n  --audit              fail if any measured awake/round complexity exceeds its closed-form budget, in total or per stage\
          \n  --canonical          write the byte-stable canonical JSON form (no timing/alloc noise)\
          \n  --filter SUBSTR      run only scenarios whose name contains SUBSTR\
          \n  --list               list presets with scenario counts and gate flags, then exit\
@@ -292,8 +294,12 @@ fn main() -> ExitCode {
             .iter()
             .filter(|s| !s.bound_ok)
             .map(|s| {
+                let stage = s
+                    .stage_audit
+                    .as_ref()
+                    .map_or(String::new(), |e| format!("; stage {e}"));
                 format!(
-                    "{}: awake {}/{}, rounds {}/{}",
+                    "{}: awake {}/{}, rounds {}/{}{stage}",
                     s.name, s.metrics.max_awake, s.awake_bound, s.metrics.rounds, s.round_bound
                 )
             })

@@ -609,6 +609,7 @@ mod tests {
             awake_bound: 5,
             round_bound: 5,
             bound_ok: true,
+            stage_audit: None,
             metrics: crate::report::ScenarioMetrics {
                 rounds: 5,
                 max_awake: 3,

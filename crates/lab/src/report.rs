@@ -112,8 +112,16 @@ pub struct ScenarioReport {
     /// The closed-form round budget, same source.
     pub round_bound: u64,
     /// The audit verdict: `max_awake ≤ awake_bound && rounds ≤
-    /// round_bound`. `suite --audit` fails on any `false`.
+    /// round_bound`, and on the staged solvers (BM21, Theorem 1) every
+    /// stage within its entry of the stage table the totals sum.
+    /// `suite --audit` fails on any `false`.
     pub bound_ok: bool,
+    /// The first stage over its entry, as
+    /// [`awake_core::bounds::audit_stages`] names it; `None` when every
+    /// stage is within its entry or the row has no stage table. No JSON
+    /// form carries it (`bound_ok` holds the verdict), so a row reloaded
+    /// from a progress ledger has `None`.
+    pub stage_audit: Option<String>,
     /// Deterministic measurements.
     pub metrics: ScenarioMetrics,
     /// Wall time / allocations (non-deterministic).
@@ -602,6 +610,7 @@ mod tests {
                 awake_bound: 5,
                 round_bound: 5,
                 bound_ok: true,
+                stage_audit: None,
                 metrics: ScenarioMetrics {
                     rounds: 5,
                     max_awake: 3,

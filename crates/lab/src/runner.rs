@@ -12,7 +12,8 @@
 use crate::fsio::write_atomic;
 use crate::report::{is_row_column, Report, ScenarioMetrics, ScenarioReport, Timing};
 use crate::scenario::{Algo, ProblemKind, Scenario};
-use awake_core::bounds::{self, BoundAlgo, BoundOverflow, ProblemClass};
+use awake_core::bounds::{self, BoundAlgo, BoundOverflow, ProblemClass, Stage};
+use awake_core::compose::Composition;
 use awake_core::params::Params;
 use awake_core::resilient::{run_stage, StageSpec};
 use awake_core::trivial::TrivialGreedy;
@@ -289,6 +290,7 @@ impl ProgressRow {
             awake_bound: self.awake_bound,
             round_bound: self.round_bound,
             bound_ok: self.bound_ok,
+            stage_audit: None,
             metrics: self.metrics.clone(),
             timing: Timing::default(),
         })
@@ -458,8 +460,9 @@ fn run_scenario_inner(
     };
     // Before the run: the solvers size their stages from the same
     // table, and an overflow is reported here with its stage's name.
-    let budget = budget_of(sc, &g, seed).map_err(lab_err)?;
-    let (metrics, valid) = match sc.problem {
+    let stages = stages_of(sc, &g, seed).map_err(lab_err)?;
+    let budget = bounds::lemma8_sum(&stages).map_err(|e| lab_err(RunError::Budget(e)))?;
+    let (metrics, valid, composition) = match sc.problem {
         ProblemKind::Coloring => solve(&DeltaPlusOneColoring, sc, &g, seed, ckpt),
         ProblemKind::ListColoring => solve(&DegreePlusOneListColoring, sc, &g, seed, ckpt),
         ProblemKind::Mis => solve(&MaximalIndependentSet, sc, &g, seed, ckpt),
@@ -470,7 +473,10 @@ fn run_scenario_inner(
     .map_err(lab_err)?;
     let wall_ns = t0.elapsed().as_nanos() as f64;
     let allocations = probe.map(|p| p() - a0).unwrap_or(0);
-    let bound_ok = metrics.max_awake <= budget.awake && metrics.rounds <= budget.rounds;
+    let stage_audit = composition.and_then(|c| bounds::audit_stages(&c, &stages).err());
+    let bound_ok = metrics.max_awake <= budget.awake
+        && metrics.rounds <= budget.rounds
+        && stage_audit.is_none();
     Ok(ScenarioReport {
         name: sc.name.clone(),
         problem: sc.problem.key(),
@@ -483,6 +489,7 @@ fn run_scenario_inner(
         awake_bound: budget.awake,
         round_bound: budget.rounds,
         bound_ok,
+        stage_audit,
         metrics,
         timing: Timing {
             wall_ns,
@@ -491,15 +498,15 @@ fn run_scenario_inner(
     })
 }
 
-/// The budget a scenario is audited against on its built graph: the
-/// [`bounds::degraded_budget_for`] entry point with the harness's axis
+/// The stage table a scenario is audited against on its built graph: the
+/// [`bounds::degraded_stages_for`] entry point with the harness's axis
 /// mapping, at the exact [`FaultPlan`] the run injects (`seed` is the
 /// scenario's derived seed, which also seeds the plan). A fault-free row
 /// has no plan, and a missing or inactive plan degrades nothing, so those
-/// rows get the fault-free [`bounds::budget_for`]. There is no audit
-/// exemption for fault scenarios: the degraded budget is a hard gate like
+/// rows get the fault-free [`bounds::stages_for`]. There is no audit
+/// exemption for fault scenarios: the degraded table is a hard gate like
 /// any other. A run is bit-for-bit identical at every worker count, so
-/// the budget ignores the executor; the staged pipelines use the same
+/// the table ignores the executor; the staged pipelines use the same
 /// [`Params`] derivation the solvers themselves apply
 /// ([`Params::for_graph`]).
 ///
@@ -507,15 +514,25 @@ fn run_scenario_inner(
 /// [`RunError::UnsupportedAlgo`] for an (algo × problem) pairing without
 /// a budget, and [`RunError::Budget`] naming the stage where a figure
 /// leaves `u64`.
-pub fn budget_of(sc: &Scenario, g: &Graph, seed: u64) -> Result<bounds::Budget, RunError> {
+pub fn stages_of(sc: &Scenario, g: &Graph, seed: u64) -> Result<Vec<Stage>, RunError> {
     let (algo, class) = bound_axes(sc);
     let plan = sc.faults.map_or(FaultPlan::new(seed), |f| f.plan(seed));
-    bounds::checked_budget_for(algo, class, g, &Params::for_graph(g), &plan)
+    bounds::degraded_stages_for(algo, class, g, &Params::for_graph(g), &plan)
         .ok_or_else(|| RunError::UnsupportedAlgo {
             problem: sc.problem.key(),
             algo: sc.algo_key(),
         })?
         .map_err(RunError::Budget)
+}
+
+/// The budget a scenario is audited against on its built graph: the
+/// Lemma 8 sum of [`stages_of`].
+///
+/// # Errors
+/// As [`stages_of`], and [`RunError::Budget`] naming the stage where the
+/// sum leaves `u64`.
+pub fn budget_of(sc: &Scenario, g: &Graph, seed: u64) -> Result<bounds::Budget, RunError> {
+    bounds::lemma8_sum(&stages_of(sc, g, seed)?).map_err(RunError::Budget)
 }
 
 /// The harness's axis mapping into [`bounds`]: the solver and the
@@ -541,7 +558,8 @@ fn spec_of(sc: &Scenario, seed: u64) -> StageSpec {
 }
 
 /// Solve the scenario's problem on `g` with the scenario's algorithm and
-/// validate the outputs. `seed` is the scenario's derived seed (it also
+/// validate the outputs; the staged solvers also return their
+/// [`Composition`]. `seed` is the scenario's derived seed (it also
 /// seeds the fault plan, if any). Every algorithm runs through one spec:
 /// the worker count, the fault plan (an inactive one means no plan) and —
 /// for the single-stage trivial solver — the recoverable run's snapshot
@@ -555,7 +573,7 @@ fn solve<P>(
     g: &Graph,
     seed: u64,
     ckpt: Option<&CkptFile>,
-) -> Result<(ScenarioMetrics, bool), RunError>
+) -> Result<(ScenarioMetrics, bool, Option<Composition>), RunError>
 where
     P: OLocalProblem + Clone + Send + Sync,
     P::Input: Codec,
@@ -563,7 +581,7 @@ where
 {
     let inputs = problem.trivial_inputs(g);
     let spec = spec_of(sc, seed);
-    let (metrics, outputs) = match sc.algo {
+    let (metrics, outputs, composition) = match sc.algo {
         Algo::Trivial => {
             let resumed = ckpt.map(CkptFile::load).transpose()?.flatten();
             let store_err = RefCell::new(None);
@@ -595,19 +613,19 @@ where
             if let Some(msg) = store_err.into_inner() {
                 return Err(RunError::Checkpoint(msg));
             }
-            (run.metrics, run.outputs)
+            (run.metrics, run.outputs, None)
         }
         Algo::Bm21 => {
             let r = bm21::solve_spec(g, problem, &inputs, None, &spec)?;
-            (r.composition.total(), r.outputs)
+            (r.composition.total(), r.outputs, Some(r.composition))
         }
         Algo::Theorem1 => {
             let r = theorem1::solve_spec(g, problem, &inputs, Default::default(), &spec)?;
-            (r.composition.total(), r.outputs)
+            (r.composition.total(), r.outputs, Some(r.composition))
         }
     };
     let valid = problem.validate(g, &inputs, &outputs).is_ok();
-    Ok((ScenarioMetrics::from_metrics(&metrics), valid))
+    Ok((ScenarioMetrics::from_metrics(&metrics), valid, composition))
 }
 
 /// Solve an edge-problem scenario through the line-graph virtualization
@@ -623,7 +641,7 @@ fn solve_edge<P>(
     sc: &Scenario,
     g: &Graph,
     seed: u64,
-) -> Result<(ScenarioMetrics, bool), RunError>
+) -> Result<(ScenarioMetrics, bool, Option<Composition>), RunError>
 where
     P: EdgeProblem + Clone + Send + Sync,
     P::Output: Codec,
@@ -632,7 +650,7 @@ where
     let spec = spec_of(sc, seed);
     let run = linegraph::solve_edges_spec(g, problem, &inputs, Config::default(), &spec)?;
     let valid = problem.validate(g, &inputs, &run.outputs).is_ok();
-    Ok((ScenarioMetrics::from_metrics(&run.metrics), valid))
+    Ok((ScenarioMetrics::from_metrics(&run.metrics), valid, None))
 }
 
 #[cfg(test)]
@@ -662,6 +680,7 @@ mod tests {
                 "{}: awake {}/{} rounds {}/{}",
                 r.name, r.metrics.max_awake, r.awake_bound, r.metrics.rounds, r.round_bound
             );
+            assert_eq!(r.stage_audit, None, "{}", r.name);
             assert!(r.metrics.awake_p50 <= r.metrics.awake_p99);
             assert!(r.metrics.awake_p99 <= r.metrics.max_awake);
         }
