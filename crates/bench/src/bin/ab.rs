@@ -5,10 +5,12 @@
 //! cargo run --release -p awake-bench --bin ab -- <base-revision>
 //! ```
 //!
-//! The base revision is checked out with `git worktree add` under
-//! `target/ab/`, and each tree's `perfbench` is built once (`--offline`,
-//! each into its own `CARGO_TARGET_DIR` under `target/ab/`); the checkout
-//! is removed as soon as its binary is built, and on every exit. Then, for
+//! The base revision's files are extracted with `git archive REV | tar -x`
+//! into `target/ab/base`, so the run leaves `git worktree list` and `git
+//! status` as they were. Each tree's `perfbench` is built once
+//! (`--offline`, each into its own `CARGO_TARGET_DIR` under `target/ab/`);
+//! the extracted tree is removed as soon as its binary is built, and on
+//! every exit. Then, for
 //! each of [`PAIRS`] pairs and each workload of `BENCHMARK.json`, three
 //! runs of [`SECONDS`] seconds at seed [`SEED`]: base, head, and a second
 //! head run, the A/A control. The order flips every pair, so no side
@@ -37,7 +39,7 @@ use awake_lab::json::{self, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::process::{Command, ExitCode, Output};
+use std::process::{Command, ExitCode, Output, Stdio};
 
 /// Pairs of runs per workload.
 const PAIRS: usize = 30;
@@ -308,38 +310,53 @@ fn git(root: &Path, args: &[&str]) -> Result<String, Error> {
     Ok(String::from_utf8_lossy(&out.stdout).trim().to_string())
 }
 
-/// The base revision checked out under `target/ab/`; dropping it removes
-/// the checkout and git's record of it, also when the tool fails or
-/// panics.
-struct Worktree {
-    root: PathBuf,
+/// The base revision's files, extracted under `target/ab/` with `git
+/// archive REV | tar -x`: a plain directory, so git's worktree list, index
+/// and refs never change. Dropping it removes the directory, also when
+/// the tool fails or panics.
+struct Extracted {
     path: PathBuf,
 }
 
-impl Worktree {
-    fn add(root: &Path, path: PathBuf, commit: &str) -> Result<Worktree, Error> {
-        let tree = Worktree {
-            root: root.to_path_buf(),
-            path,
-        };
-        // A checkout a killed run left behind goes first.
-        tree.remove();
-        let path = tree.path.to_string_lossy().into_owned();
-        git(root, &["worktree", "add", "--detach", &path, commit])?;
+impl Extracted {
+    fn new(root: &Path, path: PathBuf, commit: &str) -> Result<Extracted, Error> {
+        // A tree a killed run left behind goes first.
+        let _ = std::fs::remove_dir_all(&path);
+        std::fs::create_dir_all(&path)
+            .map_err(|e| Error::Setup(format!("creating {}: {e}", path.display())))?;
+        let tree = Extracted { path };
+        let mut archive = Command::new("git")
+            .arg("-C")
+            .arg(root)
+            .args(["archive", "--format=tar", commit])
+            .stdout(Stdio::piped())
+            .spawn()
+            .map_err(|e| Error::Setup(format!("git archive {commit}: {e}")))?;
+        let stdout = archive.stdout.take().expect("stdout is piped");
+        let untar = checked(
+            Command::new("tar")
+                .arg("-x")
+                .arg("-C")
+                .arg(&tree.path)
+                .stdin(stdout),
+            &format!("extracting {commit} into {}", tree.path.display()),
+        );
+        let archived = archive
+            .wait()
+            .map_err(|e| Error::Setup(format!("git archive {commit}: {e}")))?;
+        if !archived.success() {
+            return Err(Error::Setup(format!(
+                "git archive {commit} failed ({archived})"
+            )));
+        }
+        untar?;
         Ok(tree)
-    }
-
-    fn remove(&self) {
-        let path = self.path.to_string_lossy();
-        let _ = git(&self.root, &["worktree", "remove", "--force", &path]);
-        let _ = std::fs::remove_dir_all(&self.path);
-        let _ = git(&self.root, &["worktree", "prune"]);
     }
 }
 
-impl Drop for Worktree {
+impl Drop for Extracted {
     fn drop(&mut self) {
-        self.remove();
+        let _ = std::fs::remove_dir_all(&self.path);
     }
 }
 
@@ -400,7 +417,7 @@ fn run(base: &str) -> Result<bool, Error> {
     let head_commit = git(&root, &["describe", "--always", "--dirty", "--abbrev=40"])?;
     let dir = root.join("target/ab");
     let base_bin = {
-        let tree = Worktree::add(&root, dir.join("base"), &base_commit)?;
+        let tree = Extracted::new(&root, dir.join("base"), &base_commit)?;
         build(&tree.path, &dir.join("base-target"))?
     };
     let bins = [base_bin, build(&root, &dir.join("head-target"))?];

@@ -284,10 +284,19 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
             .iter()
             .filter_map(|e| gather(&e.msg).map(|m| (e.from, m)));
         if round == 1 {
-            // Learn all neighbors; build own record.
-            let mut intra = Vec::new();
-            let mut border = Vec::new();
+            // Learn all neighbors; build own record, each list allocated
+            // once at its final length.
+            let (mut ports, mut same) = (0, 0);
+            for (_, msg) in msgs.clone() {
+                if let GatherMsg::Hello(l, ..) = msg {
+                    ports += 1;
+                    same += usize::from(*l == self.label);
+                }
+            }
+            let mut intra = Vec::with_capacity(same);
+            let mut border = Vec::with_capacity(ports - same);
             self.my_ports.clear();
+            self.my_ports.reserve_exact(ports);
             for (from, msg) in msgs {
                 if let GatherMsg::Hello(l, d, ident, pl) = msg {
                     self.my_ports.push((from, *ident, *l));
@@ -303,14 +312,18 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
             }
             intra.sort_unstable();
             border.sort_unstable_by_key(|b| (b.0, b.1));
-            self.bag = Arc::new(vec![Arc::new(MemberRec {
+            // The bag `new` made is empty and unshared: it takes the record.
+            let bag = Arc::make_mut(&mut self.bag);
+            debug_assert!(bag.is_empty(), "round 1 comes first");
+            bag.reserve_exact(1);
+            bag.push(Arc::new(MemberRec {
                 ident: self.ident,
                 depth: self.depth,
                 payload: self.payload.clone(),
                 intra,
                 border,
                 memo: Memo::default(),
-            })]);
+            }));
             return match (self.has_children, self.slot.forward()) {
                 (true, _) => GatherStep::WakeAt(self.slot.collect()),
                 // Leaf: go straight to our forwarding round.

@@ -87,6 +87,79 @@ impl Lemma15Config {
     }
 }
 
+/// What every vertex of one Lemma 15 stage reads: the phase parameters and
+/// the Linial schedule on `H[U]`, computed once and shared. A clone costs
+/// one reference-count increment, so a stage's factory hands each replica
+/// a clone instead of a schedule of its own.
+#[derive(Debug, Clone)]
+pub struct Lemma15Stage {
+    cfg: Lemma15Config,
+    lin_steps: Arc<[Step]>,
+}
+
+/// The stage of `cfg`, with its schedule computed here.
+impl From<Lemma15Config> for Lemma15Stage {
+    fn from(cfg: Lemma15Config) -> Self {
+        Lemma15Stage {
+            cfg,
+            lin_steps: cfg.lin_steps().into(),
+        }
+    }
+}
+
+/// A shared value a vertex learns partway through the phase. Until then it
+/// holds nothing and allocates nothing, and it encodes like `T::default()`,
+/// the placeholder it replaces, so a snapshot reads the same bytes either
+/// way; a decoded one always holds its value.
+#[derive(Debug, Clone)]
+struct Late<T>(Option<Arc<T>>);
+
+impl<T> Late<T> {
+    /// The value; the phase reads it only after the round that sets it.
+    fn get(&self) -> &Arc<T> {
+        self.0
+            .as_ref()
+            .expect("a late value is read after it is set")
+    }
+
+    /// The value, for a change that must not reach its other holders
+    /// ([`Arc::make_mut`]).
+    fn make_mut(&mut self) -> &mut T
+    where
+        T: Clone,
+    {
+        Arc::make_mut(
+            self.0
+                .as_mut()
+                .expect("a late value is extended after it is set"),
+        )
+    }
+}
+
+impl<T> Default for Late<T> {
+    fn default() -> Self {
+        Late(None)
+    }
+}
+
+impl<T> From<Arc<T>> for Late<T> {
+    fn from(v: Arc<T>) -> Self {
+        Late(Some(v))
+    }
+}
+
+impl<T: Codec + Default> Codec for Late<T> {
+    fn encode(&self, w: &mut Writer) {
+        match &self.0 {
+            Some(v) => v.encode(w),
+            None => T::default().encode(w),
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        Ok(Late(Some(r.get()?)))
+    }
+}
+
 /// A record describing one vertex inside an `F₂` tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeRec {
@@ -290,7 +363,7 @@ pub struct Lemma15Vertex {
     deg_h: u64,
     c1: u64,
     /// The neighbors' `c₁`, sent on as this vertex's 2-hop table.
-    nbr_c1: Table,
+    nbr_c1: Late<Vec<(u64, u64)>>,
     /// `(neighbor label, its 2-hop table)`, ascending by label.
     nbr_tables: Vec<(u64, Table)>,
     p1: Option<u64>,
@@ -300,20 +373,21 @@ pub struct Lemma15Vertex {
     p2_c2: Option<u64>,
     children: Vec<u64>,
     /// Tree records gathered so far on the first convergecast.
-    bag_tree: Arc<Vec<TreeRec>>,
+    bag_tree: Late<Vec<TreeRec>>,
     /// The whole `F₂` tree, shared with the message that delivered it.
-    tree: Arc<Vec<TreeRec>>,
+    tree: Late<Vec<TreeRec>>,
     l_aux: u64,
     in_u: bool,
     /// Same-cluster neighbors, ascending: this vertex's own edge record.
-    same_cluster_nbrs: Arc<Vec<u64>>,
+    same_cluster_nbrs: Late<Vec<u64>>,
     /// Adjacency lists gathered so far on the second convergecast.
-    bag_edges: Arc<EdgeSet>,
+    bag_edges: Late<EdgeSet>,
     /// The cluster's full adjacency, shared like `tree`.
-    edges: Arc<EdgeSet>,
+    edges: Late<EdgeSet>,
     delta_aux: u32,
     lin_color: u64,
-    lin_steps: Vec<Step>,
+    /// The stage's Linial schedule, shared by all its vertices.
+    lin_steps: Arc<[Step]>,
     /// Pooled neighbor-color scratch of the Linial duty (transient).
     lin_nbrs: Vec<u64>,
     agenda: std::collections::VecDeque<(Round, Duty)>,
@@ -321,8 +395,13 @@ pub struct Lemma15Vertex {
 }
 
 impl Lemma15Vertex {
-    /// Build the vertex program from the gathered cluster input.
-    pub fn new(cfg: Lemma15Config, input: &VertexInput<()>) -> Self {
+    /// Build the vertex program from its stage and the gathered cluster
+    /// input. `stage` is a [`Lemma15Stage`], whose schedule the vertex
+    /// shares, or a [`Lemma15Config`], which computes a schedule for this
+    /// vertex alone. The fields the phase fills in later start empty and
+    /// allocate nothing until then.
+    pub fn new(stage: impl Into<Lemma15Stage>, input: &VertexInput<()>) -> Self {
+        let Lemma15Stage { cfg, lin_steps } = stage.into();
         let label = input.label;
         assert!(
             label <= cfg.label_bound,
@@ -343,7 +422,7 @@ impl Lemma15Vertex {
             label,
             deg_h,
             c1,
-            nbr_c1: Arc::default(),
+            nbr_c1: Late::default(),
             nbr_tables: Vec::new(),
             p1: None,
             shift: 0,
@@ -351,16 +430,16 @@ impl Lemma15Vertex {
             p2: None,
             p2_c2: None,
             children: Vec::new(),
-            bag_tree: Arc::default(),
-            tree: Arc::default(),
+            bag_tree: Late::default(),
+            tree: Late::default(),
             l_aux: 0,
             in_u: false,
-            same_cluster_nbrs: Arc::default(),
-            bag_edges: Arc::default(),
-            edges: Arc::default(),
+            same_cluster_nbrs: Late::default(),
+            bag_edges: Late::default(),
+            edges: Late::default(),
             delta_aux: 0,
             lin_color: 0,
-            lin_steps: cfg.lin_steps(),
+            lin_steps,
             lin_nbrs: Vec::new(),
             agenda: Default::default(),
             out: None,
@@ -439,14 +518,13 @@ impl Lemma15Vertex {
     /// Once the tree is known (after the first broadcast pass), derive the
     /// root, `U`-membership, and our own record sanity.
     fn absorb_tree(&mut self, tree: Arc<Vec<TreeRec>>) {
-        self.tree = tree;
-        let root = self
-            .tree
+        let root = tree
             .iter()
             .find(|r| r.p2.is_none())
             .expect("every F₂ tree has a root");
         self.l_aux = root.label;
         self.in_u = root.deg_h <= self.cfg.b;
+        self.tree = tree.into();
         if self.in_u {
             // Paper's claim: all members of a small-root cluster have
             // degree ≤ b (their c₁ colors sit above the threshold).
@@ -463,14 +541,14 @@ impl Lemma15Vertex {
     /// Once the cluster's adjacency is known, read the exact BFS depth
     /// off the set's depth table.
     fn absorb_edges(&mut self, edges: Arc<EdgeSet>) {
-        self.edges = edges;
         self.delta_aux = if self.label == self.l_aux {
             0
         } else {
-            self.edges
-                .depth(&self.tree, self.l_aux, self.label)
+            edges
+                .depth(self.tree.get(), self.l_aux, self.label)
                 .expect("cluster is connected through p₂/tree edges")
         };
+        self.edges = edges.into();
     }
 
     fn tree_rec(&self) -> TreeRec {
@@ -556,7 +634,7 @@ impl VirtualProgram for Lemma15Vertex {
         match vround {
             1 => out.push(VOutgoing::Broadcast(L15Msg::Info1(self.c1))),
             2 => out.push(VOutgoing::Broadcast(L15Msg::Info2(Arc::clone(
-                &self.nbr_c1,
+                self.nbr_c1.get(),
             )))),
             3 => out.push(VOutgoing::Broadcast(L15Msg::Info3(self.c2, self.p2))),
             _ => {
@@ -567,17 +645,17 @@ impl VirtualProgram for Lemma15Vertex {
                     match duty {
                         Duty::CcSend(0) => out.push(VOutgoing::ToCluster(
                             self.p2.expect("cc send implies a parent"),
-                            L15Msg::TreeUp(Arc::clone(&self.bag_tree)),
+                            L15Msg::TreeUp(Arc::clone(self.bag_tree.get())),
                         )),
                         Duty::CcSend(_) => out.push(VOutgoing::ToCluster(
                             self.p2.expect("cc send implies a parent"),
-                            L15Msg::EdgeUp(Arc::clone(&self.bag_edges)),
+                            L15Msg::EdgeUp(Arc::clone(self.bag_edges.get())),
                         )),
                         Duty::BcSend(0) => out.push(VOutgoing::Broadcast(L15Msg::TreeDown(
-                            Arc::clone(&self.tree),
+                            Arc::clone(self.tree.get()),
                         ))),
                         Duty::BcSend(_) => out.push(VOutgoing::Broadcast(L15Msg::EdgeDown(
-                            Arc::clone(&self.edges),
+                            Arc::clone(self.edges.get()),
                         ))),
                         Duty::Info4 => out.push(VOutgoing::Broadcast(L15Msg::Info4(self.l_aux))),
                         Duty::Lin(_) => out.push(VOutgoing::Broadcast(L15Msg::Lin(self.lin_color))),
@@ -596,9 +674,9 @@ impl VirtualProgram for Lemma15Vertex {
                     L15Msg::Info1(c1) => Some((e.from, c1)),
                     _ => None,
                 });
-                self.nbr_c1 = Arc::new(c1s.collect());
+                self.nbr_c1 = Arc::new(c1s.collect::<Vec<_>>()).into();
                 debug_assert_eq!(
-                    self.nbr_c1.len() as u64,
+                    self.nbr_c1.get().len() as u64,
                     self.deg_h,
                     "every neighbor reports c₁"
                 );
@@ -612,7 +690,7 @@ impl VirtualProgram for Lemma15Vertex {
                         _ => None,
                     })
                     .collect();
-                let p = compute_pointers(self.label, self.c1, &self.nbr_c1, &self.nbr_tables);
+                let p = compute_pointers(self.label, self.c1, self.nbr_c1.get(), &self.nbr_tables);
                 (self.p1, self.shift, self.c2, self.p2) = (p.p1, p.shift, p.c2, p.p2);
                 Action::Stay
             }
@@ -628,12 +706,12 @@ impl VirtualProgram for Lemma15Vertex {
                     }
                 }
                 self.children.sort_unstable();
-                self.bag_tree = Arc::new(vec![self.tree_rec()]);
+                self.bag_tree = Arc::new(vec![self.tree_rec()]).into();
                 self.build_tree_agenda();
                 // A singleton root's tree is itself; it schedules Linial
                 // at the Info4 round, once its adjacency is known too.
                 if self.p2.is_none() && self.children.is_empty() {
-                    self.absorb_tree(Arc::clone(&self.bag_tree));
+                    self.absorb_tree(Arc::clone(self.bag_tree.get()));
                 }
                 self.next_action(vround)
             }
@@ -650,11 +728,10 @@ impl VirtualProgram for Lemma15Vertex {
                                 }
                                 _ => None,
                             });
-                            let bag = Arc::make_mut(&mut self.bag_tree);
-                            append_unseen(bag, recs.flatten(), |r| r.label);
+                            append_unseen(self.bag_tree.make_mut(), recs.flatten(), |r| r.label);
                             if self.p2.is_none() {
                                 // Root: the tree is complete.
-                                self.absorb_tree(Arc::clone(&self.bag_tree));
+                                self.absorb_tree(Arc::clone(self.bag_tree.get()));
                             }
                         }
                         Duty::CcRecv(_) => {
@@ -664,9 +741,9 @@ impl VirtualProgram for Lemma15Vertex {
                                 }
                                 _ => None,
                             });
-                            Arc::make_mut(&mut self.bag_edges).append_unseen(recs.flatten());
+                            self.bag_edges.make_mut().append_unseen(recs.flatten());
                             if self.p2.is_none() {
-                                self.absorb_edges(Arc::clone(&self.bag_edges));
+                                self.absorb_edges(Arc::clone(self.bag_edges.get()));
                                 self.maybe_schedule_linial();
                             }
                         }
@@ -700,12 +777,13 @@ impl VirtualProgram for Lemma15Vertex {
                                 })
                                 .collect();
                             nbrs.sort_unstable();
-                            self.same_cluster_nbrs = Arc::new(nbrs);
-                            let rec = (self.label, Arc::clone(&self.same_cluster_nbrs));
-                            self.bag_edges = Arc::new(EdgeSet::from(vec![rec]));
+                            let nbrs = Arc::new(nbrs);
+                            let rec = (self.label, Arc::clone(&nbrs));
+                            self.same_cluster_nbrs = nbrs.into();
+                            self.bag_edges = Arc::new(EdgeSet::from(vec![rec])).into();
                             // Singleton clusters already know everything.
                             if self.p2.is_none() && self.children.is_empty() {
-                                self.absorb_edges(Arc::clone(&self.bag_edges));
+                                self.absorb_edges(Arc::clone(self.bag_edges.get()));
                                 self.maybe_schedule_linial();
                             }
                         }
@@ -1101,7 +1179,7 @@ mod tests {
         fn output(&self) -> Option<Held> {
             let v = &self.0;
             let out = v.output()?;
-            Some((out, Arc::clone(&v.tree), Arc::clone(&v.edges)))
+            Some((out, Arc::clone(v.tree.get()), Arc::clone(v.edges.get())))
         }
     }
 

@@ -26,7 +26,7 @@ use crate::clustering::{Assign, Clustering};
 use crate::compose::Composition;
 use crate::gather::gather_rounds;
 use crate::lemma14::{L14Payload, TreeGatherVertex};
-use crate::lemma15::{Lemma15Config, Lemma15Out, Lemma15Vertex};
+use crate::lemma15::{Lemma15Config, Lemma15Out, Lemma15Stage, Lemma15Vertex};
 use crate::params::Params;
 use crate::resilient::{solver_stage, StageSpec};
 use crate::virt::VirtSim;
@@ -108,7 +108,9 @@ pub fn compute_spec(
         // ---- Stage 1: Lemma 15 on H via Lemma 7 ----
         // The engine cap: the stage's budget plus a two-round tail.
         let budget = Config::with_max_rounds(l15.budget.rounds + 2);
-        let factory = move |vi: &crate::virt::VertexInput<()>| Lemma15Vertex::new(cfg, vi);
+        // One Linial schedule for the whole stage, shared by every replica.
+        let stage = Lemma15Stage::from(cfg);
+        let factory = |vi: &crate::virt::VertexInput<()>| Lemma15Vertex::new(stage.clone(), vi);
         let programs: Vec<VirtSim<Lemma15Vertex, _>> = g
             .nodes()
             .map(|v| match current[v.index()] {

@@ -49,6 +49,17 @@
 //! exactly like `T` and a memo is never encoded, so snapshots see neither
 //! the sharing nor the memo: a decoded value starts with an empty memo and
 //! fills it again.
+//!
+//! A one-member cluster pays no more than it must. Its gather reuses the
+//! empty bag the core starts with for its first record and allocates the
+//! record's lists at their final length. Its degree in `H` is counted
+//! without a label vector, as long as the labels arrive ascending (a
+//! singleton next to singletons). When its ports are its neighbors, all in
+//! other clusters, each virtual broadcast leaves as one engine broadcast
+//! rather than one addressed copy per port. Lemma 15 allocates no
+//! placeholders for the values it learns later in the phase, and every
+//! replica of a stage shares one Linial schedule
+//! ([`crate::lemma15::Lemma15Stage`]) instead of computing its own.
 
 use crate::gather::{
     cast, gather_rounds, ClusterView, GatherCore, GatherMsg, GatherStep, MemberRec,
@@ -98,9 +109,25 @@ impl<P: Clone> VertexInput<P> {
         l
     }
 
-    /// Degree in `H`.
+    /// Degree in `H`: the number of distinct neighbor labels. Counted in
+    /// place while the labels arrive ascending, as they do for a singleton
+    /// whose neighbors are singletons (labeled by identifier); sorted only
+    /// otherwise.
     pub fn h_degree(&self) -> usize {
-        self.neighbor_labels().len()
+        let labels = self
+            .members
+            .values()
+            .flat_map(|m| m.border.iter().map(|b| b.1));
+        let mut count = 0;
+        let mut last = None;
+        for l in labels {
+            if last.is_some_and(|p| l < p) {
+                return self.neighbor_labels().len();
+            }
+            count += usize::from(last != Some(l));
+            last = Some(l);
+        }
+        count
     }
 
     /// The root member's identifier.
@@ -246,9 +273,12 @@ pub fn checked_virt_rounds(d: u32, inner_rounds: Round) -> Option<Round> {
 
 // ---- phase timing (over the public depth bound) ----
 
-/// The exchange round that opens virtual round `vround`'s phase.
+/// The exchange round that opens virtual round `vround`'s phase. It
+/// saturates at `Round::MAX`: a replica sleeping past the horizon then
+/// waits for a round no run reaches, and the engine stops with its typed
+/// budget error instead of the clock wrapping.
 fn t0(db: u32, vround: Round) -> Round {
-    1 + vround * gather_rounds(db)
+    vround.saturating_mul(gather_rounds(db)).saturating_add(1)
 }
 
 /// The Lemma 6 slot of virtual round `vround`'s phase at `depth`.
@@ -462,22 +492,34 @@ where
             St::Run(run) => {
                 let round = view.round;
                 if !run.vp_done && round == t0(db, run.next) {
+                    // When the ports are the node's neighbors in adjacency
+                    // order, all in other clusters, a virtual broadcast
+                    // reaches every neighbor: one engine broadcast makes
+                    // the same transmissions in the same order.
+                    let foreign = run.ports.len() == view.neighbors.len()
+                        && run
+                            .ports
+                            .iter()
+                            .zip(view.neighbors)
+                            .all(|(&(port, _, l), &w)| port == w && l != run.label);
                     for (seq, to, msg) in &run.outgoing {
+                        let wire = || VirtMsg::Exchange {
+                            from: run.label,
+                            to: *to,
+                            seq: *seq,
+                            msg: msg.clone(),
+                        };
+                        if to.is_none() && foreign {
+                            out.broadcast(wire());
+                            continue;
+                        }
                         for &(port, _, l) in &run.ports {
                             let ship = match to {
                                 Some(j) => l == *j,
                                 None => l != run.label,
                             };
                             if ship {
-                                out.to(
-                                    port,
-                                    VirtMsg::Exchange {
-                                        from: run.label,
-                                        to: *to,
-                                        seq: *seq,
-                                        msg: msg.clone(),
-                                    },
-                                );
+                                out.to(port, wire());
                             }
                         }
                     }

@@ -11,7 +11,7 @@ use awake_graphs::{generators, Graph, GraphBuilder, NodeId};
 use awake_olocal::problems::MaximalIndependentSet;
 use awake_sleeping::{
     persist, Action, CheckpointError, Codec, Config, Engine, Envelope, Outbox, Persist, Program,
-    Reader, Round, RunSpec, View, Writer,
+    Reader, Round, RunSpec, SimError, TraceEvent, TraceMode, View, Writer,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -104,6 +104,33 @@ fn gather_singleton_cluster_is_one_awake_round() {
         assert_eq!(view.members.len(), 1);
         assert_eq!(VertexInput::from(view.clone()).h_degree(), g.degree(v));
     }
+}
+
+#[test]
+fn h_degree_counts_the_distinct_neighbor_labels() {
+    let g = generators::gnp(40, 0.12, 1);
+    let overlay = synthesize(&g, 7, 11).root_ident_overlay(&g);
+    let (mut ascending, mut unsorted) = (0, 0);
+    for cl in [Clustering::singletons(&g), overlay] {
+        for view in run_gather(&g, &cl).into_iter().flatten() {
+            let input = VertexInput::from(view);
+            assert_eq!(input.h_degree(), input.neighbor_labels().len());
+            let labels: Vec<u64> = input
+                .members
+                .values()
+                .flat_map(|m| m.border.iter().map(|b| b.1))
+                .collect();
+            if labels.is_sorted() {
+                ascending += 1;
+            } else {
+                unsorted += 1;
+            }
+        }
+    }
+    assert!(
+        ascending > 0 && unsorted > 0,
+        "both counting paths exercised: {ascending} / {unsorted}"
+    );
 }
 
 #[test]
@@ -737,4 +764,123 @@ fn venvelope_encodes_as_the_from_seq_msg_triple() {
     assert_eq!(encoded, bytes(&triples));
     let back: Vec<VEnvelope<(u64, Round)>> = Reader::new(&encoded).get().unwrap();
     assert_eq!(back, envs);
+}
+
+/// `(messages_sent, messages_delivered, messages_lost, awake_events,
+/// Delivered trace events)` of a traced `VirtSim<VFlood>` run.
+fn vflood_counts(g: &Graph, cl: &Clustering) -> [u64; 5] {
+    let db = g.n() as u32;
+    let factory = |vi: &VertexInput<()>| VFlood {
+        label: vi.label,
+        best: vi.label,
+        t: 3,
+    };
+    let programs: Vec<VirtSim<VFlood, _>> = g
+        .nodes()
+        .map(|v| match cl.assign[v.index()] {
+            Some(a) => VirtSim::participant(a.label, a.depth, g.ident(v), (), db, factory),
+            None => VirtSim::bystander(factory),
+        })
+        .collect();
+    let config = Config {
+        trace: TraceMode::Capped(1 << 20),
+        ..Config::default()
+    };
+    let run = Engine::new(g, config).run(programs).unwrap();
+    assert_eq!(run.trace_dropped, 0);
+    let delivered = run
+        .trace
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::Delivered { .. }))
+        .count();
+    let m = &run.metrics;
+    [
+        m.messages_sent,
+        m.messages_delivered,
+        m.messages_lost,
+        m.awake_events,
+        delivered as u64,
+    ]
+}
+
+/// The exchange goes out as one engine broadcast only where every port
+/// leads to another cluster; a replica next to a bystander or a member
+/// of its own cluster ships port by port. The counts are pinned, so a
+/// broadcast that reaches a bystander or a same-cluster port fails here
+/// by the clustering's name.
+#[test]
+fn exchange_reaches_exactly_the_ports_of_other_clusters() {
+    let g = generators::gnp(16, 0.3, 4);
+    let singletons = Clustering::singletons(&g);
+    let mixed = synthesize(&g, 10, 3).root_ident_overlay(&g);
+    mixed.validate_uniquely_labeled(&g).unwrap();
+    let sizes = mixed.members_by_label();
+    let size_of = |v: NodeId| sizes[&mixed.assign[v.index()].unwrap().label].len();
+    assert!(
+        g.edges()
+            .any(|(u, w)| (size_of(u) == 1) != (size_of(w) == 1)),
+        "a singleton next to a multi-member cluster"
+    );
+    let mut sparse = Clustering::singletons(&g);
+    for i in [2, 7, 11] {
+        sparse.assign[i] = None;
+    }
+    let cases = [
+        ("all singletons", &singletons, [304, 304, 0, 64, 304]),
+        (
+            "singletons next to a multi-member cluster",
+            &mixed,
+            [478, 398, 80, 152, 398],
+        ),
+        (
+            "singletons next to bystanders",
+            &sparse,
+            [226, 216, 10, 52, 216],
+        ),
+    ];
+    for (name, cl, want) in cases {
+        let got = vflood_counts(&g, cl);
+        assert_eq!(
+            got, want,
+            "{name}: [sent, delivered, lost, awake events, Delivered events]"
+        );
+    }
+}
+
+/// An inner program that sleeps past the `u64` horizon: the phase clock
+/// saturates and the run ends in the engine's typed budget error.
+#[test]
+fn sleeping_past_the_round_horizon_is_a_budget_error() {
+    #[derive(Debug)]
+    struct FarSleeper;
+    impl VirtualProgram for FarSleeper {
+        type Msg = ();
+        type Output = ();
+        type Payload = ();
+        fn send(&mut self, _v: Round, _out: &mut Vec<VOutgoing<()>>) {}
+        fn receive(&mut self, _vround: Round, _inbox: &[VEnvelope<()>]) -> Action {
+            Action::SleepUntil(u64::MAX / 4)
+        }
+        fn output(&self) -> Option<()> {
+            None
+        }
+    }
+    let g = generators::path(4);
+    let cl = Clustering::singletons(&g);
+    let factory = |_: &VertexInput<()>| FarSleeper;
+    let programs: Vec<VirtSim<FarSleeper, _>> = g
+        .nodes()
+        .map(|v| {
+            let a = cl.assign[v.index()].unwrap();
+            VirtSim::participant(a.label, a.depth, g.ident(v), (), 4, factory)
+        })
+        .collect();
+    let config = Config::default();
+    let err = Engine::new(&g, config).run(programs).err();
+    assert_eq!(
+        err,
+        Some(SimError::RoundBudgetExceeded {
+            limit: config.max_rounds
+        })
+    );
 }
